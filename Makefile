@@ -4,9 +4,9 @@ GO ?= go
 # `make check` stays fast while still catching locking regressions.
 RACE_PKGS := ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/metrics/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/... ./internal/transport/...
 
-.PHONY: check vet build test race soak bench bench-obs bench-dataplane bench-parallel bench-transport obs-demo daemon-demo
+.PHONY: check vet build test race bench-module soak bench loc obs-demo daemon-demo
 
-check: vet build test race
+check: vet build test race bench-module
 
 vet:
 	$(GO) vet ./...
@@ -21,56 +21,39 @@ race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined' -count=1 .
 
+# cmd/pleroma-bench is a module of its own and a client of internal APIs
+# (wire codecs, transport.Backend), so root build/test never compile it:
+# vet and test it here, or an internal-API break stays invisible until the
+# performance gate runs.
+bench-module:
+	$(GO) vet -C cmd/pleroma-bench .
+	$(GO) test -C cmd/pleroma-bench .
+
 # Long-running churn soaks against the public API, raced: exact-delivery
 # ground truth plus fault-injection convergence (resync heals every round).
 soak:
 	$(GO) test -race -run Soak -count=1 -v .
 
-# Micro-benchmarks for the prefix index (Set algebra, table lookup) plus the
-# system-level publish/subscribe benchmarks. Output is teed into benchmarks/
-# so successive runs can be diffed against benchmarks/before.txt.
+# The repository's one performance record: every workload BENCHMARK.json
+# declares, in the driver's form (end-to-end metrics; pass --trace 1 by hand
+# for the per-layer split). See cmd/pleroma-bench/README.md.
+BENCH_WORKLOADS := tcp-pipe tcp-rtt inproc-fanout ctl-churn
 bench:
-	mkdir -p benchmarks
-	$(GO) test -run XXX -bench 'BenchmarkSet|BenchmarkTableLookup|BenchmarkLookup' -benchmem ./internal/dz/... ./internal/openflow/... | tee benchmarks/micro.txt
-	$(GO) test -run XXX -bench 'BenchmarkSystemPublishDeliver(Obs)?$$' -benchtime 100x -benchmem . | tee benchmarks/system.txt
-	$(GO) test -run XXX -bench 'BenchmarkSubscribeAt' -benchmem ./internal/core/... | tee -a benchmarks/system.txt
+	@for w in $(BENCH_WORKLOADS); do \
+		echo "--- $$w"; \
+		bash cmd/pleroma-bench/run.sh --workload $$w --seed 12 --seconds 10 --trace 0 || exit $$?; \
+	done
 
-# Data-plane fast-path benchmarks: engine scheduling, raw forwarding, and
-# the end-to-end publish/deliver path (single and batched). Results are
-# appended to benchmarks/dataplane.txt, which keeps the pre-fast-path
-# records as comments; compare before/after with
-#   benchstat old.txt new.txt
-# (or eyeball ns/op and allocs/op — the committed file carries both eras).
-bench-dataplane:
-	mkdir -p benchmarks
-	$(GO) test -run XXX -bench 'BenchmarkEngineScheduleRun|BenchmarkScheduleRun' -benchtime 100000x -benchmem ./internal/sim/ | tee -a benchmarks/dataplane.txt
-	$(GO) test -run XXX -bench 'BenchmarkDataPlaneForward' -benchtime 50000x -benchmem ./internal/netem/ | tee -a benchmarks/dataplane.txt
-	$(GO) test -run XXX -bench 'BenchmarkSystemPublishDeliver$$|BenchmarkSystemPublishBatch' -benchtime 5000x -count 3 -benchmem . | tee -a benchmarks/dataplane.txt
-
-# Observability overhead: the publish/delivery benchmark with the obs layer
-# off and on, teed for comparison against the committed benchmarks/obs.txt.
-bench-obs:
-	mkdir -p benchmarks
-	$(GO) test -run XXX -bench 'BenchmarkSystemPublishDeliver(Obs)?$$' -benchtime 5000x -count 3 -benchmem . | tee benchmarks/obs.txt
-
-# Parallel engine speedup: the sharded fat-tree fan-out benchmark swept
-# across -cpu 1,2,4,8. GOMAXPROCS doubles as the shard count, so -cpu 1 is
-# the classic single-engine path and -cpu N runs N-way barrier windows;
-# compare ns/op down the sweep for the speedup. Teed into
-# benchmarks/parallel.txt (the committed file keeps reference runs as
-# comments).
-bench-parallel:
-	mkdir -p benchmarks
-	$(GO) test -run XXX -bench 'BenchmarkSystemPublishDeliverFatTree8' -benchtime 50x -count 1 -cpu 1,2,4,8 -benchmem . | tee -a benchmarks/parallel.txt
-
-# Pipelined transport data path: loopback-TCP publish→deliver throughput,
-# the per-call baseline (one round trip per publish, per-event delivery
-# frames) against the windowed async path swept over window size and
-# coalescing threshold. Appended to benchmarks/transport.txt, which keeps
-# the pre-pipeline record as comments — compare events/s and allocs/op.
-bench-transport:
-	mkdir -p benchmarks
-	$(GO) test -run XXX -bench 'BenchmarkTransportPublishDeliver' -benchtime 20000x -count 1 -benchmem . | tee -a benchmarks/transport.txt
+# Non-test Go lines (wc -l) of the three areas the simplification issues
+# track, and of the whole repository.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	w=$$(count internal/wire -maxdepth 1); t=$$(count internal/transport -maxdepth 1); f=$$(count . -maxdepth 1); \
+	echo "internal/wire       $$w"; \
+	echo "internal/transport  $$t"; \
+	echo "root facade         $$f"; \
+	echo "wire+transport+root $$((w + t + f))"; \
+	echo "repository          $$(count . -path ./.bench_build -prune -o)"
 
 # Networked deployment smoke test: boot pleroma-d on loopback, attach a
 # subscriber process and a publisher process, and check the delivery

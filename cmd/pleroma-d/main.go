@@ -69,8 +69,7 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) error {
 		shards     = fs.Int("shards", 1, "parallel simulation shards")
 
 		readTimeout  = fs.Duration("read-timeout", 0, "per-frame read deadline on client connections (0 = none)")
-		writeTimeout = fs.Duration("write-timeout", 0, "per-flush write deadline on client connections (0 = server default)")
-		noBatching   = fs.Bool("no-batching", false, "withhold the delivery-batching capability: every client sees the per-event v1 frame stream")
+		writeTimeout = fs.Duration("write-timeout", 0, "per-flush write deadline on client connections (0 = none)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -93,7 +92,6 @@ func run(args []string, w io.Writer, stop <-chan os.Signal) error {
 		pleroma.WithTransport(pleroma.TransportOptions{
 			ReadTimeout:  *readTimeout,
 			WriteTimeout: *writeTimeout,
-			NoBatching:   *noBatching,
 		}),
 	}
 	if *state != "" {

@@ -138,7 +138,7 @@ func TestDaemonObsEndpoints(t *testing.T) {
 	tid := traceID
 	mu.Unlock()
 	if tid == 0 {
-		t.Fatal("delivery carried no trace id despite negotiated tracing")
+		t.Fatal("delivery of a traced publish carried no trace id")
 	}
 
 	get := func(path string) (int, string) {

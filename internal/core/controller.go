@@ -85,7 +85,7 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if err := c.journalOp(wire.OpAdvertise, id, ep, set); err != nil {
 		return rep, err
 	}
-	c.logOp("advertise", id, rep)
+	c.logOp(wire.OpAdvertise, id, rep)
 	return rep, nil
 }
 
@@ -159,7 +159,7 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if err := c.journalOp(wire.OpSubscribe, id, ep, set); err != nil {
 		return rep, err
 	}
-	c.logOp("subscribe", id, rep)
+	c.logOp(wire.OpSubscribe, id, rep)
 	return rep, nil
 }
 
@@ -190,7 +190,7 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	if err := c.journalOp(wire.OpUnsubscribe, id, endpoint{}, nil); err != nil {
 		return rep, err
 	}
-	c.logOp("unsubscribe", id, rep)
+	c.logOp(wire.OpUnsubscribe, id, rep)
 	return rep, nil
 }
 
@@ -226,17 +226,17 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	if err := c.journalOp(wire.OpUnadvertise, id, endpoint{}, nil); err != nil {
 		return rep, err
 	}
-	c.logOp("unadvertise", id, rep)
+	c.logOp(wire.OpUnadvertise, id, rep)
 	return rep, nil
 }
 
 // logOp emits one structured reconfiguration summary.
-func (c *Controller) logOp(op, id string, rep ReconfigReport) {
+func (c *Controller) logOp(op wire.Op, id string, rep ReconfigReport) {
 	if c.log == nil {
 		return
 	}
 	c.log.Debug("reconfiguration",
-		"op", op,
+		"op", string(op),
 		"client", id,
 		"flowAdds", rep.FlowAdds,
 		"flowDeletes", rep.FlowDeletes,

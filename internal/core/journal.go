@@ -166,7 +166,7 @@ func (c *Controller) SetEpoch(e uint32) {
 // records are already in the journal). An append failure surfaces as the
 // operation's error: the network state has been reconfigured, but callers
 // must know the op is not durable.
-func (c *Controller) journalOp(op, id string, ep endpoint, set dz.Set) error {
+func (c *Controller) journalOp(op wire.Op, id string, ep endpoint, set dz.Set) error {
 	if c.journal == nil || c.replaying {
 		return nil
 	}

@@ -84,7 +84,7 @@ func TestControllerJournalsEveryOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantOps := []string{wire.OpAdvertise, wire.OpSubscribe, wire.OpReconfigure,
+	wantOps := []wire.Op{wire.OpAdvertise, wire.OpSubscribe, wire.OpReconfigure,
 		wire.OpUnsubscribe, wire.OpUnadvertise}
 	if len(recs) != len(wantOps) {
 		t.Fatalf("journal holds %d records, want %d", len(recs), len(wantOps))

@@ -11,6 +11,7 @@ import (
 	"pleroma/internal/sim"
 	"pleroma/internal/space"
 	"pleroma/internal/topo"
+	"pleroma/internal/wire"
 	"pleroma/internal/workload"
 )
 
@@ -97,7 +98,7 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 		return nil, err
 	}
 	if err := fab.SendSignal(interdomain.SignalRequest{
-		Op: interdomain.OpAdvertise, ID: "pub", Host: pub, Set: whole,
+		Op: wire.OpAdvertise, ID: "pub", Host: pub, Set: whole,
 	}); err != nil {
 		return nil, err
 	}
@@ -108,7 +109,7 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 			return nil, err
 		}
 		if err := fab.SendSignal(interdomain.SignalRequest{
-			Op: interdomain.OpSubscribe, ID: fmt.Sprintf("pre%d", i),
+			Op: wire.OpSubscribe, ID: fmt.Sprintf("pre%d", i),
 			Host: hosts[1+i%(len(hosts)-1)], Set: set,
 		}); err != nil {
 			return nil, err
@@ -134,7 +135,7 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 		}
 		sentAt := eng.Now()
 		if err := fab.SendSignal(interdomain.SignalRequest{
-			Op: interdomain.OpSubscribe, ID: probeID,
+			Op: wire.OpSubscribe, ID: probeID,
 			Host: probeHost, Set: dz.NewSet(probeExpr),
 		}); err != nil {
 			return nil, err
@@ -153,7 +154,7 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 		lat.Add(firstDelivery - sentAt)
 		// Tear the probe down for the next trial.
 		if err := fab.SendSignal(interdomain.SignalRequest{
-			Op: interdomain.OpUnsubscribe, ID: probeID, Host: probeHost,
+			Op: wire.OpUnsubscribe, ID: probeID, Host: probeHost,
 		}); err != nil {
 			return nil, err
 		}

@@ -11,6 +11,7 @@ import (
 	"pleroma/internal/sim"
 	"pleroma/internal/space"
 	"pleroma/internal/topo"
+	"pleroma/internal/wire"
 )
 
 // chainTopo builds n partitions in a line, each with two switches and one
@@ -522,12 +523,12 @@ func TestInBandSignalling(t *testing.T) {
 	p1 := g.HostsInPartition(1)
 
 	if err := fx.fab.SendSignal(SignalRequest{
-		Op: OpAdvertise, ID: "p", Host: p0[0], Set: dz.NewSet("1"),
+		Op: wire.OpAdvertise, ID: "p", Host: p0[0], Set: dz.NewSet("1"),
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := fx.fab.SendSignal(SignalRequest{
-		Op: OpSubscribe, ID: "s", Host: p1[0], Set: dz.NewSet("1"),
+		Op: wire.OpSubscribe, ID: "s", Host: p1[0], Set: dz.NewSet("1"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -547,7 +548,7 @@ func TestInBandSignalling(t *testing.T) {
 		t.Errorf("recv=%d after in-band activation", fx.recv[p1[0]])
 	}
 	// Unsubscribe in-band, too.
-	if err := fx.fab.SendSignal(SignalRequest{Op: OpUnsubscribe, ID: "s", Host: p1[0]}); err != nil {
+	if err := fx.fab.SendSignal(SignalRequest{Op: wire.OpUnsubscribe, ID: "s", Host: p1[0]}); err != nil {
 		t.Fatal(err)
 	}
 	fx.eng.Run()
@@ -568,11 +569,11 @@ func TestInBandSignallingErrors(t *testing.T) {
 		t.Error("unknown op must fail to encode")
 	}
 	// An unknown unsubscribe travels the wire and fails at the controller.
-	if err := fx.fab.SendSignal(SignalRequest{Op: OpUnsubscribe, ID: "ghost", Host: p0[0]}); err != nil {
+	if err := fx.fab.SendSignal(SignalRequest{Op: wire.OpUnsubscribe, ID: "ghost", Host: p0[0]}); err != nil {
 		t.Fatal(err)
 	}
 	// Sending from a switch is rejected synchronously.
-	if err := fx.fab.SendSignal(SignalRequest{Op: OpSubscribe, ID: "s", Host: g.Switches()[0]}); err == nil {
+	if err := fx.fab.SendSignal(SignalRequest{Op: wire.OpSubscribe, ID: "s", Host: g.Switches()[0]}); err == nil {
 		t.Error("signal from a switch must fail")
 	}
 	fx.eng.Run()
@@ -593,7 +594,7 @@ func TestActivationLatencyObservable(t *testing.T) {
 	p1 := g.HostsInPartition(1)
 
 	if err := fx.fab.SendSignal(SignalRequest{
-		Op: OpAdvertise, ID: "p", Host: p0[0], Set: dz.NewSet("1"),
+		Op: wire.OpAdvertise, ID: "p", Host: p0[0], Set: dz.NewSet("1"),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -601,7 +602,7 @@ func TestActivationLatencyObservable(t *testing.T) {
 
 	sentAt := fx.eng.Now()
 	if err := fx.fab.SendSignal(SignalRequest{
-		Op: OpSubscribe, ID: "s", Host: p1[0], Set: dz.NewSet("1"),
+		Op: wire.OpSubscribe, ID: "s", Host: p1[0], Set: dz.NewSet("1"),
 	}); err != nil {
 		t.Fatal(err)
 	}

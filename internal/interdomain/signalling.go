@@ -12,23 +12,13 @@ import (
 	"pleroma/internal/wire"
 )
 
-// SignalOp is the kind of an in-band control request.
-type SignalOp string
-
-// In-band control operations.
-const (
-	OpAdvertise   SignalOp = "advertise"
-	OpSubscribe   SignalOp = "subscribe"
-	OpUnsubscribe SignalOp = "unsubscribe"
-	OpUnadvertise SignalOp = "unadvertise"
-)
-
-// SignalRequest is the payload of an in-band control packet: hosts address
-// it to the reserved IP_vir (Section 2 of the paper); no switch carries a
-// flow for that address, so the first switch punts the packet to its
-// partition's controller.
+// SignalRequest is one control request in fabric terms: the payload of an
+// in-band control packet, which hosts address to the reserved IP_vir
+// (Section 2 of the paper; no switch carries a flow for that address, so
+// the first switch punts the packet to its partition's controller), and
+// the argument of Apply. Op is one of the four signalling ops.
 type SignalRequest struct {
-	Op   SignalOp
+	Op   wire.Op
 	ID   string
 	Host topo.NodeID
 	Set  dz.Set
@@ -62,7 +52,7 @@ func (f *Fabric) SendSignal(req SignalRequest) error {
 		return err
 	}
 	payload, err := wire.EncodeSignal(wire.Signal{
-		Op:   string(req.Op),
+		Op:   req.Op,
 		ID:   req.ID,
 		Host: uint32(req.Host),
 		Set:  req.Set,
@@ -96,32 +86,30 @@ func (f *Fabric) handlePunt(sw topo.NodeID, inPort openflow.PortID, pkt netem.Pa
 		f.signalStats.Errors++
 		return
 	}
-	req := SignalRequest{
-		Op:   SignalOp(decoded.Op),
-		ID:   decoded.ID,
-		Host: topo.NodeID(decoded.Host),
-		Set:  decoded.Set,
-	}
+	req := SignalRequest{Op: decoded.Op, ID: decoded.ID, Host: topo.NodeID(decoded.Host), Set: decoded.Set}
 	f.dp.Engine().Schedule(f.signalDelay, func() {
 		f.signalStats.Handled++
-		if err := f.execSignal(req); err != nil {
+		if err := f.Apply(req); err != nil {
 			f.signalStats.Errors++
 		}
 	})
 }
 
-// execSignal runs one control request against the fabric.
-func (f *Fabric) execSignal(req SignalRequest) error {
+// Apply runs one control request against the fabric, synchronously. It is
+// the only place an op is mapped to its fabric operation: the facade's
+// direct path (and through it the transport backend) and the in-band punt
+// path both end here.
+func (f *Fabric) Apply(req SignalRequest) error {
 	switch req.Op {
-	case OpAdvertise:
+	case wire.OpAdvertise:
 		return f.Advertise(req.ID, req.Host, req.Set)
-	case OpSubscribe:
+	case wire.OpSubscribe:
 		return f.Subscribe(req.ID, req.Host, req.Set)
-	case OpUnsubscribe:
+	case wire.OpUnsubscribe:
 		return f.Unsubscribe(req.ID)
-	case OpUnadvertise:
+	case wire.OpUnadvertise:
 		return f.Unadvertise(req.ID)
 	default:
-		return fmt.Errorf("interdomain: unknown signal op %q", req.Op)
+		return fmt.Errorf("interdomain: unknown control op %q", req.Op)
 	}
 }

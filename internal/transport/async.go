@@ -169,18 +169,8 @@ func (c *Client) sealLocked(id string) error {
 	delete(c.apend, id)
 
 	c.pubSeq++
-	req := wire.PublishReq{ID: id, Seq: c.pubSeq, Events: pb.events}
-	var sp *obs.Span
-	if c.tracing {
-		sp = c.tracer.StartSpan("publish", id)
-		if sp != nil {
-			req.Trace = wire.TraceContext{
-				TraceID:      sp.TraceID,
-				SpanID:       sp.ID,
-				PubWallNanos: time.Now().UnixNano(),
-			}
-		}
-	}
+	sp, tc := c.startPublishSpan(id)
+	req := wire.PublishReq{ID: id, Seq: c.pubSeq, Events: pb.events, Trace: tc}
 	payload, err := wire.AppendPublish(make([]byte, 0, 48+len(id)+pb.bytes), req)
 	if err != nil {
 		// Unencodable batch (invalid id or event): surface and poison —

@@ -1,32 +1,13 @@
 package transport
 
 import (
-	"sync"
 	"testing"
 	"time"
 
 	"pleroma/internal/core"
-	"pleroma/internal/obs"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
-
-// histCount sums a histogram family's sample counts in a registry
-// snapshot (0 when the family is absent or empty).
-func histCount(reg *obs.Registry, name string) uint64 {
-	var n uint64
-	for _, fam := range reg.Snapshot().Families {
-		if fam.Name != name {
-			continue
-		}
-		for _, s := range fam.Samples {
-			if s.Hist != nil {
-				n += s.Hist.Count
-			}
-		}
-	}
-	return n
-}
 
 // TestPublishAsyncCoalescing pins the deterministic coalescing shape: with
 // linger effectively off and a 4-event threshold, 16 single-event
@@ -166,85 +147,6 @@ func TestPublishAsyncWindowBackpressure(t *testing.T) {
 	if len(b.pubs) != 3 {
 		t.Fatalf("backend saw %d publish requests, want 3", len(b.pubs))
 	}
-}
-
-// subscribeAndRun drives one delivery round through a connected client.
-func subscribeAndRun(t *testing.T, c *Client) []wire.Delivery {
-	t.Helper()
-	var mu sync.Mutex
-	var got []wire.Delivery
-	if err := c.Subscribe("s1", 11, []wire.Range{{Attr: "x", Lo: 0, Hi: 99}}, func(d wire.Delivery) {
-		mu.Lock()
-		got = append(got, d)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	return got
-}
-
-// TestDeliveryBatchingNegotiation pins both sides of the FlagBatching
-// handshake: a default session coalesces deliveries into KindDeliverBatch
-// frames (the server's batch histogram fills), while a NoBatching server
-// falls back to the per-event v1 stream with identical delivery contents.
-func TestDeliveryBatchingNegotiation(t *testing.T) {
-	t.Run("batching", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		_, addr := startServer(t, newFakeBackend(), WithServerObservability(reg))
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		got := subscribeAndRun(t, c)
-		if len(got) != 1 || got[0].SubscriptionID != "s1" || got[0].At != 42 {
-			t.Fatalf("deliveries = %+v", got)
-		}
-		if n := histCount(reg, obs.MTransportDeliverBatch); n == 0 {
-			t.Fatal("no KindDeliverBatch frames on a batching-negotiated session")
-		}
-	})
-	t.Run("legacy-server", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		_, addr := startServer(t, newFakeBackend(),
-			WithServerObservability(reg), WithServerOptions(Options{NoBatching: true}))
-		c, err := Dial(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		got := subscribeAndRun(t, c)
-		if len(got) != 1 || got[0].SubscriptionID != "s1" || got[0].At != 42 {
-			t.Fatalf("deliveries = %+v", got)
-		}
-		if n := histCount(reg, obs.MTransportDeliverBatch); n != 0 {
-			t.Fatalf("legacy session produced %d deliver-batch frames", n)
-		}
-	})
-	t.Run("legacy-client", func(t *testing.T) {
-		reg := obs.NewRegistry()
-		_, addr := startServer(t, newFakeBackend(), WithServerObservability(reg))
-		c, err := Dial(addr, WithClientOptions(Options{NoBatching: true}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-		got := subscribeAndRun(t, c)
-		if len(got) != 1 {
-			t.Fatalf("deliveries = %+v", got)
-		}
-		if n := histCount(reg, obs.MTransportDeliverBatch); n != 0 {
-			t.Fatalf("un-negotiated session produced %d deliver-batch frames", n)
-		}
-	})
 }
 
 // TestPublishAsyncReconnectMidWindow drops every connection while a window

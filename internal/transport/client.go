@@ -63,11 +63,9 @@ func WithClientObservability(reg *obs.Registry) ClientOption {
 	}
 }
 
-// WithClientTracer enables distributed tracing: the client advertises
-// wire.FlagTracing in its Hello, mints a span per publish whose context
-// rides the publish frame, and links incoming traced deliveries back to
-// their publish span. Without the server echoing the capability the
-// client sends plain v1 payloads.
+// WithClientTracer enables distributed tracing: the client mints a span
+// per publish whose context rides the publish frame, and links incoming
+// traced deliveries back to their publish span.
 func WithClientTracer(t *obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = t }
 }
@@ -115,12 +113,6 @@ type Client struct {
 	handlers map[string]func(wire.Delivery)
 	info     Info
 	closed   bool
-	// tracing is true when the current connection's handshake negotiated
-	// wire.FlagTracing (both sides advertised it).
-	tracing bool
-	// batching is true when the current connection's handshake negotiated
-	// wire.FlagBatching (the server coalesces delivery frames).
-	batching bool
 	// pubSeq numbers this client's publishes so the server can deduplicate
 	// an at-least-once retry of a publish it already applied.
 	pubSeq uint64
@@ -204,11 +196,11 @@ func (c *Client) connectLocked() (start func(), err error) {
 			return wire.Frame{}, err
 		}
 		for {
-			resp, err := readFrame(br, c.m)
+			resp, _, err := readFrame(br, c.m, nil)
 			if err != nil {
 				return wire.Frame{}, err
 			}
-			if resp.Kind == wire.KindDeliver || resp.Kind == wire.KindDeliverBatch {
+			if resp.Kind == wire.KindDeliverBatch {
 				buffered = append(buffered, resp)
 				continue
 			}
@@ -216,16 +208,7 @@ func (c *Client) connectLocked() (start func(), err error) {
 		}
 	}
 
-	var flags uint8
-	if c.tracer != nil {
-		flags |= wire.FlagTracing
-	}
-	if !c.opts.NoBatching {
-		// Decoding KindDeliverBatch needs no configuration, so every
-		// client advertises it unless pinned to the legacy stream.
-		flags |= wire.FlagBatching
-	}
-	hb, err := wire.EncodeHello(wire.Hello{ID: c.id, Flags: flags})
+	hb, err := wire.EncodeHello(wire.Hello{ID: c.id})
 	if err != nil {
 		raw.Close()
 		return nil, err
@@ -245,14 +228,12 @@ func (c *Client) connectLocked() (start func(), err error) {
 		return nil, err
 	}
 	c.info = Info{Hosts: hello.Hosts, Partitions: hello.Partitions}
-	c.tracing = c.tracer != nil && hello.Flags&wire.FlagTracing != 0
-	c.batching = hello.Flags&wire.FlagBatching != 0
 
 	// Replay registrations in arrival order. On the server these are
 	// idempotent rebinds: control state, journal, and digests are
 	// untouched when the parameters match what it already holds.
 	corr := uint64(1)
-	replay := func(op, id string, host uint32, ranges []wire.Range) error {
+	replay := func(op wire.Op, id string, host uint32, ranges []wire.Range) error {
 		corr++
 		b, err := wire.EncodeControlReq(wire.ControlReq{Op: op, ID: id, Host: host, Ranges: ranges})
 		if err != nil {
@@ -268,13 +249,13 @@ func (c *Client) connectLocked() (start func(), err error) {
 		return nil
 	}
 	for _, a := range c.advs {
-		if err := replay("advertise", a.id, a.host, a.ranges); err != nil {
+		if err := replay(wire.OpAdvertise, a.id, a.host, a.ranges); err != nil {
 			raw.Close()
 			return nil, err
 		}
 	}
 	for _, s := range c.subs {
-		if err := replay("subscribe", s.id, s.host, s.ranges); err != nil {
+		if err := replay(wire.OpSubscribe, s.id, s.host, s.ranges); err != nil {
 			raw.Close()
 			return nil, err
 		}
@@ -299,7 +280,10 @@ func (c *Client) connectLocked() (start func(), err error) {
 	}
 	return func() {
 		for _, f := range buffered {
-			c.dispatchDelivery(f)
+			if !c.dispatchDelivery(f) {
+				c.connLost(fc, gen)
+				return
+			}
 		}
 		go c.readLoop(fc, br, gen)
 	}, nil
@@ -307,10 +291,12 @@ func (c *Client) connectLocked() (start func(), err error) {
 
 // readLoop dispatches incoming frames: deliveries to their subscription
 // handlers, async publish acks to their window entries, and responses to
-// their waiting callers. On a read error every pending call fails fast,
-// and the next request redials. Frames are read into one reusable buffer:
-// delivery decode and ack routing consume the payload before the next
-// read, and the one escape path (a pending call's response) copies it.
+// their waiting callers. On a read error — or a pushed frame that does not
+// decode, which is a hole in the delivery stream just the same — every
+// pending call fails fast, and the next request redials. Frames are read
+// into one reusable buffer: delivery decode and ack routing consume the
+// payload before the next read, and the one escape path (a pending call's
+// response) copies it.
 func (c *Client) readLoop(fc *frameConn, br *bufio.Reader, gen int) {
 	buf := make([]byte, 0, 4096)
 	for {
@@ -319,14 +305,17 @@ func (c *Client) readLoop(fc *frameConn, br *bufio.Reader, gen int) {
 		if c.opts.ReadTimeout > 0 {
 			fc.c.SetReadDeadline(time.Now().Add(c.opts.ReadTimeout))
 		}
-		f, buf, err = readFrameBuf(br, c.m, buf)
+		f, buf, err = readFrame(br, c.m, buf)
 		if err != nil {
 			c.connLost(fc, gen)
 			return
 		}
 		switch f.Kind {
-		case wire.KindDeliver, wire.KindDeliverBatch:
-			c.dispatchDelivery(f)
+		case wire.KindDeliverBatch:
+			if !c.dispatchDelivery(f) {
+				c.connLost(fc, gen)
+				return
+			}
 		case wire.KindGoodbye:
 			c.connLost(fc, gen)
 			return
@@ -353,24 +342,18 @@ func (c *Client) readLoop(fc *frameConn, br *bufio.Reader, gen int) {
 	}
 }
 
-// dispatchDelivery decodes and dispatches one KindDeliver or
-// KindDeliverBatch frame in order.
-func (c *Client) dispatchDelivery(f wire.Frame) {
-	if f.Kind == wire.KindDeliverBatch {
-		ds, err := wire.DecodeDeliverBatch(f.Payload)
-		if err != nil {
-			return
-		}
-		for _, d := range ds {
-			c.dispatchOne(d)
-		}
-		return
-	}
-	d, err := wire.DecodeDelivery(f.Payload)
+// dispatchDelivery decodes one KindDeliverBatch frame and dispatches its
+// deliveries in order. It reports false when the payload does not decode:
+// the caller must treat the connection as lost rather than skip the frame.
+func (c *Client) dispatchDelivery(f wire.Frame) bool {
+	ds, err := wire.DecodeDeliverBatch(f.Payload)
 	if err != nil {
-		return
+		return false
 	}
-	c.dispatchOne(d)
+	for _, d := range ds {
+		c.dispatchOne(d)
+	}
+	return true
 }
 
 func (c *Client) dispatchOne(d wire.Delivery) {
@@ -528,7 +511,7 @@ func (c *Client) Info() Info {
 	return c.info
 }
 
-func (c *Client) control(op, id string, host uint32, ranges []wire.Range) error {
+func (c *Client) control(op wire.Op, id string, host uint32, ranges []wire.Range) error {
 	b, err := wire.EncodeControlReq(wire.ControlReq{Op: op, ID: id, Host: host, Ranges: ranges})
 	if err != nil {
 		return err
@@ -545,7 +528,7 @@ func (c *Client) control(op, id string, host uint32, ranges []wire.Range) error 
 
 // Advertise announces a publisher's region (attribute ranges) on a host.
 func (c *Client) Advertise(id string, host uint32, ranges []wire.Range) error {
-	if err := c.control("advertise", id, host, ranges); err != nil {
+	if err := c.control(wire.OpAdvertise, id, host, ranges); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -556,7 +539,7 @@ func (c *Client) Advertise(id string, host uint32, ranges []wire.Range) error {
 
 // Unadvertise withdraws an advertisement.
 func (c *Client) Unadvertise(id string) error {
-	if err := c.control("unadvertise", id, 0, nil); err != nil {
+	if err := c.control(wire.OpUnadvertise, id, 0, nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -571,7 +554,7 @@ func (c *Client) Subscribe(id string, host uint32, ranges []wire.Range, handler 
 	c.mu.Lock()
 	c.handlers[id] = handler
 	c.mu.Unlock()
-	if err := c.control("subscribe", id, host, ranges); err != nil {
+	if err := c.control(wire.OpSubscribe, id, host, ranges); err != nil {
 		c.mu.Lock()
 		delete(c.handlers, id)
 		c.mu.Unlock()
@@ -585,7 +568,7 @@ func (c *Client) Subscribe(id string, host uint32, ranges []wire.Range, handler 
 
 // Unsubscribe withdraws a subscription.
 func (c *Client) Unsubscribe(id string) error {
-	if err := c.control("unsubscribe", id, 0, nil); err != nil {
+	if err := c.control(wire.OpUnsubscribe, id, 0, nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -600,11 +583,10 @@ func (c *Client) Unsubscribe(id string) error {
 // the same number, and the server skips publishes it already applied, so
 // the at-least-once transport retry applies events at most once.
 //
-// With a tracer and a negotiated tracing session, the publish mints a
-// root span whose context rides the request. The frame is encoded exactly
-// once, so a reconnect retry re-sends the same bytes: the same sequence
-// number AND the same trace context, keeping a deduplicated retry inside
-// a single trace.
+// With a tracer, the publish mints a root span whose context rides the
+// request. The frame is encoded exactly once, so a reconnect retry re-sends
+// the same bytes: the same sequence number AND the same trace context,
+// keeping a deduplicated retry inside a single trace.
 func (c *Client) Publish(id string, events []space.Event) error {
 	c.mu.Lock()
 	// Seal any pending async batch for this publisher first, so a
@@ -618,20 +600,9 @@ func (c *Client) Publish(id string, events []space.Event) error {
 	}
 	c.pubSeq++
 	seq := c.pubSeq
-	tracing := c.tracing
 	c.mu.Unlock()
-	req := wire.PublishReq{ID: id, Seq: seq, Events: events}
-	var sp *obs.Span
-	if tracing {
-		sp = c.tracer.StartSpan("publish", id)
-		if sp != nil {
-			req.Trace = wire.TraceContext{
-				TraceID:      sp.TraceID,
-				SpanID:       sp.ID,
-				PubWallNanos: time.Now().UnixNano(),
-			}
-		}
-	}
+	sp, tc := c.startPublishSpan(id)
+	req := wire.PublishReq{ID: id, Seq: seq, Events: events, Trace: tc}
 	b, err := wire.EncodePublish(req)
 	if err != nil {
 		sp.End(err)
@@ -649,6 +620,16 @@ func (c *Client) Publish(id string, events []space.Event) error {
 	}
 	sp.End(nil)
 	return nil
+}
+
+// startPublishSpan mints the root span of one publish and the trace
+// context that rides its request; both zero without a tracer.
+func (c *Client) startPublishSpan(id string) (*obs.Span, wire.TraceContext) {
+	sp := c.tracer.StartSpan("publish", id) // nil-safe
+	if sp == nil {
+		return nil, wire.TraceContext{}
+	}
+	return sp, wire.TraceContext{TraceID: sp.TraceID, SpanID: sp.ID, PubWallNanos: time.Now().UnixNano()}
 }
 
 // Run drains the daemon's pending simulated work and returns the final

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pleroma/internal/obs"
@@ -71,18 +70,11 @@ type frameConn struct {
 	writeTimeout time.Duration
 	m            connMetrics
 
-	// tracing/batching record whether this connection's Hello handshake
-	// negotiated wire.FlagTracing / wire.FlagBatching. Set once by the
-	// server's Hello handler, read by delivery sinks on arbitrary
-	// goroutines — hence atomic.
-	tracing  atomic.Bool
-	batching atomic.Bool
-
 	// dbatch accumulates the deliveries produced for this connection by
-	// the backend call in progress (batching sessions only); the server
-	// flushes it as KindDeliverBatch frames before sending the call's
-	// response. dmu also serializes flushers, so two racing flushes cannot
-	// reorder a connection's delivery stream.
+	// the backend call in progress (server side only); the server flushes
+	// it as KindDeliverBatch frames before sending the call's response.
+	// dmu also serializes flushers, so two racing flushes cannot reorder a
+	// connection's delivery stream.
 	dmu    sync.Mutex
 	dbatch []wire.Delivery
 }
@@ -271,18 +263,6 @@ func (fc *frameConn) abort() {
 	<-fc.done
 }
 
-// readFrame reads one frame from r, counting it against m. The payload is
-// freshly allocated; the steady-state read loops use readFrameBuf.
-func readFrame(r *bufio.Reader, m connMetrics) (wire.Frame, error) {
-	f, err := wire.ReadFrame(r)
-	if err != nil {
-		return f, err
-	}
-	m.framesRecv.Inc()
-	m.bytesRecv.Add(uint64(wire.FrameHeaderLen + len(f.Payload)))
-	return f, nil
-}
-
 // Shared instrument constructors for the two observability options: both
 // roles expose the same writer-batching surface under the same names.
 func newWriteBatchHistogram(reg *obs.Registry) *obs.Histogram {
@@ -303,12 +283,12 @@ func newFrameBytesHistogram(reg *obs.Registry) *obs.Histogram {
 	return h
 }
 
-// readFrameBuf reads one frame from r into buf (growing it as needed),
-// counting it against m. The frame's payload aliases the returned buffer
-// and is valid only until the next read — callers retaining a payload must
-// copy it.
-func readFrameBuf(r *bufio.Reader, m connMetrics, buf []byte) (wire.Frame, []byte, error) {
-	f, buf, err := wire.ReadFrameBuf(r, buf)
+// readFrame reads one frame from r into buf (growing it as needed; nil
+// allocates a fresh payload), counting it against m. The frame's payload
+// aliases the returned buffer and is valid only until the next read with
+// it — callers retaining a payload must copy it or pass nil.
+func readFrame(r *bufio.Reader, m connMetrics, buf []byte) (wire.Frame, []byte, error) {
+	f, buf, err := wire.ReadFrame(r, buf)
 	if err != nil {
 		return f, buf, err
 	}

@@ -29,8 +29,8 @@ type Options struct {
 	// between deliveries).
 	ReadTimeout time.Duration
 	// WriteTimeout bounds each buffered write+flush by the writer
-	// goroutine. Zero keeps the role's existing default (the client uses
-	// its retry policy's OpDeadline; the server uses WithServerTimeout).
+	// goroutine. Zero keeps the role's default: the client uses its retry
+	// policy's OpDeadline, the server sets no deadline.
 	WriteTimeout time.Duration
 	// Window bounds the async publish pipeline: the number of unacked
 	// KindPublish frames a client keeps in flight before PublishAsync
@@ -47,12 +47,6 @@ type Options struct {
 	// Linger caps how long a partial publish batch may wait for more
 	// events before it is sealed and sent. Zero selects defaultLinger.
 	Linger time.Duration
-	// NoBatching withholds wire.FlagBatching from the session handshake:
-	// a client stops advertising it, a server stops echoing it, and the
-	// peer sees the per-event v1 frame stream. Used to pin
-	// legacy-compatibility behavior in tests and to interoperate with
-	// pre-batching peers explicitly.
-	NoBatching bool
 }
 
 func (o Options) window() int {

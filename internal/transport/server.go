@@ -29,11 +29,10 @@ type Info struct {
 type Backend interface {
 	// Info reports the deployment's hosts and partitions.
 	Info() Info
-	// Control applies one control op ("advertise", "subscribe",
-	// "unsubscribe", "unadvertise"). For subscribe ops deliver is non-nil
-	// and becomes (or replaces — reconnect semantics) the subscription's
-	// event sink. Re-registering an identical advertisement or
-	// subscription must be idempotent.
+	// Control applies one of the four signalling ops. For wire.OpSubscribe
+	// deliver is non-nil and becomes (or replaces — reconnect semantics)
+	// the subscription's event sink. Re-registering an identical
+	// advertisement or subscription must be idempotent.
 	Control(req wire.ControlReq, deliver func(wire.Delivery)) error
 	// Publish injects events from an advertised publisher.
 	Publish(req wire.PublishReq) error
@@ -51,13 +50,8 @@ type Backend interface {
 // ServerOption configures a Server.
 type ServerOption func(*Server)
 
-// WithServerTimeout bounds each connection's buffered write flushes.
-func WithServerTimeout(d time.Duration) ServerOption {
-	return func(s *Server) { s.writeTimeout = d }
-}
-
-// WithServerOptions tunes the server's transport data path (deadlines,
-// delivery batching). The zero Options keeps every default.
+// WithServerOptions tunes the server's transport data path (read and write
+// deadlines). The zero Options keeps every default.
 func WithServerOptions(o Options) ServerOption {
 	return func(s *Server) { s.opts = o }
 }
@@ -103,22 +97,21 @@ type Server struct {
 	// contract.
 	mu sync.Mutex
 
-	writeTimeout time.Duration
-	opts         Options
-	m            connMetrics
-	obsConns     *obs.Gauge
-	obsInflight  *obs.Gauge
-	obsBatch     *obs.Histogram
-	tracer       *obs.Tracer
+	opts        Options
+	m           connMetrics
+	obsConns    *obs.Gauge
+	obsInflight *obs.Gauge
+	obsBatch    *obs.Histogram
+	tracer      *obs.Tracer
 
 	connMu   sync.Mutex
 	ln       net.Listener
 	conns    map[*frameConn]struct{}
 	stopping bool
 
-	// dirty is the set of batching connections holding unsent coalesced
-	// deliveries; every request goroutine flushes it after its backend
-	// call returns, before enqueuing its response — the Sync barrier.
+	// dirty is the set of connections holding unsent coalesced deliveries;
+	// every request goroutine flushes it after its backend call returns,
+	// before enqueuing its response — the Sync barrier.
 	batchMu sync.Mutex
 	dirty   map[*frameConn]struct{}
 
@@ -163,11 +156,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // listener closed by Stop
 		}
-		wt := s.writeTimeout
-		if s.opts.WriteTimeout > 0 {
-			wt = s.opts.WriteTimeout
-		}
-		fc := newFrameConn(c, wt, s.m)
+		fc := newFrameConn(c, s.opts.WriteTimeout, s.m)
 		s.connMu.Lock()
 		if s.stopping {
 			s.connMu.Unlock()
@@ -244,17 +233,26 @@ func (s *Server) serveConn(fc *frameConn, c net.Conn) {
 	// Request payloads are decoded before the next read, so one reusable
 	// buffer serves the whole connection.
 	buf := make([]byte, 0, 4096)
+	greeted := false
 	for {
 		if s.opts.ReadTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(s.opts.ReadTimeout))
 		}
 		var f wire.Frame
 		var err error
-		f, buf, err = readFrameBuf(br, s.m, buf)
+		f, buf, err = readFrame(br, s.m, buf)
 		if err != nil {
 			return
 		}
 		if f.Kind == wire.KindGoodbye {
+			return
+		}
+		// Session gate: the Hello carries the protocol's only version check,
+		// so nothing else is served before one succeeded.
+		if !greeted && f.Kind != wire.KindHello {
+			resp := errFrame(fmt.Errorf("transport: %v before hello", f.Kind))
+			resp.Corr = f.Corr
+			fc.send(resp)
 			return
 		}
 		// The stopping check and the inflight Add share the lock Stop sets
@@ -280,13 +278,19 @@ func (s *Server) serveConn(fc *frameConn, c net.Conn) {
 		if err != nil {
 			return
 		}
+		if f.Kind == wire.KindHello {
+			if resp.Kind != wire.KindHelloOK {
+				return // refused (version mismatch): the error is queued, close
+			}
+			greeted = true
+		}
 	}
 }
 
-// flushDeliveries drains every batching connection's accumulated
-// deliveries into KindDeliverBatch frames (chunked under the batch byte
-// budget and wire.MaxDeliveries). Callers invoke it after a backend call
-// returns and before they enqueue the call's response.
+// flushDeliveries drains every connection's accumulated deliveries into
+// KindDeliverBatch frames (chunked under the batch byte budget and
+// wire.MaxDeliveries). Callers invoke it after a backend call returns and
+// before they enqueue the call's response.
 func (s *Server) flushDeliveries() {
 	s.batchMu.Lock()
 	if len(s.dirty) == 0 {
@@ -322,8 +326,8 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 			return // backend-produced deliveries always encode; drop defensively
 		}
 		s.obsBatch.ObserveCount(n)
-		// Best effort, like the per-event path: a severed connection drops
-		// deliveries, the subscription state survives for the reconnect.
+		// Best effort: a severed connection drops deliveries, the
+		// subscription state survives for the reconnect.
 		fc.sendPooled(wire.KindDeliverBatch, 0, payload)
 		batch = batch[n:]
 	}
@@ -336,24 +340,11 @@ func (s *Server) handle(fc *frameConn, f wire.Frame) wire.Frame {
 	defer s.mu.Unlock()
 	switch f.Kind {
 	case wire.KindHello:
-		hello, err := wire.DecodeHello(f.Payload)
-		if err != nil {
+		if _, err := wire.DecodeHello(f.Payload); err != nil {
 			return errFrame(err)
 		}
-		// Capability negotiation: echo back exactly the bits the client
-		// asked for and this server supports. V2 (trace-bearing) payloads
-		// and KindDeliverBatch frames flow on this connection only after
-		// both sides advertised the capability; a legacy peer never sees a
-		// version byte or frame kind it cannot decode.
-		supported := wire.FlagTracing | wire.FlagBatching
-		if s.opts.NoBatching {
-			supported &^= wire.FlagBatching
-		}
-		flags := hello.Flags & supported
-		fc.tracing.Store(flags&wire.FlagTracing != 0)
-		fc.batching.Store(flags&wire.FlagBatching != 0)
 		info := s.backend.Info()
-		b, err := wire.EncodeHelloOK(wire.HelloOK{Hosts: info.Hosts, Partitions: info.Partitions, Flags: flags})
+		b, err := wire.EncodeHelloOK(wire.HelloOK{Hosts: info.Hosts, Partitions: info.Partitions})
 		if err != nil {
 			return errFrame(err)
 		}
@@ -365,33 +356,17 @@ func (s *Server) handle(fc *frameConn, f wire.Frame) wire.Frame {
 			return errFrame(err)
 		}
 		var deliver func(wire.Delivery)
-		if req.Op == "subscribe" {
+		if req.Op == wire.OpSubscribe {
 			deliver = func(d wire.Delivery) {
-				if !fc.tracing.Load() {
-					// The connection never negotiated tracing: strip the
-					// trace context so the frame encodes as version 1.
-					d.Trace = wire.TraceContext{}
-					d.Hops = 0
-				}
-				if fc.batching.Load() {
-					// Accumulate; the request goroutine that drove this
-					// backend call flushes the run as KindDeliverBatch
-					// frames before its response.
-					fc.dmu.Lock()
-					fc.dbatch = append(fc.dbatch, d)
-					fc.dmu.Unlock()
-					s.batchMu.Lock()
-					s.dirty[fc] = struct{}{}
-					s.batchMu.Unlock()
-					return
-				}
-				b, err := wire.AppendDelivery(getBuf(64+len(d.SubscriptionID)+4*len(d.Event.Values)), d)
-				if err != nil {
-					return
-				}
-				// Best effort: a severed connection drops deliveries, the
-				// subscription state itself survives for the reconnect.
-				fc.sendPooled(wire.KindDeliver, 0, b)
+				// Accumulate; the request goroutine that drove this backend
+				// call flushes the run as KindDeliverBatch frames before its
+				// response.
+				fc.dmu.Lock()
+				fc.dbatch = append(fc.dbatch, d)
+				fc.dmu.Unlock()
+				s.batchMu.Lock()
+				s.dirty[fc] = struct{}{}
+				s.batchMu.Unlock()
 			}
 		}
 		if err := s.backend.Control(req, deliver); err != nil {
@@ -403,11 +378,6 @@ func (s *Server) handle(fc *frameConn, f wire.Frame) wire.Frame {
 		req, err := wire.DecodePublish(f.Payload)
 		if err != nil {
 			return errFrame(err)
-		}
-		if !fc.tracing.Load() {
-			// A trace context on an un-negotiated connection is dropped
-			// rather than rejected: the publish itself is fine.
-			req.Trace = wire.TraceContext{}
 		}
 		var sp *obs.Span
 		if s.tracer != nil && req.Trace.Valid() {

@@ -25,7 +25,7 @@ type fakeBackend struct {
 	runs     int
 	fails    int // rejected control ops (scripted via failOp)
 	sinks    map[string]func(wire.Delivery)
-	failOp   string // control op to fail, if any
+	failOp   wire.Op // control op to fail, if any
 	// deliverOnSubscribe pushes a delivery synchronously from every
 	// subscribe, so the frame lands on the connection before the OK — on a
 	// reconnect replay that means mid-handshake.
@@ -169,12 +169,12 @@ func TestClientServerRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.mu.Lock()
-	ops := make([]string, 0, len(b.controls))
+	ops := make([]wire.Op, 0, len(b.controls))
 	for _, r := range b.controls {
 		ops = append(ops, r.Op)
 	}
 	b.mu.Unlock()
-	want := []string{"advertise", "subscribe", "unsubscribe", "unadvertise"}
+	want := []wire.Op{wire.OpAdvertise, wire.OpSubscribe, wire.OpUnsubscribe, wire.OpUnadvertise}
 	if len(ops) != len(want) {
 		t.Fatalf("backend saw %v, want %v", ops, want)
 	}
@@ -253,7 +253,7 @@ func TestClientReconnectReplaysRegistrations(t *testing.T) {
 	b.mu.Lock()
 	ops := make([]string, 0, len(b.controls))
 	for _, r := range b.controls {
-		ops = append(ops, r.Op+":"+r.ID)
+		ops = append(ops, string(r.Op)+":"+r.ID)
 	}
 	pubs := len(b.pubs)
 	b.mu.Unlock()

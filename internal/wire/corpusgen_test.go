@@ -63,14 +63,6 @@ func TestGenFuzzCorpus(t *testing.T) {
 		Events: []space.Event{{Values: []uint32{1, 2}}}})
 	write("FuzzDecodePublish", "seed-traced", pbt)
 
-	// FuzzDecodeDelivery
-	dv, _ := EncodeDelivery(Delivery{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
-		At: 5, Latency: 2, FalsePositive: true})
-	write("FuzzDecodeDelivery", "seed-fp", dv)
-	dvt, _ := EncodeDelivery(Delivery{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
-		At: 5, Latency: 2, Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 4})
-	write("FuzzDecodeDelivery", "seed-traced", dvt)
-
 	// FuzzDecodePublish: a coalesced multi-event batch like the pipelined
 	// client packs.
 	evs := make([]space.Event, 8)
@@ -92,6 +84,13 @@ func TestGenFuzzCorpus(t *testing.T) {
 	})
 	write("FuzzDecodeDeliverBatch", "seed-traced", dbt)
 	write("FuzzDecodeDeliverBatch", "seed-truncated", db[:len(db)-3])
+	// Batches of one: the seeds of the retired single-delivery fuzz target.
+	one, _ := EncodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
+		At: 5, Latency: 2, FalsePositive: true}})
+	write("FuzzDecodeDeliverBatch", "seed-one-fp", one)
+	onet, _ := EncodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
+		At: 5, Latency: 2, Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 4}})
+	write("FuzzDecodeDeliverBatch", "seed-one-traced", onet)
 
 	// FuzzDecodeFlowBatch
 	fl := mustFlow("0101", 4, 2)

@@ -25,10 +25,12 @@ import (
 type Kind uint8
 
 // Frame kinds. Request kinds expect a response frame bearing the same
-// correlation id; KindDeliver and KindGoodbye are server pushes with
+// correlation id; KindDeliverBatch and KindGoodbye are server pushes with
 // correlation id zero.
 const (
-	// KindHello opens a session (payload: Hello). Response: KindHelloOK.
+	// KindHello opens a session (payload: Hello) and must be a connection's
+	// first frame. Response: KindHelloOK, or KindError and a closed
+	// connection when the version does not match.
 	KindHello Kind = iota + 1
 	// KindHelloOK acknowledges a Hello (payload: HelloOK).
 	KindHelloOK
@@ -53,9 +55,9 @@ const (
 	// processed, so a client that received the response has received every
 	// prior delivery.
 	KindSync
-	// KindDeliver pushes one event delivery to a subscriber (payload:
-	// Delivery). No response.
-	KindDeliver
+	// KindDeliverBatch pushes a run of one or more deliveries to a
+	// subscriber (payload: DeliverBatch). No response.
+	KindDeliverBatch
 	// KindFlowBatch applies a FlowMod batch to one switch (payload:
 	// FlowBatch). Response: KindFlowResult.
 	KindFlowBatch
@@ -67,70 +69,46 @@ const (
 	KindFlowRead
 	// KindFlowList returns installed flows (payload: FlowList).
 	KindFlowList
-	// KindDigest requests a partition state digest (payload: partition
-	// u32). Response: KindDigestResult or KindError.
+	// KindDigest requests the control-plane state digest (empty payload).
+	// Response: KindDigestResult or KindError.
 	KindDigest
-	// KindDigestResult returns a partition state digest (payload: 32
-	// bytes).
+	// KindDigestResult returns the state digest (payload: every
+	// partition's digest, concatenated in ascending partition order).
 	KindDigestResult
 	// KindGoodbye announces a graceful server shutdown (empty payload).
 	// No response; the server closes the connection after flushing it.
 	KindGoodbye
-	// KindDeliverBatch pushes a coalesced run of deliveries to a
-	// subscriber in one frame (payload: DeliverBatch). No response. Sent
-	// only on sessions that negotiated FlagBatching.
-	KindDeliverBatch
 )
 
-func (k Kind) String() string {
-	switch k {
-	case KindHello:
-		return "hello"
-	case KindHelloOK:
-		return "hello-ok"
-	case KindOK:
-		return "ok"
-	case KindError:
-		return "error"
-	case KindControl:
-		return "control"
-	case KindPublish:
-		return "publish"
-	case KindRun:
-		return "run"
-	case KindRunDone:
-		return "run-done"
-	case KindSync:
-		return "sync"
-	case KindDeliver:
-		return "deliver"
-	case KindFlowBatch:
-		return "flow-batch"
-	case KindFlowResult:
-		return "flow-result"
-	case KindFlowRead:
-		return "flow-read"
-	case KindFlowList:
-		return "flow-list"
-	case KindDigest:
-		return "digest"
-	case KindDigestResult:
-		return "digest-result"
-	case KindGoodbye:
-		return "goodbye"
-	case KindDeliverBatch:
-		return "deliver-batch"
-	default:
-		return fmt.Sprintf("kind(%d)", uint8(k))
-	}
+var kindNames = [...]string{
+	KindHello:        "hello",
+	KindHelloOK:      "hello-ok",
+	KindOK:           "ok",
+	KindError:        "error",
+	KindControl:      "control",
+	KindPublish:      "publish",
+	KindRun:          "run",
+	KindRunDone:      "run-done",
+	KindSync:         "sync",
+	KindDeliverBatch: "deliver-batch",
+	KindFlowBatch:    "flow-batch",
+	KindFlowResult:   "flow-result",
+	KindFlowRead:     "flow-read",
+	KindFlowList:     "flow-list",
+	KindDigest:       "digest",
+	KindDigestResult: "digest-result",
+	KindGoodbye:      "goodbye",
 }
 
-// valid reports whether k is a defined frame kind.
-func (k Kind) valid() bool { return k >= KindHello && k <= KindDeliverBatch }
+func (k Kind) String() string {
+	if k.Valid() {
+		return kindNames[k]
+	}
+	return fmt.Sprintf("kind(%d)", uint8(k))
+}
 
-// Valid reports whether k is a defined frame kind — the exported form for
-// callers that frame payloads themselves (transport's copy-free writer).
-func (k Kind) Valid() bool { return k.valid() }
+// Valid reports whether k is a defined frame kind.
+func (k Kind) Valid() bool { return k >= KindHello && k <= KindGoodbye }
 
 // Framing limits.
 const (
@@ -163,7 +141,7 @@ type Frame struct {
 //
 // where length counts kind+corr+payload (i.e. FrameHeaderLen-4+len(payload)).
 func AppendFrame(dst []byte, f Frame) ([]byte, error) {
-	if !f.Kind.valid() {
+	if !f.Kind.Valid() {
 		return nil, fmt.Errorf("wire: invalid frame kind %d", uint8(f.Kind))
 	}
 	if len(f.Payload) > MaxFramePayload {
@@ -187,7 +165,7 @@ func DecodeFrame(b []byte) (Frame, []byte, error) {
 		return Frame{}, b, fmt.Errorf("wire: frame length %d out of range", length)
 	}
 	kind := Kind(b[4])
-	if !kind.valid() {
+	if !kind.Valid() {
 		return Frame{}, b, fmt.Errorf("wire: invalid frame kind %d", b[4])
 	}
 	if len(b) < 4+int(length) {
@@ -201,37 +179,12 @@ func DecodeFrame(b []byte) (Frame, []byte, error) {
 	return f, b[4+length:], nil
 }
 
-// ReadFrame reads one frame from r. The payload is freshly allocated.
-func ReadFrame(r io.Reader) (Frame, error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Frame{}, err
-	}
-	length := binary.BigEndian.Uint32(hdr[:])
-	if length < 9 || length > 9+MaxFramePayload {
-		return Frame{}, fmt.Errorf("wire: frame length %d out of range", length)
-	}
-	kind := Kind(hdr[4])
-	if !kind.valid() {
-		return Frame{}, fmt.Errorf("wire: invalid frame kind %d", hdr[4])
-	}
-	payload := make([]byte, length-9)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return Frame{}, err
-	}
-	return Frame{Kind: kind, Corr: binary.BigEndian.Uint64(hdr[5:]), Payload: payload}, nil
-}
-
-// ReadFrameBuf reads one frame from r, reusing buf for the payload when it
-// has the capacity (growing it otherwise). The returned frame's Payload
-// aliases the returned buffer, so it is valid only until the next
-// ReadFrameBuf call with the same buffer — callers that retain a payload
-// must copy it. This is the zero-allocation steady-state read path; use
-// ReadFrame when the payload must outlive the next read.
-func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
+// ReadFrame reads one frame from r, reusing buf for the payload when it
+// has the capacity (growing it otherwise; a nil buf allocates a fresh
+// payload). The returned frame's Payload aliases the returned buffer, so it
+// is valid only until the next ReadFrame call with the same buffer —
+// callers that retain a payload must copy it or pass nil.
+func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	var hdr [FrameHeaderLen]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return Frame{}, buf, err
@@ -241,7 +194,7 @@ func ReadFrameBuf(r io.Reader, buf []byte) (Frame, []byte, error) {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d out of range", length)
 	}
 	kind := Kind(hdr[4])
-	if !kind.valid() {
+	if !kind.Valid() {
 		return Frame{}, buf, fmt.Errorf("wire: invalid frame kind %d", hdr[4])
 	}
 	n := int(length - 9)
@@ -279,14 +232,20 @@ func readString(b []byte, what string) (string, []byte, error) {
 	return string(b[1 : 1+n]), b[1+n:], nil
 }
 
-// TraceContext is the compact distributed-trace context carried on
-// trace-bearing (Version2) PublishReq and Delivery payloads: the trace
-// identity minted by the publishing client, the sender-side span the
-// receiver should parent its own span to, and the publisher's wall-clock
-// publish instant for cross-process latency accounting. The zero
-// TraceContext means "untraced" and encodes as the Version-1 payload, so
-// peers that never negotiated tracing see exactly the frames they always
-// did.
+// Payload tags: the leading byte of a PublishReq or Delivery body says
+// whether a trace context follows. A body is traced exactly when the
+// publish that caused it was.
+const (
+	tagPlain  = 1 // no trace context
+	tagTraced = 2 // [trace 24B] follows (then [hops u16] on a Delivery)
+)
+
+// TraceContext is the compact distributed-trace context carried on traced
+// PublishReq and Delivery payloads: the trace identity minted by the
+// publishing client, the sender-side span the receiver should parent its
+// own span to, and the publisher's wall-clock publish instant for
+// cross-process latency accounting. The zero TraceContext means "untraced"
+// and encodes as the plain payload.
 type TraceContext struct {
 	// TraceID identifies the end-to-end trace; 0 means untraced.
 	TraceID uint64
@@ -310,9 +269,9 @@ func appendTrace(dst []byte, tc TraceContext) []byte {
 }
 
 // readTrace reads one appendTrace payload, returning the remainder. A
-// Version2 payload must carry a minted trace id: the zero TraceContext has
-// a canonical Version-1 encoding, and admitting it here too would break
-// the decode∘encode identity the fuzzers enforce.
+// traced payload must carry a minted trace id: the zero TraceContext has a
+// canonical plain encoding, and admitting it here too would break the
+// decode∘encode identity the fuzzers enforce.
 func readTrace(b []byte, what string) (TraceContext, []byte, error) {
 	if len(b) < 24 {
 		return TraceContext{}, nil, fmt.Errorf("wire: truncated %s trace context", what)
@@ -328,56 +287,21 @@ func readTrace(b []byte, what string) (TraceContext, []byte, error) {
 	return tc, b[24:], nil
 }
 
-// appendFlags appends the optional capability byte: nothing when flags are
-// zero, so capability-free messages stay bytewise identical to the
-// pre-flags format (and old decoders keep accepting them).
-func appendFlags(dst []byte, flags uint8) []byte {
-	if flags != 0 {
-		dst = append(dst, flags)
-	}
-	return dst
-}
-
-// readFlags consumes the optional trailing capability byte. Absent means
-// zero; a present-but-zero byte is rejected as non-canonical (zero flags
-// encode as absence).
-func readFlags(rest []byte, what string) (uint8, error) {
-	switch {
-	case len(rest) == 0:
-		return 0, nil
-	case len(rest) > 1:
-		return 0, fmt.Errorf("wire: %d trailing bytes", len(rest))
-	case rest[0] == 0:
-		return 0, fmt.Errorf("wire: non-canonical zero %s flags byte", what)
-	default:
-		return rest[0], nil
-	}
-}
-
-// Hello opens a client session.
+// Hello opens a client session. Its version byte is the protocol's only
+// version check: there are no capability bits and nothing is negotiated.
 type Hello struct {
 	// ID names the client (for diagnostics; uniqueness is not required).
 	ID string
-	// Flags advertises optional capabilities (FlagTracing).
-	Flags uint8
 }
 
 // EncodeHello renders a session-open request:
 //
-//	[version u8][idLen u8][id][flags u8]?
-//
-// The flags byte is appended only when nonzero.
+//	[version u8][idLen u8][id]
 func EncodeHello(h Hello) ([]byte, error) {
 	if len(h.ID) == 0 {
 		return nil, fmt.Errorf("wire: hello requires a client id")
 	}
-	buf := make([]byte, 0, 3+len(h.ID))
-	buf = append(buf, Version)
-	buf, err := appendString(buf, h.ID, "hello id")
-	if err != nil {
-		return nil, err
-	}
-	return appendFlags(buf, h.Flags), nil
+	return appendString(append(make([]byte, 0, 2+len(h.ID)), Version), h.ID, "hello id")
 }
 
 // DecodeHello parses a session-open request.
@@ -395,11 +319,10 @@ func DecodeHello(b []byte) (Hello, error) {
 	if len(id) == 0 {
 		return Hello{}, fmt.Errorf("wire: hello without client id")
 	}
-	flags, err := readFlags(rest, "hello")
-	if err != nil {
-		return Hello{}, err
+	if len(rest) != 0 {
+		return Hello{}, fmt.Errorf("wire: %d trailing bytes", len(rest))
 	}
-	return Hello{ID: id, Flags: flags}, nil
+	return Hello{ID: id}, nil
 }
 
 // HelloOK is the server's session acknowledgement: the deployment's host
@@ -408,22 +331,16 @@ func DecodeHello(b []byte) (Hello, error) {
 type HelloOK struct {
 	Hosts      []uint32
 	Partitions []int32
-	// Flags echoes the capability intersection the server accepted
-	// (FlagTracing); the client must not send Version2 payloads unless the
-	// corresponding bit came back set.
-	Flags uint8
 }
 
 // EncodeHelloOK renders a session acknowledgement:
 //
-//	[version u8][nhosts u16][host u32]×[nparts u16][part u32]×[flags u8]?
-//
-// The flags byte is appended only when nonzero.
+//	[version u8][nhosts u16][host u32]×[nparts u16][part u32]×
 func EncodeHelloOK(h HelloOK) ([]byte, error) {
 	if len(h.Hosts) > 0xffff || len(h.Partitions) > 0xffff {
 		return nil, fmt.Errorf("wire: hello-ok with %d hosts / %d partitions", len(h.Hosts), len(h.Partitions))
 	}
-	buf := make([]byte, 0, 6+4*len(h.Hosts)+4*len(h.Partitions))
+	buf := make([]byte, 0, 5+4*len(h.Hosts)+4*len(h.Partitions))
 	buf = append(buf, Version)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(h.Hosts)))
 	for _, hh := range h.Hosts {
@@ -433,7 +350,7 @@ func EncodeHelloOK(h HelloOK) ([]byte, error) {
 	for _, p := range h.Partitions {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(p))
 	}
-	return appendFlags(buf, h.Flags), nil
+	return buf, nil
 }
 
 // DecodeHelloOK parses a session acknowledgement.
@@ -456,17 +373,12 @@ func DecodeHelloOK(b []byte) (HelloOK, error) {
 	rest = rest[4*nh:]
 	np := int(binary.BigEndian.Uint16(rest))
 	rest = rest[2:]
-	if len(rest) < 4*np {
-		return HelloOK{}, fmt.Errorf("wire: truncated hello-ok partitions")
+	if len(rest) != 4*np {
+		return HelloOK{}, fmt.Errorf("wire: hello-ok partitions section has %d bytes, want %d", len(rest), 4*np)
 	}
 	for i := 0; i < np; i++ {
 		out.Partitions = append(out.Partitions, int32(binary.BigEndian.Uint32(rest[4*i:])))
 	}
-	flags, err := readFlags(rest[4*np:], "hello-ok")
-	if err != nil {
-		return HelloOK{}, err
-	}
-	out.Flags = flags
 	return out, nil
 }
 
@@ -482,7 +394,7 @@ type Range struct {
 // ControlReq is a remote control request: one of the four signalling ops,
 // expressed content-side (attribute ranges) rather than dz-side.
 type ControlReq struct {
-	Op   string // "advertise" | "subscribe" | "unsubscribe" | "unadvertise"
+	Op   Op
 	ID   string
 	Host uint32
 	// Ranges constrains attributes; empty means the whole event space.
@@ -495,7 +407,7 @@ type ControlReq struct {
 //	[version u8][op u8][idLen u8][id][host u32]
 //	[nranges u8]([attrLen u8][attr][lo u32][hi u32])×
 func EncodeControlReq(req ControlReq) ([]byte, error) {
-	code, err := opCode(req.Op)
+	code, err := req.Op.code(false)
 	if err != nil {
 		return nil, err
 	}
@@ -537,7 +449,7 @@ func DecodeControlReq(b []byte) (ControlReq, error) {
 	if b[0] != Version {
 		return ControlReq{}, fmt.Errorf("wire: unsupported version %d", b[0])
 	}
-	op, err := opName(b[1])
+	op, err := opFromCode(b[1], false)
 	if err != nil {
 		return ControlReq{}, err
 	}
@@ -596,8 +508,8 @@ type PublishReq struct {
 	Seq    uint64
 	Events []space.Event
 	// Trace is the distributed-trace context stamped by the client. The
-	// zero value means untraced and selects the Version-1 encoding; a
-	// minted trace selects Version2. A transport retry re-encodes nothing
+	// zero value means untraced and selects the plain encoding; a minted
+	// trace selects the traced one. A transport retry re-encodes nothing
 	// (the same bytes are re-sent), so Seq and Trace survive retries
 	// unchanged and a dedup'd publish keeps a single trace id.
 	Trace TraceContext
@@ -605,11 +517,11 @@ type PublishReq struct {
 
 // EncodePublish renders a publish request:
 //
-//	[version u8][trace 24B]?[seq u64][idLen u8][id][count u16][event]×
+//	[tag u8][trace 24B]?[seq u64][idLen u8][id][count u16][event]×
 //
 // where each event is an EncodeEvent payload (self-delimiting via its dims
-// byte). The trace block is present exactly when the version byte is
-// Version2 (req.Trace minted).
+// byte). The trace block is present exactly when the tag is tagTraced
+// (req.Trace minted).
 func EncodePublish(req PublishReq) ([]byte, error) {
 	return AppendPublish(make([]byte, 0, 40+len(req.ID)+len(req.Events)*6), req)
 }
@@ -625,10 +537,10 @@ func AppendPublish(dst []byte, req PublishReq) ([]byte, error) {
 		return nil, fmt.Errorf("wire: publish with %d events, want 1..%d", len(req.Events), MaxEvents)
 	}
 	if req.Trace.Valid() {
-		dst = append(dst, Version2)
+		dst = append(dst, tagTraced)
 		dst = appendTrace(dst, req.Trace)
 	} else {
-		dst = append(dst, Version)
+		dst = append(dst, tagPlain)
 	}
 	dst = binary.BigEndian.AppendUint64(dst, req.Seq)
 	var err error
@@ -673,7 +585,7 @@ func readEvent(b []byte, arena []uint32) (space.Event, []byte, []uint32, error) 
 	return space.Event{Values: arena[base:len(arena):len(arena)]}, b[n:], arena, nil
 }
 
-// DecodePublish parses a publish request (Version or Version2).
+// DecodePublish parses a publish request (plain or traced).
 func DecodePublish(b []byte) (PublishReq, error) {
 	if len(b) < 1 {
 		return PublishReq{}, fmt.Errorf("wire: publish too short")
@@ -681,15 +593,15 @@ func DecodePublish(b []byte) (PublishReq, error) {
 	var trace TraceContext
 	body := b[1:]
 	switch b[0] {
-	case Version:
-	case Version2:
+	case tagPlain:
+	case tagTraced:
 		var err error
 		trace, body, err = readTrace(body, "publish")
 		if err != nil {
 			return PublishReq{}, err
 		}
 	default:
-		return PublishReq{}, fmt.Errorf("wire: unsupported version %d", b[0])
+		return PublishReq{}, fmt.Errorf("wire: unsupported publish tag %d", b[0])
 	}
 	if len(body) < 8 {
 		return PublishReq{}, fmt.Errorf("wire: publish too short")
@@ -741,39 +653,33 @@ type Delivery struct {
 	Latency        time.Duration
 	FalsePositive  bool
 	// Trace is the distributed-trace context the event carried end to end;
-	// the zero value (untraced) selects the Version-1 encoding.
+	// the zero value (untraced) selects the plain encoding.
 	Trace TraceContext
 	// Hops is the number of switch hops the event traversed; it travels
-	// only on trace-bearing (Version2) deliveries.
+	// only on traced deliveries.
 	Hops uint16
 }
 
-// EncodeDelivery renders a delivery push:
+// appendDelivery appends one delivery body, allocation-free when dst has
+// capacity:
 //
-//	[version u8][trace 24B][hops u16]?[idLen u8][id][at u64][latency u64][fp u8][event]
+//	[tag u8][trace 24B][hops u16]?[idLen u8][id][at u64][latency u64][fp u8][event]
 //
-// The trace+hops block is present exactly when the version byte is
-// Version2 (d.Trace minted); an untraced delivery encodes as Version 1 and
-// drops Hops.
-func EncodeDelivery(d Delivery) ([]byte, error) {
-	return AppendDelivery(make([]byte, 0, 48+len(d.SubscriptionID)+4*len(d.Event.Values)), d)
-}
-
-// AppendDelivery appends an EncodeDelivery payload to dst, allocation-free
-// when dst has capacity. The encoding is self-delimiting (the id is
-// length-prefixed and the event carries its dims byte), which is what lets
-// DeliverBatch concatenate delivery bodies back to back.
-func AppendDelivery(dst []byte, d Delivery) ([]byte, error) {
+// The trace+hops block is present exactly when the tag is tagTraced
+// (d.Trace minted); an untraced delivery drops Hops. The encoding is
+// self-delimiting (the id is length-prefixed and the event carries its dims
+// byte), which is what lets DeliverBatch concatenate bodies back to back.
+func appendDelivery(dst []byte, d Delivery) ([]byte, error) {
 	if len(d.SubscriptionID) == 0 {
 		return nil, fmt.Errorf("wire: delivery without subscription id")
 	}
 	var err error
 	if d.Trace.Valid() {
-		dst = append(dst, Version2)
+		dst = append(dst, tagTraced)
 		dst = appendTrace(dst, d.Trace)
 		dst = binary.BigEndian.AppendUint16(dst, d.Hops)
 	} else {
-		dst = append(dst, Version)
+		dst = append(dst, tagPlain)
 	}
 	dst, err = appendString(dst, d.SubscriptionID, "subscription id")
 	if err != nil {
@@ -789,9 +695,9 @@ func AppendDelivery(dst []byte, d Delivery) ([]byte, error) {
 	return appendEvent(dst, d.Event)
 }
 
-// readDelivery decodes one delivery body from the front of b, returning it
-// and the remainder — the element decoder DeliverBatch iterates. Event
-// values are appended to arena (see readEvent).
+// readDelivery decodes one appendDelivery body from the front of b,
+// returning it and the remainder — the element decoder DeliverBatch
+// iterates. Event values are appended to arena (see readEvent).
 func readDelivery(b []byte, arena []uint32) (Delivery, []byte, []uint32, error) {
 	if len(b) < 1 {
 		return Delivery{}, nil, arena, fmt.Errorf("wire: delivery too short")
@@ -799,8 +705,8 @@ func readDelivery(b []byte, arena []uint32) (Delivery, []byte, []uint32, error) 
 	var d Delivery
 	body := b[1:]
 	switch b[0] {
-	case Version:
-	case Version2:
+	case tagPlain:
+	case tagTraced:
 		var err error
 		d.Trace, body, err = readTrace(body, "delivery")
 		if err != nil {
@@ -812,7 +718,7 @@ func readDelivery(b []byte, arena []uint32) (Delivery, []byte, []uint32, error) 
 		d.Hops = binary.BigEndian.Uint16(body)
 		body = body[2:]
 	default:
-		return Delivery{}, nil, arena, fmt.Errorf("wire: unsupported version %d", b[0])
+		return Delivery{}, nil, arena, fmt.Errorf("wire: unsupported delivery tag %d", b[0])
 	}
 	id, rest, err := readString(body, "subscription id")
 	if err != nil {
@@ -839,26 +745,14 @@ func readDelivery(b []byte, arena []uint32) (Delivery, []byte, []uint32, error) 
 	return d, rest, arena, nil
 }
 
-// DecodeDelivery parses a delivery push (Version or Version2).
-func DecodeDelivery(b []byte) (Delivery, error) {
-	d, rest, _, err := readDelivery(b, nil)
-	if err != nil {
-		return Delivery{}, err
-	}
-	if len(rest) != 0 {
-		return Delivery{}, fmt.Errorf("wire: %d trailing bytes", len(rest))
-	}
-	return d, nil
-}
-
-// EncodeDeliverBatch renders a coalesced delivery push:
+// EncodeDeliverBatch renders a delivery push:
 //
 //	[version u8][count u16][delivery]×count
 //
-// where each delivery is an AppendDelivery body (self-delimiting, each
-// carrying its own Version/Version2 byte). count must be 1..MaxDeliveries:
-// an empty batch has no encoding — a quiet connection sends nothing, so
-// the zero-batch case stays byte-exact with the v1 protocol by omission.
+// where each delivery is an appendDelivery body (self-delimiting, each
+// carrying its own plain/traced tag, so one batch may mix both). count must
+// be 1..MaxDeliveries: an empty batch has no encoding — a quiet connection
+// sends nothing.
 func EncodeDeliverBatch(ds []Delivery) ([]byte, error) {
 	if len(ds) == 0 || len(ds) > MaxDeliveries {
 		return nil, fmt.Errorf("wire: deliver batch with %d deliveries, want 1..%d", len(ds), MaxDeliveries)
@@ -894,7 +788,7 @@ func AppendDeliverBatch(dst []byte, ds []Delivery, maxBytes int) ([]byte, int, e
 		}
 		prev := len(dst)
 		var err error
-		dst, err = AppendDelivery(dst, d)
+		dst, err = appendDelivery(dst, d)
 		if err != nil {
 			return nil, 0, err
 		}

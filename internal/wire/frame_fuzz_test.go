@@ -41,7 +41,7 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("frame re-encoding drifted")
 		}
 		// The io path must agree with the slice path.
-		fr2, err := ReadFrame(bytes.NewReader(b))
+		fr2, _, err := ReadFrame(bytes.NewReader(b), nil)
 		if err != nil {
 			t.Fatalf("ReadFrame rejected what DecodeFrame accepted: %v", err)
 		}
@@ -95,28 +95,6 @@ func FuzzDecodePublish(f *testing.F) {
 	})
 }
 
-func FuzzDecodeDelivery(f *testing.F) {
-	good, _ := EncodeDelivery(Delivery{
-		SubscriptionID: "s",
-		Event:          space.Event{Values: []uint32{9, 10}},
-		At:             5, Latency: 2, FalsePositive: true,
-	})
-	f.Add(good)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		d, err := DecodeDelivery(b)
-		if err != nil {
-			return
-		}
-		reenc, err := EncodeDelivery(d)
-		if err != nil {
-			t.Fatalf("decoded delivery does not re-encode: %v", err)
-		}
-		if !bytes.Equal(reenc, b) {
-			t.Fatalf("delivery re-encoding drifted")
-		}
-	})
-}
-
 func FuzzDecodeDeliverBatch(f *testing.F) {
 	good, _ := EncodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s1", Event: space.Event{Values: []uint32{1, 2}}, At: 3, Latency: 1},
@@ -128,6 +106,13 @@ func FuzzDecodeDeliverBatch(f *testing.F) {
 			Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 2},
 	})
 	f.Add(traced)
+	// Batches of one — every delivery that used to travel as its own frame.
+	one, _ := EncodeDeliverBatch([]Delivery{{
+		SubscriptionID: "s",
+		Event:          space.Event{Values: []uint32{9, 10}},
+		At:             5, Latency: 2, FalsePositive: true,
+	}})
+	f.Add(one)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		ds, err := DecodeDeliverBatch(b)
 		if err != nil {
@@ -203,7 +188,7 @@ func FuzzFrameStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		r := bytes.NewReader(b)
 		for i := 0; i < 1000; i++ {
-			if _, err := ReadFrame(r); err != nil {
+			if _, _, err := ReadFrame(r, nil); err != nil {
 				return // EOF, truncation, or protocol error — all fine, as long as no panic
 			}
 		}

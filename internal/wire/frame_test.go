@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/netip"
 	"reflect"
@@ -18,7 +19,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	frames := []Frame{
 		{Kind: KindHello, Corr: 1, Payload: []byte("x")},
 		{Kind: KindOK, Corr: 0xdeadbeefcafe, Payload: nil},
-		{Kind: KindDeliver, Corr: 0, Payload: bytes.Repeat([]byte{7}, 1000)},
+		{Kind: KindDeliverBatch, Corr: 0, Payload: bytes.Repeat([]byte{7}, 1000)},
 		{Kind: KindGoodbye, Corr: 0, Payload: nil},
 	}
 	var buf []byte
@@ -48,7 +49,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	// And via the io.Reader path.
 	r := bytes.NewReader(buf)
 	for i, want := range frames {
-		got, err := ReadFrame(r)
+		got, _, err := ReadFrame(r, nil)
 		if err != nil {
 			t.Fatalf("read frame %d: %v", i, err)
 		}
@@ -56,7 +57,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Fatalf("read frame %d mismatch", i)
 		}
 	}
-	if _, err := ReadFrame(r); err != io.EOF {
+	if _, _, err := ReadFrame(r, nil); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 }
@@ -81,7 +82,7 @@ func TestFrameErrors(t *testing.T) {
 	if _, _, err := DecodeFrame(bad); err == nil || err == io.ErrUnexpectedEOF {
 		t.Fatalf("oversize length: got %v", err)
 	}
-	if _, err := ReadFrame(bytes.NewReader(bad)); err == nil || err == io.EOF {
+	if _, _, err := ReadFrame(bytes.NewReader(bad), nil); err == nil || err == io.EOF {
 		t.Fatalf("oversize length via reader: got %v", err)
 	}
 	// A frame claiming an undefined kind is rejected.
@@ -127,6 +128,9 @@ func TestHelloOKRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeHelloOK(b[:len(b)-1]); err == nil {
 		t.Error("truncated hello-ok accepted")
+	}
+	if _, err := DecodeHelloOK(append(b, 0)); err == nil {
+		t.Error("trailing garbage accepted")
 	}
 }
 
@@ -196,6 +200,28 @@ func TestPublishRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeOne / decodeOne are a DeliverBatch of one — how a single delivery
+// travels.
+func encodeOne(t *testing.T, d Delivery) []byte {
+	t.Helper()
+	b, err := EncodeDeliverBatch([]Delivery{d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func decodeOne(b []byte) (Delivery, error) {
+	ds, err := DecodeDeliverBatch(b)
+	if err != nil {
+		return Delivery{}, err
+	}
+	if len(ds) != 1 {
+		return Delivery{}, fmt.Errorf("batch of %d, want 1", len(ds))
+	}
+	return ds[0], nil
+}
+
 func TestDeliveryRoundTrip(t *testing.T) {
 	in := Delivery{
 		SubscriptionID: "s9",
@@ -204,18 +230,15 @@ func TestDeliveryRoundTrip(t *testing.T) {
 		Latency:        300 * time.Microsecond,
 		FalsePositive:  true,
 	}
-	b, err := EncodeDelivery(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeDelivery(b)
+	b := encodeOne(t, in)
+	out, err := decodeOne(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("got %+v want %+v", out, in)
 	}
-	if _, err := DecodeDelivery(append(b, 1)); err == nil {
+	if _, err := decodeOne(append(b, 1)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
 }

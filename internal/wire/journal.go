@@ -14,28 +14,14 @@ import (
 // failover) and sequence number (monotone within the journal), so a warm
 // standby can replay snapshot + journal to the exact pre-crash state.
 
-// Journal op names. The first four match the signalling ops; reconfigure
-// records a RebuildTrees pass (topology change), which has no client id.
-const (
-	OpAdvertise   = "advertise"
-	OpSubscribe   = "subscribe"
-	OpUnsubscribe = "unsubscribe"
-	OpUnadvertise = "unadvertise"
-	OpReconfigure = "reconfigure"
-)
-
-// opReconfigure extends the signalling op codes; it is only valid in
-// journal records, never in IP_vir signals.
-const opReconfigure byte = 5
-
 // Record is one journaled control operation.
 type Record struct {
 	// Epoch identifies the controller incarnation that applied the op.
 	Epoch uint32
 	// Seq is the record's position in the journal (monotone, 1-based).
 	Seq uint64
-	// Op is one of the Op* journal op names.
-	Op string
+	// Op is the applied operation; OpReconfigure is valid only here.
+	Op Op
 	// ID is the client identifier; empty for reconfigure records.
 	ID string
 	// Node locates the client endpoint (host, or border switch for
@@ -48,26 +34,12 @@ type Record struct {
 	Set dz.Set
 }
 
-func recOpCode(op string) (byte, error) {
-	if op == OpReconfigure {
-		return opReconfigure, nil
-	}
-	return opCode(op)
-}
-
-func recOpName(code byte) (string, error) {
-	if code == opReconfigure {
-		return OpReconfigure, nil
-	}
-	return opName(code)
-}
-
 // EncodeRecord renders a journal record:
 //
 //	[version u8][op u8][epoch u32][seq u64][idLen u8][id]
 //	[node u32][viaPort u32][count u16][expr]×count
 func EncodeRecord(r Record) ([]byte, error) {
-	code, err := recOpCode(r.Op)
+	code, err := r.Op.code(true)
 	if err != nil {
 		return nil, err
 	}
@@ -78,9 +50,6 @@ func EncodeRecord(r Record) ([]byte, error) {
 	} else if len(r.ID) == 0 || len(r.ID) > MaxIDLen {
 		return nil, fmt.Errorf("wire: record id length %d out of range 1..%d", len(r.ID), MaxIDLen)
 	}
-	if len(r.Set) > MaxSetMembers || len(r.Set) > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: record DZ set of %d members exceeds %d", len(r.Set), MaxSetMembers)
-	}
 	buf := make([]byte, 0, 24+len(r.ID)+4*len(r.Set))
 	buf = append(buf, Version, code)
 	buf = binary.BigEndian.AppendUint32(buf, r.Epoch)
@@ -89,14 +58,7 @@ func EncodeRecord(r Record) ([]byte, error) {
 	buf = append(buf, r.ID...)
 	buf = binary.BigEndian.AppendUint32(buf, r.Node)
 	buf = binary.BigEndian.AppendUint32(buf, r.ViaPort)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Set)))
-	for _, e := range r.Set {
-		buf, err = packExpr(buf, e)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return AppendSet(buf, r.Set)
 }
 
 // DecodeRecord parses a journal record.
@@ -107,7 +69,7 @@ func DecodeRecord(b []byte) (Record, error) {
 	if b[0] != Version {
 		return Record{}, fmt.Errorf("wire: unsupported version %d", b[0])
 	}
-	op, err := recOpName(b[1])
+	op, err := opFromCode(b[1], true)
 	if err != nil {
 		return Record{}, err
 	}

@@ -1,69 +1,12 @@
 package wire
 
 import (
-	"bytes"
 	"reflect"
 	"testing"
 	"time"
 
 	"pleroma/internal/space"
 )
-
-func TestHelloFlagsRoundTrip(t *testing.T) {
-	b, err := EncodeHello(Hello{ID: "c", Flags: FlagTracing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h, err := DecodeHello(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Flags != FlagTracing {
-		t.Fatalf("flags = %d, want %d", h.Flags, FlagTracing)
-	}
-	// Flag-free hellos must be bytewise identical to the pre-flags format.
-	plain, err := EncodeHello(Hello{ID: "c"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(plain, b[:len(b)-1]) {
-		t.Error("flag-free hello drifted from the legacy encoding")
-	}
-	// A present-but-zero flags byte is non-canonical.
-	if _, err := DecodeHello(append(plain, 0)); err == nil {
-		t.Error("zero flags byte accepted")
-	}
-}
-
-func TestHelloOKFlagsRoundTrip(t *testing.T) {
-	in := HelloOK{Hosts: []uint32{1, 2}, Partitions: []int32{0}, Flags: FlagTracing}
-	b, err := EncodeHelloOK(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeHelloOK(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-	plain := in
-	plain.Flags = 0
-	pb, err := EncodeHelloOK(plain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pb, b[:len(b)-1]) {
-		t.Error("flag-free hello-ok drifted from the legacy encoding")
-	}
-	if _, err := DecodeHelloOK(append(pb, 0)); err == nil {
-		t.Error("zero flags byte accepted")
-	}
-	if _, err := DecodeHelloOK(append(pb, 1, 2)); err == nil {
-		t.Error("two trailing bytes accepted")
-	}
-}
 
 func TestPublishTraceRoundTrip(t *testing.T) {
 	in := PublishReq{
@@ -76,8 +19,8 @@ func TestPublishTraceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] != Version2 {
-		t.Fatalf("traced publish version = %d, want %d", b[0], Version2)
+	if b[0] != tagTraced {
+		t.Fatalf("traced publish tag = %d, want %d", b[0], tagTraced)
 	}
 	out, err := DecodePublish(b)
 	if err != nil {
@@ -86,21 +29,21 @@ func TestPublishTraceRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("got %+v want %+v", out, in)
 	}
-	// Untraced publishes keep the Version-1 payload.
+	// Untraced publishes carry the plain payload.
 	in.Trace = TraceContext{}
 	b, err = EncodePublish(in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b[0] != Version {
-		t.Fatalf("untraced publish version = %d, want %d", b[0], Version)
+	if b[0] != tagPlain {
+		t.Fatalf("untraced publish tag = %d, want %d", b[0], tagPlain)
 	}
-	// A Version2 payload must carry a minted trace id: the zero context has
-	// a canonical Version-1 encoding.
-	bad := append([]byte{Version2}, make([]byte, 24)...)
+	// A traced payload must carry a minted trace id: the zero context has a
+	// canonical plain encoding.
+	bad := append([]byte{tagTraced}, make([]byte, 24)...)
 	bad = append(bad, b[1:]...)
 	if _, err := DecodePublish(bad); err == nil {
-		t.Error("version-2 publish with zero trace id accepted")
+		t.Error("traced publish with zero trace id accepted")
 	}
 }
 
@@ -114,33 +57,28 @@ func TestDeliveryTraceRoundTrip(t *testing.T) {
 		Trace:          TraceContext{TraceID: 9, SpanID: 11, PubWallNanos: 77},
 		Hops:           5,
 	}
-	b, err := EncodeDelivery(in)
-	if err != nil {
-		t.Fatal(err)
+	// A delivery body sits behind the batch's [version u8][count u16].
+	b := encodeOne(t, in)
+	if b[3] != tagTraced {
+		t.Fatalf("traced delivery tag = %d, want %d", b[3], tagTraced)
 	}
-	if b[0] != Version2 {
-		t.Fatalf("traced delivery version = %d, want %d", b[0], Version2)
-	}
-	out, err := DecodeDelivery(b)
+	out, err := decodeOne(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("got %+v want %+v", out, in)
 	}
-	if _, err := DecodeDelivery(b[:10]); err == nil {
+	if _, err := decodeOne(b[:13]); err == nil {
 		t.Error("truncated trace context accepted")
 	}
-	// Untraced deliveries keep the Version-1 payload and drop hops.
+	// Untraced deliveries carry the plain payload and drop hops.
 	in.Trace = TraceContext{}
-	b, err = EncodeDelivery(in)
-	if err != nil {
-		t.Fatal(err)
+	b = encodeOne(t, in)
+	if b[3] != tagPlain {
+		t.Fatalf("untraced delivery tag = %d, want %d", b[3], tagPlain)
 	}
-	if b[0] != Version {
-		t.Fatalf("untraced delivery version = %d, want %d", b[0], Version)
-	}
-	out, err = DecodeDelivery(b)
+	out, err = decodeOne(b)
 	if err != nil {
 		t.Fatal(err)
 	}

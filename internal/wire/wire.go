@@ -2,14 +2,14 @@
 // event datagrams (attribute values; the dz-expression itself travels in
 // the IPv6 destination address) and the control requests hosts send to
 // IP_vir (Section 2). The formats are versioned, length-prefixed, and
-// fully validated on decode — the codec a real deployment would put on
-// UDP sockets, used here by the in-band signalling path.
+// fully validated on decode. The same package carries the journal record
+// (journal.go) and the TCP transport's frames (frame.go); all three spell
+// the control operations with one type, Op, and one code table.
 package wire
 
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"pleroma/internal/dz"
 	"pleroma/internal/space"
@@ -17,26 +17,6 @@ import (
 
 // Version is the current wire format version.
 const Version = 1
-
-// Version2 marks trace-bearing PublishReq and Delivery payloads: the
-// payload opens with a TraceContext before the Version-1 body. Peers only
-// send Version2 after both sides advertised FlagTracing in the session
-// handshake; everything else still encodes as Version.
-const Version2 = 2
-
-// FlagTracing is the session capability bit for distributed tracing:
-// a client sets it in Hello.Flags when it can consume trace contexts, the
-// server echoes it in HelloOK.Flags when it can emit them, and only then
-// do Version2 payloads flow on the connection.
-const FlagTracing uint8 = 1 << 0
-
-// FlagBatching is the session capability bit for coalesced delivery
-// frames: a client sets it in Hello.Flags when it can decode
-// KindDeliverBatch, the server echoes it in HelloOK.Flags when it will
-// emit them, and only then do batch frames flow on the connection. Peers
-// that never negotiated it keep the per-event KindDeliver stream,
-// byte-identical to the pre-batching protocol.
-const FlagBatching uint8 = 1 << 1
 
 // Limits guarding decoders against hostile input.
 const (
@@ -143,81 +123,68 @@ func unpackExpr(b []byte) (dz.Expr, []byte, error) {
 	return dz.Expr(bits), b[1+nbytes:], nil
 }
 
-// Op codes of control requests.
+// Op names a control operation. The four signalling ops are what hosts
+// send to IP_vir (Section 2) and what the transport's ControlReq carries;
+// OpReconfigure records a RebuildTrees pass (topology change) and exists
+// only in journal records.
+type Op string
+
+// Control operations.
 const (
-	opAdvertise byte = iota + 1
-	opSubscribe
-	opUnsubscribe
-	opUnadvertise
+	OpAdvertise   Op = "advertise"
+	OpSubscribe   Op = "subscribe"
+	OpUnsubscribe Op = "unsubscribe"
+	OpUnadvertise Op = "unadvertise"
+	OpReconfigure Op = "reconfigure"
 )
+
+// opCodes is the one op code table: an op's wire code is its index. Signal,
+// ControlReq and Record all encode through it.
+var opCodes = [...]Op{1: OpAdvertise, 2: OpSubscribe, 3: OpUnsubscribe, 4: OpUnadvertise, 5: OpReconfigure}
+
+// code returns op's wire code. journal admits OpReconfigure, which only
+// Record may carry.
+func (op Op) code(journal bool) (byte, error) {
+	for c := 1; c < len(opCodes); c++ {
+		if opCodes[c] == op && (journal || op != OpReconfigure) {
+			return byte(c), nil
+		}
+	}
+	return 0, fmt.Errorf("wire: unknown op %q", op)
+}
+
+// opFromCode is the inverse of Op.code.
+func opFromCode(c byte, journal bool) (Op, error) {
+	if c == 0 || int(c) >= len(opCodes) || (!journal && opCodes[c] == OpReconfigure) {
+		return "", fmt.Errorf("wire: unknown op code %d", c)
+	}
+	return opCodes[c], nil
+}
 
 // Signal is the decoded form of an IP_vir control request.
 type Signal struct {
-	Op   string // "advertise" | "subscribe" | "unsubscribe" | "unadvertise"
+	Op   Op
 	ID   string
 	Host uint32
 	Set  dz.Set
-}
-
-func opCode(op string) (byte, error) {
-	switch op {
-	case "advertise":
-		return opAdvertise, nil
-	case "subscribe":
-		return opSubscribe, nil
-	case "unsubscribe":
-		return opUnsubscribe, nil
-	case "unadvertise":
-		return opUnadvertise, nil
-	default:
-		return 0, fmt.Errorf("wire: unknown op %q", op)
-	}
-}
-
-func opName(code byte) (string, error) {
-	switch code {
-	case opAdvertise:
-		return "advertise", nil
-	case opSubscribe:
-		return "subscribe", nil
-	case opUnsubscribe:
-		return "unsubscribe", nil
-	case opUnadvertise:
-		return "unadvertise", nil
-	default:
-		return "", fmt.Errorf("wire: unknown op code %d", code)
-	}
 }
 
 // EncodeSignal renders a control request:
 //
 //	[version u8][op u8][idLen u8][id][host u32][count u16][expr]×count
 func EncodeSignal(s Signal) ([]byte, error) {
-	code, err := opCode(s.Op)
+	code, err := s.Op.code(false)
 	if err != nil {
 		return nil, err
 	}
 	if len(s.ID) == 0 || len(s.ID) > MaxIDLen {
 		return nil, fmt.Errorf("wire: id length %d out of range 1..%d", len(s.ID), MaxIDLen)
 	}
-	if len(s.Set) > MaxSetMembers {
-		return nil, fmt.Errorf("wire: DZ set of %d members exceeds %d", len(s.Set), MaxSetMembers)
-	}
 	buf := make([]byte, 0, 16+len(s.ID)+4*len(s.Set))
 	buf = append(buf, Version, code, byte(len(s.ID)))
 	buf = append(buf, s.ID...)
 	buf = binary.BigEndian.AppendUint32(buf, s.Host)
-	if len(s.Set) > math.MaxUint16 {
-		return nil, fmt.Errorf("wire: DZ set too large")
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(s.Set)))
-	for _, e := range s.Set {
-		buf, err = packExpr(buf, e)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
+	return AppendSet(buf, s.Set)
 }
 
 // DecodeSignal parses a control request.
@@ -228,7 +195,7 @@ func DecodeSignal(b []byte) (Signal, error) {
 	if b[0] != Version {
 		return Signal{}, fmt.Errorf("wire: unsupported version %d", b[0])
 	}
-	op, err := opName(b[1])
+	op, err := opFromCode(b[1], false)
 	if err != nil {
 		return Signal{}, err
 	}

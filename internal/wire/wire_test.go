@@ -74,20 +74,57 @@ func TestSignalRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSignalAllOps(t *testing.T) {
-	for _, op := range []string{"advertise", "subscribe", "unsubscribe", "unadvertise"} {
-		s := Signal{Op: op, ID: "x", Host: 1, Set: dz.NewSet("1")}
-		b, err := EncodeSignal(s)
+// TestOpAllCodecs: every Op round-trips through all three codecs that carry
+// one — Signal, ControlReq, Record — under the same wire code, and
+// reconfigure is journal-only.
+func TestOpAllCodecs(t *testing.T) {
+	for code, op := range []Op{1: OpAdvertise, 2: OpSubscribe, 3: OpUnsubscribe, 4: OpUnadvertise, 5: OpReconfigure} {
+		if code == 0 {
+			continue
+		}
+		id := "x"
+		if op == OpReconfigure {
+			id = "" // reconfigure records carry no client id
+		}
+		rb, err := EncodeRecord(Record{Seq: 1, Op: op, ID: id})
 		if err != nil {
-			t.Fatalf("%s: %v", op, err)
+			t.Fatalf("record %s: %v", op, err)
 		}
-		got, err := DecodeSignal(b)
-		if err != nil {
-			t.Fatalf("%s: %v", op, err)
+		if rec, err := DecodeRecord(rb); err != nil || rec.Op != op || rb[1] != byte(code) {
+			t.Errorf("record %s: got op %q code %d err %v", op, rec.Op, rb[1], err)
 		}
-		if got.Op != op {
-			t.Errorf("op=%q, want %q", got.Op, op)
+
+		sb, serr := EncodeSignal(Signal{Op: op, ID: "x", Host: 1, Set: dz.NewSet("1")})
+		cb, cerr := EncodeControlReq(ControlReq{Op: op, ID: "x", Host: 1})
+		if op == OpReconfigure {
+			if serr == nil || cerr == nil {
+				t.Errorf("reconfigure encoded outside the journal (signal err %v, control err %v)", serr, cerr)
+			}
+			// ... and its code is refused on decode too.
+			ok, _ := EncodeSignal(Signal{Op: OpSubscribe, ID: "x", Host: 1})
+			ok[1] = byte(code)
+			if _, err := DecodeSignal(ok); err == nil {
+				t.Error("signal with the reconfigure code decoded")
+			}
+			ok, _ = EncodeControlReq(ControlReq{Op: OpSubscribe, ID: "x", Host: 1})
+			ok[1] = byte(code)
+			if _, err := DecodeControlReq(ok); err == nil {
+				t.Error("control request with the reconfigure code decoded")
+			}
+			continue
 		}
+		if serr != nil || cerr != nil {
+			t.Fatalf("%s: signal err %v, control err %v", op, serr, cerr)
+		}
+		if sig, err := DecodeSignal(sb); err != nil || sig.Op != op || sb[1] != byte(code) {
+			t.Errorf("signal %s: got op %q code %d err %v", op, sig.Op, sb[1], err)
+		}
+		if req, err := DecodeControlReq(cb); err != nil || req.Op != op || cb[1] != byte(code) {
+			t.Errorf("control %s: got op %q code %d err %v", op, req.Op, cb[1], err)
+		}
+	}
+	if _, err := EncodeRecord(Record{Seq: 1, Op: "bogus", ID: "x"}); err == nil {
+		t.Error("unknown op journaled")
 	}
 }
 
@@ -128,7 +165,7 @@ func TestSignalValidation(t *testing.T) {
 func TestPropertySignalRoundTrip(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		ops := []string{"advertise", "subscribe", "unsubscribe", "unadvertise"}
+		ops := []Op{OpAdvertise, OpSubscribe, OpUnsubscribe, OpUnadvertise}
 		n := r.Intn(5)
 		exprs := make([]dz.Expr, n)
 		for i := range exprs {
@@ -166,7 +203,7 @@ func FuzzDecodeSignal(f *testing.F) {
 	seed, _ := EncodeSignal(Signal{Op: "subscribe", ID: "s", Host: 3, Set: dz.NewSet("10")})
 	f.Add(seed)
 	f.Add([]byte{})
-	f.Add([]byte{Version, opSubscribe, 1, 'x'})
+	f.Add([]byte{Version, 2, 1, 'x'}) // op code 2 = subscribe
 	f.Fuzz(func(t *testing.T, b []byte) {
 		s, err := DecodeSignal(b)
 		if err != nil {

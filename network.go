@@ -34,13 +34,12 @@ func WithListener(addr string) Option {
 }
 
 // TransportOptions tunes the TCP data path on either end: read/write
-// deadlines, the async publish window, publish coalescing thresholds, and
-// the NoBatching legacy switch. The zero value selects the transport
-// defaults.
+// deadlines, the async publish window, and publish coalescing thresholds.
+// The zero value selects the transport defaults.
 type TransportOptions = transport.Options
 
-// WithTransport tunes the listener's transport data path (deadlines,
-// delivery batching). Meaningful only together with WithListener.
+// WithTransport tunes the listener's transport data path (read and write
+// deadlines). Meaningful only together with WithListener.
 func WithTransport(o TransportOptions) Option {
 	return func(c *config) { c.transport = o }
 }
@@ -266,7 +265,7 @@ func (b *netBackend) Info() transport.Info {
 
 func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) error {
 	switch req.Op {
-	case "advertise":
+	case wire.OpAdvertise:
 		key := regKey(req.Host, req.Ranges)
 		if e, ok := b.advs[req.ID]; ok {
 			if e.key == key {
@@ -285,7 +284,7 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 		b.advs[req.ID] = netReg{host: req.Host, key: key, pub: pub}
 		return nil
 
-	case "subscribe":
+	case wire.OpSubscribe:
 		if deliver == nil {
 			return fmt.Errorf("pleroma: subscribe without a delivery sink")
 		}
@@ -320,7 +319,7 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 		b.subs[req.ID] = netReg{host: req.Host, key: key}
 		return nil
 
-	case "unsubscribe":
+	case wire.OpUnsubscribe:
 		if _, ok := b.subs[req.ID]; !ok {
 			return fmt.Errorf("%w: %q", ErrUnknownSubscription, req.ID)
 		}
@@ -330,7 +329,7 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 		delete(b.subs, req.ID)
 		return nil
 
-	case "unadvertise":
+	case wire.OpUnadvertise:
 		e, ok := b.advs[req.ID]
 		if !ok {
 			return fmt.Errorf("pleroma: unknown advertisement %q", req.ID)
@@ -362,9 +361,9 @@ func (b *netBackend) Publish(req wire.PublishReq) error {
 	for i, ev := range req.Events {
 		tuples[i] = ev.Values
 	}
-	// The request's trace context (when the connection negotiated tracing)
-	// rides the publication stamp so every delivery joins the client's
-	// trace; the whole batch shares one publish span.
+	// The request's trace context (zero for an untraced publish) rides the
+	// publication stamp so every delivery joins the client's trace; the
+	// whole batch shares one publish span.
 	if err := e.pub.publishBatchTraced(req.Trace, tuples...); err != nil {
 		return err
 	}
@@ -433,9 +432,9 @@ func WithDialID(id string) DialOption { return func(c *dialConfig) { c.id = id }
 
 // WithDialObservability gives the client its own metrics registry and
 // tracer (traceCapacity spans, 0 for the default): transport counters,
-// the client-side wall-clock delivery-latency histogram, and — when the
-// daemon negotiates the tracing capability — one distributed trace per
-// publish, spanning this client, the daemon, and every delivery.
+// the client-side wall-clock delivery-latency histogram, and one
+// distributed trace per publish, spanning this client, the daemon, and
+// every delivery.
 func WithDialObservability(traceCapacity int) DialOption {
 	return func(c *dialConfig) {
 		c.obs = true
@@ -449,9 +448,8 @@ func WithDialObservability(traceCapacity int) DialOption {
 // subscriptions before retrying the interrupted request.
 func WithDialRetry(p RetryPolicy) DialOption { return func(c *dialConfig) { c.retry = &p } }
 
-// WithDialTransport tunes the client's transport data path: deadlines,
-// the PublishAsync window and coalescing thresholds, and the NoBatching
-// legacy switch.
+// WithDialTransport tunes the client's transport data path: deadlines and
+// the PublishAsync window and coalescing thresholds.
 func WithDialTransport(o TransportOptions) DialOption {
 	return func(c *dialConfig) { c.transport = &o }
 }

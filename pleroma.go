@@ -484,18 +484,7 @@ func (s *System) control(req interdomain.SignalRequest) error {
 	if s.cfg.inBandDelay > 0 {
 		return s.fab.SendSignal(req)
 	}
-	switch req.Op {
-	case interdomain.OpAdvertise:
-		return s.fab.Advertise(req.ID, req.Host, req.Set)
-	case interdomain.OpSubscribe:
-		return s.fab.Subscribe(req.ID, req.Host, req.Set)
-	case interdomain.OpUnsubscribe:
-		return s.fab.Unsubscribe(req.ID)
-	case interdomain.OpUnadvertise:
-		return s.fab.Unadvertise(req.ID)
-	default:
-		return fmt.Errorf("pleroma: unknown control op %q", req.Op)
-	}
+	return s.fab.Apply(req)
 }
 
 // Hosts returns the end hosts of the deployment.
@@ -693,7 +682,7 @@ func (p *Publisher) Advertise(f Filter) error {
 		return err
 	}
 	if err := p.sys.control(interdomain.SignalRequest{
-		Op: interdomain.OpAdvertise, ID: p.id, Host: p.host, Set: set,
+		Op: wire.OpAdvertise, ID: p.id, Host: p.host, Set: set,
 	}); err != nil {
 		return err
 	}
@@ -709,7 +698,7 @@ func (p *Publisher) Unadvertise() error {
 		return ErrNotAdvertised
 	}
 	if err := p.sys.control(interdomain.SignalRequest{
-		Op: interdomain.OpUnadvertise, ID: p.id, Host: p.host,
+		Op: wire.OpUnadvertise, ID: p.id, Host: p.host,
 	}); err != nil {
 		return err
 	}
@@ -728,25 +717,38 @@ func (p *Publisher) Publish(values ...uint32) error {
 // server's path: a remote client's publish carries its trace so every
 // resulting delivery joins it.
 func (p *Publisher) publishTraced(tc wire.TraceContext, values ...uint32) error {
-	if !p.advertised {
-		return ErrNotAdvertised
-	}
-	ev, err := p.sys.sch.NewEvent(values...)
+	pb, err := p.admit(tc, values)
 	if err != nil {
 		return err
 	}
-	idxSch := p.sys.indexSchema()
-	maxLen := idxSch.Geometry().MaxLen()
-	if p.sys.cfg.maxDzLen < maxLen {
-		maxLen = p.sys.cfg.maxDzLen
-	}
-	expr, err := idxSch.Encode(p.sys.indexEvent(ev), maxLen)
-	if err != nil {
-		return err
-	}
-	p.sys.recordEvent(ev)
+	p.sys.recordEvent(pb.Event)
 	p.sys.maybeArmReindex()
-	return p.sys.dp.PublishStamped(p.host, expr, ev, netem.DefaultPacketSize, p.stampFor(expr, tc))
+	return p.sys.dp.PublishStamped(p.host, pb.Expr, pb.Event, pb.Size, pb.Stamp)
+}
+
+// admit is the publish admission prologue, shared by the single and the
+// batch path: the publisher must have advertised, the tuple must fit the
+// schema, and the event is dz-encoded in the active index space under the
+// L_dz bound and given its origin stamp. It injects nothing.
+func (p *Publisher) admit(tc wire.TraceContext, values []uint32) (netem.Publication, error) {
+	if !p.advertised {
+		return netem.Publication{}, ErrNotAdvertised
+	}
+	s := p.sys
+	ev, err := s.sch.NewEvent(values...)
+	if err != nil {
+		return netem.Publication{}, err
+	}
+	idxSch := s.indexSchema()
+	maxLen := idxSch.Geometry().MaxLen()
+	if s.cfg.maxDzLen < maxLen {
+		maxLen = s.cfg.maxDzLen
+	}
+	expr, err := idxSch.Encode(s.indexEvent(ev), maxLen)
+	if err != nil {
+		return netem.Publication{}, err
+	}
+	return netem.Publication{Expr: expr, Event: ev, Size: netem.DefaultPacketSize, Stamp: p.stampFor(expr, tc)}, nil
 }
 
 // stampFor builds the data-plane origin stamp for one publication: the
@@ -790,7 +792,7 @@ func (p *Publisher) stampFor(expr dz.Expr, tc wire.TraceContext) netem.Stamp {
 // acquisition, so high-rate publishers (the throughput experiments) avoid
 // per-event locking. Deliveries, timestamps, and sequence numbers are
 // identical to publishing the tuples one by one with Publish; on an
-// encoding error nothing is injected.
+// encoding error nothing is injected, and an empty batch is a no-op.
 func (p *Publisher) PublishBatch(tuples ...[]uint32) error {
 	return p.publishBatchTraced(wire.TraceContext{}, tuples...)
 }
@@ -798,28 +800,15 @@ func (p *Publisher) PublishBatch(tuples ...[]uint32) error {
 // publishBatchTraced is PublishBatch with an explicit trace context (see
 // publishTraced); the whole batch shares one trace.
 func (p *Publisher) publishBatchTraced(tc wire.TraceContext, tuples ...[]uint32) error {
-	if !p.advertised {
-		return ErrNotAdvertised
-	}
 	if len(tuples) == 0 {
 		return nil
 	}
-	idxSch := p.sys.indexSchema()
-	maxLen := idxSch.Geometry().MaxLen()
-	if p.sys.cfg.maxDzLen < maxLen {
-		maxLen = p.sys.cfg.maxDzLen
-	}
 	pubs := make([]netem.Publication, len(tuples))
 	for i, vals := range tuples {
-		ev, err := p.sys.sch.NewEvent(vals...)
-		if err != nil {
+		var err error
+		if pubs[i], err = p.admit(tc, vals); err != nil {
 			return err
 		}
-		expr, err := idxSch.Encode(p.sys.indexEvent(ev), maxLen)
-		if err != nil {
-			return err
-		}
-		pubs[i] = netem.Publication{Expr: expr, Event: ev, Size: netem.DefaultPacketSize, Stamp: p.stampFor(expr, tc)}
 	}
 	for _, pb := range pubs {
 		p.sys.recordEvent(pb.Event)
@@ -843,7 +832,7 @@ func (s *System) Subscribe(id string, host HostID, f Filter, handler func(Delive
 		return err
 	}
 	if err := s.control(interdomain.SignalRequest{
-		Op: interdomain.OpSubscribe, ID: id, Host: host, Set: set,
+		Op: wire.OpSubscribe, ID: id, Host: host, Set: set,
 	}); err != nil {
 		return err
 	}
@@ -861,7 +850,7 @@ func (s *System) Unsubscribe(id string) error {
 		return fmt.Errorf("%w: %q", ErrUnknownSubscription, id)
 	}
 	if err := s.control(interdomain.SignalRequest{
-		Op: interdomain.OpUnsubscribe, ID: id, Host: st.host,
+		Op: wire.OpUnsubscribe, ID: id, Host: st.host,
 	}); err != nil {
 		return err
 	}
@@ -1018,12 +1007,12 @@ func (s *System) Resubscribe(id string, f Filter) error {
 		return err
 	}
 	if err := s.control(interdomain.SignalRequest{
-		Op: interdomain.OpUnsubscribe, ID: id, Host: st.host,
+		Op: wire.OpUnsubscribe, ID: id, Host: st.host,
 	}); err != nil {
 		return err
 	}
 	if err := s.control(interdomain.SignalRequest{
-		Op: interdomain.OpSubscribe, ID: id, Host: st.host, Set: set,
+		Op: wire.OpSubscribe, ID: id, Host: st.host, Set: set,
 	}); err != nil {
 		return err
 	}

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"pleroma/internal/obs"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
@@ -274,58 +275,141 @@ func TestTraceDedupKeepsSingleSpanSet(t *testing.T) {
 	}
 }
 
-// TestUntracedClientGetsV1Deliveries: a client without a tracer never
-// negotiates the capability, so the daemon strips trace contexts and the
-// facade surfaces untraced deliveries — version compatibility with old
-// clients.
-func TestUntracedClientGetsV1Deliveries(t *testing.T) {
-	sys, err := NewSystem(netTestSchema(t),
-		WithObservability(0), WithListener("127.0.0.1:0"))
-	if err != nil {
-		t.Fatal(err)
+// TestTraceFollowsThePublish pins the one-protocol contract: a delivery
+// carries a trace context exactly when the publish that caused it was
+// traced — whatever the subscribing connection is or has.
+func TestTraceFollowsThePublish(t *testing.T) {
+	type recorder struct {
+		mu  sync.Mutex
+		got []Delivery
 	}
-	defer sys.Close()
-	c, err := Dial(sys.ListenAddr()) // no WithDialObservability: no tracer
-	if err != nil {
-		t.Fatal(err)
+	subscribe := func(t *testing.T, c *Client, rec *recorder) {
+		t.Helper()
+		if err := c.Subscribe("s", c.Hosts()[5], NewFilter(), func(d Delivery) {
+			rec.mu.Lock()
+			rec.got = append(rec.got, d)
+			rec.mu.Unlock()
+		}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer c.Close()
-	hosts := c.Hosts()
-	if err := c.Advertise("p", hosts[0], NewFilter()); err != nil {
-		t.Fatal(err)
+	drain := func(t *testing.T, c *Client) {
+		t.Helper()
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Sync(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	var mu sync.Mutex
-	var got []Delivery
-	if err := c.Subscribe("s", hosts[5], NewFilter(), func(d Delivery) {
-		mu.Lock()
-		got = append(got, d)
-		mu.Unlock()
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Publish("p", 1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 {
-		t.Fatalf("deliveries: %d, want 1", len(got))
-	}
-	if got[0].TraceID != 0 || got[0].Hops != 0 || got[0].PubWallNanos != 0 {
-		t.Fatalf("un-negotiated connection leaked trace data: %+v", got[0])
-	}
-	// The daemon still accounts for latency internally (it stamps its own
-	// publications), just without a trace.
-	if rep := sys.DeliveryLatency(); rep.Count == 0 {
-		t.Fatal("daemon latency histogram empty")
-	}
-	if strings.Contains(deliveryKey(got[0]), "trace") {
-		t.Fatal("deliveryKey must stay trace-agnostic for the equivalence tests")
-	}
+
+	t.Run("untraced publish", func(t *testing.T) {
+		sys, err := NewSystem(netTestSchema(t), WithObservability(0), WithListener("127.0.0.1:0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		c, err := Dial(sys.ListenAddr()) // no WithDialObservability: no tracer
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		if err := c.Advertise("p", c.Hosts()[0], NewFilter()); err != nil {
+			t.Fatal(err)
+		}
+		var rec recorder
+		subscribe(t, c, &rec)
+		if err := c.Publish("p", 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, c)
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		if len(rec.got) != 1 {
+			t.Fatalf("deliveries: %d, want 1", len(rec.got))
+		}
+		if d := rec.got[0]; d.TraceID != 0 || d.Hops != 0 || d.PubWallNanos != 0 {
+			t.Fatalf("untraced publish surfaced trace data: %+v", d)
+		}
+		// The daemon still accounts for latency internally (it stamps its
+		// own publications), just without a trace.
+		if rep := sys.DeliveryLatency(); rep.Count == 0 {
+			t.Fatal("daemon latency histogram empty")
+		}
+		if strings.Contains(deliveryKey(rec.got[0]), "trace") {
+			t.Fatal("deliveryKey must stay trace-agnostic for the equivalence tests")
+		}
+	})
+
+	t.Run("traced publish, tracer-less subscriber", func(t *testing.T) {
+		sys, err := NewSystem(netTestSchema(t), WithObservability(0), WithListener("127.0.0.1:0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sys.Close()
+		traced, err := Dial(sys.ListenAddr(), WithDialObservability(0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer traced.Close()
+		plain, err := Dial(sys.ListenAddr()) // the subscriber: no tracer
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer plain.Close()
+		// Both publishers sit on one host, so their events reach the
+		// subscriber in publish order.
+		host := plain.Hosts()[0]
+		if err := traced.Advertise("pt", host, NewFilter()); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Advertise("pu", host, NewFilter()); err != nil {
+			t.Fatal(err)
+		}
+		var rec recorder
+		subscribe(t, plain, &rec)
+		if err := traced.Publish("pt", 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := plain.Publish("pu", 3, 4); err != nil {
+			t.Fatal(err)
+		}
+		drain(t, plain) // one Run produces both deliveries: one frame
+
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		if len(rec.got) != 2 {
+			t.Fatalf("deliveries: %d, want 2", len(rec.got))
+		}
+		first, second := rec.got[0], rec.got[1]
+		if first.Event.Values[0] != 1 || second.Event.Values[0] != 3 {
+			t.Fatalf("mixed batch decoded out of order: %v then %v", first.Event.Values, second.Event.Values)
+		}
+		spans := traced.Traces()
+		if len(spans) == 0 {
+			t.Fatal("tracing client recorded no publish span")
+		}
+		if first.TraceID == 0 || first.TraceID != spans[0].TraceID || first.Hops == 0 || first.PubWallNanos == 0 {
+			t.Fatalf("traced delivery arrived without its trace (publish trace %d): %+v", spans[0].TraceID, first)
+		}
+		if second.TraceID != 0 || second.Hops != 0 || second.PubWallNanos != 0 {
+			t.Fatalf("untraced delivery picked up trace data in a mixed batch: %+v", second)
+		}
+		// Both rode one KindDeliverBatch frame.
+		var frames, deliveries uint64
+		for _, fam := range sys.Metrics().Families {
+			if fam.Name != obs.MTransportDeliverBatch {
+				continue
+			}
+			for _, smp := range fam.Samples {
+				if smp.Hist != nil {
+					frames += smp.Hist.Count
+					deliveries += uint64(smp.Hist.Sum)
+				}
+			}
+		}
+		if frames != 1 || deliveries != 2 {
+			t.Fatalf("deliver-batch frames=%d deliveries=%d, want one frame of two", frames, deliveries)
+		}
+	})
 }
