@@ -44,8 +44,8 @@ bench:
 		bash cmd/pleroma-bench/run.sh --workload $$w --seed 12 --seconds 10 --trace 0 || exit $$?; \
 	done
 
-# Non-test Go lines (wc -l) of the three areas the simplification issues
-# track, and of the whole repository.
+# Non-test Go lines (wc -l) of the areas the simplification issues track,
+# and of the whole repository.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
 	w=$$(count internal/wire -maxdepth 1); t=$$(count internal/transport -maxdepth 1); f=$$(count . -maxdepth 1); \
@@ -53,6 +53,8 @@ loc:
 	echo "internal/transport  $$t"; \
 	echo "root facade         $$f"; \
 	echo "wire+transport+root $$((w + t + f))"; \
+	echo "internal/core       $$(count internal/core -maxdepth 1)"; \
+	echo "internal/interdomain $$(count internal/interdomain -maxdepth 1)"; \
 	echo "repository          $$(count . -path ./.bench_build -prune -o)"
 
 # Networked deployment smoke test: boot pleroma-d on loopback, attach a

@@ -12,6 +12,7 @@ package broker
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -203,22 +204,10 @@ func (o *Overlay) Unsubscribe(id string) error {
 		return err
 	}
 	b := o.brokers[sw]
-	kept := b.local[:0]
-	for _, e := range b.local {
-		if e.id != id {
-			kept = append(kept, e)
-		}
-	}
-	b.local = kept
+	b.local = slices.DeleteFunc(b.local, func(e subEntry) bool { return e.id == id })
 	delete(o.subHome, id)
 	delete(o.subRect, id)
-	order := o.subOrder[:0]
-	for _, s := range o.subOrder {
-		if s != id {
-			order = append(order, s)
-		}
-	}
-	o.subOrder = order
+	o.subOrder = slices.DeleteFunc(o.subOrder, func(s string) bool { return s == id })
 
 	// Rebuild all inter-broker routing state.
 	for _, br := range o.brokers {

@@ -138,12 +138,7 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
 			c.joinTreeAsSubscriber(t, sub, overlap)
 			for _, pid := range sortutil.Keys(t.pubs) {
-				pubOverlap := t.pubs[pid]
-				ov := overlap.Intersect(pubOverlap)
-				if ov.IsEmpty() {
-					continue
-				}
-				if err := c.addPathContributions(t, c.pubs[pid], sub, ov, touched, &rep); err != nil {
+				if err := c.addPathContributions(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), touched, &rep); err != nil {
 					return rep, err
 				}
 			}
@@ -177,9 +172,11 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	defer func() { c.endOp(opUnsubscribe, span, start, &rep, err) }()
 	c.inst.unsubscribe.Inc()
 	touched := make(touchedSet)
-	c.contribs.removeBySub(id, touched)
 	for tid := range sub.trees {
 		if t, ok := c.trees[tid]; ok {
+			for pid := range t.pubs {
+				c.contribs.removePath(pathKey{pub: pid, sub: id, tree: tid}, touched)
+			}
 			delete(t.subs, id)
 		}
 	}
@@ -208,15 +205,17 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	defer func() { c.endOp(opUnadvertise, span, start, &rep, err) }()
 	c.inst.unadvertise.Inc()
 	touched := make(touchedSet)
-	c.contribs.removeByPub(id, touched)
 	for tid := range pub.trees {
 		t, ok := c.trees[tid]
 		if !ok {
 			continue
 		}
+		for sid := range t.subs {
+			c.contribs.removePath(pathKey{pub: id, sub: sid, tree: tid}, touched)
+		}
 		delete(t.pubs, id)
 		if len(t.pubs) == 0 {
-			c.dismantleTree(t, touched)
+			c.dismantleTree(t)
 		}
 	}
 	delete(c.pubs, id)
@@ -354,9 +353,41 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 	return t, nil
 }
 
-// dismantleTree removes a tree and all its residual state.
-func (c *Controller) dismantleTree(t *tree, touched touchedSet) {
-	c.contribs.removeByTree(t.id, touched)
+// dropTreePaths tears down every established path of t.
+func (c *Controller) dropTreePaths(t *tree, touched touchedSet) {
+	for pid := range t.pubs {
+		for sid := range t.subs {
+			c.contribs.removePath(pathKey{pub: pid, sub: sid, tree: t.id}, touched)
+		}
+	}
+}
+
+// establishTreePaths establishes every publisher→subscriber path of t from
+// its overlap sets DZ^t(p) ∩ DZ^t(s). Path removal walks the clients' tree
+// memberships, so every member of t must be a registered client that lists
+// t: a restored snapshot is outside input and can say otherwise.
+func (c *Controller) establishTreePaths(t *tree, touched touchedSet, rep *ReconfigReport) error {
+	for _, pid := range sortutil.Keys(t.pubs) {
+		pub := c.pubs[pid]
+		if pub == nil || !pub.trees[t.id] {
+			return fmt.Errorf("tree %d references unknown or non-member publisher %q", t.id, pid)
+		}
+		for _, sid := range sortutil.Keys(t.subs) {
+			sub := c.subs[sid]
+			if sub == nil || !sub.trees[t.id] {
+				return fmt.Errorf("tree %d references unknown or non-member subscriber %q", t.id, sid)
+			}
+			if err := c.addPathContributions(t, pub, sub, t.pubs[pid].Intersect(t.subs[sid]), touched, rep); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// dismantleTree removes a tree whose last publisher — and with it its last
+// path — is gone, and all its residual state.
+func (c *Controller) dismantleTree(t *tree) {
 	for sid := range t.subs {
 		if s, ok := c.subs[sid]; ok {
 			delete(s.trees, t.id)
@@ -432,8 +463,8 @@ func mergeAffinity(a, b dz.Set) int {
 // are recomputed against the merged set, and all paths of both trees are
 // rebuilt on t1's spanning tree.
 func (c *Controller) mergeTrees(t1, t2 *tree, touched touchedSet, rep *ReconfigReport) error {
-	c.contribs.removeByTree(t1.id, touched)
-	c.contribs.removeByTree(t2.id, touched)
+	c.dropTreePaths(t1, touched)
+	c.dropTreePaths(t2, touched)
 
 	// Re-index under the merged set: members may coarsen when sibling
 	// subspaces from the two trees meet, so remove-then-add is required.
@@ -472,20 +503,8 @@ func (c *Controller) mergeTrees(t1, t2 *tree, touched touchedSet, rep *ReconfigR
 		t1.subs[sid] = c.subs[sid].sub.Intersect(merged)
 	}
 
-	// Rebuild all paths of the merged tree.
-	for _, pid := range sortutil.Keys(t1.pubs) {
-		pub := c.pubs[pid]
-		pubSet := t1.pubs[pid]
-		for _, sid := range sortutil.Keys(t1.subs) {
-			sub := c.subs[sid]
-			ov := pubSet.Intersect(t1.subs[sid])
-			if ov.IsEmpty() {
-				continue
-			}
-			if err := c.addPathContributions(t1, pub, sub, ov, touched, rep); err != nil {
-				return err
-			}
-		}
+	if err := c.establishTreePaths(t1, touched, rep); err != nil {
+		return err
 	}
 	c.inst.treesMerged.Inc()
 	c.inst.treeDz.Delete(treeLabel(t2.id))
@@ -537,21 +556,10 @@ func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 		if err != nil {
 			return rep, fmt.Errorf("core: rebuild tree %d: %w", t.id, err)
 		}
+		c.dropTreePaths(t, touched)
 		t.span = span
-		c.contribs.removeByTree(t.id, touched)
-		for _, pid := range sortutil.Keys(t.pubs) {
-			pub := c.pubs[pid]
-			pubSet := t.pubs[pid]
-			for _, sid := range sortutil.Keys(t.subs) {
-				sub := c.subs[sid]
-				ov := pubSet.Intersect(t.subs[sid])
-				if ov.IsEmpty() {
-					continue
-				}
-				if err := c.addPathContributions(t, pub, sub, ov, touched, &rep); err != nil {
-					return rep, err
-				}
-			}
+		if err := c.establishTreePaths(t, touched, &rep); err != nil {
+			return rep, err
 		}
 	}
 	if err := c.refresh(touched, &rep); err != nil {

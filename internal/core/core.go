@@ -204,17 +204,6 @@ func (s Stats) Requests() uint64 {
 // FlowOps returns the total number of FlowMod messages issued.
 func (s Stats) FlowOps() uint64 { return s.FlowAdds + s.FlowDeletes + s.FlowModifies }
 
-// contribution identifies one hop of one established path: packets of the
-// given subspace owed to (pub → sub on tree) leave switch sw via port.
-type contribKey struct {
-	pub  string
-	sub  string
-	tree TreeID
-	expr dz.Expr
-	sw   topo.NodeID
-	port openflow.PortID
-}
-
 // Controller is the PLEROMA middleware instance of one partition.
 //
 // A Controller is safe for concurrent use: control operations (Advertise,
@@ -259,9 +248,9 @@ type Controller struct {
 	pubs    map[string]*publisher
 	subs    map[string]*subscriber
 
-	// contribs aggregates all established path contributions; installed
-	// tracks the flows currently programmed per switch, keyed by match
-	// expression.
+	// contribs holds one record per established path and the per-switch
+	// aggregates derived from them; installed tracks the flows currently
+	// programmed per switch, keyed by match expression.
 	contribs  *contribState
 	installed map[topo.NodeID]map[dz.Expr]installedFlow
 

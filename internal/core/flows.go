@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,98 +31,100 @@ func (t touchedSet) mark(sw topo.NodeID, e dz.Expr) {
 	m[e] = true
 }
 
-// contribState is the controller's aggregated view of all established
-// paths. Every (publisher, subscriber, tree, dz, switch, port) contribution
-// is refcounted so that flow derivation only sees distinct (expr, port)
-// pairs, and indexed by client/tree for cheap removal.
+// pathKey identifies one established path: publisher → subscriber on tree.
+type pathKey struct {
+	pub, sub string
+	tree     TreeID
+}
+
+// path is one established path: its route along the tree and the subspaces
+// forwarded over it. Its contributions are the cross product exprs × hops.
+type path struct {
+	hops []topo.Hop
+	// exprs lists the subspaces as they were added, de-duplicated and never
+	// canonicalised: flows are derived per contributed expression, so
+	// merging siblings here would change the FlowMods.
+	exprs []dz.Expr
+}
+
+// contribState is the controller's view of all established paths: one
+// record per path, and the per-switch aggregates flow derivation reads.
 type contribState struct {
-	// keys holds every live contribution.
-	keys map[contribKey]struct{}
+	paths map[pathKey]*path
 	// refs aggregates per switch: expr -> port -> number of live
-	// contributions.
+	// (path, expr) contributions.
 	refs map[topo.NodeID]map[dz.Expr]map[openflow.PortID]int
 	// sorted keeps each switch's direct expressions in lexicographic
 	// order; descendants of a prefix form a contiguous range.
 	sorted map[topo.NodeID][]dz.Expr
-	// bySub/byPub/byTree index keys for removal.
-	bySub  map[string][]contribKey
-	byPub  map[string][]contribKey
-	byTree map[TreeID][]contribKey
 }
 
 func newContribState() *contribState {
 	return &contribState{
-		keys:   make(map[contribKey]struct{}),
+		paths:  make(map[pathKey]*path),
 		refs:   make(map[topo.NodeID]map[dz.Expr]map[openflow.PortID]int),
 		sorted: make(map[topo.NodeID][]dz.Expr),
-		bySub:  make(map[string][]contribKey),
-		byPub:  make(map[string][]contribKey),
-		byTree: make(map[TreeID][]contribKey),
 	}
 }
 
-// add registers one contribution, marking the expression as touched when
-// the (expr, port) pair became newly visible on the switch.
-func (cs *contribState) add(key contribKey, touched touchedSet) {
-	if _, dup := cs.keys[key]; dup {
-		return
-	}
-	cs.keys[key] = struct{}{}
-	cs.bySub[key.sub] = append(cs.bySub[key.sub], key)
-	cs.byPub[key.pub] = append(cs.byPub[key.pub], key)
-	cs.byTree[key.tree] = append(cs.byTree[key.tree], key)
-	exprs := cs.refs[key.sw]
+// incr counts one contribution of e on hop, marking the expression as
+// touched when the (expr, port) pair became newly visible on the switch.
+func (cs *contribState) incr(hop topo.Hop, e dz.Expr, touched touchedSet) {
+	exprs := cs.refs[hop.Switch]
 	if exprs == nil {
 		exprs = make(map[dz.Expr]map[openflow.PortID]int)
-		cs.refs[key.sw] = exprs
+		cs.refs[hop.Switch] = exprs
 	}
-	ports := exprs[key.expr]
+	ports := exprs[e]
 	if ports == nil {
 		ports = make(map[openflow.PortID]int)
-		exprs[key.expr] = ports
-		cs.insertSorted(key.sw, key.expr)
+		exprs[e] = ports
+		cs.insertSorted(hop.Switch, e)
 	}
-	if ports[key.port]++; ports[key.port] == 1 {
-		touched.mark(key.sw, key.expr)
+	if ports[hop.OutPort]++; ports[hop.OutPort] == 1 {
+		touched.mark(hop.Switch, e)
 	}
 }
 
-// remove drops one contribution if it is live.
-func (cs *contribState) remove(key contribKey, touched touchedSet) {
-	if _, ok := cs.keys[key]; !ok {
-		return
-	}
-	delete(cs.keys, key)
-	exprs := cs.refs[key.sw]
-	ports := exprs[key.expr]
-	if ports[key.port]--; ports[key.port] <= 0 {
-		delete(ports, key.port)
-		touched.mark(key.sw, key.expr)
+// decr drops one contribution counted by incr.
+func (cs *contribState) decr(hop topo.Hop, e dz.Expr, touched touchedSet) {
+	exprs := cs.refs[hop.Switch]
+	ports := exprs[e]
+	if ports[hop.OutPort]--; ports[hop.OutPort] <= 0 {
+		delete(ports, hop.OutPort)
+		touched.mark(hop.Switch, e)
 	}
 	if len(ports) == 0 {
-		delete(exprs, key.expr)
-		cs.deleteSorted(key.sw, key.expr)
+		delete(exprs, e)
+		cs.deleteSorted(hop.Switch, e)
 	}
 	if len(exprs) == 0 {
-		delete(cs.refs, key.sw)
+		delete(cs.refs, hop.Switch)
+	}
+}
+
+// removePath tears down one path if it is established.
+func (cs *contribState) removePath(key pathKey, touched touchedSet) {
+	p := cs.paths[key]
+	if p == nil {
+		return
+	}
+	delete(cs.paths, key)
+	for _, e := range p.exprs {
+		for _, hop := range p.hops {
+			cs.decr(hop, e, touched)
+		}
 	}
 }
 
 func (cs *contribState) insertSorted(sw topo.NodeID, e dz.Expr) {
-	s := cs.sorted[sw]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	s = append(s, "")
-	copy(s[i+1:], s[i:])
-	s[i] = e
-	cs.sorted[sw] = s
+	i, _ := slices.BinarySearch(cs.sorted[sw], e)
+	cs.sorted[sw] = slices.Insert(cs.sorted[sw], i, e)
 }
 
 func (cs *contribState) deleteSorted(sw topo.NodeID, e dz.Expr) {
-	s := cs.sorted[sw]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	if i < len(s) && s[i] == e {
-		copy(s[i:], s[i+1:])
-		cs.sorted[sw] = s[:len(s)-1]
+	if i, ok := slices.BinarySearch(cs.sorted[sw], e); ok {
+		cs.sorted[sw] = slices.Delete(cs.sorted[sw], i, i+1)
 	}
 }
 
@@ -130,8 +132,7 @@ func (cs *contribState) deleteSorted(sw topo.NodeID, e dz.Expr) {
 // or non-strictly covers.
 func (cs *contribState) descendants(sw topo.NodeID, e dz.Expr, out map[dz.Expr]bool) {
 	s := cs.sorted[sw]
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= e })
-	for ; i < len(s); i++ {
+	for i, _ := slices.BinarySearch(s, e); i < len(s); i++ {
 		if !strings.HasPrefix(string(s[i]), string(e)) {
 			break
 		}
@@ -139,54 +140,34 @@ func (cs *contribState) descendants(sw topo.NodeID, e dz.Expr, out map[dz.Expr]b
 	}
 }
 
-// removeList drops every live contribution in the index list.
-func (cs *contribState) removeList(list []contribKey, touched touchedSet) {
-	for _, key := range list {
-		cs.remove(key, touched)
-	}
-}
-
-// removeBySub tears down all contributions of one subscriber.
-func (cs *contribState) removeBySub(id string, touched touchedSet) {
-	cs.removeList(cs.bySub[id], touched)
-	delete(cs.bySub, id)
-}
-
-// removeByPub tears down all contributions of one publisher.
-func (cs *contribState) removeByPub(id string, touched touchedSet) {
-	cs.removeList(cs.byPub[id], touched)
-	delete(cs.byPub, id)
-}
-
-// removeByTree tears down all contributions of one tree.
-func (cs *contribState) removeByTree(id TreeID, touched touchedSet) {
-	cs.removeList(cs.byTree[id], touched)
-	delete(cs.byTree, id)
-}
-
-// addPathContributions computes the route of one (publisher, subscriber,
-// tree) path and registers a contribution per hop for every expression in
-// exprs.
+// addPathContributions adds exprs to the (publisher, subscriber, tree) path,
+// establishing it along the tree route on first use. The route is fixed
+// while the record lives: t.span only changes in mergeTrees and
+// RebuildTrees, which drop the tree's paths first.
 func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscriber,
 	exprs dz.Set, touched touchedSet, rep *ReconfigReport) error {
 	if exprs.IsEmpty() {
 		return nil
 	}
-	hops, err := c.routeHops(t, pub.ep, sub.ep)
-	if err != nil {
-		return err
+	key := pathKey{pub: pub.id, sub: sub.id, tree: t.id}
+	p := c.contribs.paths[key]
+	if p == nil {
+		hops, err := c.routeHops(t, pub.ep, sub.ep)
+		if err != nil {
+			return err
+		}
+		p = &path{hops: hops}
+		c.contribs.paths[key] = p
 	}
 	rep.RoutesComputed++
+	had := p.exprs // members of one set are distinct: only earlier calls can repeat
 	for _, e := range exprs {
-		for _, hop := range hops {
-			c.contribs.add(contribKey{
-				pub:  pub.id,
-				sub:  sub.id,
-				tree: t.id,
-				expr: e,
-				sw:   hop.Switch,
-				port: hop.OutPort,
-			}, touched)
+		if slices.Contains(had, e) {
+			continue
+		}
+		p.exprs = append(p.exprs, e)
+		for _, hop := range p.hops {
+			c.contribs.incr(hop, e, touched)
 		}
 	}
 	return nil
@@ -228,15 +209,6 @@ func (c *Controller) routeHops(t *tree, from, to endpoint) ([]topo.Hop, error) {
 
 // portSet is a small set of out-ports.
 type portSet map[openflow.PortID]bool
-
-func (p portSet) sorted() []openflow.PortID {
-	out := make([]openflow.PortID, 0, len(p))
-	for port := range p {
-		out = append(out, port)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 func (p portSet) equal(o portSet) bool {
 	if len(p) != len(o) {
@@ -313,9 +285,8 @@ func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Expr]portSet {
 // actionsFor converts a port set into an OpenFlow instruction set, adding
 // the terminal destination rewrite on host-facing ports.
 func (c *Controller) actionsFor(sw topo.NodeID, ports portSet) []openflow.Action {
-	sorted := ports.sorted()
-	actions := make([]openflow.Action, 0, len(sorted))
-	for _, port := range sorted {
+	actions := make([]openflow.Action, 0, len(ports))
+	for _, port := range sortutil.Keys(ports) {
 		a := openflow.Action{OutPort: port}
 		if peer, ok := c.g.PortToPeer(sw, port); ok {
 			if n, err := c.g.Node(peer); err == nil && n.Kind == topo.KindHost {

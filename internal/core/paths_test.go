@@ -1,0 +1,224 @@
+package core
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"pleroma/internal/dz"
+	"pleroma/internal/netem"
+	"pleroma/internal/sim"
+	"pleroma/internal/space"
+	"pleroma/internal/topo"
+)
+
+// newFatTreeController builds a controller over FatTree(4,4,2) — the
+// benchmark's deployment shape — on an emulated data plane.
+func newFatTreeController(t *testing.T, opts ...Option) (*Controller, []topo.NodeID) {
+	t.Helper()
+	g, err := topo.FatTree(4, 4, 2, topo.DefaultLinkParams)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts = append([]Option{WithHostAddr(netem.HostAddr)}, opts...)
+	c, err := NewController(g, netem.New(g, sim.NewEngine()), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, g.Hosts()
+}
+
+// overlappingTriples counts the (publisher, subscriber, tree) triples whose
+// tree overlap sets intersect — the paths that must be established.
+func overlappingTriples(c *Controller) int {
+	n := 0
+	for _, t := range c.trees {
+		for _, ps := range t.pubs {
+			for _, ss := range t.subs {
+				if !ps.Intersect(ss).IsEmpty() {
+					n++
+				}
+			}
+		}
+	}
+	return n
+}
+
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestPathTableStateBudget pins what the controller keeps per deployed
+// subscription in the ctl-churn regime: one record per overlapping
+// (publisher, subscriber, tree) triple, and a live heap that grows with
+// subscriptions rather than with subspaces × hops per index.
+func TestPathTableStateBudget(t *testing.T) {
+	const (
+		pubs, subs = 4, 2000
+		side       = 64
+		budget     = 32 << 10 // bytes of live heap per subscription
+	)
+	c, hosts := newFatTreeController(t)
+	sch, err := space.UniformSchema(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := sch.DecomposeLimited(space.NewFilter(), 24, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < pubs; i++ {
+		if _, err := c.Advertise(fmt.Sprintf("p%d", i), hosts[i], whole); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(15))
+	domain := 1 << space.DefaultBits
+	before := liveHeap()
+	for i := 0; i < subs; i++ {
+		a, b := uint32(rng.Intn(domain-side+1)), uint32(rng.Intn(domain-side+1))
+		w, h := uint32(rng.Intn(side)), uint32(rng.Intn(side))
+		set, err := sch.DecomposeRectLimited(dz.Rect{{Lo: a, Hi: a + w}, {Lo: b, Hi: b + h}}, 24, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		host := hosts[pubs+rng.Intn(len(hosts)-pubs)]
+		if _, err := c.Subscribe(fmt.Sprintf("s%d", i), host, set); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perSub := (liveHeap() - before) / subs
+	if err := c.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(c.contribs.paths), overlappingTriples(c); got != want || want < subs {
+		t.Errorf("%d path records, want one per overlapping (publisher, subscriber, tree) triple = %d (≥ %d)", got, want, subs)
+	}
+	if perSub > budget {
+		t.Errorf("live heap grew %d B per subscription, budget %d", perSub, budget)
+	}
+	t.Logf("%d paths, %d B live heap per subscription", len(c.contribs.paths), perSub)
+	runtime.KeepAlive(c)
+}
+
+// TestChurnLeavesNoState drives seeded advertise/subscribe/unsubscribe/
+// unadvertise churn through tree merges and one RebuildTrees, checks the
+// canonical oracle after every operation, then removes every client:
+// removal walks tree membership, so anything it misses stays behind here.
+func TestChurnLeavesNoState(t *testing.T) {
+	c, hosts := newFatTreeController(t, WithMaxTrees(3))
+	rng := rand.New(rand.NewSource(15))
+	randomSet := func(maxMembers, maxLen int) dz.Set {
+		exprs := make([]dz.Expr, 1+rng.Intn(maxMembers))
+		for i := range exprs {
+			buf := make([]byte, rng.Intn(maxLen+1))
+			for j := range buf {
+				buf[j] = byte('0' + rng.Intn(2))
+			}
+			exprs[i] = dz.Expr(buf)
+		}
+		return dz.NewSet(exprs...)
+	}
+	var livePubs, liveSubs []string
+	take := func(ids *[]string) string {
+		i := rng.Intn(len(*ids))
+		id := (*ids)[i]
+		(*ids)[i] = (*ids)[len(*ids)-1]
+		*ids = (*ids)[:len(*ids)-1]
+		return id
+	}
+	merged := false
+	for op := 0; op < 400; op++ {
+		var rep ReconfigReport
+		var err error
+		what := rng.Intn(10)
+		switch {
+		case op == 200:
+			what = -1
+			rep, err = c.RebuildTrees()
+		case what < 2:
+			id := fmt.Sprintf("p%d", op)
+			livePubs = append(livePubs, id)
+			rep, err = c.Advertise(id, hosts[rng.Intn(len(hosts))], randomSet(3, 4))
+		case what < 3 && len(livePubs) > 0:
+			rep, err = c.Unadvertise(take(&livePubs))
+		case what < 5 && len(liveSubs) > 0:
+			rep, err = c.Unsubscribe(take(&liveSubs))
+		default:
+			id := fmt.Sprintf("s%d", op)
+			liveSubs = append(liveSubs, id)
+			rep, err = c.Subscribe(id, hosts[rng.Intn(len(hosts))], randomSet(3, 6))
+		}
+		if err != nil {
+			t.Fatalf("op %d (kind %d): %v", op, what, err)
+		}
+		merged = merged || rep.TreesMerged > 0
+		if err := c.VerifyTables(); err != nil {
+			t.Fatalf("after op %d (kind %d): %v", op, what, err)
+		}
+		if got, want := len(c.contribs.paths), overlappingTriples(c); got != want {
+			t.Fatalf("after op %d (kind %d): %d path records, %d overlapping triples", op, what, got, want)
+		}
+	}
+	if !merged || len(c.contribs.paths) == 0 {
+		t.Fatalf("churn too tame: merged=%v, %d paths", merged, len(c.contribs.paths))
+	}
+	for _, id := range liveSubs {
+		if _, err := c.Unsubscribe(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range livePubs {
+		if _, err := c.Unadvertise(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.contribs.paths); n != 0 {
+		t.Errorf("%d path records left", n)
+	}
+	if n := len(c.contribs.refs); n != 0 {
+		t.Errorf("refs left on %d switches", n)
+	}
+	for sw, s := range c.contribs.sorted {
+		if len(s) != 0 {
+			t.Errorf("switch %d keeps %d sorted expressions", sw, len(s))
+		}
+	}
+	if n := len(c.installed); n != 0 {
+		t.Errorf("installed flows left on %d switches", n)
+	}
+	if n := len(c.trees) + c.treeIdx.trie.Len() + len(c.treeIdx.long); n != 0 {
+		t.Errorf("%d tree / tree-index entries left", n)
+	}
+}
+
+// TestRestoreRejectsNonMemberClient: a snapshot whose tree lists a client
+// that does not list the tree back would establish a path no removal walk
+// can reach.
+func TestRestoreRejectsNonMemberClient(t *testing.T) {
+	c, hosts := newFatTreeController(t)
+	if _, err := c.Advertise("p", hosts[0], dz.NewSet("0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Subscribe("s", hosts[1], dz.NewSet("01")); err != nil {
+		t.Fatal(err)
+	}
+	for tid := range c.subs["s"].trees {
+		delete(c.subs["s"].trees, tid)
+	}
+	snap, err := c.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RestoreController(c.g, c.prog, snap, WithHostAddr(netem.HostAddr)); err == nil {
+		t.Error("restore accepted a tree whose subscriber does not list it")
+	}
+}

@@ -393,25 +393,8 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 	touched := make(touchedSet)
 	var rep ReconfigReport
 	for _, tid := range sortutil.Keys(c.trees) {
-		t := c.trees[tid]
-		for _, pid := range sortutil.Keys(t.pubs) {
-			pub := c.pubs[pid]
-			if pub == nil {
-				return nil, fmt.Errorf("core: restore: tree %d references unknown publisher %q", tid, pid)
-			}
-			for _, sid := range sortutil.Keys(t.subs) {
-				sub := c.subs[sid]
-				if sub == nil {
-					return nil, fmt.Errorf("core: restore: tree %d references unknown subscriber %q", tid, sid)
-				}
-				ov := t.pubs[pid].Intersect(t.subs[sid])
-				if ov.IsEmpty() {
-					continue
-				}
-				if err := c.addPathContributions(t, pub, sub, ov, touched, &rep); err != nil {
-					return nil, fmt.Errorf("core: restore contributions: %w", err)
-				}
-			}
+		if err := c.establishTreePaths(c.trees[tid], touched, &rep); err != nil {
+			return nil, fmt.Errorf("core: restore: %w", err)
 		}
 	}
 	return c, nil

@@ -2,6 +2,7 @@ package interdomain
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"pleroma/internal/core"
@@ -134,9 +135,17 @@ func (f *Fabric) DigestPartition(partition int) ([]byte, error) {
 // RecoverPartition rebuilds the partition's controller from an externally
 // persisted snapshot (possibly nil for journal-only recovery) plus the
 // partition journal's suffix — the daemon's restart-with-state path. It is
-// Failover driven by on-disk state instead of the retained lastSnap: the
-// standby replays, bumps the epoch, and resyncs switch ground truth.
+// Failover driven by on-disk state instead of the retained lastSnap, which
+// a copy of the validated snapshot then replaces.
 func (f *Fabric) RecoverPartition(partition int, snap []byte) (FailoverReport, error) {
+	return f.takeover("recover", partition, slices.Clone(snap))
+}
+
+// takeover replaces the partition's controller with a standby promoted from
+// snap (nil: the journal alone) plus the journal suffix: the standby
+// replays, bumps the epoch, and resyncs switch ground truth. It retains
+// snap once validated; verb names the caller in errors.
+func (f *Fabric) takeover(verb string, partition int, snap []byte) (FailoverReport, error) {
 	rep := FailoverReport{Partition: partition}
 	s, ok := f.parts[partition]
 	if !ok {
@@ -148,13 +157,13 @@ func (f *Fabric) RecoverPartition(partition int, snap []byte) (FailoverReport, e
 	standby := core.NewStandby(f.g, f.prog, s.journal, f.controllerOpts(partition, nil)...)
 	if snap != nil {
 		if err := standby.ObserveSnapshot(snap); err != nil {
-			return rep, fmt.Errorf("interdomain: recover partition %d: %w", partition, err)
+			return rep, fmt.Errorf("interdomain: %s partition %d: %w", verb, partition, err)
 		}
-		s.lastSnap = append([]byte(nil), snap...)
+		s.lastSnap = snap
 	}
 	ctl, prep, err := standby.Promote()
 	if err != nil {
-		return rep, fmt.Errorf("interdomain: recover partition %d: %w", partition, err)
+		return rep, fmt.Errorf("interdomain: %s partition %d: %w", verb, partition, err)
 	}
 	s.ctl = ctl
 	rep.PromoteReport = prep
@@ -201,27 +210,9 @@ type FailoverReport struct {
 // client registrations reconstruct the same ids, so the replica maps stay
 // valid.
 func (f *Fabric) Failover(partition int) (FailoverReport, error) {
-	rep := FailoverReport{Partition: partition}
-	s, ok := f.parts[partition]
-	if !ok {
-		return rep, fmt.Errorf("interdomain: unknown partition %d", partition)
+	var snap []byte
+	if s, ok := f.parts[partition]; ok {
+		snap = s.lastSnap
 	}
-	if s.journal == nil {
-		return rep, fmt.Errorf("interdomain: partition %d has no journal (fabric built without WithHA)", partition)
-	}
-	standby := core.NewStandby(f.g, f.prog, s.journal, f.controllerOpts(partition, nil)...)
-	if s.lastSnap != nil {
-		if err := standby.ObserveSnapshot(s.lastSnap); err != nil {
-			return rep, fmt.Errorf("interdomain: failover partition %d: %w", partition, err)
-		}
-	}
-	ctl, prep, err := standby.Promote()
-	if err != nil {
-		return rep, fmt.Errorf("interdomain: failover partition %d: %w", partition, err)
-	}
-	s.ctl = ctl
-	rep.PromoteReport = prep
-	f.obsFailovers.With(strconv.Itoa(partition)).Inc()
-	f.obsEpoch.With(strconv.Itoa(partition)).Set(int64(prep.Epoch))
-	return rep, nil
+	return f.takeover("failover", partition, snap)
 }

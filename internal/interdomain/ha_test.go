@@ -1,6 +1,8 @@
 package interdomain
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"pleroma/internal/core"
@@ -109,6 +111,51 @@ func TestFabricFailoverPreservesForwarding(t *testing.T) {
 	}
 	if rep2.Epoch != 2 {
 		t.Errorf("second failover epoch=%d, want 2", rep2.Epoch)
+	}
+}
+
+// TestFailoverAndRecoverAreOneTakeover: promoting from the retained
+// snapshot and recovering from the same snapshot handed in from outside
+// must land on the same controller state and report the same takeover.
+func TestFailoverAndRecoverAreOneTakeover(t *testing.T) {
+	type outcome struct {
+		rep    FailoverReport
+		digest []byte
+	}
+	run := func(takeover func(f *Fabric, snap []byte) (FailoverReport, error)) outcome {
+		g := chainTopo(t, 3)
+		fx := newFixture(t, g, WithHA())
+		driveHA(t, fx)
+		snap, err := fx.fab.SnapshotPartition(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.fab.Subscribe("late", g.HostsInPartition(1)[1], dz.NewSet("01")); err != nil {
+			t.Fatal(err)
+		}
+		rep, err := takeover(fx.fab, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.fab.VerifyTables(); err != nil {
+			t.Fatal(err)
+		}
+		d, err := fx.fab.DigestPartition(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outcome{rep, d}
+	}
+	failed := run(func(f *Fabric, _ []byte) (FailoverReport, error) { return f.Failover(1) })
+	recovered := run(func(f *Fabric, snap []byte) (FailoverReport, error) { return f.RecoverPartition(1, snap) })
+	if !reflect.DeepEqual(failed.rep, recovered.rep) {
+		t.Errorf("reports differ:\nfailover %+v\nrecover  %+v", failed.rep, recovered.rep)
+	}
+	if !failed.rep.FromSnapshot || failed.rep.Replayed == 0 {
+		t.Errorf("takeover must restore the snapshot and replay the suffix: %+v", failed.rep)
+	}
+	if !bytes.Equal(failed.digest, recovered.digest) {
+		t.Error("state digests differ between Failover and RecoverPartition")
 	}
 }
 

@@ -323,6 +323,59 @@ func TestUnsubscribeRevivesCoveredSubscription(t *testing.T) {
 	}
 }
 
+// TestSinglePartitionUnsubscribeIsLocal: with one partition there is no
+// neighbour to re-propagate to, so an unsubscribe must neither keep a
+// received-set behind nor redo work per surviving subscription.
+func TestSinglePartitionUnsubscribeIsLocal(t *testing.T) {
+	const n = 300
+	g := chainTopo(t, 1)
+	fx := newFixture(t, g)
+	hosts := g.Hosts()
+	if err := fx.fab.Advertise("p", hosts[0], dz.NewSet("")); err != nil {
+		t.Fatal(err)
+	}
+	cycle := func() {
+		if err := fx.fab.Subscribe("probe", hosts[1], dz.NewSet("11")); err != nil {
+			t.Fatal(err)
+		}
+		if err := fx.fab.Unsubscribe("probe"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alone := testing.AllocsPerRun(20, cycle)
+	for i := 0; i < n; i++ {
+		if err := fx.fab.Subscribe(fmt.Sprintf("s%d", i), hosts[1], dz.NewSet(dz.Expr(fmt.Sprintf("%09b", i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The probe's subspace is disjoint from every survivor's, so the
+	// controller's work per cycle is the same; a re-propagation clones each
+	// of the n survivors' sets.
+	crowded := testing.AllocsPerRun(20, cycle)
+	t.Logf("allocs per cycle: %.0f alone, %.0f with %d deployed", alone, crowded, n)
+	if crowded > alone+n/2 {
+		t.Errorf("subscribe+unsubscribe allocates %.0f with %d deployed, %.0f alone", crowded, n, alone)
+	}
+	for i := 0; i < n; i++ {
+		if err := fx.fab.Unsubscribe(fmt.Sprintf("s%d", i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fx.fab.Unadvertise("p"); err != nil {
+		t.Fatal(err)
+	}
+	s := fx.fab.parts[0]
+	if len(s.localSubs) != 0 || len(s.rcvdSub) != 0 || len(fx.fab.subOrder) != 0 {
+		t.Errorf("state left: %d localSubs, %d rcvdSub, %d subOrder", len(s.localSubs), len(s.rcvdSub), len(fx.fab.subOrder))
+	}
+	if st := fx.fab.Stats(); st.MessagesSent != 0 {
+		t.Errorf("MessagesSent=%d in a fabric without neighbours", st.MessagesSent)
+	}
+	if err := fx.fab.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUnadvertiseTearsDownRemotePaths(t *testing.T) {
 	g := chainTopo(t, 2)
 	fx := newFixture(t, g)

@@ -76,8 +76,9 @@ func (f *Fabric) Unsubscribe(id string) error {
 		return fmt.Errorf("interdomain: local unsubscribe: %w", err)
 	}
 	delete(s.localSubs, id)
+	delete(s.rcvdSub, id)
 	delete(f.subHome, id)
-	f.subOrder = removeString(f.subOrder, id)
+	f.subOrder = slices.DeleteFunc(f.subOrder, func(x string) bool { return x == id })
 	return f.rebuildSubPropagation()
 }
 
@@ -95,7 +96,7 @@ func (f *Fabric) Unadvertise(id string) error {
 	}
 	delete(s.localAdvs, id)
 	delete(f.advHome, id)
-	f.advOrder = removeString(f.advOrder, id)
+	f.advOrder = slices.DeleteFunc(f.advOrder, func(x string) bool { return x == id })
 
 	// Tear down the advertisement's virtual replicas and its bookkeeping.
 	for _, r := range f.advReplicas[id] {
@@ -111,13 +112,7 @@ func (f *Fabric) Unadvertise(id string) error {
 	for _, p := range f.order {
 		ps := f.parts[p]
 		delete(ps.rcvdAdv, id)
-		kept := ps.extAdvs[:0]
-		for _, ea := range ps.extAdvs {
-			if ea.origin != id {
-				kept = append(kept, ea)
-			}
-		}
-		ps.extAdvs = kept
+		ps.extAdvs = slices.DeleteFunc(ps.extAdvs, func(ea *extAdv) bool { return ea.origin == id })
 		for _, nb := range sortutil.Keys(ps.fwdAdvByOrigin) {
 			delete(ps.fwdAdvByOrigin[nb], id)
 			// The removed origin's subspaces leave the forwarded region, so
@@ -130,8 +125,12 @@ func (f *Fabric) Unadvertise(id string) error {
 
 // rebuildSubPropagation removes every virtual subscriber replica and
 // re-runs the inter-partition forwarding of all surviving subscriptions in
-// their original arrival order.
+// their original arrival order. A fabric of one partition has no neighbour,
+// replica or cover index for any of that to affect.
 func (f *Fabric) rebuildSubPropagation() error {
+	if len(f.parts) < 2 {
+		return nil
+	}
 	for _, origin := range sortutil.Keys(f.subReplicas) {
 		for _, r := range f.subReplicas[origin] {
 			rs := f.parts[r.part]
@@ -353,14 +352,4 @@ func addOrigin(m map[int]map[string]dz.Set, nb int, origin string, set dz.Set) {
 		m[nb] = inner
 	}
 	inner[origin] = inner[origin].Union(set)
-}
-
-func removeString(s []string, v string) []string {
-	out := s[:0]
-	for _, x := range s {
-		if x != v {
-			out = append(out, x)
-		}
-	}
-	return out
 }

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -703,7 +704,7 @@ func (p *Publisher) Unadvertise() error {
 		return err
 	}
 	p.advertised = false
-	p.sys.pubOrder = removeID(p.sys.pubOrder, p.id)
+	p.sys.pubOrder = slices.DeleteFunc(p.sys.pubOrder, func(x string) bool { return x == p.id })
 	return nil
 }
 
@@ -855,7 +856,7 @@ func (s *System) Unsubscribe(id string) error {
 		return err
 	}
 	delete(s.subs, id)
-	s.subOrder = removeID(s.subOrder, id)
+	s.subOrder = slices.DeleteFunc(s.subOrder, func(x string) bool { return x == id })
 	list := s.byHost[st.host]
 	for i, cur := range list {
 		if cur == st {
@@ -865,16 +866,6 @@ func (s *System) Unsubscribe(id string) error {
 		}
 	}
 	return nil
-}
-
-func removeID(s []string, id string) []string {
-	out := s[:0]
-	for _, x := range s {
-		if x != id {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // recordEvent keeps a bounded window of recent events for dimension
