@@ -180,7 +180,7 @@ func FuzzSetAlgebraOldVsNew(f *testing.F) {
 
 // FuzzTrieVsNaive drives arbitrary insert/delete sequences through the trie
 // and a map + strings.HasPrefix oracle, checking LongestPrefix, CoversAny,
-// and WalkCovered after every operation.
+// WalkCovered and VisitOverlaps after every operation.
 func FuzzTrieVsNaive(f *testing.F) {
 	f.Add([]byte{0, 3, 'a', 'b', 'c', 2, 3, 'a', 'b', 'c'}, "abcd")
 	f.Add([]byte{0, 0, 0, 5, 'q', 'q', 'q', 'q', 'q', 1, 2, 'z', 'z'}, "")
@@ -195,13 +195,16 @@ func FuzzTrieVsNaive(f *testing.F) {
 			}
 			var bestE Expr
 			bestL, found := -1, false
-			covered := 0
+			covered, overlapping := 0, 0
 			for m := range naive {
 				if strings.HasPrefix(string(probe), string(m)) && m.Len() > bestL {
 					bestE, bestL, found = m, m.Len(), true
 				}
 				if strings.HasPrefix(string(m), string(probe)) {
 					covered++
+				}
+				if m.Overlaps(probe) {
+					overlapping++
 				}
 			}
 			gk, gv, gok := tr.LongestPrefix(pk)
@@ -216,6 +219,17 @@ func FuzzTrieVsNaive(f *testing.F) {
 			tr.WalkCovered(pk, func(Key, int) bool { got++; return true })
 			if got != covered {
 				t.Fatalf("WalkCovered(%q) = %d, naive %d", probe, got, covered)
+			}
+			got = 0
+			tr.VisitOverlaps(pk, func(k Key, v int) bool {
+				if e := k.Expr(); !e.Overlaps(probe) || naive[e] != v {
+					t.Fatalf("VisitOverlaps(%q) visited %q,%d", probe, e, v)
+				}
+				got++
+				return true
+			})
+			if got != overlapping {
+				t.Fatalf("VisitOverlaps(%q) = %d, naive %d", probe, got, overlapping)
 			}
 		}
 		step := 0

@@ -332,6 +332,29 @@ func (t *Trie[V]) WalkCovered(k Key, fn func(Key, V) bool) {
 	}
 }
 
+// VisitOverlaps calls fn for every stored entry whose key overlaps k, in one
+// descent: first the proper prefixes of k, coarsest first (VisitPrefixes),
+// then the entries k covers, k itself included, in lexicographic order
+// (WalkCovered). No entry is visited twice. fn returning false stops the
+// walk.
+func (t *Trie[V]) VisitOverlaps(k Key, fn func(Key, V) bool) {
+	n := t.root
+	for n != nil {
+		cpl := commonPrefixLen(k, n.key)
+		if cpl == int(k.len) {
+			n.walk(fn)
+			return
+		}
+		if cpl < int(n.key.len) {
+			return
+		}
+		if n.hasVal && !fn(n.key, n.val) {
+			return
+		}
+		n = n.child[k.Bit(cpl)]
+	}
+}
+
 // Walk calls fn for every stored entry in lexicographic key order
 // (prefixes before their extensions). fn returning false stops the walk.
 func (t *Trie[V]) Walk(fn func(Key, V) bool) {

@@ -2,6 +2,7 @@ package dz
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -162,6 +163,15 @@ func TestTrieVisitPrefixesAndCovered(t *testing.T) {
 	if len(cov) != 3 || cov[0] != "01" || cov[1] != "0101" || cov[2] != "011" {
 		t.Fatalf("WalkCovered=%v", cov)
 	}
+	// Both directions in one descent, the probe's own key once.
+	var over []Expr
+	tr.VisitOverlaps(mustKey(t, "01"), func(k Key, _ string) bool {
+		over = append(over, k.Expr())
+		return true
+	})
+	if want := []Expr{"", "01", "0101", "011"}; !slices.Equal(over, want) {
+		t.Fatalf("VisitOverlaps=%v want %v", over, want)
+	}
 	if !tr.CoversAny(mustKey(t, "111")) { // "" covers everything
 		t.Fatal("CoversAny must see the whole-space entry")
 	}
@@ -248,6 +258,19 @@ func TestTrieRandomisedVsNaive(t *testing.T) {
 			tr.WalkCovered(pk, func(Key, int) bool { got++; return true })
 			if got != want {
 				t.Fatalf("WalkCovered(%q)=%d want %d", probe, got, want)
+			}
+			// Overlap visit = prefixes then covered, the probe itself once.
+			var two, one []Key
+			tr.VisitPrefixes(pk, func(k Key, _ int) bool {
+				if k != pk {
+					two = append(two, k)
+				}
+				return true
+			})
+			tr.WalkCovered(pk, func(k Key, _ int) bool { two = append(two, k); return true })
+			tr.VisitOverlaps(pk, func(k Key, _ int) bool { one = append(one, k); return true })
+			if !slices.Equal(one, two) {
+				t.Fatalf("VisitOverlaps(%q)=%v want %v", probe, one, two)
 			}
 		}
 	}

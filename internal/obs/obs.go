@@ -82,6 +82,9 @@ const (
 	MLinkDrops   = "pleroma_link_drops_total"
 	// MHostDeliveries counts packets handed to host applications.
 	MHostDeliveries = "pleroma_host_deliveries_total"
+	// MHostDemuxCandidates counts the subscription index entries host
+	// demux visited for those packets (matches plus duplicates).
+	MHostDemuxCandidates = "pleroma_host_demux_candidates_total"
 	// MDeliveries / MFalsePositives count subscription deliveries and the
 	// false positives among them (Section 6.4's FPR numerator).
 	MDeliveries     = "pleroma_deliveries_total"

@@ -82,6 +82,7 @@ func (s *System) instrumentDispatch() {
 	if s.reg == nil {
 		return
 	}
+	s.obsDemuxCandidates = s.reg.Counter(obs.MHostDemuxCandidates, "Index entries visited by host demux, matches included.")
 	s.obsDeliveries = s.reg.Counter(obs.MDeliveries, "Events handed to subscription handlers.")
 	s.obsFalsePositives = s.reg.Counter(obs.MFalsePositives, "Deliveries not matching the receiving subscription exactly (dz truncation, Section 6.4).")
 	s.obsDeliveryLatency = s.reg.Histogram(obs.MDeliveryLatency, "End-to-end publish-to-delivery latency (simulated time).", obs.DefaultLatencyBuckets...)

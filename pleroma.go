@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -253,11 +252,13 @@ type System struct {
 	// WithSouthboundFaults.
 	faulty *netem.FaultyProgrammer
 	subs   map[string]*subState
-	byHost map[HostID][]*subState
-	pubs   map[string]*Publisher
-	// pubOrder/subOrder preserve registration order for re-indexing.
-	pubOrder []string
-	subOrder []string
+	// hosts is each host's subscription list and demux index (demux.go),
+	// indexed by HostID like hostPart.
+	hosts []hostDemux
+	pubs  map[string]*Publisher
+	// regSeq numbers advertisements and subscriptions in registration
+	// order, the order a re-index replays them in.
+	regSeq uint64
 	// proj is the active dimension selection (nil = full space).
 	proj *projection
 
@@ -286,6 +287,7 @@ type System struct {
 	reg    *obs.Registry
 	tracer *obs.Tracer
 	// Facade-level delivery instruments; nil-safe no-ops when disabled.
+	obsDemuxCandidates *obs.Counter
 	obsDeliveries      *obs.Counter
 	obsFalsePositives  *obs.Counter
 	obsDeliveryLatency *obs.Histogram
@@ -307,8 +309,14 @@ type subState struct {
 	id      string
 	host    HostID
 	rect    dz.Rect
-	set     dz.Set // truncated DZ region, cached for demultiplexing
+	set     dz.Set // truncated DZ region, indexed for demultiplexing
 	handler func(Delivery)
+	// seq is the registration sequence number (System.regSeq).
+	seq uint64
+	// pos is the slot in the host's subs list; -1 once unsubscribed.
+	pos int
+	// entries are the host index's chain links, one per member of set.
+	entries []demuxEntry
 }
 
 // NewSystem builds a deployment over the given schema.
@@ -440,7 +448,7 @@ func NewSystem(sch *Schema, opts ...Option) (*System, error) {
 		reg:    reg,
 		tracer: tracer,
 		subs:   make(map[string]*subState),
-		byHost: make(map[HostID][]*subState),
+		hosts:  make([]hostDemux, g.NumNodes()),
 		pubs:   make(map[string]*Publisher),
 	}
 	if reg != nil {
@@ -539,14 +547,31 @@ func (s *System) Close() {
 }
 
 // dispatch routes a data-plane delivery to the matching subscriptions on
-// the host.
+// the host: one lookup in the host's dz index (kernel-level demux), then
+// one handler call per match.
+//
+// The matches are collected before any handler runs, which fixes what a
+// handler may do to the registrations under it: a packet goes to the
+// subscriptions that were registered on the host when it arrived, in
+// registration-slot order, skipping any that was unsubscribed before its
+// turn and never reaching one twice; a subscription added by a handler does
+// not see the packet in flight.
 func (s *System) dispatch(host HostID, d netem.Delivery) {
 	// Control frames (LLDP probes, signalling) and malformed payloads are
 	// not events; hosts drop them silently.
 	if d.Packet.Control != nil || len(d.Packet.Event.Values) != s.sch.Dims() {
 		return
 	}
-	expr := d.Packet.Expr.Truncate(s.cfg.maxDzLen)
+	key, _ := dz.KeyOf(d.Packet.Expr.Truncate(s.cfg.maxDzLen))
+	h := &s.hosts[host]
+	matches, visited := h.lookup(key)
+	s.obsDemuxCandidates.Add(uint64(visited))
+	if len(matches) == 0 {
+		return
+	}
+	// The scratch list is off the host while handlers run, so a handler
+	// that drives the simulation cannot have it overwritten underneath.
+	h.matches = nil
 	stamp := d.Packet.Stamp
 	// One wall-clock read per packet, only for stamped publishes with a
 	// consumer (the latency family or a traced delivery to hand out).
@@ -554,11 +579,9 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 	if stamp.OriginWall != 0 && (s.lat != nil || stamp.TraceID != 0) {
 		wall = time.Duration(time.Now().UnixNano() - stamp.OriginWall)
 	}
-	for _, st := range s.byHost[host] {
-		// The host receives one copy; hand it to every subscription whose
-		// truncated region overlaps the event's dz (kernel-level demux).
-		if !st.set.Overlaps(expr) {
-			continue
+	for _, st := range matches {
+		if st.pos < 0 {
+			continue // unsubscribed by an earlier handler of this packet
 		}
 		fp := !dz.RectContainsPoint(st.rect, d.Packet.Event.Values)
 		lat := d.At - d.Packet.SentAt
@@ -618,6 +641,7 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 			PubWallNanos:   stamp.OriginWall,
 		})
 	}
+	h.matches = matches[:0]
 }
 
 // enableStamping turns on publication origin-stamping and caches each
@@ -656,6 +680,8 @@ type Publisher struct {
 	// advRect is the advertised region in the full event space, kept for
 	// re-indexing.
 	advRect dz.Rect
+	// seq is the registration sequence number of the advertisement.
+	seq uint64
 }
 
 // NewPublisher registers a publisher on a host.
@@ -689,7 +715,7 @@ func (p *Publisher) Advertise(f Filter) error {
 	}
 	p.advertised = true
 	p.advRect = rect
-	p.sys.pubOrder = append(p.sys.pubOrder, p.id)
+	p.seq = p.sys.nextSeq()
 	return nil
 }
 
@@ -704,7 +730,6 @@ func (p *Publisher) Unadvertise() error {
 		return err
 	}
 	p.advertised = false
-	p.sys.pubOrder = slices.DeleteFunc(p.sys.pubOrder, func(x string) bool { return x == p.id })
 	return nil
 }
 
@@ -837,10 +862,9 @@ func (s *System) Subscribe(id string, host HostID, f Filter, handler func(Delive
 	}); err != nil {
 		return err
 	}
-	st := &subState{id: id, host: host, rect: rect, set: set, handler: handler}
+	st := &subState{id: id, host: host, rect: rect, set: set, handler: handler, seq: s.nextSeq()}
 	s.subs[id] = st
-	s.byHost[host] = append(s.byHost[host], st)
-	s.subOrder = append(s.subOrder, id)
+	s.hosts[host].attach(st)
 	return nil
 }
 
@@ -856,16 +880,23 @@ func (s *System) Unsubscribe(id string) error {
 		return err
 	}
 	delete(s.subs, id)
-	s.subOrder = slices.DeleteFunc(s.subOrder, func(x string) bool { return x == id })
-	list := s.byHost[st.host]
-	for i, cur := range list {
-		if cur == st {
-			list[i] = list[len(list)-1]
-			s.byHost[st.host] = list[:len(list)-1]
-			break
-		}
-	}
+	s.hosts[st.host].detach(st)
 	return nil
+}
+
+// nextSeq returns the next registration sequence number.
+func (s *System) nextSeq() uint64 {
+	s.regSeq++
+	return s.regSeq
+}
+
+// setSubSet replaces a registered subscription's dz set, keeping the host
+// index in step.
+func (s *System) setSubSet(st *subState, set dz.Set) {
+	h := &s.hosts[st.host]
+	h.removeSet(st)
+	st.set = set
+	h.addSet(st)
 }
 
 // recordEvent keeps a bounded window of recent events for dimension
@@ -1008,6 +1039,6 @@ func (s *System) Resubscribe(id string, f Filter) error {
 		return err
 	}
 	st.rect = rect
-	st.set = set
+	s.setSubSet(st, set)
 	return nil
 }

@@ -1,7 +1,9 @@
 package pleroma
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"time"
 
 	"pleroma/internal/dz"
@@ -89,11 +91,15 @@ func (s *System) applyProjection(dims []int) error {
 	}
 
 	// Re-register advertisements in their original order.
-	for _, id := range s.pubOrder {
-		pub := s.pubs[id]
-		if !pub.advertised {
-			continue
+	pubs := make([]*Publisher, 0, len(s.pubs))
+	for _, pub := range s.pubs {
+		if pub.advertised {
+			pubs = append(pubs, pub)
 		}
+	}
+	slices.SortFunc(pubs, func(a, b *Publisher) int { return cmp.Compare(a.seq, b.seq) })
+	for _, pub := range pubs {
+		id := pub.id
 		if err := s.fab.Unadvertise(id); err != nil {
 			return fmt.Errorf("pleroma: reindex advertisement %q: %w", id, err)
 		}
@@ -105,12 +111,14 @@ func (s *System) applyProjection(dims []int) error {
 			return fmt.Errorf("pleroma: reindex advertisement %q: %w", id, err)
 		}
 	}
-	// Re-register subscriptions.
-	for _, id := range s.subOrder {
-		st, ok := s.subs[id]
-		if !ok {
-			continue
-		}
+	// Re-register subscriptions, likewise.
+	subs := make([]*subState, 0, len(s.subs))
+	for _, st := range s.subs {
+		subs = append(subs, st)
+	}
+	slices.SortFunc(subs, func(a, b *subState) int { return cmp.Compare(a.seq, b.seq) })
+	for _, st := range subs {
+		id := st.id
 		if err := s.fab.Unsubscribe(id); err != nil {
 			return fmt.Errorf("pleroma: reindex subscription %q: %w", id, err)
 		}
@@ -121,7 +129,7 @@ func (s *System) applyProjection(dims []int) error {
 		if err := s.fab.Subscribe(id, st.host, set); err != nil {
 			return fmt.Errorf("pleroma: reindex subscription %q: %w", id, err)
 		}
-		st.set = set
+		s.setSubSet(st, set)
 	}
 	return nil
 }
