@@ -19,6 +19,14 @@
 // no maps, takes no global lock, and — because in-flight packets live in a
 // free-listed slab addressed by the typed event payload — allocates
 // nothing in steady state.
+//
+// A hop is two engine events, arrival and lookup, and the packet does not
+// move: it is written into a slab slot when it is injected and the slot is
+// handed from event to event until the packet is delivered, punted or
+// dropped (only the extra branches of a multicast fan-out copy it). Link
+// occupancy costs no event: a direction remembers the (time, seq) keys at
+// which its queued packets leave the transmit queue and compares them with
+// the engine's position when the next packet asks for room (see dirState).
 package netem
 
 import (
@@ -177,26 +185,68 @@ type Publication struct {
 // hop reads the link, updates the direction's serialization bookkeeping,
 // and schedules arrival at the precompiled peer — no map, no graph query.
 //
-// busyUntil and queued are owned by the engine goroutine (the one driving
+// busyUntil and queue are owned by the engine goroutine (the one driving
 // injection and Engine.Run); the traffic counters are atomics so stats
 // readers on other goroutines see sane values mid-run.
 type dirState struct {
 	link *topo.Link
 	from topo.NodeID
-	// idx is this direction's stable index in DataPlane.dirs, carried by
-	// link-free events.
-	idx int32
 	// Precompiled arrival side.
 	to     topo.NodeID
 	toPort openflow.PortID
 	toHost bool
 
 	busyUntil time.Duration
-	queued    int
+	// queue is the transmit queue's occupancy: one departure key per packet
+	// accepted and not yet serialized onto the wire. A packet frees its
+	// place at its departure instant, in the engine's (time, seq) order at
+	// the sequence number taken when it was accepted — exactly where an
+	// event scheduled to decrement a counter would run — so the place is
+	// free once the engine has passed the key. Departures are FIFO, so the
+	// passed keys are a prefix, dropped by transmit before it tests
+	// QueuePackets.
+	queue departures
 
 	packets atomic.Uint64
 	bytes   atomic.Uint64
 	dropped atomic.Uint64
+}
+
+// departure is the (time, seq) key at which one queued packet leaves a
+// link direction's transmit queue.
+type departure struct {
+	at  time.Duration
+	seq uint64
+}
+
+// departures is a FIFO of departure keys in a circular buffer whose length
+// is a power of two; like the packet slab it keeps the capacity of its
+// deepest backlog.
+type departures struct {
+	buf  []departure
+	head int
+	n    int
+}
+
+func (q *departures) push(k departure) {
+	if q.n == len(q.buf) {
+		buf := make([]departure, max(2*len(q.buf), 4))
+		n := copy(buf, q.buf[q.head:])
+		copy(buf[n:], q.buf[:q.head])
+		q.buf, q.head = buf, 0
+	}
+	q.buf[(q.head+q.n)&(len(q.buf)-1)] = k
+	q.n++
+}
+
+// settle drops the keys the engine has passed and returns how many packets
+// still occupy the queue.
+func (q *departures) settle(eng *sim.Engine) int {
+	for q.n > 0 && eng.Passed(q.buf[q.head].at, q.buf[q.head].seq) {
+		q.head = (q.head + 1) & (len(q.buf) - 1)
+		q.n--
+	}
+	return q.n
 }
 
 // switchPlan is the compiled forwarding view of one switch.
@@ -236,11 +286,9 @@ type hostState struct {
 }
 
 // Typed event kinds the data plane schedules on the engine. The payload
-// words are: A = dir index (link free) or node id (everything else),
-// B = switch ingress port, Ref = packet slab slot.
+// words are: A = node id, B = switch ingress port, Ref = packet slab slot.
 const (
-	evLinkFree uint8 = iota + 1
-	evArriveSwitch
+	evArriveSwitch uint8 = iota + 1
 	evSwitchLookup
 	evArriveHost
 	evHostDone
@@ -306,7 +354,7 @@ type DataPlane struct {
 	// structural version moves — see ensurePlan).
 	plans       []*switchPlan // dense by NodeID, nil for non-switches
 	hosts       []*hostState  // dense by NodeID, nil for non-hosts
-	dirs        []*dirState   // append-only; dirState.idx indexes it
+	dirs        []*dirState   // append-only; dirByLink indexes it
 	dirByLink   map[*topo.Link]int32
 	planVersion uint64
 	planDirty   bool
@@ -499,8 +547,8 @@ func (dp *DataPlane) rebuildPlan() {
 	g := dp.g
 	nodes := g.Nodes()
 
-	// Register per-link direction state (append-only so indices carried by
-	// queued link-free events stay valid across rebuilds).
+	// Register per-link direction state (append-only: a direction's
+	// counters and queue survive rebuilds by identity).
 	for _, l := range g.Links() {
 		if _, ok := dp.dirByLink[l]; ok {
 			continue
@@ -510,8 +558,8 @@ func (dp *DataPlane) rebuildPlan() {
 		na, _ := g.Node(l.A)
 		nb, _ := g.Node(l.B)
 		dp.dirs = append(dp.dirs,
-			&dirState{link: l, from: l.A, idx: base, to: l.B, toPort: l.BPort, toHost: nb.Kind == topo.KindHost},
-			&dirState{link: l, from: l.B, idx: base + 1, to: l.A, toPort: l.APort, toHost: na.Kind == topo.KindHost},
+			&dirState{link: l, from: l.A, to: l.B, toPort: l.BPort, toHost: nb.Kind == topo.KindHost},
+			&dirState{link: l, from: l.B, to: l.A, toPort: l.APort, toHost: na.Kind == topo.KindHost},
 		)
 	}
 	// dirFrom resolves the direction of l transmitting from node n.
@@ -745,11 +793,19 @@ func (dp *DataPlane) PublishStamped(host topo.NodeID, expr dz.Expr, ev space.Eve
 	if size <= 0 {
 		size = DefaultPacketSize
 	}
+	// Resolve the access link before taking the sequence number: a publish
+	// that cannot be injected must not leave a gap in the publisher's
+	// sequence (PublishBatch validates first for the same reason).
+	d, err := dp.hostLink(host)
+	if err != nil {
+		return err
+	}
 	dp.mu.Lock()
 	dp.pubSeq[host]++
 	seq := dp.pubSeq[host]
 	dp.mu.Unlock()
-	pkt := Packet{
+	c := dp.ctxFor(host)
+	c.transmit(d, c.allocPkt(Packet{
 		Dst:       addr,
 		Expr:      expr,
 		Event:     ev,
@@ -759,8 +815,8 @@ func (dp *DataPlane) PublishStamped(host topo.NodeID, expr dz.Expr, ev space.Eve
 		SentAt:    dp.eng.Now(),
 		HopLimit:  DefaultHopLimit,
 		Stamp:     st,
-	}
-	return dp.SendFromHost(host, pkt)
+	}))
+	return nil
 }
 
 // PublishBatch injects a burst of event packets from one host, assigning
@@ -780,13 +836,9 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 		}
 		addrs[i] = addr
 	}
-	if err := dp.injectable(); err != nil {
+	d, err := dp.hostLink(host)
+	if err != nil {
 		return err
-	}
-	dp.ensurePlan()
-	d := dp.hostAccess(host)
-	if d == nil {
-		return dp.hostAccessErr(host)
 	}
 	c := dp.ctxFor(host)
 	now := c.eng.Now()
@@ -799,7 +851,7 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 		if size <= 0 {
 			size = DefaultPacketSize
 		}
-		c.transmit(d, Packet{
+		c.transmit(d, c.allocPkt(Packet{
 			Dst:       addrs[i],
 			Expr:      pb.Expr,
 			Event:     pb.Event,
@@ -809,21 +861,24 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 			SentAt:    now,
 			HopLimit:  DefaultHopLimit,
 			Stamp:     pb.Stamp,
-		})
+		}))
 	}
 	return nil
 }
 
-// hostAccess resolves the compiled access-link direction of a host.
-func (dp *DataPlane) hostAccess(host topo.NodeID) *dirState {
-	if int(host) < 0 || int(host) >= len(dp.hosts) {
-		return nil
+// hostLink resolves the compiled access-link direction a host may inject on
+// right now, or the reason it may not.
+func (dp *DataPlane) hostLink(host topo.NodeID) (*dirState, error) {
+	if err := dp.injectable(); err != nil {
+		return nil, err
 	}
-	hs := dp.hosts[host]
-	if hs == nil {
-		return nil
+	dp.ensurePlan()
+	if int(host) >= 0 && int(host) < len(dp.hosts) {
+		if hs := dp.hosts[host]; hs != nil && hs.access != nil {
+			return hs.access, nil
+		}
 	}
-	return hs.access
+	return nil, dp.hostAccessErr(host)
 }
 
 // hostAccessErr reproduces the precise error of the uncompiled lookup path
@@ -839,15 +894,12 @@ func (dp *DataPlane) hostAccessErr(host topo.NodeID) error {
 // SendFromHost transmits an arbitrary packet from a host onto its access
 // link (also used for IP_vir control signalling).
 func (dp *DataPlane) SendFromHost(host topo.NodeID, pkt Packet) error {
-	if err := dp.injectable(); err != nil {
+	d, err := dp.hostLink(host)
+	if err != nil {
 		return err
 	}
-	dp.ensurePlan()
-	d := dp.hostAccess(host)
-	if d == nil {
-		return dp.hostAccessErr(host)
-	}
-	dp.ctxFor(host).transmit(d, pkt)
+	c := dp.ctxFor(host)
+	c.transmit(d, c.allocPkt(pkt))
 	return nil
 }
 
@@ -877,21 +929,38 @@ func (dp *DataPlane) SendFromSwitchPort(sw topo.NodeID, port openflow.PortID, pk
 	if pkt.SizeBytes <= 0 {
 		pkt.SizeBytes = DefaultPacketSize
 	}
-	dp.ctxFor(sw).transmit(d, pkt)
+	c := dp.ctxFor(sw)
+	c.transmit(d, c.allocPkt(pkt))
 	return nil
 }
 
-// allocPkt parks an in-flight packet in the shard's slab and returns its
-// slot.
-func (c *shardCtx) allocPkt(p Packet) uint32 {
+// newSlot takes a slab slot off the free list, growing the slab when the
+// list is empty. It may move the slab: pointers into it do not survive it.
+func (c *shardCtx) newSlot() uint32 {
 	if n := len(c.free); n > 0 {
 		slot := c.free[n-1]
 		c.free = c.free[:n-1]
-		c.slab[slot] = p
 		return slot
 	}
-	c.slab = append(c.slab, p)
+	c.slab = append(c.slab, Packet{})
 	return uint32(len(c.slab) - 1)
+}
+
+// allocPkt parks a packet entering the shard — injected, or drained from a
+// mailbox — in the slab and returns its slot. The packet stays in that slot
+// until it leaves the shard: events hand the slot on, they do not copy.
+func (c *shardCtx) allocPkt(p Packet) uint32 {
+	slot := c.newSlot()
+	c.slab[slot] = p
+	return slot
+}
+
+// clonePkt copies the packet in slot into a slot of its own — one more
+// branch of a multicast fan-out — and returns the copy's slot.
+func (c *shardCtx) clonePkt(slot uint32) uint32 {
+	dup := c.newSlot()
+	c.slab[dup] = c.slab[slot]
+	return dup
 }
 
 // releasePkt returns a slot to the free list, dropping payload references.
@@ -906,8 +975,6 @@ func (c *shardCtx) releasePkt(slot uint32) {
 // hosts assigned to this shard — has a single owner.
 func (c *shardCtx) HandleEvent(ev sim.Event) {
 	switch ev.Kind {
-	case evLinkFree:
-		c.dp.dirs[ev.A].queued--
 	case evArriveSwitch:
 		c.arriveAtSwitch(topo.NodeID(ev.A), openflow.PortID(ev.B), ev.Ref)
 	case evSwitchLookup:
@@ -919,30 +986,35 @@ func (c *shardCtx) HandleEvent(ev sim.Event) {
 	}
 }
 
-// transmit models serialization + propagation of a packet over one link
-// direction and schedules the link-free and arrival events. The event
-// order (link free first, then arrival) is load-bearing: it fixes the
-// (time, seq) interleaving every recorded experiment depends on. The
-// caller must be the context owning d.from; when the arrival side lives
-// on another shard the hop is buffered as a mailbox message instead of a
-// local event (the link-free stays local — the transmit queue belongs to
-// the sending side).
-func (c *shardCtx) transmit(d *dirState, pkt Packet) {
+// transmit models serialization + propagation of the packet in slot over
+// one link direction and schedules its arrival, which takes the slot over;
+// a packet the link drops gives the slot back. Accepting a packet takes one
+// engine sequence number for its departure key before the arrival takes
+// the next: that order (link release first, then arrival) is load-bearing
+// — it fixes the (time, seq) interleaving every recorded experiment
+// depends on. The caller must be the context owning d.from; when the
+// arrival side lives on another shard the hop leaves the slab and is
+// buffered as a mailbox message instead of a local event (the departure
+// key stays local — the transmit queue belongs to the sending side).
+func (c *shardCtx) transmit(d *dirState, slot uint32) {
 	dp := c.dp
 	link := d.link
 	if link.Down {
 		d.dropped.Add(1)
 		dp.obsLinkDrops.Inc()
+		c.releasePkt(slot)
 		return
 	}
-	if q := link.Params.QueuePackets; q > 0 && d.queued >= q {
+	if queued, q := d.queue.settle(c.eng), link.Params.QueuePackets; q > 0 && queued >= q {
 		d.dropped.Add(1)
 		dp.obsLinkDrops.Inc()
+		c.releasePkt(slot)
 		return
 	}
+	size := c.slab[slot].SizeBytes
 	var ser time.Duration
 	if bw := link.Params.BandwidthBps; bw > 0 {
-		ser = time.Duration(int64(pkt.SizeBytes) * 8 * int64(time.Second) / bw)
+		ser = time.Duration(int64(size) * 8 * int64(time.Second) / bw)
 	}
 	depart := c.eng.Now()
 	if d.busyUntil > depart {
@@ -952,12 +1024,11 @@ func (c *shardCtx) transmit(d *dirState, pkt Packet) {
 	d.busyUntil = depart
 	arriveAt := depart + link.Params.Latency
 
-	d.queued++
+	d.queue.push(departure{at: depart, seq: c.eng.ReserveSeq()})
 	d.packets.Add(1)
-	d.bytes.Add(uint64(pkt.SizeBytes))
+	d.bytes.Add(uint64(size))
 	dp.obsLinkPackets.Inc()
 
-	c.eng.AtEvent(depart, c, sim.Event{Kind: evLinkFree, A: d.idx})
 	kind := evArriveSwitch
 	if d.toHost {
 		kind = evArriveHost
@@ -965,11 +1036,11 @@ func (c *shardCtx) transmit(d *dirState, pkt Packet) {
 	if so := dp.shardOf; so != nil {
 		if dst := so[d.to]; dst != c.id {
 			c.out[dst] = append(c.out[dst],
-				crossMsg{at: arriveAt, kind: kind, node: int32(d.to), port: int32(d.toPort), pkt: pkt})
+				crossMsg{at: arriveAt, kind: kind, node: int32(d.to), port: int32(d.toPort), pkt: c.slab[slot]})
+			c.releasePkt(slot)
 			return
 		}
 	}
-	slot := c.allocPkt(pkt)
 	c.eng.AtEvent(arriveAt, c, sim.Event{Kind: kind, A: int32(d.to), B: int32(d.toPort), Ref: slot})
 }
 
@@ -1010,20 +1081,28 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 }
 
 // lookupAndForward performs the table lookup and fans the packet out over
-// the compiled port array.
+// the compiled port array. The packet goes out of the last matching port
+// in the slot it arrived in; every earlier port gets a copy.
 func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot uint32) {
 	p := c.dp.plans[sw]
-	pkt := c.slab[slot]
-	c.releasePkt(slot)
-	flow, ok := p.table.Lookup(pkt.Dst)
+	flow, ok := p.table.Lookup(c.slab[slot].Dst)
 	if !ok {
 		atomic.AddUint64(&p.stats.TableMisses, 1)
-		if punt := c.dp.punt.Load(); punt != nil {
-			atomic.AddUint64(&p.stats.Punted, 1)
-			(*punt)(sw, inPort, pkt)
+		punt := c.dp.punt.Load()
+		if punt == nil {
+			c.releasePkt(slot)
+			return
 		}
+		atomic.AddUint64(&p.stats.Punted, 1)
+		pkt := c.slab[slot]
+		c.releasePkt(slot)
+		(*punt)(sw, inPort, pkt)
 		return
 	}
+	// out is the branch found last and not yet sent: it goes out as a copy
+	// when another branch follows it and in place when none does.
+	var out *dirState
+	var outDst netip.Addr
 	for _, action := range flow.Actions {
 		d := p.dirFor(action.OutPort)
 		if d == nil {
@@ -1038,13 +1117,26 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 			// publisher receives the event.
 			continue
 		}
-		out := pkt
-		if action.SetDest.IsValid() {
-			out.Dst = action.SetDest
-		}
 		atomic.AddUint64(&p.stats.Forwarded, 1)
-		c.transmit(d, out)
+		if out != nil {
+			c.sendTo(out, outDst, c.clonePkt(slot))
+		}
+		out, outDst = d, action.SetDest
 	}
+	if out == nil {
+		c.releasePkt(slot)
+		return
+	}
+	c.sendTo(out, outDst, slot)
+}
+
+// sendTo transmits the packet in slot over d, readdressed to dst when the
+// flow action set one.
+func (c *shardCtx) sendTo(d *dirState, dst netip.Addr, slot uint32) {
+	if dst.IsValid() {
+		c.slab[slot].Dst = dst
+	}
+	c.transmit(d, slot)
 }
 
 // arriveAtHost applies the host processing model and hands the packet to
@@ -1054,13 +1146,7 @@ func (c *shardCtx) arriveAtHost(h topo.NodeID, slot uint32) {
 	now := c.eng.Now()
 	hs := c.dp.hosts[h]
 	if hs.cfg.CapacityPerSec <= 0 {
-		hs.received.Add(1)
-		c.dp.obsHostDeliveries.Inc()
-		pkt := c.slab[slot]
-		c.releasePkt(slot)
-		if hs.deliver != nil {
-			hs.deliver(Delivery{Host: h, Packet: pkt, At: now})
-		}
+		c.deliver(hs, h, slot)
 		return
 	}
 	maxQueue := hs.cfg.MaxQueue
@@ -1087,11 +1173,19 @@ func (c *shardCtx) arriveAtHost(h topo.NodeID, slot uint32) {
 func (c *shardCtx) hostDone(h topo.NodeID, slot uint32) {
 	hs := c.dp.hosts[h]
 	hs.queued--
+	c.deliver(hs, h, slot)
+}
+
+// deliver counts the packet in slot as received, frees the slot and hands
+// the packet to the host's application callback.
+func (c *shardCtx) deliver(hs *hostState, h topo.NodeID, slot uint32) {
 	hs.received.Add(1)
 	c.dp.obsHostDeliveries.Inc()
-	pkt := c.slab[slot]
-	c.releasePkt(slot)
-	if hs.deliver != nil {
-		hs.deliver(Delivery{Host: h, Packet: pkt, At: c.eng.Now()})
+	if hs.deliver == nil {
+		c.releasePkt(slot)
+		return
 	}
+	dl := Delivery{Host: h, Packet: c.slab[slot], At: c.eng.Now()}
+	c.releasePkt(slot)
+	hs.deliver(dl)
 }

@@ -311,6 +311,16 @@ func (c *Coordinator) run(deadline time.Duration, bounded bool) time.Duration {
 		end = deadline
 	}
 	for _, e := range c.engines {
+		// Every engine has nothing left to execute (up to the deadline),
+		// but only those dispatched in the last window know it: end the
+		// drain on each as its own Run/RunUntil would, so keys reserved on
+		// it (sim.Engine.Passed) count as passed exactly as after a
+		// single-engine drain.
+		if bounded {
+			e.RunWindow(deadline)
+		} else {
+			e.Run()
+		}
 		e.AdvanceTo(end)
 	}
 	return end

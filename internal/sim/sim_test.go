@@ -222,8 +222,8 @@ type drain struct{ n int }
 func (d *drain) HandleEvent(Event) { d.n++ }
 
 // BenchmarkEngineScheduleRun measures the typed steady-state hot path —
-// schedule+run cycles against a warm queue. The free-listed inline heap
-// must report 0 allocs/op.
+// schedule+run cycles against a warm queue, one event in flight and 97
+// distinct delays. The inline queue must report 0 allocs/op.
 func BenchmarkEngineScheduleRun(b *testing.B) {
 	e := NewEngine()
 	d := &drain{}
@@ -236,6 +236,39 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.ScheduleEvent(time.Duration(i%97)*time.Microsecond, d, Event{Kind: 1, Ref: uint32(i)})
+		e.Step()
+	}
+}
+
+// pipeline is the shape of emulated forwarding: every executed event
+// schedules its successor after one of two constant delays, alternately
+// (a table lookup, then a link).
+type pipeline struct{ e *Engine }
+
+func (p *pipeline) HandleEvent(ev Event) {
+	if ev.Kind == 1 {
+		p.e.ScheduleEvent(10*time.Microsecond, p, Event{Kind: 2, Ref: ev.Ref})
+	} else {
+		p.e.ScheduleEvent(50512*time.Nanosecond, p, Event{Kind: 1, Ref: ev.Ref})
+	}
+}
+
+// BenchmarkEnginePipeline is the loaded counterpart of
+// BenchmarkEngineScheduleRun: 1024 events stay in flight, so a queue that
+// pays per-event cost growing with its depth shows it here. One op is one
+// executed event (and the push it makes). 0 allocs/op.
+func BenchmarkEnginePipeline(b *testing.B) {
+	e := NewEngine()
+	p := &pipeline{e: e}
+	for j := 0; j < 1024; j++ {
+		e.ScheduleEvent(time.Duration(j)*100*time.Nanosecond, p, Event{Kind: 1, Ref: uint32(j)})
+	}
+	for i := 0; i < 4096; i++ {
+		e.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		e.Step()
 	}
 }
