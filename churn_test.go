@@ -1,0 +1,115 @@
+package pleroma_test
+
+import (
+	"math/rand"
+	"strconv"
+	"testing"
+
+	"pleroma"
+)
+
+// controlChurn is the ctl-churn loop of cmd/pleroma-bench driven in-process:
+// the benchmark's deployment (WithFatTree(4,4,2), L_dz 24, 16 subspaces,
+// journaled), four publishers advertising everything, `deployed` 64×64
+// subscriptions on the other twelve hosts; every step unsubscribes the
+// oldest and subscribes a new one.
+type controlChurn struct {
+	sys    *pleroma.System
+	rng    *rand.Rand
+	live   []string
+	head   int
+	nextID int
+}
+
+func newControlChurn(tb testing.TB, deployed int) *controlChurn {
+	tb.Helper()
+	sch, err := pleroma.NewSchema(
+		pleroma.Attribute{Name: "a", Bits: 10},
+		pleroma.Attribute{Name: "b", Bits: 10},
+	)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sys, err := pleroma.NewSystem(sch, pleroma.WithFatTree(4, 4, 2),
+		pleroma.WithMaxDzLen(24), pleroma.WithMaxSubspaces(16), pleroma.WithJournal())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { sys.Close() })
+	w := &controlChurn{sys: sys, rng: rand.New(rand.NewSource(12)), live: make([]string, deployed)}
+	for i := 0; i < 4; i++ {
+		pub, err := sys.NewPublisher("p"+strconv.Itoa(i), sys.Hosts()[i])
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := pub.Advertise(pleroma.NewFilter()); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	for i := range w.live {
+		w.live[i] = w.subscribe(tb)
+	}
+	return w
+}
+
+func (w *controlChurn) subscribe(tb testing.TB) string {
+	id := "s" + strconv.Itoa(w.nextID)
+	w.nextID++
+	host := w.sys.Hosts()[4+w.rng.Intn(12)]
+	a, b := uint32(w.rng.Intn(1024-63)), uint32(w.rng.Intn(1024-63))
+	f := pleroma.NewFilter().Range("a", a, a+63).Range("b", b, b+63)
+	if err := w.sys.Subscribe(id, host, f, func(pleroma.Delivery) {}); err != nil {
+		tb.Fatal(err)
+	}
+	return id
+}
+
+func (w *controlChurn) step(tb testing.TB) {
+	if err := w.sys.Unsubscribe(w.live[w.head]); err != nil {
+		tb.Fatal(err)
+	}
+	w.live[w.head] = w.subscribe(tb)
+	w.head = (w.head + 1) % len(w.live)
+}
+
+// BenchmarkControlChurn: one unsubscribe + subscribe pair per iteration with
+// 500, 5000 and 20000 subscriptions deployed. A control operation touches
+// the prefix families of its own dz-expressions and no registry is scanned,
+// so ns/op may grow with the depth of the per-switch tries and the cache
+// footprint of the deployment, not with the deployment itself (DESIGN.md,
+// "Flow derivation", has the measured growth).
+func BenchmarkControlChurn(b *testing.B) {
+	for _, deployed := range []int{500, 5000, 20000} {
+		b.Run("deployed="+strconv.Itoa(deployed), func(b *testing.B) {
+			w := newControlChurn(b, deployed)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w.step(b)
+			}
+			b.StopTimer()
+			if err := w.sys.VerifyTables(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestControlChurnAllocCeiling pins the allocations of one unsubscribe +
+// subscribe pair at 5000 deployed, facade to flow tables, journal included
+// (the map-of-maps contribution state this replaced took ≈ 560).
+func TestControlChurnAllocCeiling(t *testing.T) {
+	if testing.Short() {
+		t.Skip("deploys 5000 subscriptions")
+	}
+	const ceiling = 425 // measured 387
+	w := newControlChurn(t, 5000)
+	perPair := testing.AllocsPerRun(300, func() { w.step(t) })
+	t.Logf("%.0f allocations per unsubscribe+subscribe pair at 5000 deployed", perPair)
+	if perPair > ceiling {
+		t.Errorf("%.0f allocations per unsubscribe+subscribe pair, ceiling %d", perPair, ceiling)
+	}
+	if err := w.sys.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+}

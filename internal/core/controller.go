@@ -43,9 +43,8 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if _, dup := c.pubs[id]; dup {
 		return rep, fmt.Errorf("%w: publisher %q", ErrDuplicateClient, id)
 	}
-	set = c.truncate(set)
-	if set.IsEmpty() {
-		return rep, fmt.Errorf("core: advertisement %q has empty DZ set", id)
+	if set, err = c.admit("advertisement", id, set); err != nil {
+		return rep, err
 	}
 	span, start := c.beginOp(opAdvertise, func() string { return id + " " + set.String() })
 	defer func() { c.endOp(opAdvertise, span, start, &rep, err) }()
@@ -53,7 +52,8 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	c.pubs[id] = pub
 	c.inst.advertise.Inc()
 
-	touched := make(touchedSet)
+	ch := make(changeSet)
+	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
 	for _, dzi := range set {
 		covered := dz.Set(nil)
 		for _, tid := range c.treeIdx.overlapping(dzi) {
@@ -61,7 +61,7 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 			overlap := t.set.IntersectExpr(dzi) // DZ^t(p) part from dz_i
 			covered = covered.Union(overlap)
 			c.joinTreeAsPublisher(t, pub, overlap, &rep)
-			if err := c.addFlowMultSub(t, pub, overlap, touched, &rep); err != nil {
+			if err := c.addFlowMultSub(t, pub, overlap, ch, &rep); err != nil {
 				return rep, err
 			}
 		}
@@ -71,15 +71,15 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 			if err != nil {
 				return rep, err
 			}
-			if err := c.addFlowMultSub(t, pub, uncovered, touched, &rep); err != nil {
+			if err := c.addFlowMultSub(t, pub, uncovered, ch, &rep); err != nil {
 				return rep, err
 			}
 		}
 	}
-	if err := c.mergeTreesIfNeeded(touched, &rep); err != nil {
+	if err := c.mergeTreesIfNeeded(ch, &rep); err != nil {
 		return rep, err
 	}
-	if err := c.refresh(touched, &rep); err != nil {
+	if err := c.refresh(ch, &rep); err != nil {
 		return rep, err
 	}
 	if err := c.journalOp(wire.OpAdvertise, id, ep, set); err != nil {
@@ -121,9 +121,8 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if _, dup := c.subs[id]; dup {
 		return rep, fmt.Errorf("%w: subscriber %q", ErrDuplicateClient, id)
 	}
-	set = c.truncate(set)
-	if set.IsEmpty() {
-		return rep, fmt.Errorf("core: subscription %q has empty DZ set", id)
+	if set, err = c.admit("subscription", id, set); err != nil {
+		return rep, err
 	}
 	span, start := c.beginOp(opSubscribe, func() string { return id + " " + set.String() })
 	defer func() { c.endOp(opSubscribe, span, start, &rep, err) }()
@@ -131,14 +130,15 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	c.subs[id] = sub
 	c.inst.subscribe.Inc()
 
-	touched := make(touchedSet)
+	ch := make(changeSet, 8*len(set)) // about one key per subspace and switch on the way
+	defer c.contribs.apply(ch)        // a failure before refresh keeps tries and path records in step
 	for _, dzi := range set {
 		for _, tid := range c.treeIdx.overlapping(dzi) {
 			t := c.trees[tid]
 			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
 			c.joinTreeAsSubscriber(t, sub, overlap)
 			for _, pid := range sortutil.Keys(t.pubs) {
-				if err := c.addPathContributions(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), touched, &rep); err != nil {
+				if err := c.addPathContributions(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), ch, &rep); err != nil {
 					return rep, err
 				}
 			}
@@ -148,7 +148,7 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 		rep.Stored = true
 		c.inst.storedSubs.Inc()
 	}
-	if err := c.refresh(touched, &rep); err != nil {
+	if err := c.refresh(ch, &rep); err != nil {
 		return rep, err
 	}
 	if err := c.journalOp(wire.OpSubscribe, id, ep, set); err != nil {
@@ -171,17 +171,17 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	span, start := c.beginOp(opUnsubscribe, func() string { return id })
 	defer func() { c.endOp(opUnsubscribe, span, start, &rep, err) }()
 	c.inst.unsubscribe.Inc()
-	touched := make(touchedSet)
+	ch := make(changeSet, 8*len(sub.sub))
 	for tid := range sub.trees {
 		if t, ok := c.trees[tid]; ok {
 			for pid := range t.pubs {
-				c.contribs.removePath(pathKey{pub: pid, sub: id, tree: tid}, touched)
+				c.contribs.removePath(pathKey{pub: pid, sub: id, tree: tid}, ch)
 			}
 			delete(t.subs, id)
 		}
 	}
 	delete(c.subs, id)
-	if err := c.refresh(touched, &rep); err != nil {
+	if err := c.refresh(ch, &rep); err != nil {
 		return rep, err
 	}
 	if err := c.journalOp(wire.OpUnsubscribe, id, endpoint{}, nil); err != nil {
@@ -204,14 +204,14 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	span, start := c.beginOp(opUnadvertise, func() string { return id })
 	defer func() { c.endOp(opUnadvertise, span, start, &rep, err) }()
 	c.inst.unadvertise.Inc()
-	touched := make(touchedSet)
+	ch := make(changeSet)
 	for tid := range pub.trees {
 		t, ok := c.trees[tid]
 		if !ok {
 			continue
 		}
 		for sid := range t.subs {
-			c.contribs.removePath(pathKey{pub: id, sub: sid, tree: tid}, touched)
+			c.contribs.removePath(pathKey{pub: id, sub: sid, tree: tid}, ch)
 		}
 		delete(t.pubs, id)
 		if len(t.pubs) == 0 {
@@ -219,7 +219,7 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 		}
 	}
 	delete(c.pubs, id)
-	if err := c.refresh(touched, &rep); err != nil {
+	if err := c.refresh(ch, &rep); err != nil {
 		return rep, err
 	}
 	if err := c.journalOp(wire.OpUnadvertise, id, endpoint{}, nil); err != nil {
@@ -227,6 +227,21 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	}
 	c.logOp(wire.OpUnadvertise, id, rep)
 	return rep, nil
+}
+
+// admit applies the L_dz constraint to a request's DZ set and rejects, before
+// the request changes any state, what the controller cannot program: an
+// empty set, or a subspace too long for a flow match — dz.MaxKeyBits is the
+// dz capacity of the IPv6 embedding and of the prefix-index keys.
+func (c *Controller) admit(kind, id string, set dz.Set) (dz.Set, error) {
+	set = c.truncate(set)
+	if set.IsEmpty() {
+		return nil, fmt.Errorf("core: %s %q has empty DZ set", kind, id)
+	}
+	if n := set.MaxLen(); n > dz.MaxKeyBits {
+		return nil, fmt.Errorf("core: %s %q: dz length %d exceeds %d bits", kind, id, n, dz.MaxKeyBits)
+	}
+	return set, nil
 }
 
 // logOp emits one structured reconfiguration summary.
@@ -303,7 +318,7 @@ func (c *Controller) joinTreeAsSubscriber(t *tree, sub *subscriber, overlap dz.S
 // every subscriber whose subscription overlaps the publisher's new tree
 // subspaces gets a path from the publisher.
 func (c *Controller) addFlowMultSub(t *tree, pub *publisher, set dz.Set,
-	touched touchedSet, rep *ReconfigReport) error {
+	ch changeSet, rep *ReconfigReport) error {
 	for _, sid := range sortutil.Keys(c.subs) {
 		sub := c.subs[sid]
 		ov := set.Intersect(sub.sub)
@@ -311,7 +326,7 @@ func (c *Controller) addFlowMultSub(t *tree, pub *publisher, set dz.Set,
 			continue
 		}
 		c.joinTreeAsSubscriber(t, sub, ov)
-		if err := c.addPathContributions(t, pub, sub, ov, touched, rep); err != nil {
+		if err := c.addPathContributions(t, pub, sub, ov, ch, rep); err != nil {
 			return err
 		}
 	}
@@ -354,10 +369,10 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 }
 
 // dropTreePaths tears down every established path of t.
-func (c *Controller) dropTreePaths(t *tree, touched touchedSet) {
+func (c *Controller) dropTreePaths(t *tree, ch changeSet) {
 	for pid := range t.pubs {
 		for sid := range t.subs {
-			c.contribs.removePath(pathKey{pub: pid, sub: sid, tree: t.id}, touched)
+			c.contribs.removePath(pathKey{pub: pid, sub: sid, tree: t.id}, ch)
 		}
 	}
 }
@@ -366,7 +381,7 @@ func (c *Controller) dropTreePaths(t *tree, touched touchedSet) {
 // its overlap sets DZ^t(p) ∩ DZ^t(s). Path removal walks the clients' tree
 // memberships, so every member of t must be a registered client that lists
 // t: a restored snapshot is outside input and can say otherwise.
-func (c *Controller) establishTreePaths(t *tree, touched touchedSet, rep *ReconfigReport) error {
+func (c *Controller) establishTreePaths(t *tree, ch changeSet, rep *ReconfigReport) error {
 	for _, pid := range sortutil.Keys(t.pubs) {
 		pub := c.pubs[pid]
 		if pub == nil || !pub.trees[t.id] {
@@ -377,7 +392,7 @@ func (c *Controller) establishTreePaths(t *tree, touched touchedSet, rep *Reconf
 			if sub == nil || !sub.trees[t.id] {
 				return fmt.Errorf("tree %d references unknown or non-member subscriber %q", t.id, sid)
 			}
-			if err := c.addPathContributions(t, pub, sub, t.pubs[pid].Intersect(t.subs[sid]), touched, rep); err != nil {
+			if err := c.addPathContributions(t, pub, sub, t.pubs[pid].Intersect(t.subs[sid]), ch, rep); err != nil {
 				return err
 			}
 		}
@@ -411,7 +426,7 @@ func (c *Controller) dismantleTree(t *tree) {
 // longest common prefix is merged first, so subspaces that canonicalise
 // into a coarser one (the paper's {0000,0010}+{0001,0011} ⇒ {00} example)
 // collapse naturally.
-func (c *Controller) mergeTreesIfNeeded(touched touchedSet, rep *ReconfigReport) error {
+func (c *Controller) mergeTreesIfNeeded(ch changeSet, rep *ReconfigReport) error {
 	if c.maxTrees <= 0 {
 		return nil
 	}
@@ -420,7 +435,7 @@ func (c *Controller) mergeTreesIfNeeded(touched touchedSet, rep *ReconfigReport)
 		if t1 == nil {
 			return nil
 		}
-		if err := c.mergeTrees(t1, t2, touched, rep); err != nil {
+		if err := c.mergeTrees(t1, t2, ch, rep); err != nil {
 			return err
 		}
 	}
@@ -462,9 +477,9 @@ func mergeAffinity(a, b dz.Set) int {
 // coarser subspaces where siblings meet), publisher/subscriber overlaps
 // are recomputed against the merged set, and all paths of both trees are
 // rebuilt on t1's spanning tree.
-func (c *Controller) mergeTrees(t1, t2 *tree, touched touchedSet, rep *ReconfigReport) error {
-	c.dropTreePaths(t1, touched)
-	c.dropTreePaths(t2, touched)
+func (c *Controller) mergeTrees(t1, t2 *tree, ch changeSet, rep *ReconfigReport) error {
+	c.dropTreePaths(t1, ch)
+	c.dropTreePaths(t2, ch)
 
 	// Re-index under the merged set: members may coarsen when sibling
 	// subspaces from the two trees meet, so remove-then-add is required.
@@ -503,7 +518,7 @@ func (c *Controller) mergeTrees(t1, t2 *tree, touched touchedSet, rep *ReconfigR
 		t1.subs[sid] = c.subs[sid].sub.Intersect(merged)
 	}
 
-	if err := c.establishTreePaths(t1, touched, rep); err != nil {
+	if err := c.establishTreePaths(t1, ch, rep); err != nil {
 		return err
 	}
 	c.inst.treesMerged.Inc()
@@ -550,19 +565,20 @@ func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 	defer c.mu.Unlock()
 	sp, start := c.beginOp(opRebuildTrees, func() string { return "" })
 	defer func() { c.endOp(opRebuildTrees, sp, start, &rep, err) }()
-	touched := make(touchedSet)
+	ch := make(changeSet)
+	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
 	for _, t := range c.sortedTrees() {
 		span, err := c.g.ShortestPathTree(t.root, c.includeFunc())
 		if err != nil {
 			return rep, fmt.Errorf("core: rebuild tree %d: %w", t.id, err)
 		}
-		c.dropTreePaths(t, touched)
+		c.dropTreePaths(t, ch)
 		t.span = span
-		if err := c.establishTreePaths(t, touched, &rep); err != nil {
+		if err := c.establishTreePaths(t, ch, &rep); err != nil {
 			return rep, err
 		}
 	}
-	if err := c.refresh(touched, &rep); err != nil {
+	if err := c.refresh(ch, &rep); err != nil {
 		return rep, err
 	}
 	if err := c.journalOp(wire.OpReconfigure, "", endpoint{}, nil); err != nil {

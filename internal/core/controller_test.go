@@ -370,6 +370,48 @@ func TestClientValidation(t *testing.T) {
 	}
 }
 
+// TestOverlongExpressionRejectedUpFront: a subspace longer than a flow match
+// can hold (no WithMaxDzLen to truncate it) must be refused before the
+// request registers anything — not in refresh, with the client and its
+// contributions already in place and the tables short of a flow.
+func TestOverlongExpressionRejectedUpFront(t *testing.T) {
+	tb := newTestbed(t)
+	hosts := tb.g.Hosts()
+	fits := dz.Expr(strings.Repeat("0", dz.MaxKeyBits))
+	if _, err := tb.ctl.Advertise("p", hosts[0], dz.NewSet("0")); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		_, err := tb.ctl.Subscribe("s", hosts[1], dz.NewSet("1", fits+"1"))
+		if err == nil || errors.Is(err, core.ErrDuplicateClient) {
+			t.Fatalf("attempt %d: overlong subscription: %v, want a length error every time", attempt, err)
+		}
+		_, err = tb.ctl.Advertise("q", hosts[2], dz.NewSet(fits+"0"))
+		if err == nil || errors.Is(err, core.ErrDuplicateClient) {
+			t.Fatalf("attempt %d: overlong advertisement: %v, want a length error every time", attempt, err)
+		}
+		if err := tb.ctl.VerifyTables(); err != nil {
+			t.Fatalf("attempt %d: %v", attempt, err)
+		}
+	}
+	if _, ok := tb.ctl.SubscriptionSet("s"); ok {
+		t.Error("refused subscription stayed registered")
+	}
+	if _, ok := tb.ctl.AdvertisementSet("q"); ok {
+		t.Error("refused advertisement stayed registered")
+	}
+	// The longest expression that fits is programmed like any other.
+	if _, err := tb.ctl.Subscribe("s", hosts[1], dz.NewSet(fits)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.ctl.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+	if tb.ctl.InstalledFlowCount() == 0 {
+		t.Error("no flow for the longest expression that fits")
+	}
+}
+
 func TestUnadvertiseDismantlesEmptyTree(t *testing.T) {
 	tb := newTestbed(t)
 	hosts := tb.g.Hosts()

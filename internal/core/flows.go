@@ -1,11 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -15,20 +15,25 @@ import (
 	"pleroma/internal/topo"
 )
 
-// touchedSet records, per switch, the match expressions whose direct
-// contributions changed during one control operation. Only the prefix
-// family (ancestors are implicit, descendants are found by range scan) of
-// these expressions can need flow updates — the locality that the paper's
-// incremental cases (1)–(5) exploit.
-type touchedSet map[topo.NodeID]map[dz.Expr]bool
+// contribKey names one direct contribution: expr forwarded out of port on sw.
+type contribKey struct {
+	sw   topo.NodeID
+	expr dz.Expr
+	port openflow.PortID
+}
 
-func (t touchedSet) mark(sw topo.NodeID, e dz.Expr) {
-	m := t[sw]
-	if m == nil {
-		m = make(map[dz.Expr]bool)
-		t[sw] = m
+// changeSet accumulates, over one control operation, the net change in the
+// number of (path, expr) contributions per contribKey. The routes of one
+// operation share most of their hops (every publisher's path to a subscriber
+// ends in the same switches), so the per-switch tries are touched once per
+// distinct key — and not at all where a tear-down and a re-establishment
+// cancel (mergeTrees, RebuildTrees) — when apply folds the set in.
+type changeSet map[contribKey]int
+
+func (ch changeSet) add(hops []topo.Hop, e dz.Expr, delta int) {
+	for _, hop := range hops {
+		ch[contribKey{hop.Switch, e, hop.OutPort}] += delta
 	}
-	m[e] = true
 }
 
 // pathKey identifies one established path: publisher → subscriber on tree.
@@ -47,97 +52,124 @@ type path struct {
 	exprs []dz.Expr
 }
 
+// portRef counts the live (path, expr) contributions through one out-port.
+type portRef struct {
+	port openflow.PortID
+	n    int
+}
+
+// contrib is one switch's direct contribution under one expression. The
+// expression is kept beside the packed trie key so that walks hand it out
+// without unpacking (and allocating) it.
+type contrib struct {
+	expr  dz.Expr
+	ports []portRef  // sorted by port; never empty, every n > 0
+	first [1]portRef // initial backing of ports: most expressions leave a switch by one port
+}
+
 // contribState is the controller's view of all established paths: one
 // record per path, and the per-switch aggregates flow derivation reads.
 type contribState struct {
 	paths map[pathKey]*path
-	// refs aggregates per switch: expr -> port -> number of live
-	// (path, expr) contributions.
-	refs map[topo.NodeID]map[dz.Expr]map[openflow.PortID]int
-	// sorted keeps each switch's direct expressions in lexicographic
-	// order; descendants of a prefix form a contiguous range.
-	sorted map[topo.NodeID][]dz.Expr
+	// direct indexes, per switch, the expressions with live contributions
+	// by prefix. A switch without contributions has no trie. Expressions
+	// are admitted only up to dz.MaxKeyBits (Controller.admit), so every one
+	// packs.
+	direct map[topo.NodeID]*dz.Trie[*contrib]
 }
 
 func newContribState() *contribState {
 	return &contribState{
 		paths:  make(map[pathKey]*path),
-		refs:   make(map[topo.NodeID]map[dz.Expr]map[openflow.PortID]int),
-		sorted: make(map[topo.NodeID][]dz.Expr),
-	}
-}
-
-// incr counts one contribution of e on hop, marking the expression as
-// touched when the (expr, port) pair became newly visible on the switch.
-func (cs *contribState) incr(hop topo.Hop, e dz.Expr, touched touchedSet) {
-	exprs := cs.refs[hop.Switch]
-	if exprs == nil {
-		exprs = make(map[dz.Expr]map[openflow.PortID]int)
-		cs.refs[hop.Switch] = exprs
-	}
-	ports := exprs[e]
-	if ports == nil {
-		ports = make(map[openflow.PortID]int)
-		exprs[e] = ports
-		cs.insertSorted(hop.Switch, e)
-	}
-	if ports[hop.OutPort]++; ports[hop.OutPort] == 1 {
-		touched.mark(hop.Switch, e)
-	}
-}
-
-// decr drops one contribution counted by incr.
-func (cs *contribState) decr(hop topo.Hop, e dz.Expr, touched touchedSet) {
-	exprs := cs.refs[hop.Switch]
-	ports := exprs[e]
-	if ports[hop.OutPort]--; ports[hop.OutPort] <= 0 {
-		delete(ports, hop.OutPort)
-		touched.mark(hop.Switch, e)
-	}
-	if len(ports) == 0 {
-		delete(exprs, e)
-		cs.deleteSorted(hop.Switch, e)
-	}
-	if len(exprs) == 0 {
-		delete(cs.refs, hop.Switch)
+		direct: make(map[topo.NodeID]*dz.Trie[*contrib]),
 	}
 }
 
 // removePath tears down one path if it is established.
-func (cs *contribState) removePath(key pathKey, touched touchedSet) {
+func (cs *contribState) removePath(key pathKey, ch changeSet) {
 	p := cs.paths[key]
 	if p == nil {
 		return
 	}
 	delete(cs.paths, key)
 	for _, e := range p.exprs {
-		for _, hop := range p.hops {
-			cs.decr(hop, e, touched)
+		ch.add(p.hops, e, -1)
+	}
+}
+
+// change names an expression whose set of contributing ports changed on a
+// switch.
+type change struct {
+	sw   topo.NodeID
+	expr dz.Expr
+}
+
+// apply folds an operation's net changes into the per-switch tries, empties
+// the set, and returns the changed expressions sorted by switch, then
+// lexicographically: only their prefix families can need flow updates — the
+// locality the paper's incremental cases (1)–(5) exploit.
+func (cs *contribState) apply(ch changeSet) []change {
+	if len(ch) == 0 {
+		return nil
+	}
+	changed := make([]change, 0, len(ch))
+	for key, delta := range ch {
+		if delta != 0 && cs.bump(key, delta) {
+			changed = append(changed, change{key.sw, key.expr})
 		}
 	}
-}
-
-func (cs *contribState) insertSorted(sw topo.NodeID, e dz.Expr) {
-	i, _ := slices.BinarySearch(cs.sorted[sw], e)
-	cs.sorted[sw] = slices.Insert(cs.sorted[sw], i, e)
-}
-
-func (cs *contribState) deleteSorted(sw topo.NodeID, e dz.Expr) {
-	if i, ok := slices.BinarySearch(cs.sorted[sw], e); ok {
-		cs.sorted[sw] = slices.Delete(cs.sorted[sw], i, i+1)
-	}
-}
-
-// descendants appends to out every direct expression of sw that e strictly
-// or non-strictly covers.
-func (cs *contribState) descendants(sw topo.NodeID, e dz.Expr, out map[dz.Expr]bool) {
-	s := cs.sorted[sw]
-	for i, _ := slices.BinarySearch(s, e); i < len(s); i++ {
-		if !strings.HasPrefix(string(s[i]), string(e)) {
-			break
+	clear(ch)
+	slices.SortFunc(changed, func(a, b change) int {
+		if c := cmp.Compare(a.sw, b.sw); c != 0 {
+			return c
 		}
-		out[s[i]] = true
+		return cmp.Compare(a.expr, b.expr)
+	})
+	return slices.Compact(changed) // one expression may change on several ports
+}
+
+// bump adds delta to one contribution count and reports whether the port
+// appeared on or vanished from its expression.
+func (cs *contribState) bump(key contribKey, delta int) bool {
+	t := cs.direct[key.sw]
+	k, _ := dz.KeyOf(key.expr)
+	var c *contrib
+	if t != nil {
+		c, _ = t.Get(k)
 	}
+	if c == nil {
+		if delta < 0 {
+			return false
+		}
+		if t == nil {
+			t = new(dz.Trie[*contrib])
+			cs.direct[key.sw] = t
+		}
+		c = &contrib{expr: key.expr}
+		c.ports = c.first[:0]
+		t.Insert(k, c)
+	}
+	i, found := slices.BinarySearchFunc(c.ports, key.port, func(r portRef, p openflow.PortID) int {
+		return cmp.Compare(r.port, p)
+	})
+	switch {
+	case !found && delta > 0:
+		c.ports = slices.Insert(c.ports, i, portRef{key.port, delta})
+		return true
+	case !found:
+		return false
+	}
+	if c.ports[i].n += delta; c.ports[i].n > 0 {
+		return false
+	}
+	c.ports = slices.Delete(c.ports, i, i+1)
+	if len(c.ports) == 0 {
+		t.Delete(k)
+		if t.Len() == 0 {
+			delete(cs.direct, key.sw)
+		}
+	}
+	return true
 }
 
 // addPathContributions adds exprs to the (publisher, subscriber, tree) path,
@@ -145,7 +177,7 @@ func (cs *contribState) descendants(sw topo.NodeID, e dz.Expr, out map[dz.Expr]b
 // while the record lives: t.span only changes in mergeTrees and
 // RebuildTrees, which drop the tree's paths first.
 func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscriber,
-	exprs dz.Set, touched touchedSet, rep *ReconfigReport) error {
+	exprs dz.Set, ch changeSet, rep *ReconfigReport) error {
 	if exprs.IsEmpty() {
 		return nil
 	}
@@ -156,7 +188,7 @@ func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscrib
 		if err != nil {
 			return err
 		}
-		p = &path{hops: hops}
+		p = &path{hops: hops, exprs: make([]dz.Expr, 0, len(exprs))}
 		c.contribs.paths[key] = p
 	}
 	rep.RoutesComputed++
@@ -166,9 +198,7 @@ func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscrib
 			continue
 		}
 		p.exprs = append(p.exprs, e)
-		for _, hop := range p.hops {
-			c.contribs.incr(hop, e, touched)
-		}
+		ch.add(p.hops, e, +1)
 	}
 	return nil
 }
@@ -207,95 +237,155 @@ func (c *Controller) routeHops(t *tree, from, to endpoint) ([]topo.Hop, error) {
 	return hops, nil
 }
 
-// portSet is a small set of out-ports.
-type portSet map[openflow.PortID]bool
+// derivation derives canonical flow entries from one switch's contribution
+// trie. The canonical entry of a direct expression x forwards to the union
+// of the direct ports of every prefix of x, x included, at priority |x|; x
+// gets no entry when that union equals the one of its nearest coarser
+// direct expression a, whose entry then forwards identically (pruned, cf.
+// case (2) of Section 3.3.2). No direct expression lies between a and x, so
+// union(x) = union(a) ∪ direct(x), and "equal" is "x adds no port to
+// union(a)" — a length comparison of two sorted sets, one containing the
+// other. The zero value is ready for use.
+type derivation struct {
+	ports []openflow.PortID // the unions of the frames on stack, back to back
+	stack []unionFrame
+	// Initial backing of ports and stack: a switch has a handful of ports
+	// and direct expressions rarely nest deeper than this.
+	portsBuf [32]openflow.PortID
+	stackBuf [8]unionFrame
+}
 
-func (p portSet) equal(o portSet) bool {
-	if len(p) != len(o) {
+// unionFrame is the port union of one direct expression on the path from
+// the trie root to the entry being visited: ports[lo:hi], sorted.
+type unionFrame struct {
+	expr   dz.Expr
+	lo, hi int
+}
+
+// family calls visit, in lexicographic order, for every expression that a
+// change to the contributions of changed can affect. changed is a sorted
+// run of one switch's changed expressions, its first member, root, covering
+// the rest; affected are changed itself and every direct expression root
+// covers, because an entry's union depends only on its prefixes and its
+// pruning on its nearest coarser entry. ports is the expression's canonical
+// entry, valid only during the call, and empty when it gets none: it is
+// pruned, or (direct false) a changed expression left without direct
+// contribution.
+//
+// It is one VisitOverlaps descent: root's proper prefixes, coarsest first,
+// accumulate the union every member inherits (frame 0); the covered subtree
+// arrives in pre-order, so the direct expressions covering the visited one
+// are exactly a stack, unwound to the nearest by prefix test. The changed
+// expressions the trie no longer holds are merged in at their position.
+func (d *derivation) family(t *dz.Trie[*contrib], changed []change,
+	visit func(e dz.Expr, ports []openflow.PortID, direct bool)) {
+	k, _ := dz.KeyOf(changed[0].expr)
+	d.ports = d.portsBuf[:0]
+	d.stack = append(d.stackBuf[:0], unionFrame{})
+	if t != nil {
+		t.VisitOverlaps(k, func(key dz.Key, c *contrib) bool {
+			if key.Len() < k.Len() {
+				d.stack[0] = d.extend(d.stack[0], c)
+				return true
+			}
+			for ; len(changed) > 0 && changed[0].expr <= c.expr; changed = changed[1:] {
+				if changed[0].expr < c.expr {
+					visit(changed[0].expr, nil, false)
+				}
+			}
+			top := len(d.stack) - 1
+			for top > 0 && !d.stack[top].expr.Covers(c.expr) {
+				top--
+			}
+			parent := d.stack[top]
+			d.stack, d.ports = d.stack[:top+1], d.ports[:parent.hi]
+			f := d.extend(parent, c)
+			d.stack = append(d.stack, f)
+			ports := d.ports[f.lo:f.hi]
+			if len(ports) == parent.hi-parent.lo {
+				ports = nil
+			}
+			visit(c.expr, ports, true)
+			return true
+		})
+	}
+	for _, c := range changed {
+		visit(c.expr, nil, false)
+	}
+}
+
+// extend appends parent's union merged with c's direct ports to d.ports and
+// returns c's frame.
+func (d *derivation) extend(parent unionFrame, c *contrib) unionFrame {
+	lo := len(d.ports)
+	a, b := d.ports[parent.lo:parent.hi], c.ports // appending never writes below parent.hi
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0].port:
+			d.ports, a = append(d.ports, a[0]), a[1:]
+		case a[0] > b[0].port:
+			d.ports, b = append(d.ports, b[0].port), b[1:]
+		default:
+			d.ports, a, b = append(d.ports, a[0]), a[1:], b[1:]
+		}
+	}
+	d.ports = append(d.ports, a...)
+	for _, r := range b {
+		d.ports = append(d.ports, r.port)
+	}
+	return unionFrame{expr: c.expr, lo: lo, hi: len(d.ports)}
+}
+
+// desiredTable derives the full canonical flow table of one switch from
+// scratch: the family of the whole event space. VerifyTables and resync
+// compare against it; control operations use refreshSwitch instead.
+func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Expr][]openflow.PortID {
+	t := c.contribs.direct[sw]
+	if t == nil {
+		return nil
+	}
+	entries := make(map[dz.Expr][]openflow.PortID, t.Len())
+	new(derivation).family(t, []change{{sw, dz.Whole}}, func(e dz.Expr, ports []openflow.PortID, _ bool) {
+		if len(ports) > 0 {
+			entries[e] = slices.Clone(ports)
+		}
+	})
+	return entries
+}
+
+// actionFor is the instruction forwarding out of one port, with the
+// terminal destination rewrite on a host-facing port.
+func (c *Controller) actionFor(sw topo.NodeID, port openflow.PortID) openflow.Action {
+	a := openflow.Action{OutPort: port}
+	if peer, ok := c.g.PortToPeer(sw, port); ok {
+		if n, err := c.g.Node(peer); err == nil && n.Kind == topo.KindHost {
+			a.SetDest = c.hostAddr(peer)
+		}
+	}
+	return a
+}
+
+// actionsFor converts a sorted port set into an OpenFlow instruction set.
+func (c *Controller) actionsFor(sw topo.NodeID, ports []openflow.PortID) []openflow.Action {
+	actions := make([]openflow.Action, len(ports))
+	for i, port := range ports {
+		actions[i] = c.actionFor(sw, port)
+	}
+	return actions
+}
+
+// actionsMatch reports whether actions equals actionsFor(sw, ports),
+// without building it.
+func (c *Controller) actionsMatch(sw topo.NodeID, actions []openflow.Action, ports []openflow.PortID) bool {
+	if len(actions) != len(ports) {
 		return false
 	}
-	for port := range p {
-		if !o[port] {
+	for i, port := range ports {
+		if actions[i] != c.actionFor(sw, port) {
 			return false
 		}
 	}
 	return true
-}
-
-// desiredEntry derives the canonical flow entry of one expression: the
-// union of the direct ports of every covering (prefix) contribution
-// including itself; nil when the expression has no direct contribution or
-// when the entry duplicates its nearest strictly-coarser entry (pruned,
-// cf. case (2) of Section 3.3.2).
-func desiredEntry(direct map[dz.Expr]map[openflow.PortID]int, x dz.Expr,
-	memo map[dz.Expr]portSet) portSet {
-	if _, present := direct[x]; !present {
-		return nil
-	}
-	want := unionOfPrefixes(direct, x, memo)
-	for l := x.Len() - 1; l >= 0; l-- {
-		if _, ok := direct[x[:l]]; !ok {
-			continue
-		}
-		if unionOfPrefixes(direct, x[:l], memo).equal(want) {
-			return nil // redundant: the coarser entry forwards identically
-		}
-		break
-	}
-	return want
-}
-
-// unionOfPrefixes unions the direct port sets of every prefix of x
-// (including x itself).
-func unionOfPrefixes(direct map[dz.Expr]map[openflow.PortID]int, x dz.Expr,
-	memo map[dz.Expr]portSet) portSet {
-	if u, ok := memo[x]; ok {
-		return u
-	}
-	u := make(portSet)
-	for l := 0; l <= x.Len(); l++ {
-		if ports, ok := direct[x[:l]]; ok {
-			for p := range ports {
-				u[p] = true
-			}
-		}
-	}
-	memo[x] = u
-	return u
-}
-
-// desiredTable derives the full canonical flow table of one switch. It is
-// the oracle the incremental refresh is verified against (VerifyTables);
-// the hot path uses refreshSwitch instead.
-func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Expr]portSet {
-	direct := c.contribs.refs[sw]
-	if len(direct) == 0 {
-		return nil
-	}
-	memo := make(map[dz.Expr]portSet, len(direct))
-	entries := make(map[dz.Expr]portSet, len(direct))
-	for e := range direct {
-		if want := desiredEntry(direct, e, memo); want != nil {
-			entries[e] = want
-		}
-	}
-	return entries
-}
-
-// actionsFor converts a port set into an OpenFlow instruction set, adding
-// the terminal destination rewrite on host-facing ports.
-func (c *Controller) actionsFor(sw topo.NodeID, ports portSet) []openflow.Action {
-	actions := make([]openflow.Action, 0, len(ports))
-	for _, port := range sortutil.Keys(ports) {
-		a := openflow.Action{OutPort: port}
-		if peer, ok := c.g.PortToPeer(sw, port); ok {
-			if n, err := c.g.Node(peer); err == nil && n.Kind == topo.KindHost {
-				a.SetDest = c.hostAddr(peer)
-			}
-		}
-		actions = append(actions, a)
-	}
-	return actions
 }
 
 func actionsEqual(a, b []openflow.Action) bool {
@@ -310,74 +400,83 @@ func actionsEqual(a, b []openflow.Action) bool {
 	return true
 }
 
-// refreshSwitch reconciles the flows of one switch for the expressions
-// whose contributions changed. Affected entries are exactly the changed
-// expressions and their direct descendants: an entry's port union depends
-// only on its prefixes, and its pruning decision on its nearest coarser
-// entry, so changes never propagate outside the prefix family.
+// refreshSwitch reconciles the flows of one switch with its contribution
+// trie after the port sets of the changed expressions (sorted) changed: one
+// derivation.family walk per run of changed expressions the first covers,
+// so the FlowMods come out in lexicographic expression order.
 //
 // All FlowMods the switch owes are collected into one batch and flushed in
 // a single southbound call when the programmer supports batching. It only
 // reads shared controller state (contribs, graph) and writes the
 // per-switch inst map and the caller's report, so refresh may run it
 // concurrently for distinct switches.
-func (c *Controller) refreshSwitch(sw topo.NodeID, changed map[dz.Expr]bool,
+func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 	inst map[dz.Expr]installedFlow, rep *ReconfigReport) error {
-	direct := c.contribs.refs[sw]
-	affected := make(map[dz.Expr]bool, len(changed)*2)
-	for e := range changed {
-		affected[e] = true
-		c.contribs.descendants(sw, e, affected)
-	}
-	memo := make(map[dz.Expr]portSet, len(affected))
-	exprs := sortutil.Keys(affected)
-
-	ops := make([]openflow.FlowOp, 0, len(exprs))
-	metas := make([]opMeta, 0, len(exprs))
-	for _, e := range exprs {
-		want := desiredEntry(direct, e, memo)
+	ops := make([]openflow.FlowOp, 0, len(changed))
+	metas := make([]opMeta, 0, len(changed))
+	var err error
+	reconcile := func(e dz.Expr, ports []openflow.PortID, direct bool) {
+		if err != nil {
+			return
+		}
 		fl, installed := inst[e]
+		want := len(ports) > 0
 		switch {
-		case want == nil && installed:
+		case !want && installed:
 			// Distinguish the Algorithm-1 outcome: an entry whose direct
 			// contributions vanished is a plain delete; one that still has
 			// direct contributions was pruned because a coarser entry now
 			// forwards identically (the paper's containment case).
-			if _, hasDirect := direct[e]; hasDirect {
+			if direct {
 				c.inst.caseCovered.Inc()
 			} else {
 				c.inst.caseDelete.Inc()
 			}
 			ops = append(ops, openflow.DeleteOp(fl.id))
 			metas = append(metas, opMeta{expr: e})
-		case want != nil && !installed:
+		case want && !installed:
 			c.inst.caseInstall.Inc()
-			actions := c.actionsFor(sw, want)
+			actions := c.actionsFor(sw, ports)
 			prio := e.Len()
-			f, err := openflow.NewFlow(e, prio, actions...)
-			if err != nil {
-				return fmt.Errorf("core: build flow: %w", err)
+			var f openflow.Flow
+			if f, err = openflow.NewFlow(e, prio, actions...); err != nil {
+				err = fmt.Errorf("core: build flow: %w", err)
+				return
 			}
 			ops = append(ops, openflow.AddOp(f))
 			metas = append(metas, opMeta{expr: e, inst: installedFlow{priority: prio, actions: actions}})
-		case want != nil && installed:
-			actions := c.actionsFor(sw, want)
+		case want && installed:
 			prio := e.Len()
-			if fl.priority != prio || !actionsEqual(fl.actions, actions) {
-				// A grown instruction set extends the entry to more ports;
-				// a shrunken one is the downgrade of Section 3.3.3.
-				switch {
-				case len(actions) > len(fl.actions):
-					c.inst.caseExtend.Inc()
-				case len(actions) < len(fl.actions):
-					c.inst.caseDowngrade.Inc()
-				default:
-					c.inst.caseModify.Inc()
-				}
-				ops = append(ops, openflow.ModifyOp(fl.id, prio, actions))
-				metas = append(metas, opMeta{expr: e, inst: installedFlow{id: fl.id, priority: prio, actions: actions}})
+			if fl.priority == prio && c.actionsMatch(sw, fl.actions, ports) {
+				break
 			}
+			// A grown instruction set extends the entry to more ports;
+			// a shrunken one is the downgrade of Section 3.3.3.
+			actions := c.actionsFor(sw, ports)
+			switch {
+			case len(actions) > len(fl.actions):
+				c.inst.caseExtend.Inc()
+			case len(actions) < len(fl.actions):
+				c.inst.caseDowngrade.Inc()
+			default:
+				c.inst.caseModify.Inc()
+			}
+			ops = append(ops, openflow.ModifyOp(fl.id, prio, actions))
+			metas = append(metas, opMeta{expr: e, inst: installedFlow{id: fl.id, priority: prio, actions: actions}})
 		}
+	}
+	t := c.contribs.direct[sw]
+	var d derivation
+	for len(changed) > 0 {
+		n := 1
+		for n < len(changed) && changed[0].expr.Covers(changed[n].expr) {
+			n++
+		}
+		d.family(t, changed[:n], reconcile)
+		changed = changed[n:]
+	}
+	if err != nil {
+		return err
 	}
 	return c.flushOps(sw, ops, metas, inst, rep)
 }
@@ -571,86 +670,96 @@ func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) 
 	}
 }
 
-// refresh reconciles every touched switch. The per-switch work is disjoint
-// — refreshSwitch only reads shared state and owns its switch's installed
-// map — so it fans out across a bounded worker pool; per-worker reports
-// merge into rep (and the lifetime stats) afterwards, keeping counters
-// deterministic regardless of interleaving. On failure the error of the
-// lowest-numbered switch is returned, matching the serial order.
-func (c *Controller) refresh(touched touchedSet, rep *ReconfigReport) error {
-	if len(touched) == 0 {
+// refreshJob is one switch's share of a refresh: the changed expressions
+// it must reconcile, and what came of it.
+type refreshJob struct {
+	sw      topo.NodeID
+	changed []change
+	inst    map[dz.Expr]installedFlow
+	rep     ReconfigReport
+	err     error
+}
+
+// refresh folds the operation's contribution changes into the tries and
+// reconciles every switch on which an expression's port set changed. The
+// per-switch work is disjoint — refreshSwitch only reads shared state and
+// owns its switch's installed map — so it fans out across a bounded worker
+// pool; per-switch reports merge into rep (and the lifetime stats)
+// afterwards, keeping counters deterministic regardless of interleaving. On
+// failure the error of the lowest-numbered switch is returned, matching
+// the serial order.
+func (c *Controller) refresh(ch changeSet, rep *ReconfigReport) error {
+	changed := c.contribs.apply(ch)
+	if len(changed) == 0 {
 		return nil
 	}
-	sws := sortutil.Keys(touched)
-
-	// Pre-create the per-switch installed maps serially: map writes on
-	// c.installed must not race with the fan-out below.
-	insts := make([]map[dz.Expr]installedFlow, len(sws))
-	for i, sw := range sws {
+	nsw := 1
+	for i := 1; i < len(changed); i++ {
+		if changed[i].sw != changed[i-1].sw {
+			nsw++
+		}
+	}
+	// Cut changed into per-switch runs, pre-creating the installed maps
+	// serially: map writes on c.installed must not race with the fan-out
+	// below.
+	jobs := make([]refreshJob, 0, nsw)
+	for len(changed) > 0 {
+		sw, n := changed[0].sw, 1
+		for n < len(changed) && changed[n].sw == sw {
+			n++
+		}
 		inst := c.installed[sw]
 		if inst == nil {
 			inst = make(map[dz.Expr]installedFlow)
 			c.installed[sw] = inst
 		}
-		insts[i] = inst
+		jobs = append(jobs, refreshJob{sw: sw, changed: changed[:n], inst: inst})
+		changed = changed[n:]
 	}
 
 	workers := c.refreshWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sws) {
-		workers = len(sws)
-	}
-
-	var err error
-	var agg ReconfigReport
-	if workers <= 1 {
-		for i, sw := range sws {
-			if err = c.refreshSwitch(sw, touched[sw], insts[i], &agg); err != nil {
+	if workers <= 1 || len(jobs) == 1 {
+		for i := range jobs {
+			j := &jobs[i]
+			if j.err = c.refreshSwitch(j.sw, j.changed, j.inst, &j.rep); j.err != nil {
 				break
 			}
 		}
 	} else {
-		reps := make([]ReconfigReport, len(sws))
-		errs := make([]error, len(sws))
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for i := range sws {
+		for i := range jobs {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(i int) {
+			go func(j *refreshJob) {
 				defer wg.Done()
 				defer func() { <-sem }()
-				errs[i] = c.refreshSwitch(sws[i], touched[sws[i]], insts[i], &reps[i])
-			}(i)
+				j.err = c.refreshSwitch(j.sw, j.changed, j.inst, &j.rep)
+			}(&jobs[i])
 		}
 		wg.Wait()
-		for i := range sws {
-			agg.FlowAdds += reps[i].FlowAdds
-			agg.FlowDeletes += reps[i].FlowDeletes
-			agg.FlowModifies += reps[i].FlowModifies
-			agg.SouthboundCalls += reps[i].SouthboundCalls
-			agg.Retries += reps[i].Retries
-			agg.Quarantined += reps[i].Quarantined
-			if err == nil && errs[i] != nil {
-				err = errs[i]
-			}
-		}
 	}
 
 	// Merge the (possibly partial) refresh outcome into the operation
 	// report (the lifetime counters were already incremented at the flush
 	// sites), then drop empty table entries.
-	rep.FlowAdds += agg.FlowAdds
-	rep.FlowDeletes += agg.FlowDeletes
-	rep.FlowModifies += agg.FlowModifies
-	rep.SouthboundCalls += agg.SouthboundCalls
-	rep.Retries += agg.Retries
-	rep.Quarantined += agg.Quarantined
-	for _, sw := range sws {
-		if len(c.installed[sw]) == 0 {
-			delete(c.installed, sw)
+	var err error
+	for i := range jobs {
+		j := &jobs[i]
+		rep.FlowAdds += j.rep.FlowAdds
+		rep.FlowDeletes += j.rep.FlowDeletes
+		rep.FlowModifies += j.rep.FlowModifies
+		rep.SouthboundCalls += j.rep.SouthboundCalls
+		rep.Retries += j.rep.Retries
+		rep.Quarantined += j.rep.Quarantined
+		if err == nil {
+			err = j.err
+		}
+		if len(j.inst) == 0 {
+			delete(c.installed, j.sw)
 		}
 	}
 	return err
@@ -668,7 +777,7 @@ func (c *Controller) VerifyTables() error {
 	for sw := range c.installed {
 		seen[sw] = true
 	}
-	for sw := range c.contribs.refs {
+	for sw := range c.contribs.direct {
 		seen[sw] = true
 	}
 	for _, sw := range sortutil.Keys(seen) {

@@ -184,13 +184,8 @@ func TestChurnLeavesNoState(t *testing.T) {
 	if n := len(c.contribs.paths); n != 0 {
 		t.Errorf("%d path records left", n)
 	}
-	if n := len(c.contribs.refs); n != 0 {
-		t.Errorf("refs left on %d switches", n)
-	}
-	for sw, s := range c.contribs.sorted {
-		if len(s) != 0 {
-			t.Errorf("switch %d keeps %d sorted expressions", sw, len(s))
-		}
+	for sw, trie := range c.contribs.direct {
+		t.Errorf("switch %d keeps a contribution trie of %d entries", sw, trie.Len())
 	}
 	if n := len(c.installed); n != 0 {
 		t.Errorf("installed flows left on %d switches", n)

@@ -226,7 +226,7 @@ func (c *Controller) ResyncAll() (ResyncReport, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	seen := make(map[topo.NodeID]bool)
-	for sw := range c.contribs.refs {
+	for sw := range c.contribs.direct {
 		seen[sw] = true
 	}
 	for sw := range c.installed {

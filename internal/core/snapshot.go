@@ -248,6 +248,11 @@ func (r *snapReader) set() dz.Set {
 		return nil
 	}
 	r.b = rest
+	if n := s.MaxLen(); n > dz.MaxKeyBits {
+		// A snapshot is outside input; a live controller admits no such set.
+		r.fail("dz length %d exceeds %d bits", n, dz.MaxKeyBits)
+		return nil
+	}
 	return s
 }
 
@@ -390,12 +395,15 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 	// canonical rebuild (same situation as RebuildTrees); the derived
 	// forwarding behaviour is identical, and the post-takeover resync
 	// rewrites switch tables to the canonical form.
-	touched := make(touchedSet)
+	ch := make(changeSet)
 	var rep ReconfigReport
 	for _, tid := range sortutil.Keys(c.trees) {
-		if err := c.establishTreePaths(c.trees[tid], touched, &rep); err != nil {
+		if err := c.establishTreePaths(c.trees[tid], ch, &rep); err != nil {
 			return nil, fmt.Errorf("core: restore: %w", err)
 		}
+		// The installed map was adopted, not derived: which expressions
+		// changed is of no interest.
+		c.contribs.apply(ch)
 	}
 	return c, nil
 }

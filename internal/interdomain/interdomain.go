@@ -25,6 +25,7 @@ import (
 	"pleroma/internal/netem"
 	"pleroma/internal/obs"
 	"pleroma/internal/openflow"
+	"pleroma/internal/sortutil"
 	"pleroma/internal/topo"
 )
 
@@ -213,12 +214,29 @@ type Fabric struct {
 	// created in other partitions, for teardown.
 	advReplicas map[string][]replica
 	subReplicas map[string][]replica
-	// advHome/subHome record the partition of the original client;
-	// advOrder/subOrder preserve arrival order for rebuilds.
-	advHome  map[string]int
-	subHome  map[string]int
-	advOrder []string
-	subOrder []string
+	// advHome/subHome record the partition of the original client and its
+	// arrival sequence number; rebuilds re-propagate in that order.
+	advHome map[string]homeRec
+	subHome map[string]homeRec
+	regSeq  uint64
+}
+
+// homeRec locates an original client's registration: its partition, and its
+// position in the arrival order of all registrations (Fabric.regSeq).
+type homeRec struct {
+	part int
+	seq  uint64
+}
+
+// arrive records a new registration of id in partition part.
+func (f *Fabric) arrive(homes map[string]homeRec, id string, part int) {
+	f.regSeq++
+	homes[id] = homeRec{part: part, seq: f.regSeq}
+}
+
+// inArrivalOrder returns the registered ids, oldest first.
+func inArrivalOrder(homes map[string]homeRec) []string {
+	return sortutil.KeysBy(homes, func(h homeRec) uint64 { return h.seq })
 }
 
 type replica struct {
@@ -237,8 +255,8 @@ func NewFabric(g *topo.Graph, dp *netem.DataPlane, opts ...Option) (*Fabric, err
 		covering:    true,
 		advReplicas: make(map[string][]replica),
 		subReplicas: make(map[string][]replica),
-		advHome:     make(map[string]int),
-		subHome:     make(map[string]int),
+		advHome:     make(map[string]homeRec),
+		subHome:     make(map[string]homeRec),
 	}
 	for _, opt := range opts {
 		opt(f)

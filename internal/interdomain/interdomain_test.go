@@ -365,8 +365,8 @@ func TestSinglePartitionUnsubscribeIsLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := fx.fab.parts[0]
-	if len(s.localSubs) != 0 || len(s.rcvdSub) != 0 || len(fx.fab.subOrder) != 0 {
-		t.Errorf("state left: %d localSubs, %d rcvdSub, %d subOrder", len(s.localSubs), len(s.rcvdSub), len(fx.fab.subOrder))
+	if len(s.localSubs) != 0 || len(s.rcvdSub) != 0 || len(fx.fab.subHome) != 0 {
+		t.Errorf("state left: %d localSubs, %d rcvdSub, %d subHome", len(s.localSubs), len(s.rcvdSub), len(fx.fab.subHome))
 	}
 	if st := fx.fab.Stats(); st.MessagesSent != 0 {
 		t.Errorf("MessagesSent=%d in a fabric without neighbours", st.MessagesSent)

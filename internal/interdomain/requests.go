@@ -27,8 +27,7 @@ func (f *Fabric) Advertise(id string, host topo.NodeID, set dz.Set) error {
 	if _, err := s.ctl.Advertise(id, host, set); err != nil {
 		return fmt.Errorf("interdomain: local advertise: %w", err)
 	}
-	f.advHome[id] = home
-	f.advOrder = append(f.advOrder, id)
+	f.arrive(f.advHome, id, home)
 	s.localAdvs[id] = set.Clone()
 	// Seed the home partition's received-set so the flood dies when it
 	// comes back around a cycle of partitions.
@@ -53,8 +52,7 @@ func (f *Fabric) Subscribe(id string, host topo.NodeID, set dz.Set) error {
 	if _, err := s.ctl.Subscribe(id, host, set); err != nil {
 		return fmt.Errorf("interdomain: local subscribe: %w", err)
 	}
-	f.subHome[id] = home
-	f.subOrder = append(f.subOrder, id)
+	f.arrive(f.subHome, id, home)
 	s.localSubs[id] = set.Clone()
 	s.rcvdSub[id] = set.Clone()
 	f.forwardSub(home, id, set, home)
@@ -70,7 +68,7 @@ func (f *Fabric) Unsubscribe(id string) error {
 	if !ok {
 		return fmt.Errorf("interdomain: unknown subscription id %q", id)
 	}
-	s := f.parts[home]
+	s := f.parts[home.part]
 	s.load.Internal++
 	if _, err := s.ctl.Unsubscribe(id); err != nil {
 		return fmt.Errorf("interdomain: local unsubscribe: %w", err)
@@ -78,7 +76,6 @@ func (f *Fabric) Unsubscribe(id string) error {
 	delete(s.localSubs, id)
 	delete(s.rcvdSub, id)
 	delete(f.subHome, id)
-	f.subOrder = slices.DeleteFunc(f.subOrder, func(x string) bool { return x == id })
 	return f.rebuildSubPropagation()
 }
 
@@ -89,14 +86,13 @@ func (f *Fabric) Unadvertise(id string) error {
 	if !ok {
 		return fmt.Errorf("interdomain: unknown advertisement id %q", id)
 	}
-	s := f.parts[home]
+	s := f.parts[home.part]
 	s.load.Internal++
 	if _, err := s.ctl.Unadvertise(id); err != nil {
 		return fmt.Errorf("interdomain: local unadvertise: %w", err)
 	}
 	delete(s.localAdvs, id)
 	delete(f.advHome, id)
-	f.advOrder = slices.DeleteFunc(f.advOrder, func(x string) bool { return x == id })
 
 	// Tear down the advertisement's virtual replicas and its bookkeeping.
 	for _, r := range f.advReplicas[id] {
@@ -149,8 +145,8 @@ func (f *Fabric) rebuildSubPropagation() error {
 		ps.fwdSubByOrigin = make(map[int]map[string]dz.Set)
 		ps.fwdSubCover = make(map[int]*coverIndex)
 	}
-	for _, origin := range f.subOrder {
-		home := f.subHome[origin]
+	for _, origin := range inArrivalOrder(f.subHome) {
+		home := f.subHome[origin].part
 		set := f.parts[home].localSubs[origin]
 		f.parts[home].rcvdSub[origin] = set.Clone()
 		f.forwardSub(home, origin, set, home)

@@ -85,12 +85,12 @@ func (f *Fabric) HandleTopologyChange() error {
 	}
 
 	// 5. Re-propagate all requests along the new partition tree.
-	for _, id := range f.advOrder {
-		home := f.advHome[id]
+	for _, id := range inArrivalOrder(f.advHome) {
+		home := f.advHome[id].part
 		f.forwardAdv(home, id, f.parts[home].localAdvs[id], home)
 	}
-	for _, id := range f.subOrder {
-		home := f.subHome[id]
+	for _, id := range inArrivalOrder(f.subHome) {
+		home := f.subHome[id].part
 		f.forwardSub(home, id, f.parts[home].localSubs[id], home)
 	}
 	return errors.Join(errs...)

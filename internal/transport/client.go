@@ -5,12 +5,14 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
 	"pleroma/internal/core"
 	"pleroma/internal/obs"
 	"pleroma/internal/openflow"
+	"pleroma/internal/sortutil"
 	"pleroma/internal/space"
 	"pleroma/internal/topo"
 	"pleroma/internal/wire"
@@ -70,20 +72,17 @@ func WithClientTracer(t *obs.Tracer) ClientOption {
 	return func(c *Client) { c.tracer = t }
 }
 
-// advReg / subReg record a client's registrations in arrival order, so a
-// reconnect can replay them: the server treats identical re-registration
-// as an idempotent rebind, leaving journal and digest untouched.
-type advReg struct {
-	id     string
-	host   uint32
-	ranges []wire.Range
-}
-
-type subReg struct {
-	id      string
+// registration is one advertisement or subscription the client holds,
+// keyed by id in Client.advs / Client.subs. A reconnect replays them in
+// arrival order (seq): the server treats identical re-registration as an
+// idempotent rebind, leaving journal and digest untouched. seq is zero while
+// the registering call is in flight — deliveries already find the handler,
+// a replay does not yet include it.
+type registration struct {
+	seq     uint64
 	host    uint32
 	ranges  []wire.Range
-	handler func(wire.Delivery)
+	handler func(wire.Delivery) // subscriptions only
 }
 
 // Client is one process's connection to a pleroma-d daemon. All exported
@@ -104,15 +103,15 @@ type Client struct {
 	obsCoalesce   *obs.Histogram
 	tracer        *obs.Tracer
 
-	mu       sync.Mutex
-	fc       *frameConn
-	corr     uint64
-	pending  map[uint64]chan callResult
-	advs     []advReg
-	subs     []subReg
-	handlers map[string]func(wire.Delivery)
-	info     Info
-	closed   bool
+	mu      sync.Mutex
+	fc      *frameConn
+	corr    uint64
+	pending map[uint64]chan callResult
+	advs    map[string]registration
+	subs    map[string]registration
+	regSeq  uint64 // arrival counter behind registration.seq
+	info    Info
+	closed  bool
 	// pubSeq numbers this client's publishes so the server can deduplicate
 	// an at-least-once retry of a publish it already applied.
 	pubSeq uint64
@@ -144,13 +143,14 @@ type callResult struct {
 // Dial connects to a daemon and performs the Hello handshake.
 func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
-		addr:     addr,
-		id:       "client",
-		retry:    core.DefaultRetryPolicy,
-		pending:  make(map[uint64]chan callResult),
-		handlers: make(map[string]func(wire.Delivery)),
-		apend:    make(map[string]*pubPending),
-		acorr:    make(map[uint64]*asyncEntry),
+		addr:    addr,
+		id:      "client",
+		retry:   core.DefaultRetryPolicy,
+		pending: make(map[uint64]chan callResult),
+		advs:    make(map[string]registration),
+		subs:    make(map[string]registration),
+		apend:   make(map[string]*pubPending),
+		acorr:   make(map[uint64]*asyncEntry),
 	}
 	c.winCond = sync.NewCond(&c.mu)
 	for _, opt := range opts {
@@ -248,14 +248,16 @@ func (c *Client) connectLocked() (start func(), err error) {
 		}
 		return nil
 	}
-	for _, a := range c.advs {
-		if err := replay(wire.OpAdvertise, a.id, a.host, a.ranges); err != nil {
+	for _, id := range inArrivalOrder(c.advs) {
+		a := c.advs[id]
+		if err := replay(wire.OpAdvertise, id, a.host, a.ranges); err != nil {
 			raw.Close()
 			return nil, err
 		}
 	}
-	for _, s := range c.subs {
-		if err := replay(wire.OpSubscribe, s.id, s.host, s.ranges); err != nil {
+	for _, id := range inArrivalOrder(c.subs) {
+		s := c.subs[id]
+		if err := replay(wire.OpSubscribe, id, s.host, s.ranges); err != nil {
 			raw.Close()
 			return nil, err
 		}
@@ -368,7 +370,7 @@ func (c *Client) dispatchOne(d wire.Delivery) {
 		c.tracer.StartRemoteSpan(d.Trace.TraceID, d.Trace.SpanID, "recv", d.SubscriptionID).End(nil)
 	}
 	c.mu.Lock()
-	h := c.handlers[d.SubscriptionID]
+	h := c.subs[d.SubscriptionID].handler
 	c.mu.Unlock()
 	if h != nil {
 		h(d)
@@ -528,54 +530,71 @@ func (c *Client) control(op wire.Op, id string, host uint32, ranges []wire.Range
 
 // Advertise announces a publisher's region (attribute ranges) on a host.
 func (c *Client) Advertise(id string, host uint32, ranges []wire.Range) error {
-	if err := c.control(wire.OpAdvertise, id, host, ranges); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.advs = append(c.advs, advReg{id: id, host: host, ranges: ranges})
-	c.mu.Unlock()
-	return nil
+	return c.register(wire.OpAdvertise, c.advs, id, registration{host: host, ranges: ranges})
 }
 
 // Unadvertise withdraws an advertisement.
 func (c *Client) Unadvertise(id string) error {
-	if err := c.control(wire.OpUnadvertise, id, 0, nil); err != nil {
-		return err
-	}
-	c.mu.Lock()
-	c.advs = removeAdv(c.advs, id)
-	c.mu.Unlock()
-	return nil
+	return c.unregister(wire.OpUnadvertise, c.advs, id)
 }
 
 // Subscribe registers a subscription; handler fires on the client's reader
 // goroutine for every delivered event.
 func (c *Client) Subscribe(id string, host uint32, ranges []wire.Range, handler func(wire.Delivery)) error {
-	c.mu.Lock()
-	c.handlers[id] = handler
-	c.mu.Unlock()
-	if err := c.control(wire.OpSubscribe, id, host, ranges); err != nil {
-		c.mu.Lock()
-		delete(c.handlers, id)
-		c.mu.Unlock()
-		return err
-	}
-	c.mu.Lock()
-	c.subs = append(c.subs, subReg{id: id, host: host, ranges: ranges, handler: handler})
-	c.mu.Unlock()
-	return nil
+	return c.register(wire.OpSubscribe, c.subs, id, registration{host: host, ranges: ranges, handler: handler})
 }
 
 // Unsubscribe withdraws a subscription.
 func (c *Client) Unsubscribe(id string) error {
-	if err := c.control(wire.OpUnsubscribe, id, 0, nil); err != nil {
+	return c.unregister(wire.OpUnsubscribe, c.subs, id)
+}
+
+// register performs one advertise/subscribe round-trip and, once the server
+// accepted it, records reg under id for reconnect replay. Deliveries can
+// overtake the response, so a subscription's handler is in place for the
+// duration of the call: over the registration id already holds, which keeps
+// its place in the arrival order (the server only accepts an identical
+// re-registration) and comes back unchanged if the server refuses.
+func (c *Client) register(op wire.Op, regs map[string]registration, id string, reg registration) error {
+	c.mu.Lock()
+	prev, held := regs[id]
+	during := prev
+	during.handler = reg.handler
+	regs[id] = during
+	c.mu.Unlock()
+	err := c.control(op, id, reg.host, reg.ranges)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case err != nil && held:
+		regs[id] = prev
+	case err != nil:
+		delete(regs, id)
+	default:
+		if reg.seq = prev.seq; reg.seq == 0 {
+			c.regSeq++
+			reg.seq = c.regSeq
+		}
+		regs[id] = reg
+	}
+	return err
+}
+
+// unregister performs one unadvertise/unsubscribe round-trip and forgets id.
+func (c *Client) unregister(op wire.Op, regs map[string]registration, id string) error {
+	if err := c.control(op, id, 0, nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
-	delete(c.handlers, id)
-	c.subs = removeSub(c.subs, id)
+	delete(regs, id)
 	c.mu.Unlock()
 	return nil
+}
+
+// inArrivalOrder returns the ids of the accepted registrations, oldest first.
+func inArrivalOrder(regs map[string]registration) []string {
+	ids := sortutil.KeysBy(regs, func(r registration) uint64 { return r.seq })
+	return slices.DeleteFunc(ids, func(id string) bool { return regs[id].seq == 0 })
 }
 
 // Publish injects events from the advertised publisher id. Each publish
@@ -688,26 +707,6 @@ func (c *Client) Close() error {
 		fc.close()
 	}
 	return nil
-}
-
-func removeAdv(s []advReg, id string) []advReg {
-	out := s[:0]
-	for _, a := range s {
-		if a.id != id {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func removeSub(s []subReg, id string) []subReg {
-	out := s[:0]
-	for _, x := range s {
-		if x.id != id {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // RemoteProgrammer is the southbound interface over the transport: a

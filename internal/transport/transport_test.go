@@ -30,6 +30,10 @@ type fakeBackend struct {
 	// subscribe, so the frame lands on the connection before the OK — on a
 	// reconnect replay that means mid-handshake.
 	deliverOnSubscribe bool
+	// subHosts, when set, makes subscribe behave like the daemon: an id
+	// that is already registered rebinds on the same host and is refused
+	// ("re-registered with different parameters") on another.
+	subHosts map[string]uint32
 }
 
 func newFakeBackend() *fakeBackend {
@@ -47,7 +51,14 @@ func (b *fakeBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) 
 		b.fails++
 		return fmt.Errorf("scripted failure for %s", req.Op)
 	}
+	if host, held := b.subHosts[req.ID]; req.Op == wire.OpSubscribe && held && host != req.Host {
+		b.fails++
+		return fmt.Errorf("subscription %q re-registered with different parameters", req.ID)
+	}
 	b.controls = append(b.controls, req)
+	if req.Op == wire.OpSubscribe && b.subHosts != nil {
+		b.subHosts[req.ID] = req.Host
+	}
 	if req.Op == "subscribe" {
 		b.sinks[req.ID] = deliver
 		if b.deliverOnSubscribe {
