@@ -65,10 +65,12 @@ func (h *hostDemux) addSet(st *subState) {
 		ent := &st.entries[i]
 		ent.sub = st
 		k, _ := dz.KeyOf(e)
-		if head, ok := h.byDz.Get(k); ok {
-			ent.next, head.prev = head, ent
-		}
-		h.byDz.Insert(k, ent)
+		h.byDz.Update(k, func(head *demuxEntry, ok bool) (*demuxEntry, bool) {
+			if ok {
+				ent.next, head.prev = head, ent
+			}
+			return ent, true
+		})
 	}
 }
 
@@ -86,11 +88,9 @@ func (h *hostDemux) removeSet(st *subState) {
 			continue
 		}
 		k, _ := dz.KeyOf(e)
-		if ent.next != nil {
-			h.byDz.Insert(k, ent.next)
-		} else {
-			h.byDz.Delete(k)
-		}
+		h.byDz.Update(k, func(*demuxEntry, bool) (*demuxEntry, bool) {
+			return ent.next, ent.next != nil
+		})
 	}
 	st.entries = nil
 }

@@ -132,44 +132,41 @@ func (cs *contribState) apply(ch changeSet) []change {
 // appeared on or vanished from its expression.
 func (cs *contribState) bump(key contribKey, delta int) bool {
 	t := cs.direct[key.sw]
-	k, _ := dz.KeyOf(key.expr)
-	var c *contrib
-	if t != nil {
-		c, _ = t.Get(k)
-	}
-	if c == nil {
+	if t == nil {
 		if delta < 0 {
 			return false
 		}
-		if t == nil {
-			t = new(dz.Trie[*contrib])
-			cs.direct[key.sw] = t
-		}
-		c = &contrib{expr: key.expr}
-		c.ports = c.first[:0]
-		t.Insert(k, c)
+		t = new(dz.Trie[*contrib])
+		cs.direct[key.sw] = t
 	}
-	i, found := slices.BinarySearchFunc(c.ports, key.port, func(r portRef, p openflow.PortID) int {
-		return cmp.Compare(r.port, p)
+	k, _ := dz.KeyOf(key.expr)
+	changed := false
+	t.Update(k, func(c *contrib, ok bool) (*contrib, bool) {
+		if !ok {
+			if delta < 0 {
+				return nil, false
+			}
+			c = &contrib{expr: key.expr}
+			c.ports = c.first[:0]
+		}
+		i, found := slices.BinarySearchFunc(c.ports, key.port, func(r portRef, p openflow.PortID) int {
+			return cmp.Compare(r.port, p)
+		})
+		if !found {
+			if delta > 0 {
+				c.ports = slices.Insert(c.ports, i, portRef{key.port, delta})
+				changed = true
+			}
+		} else if c.ports[i].n += delta; c.ports[i].n <= 0 {
+			c.ports = slices.Delete(c.ports, i, i+1)
+			changed = true
+		}
+		return c, len(c.ports) > 0
 	})
-	switch {
-	case !found && delta > 0:
-		c.ports = slices.Insert(c.ports, i, portRef{key.port, delta})
-		return true
-	case !found:
-		return false
+	if t.Len() == 0 {
+		delete(cs.direct, key.sw)
 	}
-	if c.ports[i].n += delta; c.ports[i].n > 0 {
-		return false
-	}
-	c.ports = slices.Delete(c.ports, i, i+1)
-	if len(c.ports) == 0 {
-		t.Delete(k)
-		if t.Len() == 0 {
-			delete(cs.direct, key.sw)
-		}
-	}
-	return true
+	return changed
 }
 
 // addPathContributions adds exprs to the (publisher, subscriber, tree) path,

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -62,28 +63,16 @@ func TestKeyNormalised(t *testing.T) {
 	if a.Prefix(2) != mustKey(t, "10") {
 		t.Fatal("Prefix not normalised")
 	}
-}
-
-func TestCommonPrefixLen(t *testing.T) {
-	cases := []struct {
-		a, b Expr
-		want int
-	}{
-		{"", "", 0},
-		{"", "1010", 0},
-		{"101", "101", 3},
-		{"101", "1011", 3},
-		{"1010", "1000", 2},
-		{"11111111", "11111110", 7},
-		{Expr(strings.Repeat("1", 20)), Expr(strings.Repeat("1", 19) + "0"), 19},
-	}
-	for _, c := range cases {
-		got := commonPrefixLen(mustKey(t, c.a), mustKey(t, c.b))
-		if got != c.want {
-			t.Errorf("cpl(%q,%q)=%d want %d", c.a, c.b, got, c.want)
+	// Every cut of an all-ones key, across both words of the truncation.
+	ones := Expr(strings.Repeat("1", MaxKeyBits))
+	full := mustKey(t, ones)
+	for n := 0; n <= MaxKeyBits; n++ {
+		want := mustKey(t, ones[:n])
+		if got := full.Prefix(n); got != want {
+			t.Fatalf("Prefix(%d) = %q", n, got.Expr())
 		}
-		if rev := commonPrefixLen(mustKey(t, c.b), mustKey(t, c.a)); rev != got {
-			t.Errorf("cpl not symmetric for %q,%q", c.a, c.b)
+		if got := KeyFromBits(full.bits, n); got != want {
+			t.Fatalf("KeyFromBits(ones, %d) = %q", n, got.Expr())
 		}
 	}
 }
@@ -193,7 +182,10 @@ func TestTrieZeroValue(t *testing.T) {
 }
 
 // TestTrieRandomisedVsNaive drives random insert/delete churn and checks
-// every query against a naive map + string-prefix implementation.
+// every query against a naive map + string-prefix implementation: short keys
+// that crowd the top nodes, 96–112-bit keys at the far end of a Key, and
+// after the churn a delete of everything in random order, down to the empty
+// slab, and a refill of it.
 func TestTrieRandomisedVsNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	randExpr := func(maxLen int) Expr {
@@ -205,88 +197,144 @@ func TestTrieRandomisedVsNaive(t *testing.T) {
 		return Expr(buf)
 	}
 	for trial := 0; trial < 50; trial++ {
-		var tr Trie[int]
-		naive := make(map[Expr]int)
-		for op := 0; op < 200; op++ {
-			e := randExpr(16)
-			k := mustKey(t, e)
-			switch r.Intn(3) {
-			case 0, 1:
-				_, existed := naive[e]
-				naive[e] = op
-				if tr.Insert(k, op) != !existed {
-					t.Fatalf("insert %q newness diverges", e)
-				}
-			case 2:
-				_, existed := naive[e]
-				delete(naive, e)
-				if tr.Delete(k) != existed {
-					t.Fatalf("delete %q diverges", e)
-				}
+		o := newTrieOracle(t)
+		randKey := func() Expr {
+			if trial%2 == 1 && r.Intn(2) == 0 {
+				return trieLongPrefix + randExpr(16)
 			}
-			if tr.Len() != len(naive) {
-				t.Fatalf("size %d != %d", tr.Len(), len(naive))
-			}
-			// Probe queries.
-			probe := randExpr(20)
-			pk := mustKey(t, probe)
-			var bestE Expr
-			bestL, found := -1, false
-			for m := range naive {
-				if strings.HasPrefix(string(probe), string(m)) && m.Len() > bestL {
-					bestE, bestL, found = m, m.Len(), true
-				}
-			}
-			gk, gv, gok := tr.LongestPrefix(pk)
-			if gok != found {
-				t.Fatalf("LongestPrefix(%q) found=%v want %v", probe, gok, found)
-			}
-			if found && (gk.Expr() != bestE || gv != naive[bestE]) {
-				t.Fatalf("LongestPrefix(%q)=%q,%d want %q,%d", probe, gk.Expr(), gv, bestE, naive[bestE])
-			}
-			if tr.CoversAny(pk) != found {
-				t.Fatalf("CoversAny(%q) diverges", probe)
-			}
-			// Covered walk vs naive scan.
-			want := 0
-			for m := range naive {
-				if strings.HasPrefix(string(m), string(probe)) {
-					want++
-				}
-			}
-			got := 0
-			tr.WalkCovered(pk, func(Key, int) bool { got++; return true })
-			if got != want {
-				t.Fatalf("WalkCovered(%q)=%d want %d", probe, got, want)
-			}
-			// Overlap visit = prefixes then covered, the probe itself once.
-			var two, one []Key
-			tr.VisitPrefixes(pk, func(k Key, _ int) bool {
-				if k != pk {
-					two = append(two, k)
-				}
-				return true
-			})
-			tr.WalkCovered(pk, func(k Key, _ int) bool { two = append(two, k); return true })
-			tr.VisitOverlaps(pk, func(k Key, _ int) bool { one = append(one, k); return true })
-			if !slices.Equal(one, two) {
-				t.Fatalf("VisitOverlaps(%q)=%v want %v", probe, one, two)
-			}
+			return randExpr(16)
 		}
+		for op := 0; op < 200; op++ {
+			e := randKey()
+			if r.Intn(3) < 2 {
+				o.insert(e)
+			} else {
+				o.delete(e)
+			}
+			o.checkAround(e, randExpr(4))
+			o.check(randExpr(20))
+		}
+		o.checkWalk()
+		stored := o.visited(o.tr.Walk)
+		r.Shuffle(len(stored), func(i, j int) { stored[i], stored[j] = stored[j], stored[i] })
+		for _, e := range stored {
+			o.delete(e)
+			o.checkAround(e, "")
+		}
+		for _, e := range stored[:len(stored)/2] {
+			o.insert(e)
+		}
+		o.checkWalk()
 	}
 }
 
-func TestTrieLongestPrefixNoAlloc(t *testing.T) {
-	var tr Trie[int]
-	for _, e := range []Expr{"0", "0101", "01011110", "1", "111"} {
-		tr.Insert(mustKey(t, e), 1)
+// distinctKeys packs the first n distinct expressions of exprs.
+func distinctKeys(t testing.TB, exprs []Expr, n int) []Key {
+	seen := make(map[Expr]bool)
+	var keys []Key
+	for _, e := range exprs {
+		if !seen[e] && len(keys) < n {
+			seen[e] = true
+			keys = append(keys, mustKey(t, e))
+		}
 	}
-	k := mustKey(t, "010111101010")
-	allocs := testing.AllocsPerRun(100, func() {
+	return keys
+}
+
+// trieTestKeys returns n distinct keys: lengths 8–20 like a host index, and
+// every fourth behind trieLongPrefix.
+func trieTestKeys(t testing.TB, n int) []Key {
+	exprs := randomExprs(2*n, 8, 12, 5)
+	for i := 3; i < len(exprs); i += 4 {
+		exprs[i] = trieLongPrefix + exprs[i][:len(exprs[i])-4]
+	}
+	return distinctKeys(t, exprs, n)
+}
+
+func TestTrieNoAlloc(t *testing.T) {
+	var tr Trie[int]
+	keys := trieTestKeys(t, 512)
+	for i, k := range keys {
+		tr.Insert(k, i)
+	}
+	i, sum := 0, 0
+	count := func(_ Key, v int) bool { sum += v; return true }
+	allocs := testing.AllocsPerRun(1000, func() {
+		k := keys[i%len(keys)]
+		i++
+		tr.Get(k)
 		tr.LongestPrefix(k)
 		tr.CoversAny(k)
+		tr.VisitPrefixes(k, count)
+		tr.VisitOverlaps(k.Prefix(k.Len()/2), count)
 	})
 	if allocs != 0 {
-		t.Fatalf("lookup allocates %v/op", allocs)
+		t.Fatalf("lookups allocate %v/op", allocs)
 	}
+}
+
+// TestTrieChurnDoesNotGrow: a trie whose population is steady recycles its
+// blocks. The script is periodic — a window of 512 keys sliding round a pool
+// of 1024 — so one period creates every block any later one needs.
+func TestTrieChurnDoesNotGrow(t *testing.T) {
+	var tr Trie[int]
+	pool := trieTestKeys(t, 1024)
+	window := len(pool) / 2
+	for i, k := range pool[:window] {
+		tr.Insert(k, i)
+	}
+	i := 0
+	cycle := func() {
+		if !tr.Delete(pool[i%len(pool)]) || !tr.Insert(pool[(i+window)%len(pool)], i) {
+			t.Fatalf("cycle %d: key not where the script left it", i)
+		}
+		i++
+	}
+	for i < len(pool) {
+		cycle()
+	}
+	nodes, vals := len(tr.nodes.items), len(tr.vals.items)
+	if allocs := testing.AllocsPerRun(10000, cycle); allocs != 0 {
+		t.Fatalf("steady churn allocates %v/op", allocs)
+	}
+	if n, v := len(tr.nodes.items), len(tr.vals.items); n != nodes || v != vals {
+		t.Fatalf("slabs grew under steady churn: nodes %d -> %d, values %d -> %d", nodes, n, vals, v)
+	}
+	if tr.Len() != window {
+		t.Fatalf("Len = %d, want %d", tr.Len(), window)
+	}
+}
+
+// TestTrieConcurrentReaders pins "reads do not write": run under -race, any
+// store on a lookup path — a cache, a lazily built table — is a report.
+func TestTrieConcurrentReaders(t *testing.T) {
+	var tr Trie[int]
+	keys := trieTestKeys(t, 512)
+	for i, k := range keys {
+		tr.Insert(k, i)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < 4*len(keys); i++ {
+				k := keys[i%len(keys)]
+				if _, v, ok := tr.LongestPrefix(k); !ok || keys[v].Len() > k.Len() {
+					t.Errorf("LongestPrefix(%q) = %d,%v", k.Expr(), v, ok)
+					return
+				}
+				own := false
+				tr.VisitOverlaps(k.Prefix(k.Len()-2), func(got Key, _ int) bool {
+					own = own || got == k
+					return true
+				})
+				if _, ok := tr.Get(k); !ok || !own || !tr.CoversAny(k) {
+					t.Errorf("reads of %q disagree with what was stored", k.Expr())
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }

@@ -150,10 +150,11 @@ func (s ModStats) Total() uint64 { return s.Adds + s.Deletes + s.Mods }
 //
 // Lookups emulate a TCAM: the highest-priority matching entry wins. When
 // every installed flow keeps the PLEROMA invariant priority == |dz| (the
-// controller always does), the table serves lookups from a compressed
-// binary trie over the packed dz bits of the match expressions: O(|dz|)
-// and zero allocations per lookup, mirroring the constant-time behaviour
-// of hardware TCAMs that Figure 7(a) demonstrates. Any flow violating the
+// controller always does), the table serves lookups from a multi-bit trie
+// (dz.Trie: 4 dz bits per node, nodes in one pointer-free array) over the
+// packed dz bits of the match expressions: O(|dz|/4) steps, no allocation
+// and no write per lookup, mirroring the constant-time behaviour of
+// hardware TCAMs that Figure 7(a) demonstrates. Any flow violating the
 // invariant drops the table back to a full scan.
 //
 // A Table is safe for concurrent use: every table carries its own lock, so
@@ -167,7 +168,7 @@ type Table struct {
 
 	// trie is the prefix index of the fast path: one bucket of flows per
 	// distinct match expression, keyed on packed dz bits.
-	trie dz.Trie[*exprBucket]
+	trie dz.Trie[exprBucket]
 	// slowFlows counts flows the trie cannot serve (priority != |expr|);
 	// nonzero disables the fast path.
 	slowFlows int
@@ -193,10 +194,14 @@ type Table struct {
 // TCAM capacity.
 var ErrTableFull = errors.New("openflow: flow table full")
 
-// exprBucket holds the flows installed for one exact match expression; the
-// lookup winner within a bucket is the lowest FlowID (earliest installed).
+// exprBucket holds the flows installed for one exact match expression. best
+// is the lookup winner, the lowest FlowID (earliest installed), kept current
+// by index and unindex so that a lookup reads it straight from the trie;
+// rest holds the others in no particular order, and is nil for the usual
+// one flow per expression.
 type exprBucket struct {
-	flows []*Flow
+	best *Flow
+	rest []*Flow
 }
 
 // NewTable returns an empty flow table.
@@ -351,11 +356,17 @@ func (t *Table) index(f *Flow) {
 		t.slowFlows++
 		return
 	}
-	if b, found := t.trie.Get(k); found {
-		b.flows = append(b.flows, f)
-		return
-	}
-	t.trie.Insert(k, &exprBucket{flows: []*Flow{f}})
+	t.trie.Update(k, func(b exprBucket, found bool) (exprBucket, bool) {
+		switch {
+		case !found:
+			b.best = f
+		case f.ID < b.best.ID: // a modified flow coming back to its bucket
+			b.best, b.rest = f, append(b.rest, b.best)
+		default:
+			b.rest = append(b.rest, f)
+		}
+		return b, true
+	})
 }
 
 func (t *Table) unindex(f *Flow) {
@@ -364,20 +375,39 @@ func (t *Table) unindex(f *Flow) {
 		t.slowFlows--
 		return
 	}
-	b, found := t.trie.Get(k)
-	if !found {
-		return
-	}
-	for i, other := range b.flows {
-		if other.ID == f.ID {
-			b.flows[i] = b.flows[len(b.flows)-1]
-			b.flows = b.flows[:len(b.flows)-1]
-			break
+	t.trie.Update(k, func(b exprBucket, found bool) (exprBucket, bool) {
+		if !found {
+			return b, false
 		}
-	}
-	if len(b.flows) == 0 {
-		t.trie.Delete(k)
-	}
+		// Take f's place with the last of rest; where f was the winner,
+		// with the lowest ID of rest.
+		at, last := -1, len(b.rest)-1
+		if b.best.ID == f.ID {
+			if last < 0 {
+				return exprBucket{}, false
+			}
+			at = 0
+			for i, other := range b.rest {
+				if other.ID < b.rest[at].ID {
+					at = i
+				}
+			}
+			b.best = b.rest[at]
+		} else {
+			for i, other := range b.rest {
+				if other.ID == f.ID {
+					at = i
+					break
+				}
+			}
+		}
+		if at >= 0 {
+			b.rest[at] = b.rest[last]
+			b.rest[last] = nil
+			b.rest = b.rest[:last]
+		}
+		return b, true
+	})
 }
 
 // Get returns a copy of the flow with the given ID.
@@ -440,13 +470,7 @@ func (t *Table) fastLookup(dst netip.Addr) (Flow, bool) {
 	if !found {
 		return Flow{}, false
 	}
-	best := b.flows[0]
-	for _, f := range b.flows[1:] {
-		if f.ID < best.ID {
-			best = f
-		}
-	}
-	return *best, true
+	return *b.best, true
 }
 
 // flowLess reports whether candidate b should win over current best a.
