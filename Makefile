@@ -2,7 +2,7 @@ GO ?= go
 
 # Packages with dedicated concurrency stress coverage; raced separately so
 # `make check` stays fast while still catching locking regressions.
-RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/metrics/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/... ./internal/transport/...
+RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/... ./internal/transport/...
 
 .PHONY: check vet build test race bench-module soak bench loc obs-demo daemon-demo
 

@@ -32,12 +32,17 @@ import (
 	"pleroma/internal/topo"
 )
 
-// FlowProgrammer abstracts the southbound interface the controller uses to
-// program switches (implemented by *netem.DataPlane).
+// FlowProgrammer is the southbound interface the controller uses to program
+// switches (implemented by *netem.DataPlane): a whole batch of FlowMods for
+// one switch in a single call, modelling an OpenFlow bundle. Every control
+// operation flushes one batch per touched switch, so southbound round-trips
+// are O(touched switches), not O(flow ops).
+//
+// ApplyBatch must apply the operations in order and return one FlowID per
+// applied operation (the assigned ID for adds, zero otherwise); on error
+// the returned slice identifies the prefix that took effect.
 type FlowProgrammer interface {
-	AddFlow(sw topo.NodeID, f openflow.Flow) (openflow.FlowID, error)
-	DeleteFlow(sw topo.NodeID, id openflow.FlowID) error
-	ModifyFlow(sw topo.NodeID, id openflow.FlowID, priority int, actions []openflow.Action) error
+	ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error)
 }
 
 // FlowReader is optionally implemented by FlowProgrammers that can report
@@ -48,21 +53,6 @@ type FlowProgrammer interface {
 // its incremental ≡ canonical check down to the emulated hardware.
 type FlowReader interface {
 	Flows(sw topo.NodeID) ([]openflow.Flow, error)
-}
-
-// BatchFlowProgrammer is optionally implemented by FlowProgrammers that
-// can apply a whole batch of FlowMods to one switch in a single southbound
-// call (modelling OpenFlow bundles). When the controller's programmer
-// implements it, every control operation flushes one batch per touched
-// switch instead of one call per FlowMod, cutting southbound round-trips
-// from O(flow ops) to O(touched switches).
-//
-// ApplyBatch must apply the operations in order and return one FlowID per
-// applied operation (the assigned ID for adds, zero otherwise); on error
-// the returned slice identifies the prefix that took effect.
-type BatchFlowProgrammer interface {
-	FlowProgrammer
-	ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error)
 }
 
 // HostAddrFunc resolves the unicast address of a host node for the
@@ -147,9 +137,8 @@ type ReconfigReport struct {
 	TreesJoined    int
 	TreesMerged    int
 	RoutesComputed int
-	// SouthboundCalls counts programmer invocations of the operation: with
-	// a BatchFlowProgrammer this is at most the number of touched switches,
-	// without one it equals FlowOps(). Retried flushes count every attempt.
+	// SouthboundCalls counts programmer invocations of the operation: one
+	// batch per touched switch, plus one per retried flush.
 	SouthboundCalls int
 	// Retries counts southbound attempts repeated after a transient
 	// programmer error (see RetryPolicy).
@@ -210,23 +199,18 @@ func (s Stats) FlowOps() uint64 { return s.FlowAdds + s.FlowDeletes + s.FlowModi
 // Subscribe, Unsubscribe, Unadvertise, RebuildTrees) serialise behind a
 // write lock while read-only queries (Trees, Stats, SubscriptionSet,
 // AdvertisementSet, StoredSubscriptions, InstalledFlowCount, VerifyTables)
-// share a read lock and proceed in parallel. Within one control operation
-// the per-switch flow reconciliation fans out across touched switches via
-// a bounded worker pool — switch states are disjoint, so the fan-out is
-// safe as long as the FlowProgrammer tolerates concurrent calls on
-// distinct switches (*netem.DataPlane does: each table has its own lock).
+// share a read lock and proceed in parallel. One control operation programs
+// the switches it touched one after the other, in ascending switch order,
+// on the calling goroutine: the FlowProgrammer sees at most one call at a
+// time from a Controller.
 type Controller struct {
 	g         *topo.Graph
 	prog      FlowProgrammer
-	batch     BatchFlowProgrammer // non-nil when prog supports batching
-	reader    FlowReader          // non-nil when prog can report switch state
+	reader    FlowReader // non-nil when prog can report switch state
 	hostAddr  HostAddrFunc
 	partition int
 	maxTrees  int
 	maxDzLen  int
-	// refreshWorkers bounds the per-switch refresh fan-out; 0 means
-	// GOMAXPROCS, 1 serialises.
-	refreshWorkers int
 	// retry shapes southbound retries on transient errors; the zero value
 	// means a single attempt (no retries).
 	retry RetryPolicy
@@ -256,9 +240,8 @@ type Controller struct {
 
 	// degraded holds quarantined switches: their retries exhausted on a
 	// transient error, their table lags the canonical state, and the next
-	// resync pass heals them. It has its own mutex because refresh workers
-	// quarantine concurrently for distinct switches while holding only
-	// c.mu's write side on the coordinating goroutine.
+	// resync pass heals them. It has its own mutex so DegradedSwitches can
+	// be polled without queueing behind a control operation that holds c.mu.
 	degradedMu sync.Mutex
 	degraded   map[topo.NodeID]error
 
@@ -274,8 +257,8 @@ type Controller struct {
 
 	// inst holds the lifetime counters (always allocated; Stats reads
 	// them). tracer, when set, assigns spans to control operations; span
-	// is the operation currently in flight, parked here under c.mu before
-	// refresh workers fan out so they can annotate it.
+	// is the operation currently in flight, parked here under c.mu so the
+	// flush and quarantine sites can annotate it.
 	inst   *instruments
 	tracer *obs.Tracer
 	span   *obs.Span
@@ -317,14 +300,6 @@ func WithHostAddr(f HostAddrFunc) Option {
 // level. Nil (the default) disables logging.
 func WithLogger(l *slog.Logger) Option {
 	return func(c *Controller) { c.log = l }
-}
-
-// WithRefreshWorkers bounds the per-switch refresh fan-out of one control
-// operation: n switches reconcile concurrently. 1 serialises the refresh
-// (useful for programmers that are not safe for concurrent per-switch
-// calls); 0, the default, uses GOMAXPROCS.
-func WithRefreshWorkers(n int) Option {
-	return func(c *Controller) { c.refreshWorkers = n }
 }
 
 // WithRetryPolicy makes southbound flushes retry transient programmer
@@ -377,7 +352,6 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 	if c.hostAddr == nil {
 		return nil, fmt.Errorf("core: host address function required (use WithHostAddr)")
 	}
-	c.batch, _ = prog.(BatchFlowProgrammer)
 	c.reader, _ = prog.(FlowReader)
 	return c, nil
 }

@@ -3,7 +3,6 @@ package core_test
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 
 	"pleroma/internal/core"
@@ -15,11 +14,10 @@ import (
 )
 
 // flakyProgrammer injects failures into the southbound interface after a
-// configurable number of successful operations. It must be safe for
-// concurrent use: the controller refreshes touched switches in parallel.
+// configurable number of successful FlowMods, counted across batches: a
+// batch whose i-th op trips the fault applies ops[:i] and fails.
 type flakyProgrammer struct {
 	inner     core.FlowProgrammer
-	mu        sync.Mutex
 	failAfter int
 	ops       int
 	failKind  string // "add", "delete", "modify" or "" for all
@@ -28,8 +26,6 @@ type flakyProgrammer struct {
 var errSwitchGone = errors.New("switch unreachable")
 
 func (f *flakyProgrammer) shouldFail(kind string) bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
 	f.ops++
 	if f.ops <= f.failAfter {
 		return false
@@ -37,25 +33,17 @@ func (f *flakyProgrammer) shouldFail(kind string) bool {
 	return f.failKind == "" || f.failKind == kind
 }
 
-func (f *flakyProgrammer) AddFlow(sw topo.NodeID, fl openflow.Flow) (openflow.FlowID, error) {
-	if f.shouldFail("add") {
-		return 0, errSwitchGone
+func (f *flakyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+	for i, op := range ops {
+		if f.shouldFail(op.Kind.String()) {
+			ids, err := f.inner.ApplyBatch(sw, ops[:i])
+			if err == nil {
+				err = errSwitchGone
+			}
+			return ids, err
+		}
 	}
-	return f.inner.AddFlow(sw, fl)
-}
-
-func (f *flakyProgrammer) DeleteFlow(sw topo.NodeID, id openflow.FlowID) error {
-	if f.shouldFail("delete") {
-		return errSwitchGone
-	}
-	return f.inner.DeleteFlow(sw, id)
-}
-
-func (f *flakyProgrammer) ModifyFlow(sw topo.NodeID, id openflow.FlowID, prio int, actions []openflow.Action) error {
-	if f.shouldFail("modify") {
-		return errSwitchGone
-	}
-	return f.inner.ModifyFlow(sw, id, prio, actions)
+	return f.inner.ApplyBatch(sw, ops)
 }
 
 func newFlakyController(t *testing.T, failAfter int, kind string) (*core.Controller, *topo.Graph, *flakyProgrammer) {

@@ -3,10 +3,8 @@ package core
 import (
 	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
 	"strconv"
-	"sync"
 	"time"
 
 	"pleroma/internal/dz"
@@ -403,10 +401,7 @@ func actionsEqual(a, b []openflow.Action) bool {
 // so the FlowMods come out in lexicographic expression order.
 //
 // All FlowMods the switch owes are collected into one batch and flushed in
-// a single southbound call when the programmer supports batching. It only
-// reads shared controller state (contribs, graph) and writes the
-// per-switch inst map and the caller's report, so refresh may run it
-// concurrently for distinct switches.
+// a single southbound call.
 func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 	inst map[dz.Expr]installedFlow, rep *ReconfigReport) error {
 	ops := make([]openflow.FlowOp, 0, len(changed))
@@ -499,10 +494,9 @@ type ackedOp struct {
 	id   openflow.FlowID // valid only for adds
 }
 
-// flushOps ships the FlowMods of one switch southbound — as a single batch
-// when the programmer supports it, one call per op otherwise — retrying
-// transient failures per the controller's RetryPolicy, and applies the
-// corresponding installed-state updates for every op that took effect.
+// flushOps ships the FlowMods of one switch southbound as a single batch,
+// retrying transient failures per the controller's RetryPolicy, and applies
+// the corresponding installed-state updates for every op that took effect.
 //
 // Error semantics: permanent programmer errors surface as a
 // *SouthboundError (the acknowledged prefix is still recorded). Transient
@@ -587,7 +581,7 @@ func (c *Controller) programWithRetry(sw topo.NodeID, ops []openflow.FlowOp, met
 			return serr
 		}
 		if attempts < pol.MaxAttempts {
-			d := pol.backoff(attempts - 1)
+			d := pol.Backoff(attempts - 1)
 			if pol.OpDeadline <= 0 || waited+d <= pol.OpDeadline {
 				waited += d
 				if d > 0 {
@@ -608,49 +602,25 @@ func (c *Controller) programWithRetry(sw topo.NodeID, ops []openflow.FlowOp, met
 	}
 }
 
-// programOnce ships the pending ops once — one batch call or a sequence of
-// per-op calls — and appends one typed ackedOp per acknowledged operation.
-// It returns how many ops the switch acknowledged in this attempt.
+// programOnce ships the pending ops as one batch and appends one typed
+// ackedOp per acknowledged operation. It returns how many ops the switch
+// acknowledged in this attempt.
 func (c *Controller) programOnce(sw topo.NodeID, ops []openflow.FlowOp, metas []opMeta,
 	acked *[]ackedOp, rep *ReconfigReport) (int, error) {
-	if c.batch != nil {
-		rep.SouthboundCalls++
-		c.inst.southboundCalls.Inc()
-		ids, err := c.batch.ApplyBatch(sw, ops)
-		for i := range ids {
-			a := ackedOp{kind: ops[i].Kind, meta: metas[i]}
-			if ops[i].Kind == openflow.OpAdd {
-				a.id = ids[i]
-			}
-			*acked = append(*acked, a)
+	rep.SouthboundCalls++
+	c.inst.southboundCalls.Inc()
+	ids, err := c.prog.ApplyBatch(sw, ops)
+	for i := range ids {
+		a := ackedOp{kind: ops[i].Kind, meta: metas[i]}
+		if ops[i].Kind == openflow.OpAdd {
+			a.id = ids[i]
 		}
-		return len(ids), err
+		*acked = append(*acked, a)
 	}
-	for i, op := range ops {
-		rep.SouthboundCalls++
-		c.inst.southboundCalls.Inc()
-		var (
-			id  openflow.FlowID
-			err error
-		)
-		switch op.Kind {
-		case openflow.OpAdd:
-			id, err = c.prog.AddFlow(sw, op.Flow)
-		case openflow.OpDelete:
-			err = c.prog.DeleteFlow(sw, op.ID)
-		case openflow.OpModify:
-			err = c.prog.ModifyFlow(sw, op.ID, op.Priority, op.Actions)
-		}
-		if err != nil {
-			return i, err
-		}
-		*acked = append(*acked, ackedOp{kind: op.Kind, meta: metas[i], id: id})
-	}
-	return len(ops), nil
+	return len(ids), err
 }
 
-// quarantine moves a switch into the degraded set. Safe to call from
-// concurrent refresh workers (distinct switches).
+// quarantine moves a switch into the degraded set.
 func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) {
 	c.degradedMu.Lock()
 	if _, already := c.degraded[sw]; !already {
@@ -667,39 +637,14 @@ func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) 
 	}
 }
 
-// refreshJob is one switch's share of a refresh: the changed expressions
-// it must reconcile, and what came of it.
-type refreshJob struct {
-	sw      topo.NodeID
-	changed []change
-	inst    map[dz.Expr]installedFlow
-	rep     ReconfigReport
-	err     error
-}
-
 // refresh folds the operation's contribution changes into the tries and
-// reconciles every switch on which an expression's port set changed. The
-// per-switch work is disjoint — refreshSwitch only reads shared state and
-// owns its switch's installed map — so it fans out across a bounded worker
-// pool; per-switch reports merge into rep (and the lifetime stats)
-// afterwards, keeping counters deterministic regardless of interleaving. On
-// failure the error of the lowest-numbered switch is returned, matching
-// the serial order.
+// reconciles every switch on which an expression's port set changed: one
+// batch per touched switch, in ascending switch order. The first permanent
+// error stops the operation — lower-numbered switches are programmed,
+// higher ones are not, and the next resync pass converges them; transient
+// exhaustion quarantines its switch and the loop carries on.
 func (c *Controller) refresh(ch changeSet, rep *ReconfigReport) error {
 	changed := c.contribs.apply(ch)
-	if len(changed) == 0 {
-		return nil
-	}
-	nsw := 1
-	for i := 1; i < len(changed); i++ {
-		if changed[i].sw != changed[i-1].sw {
-			nsw++
-		}
-	}
-	// Cut changed into per-switch runs, pre-creating the installed maps
-	// serially: map writes on c.installed must not race with the fan-out
-	// below.
-	jobs := make([]refreshJob, 0, nsw)
 	for len(changed) > 0 {
 		sw, n := changed[0].sw, 1
 		for n < len(changed) && changed[n].sw == sw {
@@ -710,56 +655,16 @@ func (c *Controller) refresh(ch changeSet, rep *ReconfigReport) error {
 			inst = make(map[dz.Expr]installedFlow)
 			c.installed[sw] = inst
 		}
-		jobs = append(jobs, refreshJob{sw: sw, changed: changed[:n], inst: inst})
+		err := c.refreshSwitch(sw, changed[:n], inst, rep)
+		if len(inst) == 0 {
+			delete(c.installed, sw)
+		}
+		if err != nil {
+			return err
+		}
 		changed = changed[n:]
 	}
-
-	workers := c.refreshWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers <= 1 || len(jobs) == 1 {
-		for i := range jobs {
-			j := &jobs[i]
-			if j.err = c.refreshSwitch(j.sw, j.changed, j.inst, &j.rep); j.err != nil {
-				break
-			}
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := range jobs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(j *refreshJob) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				j.err = c.refreshSwitch(j.sw, j.changed, j.inst, &j.rep)
-			}(&jobs[i])
-		}
-		wg.Wait()
-	}
-
-	// Merge the (possibly partial) refresh outcome into the operation
-	// report (the lifetime counters were already incremented at the flush
-	// sites), then drop empty table entries.
-	var err error
-	for i := range jobs {
-		j := &jobs[i]
-		rep.FlowAdds += j.rep.FlowAdds
-		rep.FlowDeletes += j.rep.FlowDeletes
-		rep.FlowModifies += j.rep.FlowModifies
-		rep.SouthboundCalls += j.rep.SouthboundCalls
-		rep.Retries += j.rep.Retries
-		rep.Quarantined += j.rep.Quarantined
-		if err == nil {
-			err = j.err
-		}
-		if len(j.inst) == 0 {
-			delete(c.installed, j.sw)
-		}
-	}
-	return err
+	return nil
 }
 
 // VerifyTables cross-checks the incrementally maintained flow state

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -107,17 +108,22 @@ func (p RetryPolicy) normalized() RetryPolicy {
 	return p
 }
 
-// backoff returns the wait before retry n (0-based), growing
-// exponentially from BaseBackoff and capped at MaxBackoff.
-func (p RetryPolicy) backoff(n int) time.Duration {
+// Backoff returns the wait before retry n (0-based): BaseBackoff·2ⁿ,
+// saturating at MaxBackoff — or, uncapped, at the largest Duration, so a
+// large n can never overflow into a non-positive wait.
+func (p RetryPolicy) Backoff(n int) time.Duration {
+	limit := p.MaxBackoff
+	if limit <= 0 {
+		limit = math.MaxInt64
+	}
 	d := p.BaseBackoff
-	for i := 0; i < n && d < p.MaxBackoff; i++ {
+	for ; n > 0 && d > 0 && d < limit; n-- {
+		if d > limit/2 {
+			return limit
+		}
 		d *= 2
 	}
-	if p.MaxBackoff > 0 && d > p.MaxBackoff {
-		d = p.MaxBackoff
-	}
-	return d
+	return min(d, limit)
 }
 
 func (p RetryPolicy) sleep(d time.Duration) { p.Sleep(d) }

@@ -2,6 +2,9 @@ package core_test
 
 import (
 	"errors"
+	"math"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +19,7 @@ import (
 )
 
 // newFaultyController wires a controller to the data plane through a
-// netem fault-injection layer, with the serial refresh order tests need
-// for deterministic fault placement.
+// netem fault-injection layer.
 func newFaultyController(t *testing.T, cfg netem.FaultConfig, opts ...core.Option) (*core.Controller, *topo.Graph, *netem.FaultyProgrammer) {
 	t.Helper()
 	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
@@ -28,7 +30,6 @@ func newFaultyController(t *testing.T, cfg netem.FaultConfig, opts ...core.Optio
 	faulty := netem.WithFaults(dp, cfg)
 	opts = append([]core.Option{
 		core.WithHostAddr(netem.HostAddr),
-		core.WithRefreshWorkers(1),
 	}, opts...)
 	ctl, err := core.NewController(g, faulty, opts...)
 	if err != nil {
@@ -190,19 +191,54 @@ func TestBackoffCapAndDeadline(t *testing.T) {
 	}
 }
 
-// permProgrammer fails every southbound mutation with a permanent
-// (non-transient) error.
+// TestRetryPolicyBackoff pins the one backoff function the controller's
+// flush and the transport's call and redial loops share.
+func TestRetryPolicyBackoff(t *testing.T) {
+	const ms = time.Millisecond
+	capped := core.RetryPolicy{BaseBackoff: 2 * ms, MaxBackoff: 100 * ms}
+	uncapped := core.RetryPolicy{BaseBackoff: 2 * ms}
+	for _, tc := range []struct {
+		name string
+		pol  core.RetryPolicy
+		n    int
+		want time.Duration
+	}{
+		{"first retry waits the base", capped, 0, 2 * ms},
+		{"doubles", capped, 1, 4 * ms},
+		{"last step below the cap", capped, 5, 64 * ms},
+		{"cap reached", capped, 6, 100 * ms},
+		{"stays at the cap", capped, 100, 100 * ms},
+		{"base above the cap", core.RetryPolicy{BaseBackoff: 7 * ms, MaxBackoff: 5 * ms}, 0, 5 * ms},
+		{"0 = uncapped keeps growing", uncapped, 10, 2048 * ms},
+		{"uncapped saturates instead of overflowing", uncapped, 100, math.MaxInt64},
+		{"zero policy never waits", core.RetryPolicy{}, 100, 0},
+	} {
+		if got := tc.pol.Backoff(tc.n); got != tc.want {
+			t.Errorf("%s: Backoff(%d)=%v, want %v", tc.name, tc.n, got, tc.want)
+		}
+	}
+	// The default policy, whatever the attempt number, waits a positive
+	// time no longer than its cap (the shift it replaces went ≤ 0 at 43).
+	for n := 0; n <= 100; n++ {
+		if d := core.DefaultRetryPolicy.Backoff(n); d <= 0 || d > core.DefaultRetryPolicy.MaxBackoff {
+			t.Fatalf("DefaultRetryPolicy.Backoff(%d)=%v, want in (0, %v]", n, d, core.DefaultRetryPolicy.MaxBackoff)
+		}
+	}
+}
+
+// permProgrammer fails every batch addressed to a switch bad selects with
+// a permanent (non-transient) error; the others reach the data plane.
 type permProgrammer struct {
-	core.FlowProgrammer
+	*netem.DataPlane
+	bad func(topo.NodeID) bool
 	err error
 }
 
-func (p *permProgrammer) AddFlow(topo.NodeID, openflow.Flow) (openflow.FlowID, error) {
-	return 0, p.err
-}
-func (p *permProgrammer) DeleteFlow(topo.NodeID, openflow.FlowID) error { return p.err }
-func (p *permProgrammer) ModifyFlow(topo.NodeID, openflow.FlowID, int, []openflow.Action) error {
-	return p.err
+func (p *permProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+	if p.bad(sw) {
+		return nil, p.err
+	}
+	return p.DataPlane.ApplyBatch(sw, ops)
 }
 
 // TestPermanentErrorSurfacesTyped checks the taxonomy split: permanent
@@ -214,7 +250,11 @@ func TestPermanentErrorSurfacesTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	base := errors.New("switch decommissioned")
-	prog := &permProgrammer{err: base}
+	prog := &permProgrammer{
+		DataPlane: netem.New(g, sim.NewEngine()),
+		bad:       func(topo.NodeID) bool { return true },
+		err:       base,
+	}
 	ctl, err := core.NewController(g, prog,
 		core.WithHostAddr(netem.HostAddr),
 		core.WithRetryPolicy(core.RetryPolicy{MaxAttempts: 5, Sleep: func(time.Duration) {}}))
@@ -247,6 +287,85 @@ func TestPermanentErrorSurfacesTyped(t *testing.T) {
 	}
 	if d := ctl.DegradedSwitches(); len(d) != 0 {
 		t.Errorf("degraded=%v, permanent errors must not quarantine", d)
+	}
+}
+
+// TestRefreshStopsAtFirstPermanentError pins the one programming rule: the
+// touched switches are programmed in ascending order and the first
+// permanent error ends the operation — lower-numbered switches hold their
+// flows, higher ones were never called, the error names the failing switch,
+// and a resync pass converges the rest. The outcome may not depend on how
+// many CPUs the process has.
+func TestRefreshStopsAtFirstPermanentError(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		t.Run("GOMAXPROCS="+strconv.Itoa(procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dp := netem.New(g, sim.NewEngine())
+			var failing topo.NodeID
+			healthy := false
+			prog := &permProgrammer{
+				DataPlane: dp,
+				bad:       func(sw topo.NodeID) bool { return !healthy && sw == failing },
+				err:       errors.New("switch decommissioned"),
+			}
+			ctl, err := core.NewController(g, prog, core.WithHostAddr(netem.HostAddr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			hosts := g.Hosts()
+			if _, err := ctl.Advertise("p", hosts[0], dz.NewSet("1")); err != nil {
+				t.Fatal(err)
+			}
+			// A healthy first path tells which switches the far path will
+			// touch; tear it down again and fail the middle one.
+			healthy = true
+			if _, err := ctl.Subscribe("probe", hosts[7], dz.NewSet("1")); err != nil {
+				t.Fatal(err)
+			}
+			var path []topo.NodeID
+			for _, sw := range g.Switches() {
+				if len(ctl.InstalledFlowsOn(sw)) > 0 {
+					path = append(path, sw)
+				}
+			}
+			if _, err := ctl.Unsubscribe("probe"); err != nil {
+				t.Fatal(err)
+			}
+			if len(path) < 3 {
+				t.Fatalf("path %v too short to have a middle switch", path)
+			}
+			failing, healthy = path[len(path)/2], false
+
+			_, err = ctl.Subscribe("s", hosts[7], dz.NewSet("1"))
+			var serr *core.SouthboundError
+			if !errors.As(err, &serr) || serr.Sw != failing {
+				t.Fatalf("err=%v, want *core.SouthboundError on switch %d", err, failing)
+			}
+			for _, sw := range path {
+				flows, err := dp.Flows(sw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := sw < failing; (len(flows) > 0) != want {
+					t.Errorf("switch %d (failing %d): %d flows, programmed must be %v", sw, failing, len(flows), want)
+				}
+			}
+			if err := ctl.VerifyTables(); err == nil {
+				t.Error("VerifyTables must flag the unprogrammed switches")
+			}
+
+			healthy = true
+			if _, err := ctl.ResyncAll(); err != nil {
+				t.Fatalf("ResyncAll: %v", err)
+			}
+			if err := ctl.VerifyTables(); err != nil {
+				t.Errorf("VerifyTables after resync: %v", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"pleroma/internal/dz"
@@ -34,12 +35,6 @@ func RunExtActivationLatency(cfg Config) ([]*metrics.Table, error) {
 		Title:   "Extension: subscription activation latency (requirement 1)",
 		Columns: []string{"deployed", "activation-mean", "activation-p99"},
 	}
-	hist, err := metrics.NewHistogram(
-		time.Millisecond, 2*time.Millisecond, 4*time.Millisecond,
-		8*time.Millisecond, 16*time.Millisecond)
-	if err != nil {
-		return nil, err
-	}
 	var last *metrics.Latency
 	for _, n := range deployed {
 		lat, err := activationRun(cfg.Seed, n, trials)
@@ -49,23 +44,26 @@ func RunExtActivationLatency(cfg Config) ([]*metrics.Table, error) {
 		table.AddRow(n, lat.Mean(), lat.Percentile(0.99))
 		last = lat
 	}
-	// Distribution of the heaviest configuration.
+	// Distribution of the heaviest configuration: bucket i counts samples
+	// below bounds[i] and not below bounds[i-1]; the last row is the
+	// overflow.
+	bounds := []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
+		8 * time.Millisecond, 16 * time.Millisecond}
+	counts := make([]int, len(bounds)+1)
 	for i := 0; i < last.Count(); i++ {
-		hist.Add(last.Percentile(float64(i+1) / float64(last.Count())))
+		d := last.Percentile(float64(i+1) / float64(last.Count()))
+		counts[sort.Search(len(bounds), func(j int) bool { return d < bounds[j] })]++
 	}
 	dist := &metrics.Table{
 		Title:   "Activation latency distribution (largest deployment)",
 		Columns: []string{"bucket", "count"},
 	}
-	for i, bk := range hist.Buckets() {
+	for i, n := range counts {
 		label := "+inf"
-		if bk.Bound > 0 || i < 5 {
-			label = "<" + bk.Bound.String()
+		if i < len(bounds) {
+			label = "<" + bounds[i].String()
 		}
-		if bk.Bound == 0 {
-			label = "+inf"
-		}
-		dist.AddRow(label, bk.Count)
+		dist.AddRow(label, n)
 	}
 	return []*metrics.Table{table, dist}, nil
 }

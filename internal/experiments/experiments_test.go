@@ -490,4 +490,21 @@ func TestExtActivationLatency(t *testing.T) {
 			t.Errorf("deployed=%s: activation %v implausibly high", row[0], mean)
 		}
 	}
+	// The distribution table buckets every trial of the largest deployment
+	// exactly once, overflow row last.
+	dist := tables[1]
+	if n := len(dist.Rows); n != 6 || dist.Rows[0][0] != "<1ms" || dist.Rows[n-1][0] != "+inf" {
+		t.Fatalf("distribution rows = %v", dist.Rows)
+	}
+	total := 0
+	for _, row := range dist.Rows {
+		n, err := strconv.Atoi(row[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += n
+	}
+	if total != 10 { // quick mode runs ten trials
+		t.Errorf("distribution counts %d samples, want 10", total)
+	}
 }

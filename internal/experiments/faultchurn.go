@@ -41,24 +41,22 @@ func RunExtFaultChurn(cfg Config) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fault churn at rate %.2f: %w", rate, err)
 		}
-		table.AddRow(
-			fmt.Sprintf("%.2f", rate),
-			c.Get("mutations"),
-			c.Get("injected"),
-			c.Get("retries"),
-			c.Get("quarantines"),
-			c.Get("resync-passes"),
-			c.Get("repaired"),
-			c.Get("converged") == 1,
-		)
+		table.AddRow(fmt.Sprintf("%.2f", rate), c.mutations, c.injected, c.retries,
+			c.quarantines, c.resyncPasses, c.repaired, c.converged)
 	}
 	return []*metrics.Table{table}, nil
+}
+
+// faultChurnTally is one row of the fault-churn table.
+type faultChurnTally struct {
+	mutations, injected, retries, quarantines, resyncPasses, repaired uint64
+	converged                                                         bool
 }
 
 // faultChurnRun drives one churn run against a single-partition controller
 // behind a fault-injecting programmer and resyncs until the flow state
 // verifies clean.
-func faultChurnRun(seed int64, rate float64, opsPerWorker int) (*metrics.Counters, error) {
+func faultChurnRun(seed int64, rate float64, opsPerWorker int) (*faultChurnTally, error) {
 	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
 	if err != nil {
 		return nil, err
@@ -72,7 +70,6 @@ func faultChurnRun(seed int64, rate float64, opsPerWorker int) (*metrics.Counter
 	ctl, err := core.NewController(g, faulty,
 		core.WithHostAddr(netem.HostAddr),
 		core.WithObservability(reg, nil),
-		core.WithRefreshWorkers(1),
 		core.WithRetryPolicy(core.RetryPolicy{
 			MaxAttempts: 3,
 			BaseBackoff: time.Millisecond,
@@ -151,17 +148,13 @@ func faultChurnRun(seed int64, rate float64, opsPerWorker int) (*metrics.Counter
 	}
 
 	snap := reg.Snapshot()
-	c := metrics.NewCounters()
-	c.Add("mutations", churn.Mutations())
-	c.Add("injected", uint64(snap.Total(obs.MInjectedFaults)))
-	c.Add("retries", uint64(snap.Total(obs.MSouthboundRetries)))
-	c.Add("quarantines", uint64(snap.Total(obs.MQuarantines)))
-	c.Add("resync-passes", uint64(snap.Total(obs.MResyncs)))
-	c.Add("repaired", uint64(snap.Total(obs.MResyncRepaired)))
-	if converged {
-		c.Add("converged", 1)
-	} else {
-		c.Add("converged", 0)
-	}
-	return c, nil
+	return &faultChurnTally{
+		mutations:    churn.Mutations(),
+		injected:     uint64(snap.Total(obs.MInjectedFaults)),
+		retries:      uint64(snap.Total(obs.MSouthboundRetries)),
+		quarantines:  uint64(snap.Total(obs.MQuarantines)),
+		resyncPasses: uint64(snap.Total(obs.MResyncs)),
+		repaired:     uint64(snap.Total(obs.MResyncRepaired)),
+		converged:    converged,
+	}, nil
 }

@@ -43,23 +43,24 @@ func RunExtHAFailover(cfg Config) ([]*metrics.Table, error) {
 			"verified", "state-digest"},
 	}
 	for _, c := range cadences {
-		row, digest, err := haFailoverRun(cfg.Seed, ops, c.every)
+		row, err := haFailoverRun(cfg.Seed, ops, c.every)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ha failover cadence %s: %w", c.label, err)
 		}
-		table.AddRow(
-			c.label,
-			row.Get("mutations"),
-			row.Get("snapshots"),
-			row.Get("journal-at-crash"),
-			row.Get("from-snapshot") == 1,
-			row.Get("replayed"),
-			row.Get("takeover-repairs"),
-			row.Get("verified") == 1,
-			digest,
-		)
+		table.AddRow(c.label, row.mutations, row.snapshots, row.journalAtCrash,
+			row.fromSnapshot, row.replayed, row.takeoverRepairs, row.verified, row.digest)
 	}
 	return []*metrics.Table{table}, nil
+}
+
+// haFailoverTally is one row of the failover table.
+type haFailoverTally struct {
+	mutations                 uint64
+	snapshots, journalAtCrash int
+	fromSnapshot              bool
+	replayed, takeoverRepairs int
+	verified                  bool
+	digest                    string
 }
 
 // haFailoverRun churns one journaling controller (single worker, so the
@@ -69,10 +70,10 @@ func RunExtHAFailover(cfg Config) ([]*metrics.Table, error) {
 // state: identical across cadences (replay converges on the same state
 // no matter how it is split between snapshot and journal) and across
 // runs of the same seed.
-func haFailoverRun(seed int64, opsPerWorker, every int) (*metrics.Counters, string, error) {
+func haFailoverRun(seed int64, opsPerWorker, every int) (*haFailoverTally, error) {
 	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	dp := netem.New(g, sim.NewEngine())
 	journal := core.NewMemJournal()
@@ -80,11 +81,11 @@ func haFailoverRun(seed int64, opsPerWorker, every int) (*metrics.Counters, stri
 		core.WithHostAddr(netem.HostAddr),
 		core.WithJournal(journal))
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	sch, err := space.UniformSchema(fig7bDims)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	hosts := g.Hosts()
 	hostFor := func(id string) topo.NodeID {
@@ -159,7 +160,7 @@ func haFailoverRun(seed int64, opsPerWorker, every int) (*metrics.Counters, stri
 		},
 	})
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	journalAtCrash := journal.Len()
 
@@ -167,33 +168,30 @@ func haFailoverRun(seed int64, opsPerWorker, every int) (*metrics.Counters, stri
 	standby := core.NewStandby(g, dp, journal, core.WithHostAddr(netem.HostAddr))
 	if lastSnap != nil {
 		if err := standby.ObserveSnapshot(lastSnap); err != nil {
-			return nil, "", err
+			return nil, err
 		}
 	}
 	promoted, rep, err := standby.Promote()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 
-	c := metrics.NewCounters()
-	c.Add("mutations", churn.Mutations())
-	c.Add("snapshots", uint64(snapshots))
-	c.Add("journal-at-crash", uint64(journalAtCrash))
-	if rep.FromSnapshot {
-		c.Add("from-snapshot", 1)
-	}
-	c.Add("replayed", uint64(rep.Replayed))
-	c.Add("takeover-repairs", uint64(rep.Resync.Repaired()))
-	if err := promoted.VerifyTables(); err == nil {
-		c.Add("verified", 1)
-	}
 	finalSnap, err := promoted.EncodeSnapshot()
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	d, err := core.SnapshotDigest(finalSnap)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return c, fmt.Sprintf("%x", d[:8]), nil
+	return &haFailoverTally{
+		mutations:       churn.Mutations(),
+		snapshots:       snapshots,
+		journalAtCrash:  journalAtCrash,
+		fromSnapshot:    rep.FromSnapshot,
+		replayed:        rep.Replayed,
+		takeoverRepairs: rep.Resync.Repaired(),
+		verified:        promoted.VerifyTables() == nil,
+		digest:          fmt.Sprintf("%x", d[:8]),
+	}, nil
 }

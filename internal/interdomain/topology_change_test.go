@@ -81,8 +81,7 @@ func TestFabricResyncAllHealsAcrossPartitions(t *testing.T) {
 	dp := netem.New(g, sim.NewEngine())
 	faulty := netem.WithFaults(dp, netem.FaultConfig{})
 	fab, err := NewFabric(g, dp, WithStaticDiscovery(),
-		WithFlowProgrammer(faulty),
-		WithControllerOptions(core.WithRefreshWorkers(1)))
+		WithFlowProgrammer(faulty))
 	if err != nil {
 		t.Fatal(err)
 	}

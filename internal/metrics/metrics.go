@@ -10,7 +10,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -222,132 +221,4 @@ func pad(s string, w int) string {
 		return s
 	}
 	return s + strings.Repeat(" ", w-len(s))
-}
-
-// Histogram is a fixed-bucket latency histogram for distribution
-// reporting: bucket i counts samples in [Bounds[i-1], Bounds[i]), with an
-// implicit overflow bucket above the last bound.
-type Histogram struct {
-	bounds []time.Duration
-	counts []uint64
-	total  uint64
-}
-
-// NewHistogram builds a histogram over ascending bucket bounds.
-func NewHistogram(bounds ...time.Duration) (*Histogram, error) {
-	if len(bounds) == 0 {
-		return nil, fmt.Errorf("metrics: histogram needs at least one bound")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			return nil, fmt.Errorf("metrics: histogram bounds not ascending at %d", i)
-		}
-	}
-	return &Histogram{
-		bounds: append([]time.Duration(nil), bounds...),
-		counts: make([]uint64, len(bounds)+1),
-	}, nil
-}
-
-// Add records one sample.
-func (h *Histogram) Add(d time.Duration) {
-	h.total++
-	for i, b := range h.bounds {
-		if d < b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.counts)-1]++
-}
-
-// Total returns the number of recorded samples.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Buckets returns (upper bound, count) pairs; the final entry has a zero
-// bound and holds the overflow count.
-func (h *Histogram) Buckets() []struct {
-	Bound time.Duration
-	Count uint64
-} {
-	out := make([]struct {
-		Bound time.Duration
-		Count uint64
-	}, len(h.counts))
-	for i := range h.bounds {
-		out[i].Bound = h.bounds[i]
-		out[i].Count = h.counts[i]
-	}
-	out[len(out)-1].Count = h.counts[len(h.counts)-1]
-	return out
-}
-
-// String renders the histogram as one line per bucket with a bar.
-func (h *Histogram) String() string {
-	var b strings.Builder
-	max := uint64(1)
-	for _, c := range h.counts {
-		if c > max {
-			max = c
-		}
-	}
-	for i, bk := range h.Buckets() {
-		label := "+inf"
-		if i < len(h.bounds) {
-			label = bk.Bound.String()
-		}
-		bar := strings.Repeat("#", int(bk.Count*40/max))
-		fmt.Fprintf(&b, "<%-10s %8d %s\n", label, bk.Count, bar)
-	}
-	return b.String()
-}
-
-// Counters is an ordered named-counter set: counters print in first-Add
-// order, so reports stay stable across runs. The fault-tolerance soak and
-// experiment use it to aggregate retry/quarantine/repair tallies. It is
-// safe for concurrent use.
-type Counters struct {
-	mu    sync.Mutex
-	order []string
-	vals  map[string]uint64
-}
-
-// NewCounters returns an empty counter set.
-func NewCounters() *Counters {
-	return &Counters{vals: make(map[string]uint64)}
-}
-
-// Add increments a named counter, registering it on first use.
-func (c *Counters) Add(name string, delta uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.vals[name]; !ok {
-		c.order = append(c.order, name)
-	}
-	c.vals[name] += delta
-}
-
-// Get returns the current value of a counter (0 if never added).
-func (c *Counters) Get(name string) uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.vals[name]
-}
-
-// Names returns the counter names in first-Add order.
-func (c *Counters) Names() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.order...)
-}
-
-// Table renders the counters as a two-column table.
-func (c *Counters) Table(title string) *Table {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t := &Table{Title: title, Columns: []string{"counter", "value"}}
-	for _, name := range c.order {
-		t.AddRow(name, c.vals[name])
-	}
-	return t
 }

@@ -90,30 +90,46 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	if _, err := NewHistogram(); err == nil {
-		t.Error("no bounds must fail")
+func TestPercentileEdges(t *testing.T) {
+	var l Latency
+	for _, d := range []time.Duration{30, 10, 20} {
+		l.Add(d)
 	}
-	if _, err := NewHistogram(2*time.Millisecond, time.Millisecond); err == nil {
-		t.Error("non-ascending bounds must fail")
+	if got := l.Percentile(0); got != 10 {
+		t.Errorf("p0 = %v, want 10 (smallest sample)", got)
 	}
-	h, err := NewHistogram(time.Millisecond, 10*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
+	if got := l.Percentile(1); got != 30 {
+		t.Errorf("p1 = %v, want 30 (largest sample)", got)
 	}
-	h.Add(500 * time.Microsecond) // bucket 0
-	h.Add(5 * time.Millisecond)   // bucket 1
-	h.Add(5 * time.Millisecond)   // bucket 1
-	h.Add(time.Second)            // overflow
-	if h.Total() != 4 {
-		t.Errorf("Total=%d", h.Total())
+	if got := l.Percentile(-0.5); got != 10 {
+		t.Errorf("p<0 clamps to p0: got %v", got)
 	}
-	bk := h.Buckets()
-	if bk[0].Count != 1 || bk[1].Count != 2 || bk[2].Count != 1 {
-		t.Errorf("buckets=%+v", bk)
+	if got := l.Percentile(2); got != 30 {
+		t.Errorf("p>1 clamps to p1: got %v", got)
 	}
-	out := h.String()
-	if !strings.Contains(out, "+inf") || !strings.Contains(out, "#") {
-		t.Errorf("String()=%q", out)
+
+	var one Latency
+	one.Add(7)
+	for _, p := range []float64{0, 0.5, 1} {
+		if got := one.Percentile(p); got != 7 {
+			t.Errorf("single-sample p%.1f = %v, want 7", p, got)
+		}
+	}
+}
+
+func TestTableFprintRaggedRows(t *testing.T) {
+	tbl := &Table{Title: "ragged", Columns: []string{"a", "bb"}}
+	tbl.AddRow("1")                  // short row
+	tbl.AddRow("1", "2", "3", "444") // long row
+	out := tbl.String()
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if len(lines) != 5 { // title, header, separator, two rows
+		t.Fatalf("line count = %d, want 5:\n%s", len(lines), out)
+	}
+	if !strings.Contains(lines[4], "444") {
+		t.Errorf("extra cells dropped: %q", lines[4])
+	}
+	if strings.HasSuffix(lines[3], " ") {
+		t.Errorf("trailing padding not trimmed: %q", lines[3])
 	}
 }

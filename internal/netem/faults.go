@@ -81,14 +81,14 @@ type FaultStats struct {
 
 // FaultyProgrammer interposes fault injection between a controller and the
 // data plane. It implements the same programming surface as *DataPlane
-// (core.FlowProgrammer, core.BatchFlowProgrammer, core.FlowReader); reads
-// (Flows) are never faulted, modelling a controller that can always query
-// switch state once the switch answers at all — the resync pass depends
-// on that to compute repairs.
+// (core.FlowProgrammer, core.FlowReader); reads (Flows) are never faulted,
+// modelling a controller that can always query switch state once the
+// switch answers at all — the resync pass depends on that to compute
+// repairs.
 //
 // It is safe for concurrent use; fault decisions serialise behind one
-// mutex, so seeded runs are reproducible whenever the caller serialises
-// its southbound calls (e.g. core.WithRefreshWorkers(1)).
+// mutex. A controller programs its switches one call at a time in switch
+// order, so a seeded run against one controller is reproducible.
 type FaultyProgrammer struct {
 	dp  *DataPlane
 	cfg FaultConfig
@@ -124,8 +124,8 @@ func WithFaults(dp *DataPlane, cfg FaultConfig) *FaultyProgrammer {
 }
 
 // FailNextBatch arms a one-shot scripted fault: the next ApplyBatch call
-// fails after applying exactly opIndex operations (transient switch
-// unreachability). Single-op calls treat any armed index as "fail now".
+// fails after applying exactly opIndex operations, or the whole batch when
+// it is shorter (transient switch unreachability).
 func (f *FaultyProgrammer) FailNextBatch(opIndex int) {
 	f.mu.Lock()
 	f.oneShot = opIndex
@@ -188,22 +188,6 @@ func (f *FaultyProgrammer) admit(sw topo.NodeID) *InjectedError {
 	return nil
 }
 
-// decide rolls the per-op fault sources for a single-op call. Callers
-// hold f.mu.
-func (f *FaultyProgrammer) decide(sw topo.NodeID) *InjectedError {
-	if f.oneShot >= 0 {
-		f.oneShot = -1
-		return f.newFault(sw)
-	}
-	if f.scripted[f.calls] {
-		return f.newFault(sw)
-	}
-	if f.cfg.Rate > 0 && f.rng.Float64() < f.cfg.Rate {
-		return f.newFault(sw)
-	}
-	return nil
-}
-
 // decideBatch picks the cut position for a batch of n ops: n means no
 // fault; otherwise ops[:cut] apply and the call fails. Callers hold f.mu.
 func (f *FaultyProgrammer) decideBatch(sw topo.NodeID, n int) (int, *InjectedError) {
@@ -228,49 +212,7 @@ func (f *FaultyProgrammer) decideBatch(sw topo.NodeID, n int) (int, *InjectedErr
 	return n, nil
 }
 
-// AddFlow implements core.FlowProgrammer with fault injection.
-func (f *FaultyProgrammer) AddFlow(sw topo.NodeID, fl openflow.Flow) (openflow.FlowID, error) {
-	f.mu.Lock()
-	err := f.admit(sw)
-	if err == nil {
-		err = f.decide(sw)
-	}
-	f.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	return f.dp.AddFlow(sw, fl)
-}
-
-// DeleteFlow implements core.FlowProgrammer with fault injection.
-func (f *FaultyProgrammer) DeleteFlow(sw topo.NodeID, id openflow.FlowID) error {
-	f.mu.Lock()
-	err := f.admit(sw)
-	if err == nil {
-		err = f.decide(sw)
-	}
-	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return f.dp.DeleteFlow(sw, id)
-}
-
-// ModifyFlow implements core.FlowProgrammer with fault injection.
-func (f *FaultyProgrammer) ModifyFlow(sw topo.NodeID, id openflow.FlowID, priority int, actions []openflow.Action) error {
-	f.mu.Lock()
-	err := f.admit(sw)
-	if err == nil {
-		err = f.decide(sw)
-	}
-	f.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return f.dp.ModifyFlow(sw, id, priority, actions)
-}
-
-// ApplyBatch implements core.BatchFlowProgrammer with mid-batch fault
+// ApplyBatch implements core.FlowProgrammer with mid-batch fault
 // injection: a fault at op i applies ops[:i] to the real table and returns
 // the acknowledged prefix alongside the injected error, exactly the
 // OpenFlow-bundle failure shape the controller's prefix accounting

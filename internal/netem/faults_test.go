@@ -29,10 +29,22 @@ func faultTestFlow(t *testing.T, expr string) openflow.Flow {
 	return f
 }
 
+// addOne ships one add as a one-op batch — the only shape a single FlowMod
+// has on the southbound surface.
+func addOne(p interface {
+	ApplyBatch(topo.NodeID, []openflow.FlowOp) ([]openflow.FlowID, error)
+}, sw topo.NodeID, f openflow.Flow) (openflow.FlowID, error) {
+	ids, err := p.ApplyBatch(sw, []openflow.FlowOp{openflow.AddOp(f)})
+	if err != nil {
+		return 0, err
+	}
+	return ids[0], nil
+}
+
 func TestScriptedFaultIsTransientSwitchDown(t *testing.T) {
 	dp, sw := newFaultTestDP(t)
 	fp := WithFaults(dp, FaultConfig{FailCalls: []uint64{1}})
-	_, err := fp.AddFlow(sw, faultTestFlow(t, "1"))
+	_, err := addOne(fp, sw, faultTestFlow(t, "1"))
 	if err == nil {
 		t.Fatal("scripted call 1 must fail")
 	}
@@ -55,7 +67,7 @@ func TestScriptedFaultIsTransientSwitchDown(t *testing.T) {
 		t.Errorf("table has %d flows, want 0", len(flows))
 	}
 	// Unscripted call 2 succeeds.
-	if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); err != nil {
+	if _, err := addOne(fp, sw, faultTestFlow(t, "1")); err != nil {
 		t.Fatalf("call 2: %v", err)
 	}
 	st := fp.Stats()
@@ -67,7 +79,7 @@ func TestScriptedFaultIsTransientSwitchDown(t *testing.T) {
 func TestTableFullBurst(t *testing.T) {
 	dp, sw := newFaultTestDP(t)
 	fp := WithFaults(dp, FaultConfig{FailCalls: []uint64{1}, TableFullEvery: 1})
-	_, err := fp.AddFlow(sw, faultTestFlow(t, "1"))
+	_, err := addOne(fp, sw, faultTestFlow(t, "1"))
 	if !errors.Is(err, openflow.ErrTableFull) {
 		t.Fatalf("err=%v, want wrapped ErrTableFull", err)
 	}
@@ -83,17 +95,17 @@ func TestTableFullBurst(t *testing.T) {
 func TestDownWindowExpires(t *testing.T) {
 	dp, sw := newFaultTestDP(t)
 	fp := WithFaults(dp, FaultConfig{FailCalls: []uint64{1}, DownCalls: 2})
-	if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); err == nil {
+	if _, err := addOne(fp, sw, faultTestFlow(t, "1")); err == nil {
 		t.Fatal("scripted fault must fire")
 	}
 	// The window keeps the switch down for the next two calls.
 	for i := 0; i < 2; i++ {
-		if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); !errors.Is(err, ErrSwitchDown) {
+		if _, err := addOne(fp, sw, faultTestFlow(t, "1")); !errors.Is(err, ErrSwitchDown) {
 			t.Fatalf("call %d during window: err=%v, want ErrSwitchDown", i+2, err)
 		}
 	}
 	// Then it recovers on its own.
-	if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); err != nil {
+	if _, err := addOne(fp, sw, faultTestFlow(t, "1")); err != nil {
 		t.Fatalf("call after window: %v", err)
 	}
 }
@@ -101,14 +113,14 @@ func TestDownWindowExpires(t *testing.T) {
 func TestHealClosesDownWindow(t *testing.T) {
 	dp, sw := newFaultTestDP(t)
 	fp := WithFaults(dp, FaultConfig{FailCalls: []uint64{1}, DownCalls: 1 << 30})
-	if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); err == nil {
+	if _, err := addOne(fp, sw, faultTestFlow(t, "1")); err == nil {
 		t.Fatal("scripted fault must fire")
 	}
-	if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); err == nil {
+	if _, err := addOne(fp, sw, faultTestFlow(t, "1")); err == nil {
 		t.Fatal("window must hold")
 	}
 	fp.Heal()
-	if _, err := fp.AddFlow(sw, faultTestFlow(t, "1")); err != nil {
+	if _, err := addOne(fp, sw, faultTestFlow(t, "1")); err != nil {
 		t.Fatalf("call after Heal: %v", err)
 	}
 }
@@ -141,6 +153,15 @@ func TestBatchFaultAppliesPrefix(t *testing.T) {
 	if _, err := fp.ApplyBatch(sw, ops[2:]); err != nil {
 		t.Fatalf("second batch: %v", err)
 	}
+	// A one-op batch is cut the same way: armed at 0, the single FlowMod
+	// fails before the table sees it.
+	fp.FailNextBatch(0)
+	if _, err := addOne(fp, sw, faultTestFlow(t, "111")); !errors.Is(err, ErrSwitchDown) {
+		t.Fatalf("armed one-op batch: err=%v, want ErrSwitchDown", err)
+	}
+	if flows, _ := fp.Flows(sw); len(flows) != 3 {
+		t.Errorf("table has %d flows after the failed one-op batch, want 3", len(flows))
+	}
 }
 
 func TestRandomFaultsAreSeededDeterministic(t *testing.T) {
@@ -149,7 +170,7 @@ func TestRandomFaultsAreSeededDeterministic(t *testing.T) {
 		fp := WithFaults(dp, FaultConfig{Seed: 7, Rate: 0.3})
 		var out []bool
 		for i := 0; i < 64; i++ {
-			_, err := fp.AddFlow(sw, faultTestFlow(t, "1"))
+			_, err := addOne(fp, sw, faultTestFlow(t, "1"))
 			out = append(out, err == nil)
 		}
 		return out
@@ -193,11 +214,11 @@ func TestFlowModCountDuringMutations(t *testing.T) {
 	}()
 	for i := 0; i < 200; i++ {
 		sw := sws[i%len(sws)]
-		id, err := dp.AddFlow(sw, faultTestFlow(t, "1"))
+		id, err := addOne(dp, sw, faultTestFlow(t, "1"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dp.DeleteFlow(sw, id); err != nil {
+		if _, err := dp.ApplyBatch(sw, []openflow.FlowOp{openflow.DeleteOp(id)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,7 +2,6 @@ package netem
 
 import (
 	"encoding/binary"
-	"fmt"
 	"net/netip"
 
 	"pleroma/internal/openflow"
@@ -18,47 +17,11 @@ func HostAddr(h topo.NodeID) netip.Addr {
 	return netip.AddrFrom16(b)
 }
 
-// AddFlow installs a flow on a switch (FlowProgrammer surface). It fails
-// with openflow.ErrTableFull when the switch's TCAM budget is exhausted.
-func (dp *DataPlane) AddFlow(sw topo.NodeID, f openflow.Flow) (openflow.FlowID, error) {
-	t, err := dp.Table(sw)
-	if err != nil {
-		return 0, err
-	}
-	dp.southbound.Add(1)
-	return t.TryAdd(f)
-}
-
-// DeleteFlow removes a flow from a switch.
-func (dp *DataPlane) DeleteFlow(sw topo.NodeID, id openflow.FlowID) error {
-	t, err := dp.Table(sw)
-	if err != nil {
-		return err
-	}
-	dp.southbound.Add(1)
-	if !t.Delete(id) {
-		return fmt.Errorf("netem: switch %d has no flow %d", sw, id)
-	}
-	return nil
-}
-
-// ModifyFlow updates priority and actions of an installed flow.
-func (dp *DataPlane) ModifyFlow(sw topo.NodeID, id openflow.FlowID, priority int, actions []openflow.Action) error {
-	t, err := dp.Table(sw)
-	if err != nil {
-		return err
-	}
-	dp.southbound.Add(1)
-	if !t.Modify(id, priority, actions) {
-		return fmt.Errorf("netem: switch %d has no flow %d", sw, id)
-	}
-	return nil
-}
-
 // ApplyBatch applies a whole batch of FlowMods to one switch in a single
-// southbound call, modelling an OpenFlow bundle (core.BatchFlowProgrammer
+// southbound call, modelling an OpenFlow bundle (core.FlowProgrammer
 // surface). Operations apply in order; on failure the returned slice tells
-// the caller which prefix took effect.
+// the caller which prefix took effect. An add fails with
+// openflow.ErrTableFull when the switch's TCAM budget is exhausted.
 func (dp *DataPlane) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
 	t, err := dp.Table(sw)
 	if err != nil {

@@ -332,9 +332,9 @@ type crossMsg struct {
 // a simulation engine.
 //
 // Concurrency: each switch's flow table carries its own lock, so
-// control-plane reconfiguration (AddFlow/DeleteFlow/ModifyFlow/ApplyBatch,
-// possibly from many controller goroutines touching disjoint switches) and
-// data-plane forwarding interleave safely. Per-switch counters, link
+// control-plane reconfiguration (ApplyBatch, possibly from several
+// controllers touching disjoint switches) and data-plane forwarding
+// interleave safely. Per-switch counters, link
 // counters, and host delivery/drop counters use atomics, the punt handler,
 // path-recording flag, and switch configs are swapped atomically (safe to
 // toggle mid-run), and mu guards publisher-sequence bookkeeping plus

@@ -518,21 +518,25 @@ func TestFlowProgrammerSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := dp.AddFlow(sw, f)
+	one := func(node topo.NodeID, op openflow.FlowOp) error {
+		_, err := dp.ApplyBatch(node, []openflow.FlowOp{op})
+		return err
+	}
+	id, err := addOne(dp, sw, f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dp.AddFlow(host, f); err == nil {
-		t.Error("AddFlow on host must fail")
+	if err := one(host, openflow.AddOp(f)); err == nil {
+		t.Error("add on host must fail")
 	}
-	if err := dp.ModifyFlow(sw, id, 3, []openflow.Action{{OutPort: 2}}); err != nil {
+	if err := one(sw, openflow.ModifyOp(id, 3, []openflow.Action{{OutPort: 2}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.ModifyFlow(sw, openflow.FlowID(999), 3, nil); err == nil {
-		t.Error("ModifyFlow unknown id must fail")
+	if err := one(sw, openflow.ModifyOp(999, 3, nil)); err == nil {
+		t.Error("modify of an unknown id must fail")
 	}
-	if err := dp.ModifyFlow(host, id, 3, nil); err == nil {
-		t.Error("ModifyFlow on host must fail")
+	if err := one(host, openflow.ModifyOp(id, 3, nil)); err == nil {
+		t.Error("modify on host must fail")
 	}
 	flows, err := dp.Flows(sw)
 	if err != nil || len(flows) != 1 || flows[0].Priority != 3 {
@@ -544,14 +548,14 @@ func TestFlowProgrammerSurface(t *testing.T) {
 	if got := dp.FlowModCount(); got != 2 { // add + modify
 		t.Errorf("FlowModCount=%d, want 2", got)
 	}
-	if err := dp.DeleteFlow(sw, id); err != nil {
+	if err := one(sw, openflow.DeleteOp(id)); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.DeleteFlow(sw, id); err == nil {
+	if err := one(sw, openflow.DeleteOp(id)); err == nil {
 		t.Error("double delete must fail")
 	}
-	if err := dp.DeleteFlow(host, id); err == nil {
-		t.Error("DeleteFlow on host must fail")
+	if err := one(host, openflow.DeleteOp(id)); err == nil {
+		t.Error("delete on host must fail")
 	}
 }
 

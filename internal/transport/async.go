@@ -292,11 +292,7 @@ func (c *Client) redialLoop() {
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			backoff := pol.BaseBackoff << uint(attempt-1)
-			if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			if backoff > 0 {
+			if backoff := pol.Backoff(attempt - 1); backoff > 0 {
 				sleep(backoff)
 			}
 		}

@@ -429,11 +429,7 @@ func (c *Client) call(kind wire.Kind, payload []byte) (wire.Frame, error) {
 	}
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
-			backoff := pol.BaseBackoff << uint(attempt-1)
-			if pol.MaxBackoff > 0 && backoff > pol.MaxBackoff {
-				backoff = pol.MaxBackoff
-			}
-			if backoff > 0 {
+			if backoff := pol.Backoff(attempt - 1); backoff > 0 {
 				sleep(backoff)
 			}
 		}
@@ -710,7 +706,7 @@ func (c *Client) Close() error {
 }
 
 // RemoteProgrammer is the southbound interface over the transport: a
-// core.BatchFlowProgrammer/FlowReader whose switches live behind a TCP
+// core.FlowProgrammer/FlowReader whose switches live behind a TCP
 // connection. It is what lets a core.Controller run in a different process
 // from the data plane — the controller programs and reads real switch
 // tables through FlowBatch/FlowRead round-trips.
@@ -722,8 +718,8 @@ type RemoteProgrammer struct {
 func NewRemoteProgrammer(c *Client) *RemoteProgrammer { return &RemoteProgrammer{c: c} }
 
 var (
-	_ core.BatchFlowProgrammer = (*RemoteProgrammer)(nil)
-	_ core.FlowReader          = (*RemoteProgrammer)(nil)
+	_ core.FlowProgrammer = (*RemoteProgrammer)(nil)
+	_ core.FlowReader     = (*RemoteProgrammer)(nil)
 )
 
 // ApplyBatch ships one FlowMod bundle for a switch across the wire.
@@ -747,30 +743,6 @@ func (r *RemoteProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]
 		return res.IDs, fmt.Errorf("%s", res.Err)
 	}
 	return res.IDs, nil
-}
-
-// AddFlow programs one flow (single-op batch).
-func (r *RemoteProgrammer) AddFlow(sw topo.NodeID, f openflow.Flow) (openflow.FlowID, error) {
-	ids, err := r.ApplyBatch(sw, []openflow.FlowOp{openflow.AddOp(f)})
-	if err != nil {
-		return 0, err
-	}
-	if len(ids) != 1 {
-		return 0, fmt.Errorf("transport: add flow: %d ids returned", len(ids))
-	}
-	return ids[0], nil
-}
-
-// DeleteFlow removes one flow (single-op batch).
-func (r *RemoteProgrammer) DeleteFlow(sw topo.NodeID, id openflow.FlowID) error {
-	_, err := r.ApplyBatch(sw, []openflow.FlowOp{openflow.DeleteOp(id)})
-	return err
-}
-
-// ModifyFlow rewrites one flow's priority and instruction set.
-func (r *RemoteProgrammer) ModifyFlow(sw topo.NodeID, id openflow.FlowID, priority int, actions []openflow.Action) error {
-	_, err := r.ApplyBatch(sw, []openflow.FlowOp{openflow.ModifyOp(id, priority, actions)})
-	return err
 }
 
 // Flows reads the installed table of one switch across the wire.

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"pleroma/internal/dz"
 	"pleroma/internal/obs"
 	"pleroma/internal/openflow"
 	"pleroma/internal/space"
@@ -193,11 +195,7 @@ func (s *System) startListener(addr string) error {
 	if s.tracer != nil {
 		opts = append(opts, transport.WithServerTracer(s.tracer))
 	}
-	srv := transport.NewServer(&netBackend{
-		sys:  s,
-		advs: make(map[string]netReg),
-		subs: make(map[string]netReg),
-	}, opts...)
+	srv := transport.NewServer(&netBackend{sys: s}, opts...)
 	a, err := srv.Listen(addr)
 	if err != nil {
 		return err
@@ -205,31 +203,6 @@ func (s *System) startListener(addr string) error {
 	s.server = srv
 	s.lnAddr = a
 	return nil
-}
-
-// netReg records one remote registration for idempotence checks: a
-// reconnecting client replays its advertisements and subscriptions, and
-// an identical replay must rebind without touching control state.
-// lastPubSeq is the highest client publish sequence number applied through
-// this advertisement — a retried publish with a Seq at or below it has
-// already been applied and is acknowledged without re-injecting events.
-type netReg struct {
-	host       uint32
-	key        string
-	pub        *Publisher
-	lastPubSeq uint64
-}
-
-// regKey canonicalizes a registration's parameters. ControlReq ranges
-// arrive sorted by attribute (the codec enforces it), so the rendering is
-// deterministic.
-func regKey(host uint32, ranges []wire.Range) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "h%d", host)
-	for _, r := range ranges {
-		fmt.Fprintf(&b, "|%s:%d-%d", r.Attr, r.Lo, r.Hi)
-	}
-	return b.String()
 }
 
 func rangesFilter(ranges []wire.Range) Filter {
@@ -246,9 +219,16 @@ func rangesFilter(ranges []wire.Range) Filter {
 // push them onto the owning connection's write queue (safe from shard
 // worker goroutines — the sink never blocks).
 type netBackend struct {
-	sys  *System
-	advs map[string]netReg
-	subs map[string]netReg
+	sys *System
+}
+
+// replays reports whether req repeats the registration the facade already
+// holds under its id: a reconnecting client replays its advertisements and
+// subscriptions, and an identical replay must rebind without touching
+// control state.
+func (b *netBackend) replays(host HostID, rect dz.Rect, req wire.ControlReq) bool {
+	r, err := b.sys.sch.Rect(rangesFilter(req.Ranges))
+	return err == nil && host == HostID(req.Host) && slices.Equal(r, rect)
 }
 
 func (b *netBackend) Info() transport.Info {
@@ -266,9 +246,8 @@ func (b *netBackend) Info() transport.Info {
 func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) error {
 	switch req.Op {
 	case wire.OpAdvertise:
-		key := regKey(req.Host, req.Ranges)
-		if e, ok := b.advs[req.ID]; ok {
-			if e.key == key {
+		if p, ok := b.sys.pubs[req.ID]; ok && p.advertised {
+			if b.replays(p.host, p.advRect, req) {
 				return nil // reconnect replay: idempotent
 			}
 			return fmt.Errorf("pleroma: advertisement %q re-registered with different parameters", req.ID)
@@ -281,7 +260,6 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 			delete(b.sys.pubs, req.ID)
 			return err
 		}
-		b.advs[req.ID] = netReg{host: req.Host, key: key, pub: pub}
 		return nil
 
 	case wire.OpSubscribe:
@@ -303,42 +281,26 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 				},
 			})
 		}
-		key := regKey(req.Host, req.Ranges)
-		if e, ok := b.subs[req.ID]; ok {
-			if e.key != key {
+		if st, ok := b.sys.subs[req.ID]; ok {
+			if !b.replays(st.host, st.rect, req) {
 				return fmt.Errorf("pleroma: subscription %q re-registered with different parameters", req.ID)
 			}
 			// Reconnect replay: rebind the delivery sink to the new
 			// connection; control state, journal, and digest untouched.
-			b.sys.subs[req.ID].handler = h
+			st.handler = h
 			return nil
 		}
-		if err := b.sys.Subscribe(req.ID, HostID(req.Host), rangesFilter(req.Ranges), h); err != nil {
-			return err
-		}
-		b.subs[req.ID] = netReg{host: req.Host, key: key}
-		return nil
+		return b.sys.Subscribe(req.ID, HostID(req.Host), rangesFilter(req.Ranges), h)
 
 	case wire.OpUnsubscribe:
-		if _, ok := b.subs[req.ID]; !ok {
-			return fmt.Errorf("%w: %q", ErrUnknownSubscription, req.ID)
-		}
-		if err := b.sys.Unsubscribe(req.ID); err != nil {
-			return err
-		}
-		delete(b.subs, req.ID)
-		return nil
+		return b.sys.Unsubscribe(req.ID)
 
 	case wire.OpUnadvertise:
-		e, ok := b.advs[req.ID]
-		if !ok {
+		p, ok := b.sys.pubs[req.ID]
+		if !ok || !p.advertised {
 			return fmt.Errorf("pleroma: unknown advertisement %q", req.ID)
 		}
-		if err := e.pub.Unadvertise(); err != nil {
-			return err
-		}
-		delete(b.advs, req.ID)
-		return nil
+		return p.Unadvertise()
 
 	default:
 		return fmt.Errorf("pleroma: unknown control op %q", req.Op)
@@ -346,15 +308,15 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 }
 
 func (b *netBackend) Publish(req wire.PublishReq) error {
-	e, ok := b.advs[req.ID]
-	if !ok {
+	p, ok := b.sys.pubs[req.ID]
+	if !ok || !p.advertised {
 		return fmt.Errorf("%w: %q", ErrNotAdvertised, req.ID)
 	}
 	// The client's transport retry is at-least-once: a connection lost
 	// after the backend applied a publish but before the OK arrived makes
 	// the client re-send the same request. Sequence numbers (per client,
 	// strictly increasing per publisher) make the retry idempotent.
-	if req.Seq != 0 && req.Seq <= e.lastPubSeq {
+	if req.Seq != 0 && req.Seq <= p.lastPubSeq {
 		return nil // duplicate of an already-applied publish
 	}
 	tuples := make([][]uint32, len(req.Events))
@@ -364,12 +326,11 @@ func (b *netBackend) Publish(req wire.PublishReq) error {
 	// The request's trace context (zero for an untraced publish) rides the
 	// publication stamp so every delivery joins the client's trace; the
 	// whole batch shares one publish span.
-	if err := e.pub.publishBatchTraced(req.Trace, tuples...); err != nil {
+	if err := p.publishBatchTraced(req.Trace, tuples...); err != nil {
 		return err
 	}
 	if req.Seq != 0 {
-		e.lastPubSeq = req.Seq
-		b.advs[req.ID] = e
+		p.lastPubSeq = req.Seq
 	}
 	return nil
 }

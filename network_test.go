@@ -476,7 +476,7 @@ func TestPublishDedupOnRetry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sys.Close()
-	b := &netBackend{sys: sys, advs: make(map[string]netReg), subs: make(map[string]netReg)}
+	b := &netBackend{sys: sys}
 	hosts := sys.Hosts()
 	if err := b.Control(wire.ControlReq{Op: "advertise", ID: "p", Host: uint32(hosts[0])}, nil); err != nil {
 		t.Fatal(err)

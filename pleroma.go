@@ -682,6 +682,11 @@ type Publisher struct {
 	advRect dz.Rect
 	// seq is the registration sequence number of the advertisement.
 	seq uint64
+	// lastPubSeq is the highest client publish sequence number the
+	// transport backend applied through this advertisement — a retried
+	// publish with a Seq at or below it has already been applied and is
+	// acknowledged without re-injecting events.
+	lastPubSeq uint64
 }
 
 // NewPublisher registers a publisher on a host.

@@ -230,7 +230,7 @@ func TestTraceDedupKeepsSingleSpanSet(t *testing.T) {
 	}
 	defer sys.Close()
 	sys.enableStamping()
-	b := &netBackend{sys: sys, advs: make(map[string]netReg), subs: make(map[string]netReg)}
+	b := &netBackend{sys: sys}
 	hosts := sys.Hosts()
 	if err := b.Control(wire.ControlReq{Op: "advertise", ID: "p", Host: uint32(hosts[0])}, nil); err != nil {
 		t.Fatal(err)
