@@ -19,7 +19,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
-	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn' -count=1 .
+	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn|PublishAdmission' -count=1 .
 
 # cmd/pleroma-bench is a module of its own and a client of internal APIs
 # (wire codecs, transport.Backend), so root build/test never compile it:

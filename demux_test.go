@@ -300,8 +300,9 @@ func (d *demuxDiff) probe(step int, host HostID, expr dz.Expr) {
 	}
 	d.fired = d.fired[:0]
 	before := d.sys.Stats().Deliveries
+	key, _ := dz.KeyOf(expr)
 	d.sys.dispatch(host, netem.Delivery{Host: host, Packet: netem.Packet{
-		Expr:  expr,
+		Key:   key,
 		Event: Event{Values: []uint32{1, 2, 3}},
 	}})
 	if !slices.Equal(d.fired, want) {
@@ -341,7 +342,7 @@ func FuzzHostDemux(f *testing.F) {
 
 // demuxFixture puts n pseudo-random subscriptions on one host and returns
 // that host and an event key matching some of them.
-func demuxFixture(t *testing.T, n int, opts ...Option) (*System, HostID, dz.Expr) {
+func demuxFixture(t *testing.T, n int, opts ...Option) (*System, HostID, dz.Key) {
 	sys := newSys(t, opts...)
 	host := sys.Hosts()[2]
 	r := rand.New(rand.NewSource(int64(n)))
@@ -356,11 +357,11 @@ func demuxFixture(t *testing.T, n int, opts ...Option) (*System, HostID, dz.Expr
 	if err != nil {
 		t.Fatal(err)
 	}
-	expr, err := sys.sch.Encode(ev, sys.sch.Geometry().MaxLen())
+	key, err := sys.sch.EncodeKey(ev, sys.sch.Geometry().MaxLen())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, host, expr
+	return sys, host, key
 }
 
 // TestHostDemuxNoAlloc: once the scratch list has grown, demultiplexing a
@@ -368,9 +369,9 @@ func demuxFixture(t *testing.T, n int, opts ...Option) (*System, HostID, dz.Expr
 // de-duplication included, with observability on or off.
 func TestHostDemuxNoAlloc(t *testing.T) {
 	for _, opts := range [][]Option{nil, {WithObservability(0)}} {
-		sys, host, expr := demuxFixture(t, 512, opts...)
+		sys, host, key := demuxFixture(t, 512, opts...)
 		dl := netem.Delivery{Host: host, Packet: netem.Packet{
-			Expr: expr, Event: Event{Values: []uint32{450, 450}},
+			Key: key, Event: Event{Values: []uint32{450, 450}},
 		}}
 		before := sys.Stats().Deliveries
 		sys.dispatch(host, dl)
@@ -387,9 +388,9 @@ func TestHostDemuxNoAlloc(t *testing.T) {
 // demux visited — here exactly the matches — not the subscriptions on the
 // host.
 func TestHostDemuxCandidatesCounter(t *testing.T) {
-	sys, host, expr := demuxFixture(t, 512, WithObservability(0))
+	sys, host, key := demuxFixture(t, 512, WithObservability(0))
 	sys.dispatch(host, netem.Delivery{Host: host, Packet: netem.Packet{
-		Expr: expr, Event: Event{Values: []uint32{450, 450}},
+		Key: key, Event: Event{Values: []uint32{450, 450}},
 	}})
 	snap := sys.Metrics()
 	candidates, _ := snap.Counter(obs.MHostDemuxCandidates, "")

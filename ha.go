@@ -27,6 +27,15 @@ func SnapshotDigest(snap []byte) ([32]byte, error) {
 	return core.SnapshotDigest(snap)
 }
 
+// unready takes the system out of readiness while a controller is being
+// replaced — until the swap has resynchronised the switches, the partition's
+// flow tables are not known to match any controller's state — and returns
+// the function that ends the window. A closed system stays unready.
+func (s *System) unready() (done func()) {
+	was := s.ready.Swap(false)
+	return func() { s.ready.Store(was) }
+}
+
 // Partitions returns the managed partition ids, ascending.
 func (s *System) Partitions() []int { return s.fab.Partitions() }
 
@@ -48,6 +57,7 @@ func (s *System) Restore(partition int, snap []byte) error {
 	if !s.cfg.journal {
 		return fmt.Errorf("pleroma: Restore requires WithJournal")
 	}
+	defer s.unready()()
 	return s.fab.RestorePartition(partition, snap)
 }
 
@@ -60,5 +70,6 @@ func (s *System) Failover(partition int) (FailoverReport, error) {
 	if !s.cfg.journal {
 		return FailoverReport{}, fmt.Errorf("pleroma: Failover requires WithJournal")
 	}
+	defer s.unready()()
 	return s.fab.Failover(partition)
 }

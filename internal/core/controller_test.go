@@ -412,6 +412,40 @@ func TestOverlongExpressionRejectedUpFront(t *testing.T) {
 	}
 }
 
+// TestTreeForKey: the per-publish tree lookup takes the event's packed dz and
+// finds the one tree owning it — through a member that covers the key or a
+// member the key covers — and nothing outside every tree's set.
+func TestTreeForKey(t *testing.T) {
+	tb := newTestbed(t)
+	hosts := tb.g.Hosts()
+	if _, err := tb.ctl.Advertise("p0", hosts[0], dz.NewSet("00", "011")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.ctl.Advertise("p1", hosts[1], dz.NewSet("11")); err != nil {
+		t.Fatal(err)
+	}
+	owner := make(map[dz.Expr]core.TreeID)
+	for _, tr := range tb.ctl.Trees() {
+		for _, e := range tr.DZ {
+			owner[e] = tr.ID
+		}
+	}
+	for _, c := range []struct {
+		key    dz.Expr
+		member dz.Expr // "" = no tree
+	}{
+		{"0010110", "00"}, {"00", "00"}, {"0111", "011"}, {"1100000000", "11"},
+		{"01", "011"}, // the key covers the member
+		{"010", ""}, {"10", ""}, {"101010", ""},
+	} {
+		k, _ := dz.KeyOf(c.key)
+		id, ok := tb.ctl.TreeFor(k)
+		if want, has := owner[c.member]; ok != (c.member != "") || (ok && (!has || id != want)) {
+			t.Errorf("TreeFor(%q) = %d, %v; want the tree of member %q (%d)", c.key, id, ok, c.member, want)
+		}
+	}
+}
+
 func TestUnadvertiseDismantlesEmptyTree(t *testing.T) {
 	tb := newTestbed(t)
 	hosts := tb.g.Hosts()

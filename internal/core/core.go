@@ -411,14 +411,14 @@ func (c *Controller) Trees() []TreeInfo {
 }
 
 // TreeFor resolves the dissemination tree whose DZ set owns the given
-// expression (typically an event's point expression), or false when no
-// tree covers it. Tree sets are pairwise disjoint, so a point has at most
-// one owner. The lookup is one shared-lock trie query and does not
-// allocate — it is safe on the per-publish hot path.
-func (c *Controller) TreeFor(e dz.Expr) (TreeID, bool) {
+// packed dz (typically an event's point), or false when no tree covers it.
+// Tree sets are pairwise disjoint, so a point has at most one owner. The
+// lookup is one shared-lock trie query and does not allocate — it is safe
+// on the per-publish hot path.
+func (c *Controller) TreeFor(k dz.Key) (TreeID, bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	return c.treeIdx.first(e)
+	return c.treeIdx.first(k)
 }
 
 // StoredSubscriptions returns the ids of subscriptions that currently

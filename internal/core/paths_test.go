@@ -190,7 +190,7 @@ func TestChurnLeavesNoState(t *testing.T) {
 	if n := len(c.installed); n != 0 {
 		t.Errorf("installed flows left on %d switches", n)
 	}
-	if n := len(c.trees) + c.treeIdx.trie.Len() + len(c.treeIdx.long); n != 0 {
+	if n := len(c.trees) + c.treeIdx.trie.Len(); n != 0 {
 		t.Errorf("%d tree / tree-index entries left", n)
 	}
 }

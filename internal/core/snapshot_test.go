@@ -2,9 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"strings"
 	"testing"
 
 	"pleroma/internal/core"
+	"pleroma/internal/dz"
 	"pleroma/internal/netem"
 	"pleroma/internal/sim"
 	"pleroma/internal/space"
@@ -199,5 +202,45 @@ func TestSnapshotRestoreOntoFreshSwitches(t *testing.T) {
 		if got, want := recv2[int(h)], len(tb.recv[h]); got != want {
 			t.Errorf("host %d: restored network delivered %d, original %d", h, got, want)
 		}
+	}
+}
+
+// TestSnapshotRestoreRefusesOverlongMember: a set member longer than
+// dz.MaxKeyBits cannot reach a restored controller's tree index — the index
+// holds packed keys only and treats such a member as a bug — because the
+// snapshot reader refuses the stream. Admission refuses the same member on a
+// live controller (TestOverlongExpressionRejectedUpFront).
+func TestSnapshotRestoreRefusesOverlongMember(t *testing.T) {
+	tb := newTestbed(t)
+	hosts := tb.g.Hosts()
+	longest := dz.Expr(strings.Repeat("1", dz.MaxKeyBits))
+	if _, err := tb.ctl.Advertise("p", hosts[0], dz.NewSet(longest)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tb.ctl.Subscribe("s", hosts[1], dz.NewSet(longest)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := tb.ctl.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.RestoreController(tb.g, tb.dp, snap, core.WithHostAddr(netem.HostAddr)); err != nil {
+		t.Fatalf("the longest member that fits must restore: %v", err)
+	}
+	// Grow every copy of the member by one bit and re-seal the stream.
+	packed := append([]byte{dz.MaxKeyBits}, bytes.Repeat([]byte{0xff}, dz.MaxKeyBits/8)...)
+	grown := append(append([]byte{dz.MaxKeyBits + 1}, packed[1:]...), 0x80)
+	body := snap[:len(snap)-sha256.Size]
+	if !bytes.Contains(body, packed) {
+		t.Fatal("snapshot does not hold the member in the expected encoding")
+	}
+	body = bytes.ReplaceAll(body, packed, grown)
+	sum := sha256.Sum256(body)
+	forged := append(body, sum[:]...)
+	if _, err := core.SnapshotDigest(forged); err != nil {
+		t.Fatalf("forged snapshot must carry a valid digest: %v", err)
+	}
+	if _, err := core.RestoreController(tb.g, tb.dp, forged, core.WithHostAddr(netem.HostAddr)); err == nil {
+		t.Fatal("a snapshot with a 113-bit set member restored")
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 
 	"pleroma/internal/dz"
@@ -12,25 +13,28 @@ import (
 // into another — so every canonical set member belongs to exactly one tree
 // and the index is a plain prefix map: packed member → owning tree.
 //
-// Members longer than dz.MaxKeyBits cannot pack losslessly into a trie key
-// and fall back to a small side map checked with string prefix algebra.
-// The zero value is ready for use; all access is guarded by Controller.mu.
+// Every member packs losslessly: admission (Controller.admit) and snapshot
+// restore refuse a set with a member longer than dz.MaxKeyBits before it
+// reaches a tree. The zero value is ready for use; all access is guarded by
+// Controller.mu.
 type treeIndex struct {
 	trie dz.Trie[TreeID]
-	long map[dz.Expr]TreeID
+}
+
+// memberKey packs a tree-set member. A member too long for a key got past
+// admission, which is a bug, not an input.
+func memberKey(e dz.Expr) dz.Key {
+	k, ok := dz.KeyOf(e)
+	if !ok {
+		panic(fmt.Sprintf("core: tree set member of %d bits exceeds %d", e.Len(), dz.MaxKeyBits))
+	}
+	return k
 }
 
 // add indexes every member of a tree's canonical DZ set.
 func (x *treeIndex) add(id TreeID, set dz.Set) {
 	for _, e := range set {
-		if k, ok := dz.KeyOf(e); ok {
-			x.trie.Insert(k, id)
-			continue
-		}
-		if x.long == nil {
-			x.long = make(map[dz.Expr]TreeID)
-		}
-		x.long[e] = id
+		x.trie.Insert(memberKey(e), id)
 	}
 }
 
@@ -38,71 +42,30 @@ func (x *treeIndex) add(id TreeID, set dz.Set) {
 // the exact set the tree was indexed with (remove before mutating t.set).
 func (x *treeIndex) remove(set dz.Set) {
 	for _, e := range set {
-		if k, ok := dz.KeyOf(e); ok {
-			x.trie.Delete(k)
-			continue
-		}
-		delete(x.long, e)
+		x.trie.Delete(memberKey(e))
 	}
 }
 
-// overlapping returns the IDs of all trees whose DZ set overlaps dzi, in
-// ascending order: one trie descent for members covering dzi, one subtree
-// walk for members covered by it. Replaces the linear scan over every
-// tree's whole set.
+// overlapping returns the IDs of all trees whose DZ set overlaps dzi (a
+// member of an admitted set), in ascending order: one trie descent for
+// members covering dzi, one subtree walk for members covered by it.
 func (x *treeIndex) overlapping(dzi dz.Expr) []TreeID {
 	var ids []TreeID
-	k, exact := dz.KeyOf(dzi)
-	// Stored keys never exceed MaxKeyBits, so a member covers dzi iff it is
-	// a prefix of dzi's first MaxKeyBits bits — exact even when k was
-	// truncated.
-	x.trie.VisitPrefixes(k, func(_ dz.Key, id TreeID) bool {
+	x.trie.VisitOverlaps(memberKey(dzi), func(_ dz.Key, id TreeID) bool {
 		ids = append(ids, id)
 		return true
 	})
-	if exact {
-		// Members covered by dzi. When dzi itself exceeds MaxKeyBits it can
-		// only cover longer members, which all live in the fallback map.
-		x.trie.WalkCovered(k, func(_ dz.Key, id TreeID) bool {
-			ids = append(ids, id)
-			return true
-		})
-	}
-	for e, id := range x.long {
-		if e.Overlaps(dzi) {
-			ids = append(ids, id)
-		}
-	}
 	slices.Sort(ids)
-	return slices.Compact(ids) // dzi == member appears in both walks
+	return slices.Compact(ids) // dzi may cover several members of one tree
 }
 
-// first returns one tree whose DZ set overlaps dzi — the allocation-free
+// first returns one tree whose DZ set overlaps k — the allocation-free
 // single-match variant of overlapping for per-publish lookups (an event's
-// expression is a point, so at most one disjoint tree set can own it).
-func (x *treeIndex) first(dzi dz.Expr) (TreeID, bool) {
-	var (
-		found TreeID
-		ok    bool
-	)
-	k, exact := dz.KeyOf(dzi)
-	x.trie.VisitPrefixes(k, func(_ dz.Key, id TreeID) bool {
+// key is a point, so at most one disjoint tree set can own it).
+func (x *treeIndex) first(k dz.Key) (found TreeID, ok bool) {
+	x.trie.VisitOverlaps(k, func(_ dz.Key, id TreeID) bool {
 		found, ok = id, true
 		return false
 	})
-	if !ok && exact {
-		x.trie.WalkCovered(k, func(_ dz.Key, id TreeID) bool {
-			found, ok = id, true
-			return false
-		})
-	}
-	if !ok {
-		for e, id := range x.long {
-			if e.Overlaps(dzi) {
-				found, ok = id, true
-				break
-			}
-		}
-	}
 	return found, ok
 }

@@ -98,40 +98,65 @@ func (g Geometry) Bounds(e Expr) Rect {
 	return r
 }
 
-// EncodePoint returns the dz-expression of the given length that encloses
-// the point. Coordinates outside the domain are clamped.
-func (g Geometry) EncodePoint(point []uint32, length int) (Expr, error) {
+// pointBit is the one definition of a point's dz bits, shared by the string
+// and the packed encoder: bit i of the dz is bit BitsPerDim-1-i/Dims of
+// coordinate i%Dims, a coordinate outside the domain clamped to its edge —
+// every Dims bits the bisection cycle halves each dimension once more, and
+// the halves of an integer interval [0, 2^b) are its binary digits. level is
+// i/Dims and v the coordinate i%Dims.
+func (g Geometry) pointBit(v uint32, level int) byte {
+	return byte(min(v, g.DomainSize()-1) >> uint(g.BitsPerDim-1-level) & 1)
+}
+
+// encodeLen checks an encode request and clamps its length to MaxLen.
+func (g Geometry) encodeLen(point []uint32, length int) (int, error) {
 	if len(point) != g.Dims {
-		return "", fmt.Errorf("dz: point has %d dims, geometry has %d", len(point), g.Dims)
+		return 0, fmt.Errorf("dz: point has %d dims, geometry has %d", len(point), g.Dims)
 	}
 	if length < 0 {
-		return "", fmt.Errorf("dz: negative dz length %d", length)
+		return 0, fmt.Errorf("dz: negative dz length %d", length)
 	}
-	if length > g.MaxLen() {
-		length = g.MaxLen()
+	return min(length, g.MaxLen()), nil
+}
+
+// EncodePoint returns the dz-expression of the given length that encloses
+// the point. Coordinates outside the domain are clamped. It is the string
+// form of EncodeKey, for lengths no Key can hold and for callers that print
+// or decompose; the publish path encodes packed.
+func (g Geometry) EncodePoint(point []uint32, length int) (Expr, error) {
+	length, err := g.encodeLen(point, length)
+	if err != nil {
+		return "", err
 	}
 	buf := make([]byte, length)
-	lo := make([]uint32, g.Dims)
-	hi := make([]uint32, g.Dims)
-	for d := range hi {
-		hi[d] = g.DomainSize() - 1
-	}
-	for i := 0; i < length; i++ {
-		d := i % g.Dims
-		v := point[d]
-		if v > g.DomainSize()-1 {
-			v = g.DomainSize() - 1
-		}
-		mid := lo[d] + (hi[d]-lo[d])/2
-		if v <= mid {
-			buf[i] = '0'
-			hi[d] = mid
-		} else {
-			buf[i] = '1'
-			lo[d] = mid + 1
+	for i, level := 0, 0; i < length; level++ {
+		for d := 0; d < g.Dims && i < length; d, i = d+1, i+1 {
+			buf[i] = '0' + g.pointBit(point[d], level)
 		}
 	}
 	return Expr(buf), nil
+}
+
+// EncodeKey is EncodePoint straight into the packed form: the Key of the
+// dz-expression of the given length that encloses the point, without ever
+// building the string — no buffer, no allocation. It fails where EncodePoint
+// fails, and for a length (after the MaxLen clamp) beyond MaxKeyBits, which
+// no Key can hold.
+func (g Geometry) EncodeKey(point []uint32, length int) (Key, error) {
+	length, err := g.encodeLen(point, length)
+	if err != nil {
+		return Key{}, err
+	}
+	if length > MaxKeyBits {
+		return Key{}, fmt.Errorf("dz: dz length %d exceeds the %d bits of a key", length, MaxKeyBits)
+	}
+	k := Key{len: uint8(length)}
+	for i, level := 0, 0; i < length; level++ {
+		for d := 0; d < g.Dims && i < length; d, i = d+1, i+1 {
+			k.bits[i>>3] |= g.pointBit(point[d], level) << uint(7-i&7)
+		}
+	}
+	return k, nil
 }
 
 // ContainsPoint reports whether the subspace of e contains the point.

@@ -13,9 +13,11 @@ import (
 const MaxKeyBits = 112
 
 // Key is a dz-expression packed into raw bits: the value form the prefix
-// index operates on. Packing happens once per expression (KeyOf) or once
-// per packet (the ipmc address converter); all trie traversal below works
-// on machine words instead of per-character string compares, and a Key is a
+// index operates on, and the only form of an event's dz on the data path.
+// Packing happens once per expression (KeyOf), once per published event
+// (Geometry.EncodeKey, straight from the coordinates) or once per packet
+// hop (the ipmc address converter); all trie traversal below works on
+// machine words instead of per-character string compares, and a Key is a
 // plain value — building one never allocates.
 //
 // Bits beyond the length are always zero, so == is a valid equality test.
@@ -81,6 +83,10 @@ func (k *Key) clearFrom(n int) {
 
 // Len returns the number of dz bits in the key.
 func (k Key) Len() int { return int(k.len) }
+
+// Bits returns the packed bits, big-endian like KeyFromBits takes them (bit 0
+// is the MSB of [0]); the bits beyond Len() are zero.
+func (k Key) Bits() [14]byte { return k.bits }
 
 // Bit returns the i-th bit (0 or 1). i must be < Len().
 func (k Key) Bit(i int) byte {

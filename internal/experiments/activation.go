@@ -117,6 +117,7 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 
 	// A steady event stream on a dedicated probe subspace.
 	probeExpr := dz.Expr("1111")
+	probeKey, _ := dz.KeyOf(probeExpr)
 	const eventGap = 100 * time.Microsecond
 	lat := &metrics.Latency{}
 
@@ -125,7 +126,7 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 		probeID := fmt.Sprintf("probe%d", trial)
 		var firstDelivery time.Duration
 		if err := dp.ConfigureHost(probeHost, netem.HostConfig{}, func(d netem.Delivery) {
-			if firstDelivery == 0 && d.Packet.Expr.Truncate(4) == probeExpr {
+			if firstDelivery == 0 && d.Packet.Key.Prefix(probeKey.Len()) == probeKey {
 				firstDelivery = d.At
 			}
 		}); err != nil {

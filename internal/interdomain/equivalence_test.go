@@ -38,7 +38,7 @@ func TestPropertyPartitioningPreservesDelivery(t *testing.T) {
 		for _, h := range hosts {
 			h := h
 			if err := dp.ConfigureHost(h, netem.HostConfig{}, func(d netem.Delivery) {
-				recv[fmt.Sprintf("%d|%s", h, d.Packet.Expr)]++
+				recv[fmt.Sprintf("%d|%s", h, d.Packet.Key.Expr())]++
 			}); err != nil {
 				return nil, false
 			}

@@ -23,14 +23,6 @@ const MaxDzLen = 112
 // basePrefixLen is the length of the reserved multicast prefix (ff0e).
 const basePrefixLen = 16
 
-// base returns the 16-byte ff0e::/16 address template.
-func base() [16]byte {
-	var b [16]byte
-	b[0] = 0xff
-	b[1] = 0x0e
-	return b
-}
-
 // SignalAddr is the reserved address IP_vir to which hosts send
 // advertisement and subscription requests; no switch installs a flow for
 // it, so such packets are punted to the controller (Section 2). It lies
@@ -38,32 +30,60 @@ func base() [16]byte {
 var SignalAddr = netip.AddrFrom16([16]byte{0xff, 0x0f, 0, 0, 0, 0, 0, 0,
 	0, 0, 0, 0, 0, 0, 0, 0x01})
 
+// AddrFromKey embeds a packed dz into its event destination address: ff0e,
+// then the key's 14 bytes (its bits, zero-padded). This is the data path's
+// converter — a copy, not a parse; a Key cannot be malformed or too long, so
+// there is nothing to validate. KeyFromAddr is its inverse up to the length,
+// which an address does not carry.
+func AddrFromKey(k dz.Key) netip.Addr {
+	b := [16]byte{0xff, 0x0e}
+	bits := k.Bits()
+	copy(b[2:], bits[:])
+	return netip.AddrFrom16(b)
+}
+
+// CheckLen reports whether a dz of n bits fits behind the ff0e prefix.
+func CheckLen(n int) error {
+	if n > MaxDzLen {
+		return fmt.Errorf("ipmc: dz length %d exceeds %d bits", n, MaxDzLen)
+	}
+	return nil
+}
+
+// KeyFromExpr packs a dz-expression that arrives as a string — hand-built,
+// typed by a user, published through netem's expression entry points — after
+// checking what a Key never needs checked: the alphabet and the length. It
+// is where the string form enters the data path.
+func KeyFromExpr(e dz.Expr) (dz.Key, error) {
+	if err := e.Validate(); err != nil {
+		return dz.Key{}, err
+	}
+	if err := CheckLen(e.Len()); err != nil {
+		return dz.Key{}, err
+	}
+	k, _ := dz.KeyOf(e)
+	return k, nil
+}
+
 // FromExpr converts a dz-expression into its IPv6 multicast CIDR prefix.
 func FromExpr(e dz.Expr) (netip.Prefix, error) {
-	if err := e.Validate(); err != nil {
+	k, err := KeyFromExpr(e)
+	if err != nil {
 		return netip.Prefix{}, err
 	}
-	if e.Len() > MaxDzLen {
-		return netip.Prefix{}, fmt.Errorf("ipmc: dz length %d exceeds %d bits", e.Len(), MaxDzLen)
-	}
-	b := base()
-	for i := 0; i < e.Len(); i++ {
-		if e[i] == '1' {
-			bit := basePrefixLen + i
-			b[bit/8] |= 1 << uint(7-bit%8)
-		}
-	}
-	return netip.PrefixFrom(netip.AddrFrom16(b), basePrefixLen+e.Len()), nil
+	return netip.PrefixFrom(AddrFromKey(k), basePrefixLen+k.Len()), nil
 }
 
 // EventAddr converts the dz-expression carried by an event into a concrete
-// destination address (the prefix bits with a zero-padded suffix).
+// destination address (the prefix bits with a zero-padded suffix). It is the
+// boundary form of AddrFromKey: published events get their address from
+// their key.
 func EventAddr(e dz.Expr) (netip.Addr, error) {
-	p, err := FromExpr(e)
+	k, err := KeyFromExpr(e)
 	if err != nil {
 		return netip.Addr{}, err
 	}
-	return p.Addr(), nil
+	return AddrFromKey(k), nil
 }
 
 // ToExpr recovers the dz-expression from a multicast prefix produced by

@@ -3,6 +3,7 @@ package ipmc
 import (
 	"math/rand"
 	"net/netip"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -202,5 +203,48 @@ func BenchmarkMatches(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Matches(p, a)
+	}
+}
+
+// TestAddrFromKeyMatchesEventAddr: the data path's converter (a copy of the
+// key's bytes) and the boundary converter (a parse of the expression) give
+// the same address, and KeyFromAddr reads the key back out of it — for
+// random keys and for the lengths where a byte or the address ends.
+func TestAddrFromKeyMatchesEventAddr(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	lens := []int{0, 1, 7, 8, 9, 111, MaxDzLen}
+	for i := 0; i < 500; i++ {
+		lens = append(lens, r.Intn(MaxDzLen+1))
+	}
+	for _, n := range lens {
+		buf := make([]byte, n)
+		for i := range buf {
+			buf[i] = byte('0' + r.Intn(2))
+		}
+		e := dz.Expr(buf)
+		k, ok := dz.KeyOf(e)
+		if !ok {
+			t.Fatalf("KeyOf(%q) overflowed", e)
+		}
+		want, err := EventAddr(k.Expr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := AddrFromKey(k)
+		if got != want {
+			t.Fatalf("AddrFromKey(%q) = %v, EventAddr = %v", e, got, want)
+		}
+		back, ok := KeyFromAddr(got)
+		if !ok || back.Prefix(k.Len()) != k {
+			t.Fatalf("KeyFromAddr(AddrFromKey(%q)) = %q, %v", e, back.Expr(), ok)
+		}
+		if fromExpr, err := KeyFromExpr(e); err != nil || fromExpr != k {
+			t.Fatalf("KeyFromExpr(%q) = %q, %v", e, fromExpr.Expr(), err)
+		}
+	}
+	for _, bad := range []dz.Expr{"10x", dz.Expr(strings.Repeat("1", MaxDzLen+1))} {
+		if _, err := KeyFromExpr(bad); err == nil {
+			t.Errorf("KeyFromExpr(%q) must fail", bad)
+		}
 	}
 }

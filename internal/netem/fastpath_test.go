@@ -1,10 +1,13 @@
 package netem
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"pleroma/internal/dz"
 	"pleroma/internal/ipmc"
 	"pleroma/internal/openflow"
 	"pleroma/internal/sim"
@@ -107,7 +110,7 @@ func TestPublishBatchMatchesSequential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pubs = append(pubs, Publication{Expr: "1", Event: ev})
+			pubs = append(pubs, Publication{Key: key1, Event: ev})
 		}
 		if batch {
 			if err := dp.PublishBatch(hosts[0], pubs); err != nil {
@@ -115,7 +118,7 @@ func TestPublishBatchMatchesSequential(t *testing.T) {
 			}
 		} else {
 			for _, pb := range pubs {
-				if err := dp.Publish(hosts[0], pb.Expr, pb.Event, pb.Size); err != nil {
+				if err := dp.Publish(hosts[0], "1", pb.Event, pb.Size); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -140,8 +143,12 @@ func TestPublishBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestPublishBatchValidation: a bad expression anywhere in the batch
-// rejects the whole batch before any packet is injected or sequence number
+// key1 is the packed form of the fixtures' dz "1".
+var key1, _ = dz.KeyOf("1")
+
+// TestPublishBatchValidation: a batch carries keys, which cannot be
+// malformed; an expression can, and the expression entry point refuses a bad
+// or over-long one before any packet is injected or sequence number
 // consumed.
 func TestPublishBatchValidation(t *testing.T) {
 	dp, eng, hosts, _ := buildLine(t)
@@ -150,22 +157,27 @@ func TestPublishBatchValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, _ := sch.NewEvent(1, 1)
-	err = dp.PublishBatch(hosts[0], []Publication{
-		{Expr: "1", Event: ev},
-		{Expr: "01x2", Event: ev}, // invalid dz
-	})
-	if err == nil {
-		t.Fatal("invalid expression must fail the batch")
+	for _, bad := range []dz.Expr{"01x2", dz.Expr(strings.Repeat("1", dz.MaxKeyBits+1))} {
+		if err := dp.Publish(hosts[0], bad, ev, 64); err == nil {
+			t.Fatalf("publishing %q must fail", bad)
+		}
 	}
 	if eng.Pending() != 0 {
-		t.Errorf("failed batch injected %d events", eng.Pending())
+		t.Errorf("failed publishes injected %d events", eng.Pending())
+	}
+	var seqs []uint64
+	if err := dp.ConfigureHost(hosts[1], HostConfig{}, func(d Delivery) { seqs = append(seqs, d.Packet.Seq) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := dp.PublishBatch(hosts[0], []Publication{{Key: key1, Event: ev}}); err != nil {
+		t.Fatal(err)
 	}
 	if err := dp.Publish(hosts[0], "1", ev, 64); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()
-	if dp.HostReceived(hosts[1]) != 1 {
-		t.Errorf("received=%d after failed batch + publish", dp.HostReceived(hosts[1]))
+	if fmt.Sprint(seqs) != "[1 2]" {
+		t.Errorf("sequence numbers after failed publishes: %v, want [1 2]", seqs)
 	}
 }
 

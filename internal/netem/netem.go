@@ -52,8 +52,15 @@ type Packet struct {
 	// events, a host address after terminal rewrite, or IP_vir for
 	// control signalling.
 	Dst netip.Addr
-	// Expr is the dz-expression carried by the event (convenience copy of
-	// the bits embedded in Dst when the packet was published).
+	// Key is the event's dz, packed: what the receiving host demultiplexes
+	// on. Publish admission makes it once per event and Dst is a copy of its
+	// bits, so nothing on the path parses an expression. Switches do not read
+	// it — they match the header, Dst.
+	Key dz.Key
+	// Expr is a label for callers that build an event packet by hand: the
+	// injection entry points (SendFromHost, SendFromSwitchPort) give a packet
+	// that carries Expr and no Key the key of Expr, once. Nothing reads it
+	// per hop or per host, and published packets leave it empty.
 	Expr dz.Expr
 	// Event is the content payload, used by receivers for false-positive
 	// accounting.
@@ -170,9 +177,11 @@ type LinkStats struct {
 	Dropped map[topo.NodeID]uint64
 }
 
-// Publication is one event of a PublishBatch.
+// Publication is one event of a PublishBatch: the path form, with the
+// event's dz already packed (space.Schema.EncodeKey). Publish and
+// PublishStamped are the boundary form, for a dz that arrives as a string.
 type Publication struct {
-	Expr  dz.Expr
+	Key   dz.Key
 	Event space.Event
 	// Size is the wire size; zero or negative uses DefaultPacketSize.
 	Size int
@@ -784,57 +793,27 @@ func (dp *DataPlane) Publish(host topo.NodeID, expr dz.Expr, ev space.Event, siz
 }
 
 // PublishStamped is Publish carrying an observability origin stamp; the
-// stamp rides the packet by value to every delivery.
+// stamp rides the packet by value to every delivery. The expression is
+// checked and packed here, once, and the event takes the batch path.
 func (dp *DataPlane) PublishStamped(host topo.NodeID, expr dz.Expr, ev space.Event, size int, st Stamp) error {
-	addr, err := ipmc.EventAddr(expr)
+	key, err := ipmc.KeyFromExpr(expr)
 	if err != nil {
 		return fmt.Errorf("netem: publish: %w", err)
 	}
-	if size <= 0 {
-		size = DefaultPacketSize
-	}
-	// Resolve the access link before taking the sequence number: a publish
-	// that cannot be injected must not leave a gap in the publisher's
-	// sequence (PublishBatch validates first for the same reason).
-	d, err := dp.hostLink(host)
-	if err != nil {
-		return err
-	}
-	dp.mu.Lock()
-	dp.pubSeq[host]++
-	seq := dp.pubSeq[host]
-	dp.mu.Unlock()
-	c := dp.ctxFor(host)
-	c.transmit(d, c.allocPkt(Packet{
-		Dst:       addr,
-		Expr:      expr,
-		Event:     ev,
-		Publisher: host,
-		Seq:       seq,
-		SizeBytes: size,
-		SentAt:    dp.eng.Now(),
-		HopLimit:  DefaultHopLimit,
-		Stamp:     st,
-	}))
-	return nil
+	pubs := [1]Publication{{Key: key, Event: ev, Size: size, Stamp: st}}
+	return dp.PublishBatch(host, pubs[:])
 }
 
 // PublishBatch injects a burst of event packets from one host, assigning
-// all sequence numbers under a single lock acquisition. The batch is
-// validated up front: on error nothing is published. The resulting packet
-// stream — sequence numbers, timestamps, event ordering — is identical to
-// calling Publish once per publication at the same simulated instant.
+// all sequence numbers under a single lock acquisition. A publication's
+// address is a copy of its key, so nothing in a batch can be malformed: on
+// error (the host cannot inject right now) nothing is published and no
+// sequence number is taken. The resulting packet stream — sequence numbers,
+// timestamps, event ordering — is identical to calling Publish once per
+// publication at the same simulated instant.
 func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 	if len(pubs) == 0 {
 		return nil
-	}
-	addrs := make([]netip.Addr, len(pubs))
-	for i, pb := range pubs {
-		addr, err := ipmc.EventAddr(pb.Expr)
-		if err != nil {
-			return fmt.Errorf("netem: publish: %w", err)
-		}
-		addrs[i] = addr
 	}
 	d, err := dp.hostLink(host)
 	if err != nil {
@@ -846,14 +825,15 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 	base := dp.pubSeq[host]
 	dp.pubSeq[host] = base + uint64(len(pubs))
 	dp.mu.Unlock()
-	for i, pb := range pubs {
+	for i := range pubs {
+		pb := &pubs[i]
 		size := pb.Size
 		if size <= 0 {
 			size = DefaultPacketSize
 		}
 		c.transmit(d, c.allocPkt(Packet{
-			Dst:       addrs[i],
-			Expr:      pb.Expr,
+			Dst:       ipmc.AddrFromKey(pb.Key),
+			Key:       pb.Key,
 			Event:     pb.Event,
 			Publisher: host,
 			Seq:       base + uint64(i) + 1,
@@ -898,9 +878,20 @@ func (dp *DataPlane) SendFromHost(host topo.NodeID, pkt Packet) error {
 	if err != nil {
 		return err
 	}
+	pkt.keyFromLabel()
 	c := dp.ctxFor(host)
 	c.transmit(d, c.allocPkt(pkt))
 	return nil
+}
+
+// keyFromLabel gives a hand-built packet that names its dz only as Expr the
+// key of that expression — the injection boundary's one normalisation, so
+// the path behind it reads keys alone. An expression longer than a key keeps
+// its first dz.MaxKeyBits bits, all an address could carry of it.
+func (p *Packet) keyFromLabel() {
+	if p.Key.Len() == 0 && p.Expr != "" {
+		p.Key, _ = dz.KeyOf(p.Expr)
+	}
 }
 
 // SendFromSwitchPort transmits a packet out of a specific switch port — the
@@ -929,6 +920,7 @@ func (dp *DataPlane) SendFromSwitchPort(sw topo.NodeID, port openflow.PortID, pk
 	if pkt.SizeBytes <= 0 {
 		pkt.SizeBytes = DefaultPacketSize
 	}
+	pkt.keyFromLabel()
 	c := dp.ctxFor(sw)
 	c.transmit(d, c.allocPkt(pkt))
 	return nil

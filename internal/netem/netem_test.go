@@ -672,7 +672,7 @@ func TestStampAndHopsRideTheDelivery(t *testing.T) {
 	if err := dp.PublishStamped(hosts[0], "1", ev, 64, st); err != nil {
 		t.Fatal(err)
 	}
-	if err := dp.PublishBatch(hosts[0], []Publication{{Expr: "1", Event: ev, Stamp: st}}); err != nil {
+	if err := dp.PublishBatch(hosts[0], []Publication{{Key: key1, Event: ev, Stamp: st}}); err != nil {
 		t.Fatal(err)
 	}
 	eng.Run()

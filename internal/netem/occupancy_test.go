@@ -364,13 +364,13 @@ func TestFailedPublishKeepsSequence(t *testing.T) {
 		if err := dp.ConfigureHost(sub, HostConfig{}, func(d Delivery) { seqs = append(seqs, d.Packet.Seq) }); err != nil {
 			t.Fatal(err)
 		}
-		pubs := []Publication{{Expr: "1", Event: ev}, {Expr: "1", Event: ev}, {Expr: "1", Event: ev}}
+		pubs := []Publication{{Key: key1, Event: ev}, {Key: key1, Event: ev}, {Key: key1, Event: ev}}
 		publish := func() error {
 			if batch {
 				return dp.PublishBatch(late, pubs)
 			}
 			for _, pb := range pubs {
-				if err := dp.Publish(late, pb.Expr, pb.Event, pb.Size); err != nil {
+				if err := dp.Publish(late, "1", pb.Event, pb.Size); err != nil {
 					return err
 				}
 			}

@@ -147,9 +147,24 @@ func (e Event) Project(dims []int) Event {
 	return Event{Values: vals}
 }
 
-// Encode returns the dz-expression of the given length enclosing the event.
-// Events are published with a dz of maximum length (Section 2); shorter
-// lengths model the Ldz address-space truncation.
+// EncodeKey returns the dz of the given length enclosing the event, packed:
+// the form publish admission makes once per event and the data path carries
+// from there to the subscriber's handler. Events are published with a dz of
+// maximum length (Section 2); shorter lengths model the Ldz address-space
+// truncation. It fails for a length (clamped to the geometry's) that no
+// event address can carry, dz.MaxKeyBits.
+func (s *Schema) EncodeKey(e Event, length int) (dz.Key, error) {
+	k, err := s.geom.EncodeKey(e.Values, length)
+	if err != nil {
+		return dz.Key{}, fmt.Errorf("space: encode event: %w", err)
+	}
+	return k, nil
+}
+
+// Encode is the string form of EncodeKey, a boundary function for callers
+// that print, decompose or hand-build flows (experiments, dzcalc, probes);
+// nothing between publish admission and a handler calls it. Unlike a key,
+// the expression may be longer than dz.MaxKeyBits.
 func (s *Schema) Encode(e Event, length int) (dz.Expr, error) {
 	expr, err := s.geom.EncodePoint(e.Values, length)
 	if err != nil {

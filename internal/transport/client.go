@@ -107,11 +107,14 @@ type Client struct {
 	fc      *frameConn
 	corr    uint64
 	pending map[uint64]chan callResult
-	advs    map[string]registration
-	subs    map[string]registration
-	regSeq  uint64 // arrival counter behind registration.seq
-	info    Info
-	closed  bool
+	// slots holds the idle call rendezvous (see callSlot), so a blocking
+	// call allocates neither its result channel nor its deadline timer.
+	slots  []*callSlot
+	advs   map[string]registration
+	subs   map[string]registration
+	regSeq uint64 // arrival counter behind registration.seq
+	info   Info
+	closed bool
 	// pubSeq numbers this client's publishes so the server can deduplicate
 	// an at-least-once retry of a publish it already applied.
 	pubSeq uint64
@@ -130,6 +133,17 @@ type Client struct {
 	aerr      error
 	redialing bool
 	lingerOn  bool
+}
+
+// callSlot is what one blocking call waits on: the channel its result
+// arrives on and the timer that bounds the wait. A slot goes back to
+// Client.slots only after its call received a result — whoever removes a
+// pending entry sends on its channel exactly once, so the channel is then
+// empty and unreferenced; a call that timed out or failed to send abandons
+// its slot, because a result may still be on its way into the channel.
+type callSlot struct {
+	ch    chan callResult
+	timer *time.Timer // nil until a call with an OpDeadline uses the slot
 }
 
 // callResult is what a pending call receives: either a response frame
@@ -462,8 +476,13 @@ func (c *Client) attempt(kind wire.Kind, payload []byte, isRetry bool) (wire.Fra
 	fc := c.fc
 	c.corr++
 	corr := c.corr
-	ch := make(chan callResult, 1)
-	c.pending[corr] = ch
+	var slot *callSlot
+	if n := len(c.slots); n > 0 {
+		slot, c.slots = c.slots[n-1], c.slots[:n-1]
+	} else {
+		slot = &callSlot{ch: make(chan callResult, 1)}
+	}
+	c.pending[corr] = slot.ch
 	c.mu.Unlock()
 	if start != nil {
 		// Fresh connection: flush handshake-buffered deliveries and start
@@ -481,13 +500,27 @@ func (c *Client) attempt(kind wire.Kind, payload []byte, isRetry bool) (wire.Fra
 	}
 
 	var timeout <-chan time.Time
-	if c.retry.OpDeadline > 0 {
-		t := time.NewTimer(c.retry.OpDeadline)
-		defer t.Stop()
-		timeout = t.C
+	if d := c.retry.OpDeadline; d > 0 {
+		if slot.timer == nil {
+			slot.timer = time.NewTimer(d)
+		} else {
+			slot.timer.Reset(d)
+		}
+		timeout = slot.timer.C
 	}
 	select {
-	case res := <-ch:
+	case res := <-slot.ch:
+		if slot.timer != nil && !slot.timer.Stop() {
+			// Fired while the result was arriving: take the tick out, or the
+			// slot's next call would time out at once.
+			select {
+			case <-slot.timer.C:
+			default:
+			}
+		}
+		c.mu.Lock()
+		c.slots = append(c.slots, slot)
+		c.mu.Unlock()
 		if res.err != nil {
 			return wire.Frame{}, res.err // transport failure: retryable
 		}

@@ -149,12 +149,19 @@ func (fc *frameConn) enqueue(kind wire.Kind, corr uint64, payload []byte, pooled
 	return nil
 }
 
+// maxSpareFrames bounds the queue backing array the writer keeps between
+// wakeups (40 KB of frame headers); a deeper backlog's array goes to the GC.
+const maxSpareFrames = 1024
+
 // writeLoop drains the queue: every wakeup takes the whole backlog and
 // writes it through the buffered writer, but flushes only when the queue
 // is empty after the writes (flush-on-idle) — frames that arrived while
-// the writer was busy ride the same eventual flush.
+// the writer was busy ride the same eventual flush. The queue swaps between
+// two backing arrays — senders fill one while the writer drains the other —
+// so steady traffic enqueues without allocating.
 func (fc *frameConn) writeLoop() {
 	defer close(fc.done)
+	var spare []outFrame // the drained array, empty, payload references cleared
 	for {
 		fc.mu.Lock()
 		for len(fc.queue) == 0 && !fc.closed && fc.werr == nil {
@@ -165,7 +172,7 @@ func (fc *frameConn) writeLoop() {
 			return
 		}
 		batch := fc.queue
-		fc.queue = nil
+		fc.queue = spare
 		fc.mu.Unlock()
 
 		if fc.writeTimeout > 0 {
@@ -214,6 +221,11 @@ func (fc *frameConn) writeLoop() {
 		fc.m.framesSent.Add(uint64(len(batch)))
 		fc.m.bytesSent.Add(uint64(n))
 		fc.m.writeBatch.ObserveCount(len(batch))
+		spare = nil
+		if cap(batch) <= maxSpareFrames {
+			clear(batch) // written payloads belong to their senders again
+			spare = batch[:0]
+		}
 	}
 }
 

@@ -115,6 +115,7 @@ func (s *System) Recover(partition int, snap []byte) (FailoverReport, error) {
 	if !s.cfg.journal {
 		return FailoverReport{}, fmt.Errorf("pleroma: Recover requires WithJournal or WithJournalDir")
 	}
+	defer s.unready()()
 	return s.fab.RecoverPartition(partition, snap)
 }
 

@@ -160,9 +160,9 @@ func (s *System) DeliveryLatency() DeliveryLatencyReport {
 	return r
 }
 
-// systemHealth adapts the deployment's southbound health to the
-// operational endpoint: /healthz degrades while any switch is
-// quarantined.
+// systemHealth adapts the deployment's health to the operational endpoint:
+// /healthz degrades while any switch is quarantined, /readyz follows
+// System.ready.
 type systemHealth struct{ s *System }
 
 func (h systemHealth) DegradedSwitches() []string {
@@ -174,7 +174,7 @@ func (h systemHealth) DegradedSwitches() []string {
 	return out
 }
 
-func (h systemHealth) Ready() bool { return true }
+func (h systemHealth) Ready() bool { return h.s.ready.Load() }
 
 // ObsHandler returns the operational HTTP handler (/metrics, /healthz,
 // /readyz, /traces, /debug/pprof/*). It works — with empty metrics and

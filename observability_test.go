@@ -1,8 +1,11 @@
 package pleroma
 
 import (
+	"context"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -289,4 +292,116 @@ func TestInterdomainObservability(t *testing.T) {
 	if want := sys.fab.Stats().MessagesSent; got != float64(want) {
 		t.Errorf("registry interdomain messages %v != fabric stats %d", got, want)
 	}
+}
+
+// readyzProbe is a trace sink that asks /readyz, on the goroutine that ends
+// the span, whenever a span of the watched op completes — an observer placed
+// inside whatever control operation emits that span.
+type readyzProbe struct {
+	slog.Handler // a text handler over io.Discard: everything but Handle
+	op           string
+	handler      func() http.Handler
+	codes        []int
+}
+
+func (p *readyzProbe) Handle(_ context.Context, r slog.Record) error {
+	r.Attrs(func(a slog.Attr) bool {
+		if a.Key == "op" && a.Value.String() == p.op {
+			rec := httptest.NewRecorder()
+			p.handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+			p.codes = append(p.codes, rec.Code)
+		}
+		return true
+	})
+	return nil
+}
+
+// TestReadyzFollowsLifecycle: /readyz is 200 on a constructed system, 503
+// when asked from inside a Restore, a Failover or a Recover (the resync span
+// each of them ends while the controller is being swapped), 200 again once
+// they return, and 503 for good after Close. /healthz is not involved.
+func TestReadyzFollowsLifecycle(t *testing.T) {
+	var sys *System
+	probe := &readyzProbe{
+		Handler: slog.NewTextHandler(io.Discard, nil),
+		op:      "resync",
+		handler: func() http.Handler { return sys.ObsHandler() },
+	}
+	sys, pub := obsFixture(t, WithJournal(), WithTraceLog(slog.New(probe)))
+	readyz := func() int {
+		rec := httptest.NewRecorder()
+		sys.ObsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+		return rec.Code
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz on a constructed system = %d, want 200", code)
+	}
+	snap, err := sys.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	swaps := []struct {
+		name string
+		run  func() error
+	}{
+		{"Restore", func() error { return sys.Restore(0, snap) }},
+		{"Failover", func() error { _, err := sys.Failover(0); return err }},
+		{"Recover", func() error { _, err := sys.Recover(0, snap); return err }},
+	}
+	for _, sw := range swaps {
+		probe.codes = nil
+		if err := sw.run(); err != nil {
+			t.Fatalf("%s: %v", sw.name, err)
+		}
+		if len(probe.codes) == 0 {
+			t.Fatalf("%s ended no resync span: the probe never ran inside it", sw.name)
+		}
+		for _, code := range probe.codes {
+			if code != http.StatusServiceUnavailable {
+				t.Errorf("/readyz from inside %s = %d, want 503", sw.name, code)
+			}
+		}
+		if code := readyz(); code != http.StatusOK {
+			t.Errorf("/readyz after %s = %d, want 200", sw.name, code)
+		}
+	}
+	// The swapped-in controller serves: readiness did not come back early.
+	if err := pub.Publish(7); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if code := readyz(); code != http.StatusOK {
+		t.Fatalf("/readyz before Close = %d, want 200", code)
+	}
+	sys.Close()
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after Close = %d, want 503", code)
+	}
+	rec := httptest.NewRecorder()
+	sys.ObsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/healthz after Close = %d, want 200 (no switch is quarantined)", rec.Code)
+	}
+}
+
+// TestReadyzWaitsForListener: with WithListener the system is ready only
+// once it accepts — a client can dial the moment /readyz says 200.
+func TestReadyzWaitsForListener(t *testing.T) {
+	sch, err := NewSchema(Attribute{Name: "v", Bits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(sch, WithListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	if !sys.ready.Load() {
+		t.Fatal("a listening system is not ready")
+	}
+	c, err := Dial(sys.ListenAddr())
+	if err != nil {
+		t.Fatalf("ready, but not accepting: %v", err)
+	}
+	c.Close()
 }

@@ -41,6 +41,7 @@ import (
 	"pleroma/internal/dimsel"
 	"pleroma/internal/dz"
 	"pleroma/internal/interdomain"
+	"pleroma/internal/ipmc"
 	"pleroma/internal/netem"
 	"pleroma/internal/obs"
 	"pleroma/internal/sim"
@@ -296,6 +297,12 @@ type System struct {
 	// nil without WithObservability.
 	lat *obs.DeliveryLatency
 
+	// ready is what /readyz reports: set once NewSystem has built the
+	// deployment (and, with WithListener, the listener accepts), cleared
+	// while Recover, Restore or Failover swap a controller (see unready) and
+	// for good by Close.
+	ready atomic.Bool
+
 	// stampPubs enables origin-stamping publications (observability or a
 	// TCP listener); without either, publishes skip the tree lookup and
 	// wall-clock read entirely.
@@ -483,6 +490,7 @@ func NewSystem(sch *Schema, opts ...Option) (*System, error) {
 			return nil, err
 		}
 	}
+	sys.ready.Store(true)
 	return sys, nil
 }
 
@@ -535,6 +543,7 @@ func (s *System) Shards() int {
 // idempotent, and safe to call concurrently (e.g. racing the finalizer
 // path or a deferred double-Close).
 func (s *System) Close() {
+	s.ready.Store(false)
 	if s.server != nil {
 		s.server.Stop()
 	}
@@ -562,7 +571,7 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 	if d.Packet.Control != nil || len(d.Packet.Event.Values) != s.sch.Dims() {
 		return
 	}
-	key, _ := dz.KeyOf(d.Packet.Expr.Truncate(s.cfg.maxDzLen))
+	key := d.Packet.Key.Prefix(s.cfg.maxDzLen)
 	h := &s.hosts[host]
 	matches, visited := h.lookup(key)
 	s.obsDemuxCandidates.Add(uint64(visited))
@@ -754,13 +763,17 @@ func (p *Publisher) publishTraced(tc wire.TraceContext, values ...uint32) error 
 	}
 	p.sys.recordEvent(pb.Event)
 	p.sys.maybeArmReindex()
-	return p.sys.dp.PublishStamped(p.host, pb.Expr, pb.Event, pb.Size, pb.Stamp)
+	pubs := [1]netem.Publication{pb}
+	return p.sys.dp.PublishBatch(p.host, pubs[:])
 }
 
 // admit is the publish admission prologue, shared by the single and the
 // batch path: the publisher must have advertised, the tuple must fit the
 // schema, and the event is dz-encoded in the active index space under the
-// L_dz bound and given its origin stamp. It injects nothing.
+// L_dz bound and given its origin stamp. The dz is made here, once, as a
+// packed key: the address, the stamp's tree lookup and the receiving hosts'
+// demux all consume that key, and no expression string exists between here
+// and a subscriber's handler. It injects nothing.
 func (p *Publisher) admit(tc wire.TraceContext, values []uint32) (netem.Publication, error) {
 	if !p.advertised {
 		return netem.Publication{}, ErrNotAdvertised
@@ -775,11 +788,16 @@ func (p *Publisher) admit(tc wire.TraceContext, values []uint32) (netem.Publicat
 	if s.cfg.maxDzLen < maxLen {
 		maxLen = s.cfg.maxDzLen
 	}
-	expr, err := idxSch.Encode(s.indexEvent(ev), maxLen)
+	if err := ipmc.CheckLen(maxLen); err != nil {
+		// No event address can carry this dz. The data plane's expression
+		// entry point used to say so, one layer down; the text is kept.
+		return netem.Publication{}, fmt.Errorf("netem: publish: %w", err)
+	}
+	key, err := idxSch.EncodeKey(s.indexEvent(ev), maxLen)
 	if err != nil {
 		return netem.Publication{}, err
 	}
-	return netem.Publication{Expr: expr, Event: ev, Size: netem.DefaultPacketSize, Stamp: p.stampFor(expr, tc)}, nil
+	return netem.Publication{Key: key, Event: ev, Size: netem.DefaultPacketSize, Stamp: p.stampFor(key, tc)}, nil
 }
 
 // stampFor builds the data-plane origin stamp for one publication: the
@@ -788,7 +806,7 @@ func (p *Publisher) admit(tc wire.TraceContext, values []uint32) (netem.Publicat
 // trace context. The zero stamp when stamping is disabled (no
 // observability and no listener) keeps the default hot path free of the
 // tree lookup and clock read.
-func (p *Publisher) stampFor(expr dz.Expr, tc wire.TraceContext) netem.Stamp {
+func (p *Publisher) stampFor(key dz.Key, tc wire.TraceContext) netem.Stamp {
 	s := p.sys
 	if !s.stampPubs {
 		return netem.Stamp{}
@@ -809,7 +827,7 @@ func (p *Publisher) stampFor(expr dz.Expr, tc wire.TraceContext) netem.Stamp {
 	}
 	if st.Partition >= 0 {
 		if ctl, err := s.fab.Controller(int(st.Partition)); err == nil {
-			if id, ok := ctl.TreeFor(expr); ok {
+			if id, ok := ctl.TreeFor(key); ok {
 				st.Tree = int32(id)
 			}
 		}
