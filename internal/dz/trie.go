@@ -15,10 +15,10 @@ const MaxKeyBits = 112
 // Key is a dz-expression packed into raw bits: the value form the prefix
 // index operates on, and the only form of an event's dz on the data path.
 // Packing happens once per expression (KeyOf), once per published event
-// (Geometry.EncodeKey, straight from the coordinates) or once per packet
-// hop (the ipmc address converter); all trie traversal below works on
-// machine words instead of per-character string compares, and a Key is a
-// plain value — building one never allocates.
+// (Geometry.EncodeKey, straight from the coordinates) or once per address
+// written into a packet (the ipmc address converter); all trie traversal
+// below works on machine words instead of per-character string compares, and
+// a Key is a plain value — building one never allocates.
 //
 // Bits beyond the length are always zero, so == is a valid equality test.
 type Key struct {

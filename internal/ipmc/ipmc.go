@@ -136,11 +136,18 @@ func ExprFromAddr(addr netip.Addr, length int) (dz.Expr, error) {
 	return dz.Expr(buf), nil
 }
 
+// PadKey returns the key a switch looks an event up by: k's bits zero-padded
+// to the MaxDzLen bits its address carries, so PadKey(k) is
+// KeyFromAddr(AddrFromKey(k)) without the address. The padding is what makes
+// a flow for 100 match an event whose dz is 1.
+func PadKey(k dz.Key) dz.Key { return dz.KeyFromBits(k.Bits(), MaxDzLen) }
+
 // KeyFromAddr packs the 112 dz bits of an event address directly into a
-// prefix-index key, skipping the string form entirely — the packet-path
-// converter for the flow-table fast path. ok is false for addresses outside
-// the ff0e::/16 block (no dz flow can ever match those). It never
-// allocates.
+// prefix-index key, skipping the string form entirely: the converter for a
+// destination that arrives as an address — a hand-injected packet, a SetDest
+// rewrite, Table.Lookup — run where the address is written, not per hop. ok
+// is false, and the key zero, for addresses outside the ff0e::/16 block (no
+// dz flow can ever match those). It never allocates.
 func KeyFromAddr(addr netip.Addr) (dz.Key, bool) {
 	if !addr.Is6() {
 		return dz.Key{}, false

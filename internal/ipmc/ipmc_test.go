@@ -208,8 +208,9 @@ func BenchmarkMatches(b *testing.B) {
 
 // TestAddrFromKeyMatchesEventAddr: the data path's converter (a copy of the
 // key's bytes) and the boundary converter (a parse of the expression) give
-// the same address, and KeyFromAddr reads the key back out of it — for
-// random keys and for the lengths where a byte or the address ends.
+// the same address, and KeyFromAddr reads the key back out of it, zero-padded
+// as PadKey pads it without the address — for random keys and for the lengths
+// where a byte or the address ends.
 func TestAddrFromKeyMatchesEventAddr(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	lens := []int{0, 1, 7, 8, 9, 111, MaxDzLen}
@@ -237,6 +238,9 @@ func TestAddrFromKeyMatchesEventAddr(t *testing.T) {
 		back, ok := KeyFromAddr(got)
 		if !ok || back.Prefix(k.Len()) != k {
 			t.Fatalf("KeyFromAddr(AddrFromKey(%q)) = %q, %v", e, back.Expr(), ok)
+		}
+		if pad := PadKey(k); pad != back || pad.Len() != MaxDzLen {
+			t.Fatalf("PadKey(%q) = %q, the address carries %q", e, pad.Expr(), back.Expr())
 		}
 		if fromExpr, err := KeyFromExpr(e); err != nil || fromExpr != k {
 			t.Fatalf("KeyFromExpr(%q) = %q, %v", e, fromExpr.Expr(), err)

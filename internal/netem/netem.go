@@ -50,13 +50,26 @@ import (
 type Packet struct {
 	// Dst is the destination address: a dz-embedded multicast address for
 	// events, a host address after terminal rewrite, or IP_vir for
-	// control signalling.
+	// control signalling. It is the header a switch matches, and the truth:
+	// dstKey below is its memo.
 	Dst netip.Addr
 	// Key is the event's dz, packed: what the receiving host demultiplexes
 	// on. Publish admission makes it once per event and Dst is a copy of its
 	// bits, so nothing on the path parses an expression. Switches do not read
 	// it — they match the header, Dst.
 	Key dz.Key
+	// dstKey is what a switch hop looks Dst up by: ipmc.KeyFromAddr(Dst),
+	// packed once where Dst is written — PublishBatch, the injection entry
+	// points (atInjection), a SetDest rewrite (sendTo) — instead of once per
+	// hop, and the zero key when Dst is no dz address. It is never set from
+	// anything but Dst, so the switches still match exactly the bits the wire
+	// carries; like every field it travels by value through the slab,
+	// multicast copies and cross-shard mailboxes.
+	dstKey dz.Key
+	// Hops counts the switch hops taken so far. (It sits here to share the
+	// two keys' alignment padding; TestPacketSize tracks the struct's size,
+	// which every slab entry, multicast copy and delivery pays.)
+	Hops uint16
 	// Expr is a label for callers that build an event packet by hand: the
 	// injection entry points (SendFromHost, SendFromSwitchPort) give a packet
 	// that carries Expr and no Key the key of Expr, once. Nothing reads it
@@ -83,8 +96,6 @@ type Packet struct {
 	Path []topo.NodeID
 	// Stamp is the observability origin context (zero when unstamped).
 	Stamp Stamp
-	// Hops counts the switch hops taken so far.
-	Hops uint16
 }
 
 // Stamp is the per-event observability origin context: the
@@ -834,6 +845,7 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 		c.transmit(d, c.allocPkt(Packet{
 			Dst:       ipmc.AddrFromKey(pb.Key),
 			Key:       pb.Key,
+			dstKey:    ipmc.PadKey(pb.Key),
 			Event:     pb.Event,
 			Publisher: host,
 			Seq:       base + uint64(i) + 1,
@@ -878,20 +890,23 @@ func (dp *DataPlane) SendFromHost(host topo.NodeID, pkt Packet) error {
 	if err != nil {
 		return err
 	}
-	pkt.keyFromLabel()
+	pkt.atInjection()
 	c := dp.ctxFor(host)
 	c.transmit(d, c.allocPkt(pkt))
 	return nil
 }
 
-// keyFromLabel gives a hand-built packet that names its dz only as Expr the
-// key of that expression — the injection boundary's one normalisation, so
-// the path behind it reads keys alone. An expression longer than a key keeps
-// its first dz.MaxKeyBits bits, all an address could carry of it.
-func (p *Packet) keyFromLabel() {
+// atInjection is the injection boundary's normalisation of a hand-built
+// packet, so the path behind it reads keys alone. A packet that names its dz
+// only as Expr gets the key of that expression (an expression longer than a
+// key keeps its first dz.MaxKeyBits bits, all an address could carry of it),
+// and the switches' lookup key is packed from Dst — always: a caller cannot
+// set it, and a delivered packet sent on again must not keep a stale one.
+func (p *Packet) atInjection() {
 	if p.Key.Len() == 0 && p.Expr != "" {
 		p.Key, _ = dz.KeyOf(p.Expr)
 	}
+	p.dstKey, _ = ipmc.KeyFromAddr(p.Dst)
 }
 
 // SendFromSwitchPort transmits a packet out of a specific switch port — the
@@ -920,7 +935,7 @@ func (dp *DataPlane) SendFromSwitchPort(sw topo.NodeID, port openflow.PortID, pk
 	if pkt.SizeBytes <= 0 {
 		pkt.SizeBytes = DefaultPacketSize
 	}
-	pkt.keyFromLabel()
+	pkt.atInjection()
 	c := dp.ctxFor(sw)
 	c.transmit(d, c.allocPkt(pkt))
 	return nil
@@ -1077,7 +1092,7 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 // in the slot it arrived in; every earlier port gets a copy.
 func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot uint32) {
 	p := c.dp.plans[sw]
-	flow, ok := p.table.Lookup(c.slab[slot].Dst)
+	actions, ok := p.table.LookupKey(c.slab[slot].dstKey)
 	if !ok {
 		atomic.AddUint64(&p.stats.TableMisses, 1)
 		punt := c.dp.punt.Load()
@@ -1095,7 +1110,7 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 	// when another branch follows it and in place when none does.
 	var out *dirState
 	var outDst netip.Addr
-	for _, action := range flow.Actions {
+	for _, action := range actions {
 		d := p.dirFor(action.OutPort)
 		if d == nil {
 			continue
@@ -1123,10 +1138,13 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 }
 
 // sendTo transmits the packet in slot over d, readdressed to dst when the
-// flow action set one.
+// flow action set one — the next switch, if there is one, matches the new
+// address, so its lookup key is repacked with it.
 func (c *shardCtx) sendTo(d *dirState, dst netip.Addr, slot uint32) {
 	if dst.IsValid() {
-		c.slab[slot].Dst = dst
+		pkt := &c.slab[slot]
+		pkt.Dst = dst
+		pkt.dstKey, _ = ipmc.KeyFromAddr(dst)
 	}
 	c.transmit(d, slot)
 }

@@ -79,7 +79,9 @@ func TestApplyBatchUnknownTargets(t *testing.T) {
 }
 
 // TestTableConcurrentAccess hammers one table from several goroutines;
-// meaningful under -race.
+// meaningful under -race. Forwarding-path readers range over the action
+// lists LookupKey hands out by reference while writers Modify, batch-modify
+// and delete the flows that own them: a list a reader holds is never written.
 func TestTableConcurrentAccess(t *testing.T) {
 	tab := NewTable()
 	var wg sync.WaitGroup
@@ -90,6 +92,29 @@ func TestTableConcurrentAccess(t *testing.T) {
 	ev, err := ipmc.EventAddr("1111")
 	if err != nil {
 		t.Fatal(err)
+	}
+	key, _ := ipmc.KeyFromAddr(ev)
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				actions, _ := tab.LookupKey(key)
+				for _, a := range actions {
+					if a.OutPort < 1 || a.OutPort > 10 {
+						t.Errorf("LookupKey handed out a torn action list: %v", actions)
+						return
+					}
+				}
+			}
+		}()
 	}
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -108,6 +133,10 @@ func TestTableConcurrentAccess(t *testing.T) {
 					t.Error("modify failed")
 					return
 				}
+				if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(id, 1, []Action{{OutPort: 10}, {OutPort: 9}})}); err != nil {
+					t.Error(err)
+					return
+				}
 				if !tab.Delete(id) {
 					t.Error("delete failed")
 					return
@@ -116,6 +145,8 @@ func TestTableConcurrentAccess(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+	close(stop)
+	readers.Wait()
 	if tab.Len() != 0 {
 		t.Errorf("Len=%d, want 0", tab.Len())
 	}

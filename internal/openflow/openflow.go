@@ -157,6 +157,14 @@ func (s ModStats) Total() uint64 { return s.Adds + s.Deletes + s.Mods }
 // hardware TCAMs that Figure 7(a) demonstrates. Any flow violating the
 // invariant drops the table back to a full scan.
 //
+// There is one lookup and two spellings of its argument. LookupKey is the
+// path form: the switch hop hands it the destination's dz bits already
+// packed (netem packs them where a packet's Dst is written, not per hop) and
+// ranges over the winner's actions in place. Lookup is the boundary form for
+// whoever holds an address and wants the entry — tests, experiments, the
+// benchmark's probe: it packs the address, runs the same lookup and copies
+// the flow out.
+//
 // A Table is safe for concurrent use: every table carries its own lock, so
 // control-plane reconfiguration (FlowMods, batches) and data-plane lookups
 // interleave per switch without a global serialization point.
@@ -433,16 +441,56 @@ func (t *Table) Flows() []Flow {
 	return out
 }
 
+// LookupKey is the forwarding path's lookup: k is the packet's destination
+// as a switch matches it — all ipmc.MaxDzLen dz bits of the address, packed
+// (ipmc.PadKey of an event's key, or ipmc.KeyFromAddr) — and the result is the
+// winning flow's instruction set, by reference: callers range over it and must
+// not write through it (Modify replaces a flow's actions wholesale and never
+// writes into the old list, so a reader keeps a consistent one). ok is false
+// if nothing matches; a key of any other length is not the key of a dz
+// address — KeyFromAddr's answer for a destination outside ff0e::/16 — and
+// matches nothing.
+func (t *Table) LookupKey(k dz.Key) ([]Action, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if f := t.winner(k); f != nil {
+		return f.Actions, true
+	}
+	return nil, false
+}
+
 // Lookup returns the flow the switch applies to a packet with the given
 // destination address: the highest-priority match, ties broken by longer
 // prefix and then earlier installation. ok is false if nothing matches
-// (the packet would be dropped or punted to the controller).
+// (the packet would be dropped or punted to the controller). It is the
+// boundary form of LookupKey — the same lookup for a caller that holds an
+// address, not its packed key, and wants the whole entry: it packs the
+// address and copies the winner out.
 func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
+	k, _ := ipmc.KeyFromAddr(dst) // the zero key for a non-dz destination
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if t.slowFlows == 0 {
-		return t.fastLookup(dst)
+	f := t.winner(k)
+	if f == nil {
+		return Flow{}, false
 	}
+	return *f, true
+}
+
+// winner is the one lookup behind Lookup and LookupKey; the caller holds
+// t.mu. Under the PLEROMA invariant (priority == |dz|) the winning entry is
+// the longest installed prefix of the destination's dz bits, found by one
+// trie descent over the packed key: no allocation, no write. Any flow outside
+// the invariant drops the table to the full TCAM scan over the CIDR matches.
+func (t *Table) winner(k dz.Key) *Flow {
+	if k.Len() != ipmc.MaxDzLen {
+		return nil // not a dz destination: no dz flow matches
+	}
+	if t.slowFlows == 0 {
+		_, b, _ := t.trie.LongestPrefix(k)
+		return b.best // nil when no installed prefix matches
+	}
+	dst := ipmc.AddrFromKey(k)
 	var best *Flow
 	for _, f := range t.flows {
 		if !f.Match.Contains(dst) {
@@ -452,25 +500,7 @@ func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
 			best = f
 		}
 	}
-	if best == nil {
-		return Flow{}, false
-	}
-	return *best, true
-}
-
-// fastLookup serves the PLEROMA invariant (priority == |dz|): the winning
-// entry is the longest installed prefix of the destination's dz bits,
-// found by one trie descent over the packed address. Zero allocations.
-func (t *Table) fastLookup(dst netip.Addr) (Flow, bool) {
-	k, ok := ipmc.KeyFromAddr(dst)
-	if !ok {
-		return Flow{}, false // non-dz destination: no dz flow matches
-	}
-	_, b, found := t.trie.LongestPrefix(k)
-	if !found {
-		return Flow{}, false
-	}
-	return *b.best, true
+	return best
 }
 
 // flowLess reports whether candidate b should win over current best a.

@@ -101,3 +101,38 @@ func TestCallSlotReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestDeliveryBatchArrayIsKept: flushing a connection's accumulated
+// deliveries keeps their array for the next backend call — so a steady run of
+// calls fills it without regrowing — cleared, so it pins no subscription id or
+// event values; a burst past one frame's worth of deliveries gives its array
+// back to the GC.
+func TestDeliveryBatchArrayIsKept(t *testing.T) {
+	local, peer := net.Pipe()
+	defer peer.Close()
+	go io.Copy(io.Discard, peer)
+	fc := newFrameConn(local, 0, connMetrics{})
+	defer fc.abort()
+	s := NewServer(newFakeBackend())
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			fc.dbatch = append(fc.dbatch, wire.Delivery{SubscriptionID: "s", Event: space.Event{Values: []uint32{uint32(i), 2}}})
+		}
+	}
+	fill(100)
+	kept := cap(fc.dbatch)
+	s.flushConnDeliveries(fc)
+	if len(fc.dbatch) != 0 || cap(fc.dbatch) != kept {
+		t.Fatalf("after a flush: len %d cap %d, want the emptied array of cap %d", len(fc.dbatch), cap(fc.dbatch), kept)
+	}
+	for i, d := range fc.dbatch[:kept] {
+		if d.SubscriptionID != "" || d.Event.Values != nil {
+			t.Fatalf("kept slot %d still references a flushed delivery", i)
+		}
+	}
+	fill(wire.MaxDeliveries + 1)
+	s.flushConnDeliveries(fc)
+	if fc.dbatch != nil {
+		t.Fatalf("an array of cap %d outlived the burst that grew it", cap(fc.dbatch))
+	}
+}

@@ -315,7 +315,6 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 	fc.dmu.Lock()
 	defer fc.dmu.Unlock()
 	batch := fc.dbatch
-	fc.dbatch = nil
 	for len(batch) > 0 {
 		hint := 96 * len(batch)
 		if hint > deliverBatchBytes {
@@ -323,7 +322,7 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 		}
 		payload, n, err := wire.AppendDeliverBatch(getBuf(hint), batch, deliverBatchBytes)
 		if err != nil {
-			return // backend-produced deliveries always encode; drop defensively
+			break // backend-produced deliveries always encode; drop defensively
 		}
 		s.obsBatch.ObserveCount(n)
 		// Best effort: a severed connection drops deliveries, the
@@ -331,6 +330,16 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 		fc.sendPooled(wire.KindDeliverBatch, 0, payload)
 		batch = batch[n:]
 	}
+	// The frames hold encoded copies, so the array serves the next run
+	// instead of being regrown by doubling inside the delivery sink — cleared,
+	// so it pins no subscription id or value slice; one grown past a frame's
+	// worth of deliveries by a burst goes to the GC.
+	if cap(fc.dbatch) > wire.MaxDeliveries {
+		fc.dbatch = nil
+		return
+	}
+	clear(fc.dbatch)
+	fc.dbatch = fc.dbatch[:0]
 }
 
 // handle serves one request frame, serialized against all other backend

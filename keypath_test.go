@@ -13,12 +13,13 @@ import (
 
 // TestPublishAdmissionAllocs: admitting, injecting, forwarding and
 // delivering a batch costs one object per event — NewEvent's copy of the
-// caller's tuple, which the packet keeps — plus a constant per batch (the
-// publication slice). The event's dz is a packed key made once: no
-// expression string, no bisection scratch, no address list. At five hops
-// and one matching subscription, with observability off and on.
+// caller's tuple, which the packet keeps — and nothing per batch: the
+// publication slice is the publisher's scratch. The event's dz is a packed
+// key made once: no expression string, no bisection scratch, no address
+// list. At five hops and one matching subscription, with observability off
+// and on.
 func TestPublishAdmissionAllocs(t *testing.T) {
-	const events, perBatch = 256, 4
+	const events = 256
 	for _, opts := range [][]Option{nil, {WithObservability(0)}} {
 		sys := newSys(t, opts...)
 		hosts := sys.Hosts()
@@ -50,10 +51,89 @@ func TestPublishAdmissionAllocs(t *testing.T) {
 		if delivered != 21*events {
 			t.Fatalf("observability=%v: %d deliveries, want %d", opts != nil, delivered, 21*events)
 		}
-		if allocs > events+perBatch {
+		if allocs > events {
 			t.Errorf("observability=%v: a batch of %d events allocates %.0f objects, want at most %d",
-				opts != nil, events, allocs, events+perBatch)
+				opts != nil, events, allocs, events)
 		}
+	}
+}
+
+// TestBackendPublishFrameAllocs: a publish frame applied by the transport
+// backend costs one object per event (NewEvent's copy) and nothing per frame:
+// the backend's tuple view and the publication slice are the publisher's
+// scratch, cleared after the call so they pin nothing of the decoded frame.
+func TestBackendPublishFrameAllocs(t *testing.T) {
+	const events = 64
+	sys := newSys(t)
+	b := &netBackend{sys: sys}
+	host := sys.Hosts()[0]
+	if err := b.Control(wire.ControlReq{Op: wire.OpAdvertise, ID: "p", Host: uint32(host)}, nil); err != nil {
+		t.Fatal(err)
+	}
+	req := wire.PublishReq{ID: "p", Events: make([]Event, events)}
+	for i := range req.Events {
+		req.Events[i].Values = []uint32{uint32(i*37) % 1024, uint32(i*101) % 1024}
+	}
+	frame := func() {
+		if err := b.Publish(req); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run() // nobody subscribed: every packet is a table miss at the first switch
+	}
+	frame()
+	if allocs := testing.AllocsPerRun(20, frame); allocs > events {
+		t.Errorf("a publish frame of %d events allocates %.0f objects, want at most %d", events, allocs, events)
+	}
+	pub := sys.pubs["p"]
+	if len(pub.pubScratch) != 0 || len(pub.tupleScratch) != 0 || cap(pub.pubScratch) < events || cap(pub.tupleScratch) < events {
+		t.Fatalf("scratch not kept empty between frames: publications len %d cap %d, tuples len %d cap %d",
+			len(pub.pubScratch), cap(pub.pubScratch), len(pub.tupleScratch), cap(pub.tupleScratch))
+	}
+	for i := 0; i < events; i++ {
+		if pub.pubScratch[:events][i].Event.Values != nil || pub.tupleScratch[:events][i] != nil {
+			t.Fatalf("scratch entry %d still references the frame's values", i)
+		}
+	}
+}
+
+// TestBatchSharesOneOriginInstant: the wall-clock origin is read once per
+// publish request, not once per event — every delivery of a batch echoes the
+// same non-zero instant — and not at all when the request carried the
+// client's own, which is echoed unchanged.
+func TestBatchSharesOneOriginInstant(t *testing.T) {
+	sys := newSys(t, WithObservability(0))
+	hosts := sys.Hosts()
+	pub, err := sys.NewPublisher("p", hosts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	var stamps []int64
+	if err := sys.Subscribe("s", hosts[5], NewFilter(), func(d Delivery) { stamps = append(stamps, d.PubWallNanos) }); err != nil {
+		t.Fatal(err)
+	}
+	tuples := [][]uint32{{1, 2}, {300, 4}, {5, 600}, {1000, 1000}}
+	if err := pub.PublishBatch(tuples...); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if len(stamps) != len(tuples) || stamps[0] == 0 {
+		t.Fatalf("deliveries carry origin stamps %v, want %d non-zero", stamps, len(tuples))
+	}
+	for _, st := range stamps {
+		if st != stamps[0] {
+			t.Fatalf("one batch, several origin instants: %v", stamps)
+		}
+	}
+	stamps = stamps[:0]
+	if err := pub.publishBatchTraced(wire.TraceContext{PubWallNanos: 42}, tuples...); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if !slices.Equal(stamps, []int64{42, 42, 42, 42}) {
+		t.Fatalf("client-stamped batch delivered origin stamps %v, want the client's 42", stamps)
 	}
 }
 

@@ -320,14 +320,16 @@ func (b *netBackend) Publish(req wire.PublishReq) error {
 	if req.Seq != 0 && req.Seq <= p.lastPubSeq {
 		return nil // duplicate of an already-applied publish
 	}
-	tuples := make([][]uint32, len(req.Events))
-	for i, ev := range req.Events {
-		tuples[i] = ev.Values
+	tuples := p.tupleScratch[:0]
+	for _, ev := range req.Events {
+		tuples = append(tuples, ev.Values)
 	}
 	// The request's trace context (zero for an untraced publish) rides the
 	// publication stamp so every delivery joins the client's trace; the
 	// whole batch shares one publish span.
-	if err := p.publishBatchTraced(req.Trace, tuples...); err != nil {
+	err := p.publishBatchTraced(req.Trace, tuples...)
+	p.tupleScratch = keepScratch(tuples) // cleared: the decoded frame's value slices are not ours to pin
+	if err != nil {
 		return err
 	}
 	if req.Seq != 0 {

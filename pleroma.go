@@ -696,6 +696,14 @@ type Publisher struct {
 	// publish with a Seq at or below it has already been applied and is
 	// acknowledged without re-injecting events.
 	lastPubSeq uint64
+	// pubScratch and tupleScratch are a publish frame's publications
+	// (publishBatchTraced) and the transport backend's view of its tuples
+	// (netBackend.Publish), reused from frame to frame: the data plane copies
+	// each publication into the packet slab and admit copies each tuple, so
+	// neither outlives the call, and a publisher is driven by one goroutine.
+	// Both are cleared after use and never grow past wire.MaxEvents entries.
+	pubScratch   []netem.Publication
+	tupleScratch [][]uint32
 }
 
 // NewPublisher registers a publisher on a host.
@@ -757,7 +765,7 @@ func (p *Publisher) Publish(values ...uint32) error {
 // server's path: a remote client's publish carries its trace so every
 // resulting delivery joins it.
 func (p *Publisher) publishTraced(tc wire.TraceContext, values ...uint32) error {
-	pb, err := p.admit(tc, values)
+	pb, err := p.admit(p.withOrigin(tc), values)
 	if err != nil {
 		return err
 	}
@@ -800,12 +808,26 @@ func (p *Publisher) admit(tc wire.TraceContext, values []uint32) (netem.Publicat
 	return netem.Publication{Key: key, Event: ev, Size: netem.DefaultPacketSize, Stamp: p.stampFor(key, tc)}, nil
 }
 
+// withOrigin gives a publish request its wall-clock origin instant: the
+// remote publisher's own when the request carried one — so the stamp echoed
+// back in the Deliver frame stays in the client's clock domain — and
+// otherwise one read of the local clock for the whole request. The events
+// of a batch already share one trace and one simulated instant; one origin
+// instant says the same about wall time. No clock is read when stamping is
+// off.
+func (p *Publisher) withOrigin(tc wire.TraceContext) wire.TraceContext {
+	if tc.PubWallNanos == 0 && p.sys.stampPubs {
+		tc.PubWallNanos = time.Now().UnixNano()
+	}
+	return tc
+}
+
 // stampFor builds the data-plane origin stamp for one publication: the
-// owning dissemination tree, the publisher's home partition, the
-// wall-clock origin, and — on the transport path — the remote client's
-// trace context. The zero stamp when stamping is disabled (no
+// owning dissemination tree, the publisher's home partition, the request's
+// wall-clock origin (withOrigin), and — on the transport path — the remote
+// client's trace context. The zero stamp when stamping is disabled (no
 // observability and no listener) keeps the default hot path free of the
-// tree lookup and clock read.
+// tree lookup.
 func (p *Publisher) stampFor(key dz.Key, tc wire.TraceContext) netem.Stamp {
 	s := p.sys
 	if !s.stampPubs {
@@ -814,13 +836,8 @@ func (p *Publisher) stampFor(key dz.Key, tc wire.TraceContext) netem.Stamp {
 	st := netem.Stamp{
 		TraceID:    tc.TraceID,
 		SpanID:     tc.SpanID,
-		OriginWall: time.Now().UnixNano(),
+		OriginWall: tc.PubWallNanos,
 		Partition:  -1,
-	}
-	if tc.PubWallNanos != 0 {
-		// Keep the remote publisher's clock so the stamp echoed back in
-		// the Deliver frame stays in the client's clock domain.
-		st.OriginWall = tc.PubWallNanos
 	}
 	if int(p.host) < len(s.hostPart) {
 		st.Partition = s.hostPart[p.host]
@@ -852,18 +869,33 @@ func (p *Publisher) publishBatchTraced(tc wire.TraceContext, tuples ...[]uint32)
 	if len(tuples) == 0 {
 		return nil
 	}
-	pubs := make([]netem.Publication, len(tuples))
-	for i, vals := range tuples {
-		var err error
-		if pubs[i], err = p.admit(tc, vals); err != nil {
+	tc = p.withOrigin(tc)
+	pubs := p.pubScratch[:0]
+	defer func() { p.pubScratch = keepScratch(pubs) }()
+	for _, vals := range tuples {
+		pb, err := p.admit(tc, vals)
+		if err != nil {
 			return err
 		}
+		pubs = append(pubs, pb)
 	}
-	for _, pb := range pubs {
-		p.sys.recordEvent(pb.Event)
+	for i := range pubs {
+		p.sys.recordEvent(pubs[i].Event)
 	}
 	p.sys.maybeArmReindex()
 	return p.sys.dp.PublishBatch(p.host, pubs)
+}
+
+// keepScratch returns a per-publisher scratch slice cleared — it pins nothing
+// of the frame it served — and emptied for the next publish frame, or nil, to
+// the GC, when one oversized batch grew it past what a publish frame can
+// carry.
+func keepScratch[T any](s []T) []T {
+	if cap(s) > wire.MaxEvents {
+		return nil
+	}
+	clear(s)
+	return s[:0]
 }
 
 // Subscribe registers a content subscription on a host; handler fires for
