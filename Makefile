@@ -4,7 +4,7 @@ GO ?= go
 # `make check` stays fast while still catching locking regressions.
 RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/... ./internal/transport/...
 
-.PHONY: check vet build test race bench-module soak bench loc obs-demo daemon-demo
+.PHONY: check vet build test race bench-module fuzz soak bench loc obs-demo daemon-demo
 
 check: vet build test race bench-module
 
@@ -28,6 +28,34 @@ race:
 bench-module:
 	$(GO) vet -C cmd/pleroma-bench .
 	$(GO) test -C cmd/pleroma-bench .
+
+# Short fuzz regression: every differential target replays its committed
+# seed corpus plus FUZZTIME of fresh mutation (go test fuzzes one target of
+# one package per run). The list is package:target — what each is the oracle
+# of is said at the target. A new fuzz target goes here; CI runs the list.
+FUZZTIME ?= 5s
+FUZZ_TARGETS := \
+	./internal/wire:FuzzDecodeFrame \
+	./internal/wire:FuzzDecodeControlReq \
+	./internal/wire:FuzzDecodePublish \
+	./internal/wire:FuzzDecodeDeliverBatch \
+	./internal/wire:FuzzDecodeFlowBatch \
+	./internal/wire:FuzzDecodeFlowList \
+	./internal/wire:FuzzFrameStream \
+	./internal/wire:FuzzDecodeSignal \
+	./internal/wire:FuzzDecodeEvent \
+	.:FuzzHostDemux \
+	./internal/sim:FuzzEventQueueOrder \
+	./internal/core:FuzzFlowDerivation \
+	./internal/dz:FuzzTrieVsNaive \
+	./internal/dz:FuzzEncodeKeyVsExpr \
+	./internal/openflow:FuzzLookupKeyVsAddr
+fuzz:
+	@for pt in $(FUZZ_TARGETS); do \
+		pkg=$${pt%%:*}; target=$${pt##*:}; \
+		echo "--- $$pkg $$target"; \
+		$(GO) test $$pkg -run "^$$target$$" -fuzz "^$$target$$" -fuzztime $(FUZZTIME) || exit $$?; \
+	done
 
 # Long-running churn soaks against the public API, raced: exact-delivery
 # ground truth plus fault-injection convergence (resync heals every round).

@@ -141,16 +141,25 @@ func TestHandlerRunsSimulationDuringDispatch(t *testing.T) {
 // step checks dispatch against the scan it replaced: for event keys longer
 // than, equal to and shorter than the stored ones, the handlers that fire —
 // and their order — are the subscriptions of the host's list, in list
-// order, whose set Overlaps the key. The list is modelled here (append,
-// swap-remove), not read from the index's own bookkeeping.
+// order, whose set Overlaps the key, each flagged a false positive exactly
+// when its rectangle does not contain the event. The list and the rectangles
+// are modelled here (append, swap-remove; the filter last subscribed or
+// resubscribed with), not read from the index's own bookkeeping.
 type demuxDiff struct {
 	t     testing.TB
 	sys   *System
 	prog  []byte
 	hosts []HostID
 	model map[HostID][]string // the old byHost lists
+	rects map[string]dz.Rect  // each live subscription's rectangle
 	next  int
-	fired []string
+	fired []demuxFired
+}
+
+// demuxFired is one handler call: who, and flagged how.
+type demuxFired struct {
+	id string
+	fp bool
 }
 
 const (
@@ -186,7 +195,17 @@ func newDemuxDiff(t testing.TB, prog []byte) *demuxDiff {
 		}
 	}
 	sys.Run()
-	return &demuxDiff{t: t, sys: sys, prog: prog, hosts: all[1:4], model: make(map[HostID][]string)}
+	return &demuxDiff{t: t, sys: sys, prog: prog, hosts: all[1:4],
+		model: make(map[HostID][]string), rects: make(map[string]dz.Rect)}
+}
+
+// setRect records the rectangle of f as id's in the model.
+func (d *demuxDiff) setRect(id string, f Filter) {
+	rect, err := d.sys.sch.Rect(f)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.rects[id] = rect
 }
 
 // byte returns the next program byte, 0 once the program is exhausted.
@@ -229,13 +248,15 @@ func (d *demuxDiff) run(maxSteps int) {
 			host := d.hosts[d.byte()%len(d.hosts)]
 			id := fmt.Sprintf("s%d", d.next)
 			d.next++
-			err := d.sys.Subscribe(id, host, d.filter(), func(dl Delivery) {
-				d.fired = append(d.fired, dl.SubscriptionID)
+			f := d.filter()
+			err := d.sys.Subscribe(id, host, f, func(dl Delivery) {
+				d.fired = append(d.fired, demuxFired{dl.SubscriptionID, dl.FalsePositive})
 			})
 			if err != nil {
 				d.t.Fatalf("step %d: subscribe: %v", step, err)
 			}
 			d.model[host] = append(d.model[host], id)
+			d.setRect(id, f)
 		case 3, 4:
 			id, host := d.pick()
 			if id == "" {
@@ -248,14 +269,17 @@ func (d *demuxDiff) run(maxSteps int) {
 			i := slices.Index(ids, id)
 			ids[i] = ids[len(ids)-1]
 			d.model[host] = ids[:len(ids)-1]
+			delete(d.rects, id)
 		case 5:
 			id, _ := d.pick()
 			if id == "" {
 				continue
 			}
-			if err := d.sys.Resubscribe(id, d.filter()); err != nil {
+			f := d.filter()
+			if err := d.sys.Resubscribe(id, f); err != nil {
 				d.t.Fatalf("step %d: resubscribe: %v", step, err)
 			}
+			d.setRect(id, f)
 		case 6:
 			// Fails with nothing to select from; the index must hold anyway.
 			_, _ = d.sys.ReindexDimensions(float64(1+d.byte()%10) / 10)
@@ -292,10 +316,18 @@ func (d *demuxDiff) check(step int) {
 }
 
 func (d *demuxDiff) probe(step int, host HostID, expr dz.Expr) {
-	var want []string
+	// The event sits on a corner of one of the host's rectangles, so that
+	// some deliveries are exact and, the rectangles being independent of the
+	// probe key, most are false positives.
+	point := []uint32{1, 2, 3}
+	if ids := d.model[host]; len(ids) > 0 {
+		r := d.rects[ids[step%len(ids)]]
+		point = []uint32{r[0].Lo, r[1].Hi, r[2].Lo}
+	}
+	var want []demuxFired
 	for _, id := range d.model[host] {
 		if d.sys.subs[id].set.Overlaps(expr.Truncate(demuxDiffMaxDz)) {
-			want = append(want, id)
+			want = append(want, demuxFired{id, !dz.RectContainsPoint(d.rects[id], point)})
 		}
 	}
 	d.fired = d.fired[:0]
@@ -303,11 +335,11 @@ func (d *demuxDiff) probe(step int, host HostID, expr dz.Expr) {
 	key, _ := dz.KeyOf(expr)
 	d.sys.dispatch(host, netem.Delivery{Host: host, Packet: netem.Packet{
 		Key:   key,
-		Event: Event{Values: []uint32{1, 2, 3}},
+		Event: Event{Values: point},
 	}})
 	if !slices.Equal(d.fired, want) {
-		d.t.Fatalf("step %d host %d key %q: index delivered to %v, scan to %v",
-			step, host, expr, d.fired, want)
+		d.t.Fatalf("step %d host %d key %q event %v: index delivered to %v, scan to %v (id, false positive)",
+			step, host, expr, point, d.fired, want)
 	}
 	if got := d.sys.Stats().Deliveries - before; got != uint64(len(want)) {
 		d.t.Fatalf("step %d host %d key %q: %d deliveries counted, want %d", step, host, expr, got, len(want))
@@ -335,6 +367,9 @@ func FuzzHostDemux(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 2, 1, 5, 3, 60, 2, 7, 1, 6, 9, 0, 1, 7, 5, 1, 0, 9, 9, 9, 9, 9, 9})
 	// resubscribe after churn on two hosts.
 	f.Add([]byte{0, 2, 8, 8, 8, 8, 8, 8, 0, 2, 1, 1, 1, 1, 1, 1, 4, 2, 0, 5, 2, 0, 30, 30, 2, 2, 0, 0})
+	// The committed corpus adds seed-cell-churn: subscribe, unsubscribe,
+	// subscribe on one host — the newcomer takes the freed cell and must bring
+	// its own rectangle — then the same again and a resubscribe.
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		newDemuxDiff(t, prog).run(48)
 	})
@@ -481,5 +516,175 @@ func TestHostDemuxSharded(t *testing.T) {
 	}
 	if singleStats.Deliveries != shardedStats.Deliveries || singleStats.FalsePositives != shardedStats.FalsePositives {
 		t.Fatalf("counters differ:\nsingle:  %+v\nsharded: %+v", singleStats, shardedStats)
+	}
+}
+
+// TestResubscribeRewritesRectangle: the rectangle dispatch filters false
+// positives with is the one last subscribed with. After Resubscribe an event
+// inside the new rectangle is delivered unflagged, and one that only the old
+// rectangle contained — still delivered, the dz being coarser than either —
+// is flagged.
+func TestResubscribeRewritesRectangle(t *testing.T) {
+	sys := newSys(t, WithMaxDzLen(4))
+	hosts := sys.Hosts()
+	flagged := make(map[uint32]bool)
+	if err := sys.Subscribe("s", hosts[5], NewFilter().Range("price", 80, 140), func(d Delivery) {
+		flagged[d.Event.Values[0]] = d.FalsePositive
+	}); err != nil {
+		t.Fatal(err)
+	}
+	pub, err := sys.NewPublisher("p", hosts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	publish := func() {
+		t.Helper()
+		clear(flagged)
+		if err := pub.PublishBatch([]uint32{90, 1}, []uint32{105, 1}); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+	}
+	publish()
+	if want := map[uint32]bool{90: false, 105: false}; !reflect.DeepEqual(flagged, want) {
+		t.Fatalf("before Resubscribe: false-positive flags %v, want %v", flagged, want)
+	}
+	if err := sys.Resubscribe("s", NewFilter().Range("price", 100, 110)); err != nil {
+		t.Fatal(err)
+	}
+	publish()
+	if want := map[uint32]bool{90: true, 105: false}; !reflect.DeepEqual(flagged, want) {
+		t.Fatalf("after Resubscribe: false-positive flags %v, want %v", flagged, want)
+	}
+}
+
+// TestHandlerRecyclesCellDuringDispatch: a handler unsubscribes b and
+// subscribes e while the packet that fired it is in flight. A subscription's
+// dense state is a recycled cell, and the dispatch holds b's in its match
+// list: were it handed to e at once, e would fire for a packet that arrived
+// before it subscribed. The rule — a cell freed during a dispatch on its host
+// is not handed out until the outermost dispatch there returns.
+func TestHandlerRecyclesCellDuringDispatch(t *testing.T) {
+	sys := newSys(t)
+	host := sys.Hosts()[3]
+	var got []string
+	record := func(d Delivery) { got = append(got, d.SubscriptionID) }
+	handlers := map[string]func(Delivery){
+		"a": func(d Delivery) {
+			record(d)
+			if _, live := sys.subs["b"]; !live {
+				return
+			}
+			if err := sys.Unsubscribe("b"); err != nil {
+				t.Error(err)
+			}
+			if err := sys.Subscribe("e", host, NewFilter(), record); err != nil {
+				t.Error(err)
+			}
+		},
+		"b": record, "c": record, "d": record,
+	}
+	for _, id := range []string{"a", "b", "c", "d"} {
+		if err := sys.Subscribe(id, host, NewFilter(), handlers[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub, err := sys.NewPublisher("p", sys.Hosts()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	publish := func() []string {
+		t.Helper()
+		got = nil
+		if err := pub.Publish(1, 2); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run()
+		return got
+	}
+	if got, want := publish(), []string{"a", "c", "d"}; !slices.Equal(got, want) {
+		t.Fatalf("packet in flight: delivered to %v, want %v (e subscribed after it arrived, d once)", got, want)
+	}
+	if got, want := publish(), []string{"a", "d", "c", "e"}; !slices.Equal(got, want) {
+		t.Fatalf("next packet: delivered to %v, want %v", got, want)
+	}
+	// The cell did come back once the dispatch was over.
+	h := &sys.hosts[host]
+	if len(h.limbo) != 0 || len(h.free) != 1 {
+		t.Fatalf("after the dispatch: %d cells in limbo, %d free; want 0 and 1", len(h.limbo), len(h.free))
+	}
+}
+
+// TestNestedDispatchHoldsFreedCells: the same rule across a nested dispatch.
+// a's handler for the first packet drives the simulation; inside, the second
+// packet's dispatch on the same host unsubscribes b. When that inner dispatch
+// returns the outer one still holds b's cell, so the e that a subscribes next
+// must not get it: the outer packet goes on to c and d only.
+func TestNestedDispatchHoldsFreedCells(t *testing.T) {
+	sys := newSys(t)
+	host := sys.Hosts()[3]
+	type rec struct {
+		sub string
+		v   uint32
+	}
+	var got []rec
+	record := func(d Delivery) { got = append(got, rec{d.SubscriptionID, d.Event.Values[0]}) }
+	nested := false
+	handlers := map[string]func(Delivery){
+		"a": func(d Delivery) {
+			record(d)
+			if nested {
+				return
+			}
+			nested = true
+			sys.Run()
+			if err := sys.Subscribe("e", host, NewFilter(), record); err != nil {
+				t.Error(err)
+			}
+		},
+		"b": record,
+		"c": func(d Delivery) {
+			record(d)
+			if _, live := sys.subs["b"]; live {
+				if err := sys.Unsubscribe("b"); err != nil {
+					t.Error(err)
+				}
+			}
+		},
+		"d": record,
+	}
+	for _, id := range []string{"a", "b", "c", "d"} {
+		if err := sys.Subscribe(id, host, NewFilter(), handlers[id]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub, err := sys.NewPublisher("p", sys.Hosts()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.PublishBatch([]uint32{1, 1}, []uint32{2, 1}); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	want := []rec{{"a", 1}, {"a", 2}, {"b", 2}, {"c", 2}, {"d", 2}, {"c", 1}, {"d", 1}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("delivered %v, want %v", got, want)
+	}
+	got = nil
+	if err := pub.Publish(3, 1); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if want := []rec{{"a", 3}, {"d", 3}, {"c", 3}, {"e", 3}}; !slices.Equal(got, want) {
+		t.Fatalf("next packet: delivered %v, want %v", got, want)
 	}
 }

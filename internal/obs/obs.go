@@ -151,13 +151,16 @@ const (
 	// gauges the async publish window occupancy (outstanding unacked
 	// KindPublish frames); MTransportPublishCoalesced samples events packed
 	// per coalesced PublishReq; MTransportDeliverBatch samples deliveries
-	// packed per KindDeliverBatch frame.
-	MTransportWriteBatchFrames = "pleroma_transport_write_batch_frames"
-	MTransportFlushes          = "pleroma_transport_flushes_total"
-	MTransportFrameBytes       = "pleroma_transport_frame_bytes"
-	MTransportPublishWindow    = "pleroma_transport_publish_window"
-	MTransportPublishCoalesced = "pleroma_transport_publish_coalesced_events"
-	MTransportDeliverBatch     = "pleroma_transport_deliver_batch_events"
+	// packed per KindDeliverBatch frame; MTransportDeliveriesDropped counts
+	// deliveries the server produced for a connection that was gone (severed,
+	// closed or failed) when their frame was to be queued.
+	MTransportWriteBatchFrames  = "pleroma_transport_write_batch_frames"
+	MTransportFlushes           = "pleroma_transport_flushes_total"
+	MTransportFrameBytes        = "pleroma_transport_frame_bytes"
+	MTransportPublishWindow     = "pleroma_transport_publish_window"
+	MTransportPublishCoalesced  = "pleroma_transport_publish_coalesced_events"
+	MTransportDeliverBatch      = "pleroma_transport_deliver_batch_events"
+	MTransportDeliveriesDropped = "pleroma_transport_deliveries_dropped_total"
 	// MDeliveryLatencyByTree / MDeliveryLatencyByPartition break the
 	// publish→delivery (simulated) latency down by dissemination tree and
 	// by the publisher's controller partition.

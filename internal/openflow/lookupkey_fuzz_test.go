@@ -56,12 +56,23 @@ func bitsExpr(b byte, n int) dz.Expr {
 // the operation through ApplyBatch. Queries are the query bytes cut to 0, 1,
 // 24, 111, 112 and qlen%113 bits, the flows' own expressions, and an IPv4
 // and a non-ff0e IPv6 address made of the same bytes.
+//
+// A program is cut at fuzzMaxOps operations. The check after every operation
+// asks the oracle once per installed flow and the oracle copies and sorts the
+// table, so a program costs its length cubed: the 728 adds the fuzzer grows in
+// seconds take 40 s to replay, the engine kills a worker silent for 10 s, and
+// the run fails with a "crasher" that is only slow. 64 operations are more
+// than any committed seed has, fill every bucket shape several times over, and
+// replay in tens of milliseconds.
+const fuzzMaxOps = 64
+
 func FuzzLookupKeyVsAddr(f *testing.F) {
 	// The committed corpus (testdata/fuzz/FuzzLookupKeyVsAddr) holds the
 	// named cases; these two keep the target useful without it.
 	f.Add([]byte{0, 1, 0x80, 0, 0, 3, 0x80, 1, 0, 3, 0x80, 2}, []byte{0x80}, uint8(1))
 	f.Add([]byte{0x40, 1, 0, 9, 0, 4, 0x60, 1, 0x40, 4, 0x60, 7, 3, 0, 0, 0}, []byte{0x6a, 0xff}, uint8(24))
 	f.Fuzz(func(t *testing.T, prog, query []byte, qlen uint8) {
+		prog = prog[:min(len(prog), 4*fuzzMaxOps)]
 		tab := NewTable()
 		var installed []FlowID
 		var qbits [14]byte

@@ -157,6 +157,14 @@ func (s ModStats) Total() uint64 { return s.Adds + s.Deletes + s.Mods }
 // hardware TCAMs that Figure 7(a) demonstrates. Any flow violating the
 // invariant drops the table back to a full scan.
 //
+// The trie's value is the bucket of one match expression: its winning flow
+// and that flow's instruction set (exprBucket.actions, the slice header of
+// best.Actions), so the forwarding path gets its answer from the trie's value
+// slab and never loads a Flow. The mirror has one writer, exprBucket.setBest,
+// called wherever index and unindex change best — and Modify re-indexes the
+// flow it changes, so a winner's new list reaches the bucket the same way.
+// The other flows of an expression that has several wait in Table.shared.
+//
 // There is one lookup and two spellings of its argument. LookupKey is the
 // path form: the switch hop hands it the destination's dz bits already
 // packed (netem packs them where a packet's Dst is written, not per hop) and
@@ -174,9 +182,15 @@ type Table struct {
 	nextID FlowID
 	stats  ModStats
 
-	// trie is the prefix index of the fast path: one bucket of flows per
-	// distinct match expression, keyed on packed dz bits.
+	// trie is the prefix index of the fast path: one bucket per distinct
+	// match expression, keyed on packed dz bits.
 	trie dz.Trie[exprBucket]
+	// shared holds, for the rare expression several flows are installed
+	// under, the flows that are not its bucket's winner, in no particular
+	// order. Beside the trie, not in the bucket: every hop copies the bucket
+	// out of the trie, and a slice header nothing on that path reads cost
+	// tcp-pipe's one-flow tables more than the lookup saved.
+	shared map[dz.Key][]*Flow
 	// slowFlows counts flows the trie cannot serve (priority != |expr|);
 	// nonzero disables the fast path.
 	slowFlows int
@@ -202,19 +216,24 @@ type Table struct {
 // TCAM capacity.
 var ErrTableFull = errors.New("openflow: flow table full")
 
-// exprBucket holds the flows installed for one exact match expression. best
-// is the lookup winner, the lowest FlowID (earliest installed), kept current
-// by index and unindex so that a lookup reads it straight from the trie;
-// rest holds the others in no particular order, and is nil for the usual
-// one flow per expression.
+// exprBucket is what the trie stores for one exact match expression. best is
+// the lookup winner, the lowest FlowID (earliest installed) of the flows
+// installed under the expression — the others are in Table.shared — kept
+// current by index and unindex so that a lookup reads it straight from the
+// trie. actions mirrors best.Actions — the slice header, not the elements —
+// so that the forwarding path has its answer inside the trie's value slab and
+// never loads the Flow; setBest is the one writer of both.
 type exprBucket struct {
-	best *Flow
-	rest []*Flow
+	best    *Flow
+	actions []Action
 }
+
+// setBest makes f the bucket's winner.
+func (b *exprBucket) setBest(f *Flow) { b.best, b.actions = f, f.Actions }
 
 // NewTable returns an empty flow table.
 func NewTable() *Table {
-	return &Table{flows: make(map[FlowID]*Flow)}
+	return &Table{flows: make(map[FlowID]*Flow), shared: make(map[dz.Key][]*Flow)}
 }
 
 // Len returns the number of installed flows. It is lock-free: the count
@@ -367,11 +386,12 @@ func (t *Table) index(f *Flow) {
 	t.trie.Update(k, func(b exprBucket, found bool) (exprBucket, bool) {
 		switch {
 		case !found:
-			b.best = f
+			b.setBest(f)
 		case f.ID < b.best.ID: // a modified flow coming back to its bucket
-			b.best, b.rest = f, append(b.rest, b.best)
+			t.shared[k] = append(t.shared[k], b.best)
+			b.setBest(f)
 		default:
-			b.rest = append(b.rest, f)
+			t.shared[k] = append(t.shared[k], f)
 		}
 		return b, true
 	})
@@ -389,30 +409,35 @@ func (t *Table) unindex(f *Flow) {
 		}
 		// Take f's place with the last of rest; where f was the winner,
 		// with the lowest ID of rest.
-		at, last := -1, len(b.rest)-1
+		rest := t.shared[k]
+		at, last := -1, len(rest)-1
 		if b.best.ID == f.ID {
 			if last < 0 {
 				return exprBucket{}, false
 			}
 			at = 0
-			for i, other := range b.rest {
-				if other.ID < b.rest[at].ID {
+			for i, other := range rest {
+				if other.ID < rest[at].ID {
 					at = i
 				}
 			}
-			b.best = b.rest[at]
+			b.setBest(rest[at])
 		} else {
-			for i, other := range b.rest {
+			for i, other := range rest {
 				if other.ID == f.ID {
 					at = i
 					break
 				}
 			}
 		}
-		if at >= 0 {
-			b.rest[at] = b.rest[last]
-			b.rest[last] = nil
-			b.rest = b.rest[:last]
+		switch {
+		case at < 0:
+		case last == 0:
+			delete(t.shared, k)
+		default:
+			rest[at] = rest[last]
+			rest[last] = nil
+			t.shared[k] = rest[:last]
 		}
 		return b, true
 	})
@@ -453,10 +478,8 @@ func (t *Table) Flows() []Flow {
 func (t *Table) LookupKey(k dz.Key) ([]Action, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if f := t.winner(k); f != nil {
-		return f.Actions, true
-	}
-	return nil, false
+	f, actions := t.winner(k)
+	return actions, f != nil
 }
 
 // Lookup returns the flow the switch applies to a packet with the given
@@ -470,7 +493,7 @@ func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
 	k, _ := ipmc.KeyFromAddr(dst) // the zero key for a non-dz destination
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	f := t.winner(k)
+	f, _ := t.winner(k)
 	if f == nil {
 		return Flow{}, false
 	}
@@ -478,17 +501,20 @@ func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
 }
 
 // winner is the one lookup behind Lookup and LookupKey; the caller holds
-// t.mu. Under the PLEROMA invariant (priority == |dz|) the winning entry is
-// the longest installed prefix of the destination's dz bits, found by one
-// trie descent over the packed key: no allocation, no write. Any flow outside
-// the invariant drops the table to the full TCAM scan over the CIDR matches.
-func (t *Table) winner(k dz.Key) *Flow {
+// t.mu. It returns the winning flow (nil: no match) and its instruction set.
+// Under the PLEROMA invariant (priority == |dz|) the winning entry is the
+// longest installed prefix of the destination's dz bits, found by one trie
+// descent over the packed key: no allocation, no write, and both results come
+// out of the trie's bucket — the flow is not loaded, so LookupKey, which
+// wants only the actions, never touches it. Any flow outside the invariant
+// drops the table to the full TCAM scan over the CIDR matches.
+func (t *Table) winner(k dz.Key) (*Flow, []Action) {
 	if k.Len() != ipmc.MaxDzLen {
-		return nil // not a dz destination: no dz flow matches
+		return nil, nil // not a dz destination: no dz flow matches
 	}
 	if t.slowFlows == 0 {
 		_, b, _ := t.trie.LongestPrefix(k)
-		return b.best // nil when no installed prefix matches
+		return b.best, b.actions // zero when no installed prefix matches
 	}
 	dst := ipmc.AddrFromKey(k)
 	var best *Flow
@@ -500,7 +526,10 @@ func (t *Table) winner(k dz.Key) *Flow {
 			best = f
 		}
 	}
-	return best
+	if best == nil {
+		return nil, nil
+	}
+	return best, best.Actions
 }
 
 // flowLess reports whether candidate b should win over current best a.

@@ -126,3 +126,44 @@ func TestLookupEqualLengthDisjointPrefixes(t *testing.T) {
 		}
 	}
 }
+
+// TestLookupKeySharedBucketFollowsWinner: three flows share one expression,
+// so the trie holds one bucket whose actions mirror its winner's. Modifying a
+// non-winner, modifying the winner and deleting the winner each leave
+// LookupKey — which reads the bucket, not the flow — returning the current
+// winner's instruction set.
+func TestLookupKeySharedBucketFollowsWinner(t *testing.T) {
+	tab := NewTable()
+	first := tab.Add(mustFlow(t, "010", 3, 1))
+	second := tab.Add(mustFlow(t, "010", 3, 2))
+	tab.Add(mustFlow(t, "010", 3, 3))
+	key, ok := ipmc.KeyFromAddr(mustEventAddr(t, "0101"))
+	if !ok {
+		t.Fatal("event address has no key")
+	}
+	want := func(stage string, id FlowID, port PortID) {
+		t.Helper()
+		actions, ok := tab.LookupKey(key)
+		if !ok || len(actions) != 1 || actions[0].OutPort != port {
+			t.Fatalf("%s: LookupKey = %v (ok=%v), want output on port %d", stage, actions, ok, port)
+		}
+		if got, ok := tab.Lookup(mustEventAddr(t, "0101")); !ok || got.ID != id || got.Actions[0].OutPort != port {
+			t.Fatalf("%s: Lookup = %v (ok=%v), want flow %d on port %d", stage, got, ok, id, port)
+		}
+	}
+	want("installed", first, 1)
+	if !tab.Modify(second, 3, []Action{{OutPort: 7}}) {
+		t.Fatal("modify of the non-winner failed")
+	}
+	want("non-winner modified", first, 1)
+	if !tab.Modify(first, 3, []Action{{OutPort: 8}}) {
+		t.Fatal("modify of the winner failed")
+	}
+	want("winner modified", first, 8)
+	tab.Delete(first)
+	want("winner deleted", second, 7)
+	if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(second, 3, []Action{{OutPort: 9}})}); err != nil {
+		t.Fatal(err)
+	}
+	want("new winner modified in a batch", second, 9)
+}

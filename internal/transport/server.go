@@ -83,6 +83,7 @@ func WithServerObservability(reg *obs.Registry) ServerOption {
 		s.obsInflight = reg.Gauge(obs.MTransportInflight, "Transport requests currently being served.")
 		s.obsBatch = obs.NewCountHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
 		reg.AttachHistogram(obs.MTransportDeliverBatch, "Deliveries coalesced per KindDeliverBatch frame.", "", "", s.obsBatch)
+		s.obsDropped = reg.Counter(obs.MTransportDeliveriesDropped, "Deliveries produced for a connection that was gone when their frame was queued.")
 	}
 }
 
@@ -102,6 +103,7 @@ type Server struct {
 	obsConns    *obs.Gauge
 	obsInflight *obs.Gauge
 	obsBatch    *obs.Histogram
+	obsDropped  *obs.Counter
 	tracer      *obs.Tracer
 
 	connMu   sync.Mutex
@@ -322,12 +324,16 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 		}
 		payload, n, err := wire.AppendDeliverBatch(getBuf(hint), batch, deliverBatchBytes)
 		if err != nil {
-			break // backend-produced deliveries always encode; drop defensively
+			// Backend-produced deliveries always encode; drop defensively.
+			s.obsDropped.Add(uint64(len(batch)))
+			break
 		}
 		s.obsBatch.ObserveCount(n)
-		// Best effort: a severed connection drops deliveries, the
+		// Best effort: a severed connection drops deliveries — counted, the
 		// subscription state survives for the reconnect.
-		fc.sendPooled(wire.KindDeliverBatch, 0, payload)
+		if fc.sendPooled(wire.KindDeliverBatch, 0, payload) != nil {
+			s.obsDropped.Add(uint64(n))
+		}
 		batch = batch[n:]
 	}
 	// The frames hold encoded copies, so the array serves the next run

@@ -73,9 +73,12 @@ func SnapshotPath(dir string, p int) string {
 // connections are accepted, in-flight requests finish, queued deliveries
 // flush, and every client receives a goodbye frame. Idempotent; Close
 // implies it. A daemon shutting down calls this before its final
-// Snapshot so no request races the serialization.
+// Snapshot so no request races the serialization. A listener does not
+// restart, so a system that had one is draining from here on: /readyz is 503
+// before the first goodbye frame leaves, and stays so.
 func (s *System) StopListener() {
 	if s.server != nil {
+		s.ready.Store(false)
 		s.server.Stop()
 	}
 }
@@ -283,12 +286,12 @@ func (b *netBackend) Control(req wire.ControlReq, deliver func(wire.Delivery)) e
 			})
 		}
 		if st, ok := b.sys.subs[req.ID]; ok {
-			if !b.replays(st.host, st.rect, req) {
+			if !b.replays(st.host, b.sys.rectOf(st), req) {
 				return fmt.Errorf("pleroma: subscription %q re-registered with different parameters", req.ID)
 			}
 			// Reconnect replay: rebind the delivery sink to the new
 			// connection; control state, journal, and digest untouched.
-			st.handler = h
+			b.sys.hosts[st.host].setHandler(st, h)
 			return nil
 		}
 		return b.sys.Subscribe(req.ID, HostID(req.Host), rangesFilter(req.Ranges), h)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pleroma/internal/obs"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
@@ -722,5 +723,81 @@ func TestJournalDirLayout(t *testing.T) {
 		if _, err := os.Stat(JournalPath(dir, p)); err != nil {
 			t.Errorf("partition %d journal missing: %v", p, err)
 		}
+	}
+}
+
+// TestSeveredDeliveriesCountedThenRebound: a delivery produced for a
+// connection that was severed is counted as dropped, not lost silently
+// (pleroma_transport_deliveries_dropped_total); once the subscriber
+// reconnects, its replayed subscription rebinds the sink — the next event
+// reaches the new connection once, and the old sink is not served again.
+func TestSeveredDeliveriesCountedThenRebound(t *testing.T) {
+	sys, err := NewSystem(netTestSchema(t), WithListener("127.0.0.1:0"), WithObservability(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	sub, err := Dial(sys.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	pub, err := Dial(sys.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	hosts := sub.Hosts()
+	var mu sync.Mutex
+	var got []string
+	if err := sub.Subscribe("s", hosts[6], NewFilter(), func(d Delivery) {
+		mu.Lock()
+		got = append(got, deliveryKey(d))
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise("p", hosts[0], NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	dropped := func() float64 {
+		v, _ := sys.Metrics().Counter(obs.MTransportDeliveriesDropped, "")
+		return v
+	}
+	publish := func(price uint32) {
+		t.Helper()
+		if err := pub.Publish("p", price, 1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pub.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	received := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got)
+	}
+
+	sys.server.DropConnections()
+	// Only the publisher redials: the event is delivered to the
+	// subscriber's severed connection.
+	publish(100)
+	if n := dropped(); n != 1 {
+		t.Fatalf("dropped deliveries after publishing to a severed subscriber: %v, want 1", n)
+	}
+	// The subscriber's next request redials and replays the subscription.
+	if err := sub.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	publish(200)
+	if err := sub.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if n := received(); n != 1 {
+		t.Fatalf("deliveries on the rebound connection: %d, want 1 (the event published after the reconnect)", n)
+	}
+	if n := dropped(); n != 1 {
+		t.Fatalf("dropped deliveries after the rebind: %v, want still 1 (the old sink must not be served)", n)
 	}
 }

@@ -4,12 +4,14 @@ import (
 	"context"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"pleroma/internal/obs"
+	"pleroma/internal/wire"
 )
 
 // obsFixture builds an instrumented testbed system with one publisher and
@@ -327,7 +329,7 @@ func TestReadyzFollowsLifecycle(t *testing.T) {
 		op:      "resync",
 		handler: func() http.Handler { return sys.ObsHandler() },
 	}
-	sys, pub := obsFixture(t, WithJournal(), WithTraceLog(slog.New(probe)))
+	sys, pub := obsFixture(t, WithJournal(), WithTraceLog(slog.New(probe)), WithListener("127.0.0.1:0"))
 	readyz := func() int {
 		rec := httptest.NewRecorder()
 		sys.ObsHandler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
@@ -371,7 +373,55 @@ func TestReadyzFollowsLifecycle(t *testing.T) {
 	}
 	sys.Run()
 	if code := readyz(); code != http.StatusOK {
-		t.Fatalf("/readyz before Close = %d, want 200", code)
+		t.Fatalf("/readyz before draining = %d, want 200", code)
+	}
+	// Draining: a client that reads its goodbye frame already finds /readyz
+	// 503, and a controller swap while draining does not bring it back.
+	conn, err := net.Dial("tcp", sys.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, err := wire.EncodeHello(wire.Hello{ID: "drain-probe"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindHello, Corr: 1, Payload: hello})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err := wire.ReadFrame(conn, nil); err != nil || f.Kind != wire.KindHelloOK {
+		t.Fatalf("hello: got %v, %v", f.Kind, err)
+	}
+	atGoodbye := make(chan int, 1)
+	go func() {
+		for {
+			f, _, err := wire.ReadFrame(conn, nil)
+			if err != nil {
+				atGoodbye <- -1
+				return
+			}
+			if f.Kind == wire.KindGoodbye {
+				atGoodbye <- readyz()
+				return
+			}
+		}
+	}()
+	sys.StopListener()
+	if code := <-atGoodbye; code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz at the goodbye frame = %d, want 503 (-1: connection closed without one)", code)
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after StopListener = %d, want 503", code)
+	}
+	if err := sys.Restore(0, snap); err != nil {
+		t.Fatal(err)
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz after a Restore while draining = %d, want 503", code)
 	}
 	sys.Close()
 	if code := readyz(); code != http.StatusServiceUnavailable {

@@ -300,7 +300,8 @@ type System struct {
 	// ready is what /readyz reports: set once NewSystem has built the
 	// deployment (and, with WithListener, the listener accepts), cleared
 	// while Recover, Restore or Failover swap a controller (see unready) and
-	// for good by Close.
+	// for good by StopListener on a system that listened (draining) and by
+	// Close.
 	ready atomic.Bool
 
 	// stampPubs enables origin-stamping publications (observability or a
@@ -312,18 +313,17 @@ type System struct {
 	hostPart []int32
 }
 
+// subState is the control path's record of a subscription. What the delivery
+// path reads of it — slot, rectangle, handler — is in its host's hostDemux,
+// under cell.
 type subState struct {
-	id      string
-	host    HostID
-	rect    dz.Rect
-	set     dz.Set // truncated DZ region, indexed for demultiplexing
-	handler func(Delivery)
+	id   string
+	host HostID
+	set  dz.Set // truncated DZ region, indexed for demultiplexing
 	// seq is the registration sequence number (System.regSeq).
 	seq uint64
-	// pos is the slot in the host's subs list; -1 once unsubscribed.
-	pos int
-	// entries are the host index's chain links, one per member of set.
-	entries []demuxEntry
+	// cell is the subscription's index into its host's demux arrays.
+	cell int32
 }
 
 // NewSystem builds a deployment over the given schema.
@@ -458,6 +458,9 @@ func NewSystem(sch *Schema, opts ...Option) (*System, error) {
 		hosts:  make([]hostDemux, g.NumNodes()),
 		pubs:   make(map[string]*Publisher),
 	}
+	for i := range sys.hosts {
+		sys.hosts[i].dims = sch.Dims()
+	}
 	if reg != nil {
 		dp.Instrument(reg)
 		if coord != nil {
@@ -581,6 +584,7 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 	// The scratch list is off the host while handlers run, so a handler
 	// that drives the simulation cannot have it overwritten underneath.
 	h.matches = nil
+	h.enter()
 	stamp := d.Packet.Stamp
 	// One wall-clock read per packet, only for stamped publishes with a
 	// consumer (the latency family or a traced delivery to hand out).
@@ -588,11 +592,14 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 	if stamp.OriginWall != 0 && (s.lat != nil || stamp.TraceID != 0) {
 		wall = time.Duration(time.Now().UnixNano() - stamp.OriginWall)
 	}
-	for _, st := range matches {
-		if st.pos < 0 {
+	for _, m := range matches {
+		cell := int32(uint32(m))
+		if h.posOf[cell] < 0 {
 			continue // unsubscribed by an earlier handler of this packet
 		}
-		fp := !dz.RectContainsPoint(st.rect, d.Packet.Event.Values)
+		fp := !dz.RectContainsPoint(h.rect(cell), d.Packet.Event.Values)
+		// A copy: a handler that subscribes may grow the array under it.
+		sink := h.sinks[cell]
 		lat := d.At - d.Packet.SentAt
 		s.deliveries.Add(1)
 		s.obsDeliveries.Inc()
@@ -612,7 +619,7 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 			}
 			s.lat.Record(obs.DeliverySample{
 				TraceID:        stamp.TraceID,
-				SubscriptionID: st.id,
+				SubscriptionID: sink.id,
 				Tree:           tree,
 				Partition:      part,
 				Latency:        lat,
@@ -628,17 +635,17 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 		// the hot path stays allocation-free.
 		var spanID uint64
 		if s.tracer != nil && stamp.TraceID != 0 {
-			sp := s.tracer.StartRemoteSpan(stamp.TraceID, stamp.SpanID, "deliver", st.id)
+			sp := s.tracer.StartRemoteSpan(stamp.TraceID, stamp.SpanID, "deliver", sink.id)
 			if sp != nil {
 				sp.End(nil)
 				spanID = sp.ID
 			}
 		}
-		if st.handler == nil {
+		if sink.handler == nil {
 			continue
 		}
-		st.handler(Delivery{
-			SubscriptionID: st.id,
+		sink.handler(Delivery{
+			SubscriptionID: sink.id,
 			Event:          d.Packet.Event,
 			At:             d.At,
 			Latency:        lat,
@@ -650,6 +657,7 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 			PubWallNanos:   stamp.OriginWall,
 		})
 	}
+	h.leave()
 	h.matches = matches[:0]
 }
 
@@ -917,9 +925,9 @@ func (s *System) Subscribe(id string, host HostID, f Filter, handler func(Delive
 	}); err != nil {
 		return err
 	}
-	st := &subState{id: id, host: host, rect: rect, set: set, handler: handler, seq: s.nextSeq()}
+	st := &subState{id: id, host: host, set: set, seq: s.nextSeq()}
 	s.subs[id] = st
-	s.hosts[host].attach(st)
+	s.hosts[host].attach(st, rect, handler)
 	return nil
 }
 
@@ -944,6 +952,10 @@ func (s *System) nextSeq() uint64 {
 	s.regSeq++
 	return s.regSeq
 }
+
+// rectOf returns a subscription's full-space rectangle, as its host's demux
+// holds it (hostDemux.rect): to read, not to keep.
+func (s *System) rectOf(st *subState) dz.Rect { return s.hosts[st.host].rect(st.cell) }
 
 // setSubSet replaces a registered subscription's dz set, keeping the host
 // index in step.
@@ -990,7 +1002,7 @@ func (s *System) SelectDimensions(threshold float64) (DimensionSelection, error)
 	}
 	rects := make([]dz.Rect, 0, len(s.subs))
 	for _, st := range s.subs {
-		rects = append(rects, st.rect)
+		rects = append(rects, s.rectOf(st))
 	}
 	res, err := dimsel.SelectFromWorkload(rects, s.window, threshold)
 	if err != nil {
@@ -1093,7 +1105,7 @@ func (s *System) Resubscribe(id string, f Filter) error {
 	}); err != nil {
 		return err
 	}
-	st.rect = rect
+	s.hosts[st.host].setRect(st, rect)
 	s.setSubSet(st, set)
 	return nil
 }

@@ -122,7 +122,7 @@ func (s *System) applyProjection(dims []int) error {
 		if err := s.fab.Unsubscribe(id); err != nil {
 			return fmt.Errorf("pleroma: reindex subscription %q: %w", id, err)
 		}
-		set, err := s.decomposeRect(st.rect)
+		set, err := s.decomposeRect(s.rectOf(st))
 		if err != nil {
 			return err
 		}
