@@ -26,8 +26,14 @@ import (
 // short; longer members share the key of their first MaxKeyBits bits.
 //
 // With WithShards(n) dispatch runs concurrently on the shard workers, each
-// host owned by exactly one of them: every field here is per host.
+// host owned by exactly one of them: every field here is per host, the
+// delivery counters included.
 type hostDemux struct {
+	// deliveries and falsePositives count the host's handler deliveries and
+	// those of them that do not match their subscription exactly; dispatch
+	// is their one writer and System.Stats sums them.
+	deliveries, falsePositives uint64
+
 	// subs holds the host's subscriptions; posOf[st.cell] is a
 	// subscription's slot here, kept current under Unsubscribe's
 	// swap-remove. Handlers fire in slot order.

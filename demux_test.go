@@ -135,6 +135,42 @@ func TestHandlerRunsSimulationDuringDispatch(t *testing.T) {
 	}
 }
 
+// TestHandlerSeesOwnDeliveryCounted pins the in-handler half of the Stats
+// read contract on a single-engine system: dispatch counts a delivery before
+// it calls the handler, so a handler reading Stats sees itself counted, and
+// across one packet matching three subscriptions the count rises by exactly
+// one per handler call.
+func TestHandlerSeesOwnDeliveryCounted(t *testing.T) {
+	sys := newSys(t)
+	host := sys.Hosts()[3]
+	var seen []uint64
+	for _, id := range []string{"a", "b", "c"} {
+		if err := sys.Subscribe(id, host, NewFilter(), func(Delivery) {
+			seen = append(seen, sys.Stats().Deliveries)
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pub, err := sys.NewPublisher("p", sys.Hosts()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	base := sys.Stats().Deliveries
+	if err := pub.Publish(1, 2); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if want := []uint64{base + 1, base + 2, base + 3}; !slices.Equal(seen, want) {
+		t.Fatalf("handlers read Stats().Deliveries %v, want %v", seen, want)
+	}
+	if got := sys.Stats().Deliveries; got != base+3 {
+		t.Fatalf("Stats().Deliveries after the run = %d, want %d", got, base+3)
+	}
+}
+
 // demuxDiff interprets a byte program as a sequence of subscribe /
 // unsubscribe / Resubscribe / ReindexDimensions / ResetDimensions calls over
 // three hosts of a system whose sets are truncated at L_dz, and after every

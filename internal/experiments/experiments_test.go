@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -471,6 +472,54 @@ func TestExperimentSameSeedDeterministic(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, c) {
 		t.Error("different seeds produced identical tables")
+	}
+}
+
+// wallClockColumns names the columns that measure real time rather than
+// simulated outcomes (fig7f times the controller with time.Since), keyed by
+// experiment id.
+var wallClockColumns = map[string][]string{
+	"fig7f": {"proc-mean", "total-mean", "subs/sec"},
+}
+
+// renderSimulated runs one experiment and renders its tables with the
+// wall-clock columns blanked: what a seed must fix.
+func renderSimulated(t *testing.T, id string, cfg Config) string {
+	t.Helper()
+	tables, err := Run(id, cfg)
+	if err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	var sb strings.Builder
+	for _, tab := range tables {
+		for c, name := range tab.Columns {
+			if !slices.Contains(wallClockColumns[id], name) {
+				continue
+			}
+			for _, row := range tab.Rows {
+				if c < len(row) {
+					row[c] = "-"
+				}
+			}
+		}
+		if err := tab.Fprint(&sb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return sb.String()
+}
+
+// TestExperimentsDeterministic extends the seeding contract to every
+// registered experiment: two quick runs at one seed render byte-identical
+// tables, wall-clock columns aside. It is what keeps EXPERIMENTS.md and
+// benchmarks/full_results.txt reproducible from the seed alone.
+func TestExperimentsDeterministic(t *testing.T) {
+	for _, id := range IDs() {
+		a := renderSimulated(t, id, DefaultConfig)
+		b := renderSimulated(t, id, DefaultConfig)
+		if a != b {
+			t.Errorf("%s: two runs at seed %d differ:\n%s\nvs\n%s", id, DefaultConfig.Seed, a, b)
+		}
 	}
 }
 

@@ -171,7 +171,9 @@ type DeliverFunc func(Delivery)
 // packets without a matching flow; inPort is the switch ingress port.
 type PuntFunc func(sw topo.NodeID, inPort openflow.PortID, pkt Packet)
 
-// SwitchStats counts per-switch data-plane activity.
+// SwitchStats counts per-switch data-plane activity. The fields are plain
+// counters written only by the context that owns the switch (see
+// DataPlane).
 type SwitchStats struct {
 	Forwarded   uint64
 	TableMisses uint64
@@ -205,9 +207,11 @@ type Publication struct {
 // hop reads the link, updates the direction's serialization bookkeeping,
 // and schedules arrival at the precompiled peer — no map, no graph query.
 //
-// busyUntil and queue are owned by the engine goroutine (the one driving
-// injection and Engine.Run); the traffic counters are atomics so stats
-// readers on other goroutines see sane values mid-run.
+// Everything mutable here — busyUntil, queue and the traffic counters — is
+// owned by the context of the sending node (from): the goroutine driving
+// injection and Run in single-engine mode, that node's shard worker under
+// EnableSharding. The counters are plain fields; see DataPlane for when
+// they may be read.
 type dirState struct {
 	link *topo.Link
 	from topo.NodeID
@@ -227,9 +231,9 @@ type dirState struct {
 	// QueuePackets.
 	queue departures
 
-	packets atomic.Uint64
-	bytes   atomic.Uint64
-	dropped atomic.Uint64
+	packets uint64
+	bytes   uint64
+	dropped uint64
 }
 
 // departure is the (time, seq) key at which one queued packet leaves a
@@ -288,17 +292,16 @@ func (p *switchPlan) dirFor(port openflow.PortID) *dirState {
 	return p.ports[port]
 }
 
-// hostState models one end host. busyUntil/queued/cfg/deliver are owned
-// by the host's shard during a run (configuration happens between runs);
-// the received/dropped counters are atomics so stats readers on other
-// goroutines — and the facade's aggregate accounting — stay race-free
-// when hosts on different shards deliver concurrently.
+// hostState models one end host. busyUntil, queued and the received/dropped
+// counters are owned by the host's shard during a run — plain fields, like
+// every data-plane counter (see DataPlane) — and cfg/deliver are set
+// between runs.
 type hostState struct {
 	cfg       HostConfig
 	busyUntil time.Duration
 	queued    int
-	received  atomic.Uint64
-	dropped   atomic.Uint64
+	received  uint64
+	dropped   uint64
 	deliver   DeliverFunc
 	// access is the compiled host→switch link direction (nil when the
 	// host has no attached switch). Immutable after a plan build.
@@ -354,17 +357,27 @@ type crossMsg struct {
 // Concurrency: each switch's flow table carries its own lock, so
 // control-plane reconfiguration (ApplyBatch, possibly from several
 // controllers touching disjoint switches) and data-plane forwarding
-// interleave safely. Per-switch counters, link
-// counters, and host delivery/drop counters use atomics, the punt handler,
-// path-recording flag, and switch configs are swapped atomically (safe to
-// toggle mid-run), and mu guards publisher-sequence bookkeeping plus
-// whole-map iteration over tables. In single-engine mode the simulation is
-// single-threaded: packets are injected and forwarded on the goroutine
-// driving Run, which also owns the packet slab and per-direction
-// serialization state. Under EnableSharding each shard's worker owns the
-// same state for its partition of the topology (slab, link directions
-// transmitting from its nodes, its hosts), cross-shard hops travel through
-// barrier-drained mailboxes, and injection is only legal between runs.
+// interleave safely. The punt handler, path-recording flag, and switch
+// configs are swapped atomically (safe to toggle mid-run), and mu guards
+// publisher-sequence bookkeeping plus whole-map iteration over tables. In
+// single-engine mode the simulation is single-threaded: packets are
+// injected and forwarded on the goroutine driving Run, which also owns the
+// packet slab and per-direction serialization state. Under EnableSharding
+// each shard's worker owns the same state for its partition of the
+// topology (slab, link directions transmitting from its nodes, its
+// switches and hosts), cross-shard hops travel through barrier-drained
+// mailboxes, and injection is only legal between runs.
+//
+// Counters: every data-plane counter — a link direction's packets, bytes
+// and drops, a switch's SwitchStats, a host's received and dropped — is a
+// plain uint64 with one writer, the context owning the direction's sending
+// node, the switch or the host. The readers (SwitchStatsFor, HostReceived,
+// HostDropped, LinkStatsFor, TotalLinkPackets) are exact between runs, from
+// any goroutine (Run's return is the happens-before edge), and from a
+// delivery or punt callback in single-engine mode, which runs on the
+// goroutine driving Run. Reading them from another goroutine while a run
+// is in flight is a data race and unsupported; the obs instruments
+// (Instrument) are the mid-run surface.
 type DataPlane struct {
 	g      *topo.Graph
 	eng    *sim.Engine
@@ -722,15 +735,13 @@ func (dp *DataPlane) SetPuntHandler(f PuntFunc) {
 // invariants are tested against. Safe to toggle mid-run.
 func (dp *DataPlane) RecordPaths(on bool) { dp.recordPaths.Store(on) }
 
-// SwitchStatsFor returns a copy of the counters of one switch.
+// SwitchStatsFor returns a copy of the counters of one switch. Like every
+// counter reader it is exact between runs and inside a single-engine
+// callback, and not to be called mid-run from another goroutine (see
+// DataPlane).
 func (dp *DataPlane) SwitchStatsFor(sw topo.NodeID) SwitchStats {
 	if s, ok := dp.swStats[sw]; ok {
-		return SwitchStats{
-			Forwarded:   atomic.LoadUint64(&s.Forwarded),
-			TableMisses: atomic.LoadUint64(&s.TableMisses),
-			HopExceeded: atomic.LoadUint64(&s.HopExceeded),
-			Punted:      atomic.LoadUint64(&s.Punted),
-		}
+		return *s
 	}
 	return SwitchStats{}
 }
@@ -739,7 +750,7 @@ func (dp *DataPlane) SwitchStatsFor(sw topo.NodeID) SwitchStats {
 // application.
 func (dp *DataPlane) HostReceived(h topo.NodeID) uint64 {
 	if int(h) >= 0 && int(h) < len(dp.hosts) && dp.hosts[h] != nil {
-		return dp.hosts[h].received.Load()
+		return dp.hosts[h].received
 	}
 	return 0
 }
@@ -747,14 +758,15 @@ func (dp *DataPlane) HostReceived(h topo.NodeID) uint64 {
 // HostDropped returns the number of packets dropped at host ingress.
 func (dp *DataPlane) HostDropped(h topo.NodeID) uint64 {
 	if int(h) >= 0 && int(h) < len(dp.hosts) && dp.hosts[h] != nil {
-		return dp.hosts[h].dropped.Load()
+		return dp.hosts[h].dropped
 	}
 	return 0
 }
 
 // LinkStatsFor returns the counters of one link, or nil if the link has
 // carried (and dropped) nothing. The returned struct is a snapshot
-// synthesized from the per-direction counters.
+// synthesized from the per-direction counters, under the read contract of
+// SwitchStatsFor.
 func (dp *DataPlane) LinkStatsFor(l *topo.Link) *LinkStats {
 	base, ok := dp.dirByLink[l]
 	if !ok {
@@ -767,15 +779,15 @@ func (dp *DataPlane) LinkStatsFor(l *topo.Link) *LinkStats {
 	}
 	var total uint64
 	for _, d := range []*dirState{dp.dirs[base], dp.dirs[base+1]} {
-		if v := d.packets.Load(); v > 0 {
+		if v := d.packets; v > 0 {
 			ls.Packets[d.from] = v
 			total += v
 		}
-		if v := d.bytes.Load(); v > 0 {
+		if v := d.bytes; v > 0 {
 			ls.Bytes[d.from] = v
 			total += v
 		}
-		if v := d.dropped.Load(); v > 0 {
+		if v := d.dropped; v > 0 {
 			ls.Dropped[d.from] = v
 			total += v
 		}
@@ -791,7 +803,7 @@ func (dp *DataPlane) LinkStatsFor(l *topo.Link) *LinkStats {
 func (dp *DataPlane) TotalLinkPackets() uint64 {
 	var total uint64
 	for _, d := range dp.dirs {
-		total += d.packets.Load()
+		total += d.packets
 	}
 	return total
 }
@@ -1007,13 +1019,13 @@ func (c *shardCtx) transmit(d *dirState, slot uint32) {
 	dp := c.dp
 	link := d.link
 	if link.Down {
-		d.dropped.Add(1)
+		d.dropped++
 		dp.obsLinkDrops.Inc()
 		c.releasePkt(slot)
 		return
 	}
 	if queued, q := d.queue.settle(c.eng), link.Params.QueuePackets; q > 0 && queued >= q {
-		d.dropped.Add(1)
+		d.dropped++
 		dp.obsLinkDrops.Inc()
 		c.releasePkt(slot)
 		return
@@ -1032,8 +1044,8 @@ func (c *shardCtx) transmit(d *dirState, slot uint32) {
 	arriveAt := depart + link.Params.Latency
 
 	d.queue.push(departure{at: depart, seq: c.eng.ReserveSeq()})
-	d.packets.Add(1)
-	d.bytes.Add(uint64(size))
+	d.packets++
+	d.bytes += uint64(size)
 	dp.obsLinkPackets.Inc()
 
 	kind := evArriveSwitch
@@ -1058,7 +1070,7 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 	p := dp.plans[sw]
 	pkt := &c.slab[slot]
 	if pkt.HopLimit <= 0 {
-		atomic.AddUint64(&p.stats.HopExceeded, 1)
+		p.stats.HopExceeded++
 		c.releasePkt(slot)
 		return
 	}
@@ -1069,7 +1081,7 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 	}
 
 	if ipmc.IsSignal(pkt.Dst) {
-		atomic.AddUint64(&p.stats.Punted, 1)
+		p.stats.Punted++
 		punt := dp.punt.Load()
 		out := *pkt
 		c.releasePkt(slot)
@@ -1094,13 +1106,13 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 	p := c.dp.plans[sw]
 	actions, ok := p.table.LookupKey(c.slab[slot].dstKey)
 	if !ok {
-		atomic.AddUint64(&p.stats.TableMisses, 1)
+		p.stats.TableMisses++
 		punt := c.dp.punt.Load()
 		if punt == nil {
 			c.releasePkt(slot)
 			return
 		}
-		atomic.AddUint64(&p.stats.Punted, 1)
+		p.stats.Punted++
 		pkt := c.slab[slot]
 		c.releasePkt(slot)
 		(*punt)(sw, inPort, pkt)
@@ -1124,7 +1136,7 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 			// publisher receives the event.
 			continue
 		}
-		atomic.AddUint64(&p.stats.Forwarded, 1)
+		p.stats.Forwarded++
 		if out != nil {
 			c.sendTo(out, outDst, c.clonePkt(slot))
 		}
@@ -1164,7 +1176,7 @@ func (c *shardCtx) arriveAtHost(h topo.NodeID, slot uint32) {
 		maxQueue = DefaultMaxQueue
 	}
 	if hs.queued >= maxQueue {
-		hs.dropped.Add(1)
+		hs.dropped++
 		c.releasePkt(slot)
 		return
 	}
@@ -1189,7 +1201,7 @@ func (c *shardCtx) hostDone(h topo.NodeID, slot uint32) {
 // deliver counts the packet in slot as received, frees the slot and hands
 // the packet to the host's application callback.
 func (c *shardCtx) deliver(hs *hostState, h topo.NodeID, slot uint32) {
-	hs.received.Add(1)
+	hs.received++
 	c.dp.obsHostDeliveries.Inc()
 	if hs.deliver == nil {
 		c.releasePkt(slot)

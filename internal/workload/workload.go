@@ -175,8 +175,11 @@ func (g *Generator) Event() space.Event {
 			vals[d] = uint32(g.r.Intn(int(g.sch.DomainMax()) + 1))
 		}
 	}
-	for d, band := range g.restricted {
-		if d >= 0 && d < len(vals) {
+	// Draw in ascending dimension order: ranging over the map would hand the
+	// draws to dimensions in Go's randomised map order, and a seed would no
+	// longer fix the event.
+	for d := range vals {
+		if band, ok := g.restricted[d]; ok {
 			vals[d] = g.bandValue(band)
 		}
 	}

@@ -217,6 +217,30 @@ func TestRestrictedDims(t *testing.T) {
 	}
 }
 
+// TestRestrictedDimsDeterministic: with several restricted dimensions a seed
+// still fixes every event — the band draws go to the dimensions in one
+// order, not in the map's randomised iteration order.
+func TestRestrictedDimsDeterministic(t *testing.T) {
+	sch := schema(t, 6)
+	bands := map[int]float64{0: 0.01, 2: 0.1, 3: 0.3, 5: 0.6}
+	g1, err := New(sch, Zipfian, 42, WithRestrictedDims(bands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, err := New(sch, Zipfian, 42, WithRestrictedDims(bands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		e1, e2 := g1.Event(), g2.Event()
+		for d := range e1.Values {
+			if e1.Values[d] != e2.Values[d] {
+				t.Fatalf("event %d: %v and %v from one seed", i, e1.Values, e2.Values)
+			}
+		}
+	}
+}
+
 func TestSubscriptionWidthBounds(t *testing.T) {
 	sch := schema(t, 2)
 	g, err := New(sch, Uniform, 31, WithSubWidth(0.1, 0.2))

@@ -161,8 +161,9 @@ func (s *System) DeliveryLatency() DeliveryLatencyReport {
 }
 
 // systemHealth adapts the deployment's health to the operational endpoint:
-// /healthz degrades while any switch is quarantined, /readyz follows
-// System.ready.
+// /healthz degrades while any switch is quarantined, and /readyz follows
+// System.ready and is false as well while a switch is quarantined — its
+// flows may be missing, so deliveries through it may be lost.
 type systemHealth struct{ s *System }
 
 func (h systemHealth) DegradedSwitches() []string {
@@ -174,7 +175,9 @@ func (h systemHealth) DegradedSwitches() []string {
 	return out
 }
 
-func (h systemHealth) Ready() bool { return h.s.ready.Load() }
+func (h systemHealth) Ready() bool {
+	return h.s.ready.Load() && len(h.s.fab.DegradedSwitches()) == 0
+}
 
 // ObsHandler returns the operational HTTP handler (/metrics, /healthz,
 // /readyz, /traces, /debug/pprof/*). It works — with empty metrics and

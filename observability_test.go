@@ -194,7 +194,8 @@ func TestObservabilityEndpoint(t *testing.T) {
 }
 
 // TestHealthzDegradesOnQuarantine drives a switch into quarantine via
-// injected southbound faults and watches /healthz flip to 503 and back.
+// injected southbound faults and watches /healthz and /readyz flip to 503
+// and back: a deployment with a quarantined switch is not ready.
 func TestHealthzDegradesOnQuarantine(t *testing.T) {
 	sch, err := NewSchema(Attribute{Name: "v", Bits: 10})
 	if err != nil {
@@ -237,6 +238,18 @@ func TestHealthzDegradesOnQuarantine(t *testing.T) {
 	if !strings.Contains(string(body), "degraded switches") {
 		t.Errorf("/healthz body %q", body)
 	}
+	readyz := func() int {
+		t.Helper()
+		resp, err := http.Get("http://" + srv.Addr() + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := readyz(); code != http.StatusServiceUnavailable {
+		t.Errorf("/readyz with quarantined switches = %d, want 503", code)
+	}
 
 	snap := sys.Metrics()
 	if got := snap.Total(obs.MQuarantines); got == 0 {
@@ -258,6 +271,9 @@ func TestHealthzDegradesOnQuarantine(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz after resync = %d, want 200", resp.StatusCode)
+	}
+	if code := readyz(); code != http.StatusOK {
+		t.Errorf("/readyz after resync = %d, want 200", code)
 	}
 	if got := sys.Metrics().Total(obs.MResyncs); got == 0 {
 		t.Error("resync counter is zero after resync")

@@ -273,10 +273,6 @@ type System struct {
 	reindexArmed  bool
 	reindexSeen   uint64
 	reindexRounds int
-	// delivery accounting for the FPR metric of Section 6.4. Atomics:
-	// with shards enabled, dispatch runs concurrently on shard workers.
-	deliveries     atomic.Uint64
-	falsePositives atomic.Uint64
 
 	// Networked deployment surface (nil without WithListener /
 	// WithJournalDir; see network.go).
@@ -297,7 +293,8 @@ type System struct {
 	// nil without WithObservability.
 	lat *obs.DeliveryLatency
 
-	// ready is what /readyz reports: set once NewSystem has built the
+	// ready is what /readyz reports while no switch is quarantined
+	// (systemHealth.Ready): set once NewSystem has built the
 	// deployment (and, with WithListener, the listener accepts), cleared
 	// while Recover, Restore or Failover swap a controller (see unready) and
 	// for good by StopListener on a system that listened (draining) and by
@@ -601,11 +598,11 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 		// A copy: a handler that subscribes may grow the array under it.
 		sink := h.sinks[cell]
 		lat := d.At - d.Packet.SentAt
-		s.deliveries.Add(1)
+		h.deliveries++
 		s.obsDeliveries.Inc()
 		s.obsDeliveryLatency.Observe(lat)
 		if fp {
-			s.falsePositives.Add(1)
+			h.falsePositives++
 			s.obsFalsePositives.Inc()
 		}
 		if s.lat != nil {
@@ -1037,17 +1034,25 @@ func (st Stats) FPRPercent() float64 {
 	return 100 * float64(st.FalsePositives) / float64(st.Deliveries)
 }
 
-// Stats returns a snapshot of the system counters.
+// Stats returns a snapshot of the system counters. The data-plane counters
+// are plain fields owned by the shard that writes them, so the snapshot is
+// exact between runs (from any goroutine) and inside a handler on a
+// single-engine system, where a handler already sees its own delivery
+// counted; calling it from another goroutine while Run is in flight is
+// unsupported — the observability metrics are the mid-run surface.
 func (s *System) Stats() Stats {
 	fst := s.fab.Stats()
-	return Stats{
+	st := Stats{
 		Partitions:      len(s.fab.Partitions()),
 		ControlMessages: fst.MessagesSent,
 		FlowMods:        s.dp.FlowModCount(),
 		LinkPackets:     s.dp.TotalLinkPackets(),
-		Deliveries:      s.deliveries.Load(),
-		FalsePositives:  s.falsePositives.Load(),
 	}
+	for i := range s.hosts {
+		st.Deliveries += s.hosts[i].deliveries
+		st.FalsePositives += s.hosts[i].falsePositives
+	}
+	return st
 }
 
 // Switches returns the switch nodes of the deployment (for link-failure

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"pleroma/internal/netem"
 	"pleroma/internal/obs"
 )
 
@@ -125,10 +126,19 @@ type shardRec struct {
 	fp   bool
 }
 
+// shardRound is what the counter readers report after one round's Run: the
+// between-runs read every data-plane counter promises to be exact.
+type shardRound struct {
+	stats    Stats
+	overload OverloadReport
+	switches []netem.SwitchStats
+}
+
 // driveShardGolden runs a fixed seeded fan-out workload — every host
 // subscribed, several publishers bursting at the same instants — and
-// returns the sorted delivery log, the final clock, and the final stats.
-func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, time.Duration, Stats) {
+// returns the sorted delivery log, the final clock, and the counters read
+// after each round.
+func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, time.Duration, []shardRound) {
 	t.Helper()
 	sch, err := NewSchema(
 		Attribute{Name: "x", Bits: 10},
@@ -178,6 +188,7 @@ func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, ti
 		}
 		pubs = append(pubs, pub)
 	}
+	var rounds []shardRound
 	for round := 0; round < 4; round++ {
 		for _, pub := range pubs {
 			tuples := make([][]uint32, 12)
@@ -189,6 +200,11 @@ func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, ti
 			}
 		}
 		sys.Run()
+		rd := shardRound{stats: sys.Stats(), overload: sys.OverloadReport()}
+		for _, sw := range sys.Switches() {
+			rd.switches = append(rd.switches, sys.dp.SwitchStatsFor(sw))
+		}
+		rounds = append(rounds, rd)
 	}
 	end := sys.Now()
 
@@ -206,22 +222,30 @@ func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, ti
 		}
 		return a.lat < b.lat
 	})
-	return recs, end, sys.Stats()
+	return recs, end, rounds
 }
 
 // TestShardedGoldenWorkloadEquivalence pins the acceptance criterion
 // directly: WithShards(n>1) reproduces the single-engine delivery
-// multiset, counters, and final clock on a seeded golden workload.
+// multiset, counters, and final clock on a seeded golden workload. The
+// counters are compared round by round — Stats, OverloadReport and every
+// switch's SwitchStats read after each Run — so a shard whose counts are
+// lost, or summed twice, shows in the round it happens.
 func TestShardedGoldenWorkloadEquivalence(t *testing.T) {
 	const seed = 31337
-	single, singleEnd, singleStats := driveShardGolden(t, seed, WithShards(1))
-	shard, shardEnd, shardStats := driveShardGolden(t, seed, WithShards(testShardCount()))
+	single, singleEnd, singleRounds := driveShardGolden(t, seed, WithShards(1))
+	shard, shardEnd, shardRounds := driveShardGolden(t, seed, WithShards(testShardCount()))
 
 	if len(single) == 0 {
 		t.Fatal("golden workload delivered nothing")
 	}
-	if singleStats != shardStats {
-		t.Errorf("stats differ:\nsingle:  %+v\nsharded: %+v", singleStats, shardStats)
+	if last := singleRounds[len(singleRounds)-1].stats; last.Deliveries != uint64(len(single)) {
+		t.Errorf("single-engine Stats().Deliveries = %d, handlers saw %d", last.Deliveries, len(single))
+	}
+	for i := range singleRounds {
+		if !reflect.DeepEqual(singleRounds[i], shardRounds[i]) {
+			t.Errorf("round %d counters differ:\nsingle:  %+v\nsharded: %+v", i, singleRounds[i], shardRounds[i])
+		}
 	}
 	// Compare the content multiset, not per-delivery timestamps: bursts
 	// from several publishers tie for serialization slots at the same
@@ -250,13 +274,13 @@ func TestShardedGoldenWorkloadEquivalence(t *testing.T) {
 func TestShardedRunsDeterministic(t *testing.T) {
 	const seed = 6060
 	n := testShardCount()
-	a, aEnd, aStats := driveShardGolden(t, seed, WithShards(n))
-	b, bEnd, bStats := driveShardGolden(t, seed, WithShards(n))
+	a, aEnd, aRounds := driveShardGolden(t, seed, WithShards(n))
+	b, bEnd, bRounds := driveShardGolden(t, seed, WithShards(n))
 	if aEnd != bEnd {
 		t.Errorf("final clocks differ across identical runs: %v vs %v", aEnd, bEnd)
 	}
-	if aStats != bStats {
-		t.Errorf("stats differ across identical runs:\n%+v\n%+v", aStats, bStats)
+	if !reflect.DeepEqual(aRounds, bRounds) {
+		t.Errorf("counters differ across identical runs:\n%+v\n%+v", aRounds, bRounds)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("sharded run is not deterministic at %d shards", n)
