@@ -49,6 +49,7 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzFlowDerivation \
 	./internal/dz:FuzzTrieVsNaive \
 	./internal/dz:FuzzEncodeKeyVsExpr \
+	./internal/dz:FuzzDecomposeLimitedVsString \
 	./internal/openflow:FuzzLookupKeyVsAddr
 fuzz:
 	@for pt in $(FUZZ_TARGETS); do \

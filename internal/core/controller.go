@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"pleroma/internal/dz"
@@ -132,12 +133,13 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 
 	ch := make(changeSet, 8*len(set)) // about one key per subspace and switch on the way
 	defer c.contribs.apply(ch)        // a failure before refresh keeps tries and path records in step
+	c.pubOrder = c.pubOrder[:0]
 	for _, dzi := range set {
 		for _, tid := range c.treeIdx.overlapping(dzi) {
 			t := c.trees[tid]
 			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
 			c.joinTreeAsSubscriber(t, sub, overlap)
-			for _, pid := range sortutil.Keys(t.pubs) {
+			for _, pid := range c.sortedPubs(t) {
 				if err := c.addPathContributions(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), ch, &rep); err != nil {
 					return rep, err
 				}
@@ -156,6 +158,32 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	}
 	c.logOp(wire.OpSubscribe, id, rep)
 	return rep, nil
+}
+
+// treePubs is one tree's publisher ids, sorted.
+type treePubs struct {
+	tree TreeID
+	ids  []string
+}
+
+// sortedPubs returns t's publisher ids in ascending order. A subscription
+// sorts them once per tree: c.pubOrder keeps the trees it sorted, in slots
+// whose id slices the next subscription reuses.
+func (c *Controller) sortedPubs(t *tree) []string {
+	for _, tp := range c.pubOrder {
+		if tp.tree == t.id {
+			return tp.ids
+		}
+	}
+	n := len(c.pubOrder)
+	c.pubOrder = slices.Grow(c.pubOrder, 1)[:n+1]
+	tp := &c.pubOrder[n]
+	tp.tree, tp.ids = t.id, tp.ids[:0]
+	for id := range t.pubs {
+		tp.ids = append(tp.ids, id)
+	}
+	slices.Sort(tp.ids)
+	return tp.ids
 }
 
 // Unsubscribe removes a subscription: previously established paths are
@@ -573,7 +601,7 @@ func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 			return rep, fmt.Errorf("core: rebuild tree %d: %w", t.id, err)
 		}
 		c.dropTreePaths(t, ch)
-		t.span = span
+		t.setSpan(span)
 		if err := c.establishTreePaths(t, ch, &rep); err != nil {
 			return rep, err
 		}

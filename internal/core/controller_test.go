@@ -66,7 +66,11 @@ func newTestbedOn(t *testing.T, g *topo.Graph, opts ...core.Option) *testbed {
 // decompose converts a filter to its full-precision DZ set.
 func (tb *testbed) decompose(t *testing.T, f space.Filter) dz.Set {
 	t.Helper()
-	set, err := tb.sch.Decompose(f, tb.sch.Geometry().MaxLen())
+	r, err := tb.sch.Rect(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := tb.sch.Geometry().Decompose(r, tb.sch.Geometry().MaxLen())
 	if err != nil {
 		t.Fatal(err)
 	}

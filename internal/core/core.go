@@ -40,7 +40,9 @@ import (
 //
 // ApplyBatch must apply the operations in order and return one FlowID per
 // applied operation (the assigned ID for adds, zero otherwise); on error
-// the returned slice identifies the prefix that took effect.
+// the returned slice identifies the prefix that took effect. ops is the
+// controller's scratch: an implementation copies or encodes what it keeps
+// before it returns (the FlowOp values, not the slice).
 type FlowProgrammer interface {
 	ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error)
 }
@@ -115,6 +117,22 @@ type tree struct {
 	pubs map[string]dz.Set
 	// subs maps subscriber id -> DZ^t(s).
 	subs map[string]dz.Set
+	// routes memoises routeHops on span, keyed by everything a route
+	// depends on; every path on a route shares its hop slice, read-only.
+	// The entries hold for span and the graph version routesAt: setSpan
+	// drops them, and routeHops does on a version mismatch.
+	routes   map[routeKey][]topo.Hop
+	routesAt uint64
+}
+
+// routeKey names one route on a tree: its two endpoints, a virtual
+// endpoint's exit port included.
+type routeKey struct{ from, to endpoint }
+
+// setSpan replaces the tree's spanning tree and drops the routes cached on
+// the old one.
+func (t *tree) setSpan(span *topo.SpanningTree) {
+	t.span, t.routes = span, nil
 }
 
 // TreeInfo is the exported snapshot of one dissemination tree.
@@ -237,6 +255,18 @@ type Controller struct {
 	// programmed per switch, keyed by match expression.
 	contribs  *contribState
 	installed map[topo.NodeID]map[dz.Expr]installedFlow
+
+	// Scratch of one control operation, reused by the next and guarded by
+	// mu like the rest: the batch and its installed-state updates
+	// refreshSwitch collects for one switch and the ops flushOps records as
+	// acknowledged — emptied and zeroed after each flush, so no flow stays
+	// reachable from here — refreshSwitch's derivation, and the publisher
+	// ids subscribe sorts once per tree, reset when a subscription starts.
+	batchOps   []openflow.FlowOp
+	batchMetas []opMeta
+	acked      []ackedOp
+	deriv      derivation
+	pubOrder   []treePubs
 
 	// degraded holds quarantined switches: their retries exhausted on a
 	// transient error, their table lags the canonical state, and the next

@@ -43,7 +43,7 @@ type pathKey struct {
 // path is one established path: its route along the tree and the subspaces
 // forwarded over it. Its contributions are the cross product exprs × hops.
 type path struct {
-	hops []topo.Hop
+	hops []topo.Hop // the tree's cached route (tree.routes), shared: read-only
 	// exprs lists the subspaces as they were added, de-duplicated and never
 	// canonicalised: flows are derived per contributed expression, so
 	// merging siblings here would change the FlowMods.
@@ -198,10 +198,30 @@ func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscrib
 	return nil
 }
 
-// routeHops computes the (switch, out-port) sequence between two endpoints
-// along the tree. Virtual endpoints sit on a border switch and extend the
-// route with the cross-partition exit port.
+// routeHops returns the (switch, out-port) sequence between two endpoints
+// along the tree, computed on the first request and cached on the tree
+// (tree.routes) for the next. The slice is shared: callers only read it.
 func (c *Controller) routeHops(t *tree, from, to endpoint) ([]topo.Hop, error) {
+	if v := c.g.Version(); t.routes == nil || t.routesAt != v {
+		t.routes, t.routesAt = make(map[routeKey][]topo.Hop), v
+	}
+	key := routeKey{from, to}
+	if hops, ok := t.routes[key]; ok {
+		return hops, nil
+	}
+	hops, err := c.computeRoute(t, from, to)
+	if err != nil {
+		return nil, err
+	}
+	hops = slices.Clip(hops)
+	t.routes[key] = hops
+	return hops, nil
+}
+
+// computeRoute computes the route of routeHops on the tree's spanning tree.
+// Virtual endpoints sit on a border switch and extend the route with the
+// cross-partition exit port.
+func (c *Controller) computeRoute(t *tree, from, to endpoint) ([]topo.Hop, error) {
 	if from.node == to.node && !from.virtual() && !to.virtual() {
 		// Publisher and subscriber share a host: the spanning-tree path
 		// degenerates to the host alone, but the packet still crosses the
@@ -400,12 +420,13 @@ func actionsEqual(a, b []openflow.Action) bool {
 // derivation.family walk per run of changed expressions the first covers,
 // so the FlowMods come out in lexicographic expression order.
 //
-// All FlowMods the switch owes are collected into one batch and flushed in
-// a single southbound call.
+// All FlowMods the switch owes are collected into one batch — in the
+// controller's scratch, emptied again once the batch is flushed — and
+// flushed in a single southbound call. The derivation is the controller's
+// too: it would escape to the heap as a local.
 func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 	inst map[dz.Expr]installedFlow, rep *ReconfigReport) error {
-	ops := make([]openflow.FlowOp, 0, len(changed))
-	metas := make([]opMeta, 0, len(changed))
+	ops, metas := c.batchOps, c.batchMetas
 	var err error
 	reconcile := func(e dz.Expr, ports []openflow.PortID, direct bool) {
 		if err != nil {
@@ -458,7 +479,7 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 		}
 	}
 	t := c.contribs.direct[sw]
-	var d derivation
+	d := &c.deriv
 	for len(changed) > 0 {
 		n := 1
 		for n < len(changed) && changed[0].expr.Covers(changed[n].expr) {
@@ -467,10 +488,17 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 		d.family(t, changed[:n], reconcile)
 		changed = changed[n:]
 	}
-	if err != nil {
-		return err
+	if err == nil {
+		err = c.flushOps(sw, ops, metas, inst, rep)
 	}
-	return c.flushOps(sw, ops, metas, inst, rep)
+	c.batchOps, c.batchMetas = emptied(ops), emptied(metas)
+	return err
+}
+
+// emptied zeroes s and returns it with length 0 and its capacity kept.
+func emptied[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }
 
 // opMeta pairs one batch op with the installed-state update to apply once
@@ -517,7 +545,7 @@ func (c *Controller) flushOps(sw topo.NodeID, ops []openflow.FlowOp, metas []opM
 		// flows, adopting their IDs.
 		return nil
 	}
-	acked := make([]ackedOp, 0, len(ops))
+	acked := c.acked
 	err := c.programWithRetry(sw, ops, metas, &acked, rep)
 	// Record exactly the ops the switch acknowledged. The lifetime FlowMod
 	// counters move here too — per acknowledged op, in both the refresh and
@@ -541,12 +569,13 @@ func (c *Controller) flushOps(sw topo.NodeID, ops []openflow.FlowOp, metas []opM
 			c.inst.flowModifies.Inc()
 		}
 	}
-	if len(acked) > 0 {
-		c.inst.swFlowMods.With(swLabel(sw)).Add(uint64(len(acked)))
+	if n := len(acked); n > 0 {
+		c.inst.swFlowMods.With(swLabel(sw)).Add(uint64(n))
 		if sp := c.span; sp != nil {
-			sp.Event("programmed", "switch", swLabel(sw), "ops", strconv.Itoa(len(acked)))
+			sp.Event("programmed", "switch", swLabel(sw), "ops", strconv.Itoa(n))
 		}
 	}
+	c.acked = emptied(acked)
 	return err
 }
 

@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"pleroma/internal/dz"
 	"pleroma/internal/netem"
+	"pleroma/internal/openflow"
 	"pleroma/internal/sim"
 	"pleroma/internal/space"
 	"pleroma/internal/topo"
@@ -192,6 +195,112 @@ func TestChurnLeavesNoState(t *testing.T) {
 	}
 	if n := len(c.trees) + c.treeIdx.trie.Len(); n != 0 {
 		t.Errorf("%d tree / tree-index entries left", n)
+	}
+}
+
+// TestRouteCacheDroppedWithSpan: routes are cached per tree and hold for one
+// spanning tree. RebuildTrees around a failed link drops them, so the paths
+// it re-establishes, and a new subscriber on a host whose route was cached
+// before, avoid the link. A controller restored after the failure from a
+// snapshot of the warm one derives the same routes and flows as a fresh
+// controller that ran the same operations on the failed topology.
+func TestRouteCacheDroppedWithSpan(t *testing.T) {
+	c, hosts := newFatTreeController(t)
+	far := hosts[len(hosts)-1]
+	subs := []struct {
+		id   string
+		host topo.NodeID
+		set  dz.Set
+	}{
+		{"s1", far, dz.NewSet("0", "11")},
+		{"s2", hosts[5], dz.NewSet("01")},
+		{"s3", hosts[9], dz.NewSet("1")},
+	}
+	run := func(c *Controller) {
+		if _, err := c.Advertise("p", hosts[0], dz.NewSet(dz.Whole)); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range subs {
+			if _, err := c.Subscribe(s.id, s.host, s.set); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	run(c)
+	snap, err := c.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Fail the first switch-to-switch link on s1's cached route.
+	var a, b topo.NodeID
+	for key, p := range c.contribs.paths {
+		if key.sub != "s1" {
+			continue
+		}
+		for _, h := range p.hops {
+			peer, _ := c.g.PortToPeer(h.Switch, h.OutPort)
+			if n, _ := c.g.Node(peer); n.Kind == topo.KindSwitch {
+				a, b = h.Switch, peer
+				break
+			}
+		}
+	}
+	if a == b {
+		t.Fatal("s1's route crosses no switch-to-switch link")
+	}
+	if err := c.g.SetLinkState(a, b, true); err != nil {
+		t.Fatal(err)
+	}
+	crossing := func(c *Controller) string {
+		for key, p := range c.contribs.paths {
+			for _, h := range p.hops {
+				if peer, _ := c.g.PortToPeer(h.Switch, h.OutPort); h.Switch == a && peer == b || h.Switch == b && peer == a {
+					return key.sub
+				}
+			}
+		}
+		return ""
+	}
+
+	if _, err := c.RebuildTrees(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Subscribe("s1-again", far, dz.NewSet("00")); err != nil {
+		t.Fatal(err)
+	}
+	if sub := crossing(c); sub != "" {
+		t.Errorf("after RebuildTrees around the failed link %d–%d, %s's route still crosses it", a, b, sub)
+	}
+	if err := c.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+
+	restored, err := RestoreController(c.g, c.prog, snap, WithHostAddr(netem.HostAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, _ := newFatTreeController(t)
+	if err := fresh.g.SetLinkState(a, b, true); err != nil {
+		t.Fatal(err)
+	}
+	run(fresh)
+	if sub := crossing(restored); sub != "" {
+		t.Errorf("restored after the link failed, %s's route crosses it", sub)
+	}
+	if len(restored.contribs.paths) != len(fresh.contribs.paths) {
+		t.Fatalf("restored has %d paths, fresh %d", len(restored.contribs.paths), len(fresh.contribs.paths))
+	}
+	for key, p := range restored.contribs.paths {
+		if q := fresh.contribs.paths[key]; q == nil || !slices.Equal(p.hops, q.hops) {
+			t.Errorf("path %v: restored route %v, fresh %v", key, p.hops, q)
+		}
+	}
+	for _, sw := range c.g.Switches() {
+		want, got := fresh.desiredTable(sw), restored.desiredTable(sw)
+		if !maps.EqualFunc(got, want, slices.Equal[[]openflow.PortID]) {
+			t.Errorf("switch %d: restored derives %v, fresh %v", sw, got, want)
+		}
 	}
 }
 

@@ -326,7 +326,7 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 		if err != nil {
 			return nil, fmt.Errorf("core: restore tree %d: %w", t.id, err)
 		}
-		t.span = span
+		t.setSpan(span)
 		c.trees[t.id] = t
 		c.treeIdx.add(t.id, t.set)
 		c.inst.treeDz.With(treeLabel(t.id)).Set(int64(len(t.set)))

@@ -189,6 +189,11 @@ func Parse(s string) (Expr, error) {
 // disconnected) region of the event space. Sets returned by this package
 // are canonical: sorted, with no member covering another and with complete
 // sibling pairs merged into their parent.
+//
+// A Set is an immutable value: no operation writes into an operand, and a
+// result may be an operand itself (Intersect returns the covered operand,
+// Subtract of nothing returns s, canon its receiver). A caller that wants
+// to append to or write into a set it got back must Clone it first.
 type Set []Expr
 
 // NewSet builds a canonical set from the given expressions.
@@ -324,7 +329,11 @@ func (s Set) Covers(o Set) bool {
 	if len(o) == 0 {
 		return true
 	}
-	s, o = s.canon(), o.canon()
+	return s.canon().covers(o.canon())
+}
+
+// covers is Covers of two canonical sets.
+func (s Set) covers(o Set) bool {
 	i := 0
 	for _, e := range o {
 		// Skipped members cannot cover anything later: extensions of a
@@ -339,12 +348,27 @@ func (s Set) Covers(o Set) bool {
 	return true
 }
 
-// Intersect returns the canonical intersection of the two regions. Members
-// of a canonical set are pairwise disjoint, so overlapping pairs line up in
-// one sorted merge and each overlap is the longer (finer) expression of its
-// pair.
+// Intersect returns the canonical intersection of the two regions. When one
+// operand covers the other, the covered operand is the answer and is
+// returned as it is, without a merge or a copy.
 func (s Set) Intersect(o Set) Set {
 	s, o = s.canon(), o.canon()
+	switch {
+	case len(s) == 0 || len(o) == 0:
+		return nil
+	case o.covers(s):
+		return s
+	case s.covers(o):
+		return o
+	}
+	return intersectMerge(s, o)
+}
+
+// intersectMerge is the intersection of two canonical sets built afresh.
+// Members of a canonical set are pairwise disjoint, so overlapping pairs
+// line up in one sorted merge and each overlap is the longer (finer)
+// expression of its pair.
+func intersectMerge(s, o Set) Set {
 	var out []Expr
 	i, j := 0, 0
 	for i < len(s) && j < len(o) {

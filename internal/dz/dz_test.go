@@ -324,16 +324,55 @@ func TestPropertyCanonicalNoCoverNoSiblings(t *testing.T) {
 	}
 }
 
+// TestPropertyIntersectionCommutative also holds Intersect to the merge on
+// random canonical pairs, and on pairs where one operand covers the other —
+// a ∪ b covers both, a ∩ b is covered by both — where Intersect returns the
+// covered operand itself instead of merging.
 func TestPropertyIntersectionCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := randomSet(r, 6, 7)
 		b := randomSet(r, 6, 7)
-		return a.Intersect(b).Equal(b.Intersect(a)) &&
-			a.Union(b).Equal(b.Union(a))
+		if !a.Intersect(b).Equal(b.Intersect(a)) || !a.Union(b).Equal(b.Union(a)) {
+			return false
+		}
+		for _, o := range []Set{b, a.Union(b), intersectMerge(a, b), a} {
+			if !a.Intersect(o).Equal(intersectMerge(a, o)) || !o.Intersect(a).Equal(intersectMerge(o, a)) {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestIntersectReturnsCoveredOperand: when one operand covers the other the
+// intersection is that operand — the same slice, no allocation — in either
+// argument order, and for the single-expression form.
+func TestIntersectReturnsCoveredOperand(t *testing.T) {
+	coarse := NewSet("0", "10")
+	fine := NewSet("001", "01", "1011")
+	same := func(a, b Set) bool { return len(a) == len(b) && len(a) > 0 && &a[0] == &b[0] }
+	for _, tc := range []struct{ s, o, want Set }{
+		{coarse, fine, fine},
+		{fine, coarse, fine},
+		{fine, fine, fine},
+		{Set{Whole}, fine, fine},
+	} {
+		if got := tc.s.Intersect(tc.o); !same(got, tc.want) {
+			t.Errorf("%v ∩ %v = %v, want the operand %v itself", tc.s, tc.o, got, tc.want)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = tc.s.Intersect(tc.o) }); n != 0 {
+			t.Errorf("%v ∩ %v allocates %.0f times", tc.s, tc.o, n)
+		}
+	}
+	if got := (Set{Whole}).IntersectExpr("0110"); !got.Equal(Set{"0110"}) {
+		t.Errorf("ε ∩ 0110 = %v", got)
+	}
+	if got := fine.IntersectExpr(Whole); !same(got, fine) {
+		t.Errorf("%v ∩ ε = %v, want the receiver itself", fine, got)
 	}
 }
 

@@ -1,6 +1,9 @@
 package dz
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Geometry binds the dz algebra to a concrete event space: a k-dimensional
 // integer hypercube in which every dimension has the domain [0, 2^BitsPerDim).
@@ -175,47 +178,17 @@ func (g Geometry) ContainsPoint(e Expr, point []uint32) bool {
 // fully inside the rectangle are emitted as-is; subspaces that still
 // straddle the rectangle boundary when maxLen is reached are emitted whole,
 // making the result an enclosing over-approximation (the source of false
-// positives studied in Section 6.4 of the paper).
+// positives studied in Section 6.4 of the paper). It is DecomposeLimited
+// without a budget.
 func (g Geometry) Decompose(r Rect, maxLen int) (Set, error) {
 	if err := g.Validate(r); err != nil {
 		return nil, err
 	}
-	if maxLen < 0 {
-		maxLen = 0
-	}
-	if maxLen > g.MaxLen() {
-		maxLen = g.MaxLen()
-	}
-	var out []Expr
-	g.decompose(r, Whole, g.FullRect(), maxLen, &out)
-	return NewSet(out...), nil
+	return g.decompose(r, g.clampLen(maxLen), 0), nil
 }
 
-func (g Geometry) decompose(target Rect, e Expr, bounds Rect, maxLen int, out *[]Expr) {
-	contained := true
-	for d := range bounds {
-		if !bounds[d].Intersects(target[d]) {
-			return // disjoint: nothing of the target in this subspace
-		}
-		if !target[d].ContainsInterval(bounds[d]) {
-			contained = false
-		}
-	}
-	if contained || e.Len() >= maxLen {
-		*out = append(*out, e)
-		return
-	}
-	d := e.Len() % g.Dims
-	mid := bounds[d].Lo + (bounds[d].Hi-bounds[d].Lo)/2
-	lower := make(Rect, len(bounds))
-	upper := make(Rect, len(bounds))
-	copy(lower, bounds)
-	copy(upper, bounds)
-	lower[d].Hi = mid
-	upper[d].Lo = mid + 1
-	g.decompose(target, e.Child(0), lower, maxLen, out)
-	g.decompose(target, e.Child(1), upper, maxLen, out)
-}
+// clampLen limits a requested dz length to [0, MaxLen].
+func (g Geometry) clampLen(n int) int { return max(0, min(n, g.MaxLen())) }
 
 // RectOverlaps reports whether two rectangles intersect.
 func RectOverlaps(a, b Rect) bool {
@@ -252,51 +225,80 @@ func (g Geometry) DecomposeLimited(r Rect, maxLen, maxSubspaces int) (Set, error
 	if maxSubspaces < 1 {
 		return nil, fmt.Errorf("dz: maxSubspaces must be positive, got %d", maxSubspaces)
 	}
-	if maxLen < 0 {
-		maxLen = 0
+	return g.decompose(r, g.clampLen(maxLen), maxSubspaces), nil
+}
+
+// decompose is the one decomposition, breadth-first: a subspace disjoint
+// from r is dropped, one inside r, at maxLen, or — with maxSubspaces > 0 —
+// one whose split could push the members plus the pending subspaces past
+// the budget is kept whole, and any other is split in two. Without a budget
+// the kept subspaces are the leaves of the exact decomposition.
+//
+// It allocates what it returns and nothing else on the sizes a controller
+// decomposes: the pending subspaces are a FIFO of bounds, Dims intervals
+// each, in one flat slice popped by index and slid down when full (it grows
+// only when the live part does); the kept members' expressions go back to
+// back into one byte buffer, become one string, and the Set slices it. A
+// pending subspace carries no expression: its bits are those of its lowest
+// corner (pointBit) and its length is the depth of its level. The slide
+// waits until half the FIFO is popped, so each entry moves O(1) times.
+func (g Geometry) decompose(r Rect, maxLen, maxSubspaces int) Set {
+	dims := g.Dims
+	var qbuf [128]Interval
+	var bbuf [512]byte
+	var ebuf [32]int32
+	q := qbuf[:0]
+	for range dims {
+		q = append(q, Interval{Lo: 0, Hi: g.DomainSize() - 1})
 	}
-	if maxLen > g.MaxLen() {
-		maxLen = g.MaxLen()
-	}
-	type node struct {
-		e      Expr
-		bounds Rect
-	}
-	var done []Expr // fully contained or budget-frozen subspaces
-	queue := []node{{e: Whole, bounds: g.FullRect()}}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
+	buf, ends := bbuf[:0], ebuf[:0] // member i is buf[ends[i-1]:ends[i]]
+	head := 0                       // q[head:] is pending
+	depth, levelEnd := 0, len(q)    // the pending subspaces before levelEnd are depth bits long
+	for head < len(q) {
+		if head == levelEnd {
+			depth, levelEnd = depth+1, len(q)
+		}
+		if head >= len(q)/2 && len(q)+2*dims > cap(q) {
+			n := copy(q, q[head:])
+			q, levelEnd, head = q[:n], levelEnd-head, 0
+		}
+		b := q[head : head+dims]
+		head += dims
 		disjoint, contained := false, true
-		for d := range n.bounds {
-			if !n.bounds[d].Intersects(r[d]) {
+		for d := range b {
+			if !b[d].Intersects(r[d]) {
 				disjoint = true
 				break
 			}
-			if !r[d].ContainsInterval(n.bounds[d]) {
+			if !r[d].ContainsInterval(b[d]) {
 				contained = false
 			}
 		}
 		if disjoint {
 			continue
 		}
-		if contained || n.e.Len() >= maxLen ||
-			len(done)+len(queue)+2 > maxSubspaces {
-			// +2: splitting this node could add one extra leaf overall.
-			done = append(done, n.e)
+		// +2: splitting this subspace could add one extra leaf overall.
+		if contained || depth >= maxLen ||
+			maxSubspaces > 0 && len(ends)+(len(q)-head)/dims+2 > maxSubspaces {
+			for i := range depth {
+				buf = append(buf, '0'+g.pointBit(b[i%dims].Lo, i/dims))
+			}
+			ends = append(ends, int32(len(buf)))
 			continue
 		}
-		d := n.e.Len() % g.Dims
-		mid := n.bounds[d].Lo + (n.bounds[d].Hi-n.bounds[d].Lo)/2
-		lower := make(Rect, len(n.bounds))
-		upper := make(Rect, len(n.bounds))
-		copy(lower, n.bounds)
-		copy(upper, n.bounds)
-		lower[d].Hi = mid
-		upper[d].Lo = mid + 1
-		queue = append(queue,
-			node{e: n.e.Child(0), bounds: lower},
-			node{e: n.e.Child(1), bounds: upper})
+		d := depth % dims
+		mid := b[d].Lo + (b[d].Hi-b[d].Lo)/2
+		q = append(q, b...)
+		q[len(q)-dims+d].Hi = mid
+		q = append(q, b...)
+		q[len(q)-dims+d].Lo = mid + 1
 	}
-	return NewSet(done...), nil
+	all := string(buf)
+	out := make(Set, len(ends))
+	start := int32(0)
+	for i, end := range ends {
+		out[i], start = Expr(all[start:end]), end
+	}
+	slices.Sort(out)
+	return canonicalizeSorted(out)
 }

@@ -362,6 +362,28 @@ func TestDecomposeLimitedEnclosing(t *testing.T) {
 	}
 }
 
+// TestDecomposeLimitedAllocs pins what a subscription's decomposition
+// allocates in the controller's regime (two 10-bit attributes, L_dz 24,
+// 16 subspaces, 64×64 rectangles): the result string and the Set slicing
+// it, with the queue and the member buffer on the stack.
+func TestDecomposeLimitedAllocs(t *testing.T) {
+	const ceiling = 4
+	g := Geometry{Dims: 2, BitsPerDim: 10}
+	rng := rand.New(rand.NewSource(12))
+	for range 50 {
+		a, b := uint32(rng.Intn(1024-63)), uint32(rng.Intn(1024-63))
+		rect := Rect{{a, a + 63}, {b, b + 63}}
+		allocs := testing.AllocsPerRun(20, func() {
+			if _, err := g.DecomposeLimited(rect, 24, 16); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > ceiling {
+			t.Fatalf("DecomposeLimited(%v, 24, 16) makes %.0f allocations, ceiling %d", rect, allocs, ceiling)
+		}
+	}
+}
+
 func TestDecomposeLimitedMatchesUnlimitedWhenSmall(t *testing.T) {
 	g := Geometry{Dims: 2, BitsPerDim: 10}
 	rect := Rect{{512, 767}, {0, 1023}}

@@ -232,30 +232,6 @@ func MatchesRect(r dz.Rect, e Event) bool {
 	return dz.RectContainsPoint(r, e.Values)
 }
 
-// Decompose converts the filter into its enclosing DZ set with
-// dz-expressions of at most maxLen bits (Section 2: advertisements and
-// subscriptions are approximated by sets of subspaces).
-func (s *Schema) Decompose(f Filter, maxLen int) (dz.Set, error) {
-	r, err := s.Rect(f)
-	if err != nil {
-		return nil, err
-	}
-	set, err := s.geom.Decompose(r, maxLen)
-	if err != nil {
-		return nil, fmt.Errorf("space: decompose filter: %w", err)
-	}
-	return set, nil
-}
-
-// DecomposeRect converts a hyperrectangle into its enclosing DZ set.
-func (s *Schema) DecomposeRect(r dz.Rect, maxLen int) (dz.Set, error) {
-	set, err := s.geom.Decompose(r, maxLen)
-	if err != nil {
-		return nil, fmt.Errorf("space: decompose rect: %w", err)
-	}
-	return set, nil
-}
-
 // String renders the filter deterministically (attributes sorted by name).
 func (f Filter) String() string {
 	if len(f.Ranges) == 0 {
@@ -275,7 +251,8 @@ func (f Filter) String() string {
 }
 
 // DecomposeLimited converts the filter into an enclosing DZ set of at most
-// maxSubspaces expressions of at most maxLen bits.
+// maxSubspaces expressions of at most maxLen bits (Section 2: advertisements
+// and subscriptions are approximated by sets of subspaces).
 func (s *Schema) DecomposeLimited(f Filter, maxLen, maxSubspaces int) (dz.Set, error) {
 	r, err := s.Rect(f)
 	if err != nil {

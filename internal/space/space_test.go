@@ -133,13 +133,13 @@ func TestDecomposePaperAdvertisement(t *testing.T) {
 	// The Figure 2 advertisement on a 2-attribute schema.
 	s := mustSchema(t, 2)
 	f := NewFilter().Range("attr0", 512, 767)
-	set, err := s.Decompose(f, 3)
+	set, err := s.DecomposeLimited(f, 3, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := dz.NewSet("110", "100")
 	if !set.Equal(want) {
-		t.Fatalf("Decompose=%v, want %v", set, want)
+		t.Fatalf("DecomposeLimited=%v, want %v", set, want)
 	}
 }
 
@@ -189,7 +189,8 @@ func TestFilterString(t *testing.T) {
 }
 
 // TestPropertyDecomposeEnclosesMatches: any event matching the filter is
-// covered by the filter's DZ set (no false negatives), for any maxLen.
+// covered by the filter's DZ set (no false negatives), for any maxLen and
+// any subspace budget.
 func TestPropertyDecomposeEnclosesMatches(t *testing.T) {
 	s := mustSchema(t, 3)
 	f := func(seed int64) bool {
@@ -207,7 +208,7 @@ func TestPropertyDecomposeEnclosesMatches(t *testing.T) {
 			filt = filt.Range(s.Attribute(d).Name, a, b)
 		}
 		maxLen := 1 + r.Intn(20)
-		set, err := s.Decompose(filt, maxLen)
+		set, err := s.DecomposeLimited(filt, maxLen, 1+r.Intn(64))
 		if err != nil {
 			return false
 		}
@@ -243,7 +244,7 @@ func TestDecomposeRectAndLimitedVariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exact, err := s.DecomposeRect(r, 3)
+	exact, err := s.Geometry().Decompose(r, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +277,7 @@ func TestDecomposeRectAndLimitedVariants(t *testing.T) {
 	if _, err := s.DecomposeRectLimited(r, 3, 0); err == nil {
 		t.Error("zero budget must fail")
 	}
-	if _, err := s.DecomposeRect(dz.Rect{{Lo: 0, Hi: 1}}, 3); err == nil {
+	if _, err := s.DecomposeRectLimited(dz.Rect{{Lo: 0, Hi: 1}}, 3, 4); err == nil {
 		t.Error("wrong dims must fail")
 	}
 }
@@ -303,7 +304,7 @@ func TestMatchesErrorPath(t *testing.T) {
 	if _, err := s.Encode(Event{Values: []uint32{1}}, 4); err == nil {
 		t.Error("wrong arity must fail")
 	}
-	if _, err := s.Decompose(NewFilter().Range("ghost", 0, 1), 4); err == nil {
+	if _, err := s.DecomposeLimited(NewFilter().Range("ghost", 0, 1), 4, 16); err == nil {
 		t.Error("decompose with unknown attribute must fail")
 	}
 }
