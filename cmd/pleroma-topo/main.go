@@ -16,6 +16,7 @@ import (
 	"os"
 
 	"pleroma/internal/interdomain"
+	"pleroma/internal/ipmc"
 	"pleroma/internal/netem"
 	"pleroma/internal/sim"
 	"pleroma/internal/space"
@@ -198,7 +199,8 @@ func dump(g *topo.Graph, dp *netem.DataPlane, fab *interdomain.Fabric) {
 		n, _ := g.Node(sw)
 		fmt.Printf("%s:\n", n.Name)
 		for _, fl := range flows {
-			fmt.Printf("  %s   match %s\n", fl.String(), fl.Match)
+			match, _ := ipmc.FromExpr(fl.Expr) // installed: the expression fits an address
+			fmt.Printf("  %s   match %s\n", fl.String(), match)
 		}
 	}
 }

@@ -587,7 +587,7 @@ func (c *Controller) flushOps(sw topo.NodeID, ops []openflow.FlowOp, metas []opM
 // as a *SouthboundError.
 func (c *Controller) programWithRetry(sw topo.NodeID, ops []openflow.FlowOp, metas []opMeta,
 	acked *[]ackedOp, rep *ReconfigReport) error {
-	pol := c.retry.normalized()
+	pol := c.retry.Normalized()
 	attempts := 0
 	var waited time.Duration
 	for {
@@ -614,7 +614,7 @@ func (c *Controller) programWithRetry(sw topo.NodeID, ops []openflow.FlowOp, met
 			if pol.OpDeadline <= 0 || waited+d <= pol.OpDeadline {
 				waited += d
 				if d > 0 {
-					pol.sleep(d)
+					pol.Sleep(d)
 				}
 				rep.Retries++
 				c.inst.retries.Inc()

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"time"
@@ -11,6 +10,7 @@ import (
 	"pleroma/internal/dz"
 	"pleroma/internal/obs"
 	"pleroma/internal/openflow"
+	"pleroma/internal/retry"
 	"pleroma/internal/sortutil"
 	"pleroma/internal/topo"
 )
@@ -66,67 +66,14 @@ func (e *SouthboundError) Error() string {
 func (e *SouthboundError) Unwrap() error { return e.Err }
 
 // RetryPolicy shapes how flushOps reacts to transient southbound errors:
-// up to MaxAttempts total attempts, separated by capped exponential
-// backoff (BaseBackoff doubling up to MaxBackoff), with the cumulative
-// backoff of one flush bounded by OpDeadline. The zero value performs a
-// single attempt.
-type RetryPolicy struct {
-	// MaxAttempts bounds total southbound attempts per flush (min 1).
-	MaxAttempts int
-	// BaseBackoff is the wait before the first retry; attempt n waits
-	// BaseBackoff·2ⁿ, capped at MaxBackoff.
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 = uncapped).
-	MaxBackoff time.Duration
-	// OpDeadline bounds the cumulative backoff of one flush; once a
-	// further wait would exceed it the flush stops retrying (0 = no
-	// deadline).
-	OpDeadline time.Duration
-	// Sleep waits between attempts; nil uses time.Sleep. Tests inject a
-	// recorder, and simulation harnesses can advance virtual time instead
-	// of blocking the process.
-	Sleep func(time.Duration)
-}
+// up to MaxAttempts total attempts per flush, separated by capped
+// exponential backoff, with the cumulative backoff of one flush bounded by
+// OpDeadline (see retry.Policy). The zero value performs a single attempt.
+type RetryPolicy = retry.Policy
 
 // DefaultRetryPolicy is a sensible production-shaped policy: four
 // attempts, 2 ms → 100 ms capped backoff, half a second per operation.
-var DefaultRetryPolicy = RetryPolicy{
-	MaxAttempts: 4,
-	BaseBackoff: 2 * time.Millisecond,
-	MaxBackoff:  100 * time.Millisecond,
-	OpDeadline:  500 * time.Millisecond,
-}
-
-// normalized returns the policy with usable defaults filled in.
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = 1
-	}
-	if p.Sleep == nil {
-		p.Sleep = time.Sleep
-	}
-	return p
-}
-
-// Backoff returns the wait before retry n (0-based): BaseBackoff·2ⁿ,
-// saturating at MaxBackoff — or, uncapped, at the largest Duration, so a
-// large n can never overflow into a non-positive wait.
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	limit := p.MaxBackoff
-	if limit <= 0 {
-		limit = math.MaxInt64
-	}
-	d := p.BaseBackoff
-	for ; n > 0 && d > 0 && d < limit; n-- {
-		if d > limit/2 {
-			return limit
-		}
-		d *= 2
-	}
-	return min(d, limit)
-}
-
-func (p RetryPolicy) sleep(d time.Duration) { p.Sleep(d) }
+var DefaultRetryPolicy = retry.Default
 
 // DegradedSwitch describes one quarantined switch: its retries exhausted
 // on a transient southbound error, its flow table lags the canonical

@@ -158,7 +158,7 @@ func (k Key) extend(d int, nib uint8, l int) Key {
 }
 
 // Trie is a multi-bit trie over packed dz keys in the tree-bitmap layout —
-// the single prefix-index engine of the repo. The flow-table fast path, host
+// the single prefix-index engine of the repo. The flow-table lookup, host
 // demux, the controller's contribution and owning-tree indexes, and the
 // interdomain covering index all consume it.
 //

@@ -363,13 +363,14 @@ func TestSoftwareSwitchPenaltyGrowsWithTableSize(t *testing.T) {
 		tab, _ := dp.Table(sw)
 		outPort, _ := g.PortTowards(sw, hosts[1])
 		for i := 0; i < flows; i++ {
-			f, err := openflow.NewFlow(fillerExpr(i), 0, openflow.Action{OutPort: 99})
+			e := fillerExpr(i)
+			f, err := openflow.NewFlow(e, e.Len(), openflow.Action{OutPort: 99})
 			if err != nil {
 				t.Fatal(err)
 			}
 			tab.Add(f)
 		}
-		f, err := openflow.NewFlow("1", 100, openflow.Action{OutPort: outPort})
+		f, err := openflow.NewFlow("1", 1, openflow.Action{OutPort: outPort})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -529,17 +530,17 @@ func TestFlowProgrammerSurface(t *testing.T) {
 	if err := one(host, openflow.AddOp(f)); err == nil {
 		t.Error("add on host must fail")
 	}
-	if err := one(sw, openflow.ModifyOp(id, 3, []openflow.Action{{OutPort: 2}})); err != nil {
+	if err := one(sw, openflow.ModifyOp(id, 2, []openflow.Action{{OutPort: 2}})); err != nil {
 		t.Fatal(err)
 	}
-	if err := one(sw, openflow.ModifyOp(999, 3, nil)); err == nil {
+	if err := one(sw, openflow.ModifyOp(999, 2, nil)); err == nil {
 		t.Error("modify of an unknown id must fail")
 	}
-	if err := one(host, openflow.ModifyOp(id, 3, nil)); err == nil {
+	if err := one(host, openflow.ModifyOp(id, 2, nil)); err == nil {
 		t.Error("modify on host must fail")
 	}
 	flows, err := dp.Flows(sw)
-	if err != nil || len(flows) != 1 || flows[0].Priority != 3 {
+	if err != nil || len(flows) != 1 || flows[0].Actions[0].OutPort != 2 {
 		t.Fatalf("Flows=%v, %v", flows, err)
 	}
 	if _, err := dp.Flows(host); err == nil {

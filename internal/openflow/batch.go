@@ -53,7 +53,9 @@ func ModifyOp(id FlowID, priority int, actions []Action) FlowOp {
 }
 
 // ApplyBatch applies the operations in order under a single lock
-// acquisition, stopping at the first failure. It returns one FlowID per
+// acquisition, stopping at the first failure — an add or modify the
+// admission rule refuses (ErrPriorityMismatch) is one, and leaves the table
+// as the ops before it left it. It returns one FlowID per
 // successfully applied operation — the assigned ID for adds, zero for
 // deletes and modifies — so a caller can tell exactly which prefix of the
 // batch took effect when an error is returned.
@@ -76,8 +78,8 @@ func (t *Table) ApplyBatch(ops []FlowOp) ([]FlowID, error) {
 			}
 			applied = append(applied, 0)
 		case OpModify:
-			if !t.modifyLocked(op.ID, op.Priority, op.Actions) {
-				return applied, fmt.Errorf("openflow: batch op %d: no flow %d", i, op.ID)
+			if err := t.modifyLocked(op.ID, op.Priority, op.Actions); err != nil {
+				return applied, fmt.Errorf("openflow: batch op %d: %w", i, err)
 			}
 			applied = append(applied, 0)
 		default:

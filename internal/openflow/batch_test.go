@@ -10,11 +10,11 @@ import (
 
 func TestApplyBatchInOrder(t *testing.T) {
 	tab := NewTable()
-	keep := tab.Add(mustFlow(t, "0", 0, 1))
+	keep := tab.Add(mustFlow(t, "0", 1, 1))
 	ops := []FlowOp{
-		AddOp(mustFlow(t, "1", 0, 2)),
-		AddOp(mustFlow(t, "10", 1, 3)),
-		ModifyOp(keep, 2, []Action{{OutPort: 4}}),
+		AddOp(mustFlow(t, "1", 1, 2)),
+		AddOp(mustFlow(t, "10", 2, 3)),
+		ModifyOp(keep, 1, []Action{{OutPort: 4}}),
 		DeleteOp(keep),
 	}
 	applied, err := tab.ApplyBatch(ops)
@@ -44,10 +44,10 @@ func TestApplyBatchStopsAtFirstFailure(t *testing.T) {
 	tab := NewTable()
 	tab.SetCapacity(2)
 	ops := []FlowOp{
-		AddOp(mustFlow(t, "0", 0, 1)),
-		AddOp(mustFlow(t, "1", 0, 2)),
-		AddOp(mustFlow(t, "10", 1, 3)), // exceeds capacity
-		AddOp(mustFlow(t, "11", 1, 4)), // never attempted
+		AddOp(mustFlow(t, "0", 1, 1)),
+		AddOp(mustFlow(t, "1", 1, 2)),
+		AddOp(mustFlow(t, "10", 2, 3)), // exceeds capacity
+		AddOp(mustFlow(t, "11", 2, 4)), // never attempted
 	}
 	applied, err := tab.ApplyBatch(ops)
 	if err == nil {
@@ -129,7 +129,7 @@ func TestTableConcurrentAccess(t *testing.T) {
 				tab.Lookup(ev)
 				_ = tab.Flows()
 				_ = tab.Stats()
-				if !tab.Modify(id, 2, []Action{{OutPort: 9}}) {
+				if !tab.Modify(id, 1, []Action{{OutPort: 9}}) {
 					t.Error("modify failed")
 					return
 				}

@@ -55,33 +55,12 @@ func benchProbes(b *testing.B, tab *Table) []netip.Addr {
 	return probes
 }
 
-// BenchmarkTableLookup measures the dz fast path of the TCAM emulation.
+// BenchmarkTableLookup measures the trie lookup of the TCAM emulation.
 // The acceptance bar for the prefix index is 0 allocs/op.
 func BenchmarkTableLookup(b *testing.B) {
 	for _, n := range []int{10, 100, 1000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			tab := benchTable(b, n)
-			probes := benchProbes(b, tab)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				tab.Lookup(probes[i%len(probes)])
-			}
-		})
-	}
-}
-
-// BenchmarkTableLookupMixedPriority measures the slow path: one flow
-// violating the priority == |dz| invariant drops Lookup to a full scan.
-func BenchmarkTableLookupMixedPriority(b *testing.B) {
-	for _, n := range []int{10, 100, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			tab := benchTable(b, n)
-			f, err := NewFlow("01", 99, Action{OutPort: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			tab.Add(f)
 			probes := benchProbes(b, tab)
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -1,7 +1,9 @@
 package openflow
 
 import (
+	"errors"
 	"net/netip"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -17,7 +19,8 @@ func scanOracle(tab *Table, addr netip.Addr) (Flow, bool) {
 	var best *Flow
 	for _, f := range tab.Flows() {
 		f := f
-		if !f.Match.Contains(addr) {
+		match, err := ipmc.FromExpr(f.Expr)
+		if err != nil || !match.Contains(addr) {
 			continue
 		}
 		if best == nil || flowLess(best, &f) {
@@ -28,6 +31,18 @@ func scanOracle(tab *Table, addr netip.Addr) (Flow, bool) {
 		return Flow{}, false
 	}
 	return *best, true
+}
+
+// flowLess reports whether candidate b should win over current best a: the
+// TCAM order — higher priority, then longer prefix, then lower FlowID.
+func flowLess(a, b *Flow) bool {
+	if a.Priority != b.Priority {
+		return b.Priority > a.Priority
+	}
+	if len(a.Expr) != len(b.Expr) {
+		return len(b.Expr) > len(a.Expr)
+	}
+	return b.ID < a.ID
 }
 
 // fuzzLongPrefix puts expressions at 104–112 bits, where a flow's prefix ends
@@ -51,9 +66,10 @@ func bitsExpr(b byte, n int) dz.Expr {
 // matches the a%9 high bits of b — few enough expressions that several flows
 // share one, so exprBucket.rest and the lowest-FlowID rule are hit — behind
 // fuzzLongPrefix when code&0x80 is set; code&0x40 gives it (or the modified
-// flow) the priority c%16 in place of |dz|, which drops the table to the slow
-// scan until the flow goes; code&0x20 adds a SetDest action; code&0x10 sends
-// the operation through ApplyBatch. Queries are the query bytes cut to 0, 1,
+// flow) the priority c%16 in place of |dz|, which the table must refuse —
+// unless c%16 happens to be |dz| — leaving its flows and counters as they
+// were; code&0x20 adds a SetDest action; code&0x10 sends the operation
+// through ApplyBatch. Queries are the query bytes cut to 0, 1,
 // 24, 111, 112 and qlen%113 bits, the flows' own expressions, and an IPv4
 // and a non-ff0e IPv6 address made of the same bytes.
 //
@@ -142,6 +158,7 @@ func FuzzLookupKeyVsAddr(f *testing.F) {
 				actions = append(actions, Action{OutPort: PortID(b%4 + 1), SetDest: netip.AddrFrom4([4]byte{10, 0, b, c})})
 			}
 			var op FlowOp
+			refused := false // the op carries a priority other than its flow's |dz|
 			switch kind := code % 4; {
 			case kind <= 1:
 				e := bitsExpr(b, int(a%9))
@@ -156,7 +173,7 @@ func FuzzLookupKeyVsAddr(f *testing.F) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				op = AddOp(fl)
+				op, refused = AddOp(fl), prio != e.Len()
 			case len(installed) == 0:
 				continue
 			case kind == 2:
@@ -166,31 +183,41 @@ func FuzzLookupKeyVsAddr(f *testing.F) {
 				if code&0x40 != 0 {
 					prio = int(c % 16)
 				}
-				op = ModifyOp(id, prio, actions)
+				op, refused = ModifyOp(id, prio, actions), prio != fl.Expr.Len()
 			default:
 				at := int(a) % len(installed)
 				op = DeleteOp(installed[at])
 				installed = slices.Delete(installed, at, at+1)
 			}
+			flows, stats := tab.Flows(), tab.Stats()
+			var applied bool
 			switch {
 			case code&0x10 != 0:
 				ids, err := tab.ApplyBatch([]FlowOp{op})
-				if err != nil {
+				if err != nil && !errors.Is(err, ErrPriorityMismatch) {
 					t.Fatal(err)
 				}
-				if op.Kind == OpAdd {
+				applied = err == nil
+				stats.Batches++ // a batch counts whether or not its op applies
+				if applied && op.Kind == OpAdd {
 					installed = append(installed, ids[0])
 				}
 			case op.Kind == OpAdd:
-				installed = append(installed, tab.Add(op.Flow))
+				id := tab.Add(op.Flow)
+				applied = id != 0
+				if applied {
+					installed = append(installed, id)
+				}
 			case op.Kind == OpModify:
-				if !tab.Modify(op.ID, op.Priority, op.Actions) {
-					t.Fatalf("modify of installed flow %d failed", op.ID)
-				}
+				applied = tab.Modify(op.ID, op.Priority, op.Actions)
 			default:
-				if !tab.Delete(op.ID) {
-					t.Fatalf("delete of installed flow %d failed", op.ID)
-				}
+				applied = tab.Delete(op.ID)
+			}
+			if applied == refused {
+				t.Fatalf("%v of flow %d: applied=%v, want %v", op.Kind, op.ID, applied, !refused)
+			}
+			if refused && (!reflect.DeepEqual(tab.Flows(), flows) || tab.Stats() != stats) {
+				t.Fatalf("refused %v moved the table: flows %v → %v, stats %+v → %+v", op.Kind, flows, tab.Flows(), stats, tab.Stats())
 			}
 			checkAll()
 		}

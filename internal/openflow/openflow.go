@@ -4,10 +4,13 @@
 // priority order, and an instruction set that outputs on a set of ports and
 // optionally rewrites the destination address on terminal switches.
 //
-// A Table emulates the TCAM: lookups return the single highest-priority
-// matching entry (ties broken by longer prefix, then installation order),
-// and FlowMod operations are counted so experiments can account for control
-// traffic and reconfiguration cost.
+// A Table emulates the TCAM: a lookup returns the single highest-priority
+// matching entry, and FlowMod operations are counted so experiments can
+// account for control traffic and reconfiguration cost. A table admits only
+// flows whose priority is the length of their dz-expression — the priority
+// the controller always installs at — so the highest-priority match is the
+// longest matching prefix, and among flows of one expression the earliest
+// installed wins.
 package openflow
 
 import (
@@ -45,26 +48,25 @@ type FlowID uint64
 type Flow struct {
 	// ID is assigned by the table on installation; zero for new flows.
 	ID FlowID
-	// Expr is the dz-expression of the match field.
+	// Expr is the dz-expression of the match field; its CIDR form is
+	// ipmc.FromExpr(Expr).
 	Expr dz.Expr
-	// Match is the CIDR form of Expr (maintained by the table).
-	Match netip.Prefix
-	// Priority orders entries; higher wins. PLEROMA keeps priorities
-	// aligned with |Expr| so that longer (finer) subspaces match first.
+	// Priority orders entries; higher wins. A table admits a flow only at
+	// priority |Expr|, so that longer (finer) subspaces match first.
 	Priority int
 	// Actions is the instruction set.
 	Actions []Action
 }
 
-// NewFlow builds a flow for the given subspace, priority, and actions.
+// NewFlow builds a flow for the given subspace, priority, and actions. The
+// expression must fit an address (ipmc.KeyFromExpr); the priority is checked
+// when a table is asked to install the flow.
 func NewFlow(expr dz.Expr, priority int, actions ...Action) (Flow, error) {
-	match, err := ipmc.FromExpr(expr)
-	if err != nil {
+	if _, err := ipmc.KeyFromExpr(expr); err != nil {
 		return Flow{}, fmt.Errorf("openflow: %w", err)
 	}
 	return Flow{
 		Expr:     expr,
-		Match:    match,
 		Priority: priority,
 		Actions:  append([]Action(nil), actions...),
 	}, nil
@@ -148,14 +150,16 @@ func (s ModStats) Total() uint64 { return s.Adds + s.Deletes + s.Mods }
 
 // Table is one switch's flow table.
 //
-// Lookups emulate a TCAM: the highest-priority matching entry wins. When
-// every installed flow keeps the PLEROMA invariant priority == |dz| (the
-// controller always does), the table serves lookups from a multi-bit trie
+// Lookups emulate a TCAM: the highest-priority matching entry wins. The
+// table admits a flow only at priority |dz| — the PLEROMA invariant the
+// controller installs every flow at; TryAdd, ApplyBatch and Modify refuse
+// any other priority with ErrPriorityMismatch and leave the table as it was.
+// Under that rule the highest-priority match is the longest installed prefix
+// of the destination, so the table has one lookup: a multi-bit trie
 // (dz.Trie: 4 dz bits per node, nodes in one pointer-free array) over the
-// packed dz bits of the match expressions: O(|dz|/4) steps, no allocation
+// packed dz bits of the match expressions — O(|dz|/4) steps, no allocation
 // and no write per lookup, mirroring the constant-time behaviour of
-// hardware TCAMs that Figure 7(a) demonstrates. Any flow violating the
-// invariant drops the table back to a full scan.
+// hardware TCAMs that Figure 7(a) demonstrates.
 //
 // The trie's value is the bucket of one match expression: its winning flow
 // and that flow's instruction set (exprBucket.actions, the slice header of
@@ -182,8 +186,8 @@ type Table struct {
 	nextID FlowID
 	stats  ModStats
 
-	// trie is the prefix index of the fast path: one bucket per distinct
-	// match expression, keyed on packed dz bits.
+	// trie is the table's one lookup index: one bucket per distinct match
+	// expression, keyed on packed dz bits.
 	trie dz.Trie[exprBucket]
 	// shared holds, for the rare expression several flows are installed
 	// under, the flows that are not its bucket's winner, in no particular
@@ -191,9 +195,6 @@ type Table struct {
 	// out of the trie, and a slice header nothing on that path reads cost
 	// tcp-pipe's one-flow tables more than the lookup saved.
 	shared map[dz.Key][]*Flow
-	// slowFlows counts flows the trie cannot serve (priority != |expr|);
-	// nonzero disables the fast path.
-	slowFlows int
 	// capacity bounds the number of installed flows (the TCAM budget of
 	// requirement 3 in the paper: vendors ship 40k–180k entries); zero
 	// means unbounded.
@@ -215,6 +216,22 @@ type Table struct {
 // ErrTableFull is returned (wrapped) when an Add exceeds the configured
 // TCAM capacity.
 var ErrTableFull = errors.New("openflow: flow table full")
+
+// ErrPriorityMismatch is returned (wrapped) when a flow would be installed
+// at a priority other than the length of its dz-expression.
+var ErrPriorityMismatch = errors.New("openflow: flow priority is not its dz length")
+
+// admit is the table's admission rule: a flow is installed only at priority
+// |expr|, and only for an expression that fits an address.
+func admit(expr dz.Expr, priority int) error {
+	if priority != expr.Len() {
+		return fmt.Errorf("%w: priority %d for %q", ErrPriorityMismatch, priority, expr)
+	}
+	if _, err := ipmc.KeyFromExpr(expr); err != nil {
+		return fmt.Errorf("openflow: %w", err)
+	}
+	return nil
+}
 
 // exprBucket is what the trie stores for one exact match expression. best is
 // the lookup winner, the lowest FlowID (earliest installed) of the flows
@@ -299,8 +316,9 @@ func (t *Table) Add(f Flow) FlowID {
 	return id
 }
 
-// TryAdd installs a flow, enforcing the TCAM capacity. On a full table it
-// returns ErrTableFull and installs nothing.
+// TryAdd installs a flow, enforcing the admission rule and the TCAM
+// capacity. A flow whose priority is not |dz| gets ErrPriorityMismatch, a
+// full table ErrTableFull; either way nothing is installed.
 func (t *Table) TryAdd(f Flow) (FlowID, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -308,6 +326,9 @@ func (t *Table) TryAdd(f Flow) (FlowID, error) {
 }
 
 func (t *Table) tryAddLocked(f Flow) (FlowID, error) {
+	if err := admit(f.Expr, f.Priority); err != nil {
+		return 0, err
+	}
 	if t.capacity > 0 && len(t.flows) >= t.capacity {
 		t.rejected++
 		return 0, fmt.Errorf("%w: %d entries installed", ErrTableFull, len(t.flows))
@@ -347,42 +368,34 @@ func (t *Table) deleteLocked(id FlowID) bool {
 	return true
 }
 
-// Modify replaces the actions and priority of an installed flow.
+// Modify replaces the actions and priority of an installed flow. It reports
+// false, and changes nothing, when no flow has the ID or the priority is not
+// the flow's |dz|.
 func (t *Table) Modify(id FlowID, priority int, actions []Action) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.modifyLocked(id, priority, actions)
+	return t.modifyLocked(id, priority, actions) == nil
 }
 
-func (t *Table) modifyLocked(id FlowID, priority int, actions []Action) bool {
+func (t *Table) modifyLocked(id FlowID, priority int, actions []Action) error {
 	f, ok := t.flows[id]
 	if !ok {
-		return false
+		return fmt.Errorf("no flow %d", id)
+	}
+	if err := admit(f.Expr, priority); err != nil {
+		return err
 	}
 	t.unindex(f)
 	f.Priority = priority
 	f.Actions = append([]Action(nil), actions...)
 	t.index(f)
 	t.stats.Mods++
-	return true
+	return nil
 }
 
-// indexable reports whether a flow can be served by the prefix trie: it
-// keeps the PLEROMA invariant and its expression packs into a trie key
-// (always true for flows built by NewFlow, which bounds |dz| at 112).
-func indexable(f *Flow) (dz.Key, bool) {
-	if f.Priority != f.Expr.Len() {
-		return dz.Key{}, false
-	}
-	return dz.KeyOf(f.Expr)
-}
-
+// index files an admitted flow under its expression's bucket.
 func (t *Table) index(f *Flow) {
-	k, ok := indexable(f)
-	if !ok {
-		t.slowFlows++
-		return
-	}
+	k, _ := dz.KeyOf(f.Expr) // admitted: the expression fits a key
 	t.trie.Update(k, func(b exprBucket, found bool) (exprBucket, bool) {
 		switch {
 		case !found:
@@ -398,11 +411,7 @@ func (t *Table) index(f *Flow) {
 }
 
 func (t *Table) unindex(f *Flow) {
-	k, ok := indexable(f)
-	if !ok {
-		t.slowFlows--
-		return
-	}
+	k, _ := dz.KeyOf(f.Expr)
 	t.trie.Update(k, func(b exprBucket, found bool) (exprBucket, bool) {
 		if !found {
 			return b, false
@@ -483,8 +492,9 @@ func (t *Table) LookupKey(k dz.Key) ([]Action, bool) {
 }
 
 // Lookup returns the flow the switch applies to a packet with the given
-// destination address: the highest-priority match, ties broken by longer
-// prefix and then earlier installation. ok is false if nothing matches
+// destination address: the highest-priority match — the longest installed
+// prefix — and among flows of that expression the earliest installed. ok is
+// false if nothing matches
 // (the packet would be dropped or punted to the controller). It is the
 // boundary form of LookupKey — the same lookup for a caller that holds an
 // address, not its packed key, and wants the whole entry: it packs the
@@ -502,43 +512,15 @@ func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
 
 // winner is the one lookup behind Lookup and LookupKey; the caller holds
 // t.mu. It returns the winning flow (nil: no match) and its instruction set.
-// Under the PLEROMA invariant (priority == |dz|) the winning entry is the
-// longest installed prefix of the destination's dz bits, found by one trie
-// descent over the packed key: no allocation, no write, and both results come
-// out of the trie's bucket — the flow is not loaded, so LookupKey, which
-// wants only the actions, never touches it. Any flow outside the invariant
-// drops the table to the full TCAM scan over the CIDR matches.
+// Every installed flow has priority |dz|, so the winning entry is the longest
+// installed prefix of the destination's dz bits, found by one trie descent
+// over the packed key: no allocation, no write, and both results come out of
+// the trie's bucket — the flow is not loaded, so LookupKey, which wants only
+// the actions, never touches it.
 func (t *Table) winner(k dz.Key) (*Flow, []Action) {
 	if k.Len() != ipmc.MaxDzLen {
 		return nil, nil // not a dz destination: no dz flow matches
 	}
-	if t.slowFlows == 0 {
-		_, b, _ := t.trie.LongestPrefix(k)
-		return b.best, b.actions // zero when no installed prefix matches
-	}
-	dst := ipmc.AddrFromKey(k)
-	var best *Flow
-	for _, f := range t.flows {
-		if !f.Match.Contains(dst) {
-			continue
-		}
-		if best == nil || flowLess(best, f) {
-			best = f
-		}
-	}
-	if best == nil {
-		return nil, nil
-	}
-	return best, best.Actions
-}
-
-// flowLess reports whether candidate b should win over current best a.
-func flowLess(a, b *Flow) bool {
-	if a.Priority != b.Priority {
-		return b.Priority > a.Priority
-	}
-	if len(a.Expr) != len(b.Expr) {
-		return len(b.Expr) > len(a.Expr)
-	}
-	return b.ID < a.ID
+	_, b, _ := t.trie.LongestPrefix(k)
+	return b.best, b.actions // zero when no installed prefix matches
 }

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"net/netip"
+	"reflect"
+	"strings"
 	"testing"
 
 	"pleroma/internal/dz"
@@ -70,7 +72,7 @@ func TestFlowCoverRelations(t *testing.T) {
 
 func TestTableAddDeleteModify(t *testing.T) {
 	tab := NewTable()
-	id := tab.Add(mustFlow(t, "1", 0, 2))
+	id := tab.Add(mustFlow(t, "1", 1, 2))
 	if tab.Len() != 1 {
 		t.Fatalf("Len=%d", tab.Len())
 	}
@@ -87,7 +89,7 @@ func TestTableAddDeleteModify(t *testing.T) {
 	if tab.Delete(id) {
 		t.Fatal("double delete must fail")
 	}
-	if tab.Modify(id, 0, nil) {
+	if tab.Modify(id, 1, nil) {
 		t.Fatal("modify deleted must fail")
 	}
 	if _, ok := tab.Get(id); ok {
@@ -108,11 +110,11 @@ func TestTableAddDeleteModify(t *testing.T) {
 // longer flow is applied.
 func TestPaperFigure3PriorityOrder(t *testing.T) {
 	tab := NewTable()
-	f1, err := NewFlow("100", 1, Action{OutPort: 2}, Action{OutPort: 3})
+	f1, err := NewFlow("100", 3, Action{OutPort: 2}, Action{OutPort: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := NewFlow("1", 0, Action{OutPort: 2})
+	f2, err := NewFlow("1", 1, Action{OutPort: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,18 +150,18 @@ func TestPaperFigure3PriorityOrder(t *testing.T) {
 
 func TestLookupTieBreakLongerPrefix(t *testing.T) {
 	tab := NewTable()
-	tab.Add(mustFlow(t, "1", 5, 1))
-	tab.Add(mustFlow(t, "10", 5, 2))
+	tab.Add(mustFlow(t, "1", 1, 1))
+	tab.Add(mustFlow(t, "10", 2, 2))
 	ev, _ := ipmc.EventAddr("1000")
 	got, ok := tab.Lookup(ev)
 	if !ok || got.Expr != "10" {
-		t.Errorf("equal priority must prefer longer prefix, got %q", got.Expr)
+		t.Errorf("the longer prefix must win, got %q", got.Expr)
 	}
 }
 
 func TestLookupNoMatch(t *testing.T) {
 	tab := NewTable()
-	tab.Add(mustFlow(t, "1", 0, 1))
+	tab.Add(mustFlow(t, "1", 1, 1))
 	ev, _ := ipmc.EventAddr("0")
 	if _, ok := tab.Lookup(ev); ok {
 		t.Error("lookup must miss")
@@ -174,8 +176,8 @@ func TestLookupNoMatch(t *testing.T) {
 
 func TestFlowsSortedByID(t *testing.T) {
 	tab := NewTable()
-	tab.Add(mustFlow(t, "1", 0, 1))
-	tab.Add(mustFlow(t, "0", 0, 2))
+	tab.Add(mustFlow(t, "1", 1, 1))
+	tab.Add(mustFlow(t, "0", 1, 2))
 	fl := tab.Flows()
 	if len(fl) != 2 || fl[0].Expr != "1" || fl[1].Expr != "0" {
 		t.Errorf("Flows=%v", fl)
@@ -223,7 +225,7 @@ func BenchmarkLookup1000Flows(b *testing.B) {
 }
 
 // TestPropertyFastSlowLookupEquivalence: with the PLEROMA invariant
-// (priority == |dz|), the indexed fast path must return exactly what the
+// (priority == |dz|), the trie lookup must return exactly what the
 // brute-force scan returns.
 func TestPropertyFastSlowLookupEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(123))
@@ -302,5 +304,81 @@ func TestTableCapacity(t *testing.T) {
 	}
 	if tab.Len() != 2 {
 		t.Errorf("Len=%d", tab.Len())
+	}
+}
+
+// TestTableAdmissionRule: a flow at a priority other than |dz| is refused
+// through Add, TryAdd and Modify, and an expression that does not fit an
+// address through TryAdd; a refusal leaves the table as it was — flows,
+// FlowMod counters, rejected adds and the size observer's last count.
+func TestTableAdmissionRule(t *testing.T) {
+	tab, state := admissionTable(t)
+	before := state()
+	if id := tab.Add(mustFlow(t, "011", 2, 2)); id != 0 {
+		t.Errorf("Add of a 3-bit flow at priority 2 = %d, want 0", id)
+	}
+	if _, err := tab.TryAdd(mustFlow(t, "1", 0, 2)); !errors.Is(err, ErrPriorityMismatch) {
+		t.Errorf("TryAdd of a 1-bit flow at priority 0: err = %v, want ErrPriorityMismatch", err)
+	}
+	long := dz.Expr(strings.Repeat("1", ipmc.MaxDzLen+1))
+	if _, err := tab.TryAdd(Flow{Expr: long, Priority: long.Len()}); err == nil {
+		t.Errorf("TryAdd of a %d-bit flow succeeded", long.Len())
+	}
+	if tab.Modify(1, 3, []Action{{OutPort: 5}}) {
+		t.Error("Modify of a 2-bit flow to priority 3 succeeded")
+	}
+	if after := state(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refusals moved the table:\n before %+v\n after  %+v", before, after)
+	}
+}
+
+// TestApplyBatchAdmissionRule: a batch whose middle op breaks the admission
+// rule applies the ops before it, returns their ids and ErrPriorityMismatch,
+// and leaves the table exactly as a batch of that prefix alone does.
+func TestApplyBatchAdmissionRule(t *testing.T) {
+	prefix := []FlowOp{
+		AddOp(mustFlow(t, "10", 2, 3)),
+		ModifyOp(1, 2, []Action{{OutPort: 4}}),
+	}
+	for name, bad := range map[string]FlowOp{
+		"add":    AddOp(mustFlow(t, "11", 7, 5)),
+		"modify": ModifyOp(1, 5, []Action{{OutPort: 6}}),
+	} {
+		tab, state := admissionTable(t)
+		ops := append(append([]FlowOp(nil), prefix...), bad, AddOp(mustFlow(t, "111", 3, 7)))
+		applied, err := tab.ApplyBatch(ops)
+		if !errors.Is(err, ErrPriorityMismatch) || len(applied) != len(prefix) {
+			t.Fatalf("%s: applied %v, err %v; want the %d-op prefix and ErrPriorityMismatch", name, applied, err, len(prefix))
+		}
+		ref, refState := admissionTable(t)
+		if _, err := ref.ApplyBatch(prefix); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := state(), refState(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: table after the refused batch\n %+v\nwant the prefix's\n %+v", name, got, want)
+		}
+	}
+}
+
+// admissionTable returns a table holding flow 1 ("01" at priority 2) with
+// a size observer, and a function reading everything a refusal must not
+// move.
+func admissionTable(t *testing.T) (*Table, func() any) {
+	t.Helper()
+	tab := NewTable()
+	tab.SetCapacity(8)
+	observed := -1
+	tab.SetSizeObserver(func(n int) { observed = n })
+	if id := tab.Add(mustFlow(t, "01", 2, 1)); id != 1 {
+		t.Fatalf("first flow got id %d", id)
+	}
+	return tab, func() any {
+		return struct {
+			Flows    []Flow
+			Stats    ModStats
+			Rejected uint64
+			Len      int
+			Observed int
+		}{tab.Flows(), tab.Stats(), tab.Rejected(), tab.Len(), observed}
 	}
 }

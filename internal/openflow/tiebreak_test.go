@@ -8,10 +8,11 @@ import (
 	"pleroma/internal/ipmc"
 )
 
-// tiebreak_test.go pins the exact Lookup tie-break semantics — priority,
-// then prefix length, then FlowID — across both serving paths: the prefix
-// trie (every flow keeps priority == |dz|) and the full scan that any
-// invariant-violating flow drops the table into.
+// tiebreak_test.go pins the Lookup tie-breaks a table can still face: every
+// installed flow has priority |dz|, so what is left to break is several flows
+// of one expression (the earliest installed wins) and equal-length prefixes
+// on disjoint subspaces (neither shadows the other). Each is asked through
+// both spellings of the lookup, Lookup and LookupKey.
 
 func mustEventAddr(t *testing.T, e dz.Expr) netip.Addr {
 	t.Helper()
@@ -22,109 +23,41 @@ func mustEventAddr(t *testing.T, e dz.Expr) netip.Addr {
 	return addr
 }
 
-// TestLookupTieBreakPriorityBeatsLength: with mixed priorities a shorter
-// prefix with a higher priority must beat a longer one (the TCAM orders on
-// priority first; the PLEROMA invariant is what normally aligns the two).
-func TestLookupTieBreakPriorityBeatsLength(t *testing.T) {
-	tab := NewTable()
-	short := tab.Add(mustFlow(t, "0", 9, 1)) // slow: priority != |dz|
-	tab.Add(mustFlow(t, "0110", 4, 2))       // keeps the invariant
-	got, ok := tab.Lookup(mustEventAddr(t, "011010"))
-	if !ok || got.ID != short {
-		t.Fatalf("Lookup = %v (ok=%v), want short high-priority flow %d", got, ok, short)
+// wantWinner asserts that Lookup and LookupKey of the event address of e both
+// answer the flow id.
+func wantWinner(t *testing.T, tab *Table, e dz.Expr, id FlowID) {
+	t.Helper()
+	addr := mustEventAddr(t, e)
+	got, ok := tab.Lookup(addr)
+	if !ok || got.ID != id {
+		t.Fatalf("Lookup(%s) = %v (ok=%v), want flow %d", e, got, ok, id)
 	}
-}
-
-// TestLookupTieBreakLengthAtEqualPriority: at equal priority the longer
-// prefix wins. An unrelated invariant-violating flow forces the full scan
-// so the flowLess ordering itself is exercised.
-func TestLookupTieBreakLengthAtEqualPriority(t *testing.T) {
-	tab := NewTable()
-	tab.Add(mustFlow(t, "1", 99, 9)) // unrelated; drops table to full scan
-	tab.Add(mustFlow(t, "01", 7, 1))
-	long := tab.Add(mustFlow(t, "0110", 7, 2))
-	got, ok := tab.Lookup(mustEventAddr(t, "011010"))
-	if !ok || got.ID != long {
-		t.Fatalf("Lookup = %v (ok=%v), want longer-prefix flow %d", got, ok, long)
+	key, _ := ipmc.KeyFromAddr(addr)
+	if actions, ok := tab.LookupKey(key); !ok || len(actions) != len(got.Actions) || actions[0] != got.Actions[0] {
+		t.Fatalf("LookupKey(%s) = %v (ok=%v), want flow %d's %v", e, actions, ok, id, got.Actions)
 	}
 }
 
 // TestLookupTieBreakFlowIDBothPaths: same expression, same priority — the
-// earliest-installed flow (lowest ID) must win on the fast path and still
-// win after an unrelated slow flow forces the full scan.
+// earliest-installed flow (lowest ID) wins through Lookup and LookupKey, and
+// the next one takes over when it goes.
 func TestLookupTieBreakFlowIDBothPaths(t *testing.T) {
 	tab := NewTable()
 	first := tab.Add(mustFlow(t, "010", 3, 1))
-	tab.Add(mustFlow(t, "010", 3, 2))
-	addr := mustEventAddr(t, "0101")
-
-	if got, ok := tab.Lookup(addr); !ok || got.ID != first {
-		t.Fatalf("fast path: Lookup = %v (ok=%v), want first-installed %d", got, ok, first)
-	}
-	slow := tab.Add(mustFlow(t, "1", 42, 9)) // force the full scan
-	if got, ok := tab.Lookup(addr); !ok || got.ID != first {
-		t.Fatalf("slow path: Lookup = %v (ok=%v), want first-installed %d", got, ok, first)
-	}
-	tab.Delete(slow)
-	if got, ok := tab.Lookup(addr); !ok || got.ID != first {
-		t.Fatalf("back on fast path: Lookup = %v (ok=%v), want %d", got, ok, first)
-	}
-}
-
-// TestLookupSlowFlowsToggle drives the table across the fast/slow boundary
-// through Add, Modify, and Delete and checks the two paths agree at every
-// step (the winner is path-independent while the invariant holds).
-func TestLookupSlowFlowsToggle(t *testing.T) {
-	tab := NewTable()
-	tab.Add(mustFlow(t, "0", 1, 1))
-	deep := tab.Add(mustFlow(t, "0110", 4, 2))
-	addr := mustEventAddr(t, "011011")
-
-	want := func(stage string, id FlowID) {
-		t.Helper()
-		got, ok := tab.Lookup(addr)
-		if !ok || got.ID != id {
-			t.Fatalf("%s: Lookup = %v (ok=%v), want flow %d", stage, got, ok, id)
-		}
-	}
-	want("all flows fast", deep)
-
-	// Modify the deep flow's priority above its length: full scan, and the
-	// new priority still wins.
-	if !tab.Modify(deep, 50, []Action{{OutPort: 2}}) {
-		t.Fatal("modify failed")
-	}
-	want("deep flow slow", deep)
-
-	// Restore the invariant: the trie must serve the same winner again.
-	if !tab.Modify(deep, 4, []Action{{OutPort: 2}}) {
-		t.Fatal("restore failed")
-	}
-	want("invariant restored", deep)
-
-	// Deleting the deep flow falls back to the covering short one.
-	shortID := FlowID(1)
-	tab.Delete(deep)
-	want("deep deleted", shortID)
+	second := tab.Add(mustFlow(t, "010", 3, 2))
+	wantWinner(t, tab, "0101", first)
+	tab.Delete(first)
+	wantWinner(t, tab, "0101", second)
 }
 
 // TestLookupEqualLengthDisjointPrefixes: equal-length flows on disjoint
-// subspaces never shadow each other, on either path.
+// subspaces never shadow each other.
 func TestLookupEqualLengthDisjointPrefixes(t *testing.T) {
 	tab := NewTable()
 	left := tab.Add(mustFlow(t, "00", 2, 1))
 	right := tab.Add(mustFlow(t, "01", 2, 2))
-	for _, path := range []string{"fast", "slow"} {
-		if path == "slow" {
-			tab.Add(mustFlow(t, "1", 77, 9))
-		}
-		if got, ok := tab.Lookup(mustEventAddr(t, "001")); !ok || got.ID != left {
-			t.Fatalf("%s: Lookup(001) = %v (ok=%v), want %d", path, got, ok, left)
-		}
-		if got, ok := tab.Lookup(mustEventAddr(t, "011")); !ok || got.ID != right {
-			t.Fatalf("%s: Lookup(011) = %v (ok=%v), want %d", path, got, ok, right)
-		}
-	}
+	wantWinner(t, tab, "001", left)
+	wantWinner(t, tab, "011", right)
 }
 
 // TestLookupKeySharedBucketFollowsWinner: three flows share one expression,

@@ -281,19 +281,11 @@ func (c *Client) ensureRedialLocked() {
 // has already re-sent the window (rule 2 above); on exhaustion the
 // pipeline is poisoned so Flush callers unblock with the error.
 func (c *Client) redialLoop() {
-	pol := c.retry
-	sleep := pol.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	attempts := pol.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
+	pol := c.retry.Normalized()
+	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if backoff := pol.Backoff(attempt - 1); backoff > 0 {
-				sleep(backoff)
+				pol.Sleep(backoff)
 			}
 		}
 		c.mu.Lock()
@@ -322,7 +314,7 @@ func (c *Client) redialLoop() {
 	c.mu.Lock()
 	c.redialing = false
 	if c.fc == nil {
-		c.failWindowLocked(fmt.Errorf("transport: %d redial attempts exhausted with %d publishes in flight", attempts, len(c.awin)))
+		c.failWindowLocked(fmt.Errorf("transport: %d redial attempts exhausted with %d publishes in flight", pol.MaxAttempts, len(c.awin)))
 	}
 	c.mu.Unlock()
 }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"pleroma/internal/core"
+	"pleroma/internal/retry"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
@@ -159,7 +159,7 @@ func TestPublishAsyncReconnectMidWindow(t *testing.T) {
 	srv, addr := startServer(t, b)
 	c, err := Dial(addr,
 		WithClientOptions(Options{Window: 4, BatchEvents: 1, Linger: time.Hour}),
-		WithClientRetry(core.RetryPolicy{MaxAttempts: 20, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}))
+		WithClientRetry(retry.Policy{MaxAttempts: 20, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,12 +9,10 @@ import (
 	"sync"
 	"time"
 
-	"pleroma/internal/core"
 	"pleroma/internal/obs"
-	"pleroma/internal/openflow"
+	"pleroma/internal/retry"
 	"pleroma/internal/sortutil"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/wire"
 )
 
@@ -27,9 +25,9 @@ func WithClientID(id string) ClientOption {
 }
 
 // WithClientRetry sets the reconnect/backoff policy. The zero default is
-// core.DefaultRetryPolicy: a handful of attempts under capped exponential
+// retry.Default: a handful of attempts under capped exponential
 // backoff, with OpDeadline bounding each request's wait.
-func WithClientRetry(p core.RetryPolicy) ClientOption {
+func WithClientRetry(p retry.Policy) ClientOption {
 	return func(c *Client) { c.retry = p }
 }
 
@@ -93,7 +91,7 @@ type registration struct {
 type Client struct {
 	addr  string
 	id    string
-	retry core.RetryPolicy
+	retry retry.Policy
 	opts  Options
 	m     connMetrics
 
@@ -159,7 +157,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
 		addr:    addr,
 		id:      "client",
-		retry:   core.DefaultRetryPolicy,
+		retry:   retry.Default,
 		pending: make(map[uint64]chan callResult),
 		advs:    make(map[string]registration),
 		subs:    make(map[string]registration),
@@ -431,20 +429,12 @@ func respError(f wire.Frame) string {
 // semantic rejection and is returned immediately for the caller to
 // surface.
 func (c *Client) call(kind wire.Kind, payload []byte) (wire.Frame, error) {
-	pol := c.retry
+	pol := c.retry.Normalized()
 	var lastErr error
-	sleep := pol.Sleep
-	if sleep == nil {
-		sleep = time.Sleep
-	}
-	attempts := pol.MaxAttempts
-	if attempts <= 0 {
-		attempts = 1
-	}
-	for attempt := 0; attempt < attempts; attempt++ {
+	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
 		if attempt > 0 {
 			if backoff := pol.Backoff(attempt - 1); backoff > 0 {
-				sleep(backoff)
+				pol.Sleep(backoff)
 			}
 		}
 		resp, err := c.attempt(kind, payload, attempt > 0)
@@ -453,7 +443,7 @@ func (c *Client) call(kind wire.Kind, payload []byte) (wire.Frame, error) {
 		}
 		lastErr = err
 	}
-	return wire.Frame{}, fmt.Errorf("transport: %d attempts exhausted: %w", attempts, lastErr)
+	return wire.Frame{}, fmt.Errorf("transport: %d attempts exhausted: %w", pol.MaxAttempts, lastErr)
 }
 
 func (c *Client) attempt(kind wire.Kind, payload []byte, isRetry bool) (wire.Frame, error) {
@@ -736,60 +726,4 @@ func (c *Client) Close() error {
 		fc.close()
 	}
 	return nil
-}
-
-// RemoteProgrammer is the southbound interface over the transport: a
-// core.FlowProgrammer/FlowReader whose switches live behind a TCP
-// connection. It is what lets a core.Controller run in a different process
-// from the data plane — the controller programs and reads real switch
-// tables through FlowBatch/FlowRead round-trips.
-type RemoteProgrammer struct {
-	c *Client
-}
-
-// NewRemoteProgrammer wraps a connected client.
-func NewRemoteProgrammer(c *Client) *RemoteProgrammer { return &RemoteProgrammer{c: c} }
-
-var (
-	_ core.FlowProgrammer = (*RemoteProgrammer)(nil)
-	_ core.FlowReader     = (*RemoteProgrammer)(nil)
-)
-
-// ApplyBatch ships one FlowMod bundle for a switch across the wire.
-func (r *RemoteProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
-	b, err := wire.EncodeFlowBatch(wire.FlowBatch{Switch: uint32(sw), Ops: ops})
-	if err != nil {
-		return nil, err
-	}
-	resp, err := r.c.call(wire.KindFlowBatch, b)
-	if err != nil {
-		return nil, err
-	}
-	if resp.Kind != wire.KindFlowResult {
-		return nil, fmt.Errorf("transport: flow batch: %s", respError(resp))
-	}
-	res, err := wire.DecodeFlowResult(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if res.Err != "" {
-		return res.IDs, fmt.Errorf("%s", res.Err)
-	}
-	return res.IDs, nil
-}
-
-// Flows reads the installed table of one switch across the wire.
-func (r *RemoteProgrammer) Flows(sw topo.NodeID) ([]openflow.Flow, error) {
-	resp, err := r.c.call(wire.KindFlowRead, wire.EncodeU32(uint32(sw)))
-	if err != nil {
-		return nil, err
-	}
-	if resp.Kind != wire.KindFlowList {
-		return nil, fmt.Errorf("transport: flow read: %s", respError(resp))
-	}
-	l, err := wire.DecodeFlowList(resp.Payload)
-	if err != nil {
-		return nil, err
-	}
-	return l.Flows, nil
 }

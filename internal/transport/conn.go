@@ -1,13 +1,14 @@
 // Package transport carries PLEROMA's control and data messages across a
 // real process boundary: length-prefixed wire.Frame messages over stdlib
 // TCP, with request/response correlation, per-connection write batching,
-// and client-side reconnect under core.RetryPolicy semantics. The server
-// side (Server) exposes a Backend — the same control-op and southbound
-// surfaces the in-process facade drives directly — and the client side
-// (Client, RemoteProgrammer) lets publisher/subscriber processes and even
-// a remote controller speak to it. The emulator never appears here: both
-// ends exchange only wire types, which is what lets the same core and
-// facade code run in one process or several.
+// and client-side reconnect under a retry.Policy. The server side (Server)
+// exposes a Backend — the control ops, publishes, drains and digest the
+// in-process facade drives directly — and the client side (Client) lets
+// publisher and subscriber processes speak to it. No switch is read or
+// written through it: the controller programs its switches in the daemon's
+// process and is their only writer. The emulator never appears here: both
+// ends exchange only wire types, which is what lets publishers and
+// subscribers run in processes of their own.
 package transport
 
 import (

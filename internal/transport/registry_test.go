@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"pleroma/internal/core"
+	"pleroma/internal/retry"
 	"pleroma/internal/wire"
 )
 
-var fastRetry = WithClientRetry(core.RetryPolicy{
+var fastRetry = WithClientRetry(retry.Policy{
 	MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 	OpDeadline: 2 * time.Second,
 })

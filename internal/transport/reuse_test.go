@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"pleroma/internal/core"
+	"pleroma/internal/retry"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
@@ -56,7 +56,7 @@ func TestWriteQueueReusesItsArrays(t *testing.T) {
 func TestCallSlotReuse(t *testing.T) {
 	b := &blockingBackend{fakeBackend: newFakeBackend(), gate: make(chan struct{})}
 	_, addr := startServer(t, b)
-	c, err := Dial(addr, WithClientRetry(core.RetryPolicy{MaxAttempts: 1, OpDeadline: 150 * time.Millisecond}))
+	c, err := Dial(addr, WithClientRetry(retry.Policy{MaxAttempts: 1, OpDeadline: 150 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,14 +2,12 @@ package transport
 
 import (
 	"bufio"
-	"encoding/binary"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"pleroma/internal/obs"
-	"pleroma/internal/openflow"
 	"pleroma/internal/wire"
 )
 
@@ -19,13 +17,14 @@ type Info struct {
 	Partitions []int32
 }
 
-// Backend is the surface a Server exposes over TCP — the same control-op
-// and southbound operations the in-process facade drives directly. A
-// Backend is NOT required to be safe for concurrent use: the server
-// serializes every call. Delivery callbacks registered through Control may
-// fire from any goroutine while a Run call is in progress (e.g. shard
-// workers), so the `deliver` sink handed in is always safe to call
-// concurrently and never blocks.
+// Backend is the surface a Server exposes over TCP — the control ops,
+// publishes, drains and digest the in-process facade drives directly, and
+// nothing that reads or writes a switch: the controller behind the backend
+// is the only writer of its switches. A Backend is NOT required to be safe
+// for concurrent use: the server serializes every call. Delivery callbacks
+// registered through Control may fire from any goroutine while a Run call
+// is in progress (e.g. shard workers), so the `deliver` sink handed in is
+// always safe to call concurrently and never blocks.
 type Backend interface {
 	// Info reports the deployment's hosts and partitions.
 	Info() Info
@@ -41,10 +40,6 @@ type Backend interface {
 	// Digest returns the deterministic digest of the control-plane state
 	// across all partitions.
 	Digest() ([]byte, error)
-	// ApplyFlowBatch applies a southbound FlowMod batch to one switch.
-	ApplyFlowBatch(sw uint32, ops []openflow.FlowOp) ([]openflow.FlowID, error)
-	// Flows reads the installed table of one switch.
-	Flows(sw uint32) ([]openflow.Flow, error)
 }
 
 // ServerOption configures a Server.
@@ -429,36 +424,6 @@ func (s *Server) handle(fc *frameConn, f wire.Frame) wire.Frame {
 			return errFrame(err)
 		}
 		return wire.Frame{Kind: wire.KindDigestResult, Payload: d}
-
-	case wire.KindFlowBatch:
-		fb, err := wire.DecodeFlowBatch(f.Payload)
-		if err != nil {
-			return errFrame(err)
-		}
-		ids, err := s.backend.ApplyFlowBatch(fb.Switch, fb.Ops)
-		res := wire.FlowResult{IDs: ids}
-		if err != nil {
-			res.Err = err.Error()
-		}
-		b, encErr := wire.EncodeFlowResult(res)
-		if encErr != nil {
-			return errFrame(encErr)
-		}
-		return wire.Frame{Kind: wire.KindFlowResult, Payload: b}
-
-	case wire.KindFlowRead:
-		if len(f.Payload) != 4 {
-			return errFrame(fmt.Errorf("transport: flow read payload must be a switch id"))
-		}
-		flows, err := s.backend.Flows(binary.BigEndian.Uint32(f.Payload))
-		if err != nil {
-			return errFrame(err)
-		}
-		b, err := wire.EncodeFlowList(wire.FlowList{Flows: flows})
-		if err != nil {
-			return errFrame(err)
-		}
-		return wire.Frame{Kind: wire.KindFlowList, Payload: b}
 
 	default:
 		return errFrame(fmt.Errorf("transport: unexpected request kind %v", f.Kind))

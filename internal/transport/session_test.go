@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"pleroma/internal/core"
+	"pleroma/internal/retry"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
@@ -166,7 +166,7 @@ func TestUndecodableDeliveryIsConnectionLoss(t *testing.T) {
 	}()
 
 	c, err := Dial(ln.Addr().String(),
-		WithClientRetry(core.RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond, OpDeadline: 5 * time.Second}))
+		WithClientRetry(retry.Policy{MaxAttempts: 5, BaseBackoff: time.Millisecond, OpDeadline: 5 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"pleroma/internal/core"
-	"pleroma/internal/dz"
-	"pleroma/internal/netem"
 	"pleroma/internal/obs"
-	"pleroma/internal/openflow"
-	"pleroma/internal/sim"
+	"pleroma/internal/retry"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/wire"
 )
 
@@ -87,23 +82,6 @@ func (b *fakeBackend) Run() (time.Duration, error) {
 }
 
 func (b *fakeBackend) Digest() ([]byte, error) { return []byte{0xde, 0xad}, nil }
-
-func (b *fakeBackend) ApplyFlowBatch(sw uint32, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
-	ids := make([]openflow.FlowID, len(ops))
-	for i := range ops {
-		ids[i] = openflow.FlowID(uint64(sw)*100 + uint64(i) + 1)
-	}
-	return ids, nil
-}
-
-func (b *fakeBackend) Flows(sw uint32) ([]openflow.Flow, error) {
-	f, err := openflow.NewFlow(dz.Expr("0101"), 4, openflow.Action{OutPort: openflow.PortID(sw)})
-	if err != nil {
-		return nil, err
-	}
-	f.ID = 9
-	return []openflow.Flow{f}, nil
-}
 
 func startServer(t *testing.T, b Backend, opts ...ServerOption) (*Server, string) {
 	t.Helper()
@@ -232,7 +210,7 @@ func TestServerErrorsPropagate(t *testing.T) {
 func TestClientReconnectReplaysRegistrations(t *testing.T) {
 	b := newFakeBackend()
 	srv, addr := startServer(t, b)
-	c, err := Dial(addr, WithClientRetry(core.RetryPolicy{
+	c, err := Dial(addr, WithClientRetry(retry.Policy{
 		MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 		OpDeadline: time.Second,
 	}))
@@ -304,7 +282,7 @@ func TestDeliveryDuringReconnectHandshake(t *testing.T) {
 	b := newFakeBackend()
 	b.deliverOnSubscribe = true
 	srv, addr := startServer(t, b)
-	c, err := Dial(addr, WithClientRetry(core.RetryPolicy{
+	c, err := Dial(addr, WithClientRetry(retry.Policy{
 		MaxAttempts: 5, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 		OpDeadline: 2 * time.Second,
 	}))
@@ -358,7 +336,7 @@ func TestServerErrorNotRetried(t *testing.T) {
 	b := newFakeBackend()
 	b.failOp = "advertise"
 	_, addr := startServer(t, b)
-	c, err := Dial(addr, WithClientRetry(core.RetryPolicy{
+	c, err := Dial(addr, WithClientRetry(retry.Policy{
 		MaxAttempts: 5, BaseBackoff: time.Millisecond, OpDeadline: time.Second,
 	}))
 	if err != nil {
@@ -379,7 +357,7 @@ func TestServerErrorNotRetried(t *testing.T) {
 func TestClientRetryExhaustion(t *testing.T) {
 	b := newFakeBackend()
 	srv, addr := startServer(t, b)
-	c, err := Dial(addr, WithClientRetry(core.RetryPolicy{
+	c, err := Dial(addr, WithClientRetry(retry.Policy{
 		MaxAttempts: 2, BaseBackoff: time.Millisecond, OpDeadline: 100 * time.Millisecond,
 	}))
 	if err != nil {
@@ -409,99 +387,4 @@ func TestGracefulStopDrainsInflight(t *testing.T) {
 	if err := c.Sync(); err == nil {
 		t.Fatal("sync against a stopped server must fail")
 	}
-}
-
-// TestControllerOverRemoteSouthbound is the process-split proof at the
-// southbound boundary: a core.Controller whose FlowProgrammer is a
-// RemoteProgrammer (every FlowMod batch and table read crosses TCP)
-// produces switch tables identical to a controller wired directly to the
-// same emulated data plane.
-func TestControllerOverRemoteSouthbound(t *testing.T) {
-	build := func(t *testing.T) (*topo.Graph, *netem.DataPlane) {
-		g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g, netem.New(g, sim.NewEngine())
-	}
-	drive := func(t *testing.T, g *topo.Graph, ctl *core.Controller) {
-		hosts := g.Hosts()
-		if _, err := ctl.Advertise("p1", hosts[0], dz.NewSet(dz.Expr("01"))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ctl.Subscribe("s1", hosts[5], dz.NewSet(dz.Expr("0101"))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ctl.Subscribe("s2", hosts[2], dz.NewSet(dz.Expr("011"))); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := ctl.Unsubscribe("s2"); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Direct: controller and data plane share the process.
-	gd, dpd := build(t)
-	direct, err := core.NewController(gd, dpd, core.WithHostAddr(netem.HostAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, gd, direct)
-
-	// Remote: same drive, but every southbound call crosses the wire.
-	gr, dpr := build(t)
-	_, addr := startServer(t, &dataPlaneBackend{dp: dpr})
-	cli, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	remote, err := core.NewController(gr, NewRemoteProgrammer(cli), core.WithHostAddr(netem.HostAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	drive(t, gr, remote)
-	if err := remote.VerifyTables(); err != nil {
-		t.Fatalf("remote-programmed tables inconsistent: %v", err)
-	}
-
-	for _, sw := range gd.Switches() {
-		df, err := dpd.Flows(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rf, err := dpr.Flows(sw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(df) != len(rf) {
-			t.Fatalf("switch %d: %d flows direct vs %d remote", sw, len(df), len(rf))
-		}
-		for i := range df {
-			if df[i].Expr != rf[i].Expr || df[i].Priority != rf[i].Priority ||
-				len(df[i].Actions) != len(rf[i].Actions) {
-				t.Fatalf("switch %d flow %d differs: %+v vs %+v", sw, i, df[i], rf[i])
-			}
-		}
-	}
-}
-
-// dataPlaneBackend adapts a bare netem.DataPlane as a transport Backend —
-// only the southbound surface is live.
-type dataPlaneBackend struct {
-	dp *netem.DataPlane
-}
-
-func (b *dataPlaneBackend) Info() Info { return Info{} }
-func (b *dataPlaneBackend) Control(wire.ControlReq, func(wire.Delivery)) error {
-	return fmt.Errorf("control not supported")
-}
-func (b *dataPlaneBackend) Publish(wire.PublishReq) error { return fmt.Errorf("publish not supported") }
-func (b *dataPlaneBackend) Run() (time.Duration, error)   { return 0, fmt.Errorf("run not supported") }
-func (b *dataPlaneBackend) Digest() ([]byte, error)       { return nil, fmt.Errorf("digest not supported") }
-func (b *dataPlaneBackend) ApplyFlowBatch(sw uint32, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
-	return b.dp.ApplyBatch(topo.NodeID(sw), ops)
-}
-func (b *dataPlaneBackend) Flows(sw uint32) ([]openflow.Flow, error) {
-	return b.dp.Flows(topo.NodeID(sw))
 }

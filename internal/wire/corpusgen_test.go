@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"testing"
 
-	"pleroma/internal/dz"
-	"pleroma/internal/openflow"
 	"pleroma/internal/space"
 )
 
@@ -28,14 +26,6 @@ func TestGenFuzzCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustFlow := func(expr string, prio int, port int) openflow.Flow {
-		fl, err := openflow.NewFlow(dz.Expr(expr), prio, openflow.Action{OutPort: openflow.PortID(port)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return fl
-	}
-
 	// FuzzDecodeFrame
 	fr, _ := AppendFrame(nil, Frame{Kind: KindControl, Corr: 7, Payload: []byte{1, 2, 3}})
 	write("FuzzDecodeFrame", "seed-control", fr)
@@ -91,22 +81,6 @@ func TestGenFuzzCorpus(t *testing.T) {
 	onet, _ := EncodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
 		At: 5, Latency: 2, Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 4}})
 	write("FuzzDecodeDeliverBatch", "seed-one-traced", onet)
-
-	// FuzzDecodeFlowBatch
-	fl := mustFlow("0101", 4, 2)
-	fl.ID = 11
-	fb, _ := EncodeFlowBatch(FlowBatch{Switch: 3, Ops: []openflow.FlowOp{
-		openflow.AddOp(fl), openflow.DeleteOp(7),
-		openflow.ModifyOp(7, 2, []openflow.Action{{OutPort: 4}}),
-	}})
-	write("FuzzDecodeFlowBatch", "seed-mixed-ops", fb)
-	write("FuzzDecodeFlowBatch", "seed-truncated", fb[:len(fb)/2])
-
-	// FuzzDecodeFlowList
-	fl2 := mustFlow("011", 3, 1)
-	fl2.ID = 5
-	lst, _ := EncodeFlowList(FlowList{Flows: []openflow.Flow{fl2}})
-	write("FuzzDecodeFlowList", "seed-one-flow", lst)
 
 	// FuzzFrameStream
 	var stream []byte

@@ -4,22 +4,20 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"net/netip"
 	"sort"
 	"time"
 
-	"pleroma/internal/openflow"
 	"pleroma/internal/space"
 )
 
 // This file defines the transport framing and the request/response payload
 // codecs of the networked deployment mode (internal/transport): every
 // message between a pleroma-d daemon and its clients — control requests,
-// publications, deliveries, FlowMod batches for the remote southbound, and
-// state-digest queries — travels as one length-prefixed frame carrying a
-// kind byte and a request/response correlation id. Like the rest of the
-// package, every decoder is total: truncation, oversize headers, and
-// trailing garbage are errors, never panics.
+// publications, deliveries and state-digest queries — travels as one
+// length-prefixed frame carrying a kind byte and a request/response
+// correlation id. Like the rest of the package, every decoder is total:
+// truncation, oversize headers, and trailing garbage are errors, never
+// panics.
 
 // Kind discriminates the frame types of the transport protocol.
 type Kind uint8
@@ -58,20 +56,16 @@ const (
 	// KindDeliverBatch pushes a run of one or more deliveries to a
 	// subscriber (payload: DeliverBatch). No response.
 	KindDeliverBatch
-	// KindFlowBatch applies a FlowMod batch to one switch (payload:
-	// FlowBatch). Response: KindFlowResult.
-	KindFlowBatch
-	// KindFlowResult reports the applied prefix of a batch (payload:
-	// FlowResult).
-	KindFlowResult
-	// KindFlowRead reads a switch's installed flows (payload: sw u32).
-	// Response: KindFlowList or KindError.
-	KindFlowRead
-	// KindFlowList returns installed flows (payload: FlowList).
-	KindFlowList
+)
+
+// Numbers 11–14 are retired. They carried switch writes and reads over the
+// network, and a switch has one writer: the controller, in the daemon's
+// process. A retired number fails like any undefined byte and is never
+// reused, so a peer that still sends one is refused, not misread.
+const (
 	// KindDigest requests the control-plane state digest (empty payload).
 	// Response: KindDigestResult or KindError.
-	KindDigest
+	KindDigest Kind = iota + 15
 	// KindDigestResult returns the state digest (payload: every
 	// partition's digest, concatenated in ascending partition order).
 	KindDigestResult
@@ -91,10 +85,6 @@ var kindNames = [...]string{
 	KindRunDone:      "run-done",
 	KindSync:         "sync",
 	KindDeliverBatch: "deliver-batch",
-	KindFlowBatch:    "flow-batch",
-	KindFlowResult:   "flow-result",
-	KindFlowRead:     "flow-read",
-	KindFlowList:     "flow-list",
 	KindDigest:       "digest",
 	KindDigestResult: "digest-result",
 	KindGoodbye:      "goodbye",
@@ -107,8 +97,8 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Valid reports whether k is a defined frame kind.
-func (k Kind) Valid() bool { return k >= KindHello && k <= KindGoodbye }
+// Valid reports whether k is a defined frame kind: one kindNames names.
+func (k Kind) Valid() bool { return int(k) < len(kindNames) && kindNames[k] != "" }
 
 // Framing limits.
 const (
@@ -116,14 +106,10 @@ const (
 	MaxFramePayload = 1 << 20
 	// FrameHeaderLen is the fixed prefix: [length u32][kind u8][corr u64].
 	FrameHeaderLen = 4 + 1 + 8
-	// MaxFlowOps bounds the operations of one FlowMod batch.
-	MaxFlowOps = 4096
 	// MaxEvents bounds the events of one publish request.
 	MaxEvents = 4096
 	// MaxDeliveries bounds the deliveries of one KindDeliverBatch frame.
 	MaxDeliveries = 4096
-	// MaxActions bounds a flow's instruction set on the wire.
-	MaxActions = 255
 )
 
 // Frame is one transport message: a kind, a request/response correlation
@@ -833,336 +819,6 @@ func DecodeDeliverBatch(b []byte) ([]Delivery, error) {
 		return nil, fmt.Errorf("wire: %d trailing bytes", len(rest))
 	}
 	return ds, nil
-}
-
-// appendActions appends [nact u8]([port u32][addrKind u8][addr]...)×.
-func appendActions(buf []byte, actions []openflow.Action) ([]byte, error) {
-	if len(actions) > MaxActions {
-		return nil, fmt.Errorf("wire: %d actions exceed %d", len(actions), MaxActions)
-	}
-	buf = append(buf, byte(len(actions)))
-	for _, a := range actions {
-		buf = binary.BigEndian.AppendUint32(buf, uint32(a.OutPort))
-		switch {
-		case !a.SetDest.IsValid():
-			buf = append(buf, 0)
-		case a.SetDest.Is4():
-			buf = append(buf, 4)
-			v4 := a.SetDest.As4()
-			buf = append(buf, v4[:]...)
-		default:
-			buf = append(buf, 6)
-			v6 := a.SetDest.As16()
-			buf = append(buf, v6[:]...)
-		}
-	}
-	return buf, nil
-}
-
-// readActions decodes an instruction set written by appendActions.
-func readActions(b []byte) ([]openflow.Action, []byte, error) {
-	if len(b) < 1 {
-		return nil, nil, fmt.Errorf("wire: truncated action count")
-	}
-	n := int(b[0])
-	b = b[1:]
-	actions := make([]openflow.Action, 0, n)
-	for i := 0; i < n; i++ {
-		if len(b) < 5 {
-			return nil, nil, fmt.Errorf("wire: truncated action")
-		}
-		a := openflow.Action{OutPort: openflow.PortID(binary.BigEndian.Uint32(b))}
-		kind := b[4]
-		b = b[5:]
-		switch kind {
-		case 0:
-		case 4:
-			if len(b) < 4 {
-				return nil, nil, fmt.Errorf("wire: truncated IPv4 rewrite address")
-			}
-			a.SetDest = netip.AddrFrom4([4]byte(b[:4]))
-			b = b[4:]
-		case 6:
-			if len(b) < 16 {
-				return nil, nil, fmt.Errorf("wire: truncated IPv6 rewrite address")
-			}
-			a.SetDest = netip.AddrFrom16([16]byte(b[:16]))
-			b = b[16:]
-		default:
-			return nil, nil, fmt.Errorf("wire: unknown rewrite address kind %d", kind)
-		}
-		actions = append(actions, a)
-	}
-	return actions, b, nil
-}
-
-// appendFlow appends [id u64][priority u32][expr][actions].
-func appendFlow(buf []byte, f openflow.Flow) ([]byte, error) {
-	if f.Priority < 0 {
-		return nil, fmt.Errorf("wire: negative flow priority %d", f.Priority)
-	}
-	buf = binary.BigEndian.AppendUint64(buf, uint64(f.ID))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(f.Priority))
-	var err error
-	buf, err = packExpr(buf, f.Expr)
-	if err != nil {
-		return nil, err
-	}
-	return appendActions(buf, f.Actions)
-}
-
-// readFlow decodes one flow. The CIDR match field is rederived from the
-// dz-expression (openflow.NewFlow), so decoded flows carry a consistent
-// Match even though it never travels.
-func readFlow(b []byte) (openflow.Flow, []byte, error) {
-	if len(b) < 12 {
-		return openflow.Flow{}, nil, fmt.Errorf("wire: truncated flow header")
-	}
-	id := openflow.FlowID(binary.BigEndian.Uint64(b))
-	prio := int(binary.BigEndian.Uint32(b[8:]))
-	expr, rest, err := unpackExpr(b[12:])
-	if err != nil {
-		return openflow.Flow{}, nil, err
-	}
-	actions, rest, err := readActions(rest)
-	if err != nil {
-		return openflow.Flow{}, nil, err
-	}
-	f, err := openflow.NewFlow(expr, prio, actions...)
-	if err != nil {
-		return openflow.Flow{}, nil, err
-	}
-	f.ID = id
-	return f, rest, nil
-}
-
-// FlowBatch is one southbound bundle: FlowMods for a single switch.
-type FlowBatch struct {
-	Switch uint32
-	Ops    []openflow.FlowOp
-}
-
-// EncodeFlowBatch renders a southbound batch:
-//
-//	[version u8][sw u32][count u16][op]×
-//
-// where op is [kind u8] followed by the add flow, the delete id, or the
-// modify id+priority+actions.
-func EncodeFlowBatch(fb FlowBatch) ([]byte, error) {
-	if len(fb.Ops) == 0 || len(fb.Ops) > MaxFlowOps {
-		return nil, fmt.Errorf("wire: flow batch with %d ops, want 1..%d", len(fb.Ops), MaxFlowOps)
-	}
-	buf := make([]byte, 0, 8+len(fb.Ops)*24)
-	buf = append(buf, Version)
-	buf = binary.BigEndian.AppendUint32(buf, fb.Switch)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(fb.Ops)))
-	var err error
-	for _, op := range fb.Ops {
-		buf = append(buf, byte(op.Kind))
-		switch op.Kind {
-		case openflow.OpAdd:
-			buf, err = appendFlow(buf, op.Flow)
-		case openflow.OpDelete:
-			buf = binary.BigEndian.AppendUint64(buf, uint64(op.ID))
-		case openflow.OpModify:
-			if op.Priority < 0 {
-				return nil, fmt.Errorf("wire: negative flow priority %d", op.Priority)
-			}
-			buf = binary.BigEndian.AppendUint64(buf, uint64(op.ID))
-			buf = binary.BigEndian.AppendUint32(buf, uint32(op.Priority))
-			buf, err = appendActions(buf, op.Actions)
-		default:
-			return nil, fmt.Errorf("wire: unknown flow op kind %d", uint8(op.Kind))
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// DecodeFlowBatch parses a southbound batch.
-func DecodeFlowBatch(b []byte) (FlowBatch, error) {
-	if len(b) < 7 {
-		return FlowBatch{}, fmt.Errorf("wire: flow batch too short")
-	}
-	if b[0] != Version {
-		return FlowBatch{}, fmt.Errorf("wire: unsupported version %d", b[0])
-	}
-	fb := FlowBatch{Switch: binary.BigEndian.Uint32(b[1:])}
-	count := int(binary.BigEndian.Uint16(b[5:]))
-	rest := b[7:]
-	if count == 0 || count > MaxFlowOps {
-		return FlowBatch{}, fmt.Errorf("wire: flow batch with %d ops, want 1..%d", count, MaxFlowOps)
-	}
-	var err error
-	for i := 0; i < count; i++ {
-		if len(rest) < 1 {
-			return FlowBatch{}, fmt.Errorf("wire: truncated flow op")
-		}
-		kind := openflow.OpKind(rest[0])
-		rest = rest[1:]
-		var op openflow.FlowOp
-		switch kind {
-		case openflow.OpAdd:
-			var f openflow.Flow
-			f, rest, err = readFlow(rest)
-			if err != nil {
-				return FlowBatch{}, err
-			}
-			op = openflow.AddOp(f)
-			op.Flow.ID = f.ID
-		case openflow.OpDelete:
-			if len(rest) < 8 {
-				return FlowBatch{}, fmt.Errorf("wire: truncated delete op")
-			}
-			op = openflow.DeleteOp(openflow.FlowID(binary.BigEndian.Uint64(rest)))
-			rest = rest[8:]
-		case openflow.OpModify:
-			if len(rest) < 12 {
-				return FlowBatch{}, fmt.Errorf("wire: truncated modify op")
-			}
-			id := openflow.FlowID(binary.BigEndian.Uint64(rest))
-			prio := int(binary.BigEndian.Uint32(rest[8:]))
-			var actions []openflow.Action
-			actions, rest, err = readActions(rest[12:])
-			if err != nil {
-				return FlowBatch{}, err
-			}
-			op = openflow.ModifyOp(id, prio, actions)
-		default:
-			return FlowBatch{}, fmt.Errorf("wire: unknown flow op kind %d", uint8(kind))
-		}
-		fb.Ops = append(fb.Ops, op)
-	}
-	if len(rest) != 0 {
-		return FlowBatch{}, fmt.Errorf("wire: %d trailing bytes", len(rest))
-	}
-	return fb, nil
-}
-
-// FlowResult reports the applied prefix of a southbound batch: one FlowID
-// per applied op plus the error message that stopped it, if any.
-type FlowResult struct {
-	IDs []openflow.FlowID
-	Err string
-}
-
-// EncodeFlowResult renders a batch result:
-//
-//	[version u8][count u16][id u64]×[errLen u16][err]
-func EncodeFlowResult(r FlowResult) ([]byte, error) {
-	if len(r.IDs) > MaxFlowOps {
-		return nil, fmt.Errorf("wire: flow result with %d ids exceeds %d", len(r.IDs), MaxFlowOps)
-	}
-	if len(r.Err) > 0xffff {
-		return nil, fmt.Errorf("wire: flow result error of %d bytes", len(r.Err))
-	}
-	buf := make([]byte, 0, 5+8*len(r.IDs)+len(r.Err))
-	buf = append(buf, Version)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.IDs)))
-	for _, id := range r.IDs {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(id))
-	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.Err)))
-	return append(buf, r.Err...), nil
-}
-
-// DecodeFlowResult parses a batch result.
-func DecodeFlowResult(b []byte) (FlowResult, error) {
-	if len(b) < 3 {
-		return FlowResult{}, fmt.Errorf("wire: flow result too short")
-	}
-	if b[0] != Version {
-		return FlowResult{}, fmt.Errorf("wire: unsupported version %d", b[0])
-	}
-	count := int(binary.BigEndian.Uint16(b[1:]))
-	rest := b[3:]
-	if count > MaxFlowOps {
-		return FlowResult{}, fmt.Errorf("wire: flow result with %d ids exceeds %d", count, MaxFlowOps)
-	}
-	if len(rest) < 8*count+2 {
-		return FlowResult{}, fmt.Errorf("wire: truncated flow result ids")
-	}
-	var r FlowResult
-	for i := 0; i < count; i++ {
-		r.IDs = append(r.IDs, openflow.FlowID(binary.BigEndian.Uint64(rest[8*i:])))
-	}
-	rest = rest[8*count:]
-	errLen := int(binary.BigEndian.Uint16(rest))
-	rest = rest[2:]
-	if len(rest) != errLen {
-		return FlowResult{}, fmt.Errorf("wire: flow result error section has %d bytes, want %d", len(rest), errLen)
-	}
-	r.Err = string(rest)
-	return r, nil
-}
-
-// FlowList is the installed-flow report of one switch.
-type FlowList struct {
-	Flows []openflow.Flow
-}
-
-// EncodeFlowList renders a flow report:
-//
-//	[version u8][count u16][flow]×
-func EncodeFlowList(l FlowList) ([]byte, error) {
-	if len(l.Flows) > MaxFlowOps {
-		return nil, fmt.Errorf("wire: flow list with %d flows exceeds %d", len(l.Flows), MaxFlowOps)
-	}
-	buf := make([]byte, 0, 3+len(l.Flows)*24)
-	buf = append(buf, Version)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(l.Flows)))
-	var err error
-	for _, f := range l.Flows {
-		buf, err = appendFlow(buf, f)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return buf, nil
-}
-
-// DecodeFlowList parses a flow report.
-func DecodeFlowList(b []byte) (FlowList, error) {
-	if len(b) < 3 {
-		return FlowList{}, fmt.Errorf("wire: flow list too short")
-	}
-	if b[0] != Version {
-		return FlowList{}, fmt.Errorf("wire: unsupported version %d", b[0])
-	}
-	count := int(binary.BigEndian.Uint16(b[1:]))
-	rest := b[3:]
-	if count > MaxFlowOps {
-		return FlowList{}, fmt.Errorf("wire: flow list with %d flows exceeds %d", count, MaxFlowOps)
-	}
-	var l FlowList
-	var err error
-	for i := 0; i < count; i++ {
-		var f openflow.Flow
-		f, rest, err = readFlow(rest)
-		if err != nil {
-			return FlowList{}, err
-		}
-		l.Flows = append(l.Flows, f)
-	}
-	if len(rest) != 0 {
-		return FlowList{}, fmt.Errorf("wire: %d trailing bytes", len(rest))
-	}
-	return l, nil
-}
-
-// EncodeU32 renders a bare u32 payload (switch ids, partition ids).
-func EncodeU32(v uint32) []byte {
-	return binary.BigEndian.AppendUint32(nil, v)
-}
-
-// DecodeU32 parses a bare u32 payload.
-func DecodeU32(b []byte) (uint32, error) {
-	if len(b) != 4 {
-		return 0, fmt.Errorf("wire: u32 payload of %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint32(b), nil
 }
 
 // EncodeU64 renders a bare u64 payload (simulated clock readings).

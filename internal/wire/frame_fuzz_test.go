@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"testing"
 
-	"pleroma/internal/dz"
-	"pleroma/internal/openflow"
 	"pleroma/internal/space"
 )
 
@@ -14,14 +12,6 @@ import (
 // bytes (the decoders reject trailing garbage and non-canonical forms, so
 // encode∘decode is the identity on accepted inputs). Seed corpora live
 // under testdata/fuzz/<FuzzName>/ like the dz trie fuzzers'.
-
-func fuzzFlow(f *testing.F, expr string, prio int, port int) openflow.Flow {
-	fl, err := openflow.NewFlow(dz.Expr(expr), prio, openflow.Action{OutPort: openflow.PortID(port)})
-	if err != nil {
-		f.Fatal(err)
-	}
-	return fl
-}
 
 func FuzzDecodeFrame(f *testing.F) {
 	seed, _ := AppendFrame(nil, Frame{Kind: KindControl, Corr: 7, Payload: []byte{1, 2, 3}})
@@ -124,50 +114,6 @@ func FuzzDecodeDeliverBatch(f *testing.F) {
 		}
 		if !bytes.Equal(reenc, b) {
 			t.Fatalf("deliver batch re-encoding drifted:\n in  %x\n out %x", b, reenc)
-		}
-	})
-}
-
-func FuzzDecodeFlowBatch(f *testing.F) {
-	fl := fuzzFlow(f, "0101", 4, 2)
-	fl.ID = 11
-	good, _ := EncodeFlowBatch(FlowBatch{Switch: 3, Ops: []openflow.FlowOp{
-		openflow.AddOp(fl),
-		openflow.DeleteOp(7),
-		openflow.ModifyOp(7, 2, []openflow.Action{{OutPort: 4}}),
-	}})
-	f.Add(good)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		fb, err := DecodeFlowBatch(b)
-		if err != nil {
-			return
-		}
-		reenc, err := EncodeFlowBatch(fb)
-		if err != nil {
-			t.Fatalf("decoded flow batch does not re-encode: %v", err)
-		}
-		if !bytes.Equal(reenc, b) {
-			t.Fatalf("flow batch re-encoding drifted")
-		}
-	})
-}
-
-func FuzzDecodeFlowList(f *testing.F) {
-	fl := fuzzFlow(f, "011", 3, 1)
-	fl.ID = 5
-	good, _ := EncodeFlowList(FlowList{Flows: []openflow.Flow{fl}})
-	f.Add(good)
-	f.Fuzz(func(t *testing.T, b []byte) {
-		l, err := DecodeFlowList(b)
-		if err != nil {
-			return
-		}
-		reenc, err := EncodeFlowList(l)
-		if err != nil {
-			t.Fatalf("decoded flow list does not re-encode: %v", err)
-		}
-		if !bytes.Equal(reenc, b) {
-			t.Fatalf("flow list re-encoding drifted")
 		}
 	})
 }

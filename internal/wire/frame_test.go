@@ -4,14 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"net/netip"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"pleroma/internal/dz"
-	"pleroma/internal/openflow"
 	"pleroma/internal/space"
 )
 
@@ -325,126 +322,9 @@ func TestAppendDeliverBatchChunking(t *testing.T) {
 	}
 }
 
-func testFlow(t *testing.T, expr dz.Expr, prio int, actions ...openflow.Action) openflow.Flow {
-	t.Helper()
-	f, err := openflow.NewFlow(expr, prio, actions...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return f
-}
-
-func TestFlowBatchRoundTrip(t *testing.T) {
-	dest := netip.MustParseAddr("fd00::7")
-	add := testFlow(t, "0101", 4,
-		openflow.Action{OutPort: 2},
-		openflow.Action{OutPort: 3, SetDest: dest})
-	add.ID = 11
-	in := FlowBatch{
-		Switch: 9,
-		Ops: []openflow.FlowOp{
-			openflow.AddOp(add),
-			openflow.DeleteOp(17),
-			openflow.ModifyOp(12, 6, []openflow.Action{{OutPort: 5}}),
-		},
-	}
-	// AddOp copies the flow; keep the wire id.
-	in.Ops[0].Flow.ID = add.ID
-	b, err := EncodeFlowBatch(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeFlowBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-	if _, err := EncodeFlowBatch(FlowBatch{Switch: 1}); err == nil {
-		t.Error("empty batch accepted")
-	}
-	if _, err := DecodeFlowBatch(b[:len(b)-1]); err == nil {
-		t.Error("truncated batch accepted")
-	}
-	if _, err := DecodeFlowBatch(append(b, 0)); err == nil {
-		t.Error("trailing garbage accepted")
-	}
-}
-
-func TestFlowBatchIPv4Rewrite(t *testing.T) {
-	f := testFlow(t, "1", 1, openflow.Action{OutPort: 1, SetDest: netip.MustParseAddr("10.0.0.9")})
-	in := FlowBatch{Switch: 1, Ops: []openflow.FlowOp{openflow.AddOp(f)}}
-	b, err := EncodeFlowBatch(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeFlowBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := out.Ops[0].Flow.Actions[0].SetDest
-	if got != netip.MustParseAddr("10.0.0.9") {
-		t.Fatalf("IPv4 rewrite address drifted: %v", got)
-	}
-}
-
-func TestFlowResultRoundTrip(t *testing.T) {
-	in := FlowResult{IDs: []openflow.FlowID{1, 0, 99}, Err: "openflow: table full"}
-	b, err := EncodeFlowResult(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeFlowResult(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-	// Empty result (no ids, no error) round-trips too.
-	b, err = EncodeFlowResult(FlowResult{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err = DecodeFlowResult(b)
-	if err != nil || out.IDs != nil || out.Err != "" {
-		t.Fatalf("empty result: %+v, %v", out, err)
-	}
-}
-
-func TestFlowListRoundTrip(t *testing.T) {
-	a := testFlow(t, "00", 2, openflow.Action{OutPort: 1})
-	a.ID = 5
-	bfl := testFlow(t, "0110", 4, openflow.Action{OutPort: 2, SetDest: netip.MustParseAddr("fd00::3")})
-	bfl.ID = 6
-	in := FlowList{Flows: []openflow.Flow{a, bfl}}
-	b, err := EncodeFlowList(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := DecodeFlowList(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Fatalf("got %+v want %+v", out, in)
-	}
-	// The decoded match field is rederived and must agree with the source.
-	if out.Flows[1].Match != bfl.Match {
-		t.Fatalf("match drifted: %v vs %v", out.Flows[1].Match, bfl.Match)
-	}
-}
-
-func TestU32U64(t *testing.T) {
-	if v, err := DecodeU32(EncodeU32(0xfeedface)); err != nil || v != 0xfeedface {
-		t.Fatalf("u32: %v %v", v, err)
-	}
+func TestU64RoundTrip(t *testing.T) {
 	if v, err := DecodeU64(EncodeU64(1 << 40)); err != nil || v != 1<<40 {
 		t.Fatalf("u64: %v %v", v, err)
-	}
-	if _, err := DecodeU32([]byte{1, 2, 3}); err == nil {
-		t.Error("short u32 accepted")
 	}
 	if _, err := DecodeU64([]byte{1}); err == nil {
 		t.Error("short u64 accepted")
@@ -459,9 +339,47 @@ func TestDecodersRejectOversizeCounts(t *testing.T) {
 	if _, err := DecodePublish(pub); err == nil || strings.Contains(err.Error(), "panic") {
 		t.Errorf("oversize publish count: %v", err)
 	}
-	// Flow batch claiming max ops with no bodies.
-	fb := []byte{Version, 0, 0, 0, 1, 0xff, 0xff}
-	if _, err := DecodeFlowBatch(fb); err == nil {
-		t.Error("oversize batch count accepted")
+	// Deliver batch claiming 0xffff deliveries with no bodies.
+	db := []byte{Version, 0xff, 0xff}
+	if _, err := DecodeDeliverBatch(db); err == nil || strings.Contains(err.Error(), "panic") {
+		t.Errorf("oversize deliver batch count: %v", err)
+	}
+}
+
+// TestFrameKindTable pins the frame-kind table byte by byte: exactly the
+// thirteen live kinds are accepted, each under its number and name, and
+// every other byte — the retired 11–14 included — is refused by Valid,
+// AppendFrame, DecodeFrame and ReadFrame alike.
+func TestFrameKindTable(t *testing.T) {
+	live := map[byte]string{
+		1: "hello", 2: "hello-ok", 3: "ok", 4: "error", 5: "control",
+		6: "publish", 7: "run", 8: "run-done", 9: "sync", 10: "deliver-batch",
+		15: "digest", 16: "digest-result", 17: "goodbye",
+	}
+	for _, k := range []Kind{KindHello, KindHelloOK, KindOK, KindError, KindControl, KindPublish, KindRun,
+		KindRunDone, KindSync, KindDeliverBatch, KindDigest, KindDigestResult, KindGoodbye} {
+		if name, ok := live[byte(k)]; !ok || k.String() != name {
+			t.Errorf("kind %d is %q, want %q", uint8(k), k, name)
+		}
+	}
+	for b := 0; b < 256; b++ {
+		k := Kind(b)
+		name, want := live[byte(b)]
+		if !want {
+			name = fmt.Sprintf("kind(%d)", b)
+		}
+		if k.Valid() != want || k.String() != name {
+			t.Errorf("byte %d: Valid=%v String=%q, want %v %q", b, k.Valid(), k, want, name)
+		}
+		_, appendErr := AppendFrame(nil, Frame{Kind: k, Corr: 1})
+		// Built by hand: AppendFrame refuses the kinds under test.
+		raw := []byte{0, 0, 0, 9, byte(b), 0, 0, 0, 0, 0, 0, 0, 1}
+		_, _, decodeErr := DecodeFrame(raw)
+		_, _, readErr := ReadFrame(bytes.NewReader(raw), nil)
+		for what, err := range map[string]error{"AppendFrame": appendErr, "DecodeFrame": decodeErr, "ReadFrame": readErr} {
+			if (err == nil) != want {
+				t.Errorf("byte %d: %s err=%v, want accepted=%v", b, what, err, want)
+			}
+		}
 	}
 }

@@ -12,25 +12,24 @@ import (
 
 	"pleroma/internal/dz"
 	"pleroma/internal/obs"
-	"pleroma/internal/openflow"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/transport"
 	"pleroma/internal/wire"
 )
 
 // This file is the facade's networked deployment surface. WithListener
-// serves a System's control ops, publishes, and southbound FlowMod
-// surface over TCP (internal/transport), so publisher and subscriber
-// processes — and even a remote controller — can live outside the
-// daemon's process. Dial returns the matching thin client. The emulator
-// stays the default backend behind the same interfaces: a System without
-// WithListener behaves exactly as before.
+// serves a System's control ops and publishes over TCP
+// (internal/transport), so publisher and subscriber processes can live
+// outside the daemon's process. Dial returns the matching thin client. The
+// switches are not served: the system's controllers program them in
+// process and are their only writers. The emulator stays the default
+// backend behind the same interfaces: a System without WithListener
+// behaves exactly as before.
 
-// WithListener makes the system serve its control and southbound
-// surfaces on a TCP address (e.g. "127.0.0.1:0"); ListenAddr reports the
-// bound address. Remote clients (Dial, cmd/pleroma-pub, cmd/pleroma-sub)
-// then drive the same deployment an in-process caller would.
+// WithListener makes the system serve its control surface on a TCP
+// address (e.g. "127.0.0.1:0"); ListenAddr reports the bound address.
+// Remote clients (Dial, cmd/pleroma-pub, cmd/pleroma-sub) then drive the
+// same deployment an in-process caller would.
 func WithListener(addr string) Option {
 	return func(c *config) { c.listenAddr = addr }
 }
@@ -344,14 +343,6 @@ func (b *netBackend) Publish(req wire.PublishReq) error {
 func (b *netBackend) Run() (time.Duration, error) { return b.sys.Run(), nil }
 
 func (b *netBackend) Digest() ([]byte, error) { return b.sys.StateDigest() }
-
-func (b *netBackend) ApplyFlowBatch(sw uint32, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
-	return b.sys.dp.ApplyBatch(topo.NodeID(sw), ops)
-}
-
-func (b *netBackend) Flows(sw uint32) ([]openflow.Flow, error) {
-	return b.sys.dp.Flows(topo.NodeID(sw))
-}
 
 // ParseFilter parses the CLI filter syntax "attr:lo-hi,attr:lo-hi"
 // ("" yields the match-everything filter) used by cmd/pleroma-pub and

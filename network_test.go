@@ -4,14 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"net"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"pleroma/internal/obs"
+	"pleroma/internal/openflow"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
@@ -799,5 +802,109 @@ func TestSeveredDeliveriesCountedThenRebound(t *testing.T) {
 	}
 	if n := dropped(); n != 1 {
 		t.Fatalf("dropped deliveries after the rebind: %v, want still 1 (the old sink must not be served)", n)
+	}
+}
+
+// TestDaemonRefusesSwitchWrites: a listening system serves no switch. A
+// client that sends the retired flow-batch frame (kind 11, its payload laid
+// out as the frame once was, adding the flow "1" on a switch) loses its
+// connection, and every switch keeps exactly the flows its controller
+// installed: same tables, same state digest, tables still verified, and a
+// publish still delivered once.
+func TestDaemonRefusesSwitchWrites(t *testing.T) {
+	sys, err := NewSystem(netTestSchema(t), WithListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	hosts := sys.Hosts()
+	pub, err := sys.NewPublisher("p", hosts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	delivered := 0
+	if err := sys.Subscribe("s", hosts[7], NewFilter().Range("price", 0, 99), func(Delivery) { delivered++ }); err != nil {
+		t.Fatal(err)
+	}
+	tables := func() map[HostID][]openflow.Flow {
+		out := make(map[HostID][]openflow.Flow)
+		for _, sw := range sys.Switches() {
+			flows, err := sys.dp.Flows(sw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[sw] = flows
+		}
+		return out
+	}
+	flowsBefore := tables()
+	digestBefore, err := sys.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	conn, err := net.Dial("tcp", sys.ListenAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	hello, err := wire.EncodeHello(wire.Hello{ID: "intruder"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindHello, Corr: 1, Payload: hello})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatal(err)
+	}
+	if f, _, err := wire.ReadFrame(conn, nil); err != nil || f.Kind != wire.KindHelloOK {
+		t.Fatalf("hello: got %v, %v", f.Kind, err)
+	}
+	sw := sys.Switches()[0]
+	batch := []byte{
+		0, 0, 0, 37, // length of kind + corr + payload
+		11,                     // kind: the retired flow-batch
+		0, 0, 0, 0, 0, 0, 0, 2, // corr
+		1,                                                       // version
+		byte(sw >> 24), byte(sw >> 16), byte(sw >> 8), byte(sw), // switch
+		0, 1, // one op
+		1,                      // add
+		0, 0, 0, 0, 0, 0, 0, 0, // flow id
+		0, 0, 0, 1, // priority 1
+		1, 0x80, // dz "1"
+		1, 0, 0, 0, 1, 0, // one action: out port 1, no rewrite
+	}
+	if _, err := conn.Write(batch); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	f, _, err := wire.ReadFrame(conn, nil)
+	if err == nil {
+		t.Fatalf("the daemon answered a flow-batch frame with %v; want the connection closed", f.Kind)
+	}
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		t.Fatal("the daemon kept the connection open after a flow-batch frame")
+	}
+
+	if flowsAfter := tables(); !reflect.DeepEqual(flowsAfter, flowsBefore) {
+		t.Fatalf("switch tables changed:\n before %v\n after  %v", flowsBefore, flowsAfter)
+	}
+	if digestAfter, err := sys.StateDigest(); err != nil || !bytes.Equal(digestAfter, digestBefore) {
+		t.Fatalf("state digest changed (err %v)", err)
+	}
+	if err := sys.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Publish(42, 1000); err != nil {
+		t.Fatal(err)
+	}
+	sys.Run()
+	if delivered != 1 {
+		t.Fatalf("%d deliveries, want 1", delivered)
 	}
 }

@@ -149,8 +149,8 @@ type config struct {
 	// journalDir makes the HA journals file-backed (see WithJournalDir in
 	// network.go); implies journal.
 	journalDir string
-	// listenAddr makes the system serve its control and southbound
-	// surfaces over TCP (see WithListener in network.go).
+	// listenAddr makes the system serve its control surface over TCP (see
+	// WithListener in network.go).
 	listenAddr string
 	// transport tunes the TCP data path (see WithTransport in network.go).
 	transport transport.Options
