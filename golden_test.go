@@ -46,11 +46,67 @@ func (g *goldenHasher) dur(d time.Duration) { g.u64(uint64(d)) }
 
 func (g *goldenHasher) sum() string { return hex.EncodeToString(g.h.Sum(nil)) }
 
-// forwardingDigest drives a seeded soak-style workload — churning
-// subscriptions, bursty publishing from several hosts, constrained links
-// and host capacities — and returns the digest of everything the data
-// plane did.
+// forwardingDigest drives the seeded forwarding workload and returns the
+// digest of everything the data plane did.
 func forwardingDigest(t *testing.T, seed int64, opts ...Option) (string, *System) {
+	t.Helper()
+	g := newGoldenHasher()
+	handler := func(d Delivery) {
+		g.str(d.SubscriptionID)
+		for _, v := range d.Event.Values {
+			g.u64(uint64(v))
+		}
+		g.dur(d.At)
+		g.dur(d.Latency)
+		if d.FalsePositive {
+			g.u64(1)
+		} else {
+			g.u64(0)
+		}
+	}
+	sys := driveForwarding(t, seed, handler, func(round int, sys *System) {
+		g.u64(uint64(round))
+		g.dur(sys.Now())
+	}, opts...)
+
+	// Fold in the ground-truth counters of every layer.
+	for _, l := range sys.Links() {
+		ls := sys.dp.LinkStatsFor(l)
+		if ls == nil {
+			g.u64(0)
+			continue
+		}
+		g.u64(1)
+		for _, from := range []topo.NodeID{l.A, l.B} {
+			g.u64(ls.Packets[from])
+			g.u64(ls.Bytes[from])
+			g.u64(ls.Dropped[from])
+		}
+	}
+	for _, sw := range sys.Switches() {
+		st := sys.dp.SwitchStatsFor(sw)
+		g.u64(st.Forwarded)
+		g.u64(st.TableMisses)
+		g.u64(st.HopExceeded)
+		g.u64(st.Punted)
+	}
+	for _, h := range sys.Hosts() {
+		g.u64(sys.dp.HostReceived(h))
+		g.u64(sys.dp.HostDropped(h))
+	}
+	st := sys.Stats()
+	g.u64(st.LinkPackets)
+	g.u64(st.Deliveries)
+	g.u64(st.FalsePositives)
+	g.dur(sys.Now())
+	return g.sum(), sys
+}
+
+// driveForwarding runs a seeded soak-style workload — churning
+// subscriptions, bursty publishing from several hosts, constrained links
+// and host capacities — handing every delivery to handler and calling
+// afterRound when a round has drained.
+func driveForwarding(t *testing.T, seed int64, handler func(Delivery), afterRound func(int, *System), opts ...Option) *System {
 	t.Helper()
 	sch, err := NewSchema(
 		Attribute{Name: "x", Bits: 10},
@@ -87,23 +143,8 @@ func forwardingDigest(t *testing.T, seed int64, opts ...Option) (string, *System
 	}
 	sys.dp.RecordPaths(true)
 
-	g := newGoldenHasher()
 	hosts := sys.Hosts()
 	r := rand.New(rand.NewSource(seed))
-
-	handler := func(d Delivery) {
-		g.str(d.SubscriptionID)
-		for _, v := range d.Event.Values {
-			g.u64(uint64(v))
-		}
-		g.dur(d.At)
-		g.dur(d.Latency)
-		if d.FalsePositive {
-			g.u64(1)
-		} else {
-			g.u64(0)
-		}
-	}
 
 	randRange := func() [2]uint32 {
 		a := uint32(r.Intn(1024))
@@ -180,41 +221,9 @@ func forwardingDigest(t *testing.T, seed int64, opts ...Option) (string, *System
 		// RunUntil clamping against in-flight events.
 		sys.RunFor(300 * time.Microsecond)
 		sys.Run()
-		g.u64(uint64(round))
-		g.dur(sys.Now())
+		afterRound(round, sys)
 	}
-
-	// Fold in the ground-truth counters of every layer.
-	for _, l := range sys.Links() {
-		ls := sys.dp.LinkStatsFor(l)
-		if ls == nil {
-			g.u64(0)
-			continue
-		}
-		g.u64(1)
-		for _, from := range []topo.NodeID{l.A, l.B} {
-			g.u64(ls.Packets[from])
-			g.u64(ls.Bytes[from])
-			g.u64(ls.Dropped[from])
-		}
-	}
-	for _, sw := range sys.Switches() {
-		st := sys.dp.SwitchStatsFor(sw)
-		g.u64(st.Forwarded)
-		g.u64(st.TableMisses)
-		g.u64(st.HopExceeded)
-		g.u64(st.Punted)
-	}
-	for _, h := range hosts {
-		g.u64(sys.dp.HostReceived(h))
-		g.u64(sys.dp.HostDropped(h))
-	}
-	st := sys.Stats()
-	g.u64(st.LinkPackets)
-	g.u64(st.Deliveries)
-	g.u64(st.FalsePositives)
-	g.dur(sys.Now())
-	return g.sum(), sys
+	return sys
 }
 
 // assertGoldenCoverage checks the workload actually reached the hot-path

@@ -44,6 +44,8 @@ type Delivery struct {
 	Host  topo.NodeID
 	Event space.Event
 	At    time.Duration
+	// SentAt is the simulated instant the event was published.
+	SentAt time.Duration
 }
 
 // DeliverFunc consumes deliveries.
@@ -105,6 +107,41 @@ type Overlay struct {
 	// subOrder preserves registration order for re-propagation after an
 	// unsubscription.
 	subOrder []string
+
+	// hops holds the payload of every event the overlay has scheduled (see
+	// HandleEvent). Like the engine it is the simulation goroutine's.
+	hops sim.Slots[hop]
+}
+
+// The overlay's event kinds. A is a node, B the broker an event arrives
+// from (0 at the publisher's), Ref a slot of Overlay.hops.
+const (
+	// evPublish: a PublishAt comes due at host A, attached to broker B.
+	evPublish uint8 = iota + 1
+	// evRoute: the event arrives at broker A from broker B.
+	evRoute
+	// evForward: broker A has matched the event; send it on.
+	evForward
+	// evDeliver: the event reaches a subscriber on host A.
+	evDeliver
+)
+
+// hop is the payload of one overlay event.
+type hop struct {
+	ev     space.Event
+	sentAt time.Duration
+	// sub is the subscription an evDeliver delivers to.
+	sub string
+	// hits and forwards are what an evForward sends: local subscriptions
+	// matched, and tree neighbours to forward to.
+	hits     []localHit
+	forwards []topo.NodeID
+}
+
+// localHit is a subscription of a host attached to the matching broker.
+type localHit struct {
+	id   string
+	host topo.NodeID
 }
 
 // New builds a broker overlay over all switches of the topology, embedded
@@ -256,100 +293,132 @@ func (o *Overlay) propagate(sw, from topo.NodeID, id string, rect dz.Rect, isOri
 // the overlay. Deliveries fire on the configured callback with simulated
 // timestamps that include per-hop software matching delay.
 func (o *Overlay) Publish(host topo.NodeID, ev space.Event) error {
-	sw, err := o.g.AttachedSwitch(host)
+	sw, access, err := o.access(host)
 	if err != nil {
-		return fmt.Errorf("broker: publish: %w", err)
+		return err
 	}
-	access, ok := o.g.LinkBetween(host, sw)
-	if !ok {
-		return fmt.Errorf("broker: host %d has no access link", host)
-	}
-	o.mu.Lock()
-	o.stats.EventMessages++
-	o.mu.Unlock()
-	o.eng.Schedule(access.Params.Latency, func() {
-		o.route(sw, 0, ev)
-	})
+	o.send(sw, access, hop{ev: ev, sentAt: o.eng.Now()})
 	return nil
 }
 
+// PublishAt is Publish at the simulated instant at: the host is checked
+// now, and on error nothing is scheduled.
+func (o *Overlay) PublishAt(at time.Duration, host topo.NodeID, ev space.Event) error {
+	sw, _, err := o.access(host)
+	if err != nil {
+		return err
+	}
+	o.eng.AtEvent(at, o, sim.Event{Kind: evPublish, A: int32(host), B: int32(sw), Ref: o.hops.Put(hop{ev: ev})})
+	return nil
+}
+
+// access returns the broker a host publishes to and the link it takes.
+func (o *Overlay) access(host topo.NodeID) (topo.NodeID, *topo.Link, error) {
+	sw, err := o.g.AttachedSwitch(host)
+	if err != nil {
+		return 0, nil, fmt.Errorf("broker: publish: %w", err)
+	}
+	link, ok := o.g.LinkBetween(host, sw)
+	if !ok {
+		return 0, nil, fmt.Errorf("broker: host %d has no access link", host)
+	}
+	return sw, link, nil
+}
+
+// send puts a published event on the host's access link to broker sw.
+func (o *Overlay) send(sw topo.NodeID, access *topo.Link, h hop) {
+	o.mu.Lock()
+	o.stats.EventMessages++
+	o.mu.Unlock()
+	o.eng.ScheduleEvent(access.Params.Latency, o, sim.Event{Kind: evRoute, A: int32(sw), Ref: o.hops.Put(h)})
+}
+
+// HandleEvent runs one of the overlay's scheduled events (see evPublish
+// and its siblings).
+func (o *Overlay) HandleEvent(ev sim.Event) {
+	h := o.hops.Take(ev.Ref)
+	switch ev.Kind {
+	case evPublish:
+		host, sw := topo.NodeID(ev.A), topo.NodeID(ev.B)
+		access, _ := o.g.LinkBetween(host, sw)
+		h.sentAt = o.eng.Now()
+		o.send(sw, access, h)
+	case evRoute:
+		o.route(topo.NodeID(ev.A), topo.NodeID(ev.B), h)
+	case evForward:
+		o.forward(topo.NodeID(ev.A), h)
+	case evDeliver:
+		o.mu.Lock()
+		o.stats.Deliveries++
+		deliver := o.deliver
+		o.mu.Unlock()
+		if deliver != nil {
+			deliver(Delivery{SubID: h.sub, Host: topo.NodeID(ev.A), Event: h.ev, At: o.eng.Now(), SentAt: h.sentAt})
+		}
+	}
+}
+
 // route processes an event at one broker: match against local and remote
-// subscription tables, deliver locally, and forward towards interested
-// neighbours.
-func (o *Overlay) route(sw, from topo.NodeID, ev space.Event) {
+// subscription tables, and after the matching delay deliver locally and
+// forward towards interested neighbours.
+func (o *Overlay) route(sw, from topo.NodeID, h hop) {
 	o.mu.Lock()
 	b := o.brokers[sw]
 	evaluated := 0
 
 	// Local deliveries.
-	type localHit struct {
-		id   string
-		host topo.NodeID
-	}
-	var hits []localHit
 	for _, e := range b.local {
 		evaluated++
-		if dz.RectContainsPoint(e.rect, ev.Values) {
-			hits = append(hits, localHit{id: e.id, host: o.subHome[e.id]})
+		if dz.RectContainsPoint(e.rect, h.ev.Values) {
+			h.hits = append(h.hits, localHit{id: e.id, host: o.subHome[e.id]})
 		}
 	}
 	// Forwarding decisions.
-	var forwards []topo.NodeID
 	for nb, entries := range b.remote {
 		if nb == from {
 			continue
 		}
-		match := false
 		for _, e := range entries {
 			evaluated++
-			if dz.RectContainsPoint(e.rect, ev.Values) {
-				match = true
+			if dz.RectContainsPoint(e.rect, h.ev.Values) {
+				h.forwards = append(h.forwards, nb)
 				break
 			}
 		}
-		if match {
-			forwards = append(forwards, nb)
-		}
 	}
-	sortNodeIDs(forwards)
+	sortNodeIDs(h.forwards)
 	o.stats.FilterEvaluations += uint64(evaluated)
 	o.mu.Unlock()
 
 	procDelay := o.cfg.BaseHopDelay + time.Duration(evaluated)*o.cfg.PerFilterCost
-	o.eng.Schedule(procDelay, func() {
-		for _, h := range hits {
-			h := h
-			hostLink, ok := o.g.LinkBetween(sw, h.host)
-			if !ok {
-				continue
-			}
-			o.mu.Lock()
-			o.stats.EventMessages++
-			o.mu.Unlock()
-			o.eng.Schedule(hostLink.Params.Latency, func() {
-				o.mu.Lock()
-				o.stats.Deliveries++
-				deliver := o.deliver
-				o.mu.Unlock()
-				if deliver != nil {
-					deliver(Delivery{SubID: h.id, Host: h.host, Event: ev, At: o.eng.Now()})
-				}
-			})
+	o.eng.ScheduleEvent(procDelay, o, sim.Event{Kind: evForward, A: int32(sw), Ref: o.hops.Put(h)})
+}
+
+// forward sends an event broker sw has matched to its local subscribers
+// and on to the tree neighbours it chose.
+func (o *Overlay) forward(sw topo.NodeID, h hop) {
+	for _, hit := range h.hits {
+		hostLink, ok := o.g.LinkBetween(sw, hit.host)
+		if !ok {
+			continue
 		}
-		for _, nb := range forwards {
-			nb := nb
-			link, ok := o.g.LinkBetween(sw, nb)
-			if !ok {
-				continue
-			}
-			o.mu.Lock()
-			o.stats.EventMessages++
-			o.mu.Unlock()
-			o.eng.Schedule(link.Params.Latency, func() {
-				o.route(nb, sw, ev)
-			})
+		o.mu.Lock()
+		o.stats.EventMessages++
+		o.mu.Unlock()
+		o.eng.ScheduleEvent(hostLink.Params.Latency, o, sim.Event{Kind: evDeliver, A: int32(hit.host),
+			Ref: o.hops.Put(hop{ev: h.ev, sentAt: h.sentAt, sub: hit.id})})
+	}
+	for _, nb := range h.forwards {
+		link, ok := o.g.LinkBetween(sw, nb)
+		if !ok {
+			continue
 		}
-	})
+		o.mu.Lock()
+		o.stats.EventMessages++
+		o.mu.Unlock()
+		o.eng.ScheduleEvent(link.Params.Latency, o, sim.Event{Kind: evRoute, A: int32(nb), B: int32(sw),
+			Ref: o.hops.Put(hop{ev: h.ev, sentAt: h.sentAt})})
+	}
 }
 
 func sortNodeIDs(ids []topo.NodeID) {

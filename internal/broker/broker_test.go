@@ -137,7 +137,12 @@ func TestBrokerValidation(t *testing.T) {
 	if err := o.Publish(sw, space.Event{Values: []uint32{0, 0}}); err == nil {
 		t.Error("publishing from a switch must fail")
 	}
-	_ = eng
+	if err := o.PublishAt(time.Millisecond, sw, space.Event{Values: []uint32{0, 0}}); err == nil {
+		t.Error("scheduling a publish from a switch must fail")
+	}
+	if n := eng.Pending(); n != 0 {
+		t.Errorf("refused publishes left %d events queued", n)
+	}
 	// Topology without switches is rejected.
 	empty := topo.NewGraph()
 	empty.AddHost("h")
@@ -274,5 +279,55 @@ func TestBrokerUnsubscribeRevivesCoveredSubscription(t *testing.T) {
 	}
 	if !found {
 		t.Error("covered subscription lost its routing after coverer left")
+	}
+}
+
+// handlerFunc is this file's adapter from a function to a sim.Handler.
+type handlerFunc func(sim.Event)
+
+func (f handlerFunc) HandleEvent(ev sim.Event) { f(ev) }
+
+// TestBrokerPublishAtMatchesPublishAtTheInstant: a scheduled publish
+// delivers what an event calling Publish at that instant delivers, at the
+// same instants, and stamps its deliveries with that instant.
+func TestBrokerPublishAtMatchesPublishAtTheInstant(t *testing.T) {
+	run := func(scheduled bool) []Delivery {
+		g, eng, o, got := setup(t)
+		hosts := g.Hosts()
+		for i, h := range hosts[1:] {
+			if err := o.Subscribe(string(rune('a'+i)), h, rect(uint32(i*100), uint32(i*100+300), 0, 1023)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 12; i++ {
+			ev := space.Event{Values: []uint32{uint32(i * 70), 5}}
+			at := time.Duration(i/2) * 150 * time.Microsecond
+			if scheduled {
+				if err := o.PublishAt(at, hosts[0], ev); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			eng.AtEvent(at, handlerFunc(func(sim.Event) {
+				if err := o.Publish(hosts[0], ev); err != nil {
+					t.Error(err)
+				}
+			}), sim.Event{})
+		}
+		eng.Run()
+		return *got
+	}
+	want, got := run(false), run(true)
+	if len(want) == 0 || len(got) != len(want) {
+		t.Fatalf("PublishAt delivered %d, Publish at the instant %d", len(got), len(want))
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.SubID != b.SubID || a.At != b.At || a.SentAt != b.SentAt || a.Event.Values[0] != b.Event.Values[0] {
+			t.Fatalf("delivery %d: PublishAt %+v, at the instant %+v", i, b, a)
+		}
+		if b.SentAt != time.Duration(b.Event.Values[0]/140)*150*time.Microsecond {
+			t.Fatalf("delivery %d stamped SentAt %v", i, b.SentAt)
+		}
 	}
 }

@@ -86,9 +86,9 @@ func RunAblationBrokerVsSDN(cfg Config) ([]*metrics.Table, error) {
 				return nil, err
 			}
 			at := time.Duration(i) * time.Millisecond
-			eng.At(at, func() {
-				_ = dp.Publish(pub, expr, ev, netem.DefaultPacketSize)
-			})
+			if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
+				return nil, err
+			}
 		}
 		eng.Run()
 		table.AddRow("pleroma", lat.Mean(), lat.Percentile(0.99), lat.Count())
@@ -102,11 +102,8 @@ func RunAblationBrokerVsSDN(cfg Config) ([]*metrics.Table, error) {
 		}
 		eng := sim.NewEngine()
 		lat := &metrics.Latency{}
-		sent := make(map[uint64]time.Duration)
 		o, err := broker.New(g, eng, broker.DefaultConfig, func(d broker.Delivery) {
-			if t0, ok := sent[eventKey(d.Event)]; ok {
-				lat.Add(d.At - t0)
-			}
+			lat.Add(d.At - d.SentAt)
 		})
 		if err != nil {
 			return nil, err
@@ -119,26 +116,14 @@ func RunAblationBrokerVsSDN(cfg Config) ([]*metrics.Table, error) {
 			}
 		}
 		for i, ev := range events {
-			at := time.Duration(i) * time.Millisecond
-			ev := ev
-			eng.At(at, func() {
-				sent[eventKey(ev)] = eng.Now()
-				_ = o.Publish(pub, ev)
-			})
+			if err := o.PublishAt(time.Duration(i)*time.Millisecond, pub, ev); err != nil {
+				return nil, err
+			}
 		}
 		eng.Run()
 		table.AddRow("broker", lat.Mean(), lat.Percentile(0.99), lat.Count())
 	}
 	return []*metrics.Table{table}, nil
-}
-
-// eventKey packs an event's leading values into a map key.
-func eventKey(ev space.Event) uint64 {
-	var k uint64
-	for _, v := range ev.Values {
-		k = k*1024 + uint64(v)
-	}
-	return k
 }
 
 // RunAblationTreeStrategy quantifies the Section 3.1 design choice:
@@ -225,9 +210,9 @@ func ablationTreesRun(seed int64, maxTrees, nEvents int) (trees int, maxLink, to
 		}
 		pub := pubs[quadrantOf(expr)]
 		at := time.Duration(i) * 100 * time.Microsecond
-		eng.At(at, func() {
-			_ = dp.Publish(pub, expr, ev, netem.DefaultPacketSize)
-		})
+		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
+			return 0, 0, 0, 0, err
+		}
 	}
 	eng.Run()
 

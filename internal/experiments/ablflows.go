@@ -113,9 +113,9 @@ func ablFlowsRun(seed int64, ldz, budget, nSubs, nEvents int) (totalFlows, maxPe
 			return 0, 0, 0, encErr
 		}
 		at := time.Duration(i) * 50 * time.Microsecond
-		eng.At(at, func() {
-			_ = dp.Publish(pub, expr, ev, netem.DefaultPacketSize)
-		})
+		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
+			return 0, 0, 0, err
+		}
 	}
 	eng.Run()
 

@@ -132,9 +132,9 @@ func ablMergeRun(seed int64, maxTrees, nAdvs, nSubs, nEvents int) (ablMergeResul
 		}
 		at := time.Duration(i) * 100 * time.Microsecond
 		host := pubHosts[pi]
-		eng.At(at, func() {
-			_ = dp.Publish(host, expr, ev, netem.DefaultPacketSize)
-		})
+		if err := dp.PublishAt(at, host, expr, ev, netem.DefaultPacketSize); err != nil {
+			return ablMergeResult{}, err
+		}
 	}
 	eng.Run()
 

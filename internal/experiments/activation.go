@@ -142,9 +142,9 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 		// Events keep flowing during activation.
 		for i := 0; i < 200; i++ {
 			at := sentAt + time.Duration(i)*eventGap
-			eng.At(at, func() {
-				_ = dp.Publish(pub, "111111111111", space.Event{}, netem.DefaultPacketSize)
-			})
+			if err := dp.PublishAt(at, pub, "111111111111", space.Event{}, netem.DefaultPacketSize); err != nil {
+				return nil, err
+			}
 		}
 		eng.Run()
 		if firstDelivery == 0 {

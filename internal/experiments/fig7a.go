@@ -136,9 +136,9 @@ func fig7aRun(seed int64, flowCount, events int, zipfian bool, swCfg netem.Switc
 		// 17 bits.
 		expr := exprs[idx] + fixedWidthExpr(uint64(r.Intn(1<<12)), 12)
 		at := time.Duration(i) * interval
-		eng.At(at, func() {
-			_ = dp.Publish(pub, expr, space.Event{}, netem.DefaultPacketSize)
-		})
+		if err := dp.PublishAt(at, pub, expr, space.Event{}, netem.DefaultPacketSize); err != nil {
+			return nil, err
+		}
 	}
 	eng.Run()
 	if lat.Count() != events {

@@ -116,9 +116,9 @@ func fig7bRun(seed int64, nSubs, nEvents int, model workload.Model) (*metrics.La
 			return nil, 0, err
 		}
 		at := time.Duration(i) * interval
-		eng.At(at, func() {
-			_ = dp.Publish(pub, expr, ev, netem.DefaultPacketSize)
-		})
+		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
+			return nil, 0, err
+		}
 	}
 	eng.Run()
 	return lat, deliveries, nil

@@ -108,9 +108,9 @@ func fig7cRun(seed int64, rate int, duration time.Duration, capacity int) (recei
 			return 0, 0, 0, encErr
 		}
 		at := time.Duration(i) * interval
-		eng.At(at, func() {
-			_ = dp.Publish(pub, expr, ev, netem.DefaultPacketSize)
-		})
+		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
+			return 0, 0, 0, err
+		}
 	}
 	// Let queued work drain fully.
 	eng.Run()

@@ -25,6 +25,7 @@ import (
 	"pleroma/internal/netem"
 	"pleroma/internal/obs"
 	"pleroma/internal/openflow"
+	"pleroma/internal/sim"
 	"pleroma/internal/sortutil"
 	"pleroma/internal/topo"
 )
@@ -209,6 +210,9 @@ type Fabric struct {
 	signalDelay   time.Duration
 	signalStats   SignalStats
 	inBandEnabled bool
+	// signals holds the in-band requests between their punt and their
+	// Apply (see handlePunt).
+	signals sim.Slots[SignalRequest]
 
 	// registrations maps an origin client id to the virtual replicas
 	// created in other partitions, for teardown.

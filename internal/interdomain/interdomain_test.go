@@ -9,6 +9,7 @@ import (
 	"pleroma/internal/dz"
 	"pleroma/internal/netem"
 	"pleroma/internal/sim"
+	"pleroma/internal/sim/shard"
 	"pleroma/internal/space"
 	"pleroma/internal/topo"
 	"pleroma/internal/wire"
@@ -507,6 +508,56 @@ func TestLLDPDiscoveryMatchesStatic(t *testing.T) {
 	}
 }
 
+// TestShardedLLDPDiscoveryMatchesStatic: on a data plane split over four
+// shard engines the discovery probes' punts reach the fabric through the
+// control engine, on the goroutine driving the run — the collection takes
+// no lock, and the race detector watches it — and the discovered border
+// ports are exactly the direct topology read's.
+func TestShardedLLDPDiscoveryMatchesStatic(t *testing.T) {
+	build := func(t *testing.T, shards int, opts ...Option) *Fabric {
+		t.Helper()
+		g, err := topo.FatTree(4, 4, 2, topo.DefaultLinkParams)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.PartitionFatTree(g, 3); err != nil {
+			t.Fatal(err)
+		}
+		assign, n := topo.ShardNodes(g, shards)
+		lookahead, _ := topo.MinCutLatency(g, assign)
+		coord, err := shard.New(n, lookahead)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(coord.Close)
+		dp := netem.New(g, coord.Engine(0))
+		if err := dp.EnableSharding(coord, assign); err != nil {
+			t.Fatal(err)
+		}
+		if shards > 1 && !dp.Sharded() {
+			t.Fatal("data plane did not shard")
+		}
+		fab, err := NewFabric(g, dp, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fab
+	}
+	lldp := build(t, 4)
+	static := build(t, 1, WithStaticDiscovery())
+	for _, p := range static.Partitions() {
+		if got, want := lldp.Neighbors(p), static.Neighbors(p); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("partition %d neighbours: sharded lldp %v, static %v", p, got, want)
+		}
+		for _, nb := range static.Neighbors(p) {
+			a, b := lldp.BorderPorts(p, nb), static.BorderPorts(p, nb)
+			if fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Errorf("partition %d→%d: sharded lldp %+v, static %+v", p, nb, a, b)
+			}
+		}
+	}
+}
+
 // TestLLDPDiscoveryFatTree exercises discovery on the pod-partitioned
 // fat-tree, where partitions meet only at pod-to-core links.
 func TestLLDPDiscoveryFatTree(t *testing.T) {
@@ -662,9 +713,9 @@ func TestActivationLatencyObservable(t *testing.T) {
 	// Publish a steady stream; only events after activation arrive.
 	for i := 0; i < 100; i++ {
 		at := sentAt + time.Duration(i)*200*time.Microsecond
-		fx.eng.At(at, func() {
-			_ = fx.dp.Publish(p0[0], "1010101010", space.Event{}, 64)
-		})
+		if err := fx.dp.PublishAt(at, p0[0], "1010101010", space.Event{}, 64); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fx.eng.Run()
 	got := fx.recv[p1[0]]

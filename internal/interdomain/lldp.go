@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"net/netip"
 	"sort"
-	"sync"
 
 	"pleroma/internal/netem"
 	"pleroma/internal/openflow"
@@ -39,9 +38,6 @@ func (f *Fabric) discoverBordersLLDP() error {
 		probe       lldpProbe
 	}
 	var hits []hit
-	// Punts arrive concurrently from shard workers when the data plane is
-	// sharded; the sort below makes the collection order irrelevant.
-	var hitsMu sync.Mutex
 
 	// Take over the punt path for the discovery round; restore the in-band
 	// signalling handler (if enabled) afterwards.
@@ -60,9 +56,7 @@ func (f *Fabric) discoverBordersLLDP() error {
 		if f.g.Partition(sw) == probe.originPart {
 			return // intra-partition discovery, handled by the local controller
 		}
-		hitsMu.Lock()
 		hits = append(hits, hit{localSwitch: sw, localPort: inPort, probe: probe})
-		hitsMu.Unlock()
 	})
 
 	// Every controller floods probes out of all switch ports it manages.

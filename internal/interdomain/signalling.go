@@ -8,6 +8,7 @@ import (
 	"pleroma/internal/ipmc"
 	"pleroma/internal/netem"
 	"pleroma/internal/openflow"
+	"pleroma/internal/sim"
 	"pleroma/internal/topo"
 	"pleroma/internal/wire"
 )
@@ -31,9 +32,10 @@ type SignalStats struct {
 }
 
 // EnableInBandSignalling registers the fabric as the data plane's punt
-// handler: IP_vir-addressed packets become control requests, executed
-// after the given controller processing delay of simulated time. The
-// fabric owns the punt handler from this point on.
+// handler: IP_vir-addressed packets become control requests, executed on
+// the data plane's control engine after the given controller processing
+// delay of simulated time. The fabric owns the punt handler from this
+// point on.
 func (f *Fabric) EnableInBandSignalling(processingDelay time.Duration) {
 	f.signalDelay = processingDelay
 	f.inBandEnabled = true
@@ -70,9 +72,9 @@ func (f *Fabric) SendSignal(req SignalRequest) error {
 }
 
 // handlePunt dispatches punted packets: IP_vir control requests execute on
-// the fabric after the processing delay; everything else (e.g. data-plane
-// table misses) is dropped, as a controller without a matching
-// subscription path would do.
+// the fabric after the processing delay, parked in f.signals until then;
+// everything else (e.g. data-plane table misses) is dropped, as a
+// controller without a matching subscription path would do.
 func (f *Fabric) handlePunt(sw topo.NodeID, inPort openflow.PortID, pkt netem.Packet) {
 	if !ipmc.IsSignal(pkt.Dst) {
 		return
@@ -87,12 +89,16 @@ func (f *Fabric) handlePunt(sw topo.NodeID, inPort openflow.PortID, pkt netem.Pa
 		return
 	}
 	req := SignalRequest{Op: decoded.Op, ID: decoded.ID, Host: topo.NodeID(decoded.Host), Set: decoded.Set}
-	f.dp.Engine().Schedule(f.signalDelay, func() {
-		f.signalStats.Handled++
-		if err := f.Apply(req); err != nil {
-			f.signalStats.Errors++
-		}
-	})
+	f.dp.ControlEngine().ScheduleEvent(f.signalDelay, f, sim.Event{Ref: f.signals.Put(req)})
+}
+
+// HandleEvent applies the in-band request a punt parked in f.signals: the
+// moment its controller processing completes.
+func (f *Fabric) HandleEvent(ev sim.Event) {
+	f.signalStats.Handled++
+	if err := f.Apply(f.signals.Take(ev.Ref)); err != nil {
+		f.signalStats.Errors++
+	}
 }
 
 // Apply runs one control request against the fabric, synchronously. It is

@@ -146,6 +146,88 @@ func TestPublishBatchMatchesSequential(t *testing.T) {
 	}
 }
 
+// handlerFunc is this file's adapter from a function to a sim.Handler.
+type handlerFunc func(sim.Event)
+
+func (f handlerFunc) HandleEvent(ev sim.Event) { f(ev) }
+
+// TestPublishAtMatchesPublishAtTheInstant pins what a scheduled publish
+// is: the same packets, pushed at the same instants and in the same order,
+// as an event that calls Publish at that instant — staggered and tied
+// instants, a host with a bounded queue that drops, events scheduled
+// before and after the publishes they tie with.
+func TestPublishAtMatchesPublishAtTheInstant(t *testing.T) {
+	run := func(scheduled bool) ([]Delivery, time.Duration, uint64) {
+		dp, eng, hosts, _ := buildLine(t)
+		var got []Delivery
+		if err := dp.ConfigureHost(hosts[1], HostConfig{CapacityPerSec: 50_000, MaxQueue: 4},
+			func(d Delivery) { got = append(got, d) }); err != nil {
+			t.Fatal(err)
+		}
+		sch, err := space.UniformSchema(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 30; i++ {
+			ev, err := sch.NewEvent(uint32(i*30), uint32(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := time.Duration(i/3) * 7 * time.Microsecond
+			if scheduled {
+				if err := dp.PublishAt(at, hosts[0], "1", ev, 64); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			eng.AtEvent(at, handlerFunc(func(sim.Event) {
+				if err := dp.Publish(hosts[0], "1", ev, 64); err != nil {
+					t.Error(err)
+				}
+			}), sim.Event{})
+		}
+		end := eng.Run()
+		return got, end, dp.HostDropped(hosts[1])
+	}
+	want, wantEnd, wantDrops := run(false)
+	got, gotEnd, gotDrops := run(true)
+	if wantDrops == 0 {
+		t.Fatal("scenario too tame: the host dropped nothing")
+	}
+	if gotEnd != wantEnd || gotDrops != wantDrops || len(got) != len(want) {
+		t.Fatalf("PublishAt: end %v, %d delivered, %d dropped; at the instant: end %v, %d delivered, %d dropped",
+			gotEnd, len(got), gotDrops, wantEnd, len(want), wantDrops)
+	}
+	for i := range want {
+		a, b := want[i], got[i]
+		if a.At != b.At || a.Packet.Seq != b.Packet.Seq || a.Packet.SentAt != b.Packet.SentAt ||
+			a.Packet.Event.Values[0] != b.Packet.Event.Values[0] {
+			t.Fatalf("delivery %d differs:\nat the instant %+v\nPublishAt      %+v", i, a, b)
+		}
+	}
+}
+
+// TestPublishAtRefusesUpFront: everything that would make a publish fail
+// is checked when it is scheduled — an expression no key can hold, a node
+// that is no host — and a refused publish schedules nothing.
+func TestPublishAtRefusesUpFront(t *testing.T) {
+	dp, eng, hosts, switches := buildLine(t)
+	if err := dp.PublishAt(time.Millisecond, hosts[0], "1", space.Event{}, 64); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Pending()
+	long := dz.Expr(strings.Repeat("1", dz.MaxKeyBits+1))
+	if err := dp.PublishAt(time.Millisecond, hosts[0], long, space.Event{}, 64); err == nil {
+		t.Errorf("PublishAt of a %d-bit expression succeeded", len(long))
+	}
+	if err := dp.PublishAt(time.Millisecond, switches[0], "1", space.Event{}, 64); err == nil {
+		t.Error("PublishAt from a switch succeeded")
+	}
+	if n := eng.Pending(); n != before {
+		t.Errorf("refused publishes changed the queue from %d to %d events", before, n)
+	}
+}
+
 // key1 is the packed form of the fixtures' dz "1".
 var key1, _ = dz.KeyOf("1")
 

@@ -309,12 +309,14 @@ type hostState struct {
 }
 
 // Typed event kinds the data plane schedules on the engine. The payload
-// words are: A = node id, B = switch ingress port, Ref = packet slab slot.
+// words are: A = node id, B = switch ingress port, Ref = packet slab slot —
+// except evPublish, whose Ref is a slot of the shard's pubs.
 const (
 	evArriveSwitch uint8 = iota + 1
 	evSwitchLookup
 	evArriveHost
 	evHostDone
+	evPublish
 )
 
 // shardCtx is the execution context of one simulation shard: its engine,
@@ -334,9 +336,14 @@ type shardCtx struct {
 	slab []Packet
 	free []uint32
 
-	// out[dst] buffers packets whose next hop lands on another shard;
-	// drained by flushMailboxes at every barrier. nil in single mode.
-	out [][]crossMsg
+	// pubs holds the publications PublishAt scheduled on this shard.
+	pubs sim.Slots[Publication]
+
+	// out[dst] buffers packets whose next hop lands on another shard, and
+	// punts the packets this shard punted, bound for the control engine;
+	// flushMailboxes drains both at every barrier. Unused in single mode.
+	out   [][]crossMsg
+	punts []puntMsg
 }
 
 // crossMsg is one cross-shard packet hop: the arrival event, flattened.
@@ -349,6 +356,29 @@ type crossMsg struct {
 	node int32
 	port int32
 	pkt  Packet
+}
+
+// puntMsg is one punt of a sharded run on its way to the control engine:
+// the packet, where it was punted, and the handler registered at that
+// instant.
+type puntMsg struct {
+	at     time.Duration
+	sw     topo.NodeID
+	inPort openflow.PortID
+	pkt    Packet
+	fn     *PuntFunc
+}
+
+// puntQueue is the control engine's handler of punts: flushMailboxes parks
+// each punt in msgs and schedules it at its instant, and the event calls the
+// punt handler on the goroutine driving Run.
+type puntQueue struct {
+	msgs sim.Slots[puntMsg]
+}
+
+func (q *puntQueue) HandleEvent(ev sim.Event) {
+	m := q.msgs.Take(ev.Ref)
+	(*m.fn)(m.sw, m.inPort, m.pkt)
 }
 
 // DataPlane wires a topology, per-switch flow tables, and host models onto
@@ -367,6 +397,12 @@ type crossMsg struct {
 // topology (slab, link directions transmitting from its nodes, its
 // switches and hosts), cross-shard hops travel through barrier-drained
 // mailboxes, and injection is only legal between runs.
+//
+// Punt callbacks run on the goroutine driving Run in every mode: inline at
+// the punting switch's event in single-engine mode, and under
+// EnableSharding as a control-engine event at the punt's instant, handed
+// over through the barrier exchange (see shard.Coordinator). Work a punt
+// callback schedules belongs on ControlEngine.
 //
 // Counters: every data-plane counter — a link direction's packets, bytes
 // and drops, a switch's SwitchStats, a host's received and dropped — is a
@@ -410,6 +446,7 @@ type DataPlane struct {
 	swStats map[topo.NodeID]*SwitchStats
 
 	punt        atomic.Pointer[PuntFunc]
+	punted      puntQueue // punts of a sharded run, on the control engine
 	recordPaths atomic.Bool
 
 	// southbound counts controller→switch programming calls; a batch is
@@ -453,10 +490,11 @@ func New(g *topo.Graph, eng *sim.Engine) *DataPlane {
 // shard-local). With one shard this is a no-op and the classic
 // single-engine path remains untouched.
 //
-// In sharded mode delivery and punt callbacks run on shard worker
-// goroutines — at most one invocation per host at a time, but callbacks
-// for hosts on different shards run concurrently and must synchronize
-// any shared state.
+// In sharded mode delivery callbacks run on shard worker goroutines — at
+// most one invocation per host at a time, but callbacks for hosts on
+// different shards run concurrently and must synchronize any shared state.
+// Punt callbacks do not: they run on the coordinator's control engine, on
+// the goroutine driving Run, with every shard idle.
 func (dp *DataPlane) EnableSharding(coord *shard.Coordinator, assign []int32) error {
 	n := coord.Shards()
 	if n <= 1 {
@@ -506,6 +544,16 @@ func (dp *DataPlane) RunUntil(deadline time.Duration) time.Duration {
 	return dp.eng.RunUntil(deadline)
 }
 
+// ControlEngine returns the engine control work is scheduled on: the
+// coordinator's control engine under EnableSharding, the data plane's
+// engine otherwise (which is the control engine of one shard).
+func (dp *DataPlane) ControlEngine() *sim.Engine {
+	if dp.coord != nil {
+		return dp.coord.Control()
+	}
+	return dp.eng
+}
+
 // ctxFor returns the execution context owning a node.
 func (dp *DataPlane) ctxFor(n topo.NodeID) *shardCtx {
 	if dp.shardOf == nil {
@@ -527,11 +575,12 @@ func (dp *DataPlane) injectable() error {
 }
 
 // flushMailboxes moves every buffered cross-shard hop into its
-// destination engine. Drain order is fixed — destination shard, then
-// source shard, then FIFO within a mailbox — so the (time, seq) order
-// each engine assigns to simultaneous arrivals is deterministic for a
-// given shard count. Called by the coordinator at every barrier with all
-// shards idle.
+// destination engine, and every punt onto the control engine. Drain order
+// is fixed — destination shard, then source shard, then FIFO within a
+// mailbox; punts after the hops, by shard — so the (time, seq) order each
+// engine assigns to simultaneous arrivals is deterministic for a given
+// shard count. Called by the coordinator at every barrier with all shards
+// idle.
 func (dp *DataPlane) flushMailboxes() bool {
 	moved := 0
 	for dst, dctx := range dp.shards {
@@ -554,7 +603,16 @@ func (dp *DataPlane) flushMailboxes() bool {
 		dp.obsCrossMessages.Add(uint64(moved))
 	}
 	dp.obsMailboxDrained.Set(int64(moved))
-	return moved > 0
+	ctl, punts := dp.coord.Control(), 0
+	for _, c := range dp.shards {
+		for i := range c.punts {
+			ctl.AtEvent(c.punts[i].at, &dp.punted, sim.Event{Ref: dp.punted.msgs.Put(c.punts[i])})
+			c.punts[i] = puntMsg{}
+		}
+		punts += len(c.punts)
+		c.punts = c.punts[:0]
+	}
+	return moved+punts > 0
 }
 
 // InvalidatePlan discards the compiled forwarding plan; the next packet
@@ -842,7 +900,33 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 	if err != nil {
 		return err
 	}
+	dp.ctxFor(host).publish(d, host, pubs)
+	return nil
+}
+
+// PublishAt is Publish at the simulated instant at (clamped to the host's
+// clock): everything Publish checks — the expression, the host's access
+// link, that no sharded run is in flight — is checked now, and on error
+// nothing is scheduled. The event it schedules on the host's engine
+// injects the packet exactly as Publish would at that instant.
+func (dp *DataPlane) PublishAt(at time.Duration, host topo.NodeID, expr dz.Expr, ev space.Event, size int) error {
+	key, err := ipmc.KeyFromExpr(expr)
+	if err != nil {
+		return fmt.Errorf("netem: publish: %w", err)
+	}
+	if _, err := dp.hostLink(host); err != nil {
+		return err
+	}
 	c := dp.ctxFor(host)
+	slot := c.pubs.Put(Publication{Key: key, Event: ev, Size: size})
+	c.eng.AtEvent(at, c, sim.Event{Kind: evPublish, A: int32(host), Ref: slot})
+	return nil
+}
+
+// publish injects pubs on host's access link d, in order, at the shard's
+// current instant.
+func (c *shardCtx) publish(d *dirState, host topo.NodeID, pubs []Publication) {
+	dp := c.dp
 	now := c.eng.Now()
 	dp.mu.Lock()
 	base := dp.pubSeq[host]
@@ -867,7 +951,6 @@ func (dp *DataPlane) PublishBatch(host topo.NodeID, pubs []Publication) error {
 			Stamp:     pb.Stamp,
 		}))
 	}
-	return nil
 }
 
 // hostLink resolves the compiled access-link direction a host may inject on
@@ -1002,6 +1085,11 @@ func (c *shardCtx) HandleEvent(ev sim.Event) {
 		c.arriveAtHost(topo.NodeID(ev.A), ev.Ref)
 	case evHostDone:
 		c.hostDone(topo.NodeID(ev.A), ev.Ref)
+	case evPublish:
+		// The access link was resolved when the publish was scheduled; a
+		// host keeps its access direction for good.
+		pubs := [1]Publication{c.pubs.Take(ev.Ref)}
+		c.publish(c.dp.hosts[ev.A].access, topo.NodeID(ev.A), pubs[:])
 	}
 }
 
@@ -1086,7 +1174,7 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 		out := *pkt
 		c.releasePkt(slot)
 		if punt != nil {
-			(*punt)(sw, inPort, out)
+			c.puntTo(punt, sw, inPort, out)
 		}
 		return
 	}
@@ -1097,6 +1185,17 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 		delay += cfg.PerFlowPenalty * time.Duration(p.table.Len()) / 1000
 	}
 	c.eng.ScheduleEvent(delay, c, sim.Event{Kind: evSwitchLookup, A: int32(sw), B: int32(inPort), Ref: slot})
+}
+
+// puntTo hands a punted packet to the punt handler: right away in
+// single-engine mode, through the control engine under EnableSharding (see
+// DataPlane).
+func (c *shardCtx) puntTo(punt *PuntFunc, sw topo.NodeID, inPort openflow.PortID, pkt Packet) {
+	if c.dp.coord == nil {
+		(*punt)(sw, inPort, pkt)
+		return
+	}
+	c.punts = append(c.punts, puntMsg{at: c.eng.Now(), sw: sw, inPort: inPort, pkt: pkt, fn: punt})
 }
 
 // lookupAndForward performs the table lookup and fans the packet out over
@@ -1115,7 +1214,7 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 		p.stats.Punted++
 		pkt := c.slab[slot]
 		c.releasePkt(slot)
-		(*punt)(sw, inPort, pkt)
+		c.puntTo(punt, sw, inPort, pkt)
 		return
 	}
 	// out is the branch found last and not yet sent: it goes out as a copy

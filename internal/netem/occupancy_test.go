@@ -18,8 +18,8 @@ import (
 // a direction remembers the (depart, seq) keys its queued packets leave at
 // and asks the engine whether it has passed them. refPlane is the model it
 // must be indistinguishable from — the same forwarding written the plain
-// way, every hop a closure on its own engine and every accepted packet
-// scheduling an explicit closure that decrements the direction's queue
+// way, every hop an event on its own engine and every accepted packet
+// scheduling an explicit event that decrements the direction's queue
 // counter at its departure instant.
 
 type refDir struct {
@@ -56,9 +56,46 @@ type refPlane struct {
 	access map[topo.NodeID]topo.NodeID   // host -> its switch
 	pubSeq map[topo.NodeID]uint64
 	log    []occRec
-	// real is set by every closure except the link-free ones, so the
+	// real is set by every event except the link-free ones, so the
 	// driver can step the reference one forwarding event at a time.
 	real bool
+	// hops holds the payload of every scheduled event.
+	hops sim.Slots[refHop]
+}
+
+// The reference's event kinds: a direction's queue frees a place, a packet
+// arrives at a node, a switch's lookup completes.
+const (
+	refFree uint8 = iota
+	refArrive
+	refLookup
+)
+
+// refHop is the payload of one reference event.
+type refHop struct {
+	d    *refDir     // refFree, refArrive
+	node topo.NodeID // refLookup: the switch
+	from topo.NodeID // refLookup: where the packet came from
+	p    refPkt
+}
+
+func (r *refPlane) HandleEvent(ev sim.Event) {
+	h := r.hops.Take(ev.Ref)
+	switch ev.Kind {
+	case refFree:
+		h.d.queued--
+	case refArrive:
+		r.real = true
+		r.arrive(h.d.to, h.d.from, h.p)
+	case refLookup:
+		r.real = true
+		for _, peer := range r.fanout[h.node] {
+			if peer == h.from && !r.isHost[peer] {
+				continue // split horizon on trunks
+			}
+			r.transmit(r.dirs[[2]topo.NodeID{h.node, peer}], h.p)
+		}
+	}
 }
 
 func (r *refPlane) publish(host topo.NodeID, size int) {
@@ -83,11 +120,8 @@ func (r *refPlane) transmit(d *refDir, p refPkt) {
 	d.busyUntil = depart
 	d.queued++
 	d.packets++
-	r.eng.At(depart, func() { d.queued-- })
-	r.eng.At(depart+d.params.Latency, func() {
-		r.real = true
-		r.arrive(d.to, d.from, p)
-	})
+	r.eng.AtEvent(depart, r, sim.Event{Kind: refFree, Ref: r.hops.Put(refHop{d: d})})
+	r.eng.AtEvent(depart+d.params.Latency, r, sim.Event{Kind: refArrive, Ref: r.hops.Put(refHop{d: d, p: p})})
 }
 
 func (r *refPlane) arrive(node, from topo.NodeID, p refPkt) {
@@ -95,19 +129,11 @@ func (r *refPlane) arrive(node, from topo.NodeID, p refPkt) {
 		r.log = append(r.log, occRec{host: node, pub: p.pub, seq: p.seq, at: r.eng.Now()})
 		return
 	}
-	r.eng.Schedule(r.lookup[node], func() {
-		r.real = true
-		for _, peer := range r.fanout[node] {
-			if peer == from && !r.isHost[peer] {
-				continue // split horizon on trunks
-			}
-			r.transmit(r.dirs[[2]topo.NodeID{node, peer}], p)
-		}
-	})
+	r.eng.ScheduleEvent(r.lookup[node], r, sim.Event{Kind: refLookup, Ref: r.hops.Put(refHop{node: node, from: from, p: p})})
 }
 
-// step executes one forwarding event — and the link-free closures ordered
-// before it — or, when none is left, every remaining link-free closure. It
+// step executes one forwarding event — and the link-free events ordered
+// before it — or, when none is left, every remaining link-free event. It
 // is what one Engine.Step of the data plane's engine amounts to.
 func (r *refPlane) step() bool {
 	r.real = false

@@ -225,31 +225,23 @@ func spawnOf(ref uint32) (time.Duration, bool) {
 }
 
 // scriptEngine is the engine side of the pair: executed events are logged
-// and spawn through the typed or the closure form alternately.
+// and spawn their children from inside the handler.
 type scriptEngine struct {
 	e       *Engine
 	log     []execRec
 	nextRef uint32
 }
 
-func (s *scriptEngine) HandleEvent(ev Event) { s.ran(ev.Ref) }
-
-func (s *scriptEngine) ran(ref uint32) {
-	s.log = append(s.log, execRec{ref, s.e.Now()})
-	if delay, ok := spawnOf(ref); ok {
+func (s *scriptEngine) HandleEvent(ev Event) {
+	s.log = append(s.log, execRec{ev.Ref, s.e.Now()})
+	if delay, ok := spawnOf(ev.Ref); ok {
 		s.nextRef++
 		s.schedule(s.e.Now()+delay, s.nextRef<<8)
 	}
 }
 
-// schedule queues a real event in the closure form for refs with bit 1 of
-// the low byte set (children: by parity of their number) and in the typed
-// form otherwise.
+// schedule queues a real event.
 func (s *scriptEngine) schedule(at time.Duration, ref uint32) {
-	if ref&2 != 0 || (ref&0xff == 0 && (ref>>8)&1 == 1) {
-		s.e.At(at, func() { s.ran(ref) })
-		return
-	}
 	s.e.AtEvent(at, s, Event{Kind: 1, Ref: ref})
 }
 
@@ -385,7 +377,7 @@ func runQueueScript(t *testing.T, script []byte) (heapPushes int) {
 }
 
 // TestHeapPropertyAgainstSortOracle drives random interleaved push/pop
-// sequences — heavy timestamp ties, both event forms, pushes from inside
+// sequences — heavy timestamp ties, pushes from inside
 // handlers, window and deadline cuts, clock advances, reserved keys —
 // through the heap and the lanes in front of it alike: every execution
 // must come out in exact (at, seq) order and every observable must match
@@ -435,10 +427,12 @@ func TestRunUntilBoundaryExactlyOnce(t *testing.T) {
 	e := NewEngine()
 	execs := make(map[string]int)
 	deadline := 100 * time.Microsecond
-	e.At(deadline, func() { execs["at-boundary"]++ })
-	e.At(deadline, func() { execs["at-boundary-2"]++ })
-	e.At(deadline+1, func() { execs["after-boundary"]++ })
-	e.At(deadline-1, func() { execs["before-boundary"]++ })
+	names := []string{"at-boundary", "at-boundary-2", "after-boundary", "before-boundary"}
+	h := handlerFunc(func(ev Event) { execs[names[ev.Ref]]++ })
+	e.AtEvent(deadline, h, Event{Ref: 0})
+	e.AtEvent(deadline, h, Event{Ref: 1})
+	e.AtEvent(deadline+1, h, Event{Ref: 2})
+	e.AtEvent(deadline-1, h, Event{Ref: 3})
 
 	if got := e.RunUntil(deadline); got != deadline {
 		t.Fatalf("RunUntil returned %v, want %v", got, deadline)
@@ -466,10 +460,9 @@ func TestRunUntilBoundaryExactlyOnce(t *testing.T) {
 // expects.
 func TestRunWindowLeavesClockAtLastEvent(t *testing.T) {
 	e := NewEngine()
-	var ran []time.Duration
+	r := &recorder{e: e}
 	for _, at := range []time.Duration{5, 10, 15, 20} {
-		at := at
-		e.At(at, func() { ran = append(ran, at) })
+		e.AtEvent(at, r, Event{})
 	}
 	if at, ok := e.NextAt(); !ok || at != 5 {
 		t.Fatalf("NextAt = %v,%v, want 5,true", at, ok)
@@ -492,7 +485,7 @@ func TestRunWindowLeavesClockAtLastEvent(t *testing.T) {
 		t.Fatalf("AdvanceTo moved the clock backwards to %v", e.Now())
 	}
 	e.Run()
-	if len(ran) != 4 {
-		t.Fatalf("ran %v, want all four events", ran)
+	if len(r.ats) != 4 {
+		t.Fatalf("ran %v, want all four events", r.ats)
 	}
 }

@@ -14,6 +14,17 @@
 // parallel — any event generated for a neighbour during the window
 // carries a timestamp ≥ T+L, so no shard can receive work in its past.
 //
+// Work that may touch every shard's state — a controller applying a
+// request, a periodic re-index — runs on the coordinator's control engine
+// instead. A control event at t executes on the goroutine driving Run, at
+// a barrier with every shard idle: after every shard event before t and
+// before any shard event at or after t. A window's horizon therefore never
+// reaches a pending control event. A client that hands work to the control
+// engine from a shard (the data plane's punts) buffers it like a
+// cross-shard event and schedules it at the exchange; if that work
+// schedules more control work, its delay must exceed the lookahead, so it
+// lands after the window it was handed over from.
+//
 // Execution within a shard keeps the engine's (time, seq) total order, so
 // a run is bit-for-bit deterministic for a fixed shard count: window
 // horizons are a pure function of queue state, and the mailbox exchange
@@ -38,8 +49,11 @@ import (
 type Coordinator struct {
 	lookahead time.Duration
 	engines   []*sim.Engine
-	workers   []*workerCtx
-	wg        *sync.WaitGroup
+	// control is the control engine (see the package comment); with one
+	// shard it is engines[0], so the single-engine order is unchanged.
+	control *sim.Engine
+	workers []*workerCtx
+	wg      *sync.WaitGroup
 	// exchange moves client-buffered cross-shard events into the
 	// destination engines at a barrier; it reports whether anything moved.
 	exchange func() bool
@@ -102,6 +116,10 @@ func New(n int, lookahead time.Duration) (*Coordinator, error) {
 			wg:    c.wg,
 		}
 	}
+	c.control = c.engines[0]
+	if n > 1 {
+		c.control = sim.NewEngine()
+	}
 	// Backstop for callers that drop the coordinator without Close: the
 	// workers hold only their workerCtx, so the coordinator is collectable
 	// and the finalizer reaps the goroutines.
@@ -118,6 +136,11 @@ func (c *Coordinator) Lookahead() time.Duration { return c.lookahead }
 // Engine returns shard i's engine. Scheduling directly on it is only safe
 // while no Run/RunUntil is in flight.
 func (c *Coordinator) Engine(i int) *sim.Engine { return c.engines[i] }
+
+// Control returns the control engine. Scheduling on it is safe from the
+// goroutine driving Run — between runs, from a control event, or from the
+// exchange hook — and from nowhere else.
+func (c *Coordinator) Control() *sim.Engine { return c.control }
 
 // SetExchange registers the barrier exchange hook. It is called with all
 // shard engines idle and must move every buffered cross-shard event into
@@ -252,26 +275,17 @@ func (c *Coordinator) RunUntil(deadline time.Duration) time.Duration {
 	return c.run(deadline, true)
 }
 
-// Now returns the committed simulated time: the maximum shard clock. Only
-// meaningful while no drain is in flight (clocks are aligned at the end
-// of every Run/RunUntil).
+// Now returns the committed simulated time: the maximum shard and control
+// clock. Only meaningful while no drain is in flight (clocks are aligned at
+// the end of every Run/RunUntil).
 func (c *Coordinator) Now() time.Duration {
-	var now time.Duration
+	now := c.control.Now()
 	for _, e := range c.engines {
 		if e.Now() > now {
 			now = e.Now()
 		}
 	}
 	return now
-}
-
-// Pending returns the total number of queued events across shards.
-func (c *Coordinator) Pending() int {
-	n := 0
-	for _, e := range c.engines {
-		n += e.Pending()
-	}
-	return n
 }
 
 func (c *Coordinator) run(deadline time.Duration, bounded bool) time.Duration {
@@ -294,12 +308,26 @@ func (c *Coordinator) run(deadline time.Duration, bounded bool) time.Duration {
 			c.exchange()
 		}
 		tmin, ok := c.nextAt()
+		cat, cok := c.control.NextAt()
+		if cok && (!ok || cat <= tmin) {
+			// The control event orders before every pending shard event:
+			// run it, and what it schedules at its own instant, with every
+			// shard idle.
+			if bounded && cat > deadline {
+				break
+			}
+			c.control.RunWindow(cat)
+			continue
+		}
 		if !ok || (bounded && tmin > deadline) {
 			// Nothing runnable; a final exchange already happened at the
 			// top of this iteration, so the mailboxes are empty too.
 			break
 		}
 		horizon := tmin + c.lookahead
+		if cok && horizon >= cat {
+			horizon = cat - 1
+		}
 		if bounded && horizon > deadline {
 			horizon = deadline
 		}
@@ -323,5 +351,6 @@ func (c *Coordinator) run(deadline time.Duration, bounded bool) time.Duration {
 		}
 		e.AdvanceTo(end)
 	}
+	c.control.AdvanceTo(end)
 	return end
 }

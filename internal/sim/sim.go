@@ -4,14 +4,13 @@
 // and the engine executes events in (time, insertion) order, making all
 // latency and throughput numbers exactly reproducible.
 //
-// The queue is built for the data-plane hot path. Events are inline
-// structs (no per-event heap node, no container/heap interface boxing),
-// and the typed form — a small tagged payload dispatched to a Handler —
-// schedules with zero allocations in steady state. The legacy closure form
-// (Schedule/At with a func()) keeps working for control-plane and
-// experiment code; both forms share one (time, seq) order, so
-// interleavings are bit-for-bit reproducible regardless of which form a
-// caller uses.
+// There is one event form: a small tagged payload (Event) dispatched to the
+// long-lived Handler that scheduled it. An event names its target, so a
+// layer that runs several engines (package shard) can route it to whoever
+// owns that target, and scheduling allocates nothing in steady state:
+// events are inline structs (no per-event heap node, no container/heap
+// interface boxing) and a handler keeps anything larger than the payload
+// words in storage of its own, named by Event.Ref (see Slots).
 //
 // A simulation whose delays are a handful of constants (a lookup, a link)
 // pushes a handful of streams that are each already sorted, so the queue
@@ -49,6 +48,37 @@ type Handler interface {
 	HandleEvent(ev Event)
 }
 
+// Slots is a handler's storage for event payloads larger than Event's
+// words: Put parks a value and returns the Ref an event names it by, Take
+// hands it back and frees the slot for the next Put. The zero value is
+// ready to use; like the engine it belongs to one goroutine.
+type Slots[T any] struct {
+	items []T
+	free  []uint32
+}
+
+// Put stores v and returns its slot.
+func (s *Slots[T]) Put(v T) uint32 {
+	if n := len(s.free); n > 0 {
+		ref := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.items[ref] = v
+		return ref
+	}
+	s.items = append(s.items, v)
+	return uint32(len(s.items) - 1)
+}
+
+// Take returns the value in slot ref and frees the slot, dropping its
+// references.
+func (s *Slots[T]) Take(ref uint32) T {
+	v := s.items[ref]
+	var zero T
+	s.items[ref] = zero
+	s.free = append(s.free, ref)
+	return v
+}
+
 // Engine is a discrete-event scheduler. The zero value is not usable; use
 // NewEngine.
 type Engine struct {
@@ -76,28 +106,9 @@ func NewEngine() *Engine {
 // Now returns the current simulated time (elapsed since simulation start).
 func (e *Engine) Now() time.Duration { return e.now }
 
-// Schedule runs fn after the given simulated delay. Negative delays are
-// clamped to zero (i.e. "as soon as possible, after already queued work at
-// the current instant").
-func (e *Engine) Schedule(delay time.Duration, fn func()) {
-	if delay < 0 {
-		delay = 0
-	}
-	e.At(e.now+delay, fn)
-}
-
-// At runs fn at the given absolute simulated time. Times in the past are
-// clamped to the current instant.
-func (e *Engine) At(t time.Duration, fn func()) {
-	if t < e.now {
-		t = e.now
-	}
-	e.seq++
-	e.queue.push(&item{at: t, seq: e.seq, fn: fn})
-}
-
-// ScheduleEvent is Schedule for the typed, zero-alloc form: h.HandleEvent(ev)
-// runs after the given delay. Negative delays are clamped to zero.
+// ScheduleEvent runs h.HandleEvent(ev) after the given simulated delay.
+// Negative delays are clamped to zero (i.e. "as soon as possible, after
+// already queued work at the current instant").
 func (e *Engine) ScheduleEvent(delay time.Duration, h Handler, ev Event) {
 	if delay < 0 {
 		delay = 0
@@ -105,8 +116,8 @@ func (e *Engine) ScheduleEvent(delay time.Duration, h Handler, ev Event) {
 	e.AtEvent(e.now+delay, h, ev)
 }
 
-// AtEvent is At for the typed, zero-alloc form: h.HandleEvent(ev) runs at
-// the given absolute simulated time (clamped to the current instant).
+// AtEvent runs h.HandleEvent(ev) at the given absolute simulated time.
+// Times in the past are clamped to the current instant.
 func (e *Engine) AtEvent(t time.Duration, h Handler, ev Event) {
 	if t < e.now {
 		t = e.now
@@ -153,11 +164,7 @@ func (e *Engine) exec(src int) {
 	e.queue.pop(src, &it)
 	e.now = it.at
 	e.posAt, e.posSeq = it.at, it.seq
-	if it.fn != nil {
-		it.fn()
-	} else {
-		it.h.HandleEvent(it.ev)
-	}
+	it.h.HandleEvent(it.ev)
 }
 
 // Run executes events until the queue is empty and returns the final
@@ -224,14 +231,12 @@ func (e *Engine) AdvanceTo(t time.Duration) {
 // samples Pending, excludes the data plane's link departure keys.
 func (e *Engine) Pending() int { return e.queue.n }
 
-// item is one queued occurrence: either a legacy closure (fn != nil) or a
-// typed event for h. Items live inline in the queue's arrays — pushing
-// never allocates a node, and in steady state (pop ≈ push) the arrays'
-// capacity is the free list, so typed scheduling is 0 allocs/op.
+// item is one queued event for h. Items live inline in the queue's arrays
+// — pushing never allocates a node, and in steady state (pop ≈ push) the
+// arrays' capacity is the free list, so scheduling is 0 allocs/op.
 type item struct {
 	at  time.Duration
 	seq uint64
-	fn  func()
 	h   Handler
 	ev  Event
 }
@@ -367,7 +372,7 @@ type ring struct {
 // thousand events queued — reuses the arrays for free. Above it, capacity
 // pinned by a past burst is released once occupancy falls under a quarter
 // of it: a 100k-event batch must not hold its peak arrays, and a
-// closure/handler reference slot per entry, for the engine's lifetime.
+// handler reference per entry, for the engine's lifetime.
 // Halving at a quarter keeps the copy cost amortized (the next halving
 // needs occupancy to halve again). ringMin is a lane's first allocation.
 const (
@@ -386,7 +391,7 @@ func (r *ring) push(it *item) {
 func (r *ring) pop(it *item) {
 	slot := &r.buf[r.head]
 	*it = *slot
-	slot.fn, slot.h = nil, nil // drop references for GC
+	slot.h = nil // drop the reference for GC
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
 	if c := len(r.buf); c > shrinkFloor && r.n < c/4 {
@@ -407,7 +412,7 @@ func (q *eventQueue) popHeap(top *item) {
 	*top = items[0]
 	n := len(items) - 1
 	items[0] = items[n]
-	items[n] = item{} // drop fn/handler references for GC
+	items[n] = item{} // drop the handler reference for GC
 	q.heap = items[:n]
 	if n > 1 {
 		q.siftDown(0)

@@ -10,92 +10,69 @@ import (
 
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine()
-	var got []int
-	e.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	e.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	e.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
+	r := &recorder{e: e}
+	e.ScheduleEvent(30*time.Millisecond, r, Event{Kind: 3})
+	e.ScheduleEvent(10*time.Millisecond, r, Event{Kind: 1})
+	e.ScheduleEvent(20*time.Millisecond, r, Event{Kind: 2})
 	end := e.Run()
 	if end != 30*time.Millisecond {
 		t.Errorf("end=%v, want 30ms", end)
 	}
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
+	if got := r.kinds(); len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("order=%v", got)
 	}
 }
 
 func TestFIFOAtSameInstant(t *testing.T) {
 	e := NewEngine()
-	var got []int
+	r := &recorder{e: e}
 	for i := 0; i < 10; i++ {
-		i := i
-		e.Schedule(5*time.Millisecond, func() { got = append(got, i) })
+		e.ScheduleEvent(5*time.Millisecond, r, Event{Ref: uint32(i)})
 	}
 	e.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("same-instant events must run FIFO, got %v", got)
+	for i, ev := range r.evs {
+		if ev.Ref != uint32(i) {
+			t.Fatalf("same-instant events must run FIFO, got %+v", r.evs)
 		}
 	}
 }
 
 func TestNestedScheduling(t *testing.T) {
 	e := NewEngine()
-	var trace []time.Duration
-	e.Schedule(time.Millisecond, func() {
-		trace = append(trace, e.Now())
-		e.Schedule(2*time.Millisecond, func() {
-			trace = append(trace, e.Now())
-		})
-	})
-	e.Run()
-	if len(trace) != 2 || trace[0] != time.Millisecond || trace[1] != 3*time.Millisecond {
-		t.Errorf("trace=%v", trace)
+	r := &recorder{e: e}
+	var h handlerFunc
+	h = func(ev Event) {
+		r.HandleEvent(ev)
+		if ev.Kind == 1 {
+			e.ScheduleEvent(2*time.Millisecond, h, Event{Kind: 2})
+		}
 	}
-}
-
-func TestNegativeDelayClamped(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(time.Second, func() {
-		e.Schedule(-time.Hour, func() {
-			if e.Now() != time.Second {
-				t.Errorf("clamped event ran at %v", e.Now())
-			}
-		})
-	})
+	e.ScheduleEvent(time.Millisecond, h, Event{Kind: 1})
 	e.Run()
-}
-
-func TestAtInPastClamped(t *testing.T) {
-	e := NewEngine()
-	e.Schedule(time.Second, func() {
-		e.At(0, func() {
-			if e.Now() != time.Second {
-				t.Errorf("past event ran at %v", e.Now())
-			}
-		})
-	})
-	e.Run()
+	if len(r.ats) != 2 || r.ats[0] != time.Millisecond || r.ats[1] != 3*time.Millisecond {
+		t.Errorf("trace=%v", r.ats)
+	}
 }
 
 func TestRunUntil(t *testing.T) {
 	e := NewEngine()
-	ran := 0
-	e.Schedule(time.Millisecond, func() { ran++ })
-	e.Schedule(3*time.Millisecond, func() { ran++ })
-	e.Schedule(10*time.Millisecond, func() { ran++ })
+	r := &recorder{e: e}
+	e.ScheduleEvent(time.Millisecond, r, Event{})
+	e.ScheduleEvent(3*time.Millisecond, r, Event{})
+	e.ScheduleEvent(10*time.Millisecond, r, Event{})
 	now := e.RunUntil(5 * time.Millisecond)
 	if now != 5*time.Millisecond {
 		t.Errorf("now=%v", now)
 	}
-	if ran != 2 {
-		t.Errorf("ran=%d, want 2", ran)
+	if len(r.evs) != 2 {
+		t.Errorf("ran=%d, want 2", len(r.evs))
 	}
 	if e.Pending() != 1 {
 		t.Errorf("pending=%d, want 1", e.Pending())
 	}
 	e.Run()
-	if ran != 3 {
-		t.Errorf("ran=%d, want 3", ran)
+	if len(r.evs) != 3 {
+		t.Errorf("ran=%d, want 3", len(r.evs))
 	}
 }
 
@@ -115,14 +92,15 @@ func TestPropertyMonotoneClock(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := NewEngine()
+		rec := &recorder{e: e}
 		n := 1 + r.Intn(50)
 		delays := make([]time.Duration, n)
-		var times []time.Duration
 		for i := range delays {
 			delays[i] = time.Duration(r.Intn(1000)) * time.Microsecond
-			e.Schedule(delays[i], func() { times = append(times, e.Now()) })
+			e.ScheduleEvent(delays[i], rec, Event{})
 		}
 		e.Run()
+		times := rec.ats
 		if len(times) != n {
 			return false
 		}
@@ -154,6 +132,15 @@ func (r *recorder) HandleEvent(ev Event) {
 	r.ats = append(r.ats, r.e.Now())
 }
 
+// kinds returns the Kind of every recorded event, in execution order.
+func (r *recorder) kinds() []uint8 {
+	out := make([]uint8, len(r.evs))
+	for i, ev := range r.evs {
+		out[i] = ev.Kind
+	}
+	return out
+}
+
 func TestTypedEventDelivery(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{e: e}
@@ -178,26 +165,8 @@ func TestTypedEventDelivery(t *testing.T) {
 	}
 }
 
-// TestMixedFormsShareOrder: closures and typed events scheduled at the same
-// instant interleave strictly by insertion order — one (time, seq) sequence.
-func TestMixedFormsShareOrder(t *testing.T) {
-	e := NewEngine()
-	var got []int
-	r := &recorder{e: e}
-	e.Schedule(time.Millisecond, func() { got = append(got, 0) })
-	e.ScheduleEvent(time.Millisecond, handlerFunc(func(Event) { got = append(got, 1) }), Event{})
-	e.Schedule(time.Millisecond, func() { got = append(got, 2) })
-	e.ScheduleEvent(time.Millisecond, r, Event{Kind: 3})
-	e.Schedule(time.Millisecond, func() { got = append(got, 4) })
-	e.Run()
-	if len(got) != 4 || got[0] != 0 || got[1] != 1 || got[2] != 2 || got[3] != 4 {
-		t.Errorf("interleaving=%v", got)
-	}
-	if len(r.evs) != 1 || r.evs[0].Kind != 3 {
-		t.Errorf("typed event lost: %+v", r.evs)
-	}
-}
-
+// handlerFunc is this file's adapter from a function to a Handler: a test
+// that builds its handler inline schedules it like any other.
 type handlerFunc func(Event)
 
 func (f handlerFunc) HandleEvent(ev Event) { f(ev) }
@@ -205,10 +174,10 @@ func (f handlerFunc) HandleEvent(ev Event) { f(ev) }
 func TestTypedEventClamping(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{e: e}
-	e.Schedule(time.Second, func() {
+	e.ScheduleEvent(time.Second, handlerFunc(func(Event) {
 		e.ScheduleEvent(-time.Hour, r, Event{Kind: 1})
 		e.AtEvent(0, r, Event{Kind: 2})
-	})
+	}), Event{})
 	e.Run()
 	if len(r.ats) != 2 || r.ats[0] != time.Second || r.ats[1] != time.Second {
 		t.Errorf("clamped typed events ran at %v", r.ats)
@@ -270,16 +239,5 @@ func BenchmarkEnginePipeline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-	}
-}
-
-func BenchmarkScheduleRun(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(time.Duration(j%97)*time.Microsecond, func() {})
-		}
-		e.Run()
 	}
 }

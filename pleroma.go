@@ -188,6 +188,9 @@ func WithHostCapacity(eventsPerSec int) Option {
 // taking effect only after the network path plus the given controller
 // processing delay of simulated time. Off by default: requests apply
 // synchronously, modelling an idealised out-of-band control channel.
+// Under WithShards the request applies on the coordinator's control
+// engine, with every shard idle, and the synchronization lookahead is
+// capped just below the processing delay.
 func WithInBandSignalling(processingDelay time.Duration) Option {
 	return func(c *config) { c.inBandDelay = processingDelay }
 }
@@ -223,9 +226,11 @@ func WithFatTree(pods, cores, hostsPerEdge int) Option {
 // run on shard worker goroutines — at most one per host at a time, but
 // handlers for hosts on different shards run concurrently and must
 // synchronize shared state — and publishing is only legal between Run
-// calls, not from inside handlers. Incompatible with WithInBandSignalling
-// and WithAutoReindex, which schedule control work on the simulated
-// clock.
+// calls, not from inside handlers. Control work on the simulated clock —
+// in-band requests (WithInBandSignalling) and periodic re-indexing
+// (WithAutoReindex) — runs on the coordinator's control engine: on the
+// goroutine driving Run, at a barrier with every shard idle, after every
+// event before its instant and before every event at or after it.
 func WithShards(n int) Option {
 	return func(c *config) { c.shards = n }
 }
@@ -382,15 +387,14 @@ func NewSystem(sch *Schema, opts ...Option) (*System, error) {
 	var eng *sim.Engine
 	var assign []int32
 	if cfg.shards > 1 {
-		if cfg.inBandDelay > 0 {
-			return nil, fmt.Errorf("pleroma: WithShards(>1) is incompatible with WithInBandSignalling (in-band control schedules work on the simulated clock from handler context)")
-		}
-		if cfg.reindexEvery > 0 {
-			return nil, fmt.Errorf("pleroma: WithShards(>1) is incompatible with WithAutoReindex (periodic re-indexing schedules control work on the simulated clock)")
-		}
 		var n int
 		assign, n = topo.ShardNodes(g, cfg.shards)
 		lookahead, _ := topo.MinCutLatency(g, assign)
+		if cfg.inBandDelay > 0 && lookahead >= cfg.inBandDelay {
+			// A punt at t applies its request at t + delay, on the control
+			// engine: that must land after the window the punt ran in.
+			lookahead = cfg.inBandDelay - 1
+		}
 		coord, err = shard.New(n, lookahead)
 		if err != nil {
 			return nil, fmt.Errorf("pleroma: %w", err)

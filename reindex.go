@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pleroma/internal/dz"
+	"pleroma/internal/sim"
 	"pleroma/internal/space"
 )
 
@@ -151,7 +152,9 @@ func (s *System) decomposeRect(r dz.Rect) (dz.Set, error) {
 // re-runs SelectDimensions and re-indexes the deployment. This is the
 // paper's "controller periodically collects information about the events
 // disseminated in the recent time window and repeats the dimension
-// selection process".
+// selection process". Under WithShards the timer is a control event: the
+// re-index runs with every shard idle, after every event before its
+// instant and before every event at or after it.
 func WithAutoReindex(interval time.Duration, threshold float64) Option {
 	return func(c *config) {
 		c.reindexEvery = interval
@@ -159,24 +162,30 @@ func WithAutoReindex(interval time.Duration, threshold float64) Option {
 	}
 }
 
-// maybeArmReindex schedules the next periodic re-selection; it is called
-// on every publish so the timer only exists while traffic flows (keeping
-// System.Run terminating).
+// maybeArmReindex schedules the next periodic re-selection on the control
+// engine; it is called on every publish so the timer only exists while
+// traffic flows (keeping System.Run terminating).
 func (s *System) maybeArmReindex() {
 	if s.cfg.reindexEvery <= 0 || s.reindexArmed {
 		return
 	}
 	s.reindexArmed = true
-	s.eng.Schedule(s.cfg.reindexEvery, func() {
-		s.reindexArmed = false
-		if s.winTotal == s.reindexSeen {
-			return // no new traffic since the last round
-		}
-		s.reindexSeen = s.winTotal
-		if _, err := s.ReindexDimensions(s.cfg.reindexThresh); err == nil {
-			s.reindexRounds++
-		}
-	})
+	s.dp.ControlEngine().ScheduleEvent(s.cfg.reindexEvery, (*reindexTimer)(s), sim.Event{})
+}
+
+// reindexTimer is the System as the handler of its re-selection timer.
+type reindexTimer System
+
+func (r *reindexTimer) HandleEvent(sim.Event) {
+	s := (*System)(r)
+	s.reindexArmed = false
+	if s.winTotal == s.reindexSeen {
+		return // no new traffic since the last round
+	}
+	s.reindexSeen = s.winTotal
+	if _, err := s.ReindexDimensions(s.cfg.reindexThresh); err == nil {
+		s.reindexRounds++
+	}
 }
 
 // ReindexRounds reports how many automatic re-selections have run.

@@ -1,6 +1,7 @@
 package pleroma
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"pleroma/internal/interdomain"
 	"pleroma/internal/netem"
 	"pleroma/internal/obs"
 )
@@ -207,7 +209,12 @@ func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, ti
 		rounds = append(rounds, rd)
 	}
 	end := sys.Now()
+	sortShardRecs(recs)
+	return recs, end, rounds
+}
 
+// sortShardRecs puts a delivery log in a canonical order.
+func sortShardRecs(recs []shardRec) {
 	sort.Slice(recs, func(i, j int) bool {
 		a, b := recs[i], recs[j]
 		if a.sub != b.sub {
@@ -222,7 +229,17 @@ func driveShardGolden(t *testing.T, seed int64, extra ...Option) ([]shardRec, ti
 		}
 		return a.lat < b.lat
 	})
-	return recs, end, rounds
+}
+
+// recContent is a delivery log's content multiset: timestamps stripped,
+// since tied packets may permute them across shard counts (WithShards).
+func recContent(recs []shardRec) map[shardRec]int {
+	m := make(map[shardRec]int, len(recs))
+	for _, r := range recs {
+		r.at, r.lat = 0, 0
+		m[r]++
+	}
+	return m
 }
 
 // TestShardedGoldenWorkloadEquivalence pins the acceptance criterion
@@ -254,15 +271,7 @@ func TestShardedGoldenWorkloadEquivalence(t *testing.T) {
 	// delivered (subscription, event, false-positive) multiset and every
 	// counter are invariant. The final clock is close but not pinned — a
 	// tie swap can shift which packet's multicast fan-out finishes last.
-	content := func(recs []shardRec) map[shardRec]int {
-		m := make(map[shardRec]int, len(recs))
-		for _, r := range recs {
-			r.at, r.lat = 0, 0
-			m[r]++
-		}
-		return m
-	}
-	if !reflect.DeepEqual(content(single), content(shard)) {
+	if !reflect.DeepEqual(recContent(single), recContent(shard)) {
 		t.Fatalf("delivery content multisets differ (single %d recs ending %v, sharded %d recs ending %v)",
 			len(single), singleEnd, len(shard), shardEnd)
 	}
@@ -375,21 +384,12 @@ func TestShardedMetricsExported(t *testing.T) {
 	}
 }
 
-// TestWithShardsGuards covers the construction-time contract: explicit
-// errors for the incompatible scheduling options and clamping to the
-// switch count.
+// TestWithShardsGuards covers the construction-time contract: clamping
+// to the switch count.
 func TestWithShardsGuards(t *testing.T) {
 	sch, err := NewSchema(Attribute{Name: "x", Bits: 10})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := NewSystem(sch, WithShards(2),
-		WithInBandSignalling(100*time.Microsecond)); err == nil {
-		t.Error("WithShards+WithInBandSignalling accepted; want error")
-	}
-	if _, err := NewSystem(sch, WithShards(2),
-		WithAutoReindex(time.Second, 0.5)); err == nil {
-		t.Error("WithShards+WithAutoReindex accepted; want error")
 	}
 
 	// WithFatTree(4,4,2) has 4 core + 4*(2+2) pod switches = 20.
@@ -410,4 +410,178 @@ func TestWithShardsGuards(t *testing.T) {
 	if got := solo.Shards(); got != 1 {
 		t.Errorf("Shards() = %d for WithShards(1), want 1", got)
 	}
+}
+
+// roundLog records a run's deliveries round by round; handlers may run on
+// shard workers, hence the lock.
+type roundLog struct {
+	mu     sync.Mutex
+	cur    []shardRec
+	rounds [][]shardRec
+}
+
+func (l *roundLog) deliver(d Delivery) {
+	l.mu.Lock()
+	l.cur = append(l.cur, shardRec{
+		sub:  d.SubscriptionID,
+		vals: [2]uint32{d.Event.Values[0], d.Event.Values[1]},
+		at:   d.At,
+		lat:  d.Latency,
+		fp:   d.FalsePositive,
+	})
+	l.mu.Unlock()
+}
+
+// endRound closes the round a Run has just drained.
+func (l *roundLog) endRound() {
+	sortShardRecs(l.cur)
+	l.rounds = append(l.rounds, l.cur)
+	l.cur = nil
+}
+
+// controlRun is what a run with control work on the simulated clock
+// leaves behind: its deliveries, in-band counters, controller state and
+// re-index rounds.
+type controlRun struct {
+	shards  int
+	rounds  [][]shardRec
+	signals interdomain.SignalStats
+	digest  []byte
+	reindex int
+}
+
+func finishControlRun(t *testing.T, sys *System, log *roundLog) controlRun {
+	t.Helper()
+	digest, err := sys.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return controlRun{shards: sys.Shards(), rounds: log.rounds, signals: sys.fab.SignalStats(),
+		digest: digest, reindex: sys.ReindexRounds()}
+}
+
+// compareControlRuns requires a sharded run to match the single-engine
+// one — the per-round delivery multisets, in-band counters, StateDigest
+// and re-index rounds — and a second sharded run to repeat the first bit
+// for bit, timestamps included.
+func compareControlRuns(t *testing.T, single, sharded, again controlRun) {
+	t.Helper()
+	if single.shards != 1 || sharded.shards < 2 {
+		t.Fatalf("ran on %d and %d shards; the parallel path was not exercised", single.shards, sharded.shards)
+	}
+	if len(single.rounds) != len(sharded.rounds) {
+		t.Fatalf("round counts differ: single %d, sharded %d", len(single.rounds), len(sharded.rounds))
+	}
+	delivered := 0
+	for i := range single.rounds {
+		delivered += len(single.rounds[i])
+		if !reflect.DeepEqual(recContent(single.rounds[i]), recContent(sharded.rounds[i])) {
+			t.Errorf("round %d deliveries diverge across shard counts:\nsingle:  %v\nsharded: %v",
+				i, single.rounds[i], sharded.rounds[i])
+		}
+	}
+	if delivered == 0 {
+		t.Error("the workload delivered nothing")
+	}
+	if single.signals != sharded.signals {
+		t.Errorf("SignalStats: single %+v, sharded %+v", single.signals, sharded.signals)
+	}
+	if !bytes.Equal(single.digest, sharded.digest) {
+		t.Error("StateDigest differs across shard counts")
+	}
+	if single.reindex != sharded.reindex {
+		t.Errorf("ReindexRounds: single %d, sharded %d", single.reindex, sharded.reindex)
+	}
+	if !reflect.DeepEqual(sharded, again) {
+		t.Errorf("sharded run is not repeatable at %d shards", sharded.shards)
+	}
+}
+
+// TestShardedInBandMatchesSingleEngine runs the in-band golden workload
+// (TestForwardingGoldenFatTreeInBand): every control request travels as an
+// IP_vir packet, its punt reaches the fabric through the control engine,
+// and its Apply runs there with every shard idle. At the golden's 200µs
+// processing delay the 20µs links set the lookahead; at 7µs the delay
+// caps it.
+func TestShardedInBandMatchesSingleEngine(t *testing.T) {
+	for _, delay := range []time.Duration{200 * time.Microsecond, 7 * time.Microsecond} {
+		t.Run(delay.String(), func(t *testing.T) {
+			run := func(shards int) controlRun {
+				log := &roundLog{}
+				sys := driveForwarding(t, 7003, log.deliver, func(int, *System) { log.endRound() },
+					WithTopology(TopologyFatTree20), WithInBandSignalling(delay), WithShards(shards))
+				t.Cleanup(sys.Close)
+				if sys.coord != nil && sys.coord.Lookahead() >= delay {
+					// A punt at t applies at t + delay: a window reaching that
+					// far could run shard events the request should precede.
+					t.Fatalf("lookahead %v not below the processing delay %v", sys.coord.Lookahead(), delay)
+				}
+				return finishControlRun(t, sys, log)
+			}
+			single := run(1)
+			if single.signals.Handled == 0 {
+				t.Fatal("no in-band request was handled")
+			}
+			compareControlRuns(t, single, run(4), run(4))
+		})
+	}
+}
+
+// TestShardedAutoReindexMatchesSingleEngine runs the TestAutoReindex
+// scenario, with a subscriber on every host: the re-index timer is a
+// control event, and the re-index it runs sees every shard idle.
+func TestShardedAutoReindexMatchesSingleEngine(t *testing.T) {
+	run := func(shards int) controlRun {
+		sch, err := NewSchema(
+			Attribute{Name: "hot", Bits: 10},
+			Attribute{Name: "cold", Bits: 10},
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sys, err := NewSystem(sch, WithMaxDzLen(8),
+			WithAutoReindex(time.Millisecond, 0.8), WithShards(shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(sys.Close)
+		hosts := sys.Hosts()
+		pub, err := sys.NewPublisher("p", hosts[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := pub.Advertise(NewFilter()); err != nil {
+			t.Fatal(err)
+		}
+		log := &roundLog{}
+		for i, h := range hosts {
+			lo := uint32(i * 100)
+			if err := sys.Subscribe(fmt.Sprintf("s%d", i), h,
+				NewFilter().Range("hot", lo, lo+200), log.deliver); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for round := 0; round < 3; round++ {
+			for i := 0; i < 60; i++ {
+				if err := pub.Publish(uint32((i*61)%1024), 512); err != nil {
+					t.Fatal(err)
+				}
+			}
+			sys.Run() // drains traffic AND the pending reindex timer
+			log.endRound()
+		}
+		for _, hot := range []uint32{150, 900} {
+			if err := pub.Publish(hot, 512); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.Run()
+		log.endRound()
+		return finishControlRun(t, sys, log)
+	}
+	single := run(1)
+	if single.reindex == 0 {
+		t.Fatal("auto reindex never ran")
+	}
+	compareControlRuns(t, single, run(4), run(4))
 }
