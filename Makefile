@@ -1,7 +1,11 @@
 GO ?= go
 
-# Packages with dedicated concurrency stress coverage; raced separately so
-# `make check` stays fast while still catching locking regressions.
+# Raced separately so `make check` stays fast. What has real goroutines to
+# race: sharded workers (sim/shard, netem, interdomain's control engine),
+# transport sessions and their delivery sinks, and obs instruments scraped
+# mid-run; the rest is raced because the facade tests below drive it from
+# those goroutines. The root run adds the session/owner boundary
+# (TestNetworkConcurrentSessionsChurn, TestFailoverHealthEndpointRace).
 RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/... ./internal/transport/...
 
 .PHONY: check vet build test race bench-module fuzz soak bench loc obs-demo daemon-demo

@@ -1,6 +1,9 @@
 package pleroma
 
 import (
+	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"sync"
 	"testing"
@@ -249,4 +252,76 @@ func TestSystemCloseIdempotent(t *testing.T) {
 	}
 	sys3.Close()
 	sys3.Close()
+}
+
+// TestFailoverHealthEndpointRace serves /healthz and /readyz from another
+// goroutine — as the observability endpoint does — while the driving
+// goroutine replaces every partition's controller over and over. The health
+// adapter reads only the fabric's published quarantine sets and never a
+// partition's controller pointer, which a takeover overwrites; under -race
+// any read of a controller from the serving goroutine is reported here.
+func TestFailoverHealthEndpointRace(t *testing.T) {
+	sch, err := NewSchema(Attribute{Name: "v", Bits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(sch, WithTopology(TopologyRing20), WithPartitions(4), WithJournal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	hosts := sys.Hosts()
+	pub, err := sys.NewPublisher("p", hosts[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Subscribe("s", hosts[len(hosts)-1], NewFilter(), func(Delivery) {}); err != nil {
+		t.Fatal(err)
+	}
+
+	h := sys.ObsHandler()
+	started, stop := make(chan struct{}), make(chan struct{})
+	served := make(chan error, 1)
+	go func() {
+		var bad error
+		for i := 0; ; i++ {
+			path := "/healthz"
+			if i%2 == 1 {
+				path = "/readyz"
+			}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if path == "/healthz" && rec.Code != http.StatusOK && bad == nil {
+				bad = fmt.Errorf("/healthz = %d with no switch quarantined", rec.Code)
+			}
+			if i == 1 {
+				close(started)
+			}
+			select {
+			case <-stop:
+				served <- bad
+				return
+			default:
+			}
+		}
+	}()
+	<-started
+	parts := sys.Partitions()
+	for i := 0; i < 200; i++ {
+		if _, err := sys.Failover(parts[i%len(parts)]); err != nil {
+			close(stop)
+			<-served
+			t.Fatalf("failover %d: %v", i, err)
+		}
+	}
+	close(stop)
+	if err := <-served; err != nil {
+		t.Error(err)
+	}
+	if err := sys.VerifyTables(); err != nil {
+		t.Errorf("tables after 200 failovers: %v", err)
+	}
 }

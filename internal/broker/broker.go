@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"pleroma/internal/dz"
@@ -85,12 +84,8 @@ type broker struct {
 	sent map[topo.NodeID][]dz.Rect
 }
 
-// Overlay is the broker network.
-//
-// Like core.Controller, an Overlay is safe for concurrent use — the
-// broker-vs-SDN ablation stays apples-to-apples under concurrent churn.
-// One lock guards routing tables and counters; the simulated event routing
-// acquires it per broker hop, mimicking a per-broker critical section.
+// Overlay is the broker network. Like core.Controller, it belongs to the
+// goroutine driving it — the one running its engine — and takes no lock.
 type Overlay struct {
 	g       *topo.Graph
 	eng     *sim.Engine
@@ -98,8 +93,6 @@ type Overlay struct {
 	tree    *topo.SpanningTree
 	deliver DeliverFunc
 
-	// mu guards brokers, stats, and the subscription registry.
-	mu      sync.Mutex
 	brokers map[topo.NodeID]*broker
 	stats   Stats
 	subHome map[string]topo.NodeID
@@ -109,7 +102,7 @@ type Overlay struct {
 	subOrder []string
 
 	// hops holds the payload of every event the overlay has scheduled (see
-	// HandleEvent). Like the engine it is the simulation goroutine's.
+	// HandleEvent).
 	hops sim.Slots[hop]
 }
 
@@ -183,11 +176,7 @@ func New(g *topo.Graph, eng *sim.Engine, cfg Config, deliver DeliverFunc) (*Over
 }
 
 // Stats returns a copy of the counters.
-func (o *Overlay) Stats() Stats {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.stats
-}
+func (o *Overlay) Stats() Stats { return o.stats }
 
 // treeNeighbors returns the tree-adjacent brokers of sw.
 func (o *Overlay) treeNeighbors(sw topo.NodeID) []topo.NodeID {
@@ -210,8 +199,6 @@ func (o *Overlay) Subscribe(id string, host topo.NodeID, rect dz.Rect) error {
 	if err != nil {
 		return fmt.Errorf("broker: subscribe: %w", err)
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	if _, dup := o.subHome[id]; dup {
 		return fmt.Errorf("broker: duplicate subscription id %q", id)
 	}
@@ -230,8 +217,6 @@ func (o *Overlay) Subscribe(id string, host topo.NodeID, rect dz.Rect) error {
 // "expensive maintenance of subscription summaries" the paper's related
 // work discusses; the control messages are counted accordingly.
 func (o *Overlay) Unsubscribe(id string) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
 	host, ok := o.subHome[id]
 	if !ok {
 		return fmt.Errorf("broker: unknown subscription id %q", id)
@@ -327,9 +312,7 @@ func (o *Overlay) access(host topo.NodeID) (topo.NodeID, *topo.Link, error) {
 
 // send puts a published event on the host's access link to broker sw.
 func (o *Overlay) send(sw topo.NodeID, access *topo.Link, h hop) {
-	o.mu.Lock()
 	o.stats.EventMessages++
-	o.mu.Unlock()
 	o.eng.ScheduleEvent(access.Params.Latency, o, sim.Event{Kind: evRoute, A: int32(sw), Ref: o.hops.Put(h)})
 }
 
@@ -348,12 +331,9 @@ func (o *Overlay) HandleEvent(ev sim.Event) {
 	case evForward:
 		o.forward(topo.NodeID(ev.A), h)
 	case evDeliver:
-		o.mu.Lock()
 		o.stats.Deliveries++
-		deliver := o.deliver
-		o.mu.Unlock()
-		if deliver != nil {
-			deliver(Delivery{SubID: h.sub, Host: topo.NodeID(ev.A), Event: h.ev, At: o.eng.Now(), SentAt: h.sentAt})
+		if o.deliver != nil {
+			o.deliver(Delivery{SubID: h.sub, Host: topo.NodeID(ev.A), Event: h.ev, At: o.eng.Now(), SentAt: h.sentAt})
 		}
 	}
 }
@@ -362,7 +342,6 @@ func (o *Overlay) HandleEvent(ev sim.Event) {
 // subscription tables, and after the matching delay deliver locally and
 // forward towards interested neighbours.
 func (o *Overlay) route(sw, from topo.NodeID, h hop) {
-	o.mu.Lock()
 	b := o.brokers[sw]
 	evaluated := 0
 
@@ -388,7 +367,6 @@ func (o *Overlay) route(sw, from topo.NodeID, h hop) {
 	}
 	sortNodeIDs(h.forwards)
 	o.stats.FilterEvaluations += uint64(evaluated)
-	o.mu.Unlock()
 
 	procDelay := o.cfg.BaseHopDelay + time.Duration(evaluated)*o.cfg.PerFilterCost
 	o.eng.ScheduleEvent(procDelay, o, sim.Event{Kind: evForward, A: int32(sw), Ref: o.hops.Put(h)})
@@ -402,9 +380,7 @@ func (o *Overlay) forward(sw topo.NodeID, h hop) {
 		if !ok {
 			continue
 		}
-		o.mu.Lock()
 		o.stats.EventMessages++
-		o.mu.Unlock()
 		o.eng.ScheduleEvent(hostLink.Params.Latency, o, sim.Event{Kind: evDeliver, A: int32(hit.host),
 			Ref: o.hops.Put(hop{ev: h.ev, sentAt: h.sentAt, sub: hit.id})})
 	}
@@ -413,9 +389,7 @@ func (o *Overlay) forward(sw topo.NodeID, h hop) {
 		if !ok {
 			continue
 		}
-		o.mu.Lock()
 		o.stats.EventMessages++
-		o.mu.Unlock()
 		o.eng.ScheduleEvent(link.Params.Latency, o, sim.Event{Kind: evRoute, A: int32(nb), B: int32(sw),
 			Ref: o.hops.Put(hop{ev: h.ev, sentAt: h.sentAt})})
 	}

@@ -22,8 +22,6 @@ func (c *Controller) Advertise(id string, host topo.NodeID, set dz.Set) (Reconfi
 	if err != nil {
 		return ReconfigReport{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.advertise(id, ep, set)
 }
 
@@ -35,8 +33,6 @@ func (c *Controller) AdvertiseVirtual(id string, borderSwitch topo.NodeID, viaPo
 	if err != nil {
 		return ReconfigReport{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.advertise(id, ep, set)
 }
 
@@ -101,8 +97,6 @@ func (c *Controller) Subscribe(id string, host topo.NodeID, set dz.Set) (Reconfi
 	if err != nil {
 		return ReconfigReport{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.subscribe(id, ep, set)
 }
 
@@ -113,8 +107,6 @@ func (c *Controller) SubscribeVirtual(id string, borderSwitch topo.NodeID, viaPo
 	if err != nil {
 		return ReconfigReport{}, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	return c.subscribe(id, ep, set)
 }
 
@@ -190,8 +182,6 @@ func (c *Controller) sortedPubs(t *tree) []string {
 // torn down, deleting flows no other path needs and downgrading shared
 // ones (Section 3.3.3).
 func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	sub, ok := c.subs[id]
 	if !ok {
 		return rep, fmt.Errorf("%w: subscriber %q", ErrUnknownClient, id)
@@ -223,8 +213,6 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 // are dismantled; their subscribers fall back to stored state for the
 // affected subspaces.
 func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	pub, ok := c.pubs[id]
 	if !ok {
 		return rep, fmt.Errorf("%w: publisher %q", ErrUnknownClient, id)
@@ -589,8 +577,6 @@ func (c *Controller) sortedTrees() []*tree {
 // affected paths — the controller-side reaction to network dynamics the
 // paper's conclusion names as follow-up work.
 func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	sp, start := c.beginOp(opRebuildTrees, func() string { return "" })
 	defer func() { c.endOp(opRebuildTrees, sp, start, &rep, err) }()
 	ch := make(changeSet)

@@ -651,13 +651,10 @@ func (c *Controller) programOnce(sw topo.NodeID, ops []openflow.FlowOp, metas []
 
 // quarantine moves a switch into the degraded set.
 func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) {
-	c.degradedMu.Lock()
-	if _, already := c.degraded[sw]; !already {
+	if c.degraded.put(sw, err) {
 		rep.Quarantined++
 		c.inst.quarantines.Inc()
 	}
-	c.degraded[sw] = err
-	c.degradedMu.Unlock()
 	if sp := c.span; sp != nil {
 		sp.Event("quarantined", "switch", swLabel(sw), "err", err.Error())
 	}
@@ -698,11 +695,9 @@ func (c *Controller) refresh(ch changeSet, rep *ReconfigReport) error {
 
 // VerifyTables cross-checks the incrementally maintained flow state
 // against the full canonical derivation; it is used by tests and returns
-// the first inconsistency found. It takes the read lock, so it sees a
-// consistent snapshot even while control operations churn concurrently.
+// the first inconsistency found. Called by the owner, it falls between
+// control operations, so it sees a consistent state.
 func (c *Controller) VerifyTables() error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	// Every switch with installed flows or contributions must agree.
 	seen := make(map[topo.NodeID]bool)
 	for sw := range c.installed {
@@ -756,8 +751,6 @@ func (c *Controller) VerifyTables() error {
 // InstalledFlowCount returns the number of flows the controller currently
 // has programmed across all switches (the TCAM budget of requirement 3).
 func (c *Controller) InstalledFlowCount() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	total := 0
 	for _, m := range c.installed {
 		total += len(m)
@@ -768,8 +761,6 @@ func (c *Controller) InstalledFlowCount() int {
 // InstalledFlowsOn returns the match expressions programmed on one switch,
 // sorted — used by tests and the dzcalc tool.
 func (c *Controller) InstalledFlowsOn(sw topo.NodeID) []dz.Expr {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	m := c.installed[sw]
 	return sortutil.Keys(m)
 }

@@ -20,7 +20,7 @@ import (
 
 // Journal is the sink control operations append to. Implementations must
 // be safe for concurrent use with their read side (the controller appends
-// under its own lock, but a standby may read concurrently).
+// from its owner's goroutine, but a standby may read from another).
 type Journal interface {
 	// Append adds one record. Records arrive with strictly increasing
 	// sequence numbers within an epoch.
@@ -130,39 +130,23 @@ func WithJournal(j Journal) Option {
 // Epoch returns the controller's incarnation number (0 for a controller
 // that never failed over).
 func (c *Controller) Epoch() uint32 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.epoch
 }
 
 // JournalSeq returns the sequence number of the last control operation the
 // controller journaled (or inherited through restore/replay).
 func (c *Controller) JournalSeq() uint64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 	return c.jseq
-}
-
-// SetJournal attaches (or replaces) the journal of a live controller.
-// Promote uses it to wire the inherited journal to the new incarnation
-// after replay, so appends made during replay are impossible by
-// construction.
-func (c *Controller) SetJournal(j Journal) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.journal = j
 }
 
 // SetEpoch sets the controller's incarnation number; Promote bumps it past
 // every epoch observed in the snapshot and journal.
 func (c *Controller) SetEpoch(e uint32) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.epoch = e
 }
 
 // journalOp appends one successful control operation to the journal.
-// Callers hold c.mu; ops applied during replay are not re-appended (their
+// Ops applied during replay are not re-appended (their
 // records are already in the journal). An append failure surfaces as the
 // operation's error: the network state has been reconfigured, but callers
 // must know the op is not durable.
@@ -192,28 +176,20 @@ func (c *Controller) journalOp(op wire.Op, id string, ep endpoint, set dz.Set) e
 // It returns the number of records applied. Replay is meant for a freshly
 // created or restored controller that is not yet serving requests.
 func (c *Controller) Replay(recs []wire.Record) (int, error) {
-	c.mu.Lock()
 	c.replaying = true
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		c.replaying = false
-		c.mu.Unlock()
-	}()
+	defer func() { c.replaying = false }()
 	applied := 0
 	for _, rec := range recs {
-		if rec.Seq <= c.JournalSeq() {
+		if rec.Seq <= c.jseq {
 			continue
 		}
 		if err := c.applyRecord(rec); err != nil {
 			return applied, fmt.Errorf("core: replay record %d (%s %q): %w", rec.Seq, rec.Op, rec.ID, err)
 		}
-		c.mu.Lock()
 		c.jseq = rec.Seq
 		if rec.Epoch > c.epoch {
 			c.epoch = rec.Epoch
 		}
-		c.mu.Unlock()
 		c.inst.journalReplayed.Inc()
 		applied++
 	}

@@ -138,7 +138,7 @@ func treeLabel(id TreeID) string { return strconv.Itoa(int(id)) }
 // beginOp opens the observation scope of one control operation: a trace
 // span (when tracing is enabled; target is computed lazily so disabled
 // tracing pays nothing) and the latency-clock start. The span is parked
-// on c.span so the flush sites can annotate it; callers hold c.mu.
+// on c.span so the flush sites can annotate it.
 func (c *Controller) beginOp(op string, target func() string) (*obs.Span, time.Time) {
 	var sp *obs.Span
 	if c.tracer != nil {
@@ -150,7 +150,6 @@ func (c *Controller) beginOp(op string, target func() string) (*obs.Span, time.T
 
 // endOp closes the scope opened by beginOp: the op latency is observed
 // and the span receives the reconfiguration summary before it ends.
-// Callers hold c.mu.
 func (c *Controller) endOp(op string, sp *obs.Span, start time.Time, rep *ReconfigReport, err error) {
 	c.span = nil
 	c.inst.latency.With(op).Observe(time.Since(start))

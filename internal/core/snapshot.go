@@ -45,8 +45,6 @@ const (
 // key order and every dz set through wire.AppendSet (canonical order), so
 // the encoding is a pure function of controller state.
 func (c *Controller) EncodeSnapshot() ([]byte, error) {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
 
 	buf := append([]byte(nil), snapshotMagic...)
 	buf = append(buf, SnapshotVersion)

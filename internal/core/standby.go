@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"pleroma/internal/topo"
 )
@@ -15,14 +14,13 @@ import (
 // fresh), replay the journal suffix, bump the epoch past every one
 // observed, and anti-entropy-resync the inherited switches so whatever the
 // crashed controller actually programmed is reconciled with the canonical
-// state (Resync/FlowReader are reused verbatim).
+// state (Resync/FlowReader are reused verbatim). Like the controller it
+// promotes, a standby belongs to the goroutine driving its partition.
 type StandbyController struct {
 	g    *topo.Graph
 	prog FlowProgrammer
 	src  ReplaySource
 	opts []Option
-
-	mu   sync.Mutex
 	snap []byte
 }
 
@@ -40,9 +38,7 @@ func (s *StandbyController) ObserveSnapshot(snap []byte) error {
 	if _, err := SnapshotDigest(snap); err != nil {
 		return err
 	}
-	s.mu.Lock()
 	s.snap = append([]byte(nil), snap...)
-	s.mu.Unlock()
 	return nil
 }
 
@@ -67,10 +63,8 @@ type PromoteReport struct {
 // snapshot is consumed.
 func (s *StandbyController) Promote() (*Controller, PromoteReport, error) {
 	var rep PromoteReport
-	s.mu.Lock()
 	snap := s.snap
 	s.snap = nil
-	s.mu.Unlock()
 
 	var (
 		ctl *Controller
@@ -119,7 +113,7 @@ func (s *StandbyController) Promote() (*Controller, PromoteReport, error) {
 	rep.Epoch = maxEpoch + 1
 	ctl.SetEpoch(rep.Epoch)
 	if j, ok := s.src.(Journal); ok {
-		ctl.SetJournal(j)
+		ctl.journal = j // after replay: replayed ops cannot be re-appended
 	}
 
 	// Anti-entropy over the inherited switches: the restored installed map

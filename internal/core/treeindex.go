@@ -15,8 +15,8 @@ import (
 //
 // Every member packs losslessly: admission (Controller.admit) and snapshot
 // restore refuse a set with a member longer than dz.MaxKeyBits before it
-// reaches a tree. The zero value is ready for use; all access is guarded by
-// Controller.mu.
+// reaches a tree. The zero value is ready for use; like the rest of the
+// controller it belongs to the controller's owner.
 type treeIndex struct {
 	trie dz.Trie[TreeID]
 }

@@ -63,14 +63,14 @@ type haFailoverTally struct {
 	digest                    string
 }
 
-// haFailoverRun churns one journaling controller (single worker, so the
-// operation sequence is a pure function of the seed), checkpoints every
+// haFailoverRun churns one journaling controller (one seeded stream, so
+// the operation sequence is a pure function of the seed), checkpoints every
 // `every` mutations, crashes it, and promotes a warm standby. The
 // returned digest fingerprints the promoted controller's reconstructed
 // state: identical across cadences (replay converges on the same state
 // no matter how it is split between snapshot and journal) and across
 // runs of the same seed.
-func haFailoverRun(seed int64, opsPerWorker, every int) (*haFailoverTally, error) {
+func haFailoverRun(seed int64, ops, every int) (*haFailoverTally, error) {
 	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
 	if err != nil {
 		return nil, err
@@ -122,9 +122,8 @@ func haFailoverRun(seed int64, opsPerWorker, every int) (*haFailoverTally, error
 		return nil
 	}
 	churn, err := workload.RunChurn(sch, workload.ChurnConfig{
-		Workers:      1,
-		OpsPerWorker: opsPerWorker,
-		Seed:         seed,
+		Ops:  ops,
+		Seed: seed,
 	}, workload.ChurnOps{
 		Advertise: func(id string, rect dz.Rect) error {
 			set, err := sch.DecomposeRectLimited(rect, fig7bMaxDzLen, fig7bMaxSubspaces)

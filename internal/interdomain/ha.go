@@ -165,7 +165,7 @@ func (f *Fabric) takeover(verb string, partition int, snap []byte) (FailoverRepo
 	if err != nil {
 		return rep, fmt.Errorf("interdomain: %s partition %d: %w", verb, partition, err)
 	}
-	s.ctl = ctl
+	s.setController(ctl)
 	rep.PromoteReport = prep
 	f.obsFailovers.With(strconv.Itoa(partition)).Inc()
 	f.obsEpoch.With(strconv.Itoa(partition)).Set(int64(prep.Epoch))
@@ -190,7 +190,7 @@ func (f *Fabric) RestorePartition(partition int, snap []byte) error {
 	if _, err := ctl.ResyncAll(); err != nil {
 		return fmt.Errorf("interdomain: restore partition %d: resync: %w", partition, err)
 	}
-	s.ctl = ctl
+	s.setController(ctl)
 	return nil
 }
 

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"pleroma/internal/core"
@@ -97,6 +98,12 @@ type extAdv struct {
 type partitionState struct {
 	part int
 	ctl  *core.Controller
+	// degraded publishes ctl's quarantine set to readers on other
+	// goroutines (DegradedSwitches, the health endpoint). setController
+	// stores it whenever ctl changes; the store is the happens-before edge
+	// for a controller built on the driving goroutine, and a reader never
+	// loads ctl, which a takeover overwrites.
+	degraded atomic.Pointer[core.DegradedSet]
 	// borders maps neighbour partition -> ordered border ports (the first
 	// one is the canonical crossing used for virtual clients).
 	borders map[int][]BorderPort
@@ -286,7 +293,6 @@ func NewFabric(g *topo.Graph, dp *netem.DataPlane, opts ...Option) (*Fabric, err
 		}
 		f.parts[p] = &partitionState{
 			part:           p,
-			ctl:            ctl,
 			journal:        journal,
 			borders:        make(map[int][]BorderPort),
 			rcvdAdv:        make(map[string]dz.Set),
@@ -298,6 +304,7 @@ func NewFabric(g *topo.Graph, dp *netem.DataPlane, opts ...Option) (*Fabric, err
 			localAdvs:      make(map[string]dz.Set),
 			localSubs:      make(map[string]dz.Set),
 		}
+		f.parts[p].setController(ctl)
 		f.order = append(f.order, p)
 	}
 	sort.Ints(f.order)
@@ -483,12 +490,20 @@ func (f *Fabric) ResyncAll() (core.ResyncReport, error) {
 	return rr, errors.Join(errs...)
 }
 
+// setController makes ctl the partition's controller and publishes its
+// quarantine set.
+func (s *partitionState) setController(ctl *core.Controller) {
+	s.ctl = ctl
+	s.degraded.Store(ctl.DegradedSet())
+}
+
 // DegradedSwitches returns the quarantined switches across all partition
-// controllers, ordered by switch ID.
+// controllers, ordered by switch ID. It reads only the published quarantine
+// sets, so it is safe from any goroutine, takeovers included.
 func (f *Fabric) DegradedSwitches() []core.DegradedSwitch {
 	var out []core.DegradedSwitch
 	for _, p := range f.order {
-		out = append(out, f.parts[p].ctl.DegradedSwitches()...)
+		out = append(out, f.parts[p].degraded.Load().Switches()...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Sw < out[j].Sw })
 	return out

@@ -3,7 +3,6 @@ package netem
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,15 +14,12 @@ import (
 	"pleroma/internal/topo"
 )
 
-// TestToggleHandlersDuringRun is the -race regression for the unguarded
-// recordPaths/punt fields: the forwarding path reads both on every switch
-// arrival while other goroutines toggle them (and swap switch configs)
-// mid-run. The forwarding itself stays on the test goroutine — the engine
-// is single-threaded by contract. No goroutine reads the stats surface
-// mid-run: the counters are plain fields owned by the forwarding goroutine
-// and exact only between runs (see DataPlane), which is where this test
-// checks them, against the 300 packets it published.
-func TestToggleHandlersDuringRun(t *testing.T) {
+// TestToggleHandlersBetweenRuns flips the punt handler, path recording and
+// a switch config between runs — where their owner, the goroutine driving
+// the data plane, sets them — and checks the counters afterwards, exact
+// between runs, against the 300 packets it published: no toggle may cost or
+// double a packet.
+func TestToggleHandlersBetweenRuns(t *testing.T) {
 	dp, eng, hosts, switches := buildLine(t)
 	if err := dp.ConfigureHost(hosts[1], HostConfig{}, nil); err != nil {
 		t.Fatal(err)
@@ -33,50 +29,30 @@ func TestToggleHandlersDuringRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ev, _ := sch.NewEvent(600, 5)
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	spin := func(body func(i int)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-					body(i)
-				}
-			}
-		}()
-	}
-	spin(func(i int) { dp.RecordPaths(i%2 == 0) })
-	spin(func(i int) {
-		if i%2 == 0 {
+	toggle := func(i int) {
+		dp.RecordPaths(i%2 == 0)
+		if i%3 == 0 {
 			dp.SetPuntHandler(func(topo.NodeID, openflow.PortID, Packet) {})
 		} else {
 			dp.SetPuntHandler(nil)
 		}
-	})
-	spin(func(i int) {
 		cfg := DefaultSwitchConfig
-		if i%2 == 0 {
+		if i%5 == 0 {
 			cfg.PerFlowPenalty = time.Microsecond
 		}
 		if err := dp.SetSwitchConfig(switches[0], cfg); err != nil {
-			panic(err)
+			t.Fatal(err)
 		}
-	})
+	}
 
 	const packets = 300
 	for i := 0; i < packets; i++ {
+		toggle(i)
 		if err := dp.Publish(hosts[0], "1", ev, 64); err != nil {
 			t.Fatal(err)
 		}
 		eng.Run()
 	}
-	close(stop)
-	wg.Wait()
 	// Every packet crosses the line: host, three switches, host.
 	if got := dp.HostReceived(hosts[1]); got != packets {
 		t.Errorf("HostReceived = %d, want %d", got, packets)
@@ -406,8 +382,8 @@ func TestPlanRebuildOnTopologyGrowth(t *testing.T) {
 	}
 	actions := append(append([]openflow.Action(nil), flows[0].Actions...),
 		openflow.Action{OutPort: swPort, SetDest: HostAddr(h3)})
-	if !tab.Modify(flows[0].ID, flows[0].Priority, actions) {
-		t.Fatal("modify failed")
+	if err := tab.Modify(flows[0].ID, flows[0].Priority, actions); err != nil {
+		t.Fatal(err)
 	}
 	sch, err := space.UniformSchema(2)
 	if err != nil {

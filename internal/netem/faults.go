@@ -3,7 +3,6 @@ package netem
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"pleroma/internal/obs"
 	"pleroma/internal/openflow"
@@ -86,14 +85,13 @@ type FaultStats struct {
 // switch answers at all — the resync pass depends on that to compute
 // repairs.
 //
-// It is safe for concurrent use; fault decisions serialise behind one
-// mutex. A controller programs its switches one call at a time in switch
-// order, so a seeded run against one controller is reproducible.
+// Like the data plane under it, it belongs to the goroutine driving the
+// system and takes no lock. A controller programs its switches one call at
+// a time in switch order, so a seeded run against one controller is
+// reproducible.
 type FaultyProgrammer struct {
-	dp  *DataPlane
-	cfg FaultConfig
-
-	mu        sync.Mutex
+	dp        *DataPlane
+	cfg       FaultConfig
 	rng       *rand.Rand
 	calls     uint64
 	scripted  map[uint64]bool
@@ -127,36 +125,25 @@ func WithFaults(dp *DataPlane, cfg FaultConfig) *FaultyProgrammer {
 // fails after applying exactly opIndex operations, or the whole batch when
 // it is shorter (transient switch unreachability).
 func (f *FaultyProgrammer) FailNextBatch(opIndex int) {
-	f.mu.Lock()
 	f.oneShot = opIndex
-	f.mu.Unlock()
 }
 
 // Heal closes every open switch-down window.
 func (f *FaultyProgrammer) Heal() {
-	f.mu.Lock()
 	f.downUntil = make(map[topo.NodeID]uint64)
-	f.mu.Unlock()
 }
 
 // SetRate replaces the random fault probability (e.g. to stop injection
 // before a convergence check).
 func (f *FaultyProgrammer) SetRate(rate float64) {
-	f.mu.Lock()
 	f.cfg.Rate = rate
-	f.mu.Unlock()
 }
 
 // Stats returns a snapshot of the injection counters.
-func (f *FaultyProgrammer) Stats() FaultStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.stats
-}
+func (f *FaultyProgrammer) Stats() FaultStats { return f.stats }
 
 // newFault builds the injected error for one fault occurrence, opening a
 // switch-down window unless the fault presents as a table-full burst.
-// Callers hold f.mu.
 func (f *FaultyProgrammer) newFault(sw topo.NodeID) *InjectedError {
 	f.faults++
 	f.stats.Injected++
@@ -173,7 +160,7 @@ func (f *FaultyProgrammer) newFault(sw topo.NodeID) *InjectedError {
 }
 
 // admit charges one southbound call and returns a fault if the switch is
-// inside a down window. Callers hold f.mu.
+// inside a down window.
 func (f *FaultyProgrammer) admit(sw topo.NodeID) *InjectedError {
 	f.calls++
 	f.stats.Calls++
@@ -189,7 +176,7 @@ func (f *FaultyProgrammer) admit(sw topo.NodeID) *InjectedError {
 }
 
 // decideBatch picks the cut position for a batch of n ops: n means no
-// fault; otherwise ops[:cut] apply and the call fails. Callers hold f.mu.
+// fault; otherwise ops[:cut] apply and the call fails.
 func (f *FaultyProgrammer) decideBatch(sw topo.NodeID, n int) (int, *InjectedError) {
 	if f.oneShot >= 0 {
 		cut := f.oneShot
@@ -218,7 +205,6 @@ func (f *FaultyProgrammer) decideBatch(sw topo.NodeID, n int) (int, *InjectedErr
 // OpenFlow-bundle failure shape the controller's prefix accounting
 // handles.
 func (f *FaultyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
-	f.mu.Lock()
 	injErr := f.admit(sw)
 	cut := len(ops)
 	if injErr == nil {
@@ -226,7 +212,6 @@ func (f *FaultyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]
 	} else {
 		cut = 0
 	}
-	f.mu.Unlock()
 	if cut == 0 && injErr != nil {
 		return nil, injErr
 	}

@@ -27,13 +27,13 @@ func (dp *DataPlane) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openfl
 	if err != nil {
 		return nil, err
 	}
-	dp.southbound.Add(1)
+	dp.southbound++
 	return t.ApplyBatch(ops)
 }
 
 // SouthboundCalls returns the number of controller→switch programming
 // calls made so far; a batch counts once however many FlowMods it carries.
-func (dp *DataPlane) SouthboundCalls() uint64 { return dp.southbound.Load() }
+func (dp *DataPlane) SouthboundCalls() uint64 { return dp.southbound }
 
 // Flows lists the flows installed on a switch.
 func (dp *DataPlane) Flows(sw topo.NodeID) ([]openflow.Flow, error) {
@@ -44,19 +44,10 @@ func (dp *DataPlane) Flows(sw topo.NodeID) ([]openflow.Flow, error) {
 	return t.Flows(), nil
 }
 
-// FlowModCount sums FlowMod operations over all switches. The iteration
-// holds dp.mu so stats collection can never race a mutation of the table
-// map (e.g. switch registration); per-table counters are read under each
-// table's own lock.
+// FlowModCount sums FlowMod operations over all switches.
 func (dp *DataPlane) FlowModCount() uint64 {
-	dp.mu.Lock()
-	tables := make([]*openflow.Table, 0, len(dp.tables))
-	for _, t := range dp.tables {
-		tables = append(tables, t)
-	}
-	dp.mu.Unlock()
 	var total uint64
-	for _, t := range tables {
+	for _, t := range dp.tables {
 		total += t.Stats().Total()
 	}
 	return total

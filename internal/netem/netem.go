@@ -16,7 +16,7 @@
 // the data plane compiles, per switch, a dense port → link-direction array
 // whose entries point straight at per-direction link state and carry the
 // peer's identity, kind, and ingress port. A packet hop therefore touches
-// no maps, takes no global lock, and — because in-flight packets live in a
+// no maps, takes no lock, and — because in-flight packets live in a
 // free-listed slab addressed by the typed event payload — allocates
 // nothing in steady state.
 //
@@ -32,8 +32,6 @@ package netem
 import (
 	"fmt"
 	"net/netip"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"pleroma/internal/dz"
@@ -277,9 +275,9 @@ func (q *departures) settle(eng *sim.Engine) int {
 type switchPlan struct {
 	table *openflow.Table
 	stats *SwitchStats
-	// cfg is replaceable mid-run (SetSwitchConfig) without locking the
-	// forwarding path.
-	cfg atomic.Pointer[SwitchConfig]
+	// cfg is the switch's forwarding model, set between runs or on the
+	// goroutine driving a single-engine run (SetSwitchConfig).
+	cfg SwitchConfig
 	// ports maps PortID (1-based; index 0 unused) to the outgoing link
 	// direction, nil where no link is attached.
 	ports []*dirState
@@ -292,17 +290,19 @@ func (p *switchPlan) dirFor(port openflow.PortID) *dirState {
 	return p.ports[port]
 }
 
-// hostState models one end host. busyUntil, queued and the received/dropped
-// counters are owned by the host's shard during a run — plain fields, like
-// every data-plane counter (see DataPlane) — and cfg/deliver are set
-// between runs.
+// hostState models one end host. busyUntil, queued, pubSeq and the
+// received/dropped counters are owned by the host's shard during a run —
+// plain fields, like every data-plane counter (see DataPlane) — and
+// cfg/deliver are set between runs.
 type hostState struct {
 	cfg       HostConfig
 	busyUntil time.Duration
 	queued    int
 	received  uint64
 	dropped   uint64
-	deliver   DeliverFunc
+	// pubSeq is the sequence number of the host's last published event.
+	pubSeq  uint64
+	deliver DeliverFunc
 	// access is the compiled host→switch link direction (nil when the
 	// host has no attached switch). Immutable after a plan build.
 	access *dirState
@@ -384,19 +384,21 @@ func (q *puntQueue) HandleEvent(ev sim.Event) {
 // DataPlane wires a topology, per-switch flow tables, and host models onto
 // a simulation engine.
 //
-// Concurrency: each switch's flow table carries its own lock, so
-// control-plane reconfiguration (ApplyBatch, possibly from several
-// controllers touching disjoint switches) and data-plane forwarding
-// interleave safely. The punt handler, path-recording flag, and switch
-// configs are swapped atomically (safe to toggle mid-run), and mu guards
-// publisher-sequence bookkeeping plus whole-map iteration over tables. In
+// Concurrency: a DataPlane takes no lock; every field has one owner. The
+// goroutine driving Run owns the configuration — tables (programmed through
+// ApplyBatch), switch configs, host configs, the punt handler, the
+// path-recording flag and the southbound count — and sets it between runs
+// or, in single-engine mode, from a callback on that goroutine. In
 // single-engine mode the simulation is single-threaded: packets are
 // injected and forwarded on the goroutine driving Run, which also owns the
 // packet slab and per-direction serialization state. Under EnableSharding
 // each shard's worker owns the same state for its partition of the
 // topology (slab, link directions transmitting from its nodes, its
-// switches and hosts), cross-shard hops travel through barrier-drained
-// mailboxes, and injection is only legal between runs.
+// switches and hosts, a host's publish sequence), cross-shard hops travel
+// through barrier-drained mailboxes, and injection is only legal between
+// runs; a worker reads the configuration, which the run's start orders
+// after every write made before it. Nothing may change the configuration
+// from a delivery callback of a sharded run.
 //
 // Punt callbacks run on the goroutine driving Run in every mode: inline at
 // the punting switch's event in single-engine mode, and under
@@ -437,21 +439,17 @@ type DataPlane struct {
 	shardOf []int32
 	coord   *shard.Coordinator
 
-	// mu guards hosts' mutable state, pubSeq, swCfg, and iteration over
-	// the tables map.
-	mu     sync.Mutex
-	swCfg  map[topo.NodeID]SwitchConfig
-	pubSeq map[topo.NodeID]uint64
-
+	// swCfg keeps each switch's config across plan rebuilds.
+	swCfg   map[topo.NodeID]SwitchConfig
 	swStats map[topo.NodeID]*SwitchStats
 
-	punt        atomic.Pointer[PuntFunc]
+	punt        *PuntFunc // nil: no punt handler
 	punted      puntQueue // punts of a sharded run, on the control engine
-	recordPaths atomic.Bool
+	recordPaths bool
 
 	// southbound counts controller→switch programming calls; a batch is
 	// one call regardless of how many FlowMods it carries.
-	southbound atomic.Uint64
+	southbound uint64
 
 	// Observability counters, set once by Instrument before the simulation
 	// runs and nil otherwise; the forwarding path pays a nil check when
@@ -473,7 +471,6 @@ func New(g *topo.Graph, eng *sim.Engine) *DataPlane {
 		eng:       eng,
 		tables:    make(map[topo.NodeID]*openflow.Table),
 		swCfg:     make(map[topo.NodeID]SwitchConfig),
-		pubSeq:    make(map[topo.NodeID]uint64),
 		swStats:   make(map[topo.NodeID]*SwitchStats),
 		dirByLink: make(map[*topo.Link]int32),
 	}
@@ -664,7 +661,6 @@ func (dp *DataPlane) rebuildPlan() {
 
 	plans := make([]*switchPlan, len(nodes))
 	hosts := make([]*hostState, len(nodes))
-	dp.mu.Lock()
 	oldHosts := dp.hosts
 	for _, n := range nodes {
 		switch n.Kind {
@@ -674,9 +670,7 @@ func (dp *DataPlane) rebuildPlan() {
 				dp.swCfg[n.ID] = DefaultSwitchConfig
 				dp.swStats[n.ID] = &SwitchStats{}
 			}
-			p := &switchPlan{table: dp.tables[n.ID], stats: dp.swStats[n.ID]}
-			cfg := dp.swCfg[n.ID]
-			p.cfg.Store(&cfg)
+			p := &switchPlan{table: dp.tables[n.ID], stats: dp.swStats[n.ID], cfg: dp.swCfg[n.ID]}
 			nbs := g.Neighbors(n.ID)
 			maxPort := openflow.PortID(0)
 			for _, nb := range nbs {
@@ -705,7 +699,6 @@ func (dp *DataPlane) rebuildPlan() {
 		}
 	}
 	dp.hosts = hosts
-	dp.mu.Unlock()
 	dp.plans = plans
 	dp.planVersion = g.Version()
 	dp.planDirty = false
@@ -733,33 +726,28 @@ func (dp *DataPlane) planFor(sw topo.NodeID) *switchPlan {
 	return dp.plans[sw]
 }
 
-// SetSwitchConfig overrides the forwarding model of one switch. Safe to
-// call mid-run: the forwarding path picks up the new config atomically.
+// SetSwitchConfig overrides the forwarding model of one switch. Call it
+// between runs or from a single-engine callback (see DataPlane); a lookup
+// scheduled after the call uses the new config.
 func (dp *DataPlane) SetSwitchConfig(sw topo.NodeID, cfg SwitchConfig) error {
 	if _, ok := dp.tables[sw]; !ok {
 		return fmt.Errorf("netem: node %d is not a switch", sw)
 	}
-	dp.mu.Lock()
 	dp.swCfg[sw] = cfg
-	dp.mu.Unlock()
 	if p := dp.planFor(sw); p != nil {
-		c := cfg
-		p.cfg.Store(&c)
+		p.cfg = cfg
 	}
 	return nil
 }
 
 // SetAllSwitchConfigs overrides the forwarding model of every switch.
 func (dp *DataPlane) SetAllSwitchConfigs(cfg SwitchConfig) {
-	dp.mu.Lock()
 	for sw := range dp.swCfg {
 		dp.swCfg[sw] = cfg
 	}
-	dp.mu.Unlock()
 	for _, p := range dp.plans {
 		if p != nil {
-			c := cfg
-			p.cfg.Store(&c)
+			p.cfg = cfg
 		}
 	}
 }
@@ -767,8 +755,6 @@ func (dp *DataPlane) SetAllSwitchConfigs(cfg SwitchConfig) {
 // ConfigureHost sets the processing model and delivery callback of a host.
 func (dp *DataPlane) ConfigureHost(h topo.NodeID, cfg HostConfig, deliver DeliverFunc) error {
 	dp.ensurePlan()
-	dp.mu.Lock()
-	defer dp.mu.Unlock()
 	if int(h) < 0 || int(h) >= len(dp.hosts) || dp.hosts[h] == nil {
 		return fmt.Errorf("netem: node %d is not a host", h)
 	}
@@ -778,20 +764,23 @@ func (dp *DataPlane) ConfigureHost(h topo.NodeID, cfg HostConfig, deliver Delive
 	return nil
 }
 
-// SetPuntHandler registers the controller-bound punt path. Safe to call
-// mid-run.
+// SetPuntHandler registers the controller-bound punt path (nil removes
+// it). Call it between runs or from a single-engine callback (see
+// DataPlane); a punt already handed to the control engine keeps the handler
+// registered when it was punted.
 func (dp *DataPlane) SetPuntHandler(f PuntFunc) {
 	if f == nil {
-		dp.punt.Store(nil)
+		dp.punt = nil
 		return
 	}
-	dp.punt.Store(&f)
+	dp.punt = &f
 }
 
 // RecordPaths toggles per-packet path recording (each visited switch is
 // appended to Packet.Path) — a debugging aid and the hook the forwarding
-// invariants are tested against. Safe to toggle mid-run.
-func (dp *DataPlane) RecordPaths(on bool) { dp.recordPaths.Store(on) }
+// invariants are tested against. Call it between runs or from a
+// single-engine callback (see DataPlane).
+func (dp *DataPlane) RecordPaths(on bool) { dp.recordPaths = on }
 
 // SwitchStatsFor returns a copy of the counters of one switch. Like every
 // counter reader it is exact between runs and inside a single-engine
@@ -885,8 +874,8 @@ func (dp *DataPlane) PublishStamped(host topo.NodeID, expr dz.Expr, ev space.Eve
 	return dp.PublishBatch(host, pubs[:])
 }
 
-// PublishBatch injects a burst of event packets from one host, assigning
-// all sequence numbers under a single lock acquisition. A publication's
+// PublishBatch injects a burst of event packets from one host, reserving
+// all their sequence numbers at once. A publication's
 // address is a copy of its key, so nothing in a batch can be malformed: on
 // error (the host cannot inject right now) nothing is published and no
 // sequence number is taken. The resulting packet stream — sequence numbers,
@@ -928,10 +917,9 @@ func (dp *DataPlane) PublishAt(at time.Duration, host topo.NodeID, expr dz.Expr,
 func (c *shardCtx) publish(d *dirState, host topo.NodeID, pubs []Publication) {
 	dp := c.dp
 	now := c.eng.Now()
-	dp.mu.Lock()
-	base := dp.pubSeq[host]
-	dp.pubSeq[host] = base + uint64(len(pubs))
-	dp.mu.Unlock()
+	hs := dp.hosts[host]
+	base := hs.pubSeq
+	hs.pubSeq += uint64(len(pubs))
 	for i := range pubs {
 		pb := &pubs[i]
 		size := pb.Size
@@ -1164,13 +1152,13 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 	}
 	pkt.HopLimit--
 	pkt.Hops++
-	if dp.recordPaths.Load() {
+	if dp.recordPaths {
 		pkt.Path = append(append([]topo.NodeID(nil), pkt.Path...), sw)
 	}
 
 	if ipmc.IsSignal(pkt.Dst) {
 		p.stats.Punted++
-		punt := dp.punt.Load()
+		punt := dp.punt
 		out := *pkt
 		c.releasePkt(slot)
 		if punt != nil {
@@ -1179,7 +1167,7 @@ func (c *shardCtx) arriveAtSwitch(sw topo.NodeID, inPort openflow.PortID, slot u
 		return
 	}
 
-	cfg := p.cfg.Load()
+	cfg := &p.cfg
 	delay := cfg.LookupDelay
 	if cfg.PerFlowPenalty > 0 {
 		delay += cfg.PerFlowPenalty * time.Duration(p.table.Len()) / 1000
@@ -1206,7 +1194,7 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 	actions, ok := p.table.LookupKey(c.slab[slot].dstKey)
 	if !ok {
 		p.stats.TableMisses++
-		punt := c.dp.punt.Load()
+		punt := c.dp.punt
 		if punt == nil {
 			c.releasePkt(slot)
 			return

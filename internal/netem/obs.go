@@ -41,7 +41,5 @@ func (f *FaultyProgrammer) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	f.mu.Lock()
 	f.obsInjected = reg.Counter(obs.MInjectedFaults, "Failures injected by the southbound fault layer.")
-	f.mu.Unlock()
 }

@@ -52,33 +52,31 @@ func ModifyOp(id FlowID, priority int, actions []Action) FlowOp {
 	return FlowOp{Kind: OpModify, ID: id, Priority: priority, Actions: actions}
 }
 
-// ApplyBatch applies the operations in order under a single lock
-// acquisition, stopping at the first failure — an add or modify the
-// admission rule refuses (ErrPriorityMismatch) is one, and leaves the table
-// as the ops before it left it. It returns one FlowID per
-// successfully applied operation — the assigned ID for adds, zero for
-// deletes and modifies — so a caller can tell exactly which prefix of the
-// batch took effect when an error is returned.
+// ApplyBatch applies the operations in order, stopping at the first
+// failure — an add or modify the admission rule refuses
+// (ErrPriorityMismatch) is one, and leaves the table as the ops before it
+// left it. It returns one FlowID per successfully applied operation — the
+// assigned ID for adds, zero for deletes and modifies — so a caller can
+// tell exactly which prefix of the batch took effect when an error is
+// returned.
 func (t *Table) ApplyBatch(ops []FlowOp) ([]FlowID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.stats.Batches++
 	applied := make([]FlowID, 0, len(ops))
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdd:
-			id, err := t.tryAddLocked(op.Flow)
+			id, err := t.TryAdd(op.Flow)
 			if err != nil {
 				return applied, fmt.Errorf("openflow: batch op %d: %w", i, err)
 			}
 			applied = append(applied, id)
 		case OpDelete:
-			if !t.deleteLocked(op.ID) {
+			if !t.Delete(op.ID) {
 				return applied, fmt.Errorf("openflow: batch op %d: no flow %d", i, op.ID)
 			}
 			applied = append(applied, 0)
 		case OpModify:
-			if err := t.modifyLocked(op.ID, op.Priority, op.Actions); err != nil {
+			if err := t.Modify(op.ID, op.Priority, op.Actions); err != nil {
 				return applied, fmt.Errorf("openflow: batch op %d: %w", i, err)
 			}
 			applied = append(applied, 0)

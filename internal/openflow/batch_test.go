@@ -2,7 +2,7 @@ package openflow
 
 import (
 	"errors"
-	"sync"
+	"reflect"
 	"testing"
 
 	"pleroma/internal/ipmc"
@@ -78,76 +78,72 @@ func TestApplyBatchUnknownTargets(t *testing.T) {
 	}
 }
 
-// TestTableConcurrentAccess hammers one table from several goroutines;
-// meaningful under -race. Forwarding-path readers range over the action
-// lists LookupKey hands out by reference while writers Modify, batch-modify
-// and delete the flows that own them: a list a reader holds is never written.
-func TestTableConcurrentAccess(t *testing.T) {
+// TestLookupKeyHeldActionsNeverWritten pins the aliasing contract the
+// forwarding path relies on: LookupKey hands out the winner's action list by
+// reference, and in single-engine mode a punt handler runs inline and may
+// Modify, batch-modify, Delete or Add the table's flows while a hop still
+// holds a list it looked up. No write may reach a list once handed out.
+func TestLookupKeyHeldActionsNeverWritten(t *testing.T) {
 	tab := NewTable()
-	var wg sync.WaitGroup
-	flows := make([]Flow, 4)
-	for w := range flows {
-		flows[w] = mustFlow(t, "1", 1, PortID(w+1))
-	}
 	ev, err := ipmc.EventAddr("1111")
 	if err != nil {
 		t.Fatal(err)
 	}
 	key, _ := ipmc.KeyFromAddr(ev)
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 2; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				actions, _ := tab.LookupKey(key)
-				for _, a := range actions {
-					if a.OutPort < 1 || a.OutPort > 10 {
-						t.Errorf("LookupKey handed out a torn action list: %v", actions)
-						return
-					}
-				}
-			}
-		}()
+	first, err := tab.TryAdd(mustFlow(t, "1", 1, 1, 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				id, err := tab.TryAdd(flows[w])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				tab.Lookup(ev)
-				_ = tab.Flows()
-				_ = tab.Stats()
-				if !tab.Modify(id, 1, []Action{{OutPort: 9}}) {
-					t.Error("modify failed")
-					return
-				}
-				if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(id, 1, []Action{{OutPort: 10}, {OutPort: 9}})}); err != nil {
-					t.Error(err)
-					return
-				}
-				if !tab.Delete(id) {
-					t.Error("delete failed")
-					return
-				}
-			}
-		}(w)
+	second, err := tab.TryAdd(mustFlow(t, "1", 1, 3)) // same bucket, loses the tie
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if tab.Len() != 0 {
-		t.Errorf("Len=%d, want 0", tab.Len())
+
+	type heldList struct{ held, want []Action }
+	var lists []heldList
+	hold := func(wantFirst PortID) {
+		t.Helper()
+		got, ok := tab.LookupKey(key)
+		if !ok || len(got) == 0 || got[0].OutPort != wantFirst {
+			t.Fatalf("LookupKey = %v, %v; want a list starting at port %d", got, ok, wantFirst)
+		}
+		lists = append(lists, heldList{got, append([]Action(nil), got...)})
+	}
+	check := func(step string) {
+		t.Helper()
+		for i, l := range lists {
+			if !reflect.DeepEqual(l.held, l.want) {
+				t.Fatalf("after %s: held list %d is %v, was %v", step, i, l.held, l.want)
+			}
+		}
+	}
+
+	hold(1)
+	if err := tab.Modify(first, 1, []Action{{OutPort: 9}}); err != nil {
+		t.Fatal(err)
+	}
+	check("Modify")
+	hold(9)
+	if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(first, 1, []Action{{OutPort: 10}, {OutPort: 9}})}); err != nil {
+		t.Fatal(err)
+	}
+	check("batch modify")
+	hold(10)
+	// A longer prefix takes over the lookup.
+	if _, err := tab.TryAdd(mustFlow(t, "11", 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	check("Add")
+	hold(4)
+	if !tab.Delete(first) {
+		t.Fatal("delete first failed")
+	}
+	check("Delete")
+	if _, err := tab.ApplyBatch([]FlowOp{DeleteOp(second)}); err != nil {
+		t.Fatal(err)
+	}
+	check("batch delete")
+	if tab.Len() != 1 {
+		t.Errorf("Len=%d, want 1", tab.Len())
 	}
 }

@@ -209,7 +209,7 @@ func FuzzLookupKeyVsAddr(f *testing.F) {
 					installed = append(installed, id)
 				}
 			case op.Kind == OpModify:
-				applied = tab.Modify(op.ID, op.Priority, op.Actions)
+				applied = tab.Modify(op.ID, op.Priority, op.Actions) == nil
 			default:
 				applied = tab.Delete(op.ID)
 			}

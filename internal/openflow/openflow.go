@@ -19,8 +19,6 @@ import (
 	"net/netip"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"pleroma/internal/dz"
 	"pleroma/internal/ipmc"
@@ -177,11 +175,14 @@ func (s ModStats) Total() uint64 { return s.Adds + s.Deletes + s.Mods }
 // benchmark's probe: it packs the address, runs the same lookup and copies
 // the flow out.
 //
-// A Table is safe for concurrent use: every table carries its own lock, so
-// control-plane reconfiguration (FlowMods, batches) and data-plane lookups
-// interleave per switch without a global serialization point.
+// A Table takes no lock. Its one writer is the controller programming the
+// switch, on the goroutine driving the system; its readers are the
+// forwarding path — the same goroutine in single-engine mode, a shard
+// worker under sharding, where a run's start and return (the coordinator's
+// barrier) order the worker's lookups after every write made between runs.
+// A punt handler runs between a switch's lookups, never inside one, and
+// LookupKey's result stays valid across writes (see LookupKey).
 type Table struct {
-	mu     sync.RWMutex
 	flows  map[FlowID]*Flow
 	nextID FlowID
 	stats  ModStats
@@ -201,15 +202,10 @@ type Table struct {
 	capacity int
 	// rejected counts adds refused because the table was full.
 	rejected uint64
-	// size mirrors len(flows) so Len is lock-free: the data plane reads it
-	// on every packet lookup (software-switch per-flow penalty) and must
-	// not contend with controller FlowMods. Updated by the only two size-
-	// changing paths, tryAddLocked and deleteLocked, under t.mu.
-	size atomic.Int64
 	// sizeObserver, when set, is called with the new flow count after
-	// every size change, under the table lock — observers must be cheap
-	// and must not call back into the table. The observability layer uses
-	// it to drive per-switch occupancy gauges from the ground truth.
+	// every size change — observers must be cheap and must not call back
+	// into the table. The observability layer uses it to drive per-switch
+	// occupancy gauges from the ground truth.
 	sizeObserver func(int)
 }
 
@@ -253,24 +249,16 @@ func NewTable() *Table {
 	return &Table{flows: make(map[FlowID]*Flow), shared: make(map[dz.Key][]*Flow)}
 }
 
-// Len returns the number of installed flows. It is lock-free: the count
-// is maintained atomically by add/delete, so the forwarding hot path can
-// read table occupancy without touching the table lock.
-func (t *Table) Len() int {
-	return int(t.size.Load())
-}
+// Len returns the number of installed flows.
+func (t *Table) Len() int { return len(t.flows) }
 
 // Stats returns the FlowMod counters.
 func (t *Table) Stats() ModStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.stats
 }
 
 // ResetStats zeroes the FlowMod counters.
 func (t *Table) ResetStats() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.stats = ModStats{}
 }
 
@@ -278,25 +266,19 @@ func (t *Table) ResetStats() {
 // entries above the new capacity stay installed; only future Adds are
 // refused.
 func (t *Table) SetCapacity(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.capacity = n
 }
 
 // Capacity returns the configured TCAM budget (0 = unbounded).
 func (t *Table) Capacity() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.capacity
 }
 
 // SetSizeObserver registers fn to be called with the flow count after
 // every size change (and once immediately with the current count). fn
-// runs under the table lock: it must be cheap, non-blocking, and must not
-// call table methods. A nil fn removes the observer.
+// must be cheap, non-blocking, and must not call table methods. A nil fn
+// removes the observer.
 func (t *Table) SetSizeObserver(fn func(int)) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
 	t.sizeObserver = fn
 	if fn != nil {
 		fn(len(t.flows))
@@ -305,8 +287,6 @@ func (t *Table) SetSizeObserver(fn func(int)) {
 
 // Rejected returns the number of Adds refused due to a full table.
 func (t *Table) Rejected() uint64 {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	return t.rejected
 }
 
@@ -320,12 +300,6 @@ func (t *Table) Add(f Flow) FlowID {
 // capacity. A flow whose priority is not |dz| gets ErrPriorityMismatch, a
 // full table ErrTableFull; either way nothing is installed.
 func (t *Table) TryAdd(f Flow) (FlowID, error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tryAddLocked(f)
-}
-
-func (t *Table) tryAddLocked(f Flow) (FlowID, error) {
 	if err := admit(f.Expr, f.Priority); err != nil {
 		return 0, err
 	}
@@ -338,7 +312,6 @@ func (t *Table) tryAddLocked(f Flow) (FlowID, error) {
 	t.flows[f.ID] = &f
 	t.index(&f)
 	t.stats.Adds++
-	t.size.Store(int64(len(t.flows)))
 	if t.sizeObserver != nil {
 		t.sizeObserver(len(t.flows))
 	}
@@ -348,12 +321,6 @@ func (t *Table) tryAddLocked(f Flow) (FlowID, error) {
 // Delete removes the flow with the given ID. It reports whether a flow was
 // removed.
 func (t *Table) Delete(id FlowID) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.deleteLocked(id)
-}
-
-func (t *Table) deleteLocked(id FlowID) bool {
 	f, ok := t.flows[id]
 	if !ok {
 		return false
@@ -361,23 +328,17 @@ func (t *Table) deleteLocked(id FlowID) bool {
 	t.unindex(f)
 	delete(t.flows, id)
 	t.stats.Deletes++
-	t.size.Store(int64(len(t.flows)))
 	if t.sizeObserver != nil {
 		t.sizeObserver(len(t.flows))
 	}
 	return true
 }
 
-// Modify replaces the actions and priority of an installed flow. It reports
-// false, and changes nothing, when no flow has the ID or the priority is not
-// the flow's |dz|.
-func (t *Table) Modify(id FlowID, priority int, actions []Action) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.modifyLocked(id, priority, actions) == nil
-}
-
-func (t *Table) modifyLocked(id FlowID, priority int, actions []Action) error {
+// Modify replaces the actions and priority of an installed flow. It fails,
+// and changes nothing, when no flow has the ID or the priority is not the
+// flow's |dz|. The new actions are a fresh copy: a list an earlier LookupKey
+// handed out is never written.
+func (t *Table) Modify(id FlowID, priority int, actions []Action) error {
 	f, ok := t.flows[id]
 	if !ok {
 		return fmt.Errorf("no flow %d", id)
@@ -454,8 +415,6 @@ func (t *Table) unindex(f *Flow) {
 
 // Get returns a copy of the flow with the given ID.
 func (t *Table) Get(id FlowID) (Flow, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	f, ok := t.flows[id]
 	if !ok {
 		return Flow{}, false
@@ -465,8 +424,6 @@ func (t *Table) Get(id FlowID) (Flow, bool) {
 
 // Flows returns copies of all installed flows, ordered by ID.
 func (t *Table) Flows() []Flow {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	out := make([]Flow, 0, len(t.flows))
 	for _, f := range t.flows {
 		out = append(out, *f)
@@ -485,8 +442,6 @@ func (t *Table) Flows() []Flow {
 // address — KeyFromAddr's answer for a destination outside ff0e::/16 — and
 // matches nothing.
 func (t *Table) LookupKey(k dz.Key) ([]Action, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	f, actions := t.winner(k)
 	return actions, f != nil
 }
@@ -501,8 +456,6 @@ func (t *Table) LookupKey(k dz.Key) ([]Action, bool) {
 // address and copies the winner out.
 func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
 	k, _ := ipmc.KeyFromAddr(dst) // the zero key for a non-dz destination
-	t.mu.RLock()
-	defer t.mu.RUnlock()
 	f, _ := t.winner(k)
 	if f == nil {
 		return Flow{}, false
@@ -510,9 +463,9 @@ func (t *Table) Lookup(dst netip.Addr) (Flow, bool) {
 	return *f, true
 }
 
-// winner is the one lookup behind Lookup and LookupKey; the caller holds
-// t.mu. It returns the winning flow (nil: no match) and its instruction set.
-// Every installed flow has priority |dz|, so the winning entry is the longest
+// winner is the one lookup behind Lookup and LookupKey. It returns the
+// winning flow (nil: no match) and its instruction set. Every installed
+// flow has priority |dz|, so the winning entry is the longest
 // installed prefix of the destination's dz bits, found by one trie descent
 // over the packed key: no allocation, no write, and both results come out of
 // the trie's bucket — the flow is not loaded, so LookupKey, which wants only

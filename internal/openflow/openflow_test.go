@@ -76,7 +76,7 @@ func TestTableAddDeleteModify(t *testing.T) {
 	if tab.Len() != 1 {
 		t.Fatalf("Len=%d", tab.Len())
 	}
-	if ok := tab.Modify(id, 1, []Action{{OutPort: 2}, {OutPort: 3}}); !ok {
+	if err := tab.Modify(id, 1, []Action{{OutPort: 2}, {OutPort: 3}}); err != nil {
 		t.Fatal("Modify failed")
 	}
 	f, ok := tab.Get(id)
@@ -89,7 +89,7 @@ func TestTableAddDeleteModify(t *testing.T) {
 	if tab.Delete(id) {
 		t.Fatal("double delete must fail")
 	}
-	if tab.Modify(id, 1, nil) {
+	if tab.Modify(id, 1, nil) == nil {
 		t.Fatal("modify deleted must fail")
 	}
 	if _, ok := tab.Get(id); ok {
@@ -324,7 +324,7 @@ func TestTableAdmissionRule(t *testing.T) {
 	if _, err := tab.TryAdd(Flow{Expr: long, Priority: long.Len()}); err == nil {
 		t.Errorf("TryAdd of a %d-bit flow succeeded", long.Len())
 	}
-	if tab.Modify(1, 3, []Action{{OutPort: 5}}) {
+	if tab.Modify(1, 3, []Action{{OutPort: 5}}) == nil {
 		t.Error("Modify of a 2-bit flow to priority 3 succeeded")
 	}
 	if after := state(); !reflect.DeepEqual(after, before) {

@@ -85,11 +85,11 @@ func TestLookupKeySharedBucketFollowsWinner(t *testing.T) {
 		}
 	}
 	want("installed", first, 1)
-	if !tab.Modify(second, 3, []Action{{OutPort: 7}}) {
+	if tab.Modify(second, 3, []Action{{OutPort: 7}}) != nil {
 		t.Fatal("modify of the non-winner failed")
 	}
 	want("non-winner modified", first, 1)
-	if !tab.Modify(first, 3, []Action{{OutPort: 8}}) {
+	if tab.Modify(first, 3, []Action{{OutPort: 8}}) != nil {
 		t.Fatal("modify of the winner failed")
 	}
 	want("winner modified", first, 8)

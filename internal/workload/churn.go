@@ -3,42 +3,31 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"sync"
-	"sync/atomic"
 
 	"pleroma/internal/dz"
 	"pleroma/internal/space"
 )
 
 // ChurnOps binds the churn driver to a control plane. Subscribe and
-// Unsubscribe are required; the remaining callbacks are optional and are
-// skipped when nil. Query models a read-only control-plane inspection
-// (stats, tree dump, table verification) racing the mutating operations.
+// Unsubscribe are required; the advertisement callbacks are optional and
+// are skipped when nil.
 type ChurnOps struct {
 	Subscribe   func(id string, rect dz.Rect) error
 	Unsubscribe func(id string) error
 	Advertise   func(id string, rect dz.Rect) error
 	Unadvertise func(id string) error
-	Query       func() error
 }
 
-// ChurnConfig shapes a concurrent churn run.
+// ChurnConfig shapes a churn run.
 type ChurnConfig struct {
-	// Workers is the number of concurrent goroutines (default 4).
-	Workers int
-	// OpsPerWorker is the number of mutating operations each worker
-	// issues (default 50).
-	OpsPerWorker int
-	// Seed derives every worker's private generator; worker i uses
-	// Seed + i, so runs are reproducible per worker regardless of
-	// scheduling.
+	// Ops is the number of mutating operations issued (default 50).
+	Ops int
+	// Seed derives the run's generator and its operation mix, so a run is
+	// a pure function of the seed.
 	Seed int64
 	// Model selects the subscription distribution (default Uniform).
 	Model Model
-	// QueryEvery issues a Query callback every n mutating ops per
-	// worker (0 disables).
-	QueryEvery int
-	// Options are forwarded to each worker's Generator.
+	// Options are forwarded to the Generator.
 	Options []Option
 }
 
@@ -48,7 +37,6 @@ type ChurnStats struct {
 	Unsubscribes uint64
 	Advertises   uint64
 	Unadvertises uint64
-	Queries      uint64
 }
 
 // Mutations returns the total number of successful mutating operations.
@@ -56,114 +44,73 @@ func (s ChurnStats) Mutations() uint64 {
 	return s.Subscribes + s.Unsubscribes + s.Advertises + s.Unadvertises
 }
 
-// RunChurn drives the callbacks from cfg.Workers concurrent goroutines.
-// Each worker owns a private seeded Generator (generators are not safe
-// for concurrent use) and a private id namespace ("w3-s17"), so workers
-// never contend on ids and the sequence of requests each worker makes is
-// deterministic. Roughly a third of each worker's mutations retire a
-// previously created subscription; when Advertise is provided, a small
-// share of operations churn advertisements instead.
+// RunChurn drives the callbacks with one seeded stream of operations, on
+// the calling goroutine, under ids of the form "w0-s17" and "w0-a3".
+// Roughly a third of the mutations retire a previously created
+// subscription; when Advertise is provided, a small share of operations
+// churn advertisements instead.
 //
-// The first callback error aborts the run (remaining workers stop at
-// their next operation) and is returned alongside the operations that
-// completed.
+// The first callback error ends the run and is returned alongside the
+// operations that completed.
 func RunChurn(sch *space.Schema, cfg ChurnConfig, ops ChurnOps) (ChurnStats, error) {
+	var stats ChurnStats
 	if sch == nil {
-		return ChurnStats{}, fmt.Errorf("workload: churn: nil schema")
+		return stats, fmt.Errorf("workload: churn: nil schema")
 	}
 	if ops.Subscribe == nil || ops.Unsubscribe == nil {
-		return ChurnStats{}, fmt.Errorf("workload: churn: Subscribe and Unsubscribe are required")
+		return stats, fmt.Errorf("workload: churn: Subscribe and Unsubscribe are required")
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = 4
-	}
-	if cfg.OpsPerWorker <= 0 {
-		cfg.OpsPerWorker = 50
+	if cfg.Ops <= 0 {
+		cfg.Ops = 50
 	}
 	if cfg.Model == 0 {
 		cfg.Model = Uniform
 	}
-
-	var (
-		stats   ChurnStats
-		stop    atomic.Bool
-		firstMu sync.Mutex
-		first   error
-		wg      sync.WaitGroup
-	)
-	fail := func(err error) {
-		firstMu.Lock()
-		if first == nil {
-			first = err
-		}
-		firstMu.Unlock()
-		stop.Store(true)
+	gen, err := New(sch, cfg.Model, cfg.Seed, cfg.Options...)
+	if err != nil {
+		return stats, fmt.Errorf("workload: churn: %w", err)
 	}
-
-	for w := 0; w < cfg.Workers; w++ {
-		gen, err := New(sch, cfg.Model, cfg.Seed+int64(w), cfg.Options...)
-		if err != nil {
-			return ChurnStats{}, fmt.Errorf("workload: churn: worker %d: %w", w, err)
-		}
-		wg.Add(1)
-		go func(w int, gen *Generator) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(cfg.Seed ^ (int64(w)+1)*0x5851f42d4c957f2d))
-			var liveSubs, liveAdvs []string
-			nextSub, nextAdv := 0, 0
-			for i := 0; i < cfg.OpsPerWorker; i++ {
-				if stop.Load() {
-					return
-				}
-				if cfg.QueryEvery > 0 && ops.Query != nil && i%cfg.QueryEvery == 0 {
-					if err := ops.Query(); err != nil {
-						fail(fmt.Errorf("workload: churn: worker %d query: %w", w, err))
-						return
-					}
-					atomic.AddUint64(&stats.Queries, 1)
-				}
-				roll := r.Intn(100)
-				switch {
-				case ops.Advertise != nil && roll < 10:
-					id := fmt.Sprintf("w%d-a%d", w, nextAdv)
-					nextAdv++
-					if err := ops.Advertise(id, gen.SubscriptionRect()); err != nil {
-						fail(fmt.Errorf("workload: churn: worker %d advertise %s: %w", w, id, err))
-						return
-					}
-					liveAdvs = append(liveAdvs, id)
-					atomic.AddUint64(&stats.Advertises, 1)
-				case ops.Unadvertise != nil && roll < 15 && len(liveAdvs) > 0:
-					id := liveAdvs[r.Intn(len(liveAdvs))]
-					liveAdvs = remove(liveAdvs, id)
-					if err := ops.Unadvertise(id); err != nil {
-						fail(fmt.Errorf("workload: churn: worker %d unadvertise %s: %w", w, id, err))
-						return
-					}
-					atomic.AddUint64(&stats.Unadvertises, 1)
-				case roll < 50 && len(liveSubs) > 0:
-					id := liveSubs[r.Intn(len(liveSubs))]
-					liveSubs = remove(liveSubs, id)
-					if err := ops.Unsubscribe(id); err != nil {
-						fail(fmt.Errorf("workload: churn: worker %d unsubscribe %s: %w", w, id, err))
-						return
-					}
-					atomic.AddUint64(&stats.Unsubscribes, 1)
-				default:
-					id := fmt.Sprintf("w%d-s%d", w, nextSub)
-					nextSub++
-					if err := ops.Subscribe(id, gen.SubscriptionRect()); err != nil {
-						fail(fmt.Errorf("workload: churn: worker %d subscribe %s: %w", w, id, err))
-						return
-					}
-					liveSubs = append(liveSubs, id)
-					atomic.AddUint64(&stats.Subscribes, 1)
-				}
+	// The seed mixing and the "w0-" ids are pinned: the ext-faults and
+	// ext-ha tables were recorded with them.
+	r := rand.New(rand.NewSource(cfg.Seed ^ 0x5851f42d4c957f2d))
+	var liveSubs, liveAdvs []string
+	nextSub, nextAdv := 0, 0
+	for i := 0; i < cfg.Ops; i++ {
+		roll := r.Intn(100)
+		switch {
+		case ops.Advertise != nil && roll < 10:
+			id := fmt.Sprintf("w0-a%d", nextAdv)
+			nextAdv++
+			if err := ops.Advertise(id, gen.SubscriptionRect()); err != nil {
+				return stats, fmt.Errorf("workload: churn: advertise %s: %w", id, err)
 			}
-		}(w, gen)
+			liveAdvs = append(liveAdvs, id)
+			stats.Advertises++
+		case ops.Unadvertise != nil && roll < 15 && len(liveAdvs) > 0:
+			id := liveAdvs[r.Intn(len(liveAdvs))]
+			liveAdvs = remove(liveAdvs, id)
+			if err := ops.Unadvertise(id); err != nil {
+				return stats, fmt.Errorf("workload: churn: unadvertise %s: %w", id, err)
+			}
+			stats.Unadvertises++
+		case roll < 50 && len(liveSubs) > 0:
+			id := liveSubs[r.Intn(len(liveSubs))]
+			liveSubs = remove(liveSubs, id)
+			if err := ops.Unsubscribe(id); err != nil {
+				return stats, fmt.Errorf("workload: churn: unsubscribe %s: %w", id, err)
+			}
+			stats.Unsubscribes++
+		default:
+			id := fmt.Sprintf("w0-s%d", nextSub)
+			nextSub++
+			if err := ops.Subscribe(id, gen.SubscriptionRect()); err != nil {
+				return stats, fmt.Errorf("workload: churn: subscribe %s: %w", id, err)
+			}
+			liveSubs = append(liveSubs, id)
+			stats.Subscribes++
+		}
 	}
-	wg.Wait()
-	return stats, first
+	return stats, nil
 }
 
 func remove(ids []string, id string) []string {

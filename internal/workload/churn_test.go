@@ -5,16 +5,14 @@ import (
 	"fmt"
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"pleroma/internal/dz"
 )
 
-// registry is a minimal thread-safe control plane for exercising the
-// churn driver in isolation.
+// registry is a minimal control plane for exercising the churn driver in
+// isolation.
 type registry struct {
-	mu   sync.Mutex
 	subs map[string]dz.Rect
 	advs map[string]dz.Rect
 }
@@ -26,8 +24,6 @@ func newRegistry() *registry {
 func (r *registry) ops() ChurnOps {
 	return ChurnOps{
 		Subscribe: func(id string, rect dz.Rect) error {
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			if _, dup := r.subs[id]; dup {
 				return errors.New("duplicate subscription " + id)
 			}
@@ -35,8 +31,6 @@ func (r *registry) ops() ChurnOps {
 			return nil
 		},
 		Unsubscribe: func(id string) error {
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			if _, ok := r.subs[id]; !ok {
 				return errors.New("unknown subscription " + id)
 			}
@@ -44,8 +38,6 @@ func (r *registry) ops() ChurnOps {
 			return nil
 		},
 		Advertise: func(id string, rect dz.Rect) error {
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			if _, dup := r.advs[id]; dup {
 				return errors.New("duplicate advertisement " + id)
 			}
@@ -53,17 +45,10 @@ func (r *registry) ops() ChurnOps {
 			return nil
 		},
 		Unadvertise: func(id string) error {
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			if _, ok := r.advs[id]; !ok {
 				return errors.New("unknown advertisement " + id)
 			}
 			delete(r.advs, id)
-			return nil
-		},
-		Query: func() error {
-			r.mu.Lock()
-			defer r.mu.Unlock()
 			return nil
 		},
 	}
@@ -82,58 +67,38 @@ func TestRunChurnValidation(t *testing.T) {
 func TestRunChurnConsistent(t *testing.T) {
 	sch := schema(t, 3)
 	reg := newRegistry()
-	st, err := RunChurn(sch, ChurnConfig{
-		Workers:      8,
-		OpsPerWorker: 100,
-		Seed:         7,
-		QueryEvery:   10,
-	}, reg.ops())
+	st, err := RunChurn(sch, ChurnConfig{Ops: 800, Seed: 7}, reg.ops())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Mutations() != 8*100 {
-		t.Errorf("mutations=%d, want %d", st.Mutations(), 8*100)
-	}
-	if st.Queries == 0 {
-		t.Error("expected some queries")
+	if st.Mutations() != 800 {
+		t.Errorf("mutations=%d, want 800", st.Mutations())
 	}
 	// Every unsubscribe retired a prior subscribe, so the registry must
 	// hold exactly the difference.
-	reg.mu.Lock()
-	defer reg.mu.Unlock()
 	if got, want := uint64(len(reg.subs)), st.Subscribes-st.Unsubscribes; got != want {
 		t.Errorf("live subscriptions=%d, want %d", got, want)
 	}
 	if got, want := uint64(len(reg.advs)), st.Advertises-st.Unadvertises; got != want {
 		t.Errorf("live advertisements=%d, want %d", got, want)
 	}
-	if st.Subscribes == 0 || st.Unsubscribes == 0 {
+	if st.Subscribes == 0 || st.Unsubscribes == 0 || st.Advertises == 0 || st.Unadvertises == 0 {
 		t.Errorf("degenerate mix: %+v", st)
 	}
 }
 
 // TestRunChurnSameSeedDeterministic pins the seeding contract RunChurn
 // documents and the HA journal replay relies on: the sequence of requests
-// each worker makes is a pure function of the seed, independent of
-// scheduling. With a single worker the total operation order is
-// deterministic too (the mode the ext-ha experiment uses).
+// is a pure function of the seed.
 func TestRunChurnSameSeedDeterministic(t *testing.T) {
 	sch := schema(t, 2)
-	record := func(workers int) map[string][]string {
-		streams := make(map[string][]string)
-		var mu sync.Mutex
+	record := func(seed int64) []string {
+		var stream []string
 		log := func(op, id string, rect dz.Rect) error {
-			w, _, _ := strings.Cut(id, "-")
-			mu.Lock()
-			streams[w] = append(streams[w], fmt.Sprintf("%s %s %v", op, id, rect))
-			mu.Unlock()
+			stream = append(stream, fmt.Sprintf("%s %s %v", op, id, rect))
 			return nil
 		}
-		_, err := RunChurn(sch, ChurnConfig{
-			Workers:      workers,
-			OpsPerWorker: 80,
-			Seed:         4242,
-		}, ChurnOps{
+		_, err := RunChurn(sch, ChurnConfig{Ops: 80, Seed: seed}, ChurnOps{
 			Subscribe:   func(id string, r dz.Rect) error { return log("sub", id, r) },
 			Unsubscribe: func(id string) error { return log("unsub", id, dz.Rect{}) },
 			Advertise:   func(id string, r dz.Rect) error { return log("adv", id, r) },
@@ -142,42 +107,17 @@ func TestRunChurnSameSeedDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return streams
+		return stream
 	}
-
-	for _, workers := range []int{1, 3} {
-		a, b := record(workers), record(workers)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("workers=%d: per-worker op streams differ between identical seeds", workers)
-		}
-		if len(a) != workers {
-			t.Errorf("workers=%d: saw streams for %d workers", workers, len(a))
-		}
+	a, b := record(4242), record(4242)
+	if !reflect.DeepEqual(a, b) {
+		t.Error("op streams differ between identical seeds")
 	}
-
+	if len(a) != 80 {
+		t.Errorf("stream has %d ops, want 80", len(a))
+	}
 	// Different seeds must actually diverge, or the test pins nothing.
-	one := record(1)
-	var mu sync.Mutex
-	other := make(map[string][]string)
-	_, err := RunChurn(sch, ChurnConfig{Workers: 1, OpsPerWorker: 80, Seed: 4243},
-		ChurnOps{
-			Subscribe: func(id string, r dz.Rect) error {
-				mu.Lock()
-				other["w0"] = append(other["w0"], fmt.Sprintf("sub %s %v", id, r))
-				mu.Unlock()
-				return nil
-			},
-			Unsubscribe: func(id string) error {
-				mu.Lock()
-				other["w0"] = append(other["w0"], "unsub "+id)
-				mu.Unlock()
-				return nil
-			},
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reflect.DeepEqual(one, other) {
+	if reflect.DeepEqual(a, record(4243)) {
 		t.Error("different seeds produced identical op streams")
 	}
 }
@@ -186,11 +126,8 @@ func TestRunChurnStopsOnError(t *testing.T) {
 	sch := schema(t, 2)
 	ops := newRegistry().ops()
 	boom := errors.New("boom")
-	var mu sync.Mutex
 	calls := 0
 	ops.Subscribe = func(id string, rect dz.Rect) error {
-		mu.Lock()
-		defer mu.Unlock()
 		calls++
 		if calls > 5 {
 			return boom
@@ -198,14 +135,14 @@ func TestRunChurnStopsOnError(t *testing.T) {
 		return nil
 	}
 	ops.Unsubscribe = func(id string) error { return nil }
-	st, err := RunChurn(sch, ChurnConfig{Workers: 4, OpsPerWorker: 1000, Seed: 1}, ops)
+	st, err := RunChurn(sch, ChurnConfig{Ops: 1000, Seed: 1}, ops)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err=%v, want wrapped boom", err)
 	}
 	if !strings.Contains(err.Error(), "subscribe") {
 		t.Errorf("error lacks context: %v", err)
 	}
-	if st.Mutations() >= 4*1000 {
-		t.Errorf("run did not abort early: %+v", st)
+	if st.Subscribes != 5 || calls != 6 {
+		t.Errorf("run did not stop at the first error: %d subscribes, %d calls", st.Subscribes, calls)
 	}
 }

@@ -5,11 +5,14 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -907,4 +910,160 @@ func TestDaemonRefusesSwitchWrites(t *testing.T) {
 	if delivered != 1 {
 		t.Fatalf("%d deliveries, want 1", delivered)
 	}
+}
+
+// TestNetworkConcurrentSessionsChurn is the concurrency stress of the one
+// boundary that has concurrency: four client sessions, each driving its own
+// seeded stream of advertisements, subscriptions, publishes, unsubscriptions
+// and runs, against one listening System, while a fifth goroutine polls the
+// operational endpoint. The server's request lock is all that orders the
+// sessions' calls into the System; sharded delivery sinks run on shard
+// workers. Under -race any state the controllers, tables or data plane
+// touch outside that order is reported; afterwards the flow tables must
+// verify and the data plane must have counted exactly the southbound calls
+// the controllers made.
+func TestNetworkConcurrentSessionsChurn(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			concurrentSessionsChurn(t, shards)
+		})
+	}
+}
+
+func concurrentSessionsChurn(t *testing.T, shards int) {
+	sys, err := NewSystem(netTestSchema(t), WithTopology(TopologyRing20), WithPartitions(2), WithShards(shards),
+		WithObservability(0), WithListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+
+	stopPoll, polled := make(chan struct{}), make(chan int)
+	go func() {
+		h := sys.ObsHandler()
+		n := 0
+		for {
+			select {
+			case <-stopPoll:
+				polled <- n
+				return
+			default:
+			}
+			for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, path, nil))
+			}
+			n++
+		}
+	}()
+
+	const sessions, steps = 4, 60
+	var delivered atomic.Uint64
+	errs := make(chan error, sessions)
+	var wg sync.WaitGroup
+	for c := 0; c < sessions; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			errs <- churnSession(sys.ListenAddr(), c, steps, &delivered)
+		}(c)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	close(stopPoll)
+	if n := <-polled; n == 0 {
+		t.Error("the endpoint poller never completed a round")
+	}
+	// Stop joins every session goroutine of the server: from here the test
+	// goroutine is the System's owner.
+	sys.StopListener()
+	if t.Failed() {
+		return
+	}
+	if delivered.Load() == 0 {
+		t.Error("churn delivered nothing; the stress is vacuous")
+	}
+	if err := sys.VerifyTables(); err != nil {
+		t.Fatalf("tables after concurrent sessions: %v", err)
+	}
+	var ctlCalls uint64
+	for _, p := range sys.Partitions() {
+		ctl, err := sys.fab.Controller(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctlCalls += ctl.Stats().SouthboundCalls
+	}
+	if ctlCalls == 0 {
+		t.Error("expected southbound traffic")
+	}
+	if got := sys.dp.SouthboundCalls(); got != ctlCalls {
+		t.Errorf("southbound call accounting differs: data plane %d, controllers %d", got, ctlCalls)
+	}
+}
+
+// churnSession is one client of TestNetworkConcurrentSessionsChurn: a
+// seeded stream of control ops, publishes and runs under ids of its own.
+func churnSession(addr string, c, steps int, delivered *atomic.Uint64) error {
+	prefix := fmt.Sprintf("c%d", c)
+	cli, err := Dial(addr, WithDialID(prefix))
+	if err != nil {
+		return err
+	}
+	defer cli.Close()
+	hosts := cli.Hosts()
+	r := rand.New(rand.NewSource(int64(4200 + c)))
+	host := func() HostID { return hosts[r.Intn(len(hosts))] }
+	priceRange := func() Filter {
+		lo := uint32(r.Intn(1000))
+		return NewFilter().Range("price", lo, min(lo+uint32(r.Intn(400)), 1023))
+	}
+	pub, extra := prefix+"-p", ""
+	if err := cli.Advertise(pub, host(), NewFilter()); err != nil {
+		return fmt.Errorf("%s: advertise: %w", prefix, err)
+	}
+	var subs []string
+	for i := 0; i < steps; i++ {
+		switch roll := r.Intn(100); {
+		case roll < 30:
+			id := fmt.Sprintf("%s-s%d", prefix, i)
+			if err := cli.Subscribe(id, host(), priceRange(), func(Delivery) { delivered.Add(1) }); err != nil {
+				return fmt.Errorf("%s: subscribe %s: %w", prefix, id, err)
+			}
+			subs = append(subs, id)
+		case roll < 45 && len(subs) > 0:
+			k := r.Intn(len(subs))
+			id := subs[k]
+			subs = append(subs[:k], subs[k+1:]...)
+			if err := cli.Unsubscribe(id); err != nil {
+				return fmt.Errorf("%s: unsubscribe %s: %w", prefix, id, err)
+			}
+		case roll < 55 && extra != "":
+			if err := cli.Unadvertise(extra); err != nil {
+				return fmt.Errorf("%s: unadvertise %s: %w", prefix, extra, err)
+			}
+			extra = ""
+		case roll < 55:
+			extra = fmt.Sprintf("%s-q%d", prefix, i)
+			if err := cli.Advertise(extra, host(), priceRange()); err != nil {
+				return fmt.Errorf("%s: advertise %s: %w", prefix, extra, err)
+			}
+		case roll < 85:
+			if err := cli.Publish(pub, uint32(r.Intn(1024)), uint32(r.Intn(1024))); err != nil {
+				return fmt.Errorf("%s: publish: %w", prefix, err)
+			}
+		default:
+			if _, err := cli.Run(); err != nil {
+				return fmt.Errorf("%s: run: %w", prefix, err)
+			}
+		}
+	}
+	if _, err := cli.Run(); err != nil {
+		return fmt.Errorf("%s: final run: %w", prefix, err)
+	}
+	return cli.Sync()
 }

@@ -162,8 +162,8 @@ func (s *System) DeliveryLatency() DeliveryLatencyReport {
 
 // systemHealth adapts the deployment's health to the operational endpoint:
 // /healthz degrades while any switch is quarantined, and /readyz follows
-// System.ready and is false as well while a switch is quarantined — its
-// flows may be missing, so deliveries through it may be lost.
+// System.ready and is false as well while a switch is quarantined (its flows
+// may be missing). It reads only published state, never a controller.
 type systemHealth struct{ s *System }
 
 func (h systemHealth) DegradedSwitches() []string {
@@ -188,9 +188,9 @@ func (s *System) ObsHandler() http.Handler {
 
 // ServeObservability binds the operational endpoint on addr (e.g.
 // ":9090", or "127.0.0.1:0" for an ephemeral port) and serves it in the
-// background; close the returned server when done. The endpoint only
-// reads atomics and mutex-guarded rings, so it is safe alongside the
-// single goroutine driving the System.
+// background; close the returned server when done. The endpoint reads only
+// state published for other goroutines (obs instruments, the ready flag, the
+// quarantine sets), so it is safe alongside the goroutine driving the System.
 func (s *System) ServeObservability(addr string) (*ObsServer, error) {
 	return obs.Serve(addr, s.reg, s.tracer, systemHealth{s: s})
 }

@@ -863,11 +863,11 @@ func (p *Publisher) stampFor(key dz.Key, tc wire.TraceContext) netem.Stamp {
 
 // PublishBatch injects a burst of events — one attribute-value tuple per
 // event — at the current simulated time. All encoding happens up front and
-// the data plane assigns every sequence number under a single lock
-// acquisition, so high-rate publishers (the throughput experiments) avoid
-// per-event locking. Deliveries, timestamps, and sequence numbers are
-// identical to publishing the tuples one by one with Publish; on an
-// encoding error nothing is injected, and an empty batch is a no-op.
+// the data plane injects the whole burst in one call, so high-rate
+// publishers (the throughput experiments) pay the per-call checks once.
+// Deliveries, timestamps, and sequence numbers are identical to publishing
+// the tuples one by one with Publish; on an encoding error nothing is
+// injected, and an empty batch is a no-op.
 func (p *Publisher) PublishBatch(tuples ...[]uint32) error {
 	return p.publishBatchTraced(wire.TraceContext{}, tuples...)
 }
