@@ -2,7 +2,6 @@ package core_test
 
 import (
 	"fmt"
-	"sync/atomic"
 	"testing"
 
 	"pleroma/internal/core"
@@ -90,76 +89,6 @@ func BenchmarkSubscribeUnsubscribeCycle(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkSubscribeParallel measures control-plane throughput with many
-// concurrent subscribers. Workload generation and DZ decomposition run
-// outside the controller's write lock, so on a multi-core runner the
-// subscription pipeline overlaps with flow computation of other requests.
-func BenchmarkSubscribeParallel(b *testing.B) {
-	ctl, sch, _, hosts := benchController(b, 500)
-	var worker, next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		gen, err := workload.New(sch, workload.Zipfian, 1000+worker.Add(1))
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for pb.Next() {
-			i := next.Add(1)
-			set, err := sch.DecomposeRectLimited(gen.SubscriptionRect(), 24, 16)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if _, err := ctl.Subscribe(fmt.Sprintf("p%d", i), hosts[1+int(i)%7], set); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-}
-
-// BenchmarkMixedChurnParallel interleaves subscribe/unsubscribe cycles
-// with read-only queries — the mixed load the RWMutex model targets:
-// readers proceed concurrently, writers serialize only against each
-// other.
-func BenchmarkMixedChurnParallel(b *testing.B) {
-	ctl, sch, _, hosts := benchController(b, 500)
-	var worker, next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		gen, err := workload.New(sch, workload.Zipfian, 2000+worker.Add(1))
-		if err != nil {
-			b.Error(err)
-			return
-		}
-		for pb.Next() {
-			i := next.Add(1)
-			if i%4 == 0 { // every fourth iteration is a read-only probe
-				_ = ctl.Stats()
-				_ = ctl.InstalledFlowCount()
-				continue
-			}
-			id := fmt.Sprintf("m%d", i)
-			set, err := sch.DecomposeRectLimited(gen.SubscriptionRect(), 24, 16)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			if _, err := ctl.Subscribe(id, hosts[1+int(i)%7], set); err != nil {
-				b.Error(err)
-				return
-			}
-			if _, err := ctl.Unsubscribe(id); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
 }
 
 func BenchmarkAdvertise(b *testing.B) {

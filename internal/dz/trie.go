@@ -179,8 +179,9 @@ func (k Key) extend(d int, nib uint8, l int) Key {
 // Lookups are O(|dz|/4) dependent loads in one small array, allocate
 // nothing and write nothing, so any number of readers may share a trie that
 // no one is modifying. The zero value is an empty trie ready for use. A Trie
-// is not safe for concurrent mutation; all consumers guard it with their own
-// locks. Callbacks must not modify the trie they are called from.
+// is not safe for concurrent mutation; its consumers confine mutation to one
+// owner (see DESIGN.md §6). Callbacks must not modify the trie they are
+// called from.
 type Trie[V any] struct {
 	nodes slab[node] // nodes.items[0] is the root once anything was stored
 	vals  slab[V]
