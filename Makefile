@@ -4,9 +4,12 @@ GO ?= go
 # race: sharded workers (sim/shard, netem, interdomain's control engine),
 # transport sessions and their delivery sinks, and obs instruments scraped
 # mid-run; the rest is raced because the facade tests below drive it from
-# those goroutines. The root run adds the session/owner boundary
-# (TestNetworkConcurrentSessionsChurn, TestFailoverHealthEndpointRace).
-RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/... ./internal/transport/...
+# those goroutines. The transport — the one boundary with real concurrency,
+# whose close/redial/ordering bugs are timing-dependent — runs five times on
+# a line of its own. The root run adds the session/owner boundary
+# (TestNetworkConcurrentSessionsChurn, TestNetworkConcurrentPublishSameID,
+# TestFailoverHealthEndpointRace).
+RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/...
 
 .PHONY: check vet build test race bench-module fuzz soak bench loc obs-demo daemon-demo
 
@@ -23,6 +26,7 @@ test:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+	$(GO) test -race -count=5 ./internal/transport/...
 	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn|PublishAdmission' -count=1 .
 
 # cmd/pleroma-bench is a module of its own and a client of internal APIs

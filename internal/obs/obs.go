@@ -148,9 +148,10 @@ const (
 	// MTransportFlushes counts bufio flushes by reason ("idle", "close");
 	// MTransportFrameBytes samples encoded frame sizes (the histogram the
 	// buffer-pool size classes were chosen against); MTransportPublishWindow
-	// gauges the async publish window occupancy (outstanding unacked
-	// KindPublish frames); MTransportPublishCoalesced samples events packed
-	// per coalesced PublishReq; MTransportDeliverBatch samples deliveries
+	// gauges the client's in-flight window occupancy (unanswered requests
+	// of every kind, pipelined publishes among them);
+	// MTransportPublishCoalesced samples events packed per coalesced
+	// PublishReq; MTransportDeliverBatch samples deliveries
 	// packed per KindDeliverBatch frame; MTransportDeliveriesDropped counts
 	// deliveries the server produced for a connection that was gone (severed,
 	// closed or failed) when their frame was to be queued.

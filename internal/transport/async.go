@@ -2,54 +2,85 @@ package transport
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"pleroma/internal/obs"
+	"pleroma/internal/sortutil"
 	"pleroma/internal/space"
 	"pleroma/internal/wire"
 )
 
-// This file is the client half of the pipelined data path: PublishAsync
-// coalesces events per publisher into multi-event PublishReq frames and
-// keeps a bounded window of them in flight without waiting for acks.
+// This file is the client's in-flight window — the one queue every
+// request rides — and the pipelined publish path on top of it. A blocking
+// call appends its request and waits on it; PublishAsync coalesces events
+// per publisher into multi-event PublishReq frames and keeps a bounded
+// number of them in the window without waiting for acks.
 //
 // Exactly-once under reconnect hangs on one ordering invariant: the server
 // dedups with `Seq <= lastPubSeq` per publisher, so publishes must reach
 // it in sequence order. Three rules enforce that:
 //
-//  1. A batch's sequence number is assigned in the same c.mu critical
-//     section that appends it to the window and enqueues its frame — a
-//     later batch can never jump an earlier one onto the wire.
-//  2. On reconnect, connectLocked re-sends the whole unacked window in
-//     FIFO order while still holding c.mu, onto the brand-new (empty)
-//     connection queue — guaranteed ahead of any retried or new request.
-//  3. Acks ride the same FIFO back, so window entries complete in order;
-//     an entry is unacked exactly when the server may not have applied it,
-//     and re-sending it is either applied-for-the-first-time or skipped by
-//     the seq dedup. Never twice, never lost.
+//  1. A publish — blocking or pipelined — takes its sequence number in the
+//     same c.mu critical section that appends it to the window and
+//     enqueues its frame: a later publish can never jump an earlier one
+//     onto the wire.
+//  2. Only the redial goroutine reconnects after a lost connection, and
+//     connectLocked re-sends the whole window in FIFO order while still
+//     holding c.mu, onto the brand-new (empty) connection queue — ahead of
+//     any new request.
+//  3. Responses ride the same FIFO back, so a request is unanswered exactly
+//     when the server may not have applied it, and re-sending it is either
+//     applied for the first time or skipped by the seq dedup. Never twice.
 //
-// Synchronous Publish on the same publisher interleaves safely with a
-// sequential caller (it seals the pending batch first and its frame
-// follows the window's on the same FIFO); concurrent goroutines mixing
-// Publish and PublishAsync on one publisher id get no ordering promise.
+// How a request ends when it is not answered:
+//
+//   - A request is sent at most MaxAttempts times; when the connection
+//     carrying its last send is lost, it fails. Redial exhaustion and Close
+//     fail every request in the window.
+//   - A failed request with a waiter returns its error to that waiter
+//     alone. One without (a pipelined publish) sets the sticky aerr, which
+//     gates PublishAsync, Flush and Err — never a redial or a blocking
+//     call — and drops the unsealed coalescing buffers.
+//   - A blocking call's OpDeadline bounds its whole wait; on expiry its
+//     request leaves the window and is not sent again.
+//
+// Options.Window bounds the requests in the window; seals and blocking
+// calls wait for credit through one helper, waitCreditLocked.
 
 // pubPending is the per-publisher coalescing buffer: events accumulate
-// until the count/byte threshold trips or the linger timer fires.
+// until the count/byte threshold trips or the linger timer fires. A buffer
+// in Client.apend holds at least one event; sealing removes it.
 type pubPending struct {
 	events []space.Event
 	bytes  int // encoded payload estimate: 2+4*dims per event
 }
 
-// asyncEntry is one sealed, windowed publish: its encoded payload is
-// retained until the ack so a reconnect can replay identical bytes (same
-// Seq, same trace — the dedup key and the trace survive the retry).
-type asyncEntry struct {
-	seq     uint64
-	corr    uint64 // correlation id on the current connection; 0 = unsent
+// request is one entry of the in-flight window. Its encoded payload is
+// retained until the response, so a re-send carries identical bytes (same
+// Seq, same trace: the dedup key and the trace survive the re-send).
+// Requests are reused from Client.free, each keeping its result channel and
+// deadline timer. A blocking call's request goes back only after its caller
+// took the result with the timer stopped: one whose deadline fired is
+// abandoned, since its expire may still be on the way.
+type request struct {
+	kind    wire.Kind
 	payload []byte
-	events  int
-	sp      *obs.Span
+	corr    uint64    // correlation id on the current connection; 0 = unsent
+	sends   int       // connections the frame was queued on
+	sp      *obs.Span // pipelined publishes: ended on the ack
+	pending bool      // neither answered nor failed yet
+	waiting bool      // a blocking caller waits on ch
+	ch      chan callResult
+	timer   *time.Timer // runs expire after OpDeadline; nil until first armed
+}
+
+// callResult is what a blocking caller receives: a response frame
+// (including server KindError rejections, which are not re-sent) or the
+// error its request failed with.
+type callResult struct {
+	f   wire.Frame
+	err error
 }
 
 // PublishAsync enqueues events from the advertised publisher id into the
@@ -66,16 +97,13 @@ func (c *Client) PublishAsync(id string, events []space.Event) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("transport: client closed")
+		return errClientClosed
 	}
 	if c.aerr != nil {
 		return c.aerr
 	}
 	maxEvents := c.opts.batchEvents()
 	maxBytes := c.opts.batchBytes()
-	if c.apend == nil {
-		c.apend = make(map[string]*pubPending)
-	}
 	for _, ev := range events {
 		pb := c.apend[id]
 		if pb == nil {
@@ -90,55 +118,39 @@ func (c *Client) PublishAsync(id string, events []space.Event) error {
 			}
 		}
 	}
-	if pb := c.apend[id]; pb != nil && len(pb.events) > 0 {
+	if c.apend[id] != nil {
 		c.armLingerLocked()
 	}
 	return nil
 }
 
 // Flush seals every pending coalescing buffer and blocks until the
-// in-flight window drains (every batch acked) or the pipeline fails. It
-// returns the sticky pipeline error, nil meaning everything published so
-// far is applied at the server.
+// in-flight window drains (every request answered or failed) or the
+// pipeline fails. It returns the sticky pipeline error, nil meaning
+// everything published so far is applied at the server.
 func (c *Client) Flush() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
-		return fmt.Errorf("transport: client closed")
+		return errClientClosed
 	}
-	for _, id := range c.pendingIDsLocked() {
+	for _, id := range sortutil.Keys(c.apend) {
 		if err := c.sealLocked(id); err != nil {
 			return err
 		}
 	}
-	for len(c.awin) > 0 && c.aerr == nil && !c.closed {
-		if c.fc == nil {
-			c.ensureRedialLocked()
-		}
+	for len(c.win) > 0 && c.aerr == nil {
 		c.winCond.Wait()
 	}
 	return c.aerr
 }
 
 // Err returns the sticky pipeline error: the first async batch the
-// transport gave up on (redial exhaustion) or the server rejected.
+// transport gave up on or the server rejected.
 func (c *Client) Err() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.aerr
-}
-
-// pendingIDsLocked lists publishers with unsealed events, sorted for
-// deterministic seal order.
-func (c *Client) pendingIDsLocked() []string {
-	ids := make([]string, 0, len(c.apend))
-	for id, pb := range c.apend {
-		if pb != nil && len(pb.events) > 0 {
-			ids = append(ids, id)
-		}
-	}
-	sort.Strings(ids)
-	return ids
 }
 
 // sealLocked turns id's pending coalescing buffer into one windowed
@@ -146,96 +158,186 @@ func (c *Client) pendingIDsLocked() []string {
 // in a single critical section — assigns the sequence number, encodes the
 // frame, appends it to the window, and enqueues it. Called with c.mu held.
 func (c *Client) sealLocked(id string) error {
-	for {
-		if c.aerr != nil {
-			return c.aerr
-		}
-		if c.closed {
-			return fmt.Errorf("transport: client closed")
-		}
-		pb := c.apend[id]
-		if pb == nil || len(pb.events) == 0 {
-			return nil
-		}
-		if len(c.awin) < c.opts.window() {
-			break
-		}
-		// Window full: credit-based backpressure. Wait releases c.mu, so
-		// the pending buffer must be re-read afterwards — a concurrent
-		// linger fire may already have sealed it.
-		c.winCond.Wait()
+	if err := c.waitCreditLocked(nil); err != nil {
+		return err
 	}
+	// The wait released c.mu: a concurrent linger fire may have sealed the
+	// buffer meanwhile.
 	pb := c.apend[id]
+	if pb == nil {
+		return nil
+	}
 	delete(c.apend, id)
 
-	c.pubSeq++
 	sp, tc := c.startPublishSpan(id)
-	req := wire.PublishReq{ID: id, Seq: c.pubSeq, Events: pb.events, Trace: tc}
+	req := wire.PublishReq{ID: id, Seq: c.pubSeq + 1, Events: pb.events, Trace: tc}
 	payload, err := wire.AppendPublish(make([]byte, 0, 48+len(id)+pb.bytes), req)
 	if err != nil {
 		// Unencodable batch (invalid id or event): surface and poison —
 		// its events are gone, so completing later batches as if nothing
 		// was lost would lie to Flush.
 		sp.End(err)
-		c.aerr = err
+		c.poisonLocked(err)
 		c.winCond.Broadcast()
 		return err
 	}
-	e := &asyncEntry{seq: req.Seq, payload: payload, events: len(pb.events), sp: sp}
-	c.awin = append(c.awin, e)
-	c.obsWindow.Set(int64(len(c.awin)))
-	c.obsCoalesce.ObserveCount(e.events)
-	if c.fc != nil {
-		c.sendEntryLocked(e)
-	} else {
-		c.ensureRedialLocked()
-	}
+	c.pubSeq++
+	r := c.newRequestLocked()
+	r.kind, r.payload, r.sp = wire.KindPublish, payload, sp
+	c.obsCoalesce.ObserveCount(len(pb.events))
+	c.enqueueLocked(r)
 	return nil
 }
 
-// sendEntryLocked assigns e a fresh correlation id on the current
-// connection and enqueues its frame. A send error is ignored: the
-// connection is already dying, readLoop's connLost will clear the stale
-// correlation and the redial path re-sends the window.
-func (c *Client) sendEntryLocked(e *asyncEntry) {
-	c.corr++
-	e.corr = c.corr
-	c.acorr[e.corr] = e
-	c.fc.send(wire.Frame{Kind: wire.KindPublish, Corr: e.corr, Payload: e.payload})
+// waitCreditLocked blocks, releasing c.mu, until the window has room for
+// one more request. It gives up once the client is closed; a seal (r nil)
+// also on the sticky error, and a blocking call once its request r was
+// finished meanwhile — its deadline expired.
+func (c *Client) waitCreditLocked(r *request) error {
+	for {
+		switch {
+		case c.closed:
+			return errClientClosed
+		case r == nil && c.aerr != nil:
+			return c.aerr
+		case r != nil && !r.pending:
+			return errTimedOut
+		case len(c.win) < c.opts.window():
+			return nil
+		}
+		c.winCond.Wait()
+	}
 }
 
-// completeEntryLocked finishes one windowed publish on its ack (err nil)
-// or server rejection (err non-nil, sticky).
-func (c *Client) completeEntryLocked(e *asyncEntry, err error) {
-	for i, w := range c.awin {
-		if w == e {
-			c.awin = append(c.awin[:i], c.awin[i+1:]...)
-			break
+// newRequestLocked takes a request from the free list, or makes one.
+func (c *Client) newRequestLocked() *request {
+	var r *request
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		r = &request{}
+	}
+	r.pending, r.waiting = true, false
+	return r
+}
+
+// admitLocked readies the request of a blocking call: taken from the free
+// list, its deadline armed, window credit waited for. It reports false when
+// the request was finished instead — the client closed, or the deadline
+// expired first — with the result already on r.ch.
+func (c *Client) admitLocked() (*request, bool) {
+	r := c.newRequestLocked()
+	r.waiting = true
+	if r.ch == nil {
+		r.ch = make(chan callResult, 1)
+	}
+	if d := c.retry.OpDeadline; d > 0 {
+		if r.timer == nil {
+			r.timer = time.AfterFunc(d, func() { c.expire(r) })
+		} else {
+			r.timer.Reset(d)
 		}
 	}
-	e.payload = nil
-	e.sp.End(err)
-	if err != nil && c.aerr == nil {
-		c.aerr = err
+	if err := c.waitCreditLocked(r); err != nil {
+		if r.pending {
+			c.finishLocked(r, wire.Frame{}, err)
+		}
+		return r, false
 	}
-	c.obsWindow.Set(int64(len(c.awin)))
+	return r, true
+}
+
+// await waits for the result of a blocking call's request, then returns
+// the request to the free list unless its deadline fired.
+func (c *Client) await(r *request) (wire.Frame, error) {
+	res := <-r.ch
+	c.mu.Lock()
+	if r.timer == nil || r.timer.Stop() {
+		c.free = append(c.free, r)
+	}
+	c.mu.Unlock()
+	return res.f, res.err
+}
+
+// expire is a blocking call's deadline: a request still in flight leaves
+// the window unanswered, and its caller gets errTimedOut.
+func (c *Client) expire(r *request) {
+	c.mu.Lock()
+	if r.pending {
+		c.finishLocked(r, wire.Frame{}, errTimedOut)
+	}
+	c.mu.Unlock()
+}
+
+// enqueueLocked appends r to the window and sends it — or, with no live
+// connection, leaves it to the redial goroutine.
+func (c *Client) enqueueLocked(r *request) {
+	c.win = append(c.win, r)
+	c.obsWindow.Set(int64(len(c.win)))
+	if c.fc != nil {
+		c.sendLocked(r)
+	} else {
+		c.ensureRedialLocked()
+	}
+}
+
+// sendLocked queues r's frame on the current connection under a fresh
+// correlation id. A send error is ignored: the connection is already
+// dying, and its connLost decides whether r is sent again.
+func (c *Client) sendLocked(r *request) {
+	c.corr++
+	r.corr = c.corr
+	r.sends++
+	c.byCorr[r.corr] = r
+	c.fc.send(wire.Frame{Kind: r.kind, Corr: r.corr, Payload: r.payload})
+}
+
+// finishLocked takes r out of the window with its response f or its
+// failure err. A blocking caller receives either. A pipelined publish ends
+// its span — a rejection or failure becoming the sticky aerr — and goes
+// back to the free list.
+func (c *Client) finishLocked(r *request, f wire.Frame, err error) {
+	if i := slices.Index(c.win, r); i >= 0 {
+		c.win = slices.Delete(c.win, i, i+1)
+	}
+	if r.corr != 0 {
+		delete(c.byCorr, r.corr)
+	}
+	r.payload, r.corr, r.sends, r.pending = nil, 0, 0, false
+	if r.waiting {
+		// Never blocks: pending guards one send per use, and a request is
+		// reused only after its caller took that send from the buffer.
+		r.ch <- callResult{f: f, err: err}
+	} else {
+		if err == nil && f.Kind != wire.KindOK {
+			err = fmt.Errorf("transport: async publish: %s", respError(f))
+		}
+		r.sp.End(err)
+		r.sp = nil
+		if err != nil {
+			c.poisonLocked(err)
+		}
+		c.free = append(c.free, r)
+	}
+	c.obsWindow.Set(int64(len(c.win)))
 	c.winCond.Broadcast()
 }
 
-// failWindowLocked poisons the pipeline: every in-flight batch fails with
-// err and waiters wake.
-func (c *Client) failWindowLocked(err error) {
+// poisonLocked makes err the sticky pipeline error unless one is set. The
+// unsealed coalescing buffers go with the pipeline: nothing seals them any
+// more, and a blocking Publish must not wait behind them.
+func (c *Client) poisonLocked(err error) {
 	if c.aerr == nil {
 		c.aerr = err
+		clear(c.apend)
 	}
-	for _, e := range c.awin {
-		e.sp.End(err)
-		e.payload = nil
+}
+
+// failWindowLocked fails every request in the window with err.
+func (c *Client) failWindowLocked(err error) {
+	for len(c.win) > 0 {
+		c.finishLocked(c.win[0], wire.Frame{}, err)
 	}
-	c.awin = nil
-	c.acorr = make(map[uint64]*asyncEntry)
-	c.obsWindow.Set(0)
-	c.winCond.Broadcast()
 }
 
 // armLingerLocked schedules a seal of partial batches after the linger
@@ -256,21 +358,17 @@ func (c *Client) lingerFire() {
 	if c.closed || c.aerr != nil {
 		return
 	}
-	for _, id := range c.pendingIDsLocked() {
+	for _, id := range sortutil.Keys(c.apend) {
 		if c.sealLocked(id) != nil {
 			return
 		}
 	}
 }
 
-// ensureRedialLocked spawns the async redial goroutine when the window
-// holds unacked batches but no live connection exists — the pipeline
-// reconnects on its own, without a synchronous call to piggyback on.
+// ensureRedialLocked starts the redial goroutine when the window holds
+// requests but no live connection exists.
 func (c *Client) ensureRedialLocked() {
-	if c.redialing || c.closed || c.aerr != nil {
-		return
-	}
-	if len(c.awin) == 0 {
+	if c.redialing || c.closed || len(c.win) == 0 {
 		return
 	}
 	c.redialing = true
@@ -278,8 +376,8 @@ func (c *Client) ensureRedialLocked() {
 }
 
 // redialLoop reconnects under the retry policy. On success connectLocked
-// has already re-sent the window (rule 2 above); on exhaustion the
-// pipeline is poisoned so Flush callers unblock with the error.
+// has already re-sent the window (rule 2 above); on exhaustion every
+// request in the window fails.
 func (c *Client) redialLoop() {
 	pol := c.retry.Normalized()
 	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
@@ -289,14 +387,7 @@ func (c *Client) redialLoop() {
 			}
 		}
 		c.mu.Lock()
-		if c.closed || c.aerr != nil || len(c.awin) == 0 {
-			c.redialing = false
-			c.mu.Unlock()
-			return
-		}
-		if c.fc != nil {
-			// A synchronous call's attempt already reconnected (and
-			// re-sent the window on its way).
+		if c.closed || len(c.win) == 0 {
 			c.redialing = false
 			c.mu.Unlock()
 			return
@@ -313,8 +404,6 @@ func (c *Client) redialLoop() {
 	}
 	c.mu.Lock()
 	c.redialing = false
-	if c.fc == nil {
-		c.failWindowLocked(fmt.Errorf("transport: %d redial attempts exhausted with %d publishes in flight", pol.MaxAttempts, len(c.awin)))
-	}
+	c.failWindowLocked(fmt.Errorf("transport: %d redial attempts exhausted", pol.MaxAttempts))
 	c.mu.Unlock()
 }

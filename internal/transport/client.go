@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -25,8 +26,14 @@ func WithClientID(id string) ClientOption {
 }
 
 // WithClientRetry sets the reconnect/backoff policy. The zero default is
-// retry.Default: a handful of attempts under capped exponential
-// backoff, with OpDeadline bounding each request's wait.
+// retry.Default. After a lost connection the client redials up to
+// MaxAttempts times under capped exponential backoff; a request is sent at
+// most MaxAttempts times, and fails when the connection carrying its last
+// send is lost. OpDeadline bounds a blocking call's whole wait, from the
+// call to its response: on expiry the request leaves the in-flight window
+// and the call returns "request timed out". An expired request is not sent
+// again on the same connection — the server answers one connection's frames
+// in order, so a second copy would only queue behind the first.
 func WithClientRetry(p retry.Policy) ClientOption {
 	return func(c *Client) { c.retry = p }
 }
@@ -57,7 +64,7 @@ func WithClientObservability(reg *obs.Registry) ClientOption {
 		c.obsWall = reg.Histogram(obs.MClientDeliveryWallLatency,
 			"Wall-clock publish-to-delivery latency measured at the subscribing client (skew-free when this client published).",
 			obs.DefaultLatencyBuckets...)
-		c.obsWindow = reg.Gauge(obs.MTransportPublishWindow, "Outstanding unacked async publishes (window occupancy).")
+		c.obsWindow = reg.Gauge(obs.MTransportPublishWindow, "Requests in flight on the client's window (occupancy): publishes, control ops, run, sync and digest.")
 		c.obsCoalesce = obs.NewCountHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096)
 		reg.AttachHistogram(obs.MTransportPublishCoalesced, "Events coalesced per async PublishReq.", "", "", c.obsCoalesce)
 	}
@@ -84,10 +91,12 @@ type registration struct {
 }
 
 // Client is one process's connection to a pleroma-d daemon. All exported
-// methods are safe for concurrent use; requests are correlated by id, so
-// several may be in flight at once. A lost connection is redialed under
-// the retry policy and every advertisement and subscription re-registered
-// before the failed request is retried.
+// methods are safe for concurrent use. Every request — control ops,
+// blocking and pipelined publishes, run, sync and digest — is one entry of
+// a single in-flight window, sent in FIFO order and correlated by id, so
+// several may be in flight at once; a blocking call waits on its entry. A
+// lost connection is redialed under the retry policy, every advertisement
+// and subscription re-registered, and then the window re-sent in order.
 type Client struct {
 	addr  string
 	id    string
@@ -101,68 +110,48 @@ type Client struct {
 	obsCoalesce   *obs.Histogram
 	tracer        *obs.Tracer
 
-	mu      sync.Mutex
-	fc      *frameConn
-	corr    uint64
-	pending map[uint64]chan callResult
-	// slots holds the idle call rendezvous (see callSlot), so a blocking
-	// call allocates neither its result channel nor its deadline timer.
-	slots  []*callSlot
+	mu     sync.Mutex
+	fc     *frameConn
+	corr   uint64
 	advs   map[string]registration
 	subs   map[string]registration
 	regSeq uint64 // arrival counter behind registration.seq
 	info   Info
 	closed bool
 	// pubSeq numbers this client's publishes so the server can deduplicate
-	// an at-least-once retry of a publish it already applied.
+	// a re-sent publish it already applied.
 	pubSeq uint64
-	// gen counts established connections; reconnect attempts pass the gen
-	// they observed so only one caller redials a given dead connection.
-	gen int
 
-	// Pipelined publish state (async.go). winCond signals window credit
-	// and completions; apend holds per-publisher coalescing buffers; awin
-	// is the FIFO in-flight window; acorr routes acks to window entries;
-	// aerr is the sticky pipeline failure.
+	// The in-flight window (async.go). win is the FIFO of requests sent or
+	// waiting for a connection; byCorr routes responses to them; free holds
+	// finished requests for reuse; winCond signals window credit and
+	// completions. apend holds per-publisher coalescing buffers; aerr is the
+	// sticky failure of the pipelined publish path.
+	win       []*request
+	byCorr    map[uint64]*request
+	free      []*request
 	winCond   *sync.Cond
 	apend     map[string]*pubPending
-	awin      []*asyncEntry
-	acorr     map[uint64]*asyncEntry
 	aerr      error
 	redialing bool
 	lingerOn  bool
 }
 
-// callSlot is what one blocking call waits on: the channel its result
-// arrives on and the timer that bounds the wait. A slot goes back to
-// Client.slots only after its call received a result — whoever removes a
-// pending entry sends on its channel exactly once, so the channel is then
-// empty and unreferenced; a call that timed out or failed to send abandons
-// its slot, because a result may still be on its way into the channel.
-type callSlot struct {
-	ch    chan callResult
-	timer *time.Timer // nil until a call with an OpDeadline uses the slot
-}
-
-// callResult is what a pending call receives: either a response frame
-// (including server KindError rejections, which are NOT retried) or a
-// transport error (lost connection — retryable).
-type callResult struct {
-	f   wire.Frame
-	err error
-}
+var (
+	errClientClosed = errors.New("transport: client closed")
+	errTimedOut     = errors.New("transport: request timed out")
+)
 
 // Dial connects to a daemon and performs the Hello handshake.
 func Dial(addr string, opts ...ClientOption) (*Client, error) {
 	c := &Client{
-		addr:    addr,
-		id:      "client",
-		retry:   retry.Default,
-		pending: make(map[uint64]chan callResult),
-		advs:    make(map[string]registration),
-		subs:    make(map[string]registration),
-		apend:   make(map[string]*pubPending),
-		acorr:   make(map[uint64]*asyncEntry),
+		addr:   addr,
+		id:     "client",
+		retry:  retry.Default,
+		advs:   make(map[string]registration),
+		subs:   make(map[string]registration),
+		apend:  make(map[string]*pubPending),
+		byCorr: make(map[uint64]*request),
 	}
 	c.winCond = sync.NewCond(&c.mu)
 	for _, opt := range opts {
@@ -180,12 +169,12 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 
 // connectLocked dials, handshakes, and replays registrations, all
 // synchronously on the fresh connection (its reader goroutine starts only
-// afterwards, so the round-trips below own the socket). Callers hold c.mu
-// and, on success, MUST invoke the returned start function after releasing
-// it: start dispatches any deliveries the server pushed mid-handshake
-// (they cannot be dispatched under c.mu — handlers may call back into the
-// client) and only then spawns the reader goroutine, preserving delivery
-// order.
+// afterwards, so the round-trips below own the socket). Its callers are
+// Dial and the redial goroutine; they hold c.mu and, on success, MUST
+// invoke the returned start function after releasing it: start dispatches
+// any deliveries the server pushed mid-handshake (they cannot be dispatched
+// under c.mu — handlers may call back into the client) and only then
+// spawns the reader goroutine, preserving delivery order.
 func (c *Client) connectLocked() (start func(), err error) {
 	raw, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -283,35 +272,32 @@ func (c *Client) connectLocked() (start func(), err error) {
 	fc := newFrameConn(raw, wt, c.m)
 	c.fc = fc
 	c.corr = corr
-	c.gen++
-	gen := c.gen
-	// Re-send the unacked async publish window, FIFO, while still holding
-	// c.mu: the fresh connection's queue is empty, so these frames are
-	// guaranteed to precede any retried or new request — preserving the
-	// per-publisher sequence order the server's dedup depends on.
-	for _, e := range c.awin {
-		c.sendEntryLocked(e)
+	// Re-send the window, FIFO, while still holding c.mu: the fresh
+	// connection's queue is empty, so these frames precede any new request —
+	// preserving the per-publisher sequence order the server's dedup
+	// depends on.
+	for _, r := range c.win {
+		c.sendLocked(r)
 	}
 	return func() {
 		for _, f := range buffered {
 			if !c.dispatchDelivery(f) {
-				c.connLost(fc, gen)
+				c.connLost(fc)
 				return
 			}
 		}
-		go c.readLoop(fc, br, gen)
+		go c.readLoop(fc, br)
 	}, nil
 }
 
 // readLoop dispatches incoming frames: deliveries to their subscription
-// handlers, async publish acks to their window entries, and responses to
-// their waiting callers. On a read error — or a pushed frame that does not
-// decode, which is a hole in the delivery stream just the same — every
-// pending call fails fast, and the next request redials. Frames are read
-// into one reusable buffer: delivery decode and ack routing consume the
-// payload before the next read, and the one escape path (a pending call's
-// response) copies it.
-func (c *Client) readLoop(fc *frameConn, br *bufio.Reader, gen int) {
+// handlers, responses to their window entries. A read error — or a pushed
+// frame that does not decode, which is a hole in the delivery stream just
+// the same — is a lost connection. Frames are read into one reusable
+// buffer: delivery decode and ack routing consume the payload before the
+// next read, and the one escape path (a blocking caller's response) copies
+// it.
+func (c *Client) readLoop(fc *frameConn, br *bufio.Reader) {
 	buf := make([]byte, 0, 4096)
 	for {
 		var f wire.Frame
@@ -321,37 +307,27 @@ func (c *Client) readLoop(fc *frameConn, br *bufio.Reader, gen int) {
 		}
 		f, buf, err = readFrame(br, c.m, buf)
 		if err != nil {
-			c.connLost(fc, gen)
+			c.connLost(fc)
 			return
 		}
 		switch f.Kind {
 		case wire.KindDeliverBatch:
 			if !c.dispatchDelivery(f) {
-				c.connLost(fc, gen)
+				c.connLost(fc)
 				return
 			}
 		case wire.KindGoodbye:
-			c.connLost(fc, gen)
+			c.connLost(fc)
 			return
 		default:
 			c.mu.Lock()
-			if e, ok := c.acorr[f.Corr]; ok {
-				delete(c.acorr, f.Corr)
-				var aerr error
-				if f.Kind != wire.KindOK {
-					aerr = fmt.Errorf("transport: async publish: %s", respError(f))
+			if r := c.byCorr[f.Corr]; r != nil {
+				if r.waiting {
+					f.Payload = append([]byte(nil), f.Payload...)
 				}
-				c.completeEntryLocked(e, aerr)
-				c.mu.Unlock()
-				continue
+				c.finishLocked(r, f, nil)
 			}
-			ch := c.pending[f.Corr]
-			delete(c.pending, f.Corr)
 			c.mu.Unlock()
-			if ch != nil {
-				f.Payload = append([]byte(nil), f.Payload...)
-				ch <- callResult{f: f}
-			}
 		}
 	}
 }
@@ -389,30 +365,29 @@ func (c *Client) dispatchOne(d wire.Delivery) {
 	}
 }
 
-// connLost tears down the given connection generation and fails its
-// pending calls so they can retry on a fresh dial. Async window entries
-// are NOT failed: they stay queued (their correlations cleared) and the
-// redial goroutine re-sends them on the next connection.
-func (c *Client) connLost(fc *frameConn, gen int) {
+// connLost tears down the given connection. Its requests stay in the
+// window, their correlations cleared, for the redial goroutine to re-send —
+// except a request whose last allowed send this connection carried: it
+// fails.
+func (c *Client) connLost(fc *frameConn) {
 	c.mu.Lock()
-	if c.fc != fc || c.gen != gen {
+	if c.fc != fc {
 		c.mu.Unlock()
 		return
 	}
 	c.fc = nil
-	pend := c.pending
-	c.pending = make(map[uint64]chan callResult)
-	for corr, e := range c.acorr {
-		delete(c.acorr, corr)
-		e.corr = 0
+	clear(c.byCorr)
+	maxSends := c.retry.Normalized().MaxAttempts
+	for i := len(c.win) - 1; i >= 0; i-- { // finishLocked shifts what follows i
+		r := c.win[i]
+		r.corr = 0
+		if r.sends >= maxSends {
+			c.finishLocked(r, wire.Frame{}, fmt.Errorf("transport: connection lost after %d sends", r.sends))
+		}
 	}
 	c.ensureRedialLocked()
-	c.winCond.Broadcast()
 	c.mu.Unlock()
 	fc.abort()
-	for _, ch := range pend {
-		ch <- callResult{err: fmt.Errorf("transport: connection lost")}
-	}
 }
 
 // respError extracts the server error message from an Error frame.
@@ -423,106 +398,19 @@ func respError(f wire.Frame) string {
 	return fmt.Sprintf("unexpected response kind %v", f.Kind)
 }
 
-// call performs one correlated request/response, redialing (with the
-// retry policy's backoff) when the connection is down or lost mid-call.
-// Only transport failures are retried; a server KindError response is a
-// semantic rejection and is returned immediately for the caller to
-// surface.
-func (c *Client) call(kind wire.Kind, payload []byte) (wire.Frame, error) {
-	pol := c.retry.Normalized()
-	var lastErr error
-	for attempt := 0; attempt < pol.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			if backoff := pol.Backoff(attempt - 1); backoff > 0 {
-				pol.Sleep(backoff)
-			}
-		}
-		resp, err := c.attempt(kind, payload, attempt > 0)
-		if err == nil {
-			return resp, nil
-		}
-		lastErr = err
-	}
-	return wire.Frame{}, fmt.Errorf("transport: %d attempts exhausted: %w", pol.MaxAttempts, lastErr)
-}
-
-func (c *Client) attempt(kind wire.Kind, payload []byte, isRetry bool) (wire.Frame, error) {
+// roundTrip sends one request through the window and waits for its
+// response. Server responses — KindError rejections included, which are not
+// re-sent — come back as frames for the caller to inspect; a failed request
+// comes back as its error.
+func (c *Client) roundTrip(kind wire.Kind, payload []byte) (wire.Frame, error) {
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return wire.Frame{}, fmt.Errorf("transport: client closed")
+	r, ok := c.admitLocked()
+	if ok {
+		r.kind, r.payload = kind, payload
+		c.enqueueLocked(r)
 	}
-	var start func()
-	if c.fc == nil {
-		if isRetry {
-			c.obsReconnects.Inc()
-		}
-		var err error
-		if start, err = c.connectLocked(); err != nil {
-			c.mu.Unlock()
-			return wire.Frame{}, err
-		}
-	}
-	fc := c.fc
-	c.corr++
-	corr := c.corr
-	var slot *callSlot
-	if n := len(c.slots); n > 0 {
-		slot, c.slots = c.slots[n-1], c.slots[:n-1]
-	} else {
-		slot = &callSlot{ch: make(chan callResult, 1)}
-	}
-	c.pending[corr] = slot.ch
 	c.mu.Unlock()
-	if start != nil {
-		// Fresh connection: flush handshake-buffered deliveries and start
-		// the reader now that c.mu is released (handlers may re-enter the
-		// client). Must run before awaiting the response below — the
-		// reader is what completes it.
-		start()
-	}
-
-	if err := fc.send(wire.Frame{Kind: kind, Corr: corr, Payload: payload}); err != nil {
-		c.mu.Lock()
-		delete(c.pending, corr)
-		c.mu.Unlock()
-		return wire.Frame{}, err
-	}
-
-	var timeout <-chan time.Time
-	if d := c.retry.OpDeadline; d > 0 {
-		if slot.timer == nil {
-			slot.timer = time.NewTimer(d)
-		} else {
-			slot.timer.Reset(d)
-		}
-		timeout = slot.timer.C
-	}
-	select {
-	case res := <-slot.ch:
-		if slot.timer != nil && !slot.timer.Stop() {
-			// Fired while the result was arriving: take the tick out, or the
-			// slot's next call would time out at once.
-			select {
-			case <-slot.timer.C:
-			default:
-			}
-		}
-		c.mu.Lock()
-		c.slots = append(c.slots, slot)
-		c.mu.Unlock()
-		if res.err != nil {
-			return wire.Frame{}, res.err // transport failure: retryable
-		}
-		// Server responses — including KindError rejections — complete the
-		// call; callers inspect the frame kind.
-		return res.f, nil
-	case <-timeout:
-		c.mu.Lock()
-		delete(c.pending, corr)
-		c.mu.Unlock()
-		return wire.Frame{}, fmt.Errorf("transport: request timed out")
-	}
+	return c.await(r)
 }
 
 // Info returns the deployment description from the Hello handshake.
@@ -537,7 +425,7 @@ func (c *Client) control(op wire.Op, id string, host uint32, ranges []wire.Range
 	if err != nil {
 		return err
 	}
-	resp, err := c.call(wire.KindControl, b)
+	resp, err := c.roundTrip(wire.KindControl, b)
 	if err != nil {
 		return err
 	}
@@ -616,48 +504,48 @@ func inArrivalOrder(regs map[string]registration) []string {
 	return slices.DeleteFunc(ids, func(id string) bool { return regs[id].seq == 0 })
 }
 
-// Publish injects events from the advertised publisher id. Each publish
-// carries a client-assigned sequence number: a reconnect retry re-sends
-// the same number, and the server skips publishes it already applied, so
-// the at-least-once transport retry applies events at most once.
+// Publish injects events from the advertised publisher id as one request
+// and waits for its acknowledgement. Each publish carries a client-assigned
+// sequence number, taken in the critical section that appends it to the
+// window and queues its frame (async.go, rule 1): a re-send after a
+// reconnect repeats the number, and the server skips publishes it already
+// applied, so events are applied at most once.
 //
 // With a tracer, the publish mints a root span whose context rides the
-// request. The frame is encoded exactly once, so a reconnect retry re-sends
-// the same bytes: the same sequence number AND the same trace context,
-// keeping a deduplicated retry inside a single trace.
+// request. The frame is encoded exactly once, so a re-send carries the same
+// bytes: the same sequence number AND the same trace context, keeping a
+// deduplicated re-send inside a single trace.
 func (c *Client) Publish(id string, events []space.Event) error {
+	sp, tc := c.startPublishSpan(id)
 	c.mu.Lock()
 	// Seal any pending async batch for this publisher first, so a
 	// sequential PublishAsync-then-Publish caller sees its events applied
-	// in call order (both frames ride the same FIFO, window first).
-	if pb := c.apend[id]; pb != nil && len(pb.events) > 0 {
+	// in call order (both ride the window, the batch first).
+	if c.apend[id] != nil {
 		if err := c.sealLocked(id); err != nil {
 			c.mu.Unlock()
+			sp.End(err)
 			return err
 		}
 	}
-	c.pubSeq++
-	seq := c.pubSeq
+	r, ok := c.admitLocked()
+	if ok {
+		payload, err := wire.EncodePublish(wire.PublishReq{ID: id, Seq: c.pubSeq + 1, Events: events, Trace: tc})
+		if err != nil {
+			c.finishLocked(r, wire.Frame{}, err)
+		} else {
+			c.pubSeq++
+			r.kind, r.payload = wire.KindPublish, payload
+			c.enqueueLocked(r)
+		}
+	}
 	c.mu.Unlock()
-	sp, tc := c.startPublishSpan(id)
-	req := wire.PublishReq{ID: id, Seq: seq, Events: events, Trace: tc}
-	b, err := wire.EncodePublish(req)
-	if err != nil {
-		sp.End(err)
-		return err
-	}
-	resp, err := c.call(wire.KindPublish, b)
-	if err != nil {
-		sp.End(err)
-		return err
-	}
-	if resp.Kind != wire.KindOK {
+	resp, err := c.await(r)
+	if err == nil && resp.Kind != wire.KindOK {
 		err = fmt.Errorf("transport: publish %q: %s", id, respError(resp))
-		sp.End(err)
-		return err
 	}
-	sp.End(nil)
-	return nil
+	sp.End(err)
+	return err
 }
 
 // startPublishSpan mints the root span of one publish and the trace
@@ -673,7 +561,7 @@ func (c *Client) startPublishSpan(id string) (*obs.Span, wire.TraceContext) {
 // Run drains the daemon's pending simulated work and returns the final
 // simulated time — the remote form of System.Run.
 func (c *Client) Run() (time.Duration, error) {
-	resp, err := c.call(wire.KindRun, nil)
+	resp, err := c.roundTrip(wire.KindRun, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -687,7 +575,7 @@ func (c *Client) Run() (time.Duration, error) {
 // before the Sync has been received and dispatched: the OK response rides
 // the same FIFO behind them.
 func (c *Client) Sync() error {
-	resp, err := c.call(wire.KindSync, nil)
+	resp, err := c.roundTrip(wire.KindSync, nil)
 	if err != nil {
 		return err
 	}
@@ -699,7 +587,7 @@ func (c *Client) Sync() error {
 
 // Digest returns the daemon's control-plane state digest.
 func (c *Client) Digest() ([]byte, error) {
-	resp, err := c.call(wire.KindDigest, nil)
+	resp, err := c.roundTrip(wire.KindDigest, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -709,7 +597,9 @@ func (c *Client) Digest() ([]byte, error) {
 	return resp.Payload, nil
 }
 
-// Close sends a Goodbye and closes the connection.
+// Close fails every request in flight with "client closed" — blocking
+// callers wake with it, and a failed pipelined publish makes it the sticky
+// error Flush returns — then sends a Goodbye and closes the connection.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -719,7 +609,8 @@ func (c *Client) Close() error {
 	c.closed = true
 	fc := c.fc
 	c.fc = nil
-	c.winCond.Broadcast() // wake Flush/backpressure waiters: client is gone
+	c.failWindowLocked(errClientClosed)
+	c.winCond.Broadcast() // wake credit waiters: the client is gone
 	c.mu.Unlock()
 	if fc != nil {
 		fc.send(wire.Frame{Kind: wire.KindGoodbye})

@@ -32,10 +32,11 @@ type Options struct {
 	// goroutine. Zero keeps the role's default: the client uses its retry
 	// policy's OpDeadline, the server sets no deadline.
 	WriteTimeout time.Duration
-	// Window bounds the async publish pipeline: the number of unacked
-	// KindPublish frames a client keeps in flight before PublishAsync
-	// blocks (credit-based backpressure). Zero selects defaultWindow; 1
-	// degenerates to stop-and-wait.
+	// Window bounds the client's in-flight window: the number of
+	// unanswered requests — pipelined and blocking publishes, control ops,
+	// run, sync, digest — it keeps in flight before PublishAsync and
+	// blocking calls wait for credit (backpressure). Zero selects
+	// defaultWindow; 1 degenerates to stop-and-wait.
 	Window int
 	// BatchEvents caps the events coalesced into one PublishReq. Zero
 	// selects defaultBatchEvents; 1 disables coalescing. Values above

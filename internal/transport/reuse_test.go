@@ -49,11 +49,12 @@ func TestWriteQueueReusesItsArrays(t *testing.T) {
 	}
 }
 
-// TestCallSlotReuse: sequential blocking calls share one result channel and
-// one deadline timer; a call that timed out abandons its slot, so the late
-// response it was waiting for cannot surface in a later call, and the timer
-// it leaves behind does not cut the next call short.
-func TestCallSlotReuse(t *testing.T) {
+// TestRequestReuse: sequential blocking calls share one window request,
+// hence one result channel and one deadline timer; a call that timed out
+// abandons its request, so the late response it was waiting for cannot
+// surface in a later call, and the timer it leaves behind does not cut the
+// next call short.
+func TestRequestReuse(t *testing.T) {
 	b := &blockingBackend{fakeBackend: newFakeBackend(), gate: make(chan struct{})}
 	_, addr := startServer(t, b)
 	c, err := Dial(addr, WithClientRetry(retry.Policy{MaxAttempts: 1, OpDeadline: 150 * time.Millisecond}))
@@ -61,10 +62,10 @@ func TestCallSlotReuse(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	idle := func() []*callSlot {
+	idle := func() []*request {
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return append([]*callSlot(nil), c.slots...)
+		return append([]*request(nil), c.free...)
 	}
 	for i := 0; i < 3; i++ {
 		if err := c.Sync(); err != nil {
@@ -73,7 +74,14 @@ func TestCallSlotReuse(t *testing.T) {
 	}
 	first := idle()
 	if len(first) != 1 || first[0].timer == nil {
-		t.Fatalf("after three sequential calls %d slots are idle, want one with a timer", len(first))
+		t.Fatalf("after three sequential calls %d requests are idle, want one with a timer", len(first))
+	}
+	ch, timer := first[0].ch, first[0].timer
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := idle(); len(got) != 1 || got[0] != first[0] || got[0].ch != ch || got[0].timer != timer {
+		t.Fatal("the next sequential call did not reuse the idle request, its channel and its timer")
 	}
 
 	// The server sits on this publish past the deadline.
@@ -81,7 +89,7 @@ func TestCallSlotReuse(t *testing.T) {
 		t.Fatal("a publish the server never answers must time out")
 	}
 	if got := idle(); len(got) != 0 {
-		t.Fatalf("the timed-out call's slot went back to the free list (%d idle)", len(got))
+		t.Fatalf("the timed-out call's request went back to the free list (%d idle)", len(got))
 	}
 	close(b.gate) // the late OK leaves the server now
 	for i := 0; i < 3; i++ {
@@ -90,14 +98,14 @@ func TestCallSlotReuse(t *testing.T) {
 		}
 	}
 	if got := idle(); len(got) != 1 || got[0] == first[0] {
-		t.Fatalf("after the timeout: %d idle slots, abandoned slot reused: %v", len(got), len(got) == 1 && got[0] == first[0])
+		t.Fatalf("after the timeout: %d idle requests, abandoned request reused: %v", len(got), len(got) == 1 && got[0] == first[0])
 	}
-	// The slot's timer is re-armed by every call, not left running from the
-	// first: quick calls keep succeeding for longer than one deadline.
+	// The request's timer is re-armed by every call, not left running from
+	// the first: quick calls keep succeeding for longer than one deadline.
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		if err := c.Sync(); err != nil {
-			t.Fatalf("call on a reused slot: %v", err)
+			t.Fatalf("call on a reused request: %v", err)
 		}
 	}
 }

@@ -318,7 +318,7 @@ func (b *netBackend) Publish(req wire.PublishReq) error {
 	// The client's transport retry is at-least-once: a connection lost
 	// after the backend applied a publish but before the OK arrived makes
 	// the client re-send the same request. Sequence numbers (per client,
-	// strictly increasing per publisher) make the retry idempotent.
+	// arriving strictly increasing per publisher) make the retry idempotent.
 	if req.Seq != 0 && req.Seq <= p.lastPubSeq {
 		return nil // duplicate of an already-applied publish
 	}
@@ -402,8 +402,10 @@ func WithDialObservability(traceCapacity int) DialOption {
 
 // WithDialRetry sets the client's reconnect/backoff policy (default
 // DefaultRetryPolicy). After a lost connection the client redials with
-// capped exponential backoff and replays its advertisements and
-// subscriptions before retrying the interrupted request.
+// capped exponential backoff, replays its advertisements and
+// subscriptions, and then re-sends every request still in flight, in
+// order; a request is sent at most MaxAttempts times. OpDeadline bounds a
+// blocking call's whole wait, and a call that timed out is not sent again.
 func WithDialRetry(p RetryPolicy) DialOption { return func(c *dialConfig) { c.retry = &p } }
 
 // WithDialTransport tunes the client's transport data path: deadlines and

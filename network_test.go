@@ -1067,3 +1067,104 @@ func churnSession(addr string, c, steps int, delivered *atomic.Uint64) error {
 	}
 	return cli.Sync()
 }
+
+// TestNetworkConcurrentPublishSameID: blocking Publish is safe for concurrent
+// use on one publisher id. Every acknowledged publish is delivered exactly
+// once, which needs the publishes to reach the daemon in the order of their
+// sequence numbers: the daemon acknowledges a sequence number at or below the
+// last one it applied as a duplicate without applying it. The control case
+// gives every goroutine a publisher id of its own.
+func TestNetworkConcurrentPublishSameID(t *testing.T) {
+	for _, shared := range []bool{true, false} {
+		t.Run(fmt.Sprintf("shared=%t", shared), func(t *testing.T) {
+			concurrentPublish(t, shared)
+		})
+	}
+}
+
+func concurrentPublish(t *testing.T, shared bool) {
+	const goroutines, perGoroutine, rounds = 8, 200, 5
+	sys, err := NewSystem(netTestSchema(t), WithTopology(TopologyRing20), WithListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	pub, err := Dial(sys.ListenAddr(), WithDialID("pub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pub.Close()
+	sub, err := Dial(sys.ListenAddr(), WithDialID("sub"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sub.Close()
+	hosts := pub.Hosts()
+	pubID := func(g int) string {
+		if shared {
+			return "p"
+		}
+		return fmt.Sprintf("p%d", g)
+	}
+	ids := goroutines
+	if shared {
+		ids = 1
+	}
+	for g := 0; g < ids; g++ {
+		if err := pub.Advertise(pubID(g), hosts[0], NewFilter()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var mu sync.Mutex
+	delivered := make(map[[2]uint32]int)
+	if err := sub.Subscribe("s", hosts[len(hosts)-1], NewFilter(), func(d Delivery) {
+		mu.Lock()
+		delivered[[2]uint32{d.Event.Values[0], d.Event.Values[1]}]++
+		mu.Unlock()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for round := 0; round < rounds; round++ {
+		acked := make([][]bool, goroutines)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			acked[g] = make([]bool, perGoroutine)
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < perGoroutine; i++ {
+					if err := pub.Publish(pubID(g), uint32(g), uint32(i)); err != nil {
+						t.Errorf("round %d: publish %d/%d: %v", round, g, i, err)
+						continue
+					}
+					acked[g][i] = true
+				}
+			}(g)
+		}
+		wg.Wait()
+		if _, err := pub.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sub.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		lost, extra := 0, 0
+		for g := range acked {
+			for i, ok := range acked[g] {
+				want := 0
+				if ok {
+					want = 1
+				}
+				got := delivered[[2]uint32{uint32(g), uint32(i)}]
+				lost += max(want-got, 0)
+				extra += max(got-want, 0)
+			}
+		}
+		clear(delivered)
+		mu.Unlock()
+		if lost != 0 || extra != 0 {
+			t.Fatalf("round %d: %d acknowledged publishes lost, %d extra deliveries", round, lost, extra)
+		}
+	}
+}
