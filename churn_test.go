@@ -98,14 +98,16 @@ func BenchmarkControlChurn(b *testing.B) {
 // TestControlChurnAllocCeiling pins the allocations of one unsubscribe +
 // subscribe pair at 5000 deployed, facade to flow tables, journal included
 // (the map-of-maps contribution state this replaced took ≈ 560). What is
-// left is mostly kept state: path records, contributions, flows, the
-// journal record and the subscription's set (DESIGN.md §5, "What a control
-// operation allocates").
+// left is the state the new subscription keeps — its record and set, path
+// records, contributions, flows, the journal record — plus the filter's
+// decomposition and the host list the loop asks for. Change sets, the
+// changed list, tree ids and path expressions are controller scratch or
+// sized once (DESIGN.md §5, "What a control operation allocates").
 func TestControlChurnAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deploys 5000 subscriptions")
 	}
-	const ceiling = 95 // measured 86; 364 before the decomposition, the routes and the refresh scratch stopped allocating per operation
+	const ceiling = 50 // measured 45; 86 with a change set per operation and path expressions grown per member, 364 before the decomposition, the routes and the refresh scratch stopped allocating per operation
 	w := newControlChurn(t, 5000)
 	perPair := testing.AllocsPerRun(300, func() { w.step(t) })
 	t.Logf("%.0f allocations per unsubscribe+subscribe pair at 5000 deployed", perPair)

@@ -14,7 +14,7 @@ import (
 
 // benchController builds a controller with `deployed` zipfian
 // subscriptions already installed.
-func benchController(b *testing.B, deployed int) (*core.Controller, *space.Schema, *workload.Generator, []topo.NodeID) {
+func benchController(b testing.TB, deployed int) (*core.Controller, *space.Schema, *workload.Generator, []topo.NodeID) {
 	b.Helper()
 	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
 	if err != nil {
@@ -72,22 +72,51 @@ func BenchmarkSubscribeAt100Deployed(b *testing.B)  { benchSubscribe(b, 100) }
 func BenchmarkSubscribeAt1000Deployed(b *testing.B) { benchSubscribe(b, 1000) }
 func BenchmarkSubscribeAt5000Deployed(b *testing.B) { benchSubscribe(b, 5000) }
 
-func BenchmarkSubscribeUnsubscribeCycle(b *testing.B) {
-	ctl, sch, gen, hosts := benchController(b, 500)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+// subscribeUnsubscribeCycle returns one subscribe + unsubscribe cycle at 500
+// deployed: a fresh subscription decomposed, installed and removed.
+func subscribeUnsubscribeCycle(tb testing.TB) func() {
+	ctl, sch, gen, hosts := benchController(tb, 500)
+	i := 0
+	return func() {
 		id := fmt.Sprintf("c%d", i)
 		set, err := sch.DecomposeRectLimited(gen.SubscriptionRect(), 24, 16)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := ctl.Subscribe(id, hosts[1+i%7], set); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if _, err := ctl.Unsubscribe(id); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		i++
+	}
+}
+
+func BenchmarkSubscribeUnsubscribeCycle(b *testing.B) {
+	cycle := subscribeUnsubscribeCycle(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}
+
+// TestSubscribeUnsubscribeCycleAllocs pins the allocations of one cycle,
+// the subscription's decomposition and id included: what is left is the
+// state the subscription keeps while it lives — its record, path records,
+// contributions and flows. Change sets, tree ids and path expressions are
+// controller scratch or sized once, so none of them counts per member.
+func TestSubscribeUnsubscribeCycleAllocs(t *testing.T) {
+	const ceiling = 25 // measured 23; 46 while every subscription made its own change sets and grew its paths per member
+	cycle := subscribeUnsubscribeCycle(t)
+	for range 50 {
+		cycle()
+	}
+	perCycle := testing.AllocsPerRun(300, cycle)
+	t.Logf("%.1f allocations per subscribe+unsubscribe cycle at 500 deployed", perCycle)
+	if perCycle > ceiling {
+		t.Errorf("%.1f allocations per subscribe+unsubscribe cycle, ceiling %d", perCycle, ceiling)
 	}
 }
 

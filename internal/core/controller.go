@@ -49,7 +49,7 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	c.pubs[id] = pub
 	c.inst.advertise.Inc()
 
-	ch := make(changeSet)
+	ch := newChangeSet()
 	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
 	for _, dzi := range set {
 		covered := dz.Set(nil)
@@ -123,14 +123,18 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	c.subs[id] = sub
 	c.inst.subscribe.Inc()
 
-	ch := make(changeSet, 8*len(set)) // about one key per subspace and switch on the way
-	defer c.contribs.apply(ch)        // a failure before refresh keeps tries and path records in step
+	ch := c.opCh
+	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step, and empties ch
 	c.pubOrder = c.pubOrder[:0]
 	for _, dzi := range set {
 		for _, tid := range c.treeIdx.overlapping(dzi) {
 			t := c.trees[tid]
+			if !sub.trees[tid] {
+				// DZ^t(s) at once: the union of every member's part below.
+				sub.trees[tid] = true
+				t.subs[id] = set.Intersect(t.set)
+			}
 			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
-			c.joinTreeAsSubscriber(t, sub, overlap)
 			for _, pid := range c.sortedPubs(t) {
 				if err := c.addPathContributions(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), ch, &rep); err != nil {
 					return rep, err
@@ -189,7 +193,7 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	span, start := c.beginOp(opUnsubscribe, func() string { return id })
 	defer func() { c.endOp(opUnsubscribe, span, start, &rep, err) }()
 	c.inst.unsubscribe.Inc()
-	ch := make(changeSet, 8*len(sub.sub))
+	ch := c.opCh // refresh empties it
 	for tid := range sub.trees {
 		if t, ok := c.trees[tid]; ok {
 			for pid := range t.pubs {
@@ -220,7 +224,7 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	span, start := c.beginOp(opUnadvertise, func() string { return id })
 	defer func() { c.endOp(opUnadvertise, span, start, &rep, err) }()
 	c.inst.unadvertise.Inc()
-	ch := make(changeSet)
+	ch := newChangeSet()
 	for tid := range pub.trees {
 		t, ok := c.trees[tid]
 		if !ok {
@@ -334,7 +338,7 @@ func (c *Controller) joinTreeAsSubscriber(t *tree, sub *subscriber, overlap dz.S
 // every subscriber whose subscription overlaps the publisher's new tree
 // subspaces gets a path from the publisher.
 func (c *Controller) addFlowMultSub(t *tree, pub *publisher, set dz.Set,
-	ch changeSet, rep *ReconfigReport) error {
+	ch *changeSet, rep *ReconfigReport) error {
 	for _, sid := range sortutil.Keys(c.subs) {
 		sub := c.subs[sid]
 		ov := set.Intersect(sub.sub)
@@ -385,7 +389,7 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 }
 
 // dropTreePaths tears down every established path of t.
-func (c *Controller) dropTreePaths(t *tree, ch changeSet) {
+func (c *Controller) dropTreePaths(t *tree, ch *changeSet) {
 	for pid := range t.pubs {
 		for sid := range t.subs {
 			c.contribs.removePath(pathKey{pub: pid, sub: sid, tree: t.id}, ch)
@@ -397,7 +401,7 @@ func (c *Controller) dropTreePaths(t *tree, ch changeSet) {
 // its overlap sets DZ^t(p) ∩ DZ^t(s). Path removal walks the clients' tree
 // memberships, so every member of t must be a registered client that lists
 // t: a restored snapshot is outside input and can say otherwise.
-func (c *Controller) establishTreePaths(t *tree, ch changeSet, rep *ReconfigReport) error {
+func (c *Controller) establishTreePaths(t *tree, ch *changeSet, rep *ReconfigReport) error {
 	for _, pid := range sortutil.Keys(t.pubs) {
 		pub := c.pubs[pid]
 		if pub == nil || !pub.trees[t.id] {
@@ -442,7 +446,7 @@ func (c *Controller) dismantleTree(t *tree) {
 // longest common prefix is merged first, so subspaces that canonicalise
 // into a coarser one (the paper's {0000,0010}+{0001,0011} ⇒ {00} example)
 // collapse naturally.
-func (c *Controller) mergeTreesIfNeeded(ch changeSet, rep *ReconfigReport) error {
+func (c *Controller) mergeTreesIfNeeded(ch *changeSet, rep *ReconfigReport) error {
 	if c.maxTrees <= 0 {
 		return nil
 	}
@@ -493,7 +497,7 @@ func mergeAffinity(a, b dz.Set) int {
 // coarser subspaces where siblings meet), publisher/subscriber overlaps
 // are recomputed against the merged set, and all paths of both trees are
 // rebuilt on t1's spanning tree.
-func (c *Controller) mergeTrees(t1, t2 *tree, ch changeSet, rep *ReconfigReport) error {
+func (c *Controller) mergeTrees(t1, t2 *tree, ch *changeSet, rep *ReconfigReport) error {
 	c.dropTreePaths(t1, ch)
 	c.dropTreePaths(t2, ch)
 
@@ -579,7 +583,7 @@ func (c *Controller) sortedTrees() []*tree {
 func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 	sp, start := c.beginOp(opRebuildTrees, func() string { return "" })
 	defer func() { c.endOp(opRebuildTrees, sp, start, &rep, err) }()
-	ch := make(changeSet)
+	ch := newChangeSet()
 	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
 	for _, t := range c.sortedTrees() {
 		span, err := c.g.ShortestPathTree(t.root, c.includeFunc())

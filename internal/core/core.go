@@ -248,12 +248,21 @@ type Controller struct {
 	contribs  *contribState
 	installed map[topo.NodeID]map[dz.Expr]installedFlow
 
-	// Scratch of one control operation, reused by the next: the batch and
-	// its installed-state updates refreshSwitch collects for one switch and
-	// the ops flushOps records as acknowledged — emptied and zeroed after
-	// each flush, so no flow stays reachable from here — refreshSwitch's
-	// derivation, and the publisher ids subscribe sorts once per tree,
-	// reset when a subscription starts.
+	// Scratch of one control operation, reused by the next: the change set
+	// of Subscribe and Unsubscribe, the batch and its installed-state
+	// updates refreshSwitch collects for one switch and the ops flushOps
+	// records as acknowledged — emptied and zeroed after each flush, so no
+	// flow stays reachable from here — refreshSwitch's derivation, and the
+	// publisher ids subscribe sorts once per tree, reset when a
+	// subscription starts.
+	//
+	// opCh is bounded by one subscription and empty between operations:
+	// apply empties it on every exit path (Subscribe's deferred apply,
+	// Unsubscribe's refresh). Operations whose change sets scale with the
+	// deployment — Advertise, Unadvertise, merges, RebuildTrees, restore —
+	// make their own, because clear keeps a map's buckets, a range walks
+	// all of them, and the set keeps its changed list.
+	opCh       *changeSet
 	batchOps   []openflow.FlowOp
 	batchMetas []opMeta
 	acked      []ackedOp
@@ -359,6 +368,7 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 		pubs:      make(map[string]*publisher),
 		subs:      make(map[string]*subscriber),
 		contribs:  newContribState(),
+		opCh:      newChangeSet(),
 		installed: make(map[topo.NodeID]map[dz.Expr]installedFlow),
 		degraded:  &DegradedSet{m: make(map[topo.NodeID]error)},
 	}

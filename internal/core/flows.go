@@ -26,11 +26,20 @@ type contribKey struct {
 // ends in the same switches), so the per-switch tries are touched once per
 // distinct key — and not at all where a tear-down and a re-establishment
 // cancel (mergeTrees, RebuildTrees) — when apply folds the set in.
-type changeSet map[contribKey]int
+type changeSet struct {
+	delta map[contribKey]int
+	// changed backs the list apply returns, reused by the next apply of
+	// this set: it lives as long as the set does.
+	changed []change
+}
 
-func (ch changeSet) add(hops []topo.Hop, e dz.Expr, delta int) {
+func newChangeSet() *changeSet {
+	return &changeSet{delta: make(map[contribKey]int)}
+}
+
+func (ch *changeSet) add(hops []topo.Hop, e dz.Expr, delta int) {
 	for _, hop := range hops {
-		ch[contribKey{hop.Switch, e, hop.OutPort}] += delta
+		ch.delta[contribKey{hop.Switch, e, hop.OutPort}] += delta
 	}
 }
 
@@ -84,7 +93,7 @@ func newContribState() *contribState {
 }
 
 // removePath tears down one path if it is established.
-func (cs *contribState) removePath(key pathKey, ch changeSet) {
+func (cs *contribState) removePath(key pathKey, ch *changeSet) {
 	p := cs.paths[key]
 	if p == nil {
 		return
@@ -105,18 +114,20 @@ type change struct {
 // apply folds an operation's net changes into the per-switch tries, empties
 // the set, and returns the changed expressions sorted by switch, then
 // lexicographically: only their prefix families can need flow updates — the
-// locality the paper's incremental cases (1)–(5) exploit.
-func (cs *contribState) apply(ch changeSet) []change {
-	if len(ch) == 0 {
+// locality the paper's incremental cases (1)–(5) exploit. The list is the
+// set's scratch, valid until its next apply.
+func (cs *contribState) apply(ch *changeSet) []change {
+	if len(ch.delta) == 0 {
 		return nil
 	}
-	changed := make([]change, 0, len(ch))
-	for key, delta := range ch {
+	changed := ch.changed[:0]
+	for key, delta := range ch.delta {
 		if delta != 0 && cs.bump(key, delta) {
 			changed = append(changed, change{key.sw, key.expr})
 		}
 	}
-	clear(ch)
+	clear(ch.delta)
+	ch.changed = changed
 	slices.SortFunc(changed, func(a, b change) int {
 		if c := cmp.Compare(a.sw, b.sw); c != 0 {
 			return c
@@ -172,7 +183,7 @@ func (cs *contribState) bump(key contribKey, delta int) bool {
 // while the record lives: t.span only changes in mergeTrees and
 // RebuildTrees, which drop the tree's paths first.
 func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscriber,
-	exprs dz.Set, ch changeSet, rep *ReconfigReport) error {
+	exprs dz.Set, ch *changeSet, rep *ReconfigReport) error {
 	if exprs.IsEmpty() {
 		return nil
 	}
@@ -183,7 +194,9 @@ func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscrib
 		if err != nil {
 			return err
 		}
-		p = &path{hops: hops, exprs: make([]dz.Expr, 0, len(exprs))}
+		// Sized once for the subscriber's whole part of the tree: a
+		// subscription adds its members' parts one call at a time.
+		p = &path{hops: hops, exprs: make([]dz.Expr, 0, max(len(exprs), len(t.subs[sub.id])))}
 		c.contribs.paths[key] = p
 	}
 	rep.RoutesComputed++
@@ -669,7 +682,7 @@ func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) 
 // error stops the operation — lower-numbered switches are programmed,
 // higher ones are not, and the next resync pass converges them; transient
 // exhaustion quarantines its switch and the loop carries on.
-func (c *Controller) refresh(ch changeSet, rep *ReconfigReport) error {
+func (c *Controller) refresh(ch *changeSet, rep *ReconfigReport) error {
 	changed := c.contribs.apply(ch)
 	for len(changed) > 0 {
 		sw, n := changed[0].sw, 1

@@ -393,7 +393,7 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 	// canonical rebuild (same situation as RebuildTrees); the derived
 	// forwarding behaviour is identical, and the post-takeover resync
 	// rewrites switch tables to the canonical form.
-	ch := make(changeSet)
+	ch := newChangeSet()
 	var rep ReconfigReport
 	for _, tid := range sortutil.Keys(c.trees) {
 		if err := c.establishTreePaths(c.trees[tid], ch, &rep); err != nil {

@@ -19,6 +19,7 @@ import (
 // controller it belongs to the controller's owner.
 type treeIndex struct {
 	trie dz.Trie[TreeID]
+	ids  []TreeID // overlapping's result, reused by the next call
 }
 
 // memberKey packs a tree-set member. A member too long for a key got past
@@ -48,14 +49,16 @@ func (x *treeIndex) remove(set dz.Set) {
 
 // overlapping returns the IDs of all trees whose DZ set overlaps dzi (a
 // member of an admitted set), in ascending order: one trie descent for
-// members covering dzi, one subtree walk for members covered by it.
+// members covering dzi, one subtree walk for members covered by it. The
+// list is the index's scratch, valid until the next call.
 func (x *treeIndex) overlapping(dzi dz.Expr) []TreeID {
-	var ids []TreeID
+	ids := x.ids[:0]
 	x.trie.VisitOverlaps(memberKey(dzi), func(_ dz.Key, id TreeID) bool {
 		ids = append(ids, id)
 		return true
 	})
 	slices.Sort(ids)
+	x.ids = ids
 	return slices.Compact(ids) // dzi may cover several members of one tree
 }
 

@@ -238,7 +238,7 @@ func (g *Graph) Switches() []NodeID { return g.byKind(KindSwitch) }
 func (g *Graph) Hosts() []NodeID { return g.byKind(KindHost) }
 
 func (g *Graph) byKind(k NodeKind) []NodeID {
-	var out []NodeID
+	out := make([]NodeID, 0, len(g.nodes))
 	for _, n := range g.nodes {
 		if n.Kind == k {
 			out = append(out, n.ID)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"time"
 
@@ -170,12 +171,19 @@ func DecodeFrame(b []byte) (Frame, []byte, error) {
 // payload). The returned frame's Payload aliases the returned buffer, so it
 // is valid only until the next ReadFrame call with the same buffer —
 // callers that retain a payload must copy it or pass nil.
+//
+// The header is read into buf too, when it fits: a header array of its own
+// would escape through r and cost an allocation per frame.
 func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	hdr := buf[:cap(buf)]
+	if len(hdr) < FrameHeaderLen {
+		hdr = make([]byte, FrameHeaderLen)
+	}
+	hdr = hdr[:FrameHeaderLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return Frame{}, buf, err
 	}
-	length := binary.BigEndian.Uint32(hdr[:])
+	length := binary.BigEndian.Uint32(hdr)
 	if length < 9 || length > 9+MaxFramePayload {
 		return Frame{}, buf, fmt.Errorf("wire: frame length %d out of range", length)
 	}
@@ -183,6 +191,7 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 	if !kind.Valid() {
 		return Frame{}, buf, fmt.Errorf("wire: invalid frame kind %d", hdr[4])
 	}
+	corr := binary.BigEndian.Uint64(hdr[5:])
 	n := int(length - 9)
 	if cap(buf) < n {
 		buf = make([]byte, n)
@@ -194,7 +203,7 @@ func ReadFrame(r io.Reader, buf []byte) (Frame, []byte, error) {
 		}
 		return Frame{}, buf, err
 	}
-	return Frame{Kind: kind, Corr: binary.BigEndian.Uint64(hdr[5:]), Payload: payload}, buf[:cap(buf)], nil
+	return Frame{Kind: kind, Corr: corr, Payload: payload}, buf[:cap(buf)], nil
 }
 
 // appendString appends [len u8][bytes]; ids and attribute names share it.
@@ -403,8 +412,11 @@ func EncodeControlReq(req ControlReq) ([]byte, error) {
 	if len(req.Ranges) > MaxDims {
 		return nil, fmt.Errorf("wire: %d range constraints exceed %d", len(req.Ranges), MaxDims)
 	}
-	ranges := append([]Range(nil), req.Ranges...)
-	sort.Slice(ranges, func(i, j int) bool { return ranges[i].Attr < ranges[j].Attr })
+	ranges := req.Ranges
+	if !rangesSorted(ranges) { // sorted input, the common case, is encoded without a copy
+		ranges = slices.Clone(ranges)
+		sort.Slice(ranges, func(i, j int) bool { return ranges[i].Attr < ranges[j].Attr })
+	}
 	buf := make([]byte, 0, 16+len(req.ID)+12*len(ranges))
 	buf = append(buf, Version, code)
 	buf, err = appendString(buf, req.ID, "control id")
@@ -425,6 +437,17 @@ func EncodeControlReq(req ControlReq) ([]byte, error) {
 		buf = binary.BigEndian.AppendUint32(buf, r.Hi)
 	}
 	return buf, nil
+}
+
+// rangesSorted reports whether ranges are in strictly ascending attribute
+// order, the order the encoding has.
+func rangesSorted(ranges []Range) bool {
+	for i := 1; i < len(ranges); i++ {
+		if ranges[i-1].Attr >= ranges[i].Attr {
+			return false
+		}
+	}
+	return true
 }
 
 // DecodeControlReq parses a remote control request.

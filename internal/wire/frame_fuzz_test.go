@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"pleroma/internal/space"
@@ -120,7 +121,10 @@ func FuzzDecodeDeliverBatch(f *testing.F) {
 
 // FuzzFrameStream drives the streaming reader over arbitrary byte streams:
 // ReadFrame must consume frames one at a time without panicking and stop
-// cleanly at the first malformed or incomplete frame.
+// cleanly at the first malformed or incomplete frame. One pass threads a
+// single reused buffer through its reads, the other passes nil: both must
+// read the same frames and fail alike, and a nil-buffer payload is exact
+// and stays intact across later reads.
 func FuzzFrameStream(f *testing.F) {
 	var stream []byte
 	for _, fr := range []Frame{
@@ -132,11 +136,31 @@ func FuzzFrameStream(f *testing.F) {
 	}
 	f.Add(stream)
 	f.Fuzz(func(t *testing.T, b []byte) {
-		r := bytes.NewReader(b)
+		reused, fresh := bytes.NewReader(b), bytes.NewReader(b)
+		buf := make([]byte, 0, 16) // room for a header, not for most payloads
+		var prev, prevCopy []byte
 		for i := 0; i < 1000; i++ {
-			if _, _, err := ReadFrame(r, nil); err != nil {
+			var got Frame
+			var err error
+			got, buf, err = ReadFrame(reused, buf)
+			want, _, wantErr := ReadFrame(fresh, nil)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Fatalf("frame %d: reused buffer read error %v, nil buffer %v", i, err, wantErr)
+			}
+			if !bytes.Equal(prev, prevCopy) {
+				t.Fatalf("frame %d: a nil-buffer payload changed under a later read", i-1)
+			}
+			if err != nil {
 				return // EOF, truncation, or protocol error — all fine, as long as no panic
 			}
+			if got.Kind != want.Kind || got.Corr != want.Corr || !bytes.Equal(got.Payload, want.Payload) {
+				t.Fatalf("frame %d: reused buffer read %v/%d/%x, nil buffer %v/%d/%x",
+					i, got.Kind, got.Corr, got.Payload, want.Kind, want.Corr, want.Payload)
+			}
+			if cap(want.Payload) != len(want.Payload) {
+				t.Fatalf("frame %d: nil-buffer payload has capacity %d for %d bytes", i, cap(want.Payload), len(want.Payload))
+			}
+			prev, prevCopy = want.Payload, bytes.Clone(want.Payload)
 		}
 	})
 }

@@ -145,6 +145,9 @@ func TestControlReqRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if in.Ranges[0].Attr != "y" {
+		t.Error("encoding sorted the caller's ranges in place")
+	}
 	out, err := DecodeControlReq(b)
 	if err != nil {
 		t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -208,10 +207,12 @@ func (s *System) startListener(addr string) error {
 	return nil
 }
 
+// rangesFilter is the Filter of decoded wire ranges, built in one map
+// (Filter.Range would copy it per range).
 func rangesFilter(ranges []wire.Range) Filter {
-	f := NewFilter()
+	f := Filter{Ranges: make(map[string][2]uint32, len(ranges))}
 	for _, r := range ranges {
-		f = f.Range(r.Attr, r.Lo, r.Hi)
+		f.Ranges[r.Attr] = [2]uint32{r.Lo, r.Hi}
 	}
 	return f
 }
@@ -504,16 +505,11 @@ func (c *Client) Partitions() []int {
 
 // filterRanges renders a Filter as sorted wire ranges.
 func filterRanges(f Filter) []wire.Range {
-	attrs := make([]string, 0, len(f.Ranges))
-	for a := range f.Ranges {
-		attrs = append(attrs, a)
+	out := make([]wire.Range, 0, len(f.Ranges))
+	for a, r := range f.Ranges {
+		out = append(out, wire.Range{Attr: a, Lo: r[0], Hi: r[1]})
 	}
-	sort.Strings(attrs)
-	out := make([]wire.Range, len(attrs))
-	for i, a := range attrs {
-		r := f.Ranges[a]
-		out[i] = wire.Range{Attr: a, Lo: r[0], Hi: r[1]}
-	}
+	slices.SortFunc(out, func(a, b wire.Range) int { return strings.Compare(a.Attr, b.Attr) })
 	return out
 }
 
