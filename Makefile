@@ -8,7 +8,8 @@ GO ?= go
 # whose close/redial/ordering bugs are timing-dependent — runs five times on
 # a line of its own. The root run adds the session/owner boundary
 # (TestNetworkConcurrentSessionsChurn, TestNetworkConcurrentPublishSameID,
-# TestFailoverHealthEndpointRace).
+# TestFailoverHealthEndpointRace) and event values decoded by a client's
+# reader goroutine and kept past their handler (TestHandlersKeepDeliveredValues).
 RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/...
 
 .PHONY: check vet build test race bench-module fuzz soak bench loc obs-demo daemon-demo
@@ -27,7 +28,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 ./internal/transport/...
-	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn|PublishAdmission' -count=1 .
+	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn|PublishAdmission|KeepDeliveredValues' -count=1 .
 
 # cmd/pleroma-bench is a module of its own and a client of internal APIs
 # (wire codecs, transport.Backend), so root build/test never compile it:

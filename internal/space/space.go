@@ -122,19 +122,29 @@ type Event struct {
 	Values []uint32
 }
 
-// NewEvent constructs an event after validating it against the schema.
+// NewEvent constructs an event after validating it against the schema. The
+// event holds a private copy of values.
 func (s *Schema) NewEvent(values ...uint32) (Event, error) {
+	if err := s.Check(values); err != nil {
+		return Event{}, err
+	}
+	return Event{Values: append([]uint32(nil), values...)}, nil
+}
+
+// Check validates values as an event of the schema — one value per
+// attribute, each within the domain — without copying them.
+func (s *Schema) Check(values []uint32) error {
 	if len(values) != s.Dims() {
-		return Event{}, fmt.Errorf("space: event has %d values, schema has %d attributes",
+		return fmt.Errorf("space: event has %d values, schema has %d attributes",
 			len(values), s.Dims())
 	}
 	for i, v := range values {
 		if v > s.DomainMax() {
-			return Event{}, fmt.Errorf("space: value %d of attribute %q exceeds domain max %d",
+			return fmt.Errorf("space: value %d of attribute %q exceeds domain max %d",
 				v, s.attrs[i].Name, s.DomainMax())
 		}
 	}
-	return Event{Values: append([]uint32(nil), values...)}, nil
+	return nil
 }
 
 // Project maps the event into a projected schema given the dimension list

@@ -48,14 +48,6 @@ import (
 // Options.Window bounds the requests in the window; seals and blocking
 // calls wait for credit through one helper, waitCreditLocked.
 
-// pubPending is the per-publisher coalescing buffer: events accumulate
-// until the count/byte threshold trips or the linger timer fires. A buffer
-// in Client.apend holds at least one event; sealing removes it.
-type pubPending struct {
-	events []space.Event
-	bytes  int // encoded payload estimate: 2+4*dims per event
-}
-
 // request is one entry of the in-flight window. Its encoded payload is
 // retained until the response, so a re-send carries identical bytes (same
 // Seq, same trace: the dedup key and the trace survive the re-send).
@@ -86,11 +78,18 @@ type callResult struct {
 // PublishAsync enqueues events from the advertised publisher id into the
 // pipelined publish path: events coalesce with other PublishAsync calls
 // for the same publisher and are sent as multi-event PublishReq frames
-// without waiting for acks. It blocks only when the in-flight window is
-// full (backpressure). Failures are sticky and asynchronous: the first
-// failed batch poisons the pipeline, and the error surfaces here, on
-// Flush, or on Err. Callers must not mutate events after the call.
+// without waiting for acks. Each event is encoded — its values copied —
+// before the call returns, so the caller may reuse them at once. An event
+// with no encoding is refused and none of the call's events is enqueued.
+// It blocks only when the in-flight window is full (backpressure).
+// Failures are sticky and asynchronous: the first failed batch poisons the
+// pipeline, and the error surfaces here, on Flush, or on Err.
 func (c *Client) PublishAsync(id string, events []space.Event) error {
+	for _, ev := range events {
+		if err := wire.CheckEvent(ev); err != nil {
+			return err
+		}
+	}
 	if len(events) == 0 {
 		return nil
 	}
@@ -105,21 +104,32 @@ func (c *Client) PublishAsync(id string, events []space.Event) error {
 	maxEvents := c.opts.batchEvents()
 	maxBytes := c.opts.batchBytes()
 	for _, ev := range events {
+		// Looked up per event: a seal's wait for credit releases c.mu, and
+		// a failure meanwhile drops the buffers.
 		pb := c.apend[id]
 		if pb == nil {
-			pb = &pubPending{}
+			pb = new(wire.PublishBuffer)
 			c.apend[id] = pb
 		}
-		pb.events = append(pb.events, ev)
-		pb.bytes += 2 + 4*len(ev.Values)
-		if len(pb.events) >= maxEvents || pb.bytes >= maxBytes {
+		if err := pb.Append(ev); err != nil {
+			return err // unreachable: checked above
+		}
+		if pb.Len() >= maxEvents || pb.Size() >= maxBytes {
 			if err := c.sealLocked(id); err != nil {
 				return err
 			}
 		}
 	}
-	if c.apend[id] != nil {
+	if c.pendingLocked(id) != nil {
 		c.armLingerLocked()
+	}
+	return nil
+}
+
+// pendingLocked returns id's coalescing buffer if it holds events, else nil.
+func (c *Client) pendingLocked(id string) *wire.PublishBuffer {
+	if pb := c.apend[id]; pb != nil && pb.Len() > 0 {
+		return pb
 	}
 	return nil
 }
@@ -153,29 +163,32 @@ func (c *Client) Err() error {
 	return c.aerr
 }
 
-// sealLocked turns id's pending coalescing buffer into one windowed
-// publish: waits for window credit (releasing c.mu while blocked), then —
-// in a single critical section — assigns the sequence number, encodes the
-// frame, appends it to the window, and enqueues it. Called with c.mu held.
+// sealLocked turns id's pending events into one windowed publish: waits
+// for window credit (releasing c.mu while blocked), then — in a single
+// critical section — assigns the sequence number, renders the frame's one
+// payload from the buffer, appends it to the window, and enqueues it. The
+// emptied buffer stays in c.apend for the publisher's next events. A
+// publisher with nothing pending seals nothing. Called with c.mu held.
 func (c *Client) sealLocked(id string) error {
+	if c.pendingLocked(id) == nil {
+		return nil
+	}
 	if err := c.waitCreditLocked(nil); err != nil {
 		return err
 	}
 	// The wait released c.mu: a concurrent linger fire may have sealed the
 	// buffer meanwhile.
-	pb := c.apend[id]
+	pb := c.pendingLocked(id)
 	if pb == nil {
 		return nil
 	}
-	delete(c.apend, id)
-
+	n := pb.Len()
 	sp, tc := c.startPublishSpan(id)
-	req := wire.PublishReq{ID: id, Seq: c.pubSeq + 1, Events: pb.events, Trace: tc}
-	payload, err := wire.AppendPublish(make([]byte, 0, 48+len(id)+pb.bytes), req)
+	payload, err := pb.Seal(make([]byte, 0, 48+len(id)+pb.Size()), id, c.pubSeq+1, tc)
 	if err != nil {
-		// Unencodable batch (invalid id or event): surface and poison —
-		// its events are gone, so completing later batches as if nothing
-		// was lost would lie to Flush.
+		// Unencodable batch (invalid id): surface and poison — its events
+		// are gone, so completing later batches as if nothing was lost
+		// would lie to Flush.
 		sp.End(err)
 		c.poisonLocked(err)
 		c.winCond.Broadcast()
@@ -184,7 +197,7 @@ func (c *Client) sealLocked(id string) error {
 	c.pubSeq++
 	r := c.newRequestLocked()
 	r.kind, r.payload, r.sp = wire.KindPublish, payload, sp
-	c.obsCoalesce.ObserveCount(len(pb.events))
+	c.obsCoalesce.ObserveCount(n)
 	c.enqueueLocked(r)
 	return nil
 }

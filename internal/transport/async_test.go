@@ -207,3 +207,79 @@ func TestPublishAsyncReconnectMidWindow(t *testing.T) {
 		t.Fatalf("highest sequence %d, want %d", last, total)
 	}
 }
+
+// TestPublishAsyncAllocs: in steady state the pipelined publish path makes
+// one allocation per sealed frame — the payload the window keeps until the
+// ack — and none per event: an event is encoded into its publisher's
+// coalescing buffer, which outlives the seal. The daemon allocates nothing
+// per frame, so the count is the client's own: PublishAsync, the seal, the
+// writer goroutine and the reader that takes the ack.
+func TestPublishAsyncAllocs(t *testing.T) {
+	const batch = 64
+	d := startRawDaemon(t, false)
+	c, err := Dial(d.ln.Addr().String(), WithClientOptions(Options{BatchEvents: batch, Linger: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	vals := []uint32{0, 2}
+	ev := []space.Event{{Values: vals}}
+	published := 0
+	publish := func(n int) func() {
+		return func() {
+			for i := 0; i < n; i++ {
+				vals[0] = uint32(published)
+				published++
+				if err := c.PublishAsync("p", ev); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the window, the free list and the writer's queue arrays
+		publish(batch)()
+	}
+	perFrame := testing.AllocsPerRun(200, publish(batch))
+	// Fewer events than a frame holds: nothing is sealed.
+	perEvent := testing.AllocsPerRun(batch-2, publish(1))
+	t.Logf("%v allocations per sealed frame of %d events, %v per event that seals none", perFrame, batch, perEvent)
+	if perFrame > 1 {
+		t.Errorf("a sealed frame of %d events: %v allocations, want at most 1", batch, perFrame)
+	}
+	if perEvent != 0 {
+		t.Errorf("an event that seals no frame: %v allocations, want 0", perEvent)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if want := (published + batch - 1) / batch; int(d.sends.Load()) != want {
+		t.Errorf("%d events went out in %d frames, want %d", published, d.sends.Load(), want)
+	}
+}
+
+// TestPublishAsyncRefusesUnencodableEvent: a PublishAsync call holding an
+// event with no encoding is refused whole — the events before it are not
+// enqueued either — and leaves the pipeline healthy.
+func TestPublishAsyncRefusesUnencodableEvent(t *testing.T) {
+	b := newFakeBackend()
+	_, addr := startServer(t, b)
+	c, err := Dial(addr, WithClientOptions(Options{BatchEvents: 1, Linger: time.Hour}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.PublishAsync("p1", []space.Event{{Values: []uint32{1, 2}}, {}}); err == nil {
+		t.Fatal("an event without values was accepted")
+	}
+	if err := c.PublishAsync("p1", []space.Event{{Values: []uint32{3, 4}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if len(b.pubs) != 1 || len(b.pubs[0].Events) != 1 || b.pubs[0].Events[0].Values[0] != 3 || b.pubs[0].Seq != 1 {
+		t.Fatalf("backend saw %+v, want the one valid event of the second call at seq 1", b.pubs)
+	}
+}

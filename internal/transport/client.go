@@ -125,13 +125,14 @@ type Client struct {
 	// The in-flight window (async.go). win is the FIFO of requests sent or
 	// waiting for a connection; byCorr routes responses to them; free holds
 	// finished requests for reuse; winCond signals window credit and
-	// completions. apend holds per-publisher coalescing buffers; aerr is the
-	// sticky failure of the pipelined publish path.
+	// completions. apend holds per-publisher coalescing buffers, kept
+	// emptied between seals; aerr is the sticky failure of the pipelined
+	// publish path.
 	win       []*request
 	byCorr    map[uint64]*request
 	free      []*request
 	winCond   *sync.Cond
-	apend     map[string]*pubPending
+	apend     map[string]*wire.PublishBuffer
 	aerr      error
 	redialing bool
 	lingerOn  bool
@@ -150,7 +151,7 @@ func Dial(addr string, opts ...ClientOption) (*Client, error) {
 		retry:  retry.Default,
 		advs:   make(map[string]registration),
 		subs:   make(map[string]registration),
-		apend:  make(map[string]*pubPending),
+		apend:  make(map[string]*wire.PublishBuffer),
 		byCorr: make(map[uint64]*request),
 	}
 	c.winCond = sync.NewCond(&c.mu)
@@ -281,7 +282,7 @@ func (c *Client) connectLocked() (start func(), err error) {
 	}
 	return func() {
 		for _, f := range buffered {
-			if !c.dispatchDelivery(f) {
+			if _, ok := c.dispatchDelivery(nil, f); !ok {
 				c.connLost(fc)
 				return
 			}
@@ -299,6 +300,7 @@ func (c *Client) connectLocked() (start func(), err error) {
 // it.
 func (c *Client) readLoop(fc *frameConn, br *bufio.Reader) {
 	buf := make([]byte, 0, 4096)
+	var ds []wire.Delivery // dispatchDelivery's decode storage, kept across frames
 	for {
 		var f wire.Frame
 		var err error
@@ -312,7 +314,8 @@ func (c *Client) readLoop(fc *frameConn, br *bufio.Reader) {
 		}
 		switch f.Kind {
 		case wire.KindDeliverBatch:
-			if !c.dispatchDelivery(f) {
+			var ok bool
+			if ds, ok = c.dispatchDelivery(ds, f); !ok {
 				c.connLost(fc)
 				return
 			}
@@ -332,18 +335,25 @@ func (c *Client) readLoop(fc *frameConn, br *bufio.Reader) {
 	}
 }
 
-// dispatchDelivery decodes one KindDeliverBatch frame and dispatches its
-// deliveries in order. It reports false when the payload does not decode:
+// dispatchDelivery decodes one KindDeliverBatch frame into ds's storage and
+// dispatches its deliveries in order. It returns the storage for the next
+// frame: cleared, so it pins no delivery's values (a handler may keep
+// them), or nil when a burst grew it past one frame's worth
+// (wire.MaxDeliveries). It reports false when the payload does not decode:
 // the caller must treat the connection as lost rather than skip the frame.
-func (c *Client) dispatchDelivery(f wire.Frame) bool {
-	ds, err := wire.DecodeDeliverBatch(f.Payload)
+func (c *Client) dispatchDelivery(ds []wire.Delivery, f wire.Frame) ([]wire.Delivery, bool) {
+	ds, err := wire.DecodeDeliverBatchTo(ds, f.Payload)
 	if err != nil {
-		return false
+		return nil, false
 	}
 	for _, d := range ds {
 		c.dispatchOne(d)
 	}
-	return true
+	if cap(ds) > wire.MaxDeliveries {
+		return nil, true
+	}
+	clear(ds)
+	return ds[:0], true
 }
 
 func (c *Client) dispatchOne(d wire.Delivery) {
@@ -521,12 +531,10 @@ func (c *Client) Publish(id string, events []space.Event) error {
 	// Seal any pending async batch for this publisher first, so a
 	// sequential PublishAsync-then-Publish caller sees its events applied
 	// in call order (both ride the window, the batch first).
-	if c.apend[id] != nil {
-		if err := c.sealLocked(id); err != nil {
-			c.mu.Unlock()
-			sp.End(err)
-			return err
-		}
+	if err := c.sealLocked(id); err != nil {
+		c.mu.Unlock()
+		sp.End(err)
+		return err
 	}
 	r, ok := c.admitLocked()
 	if ok {

@@ -41,12 +41,13 @@ type connMetrics struct {
 // outFrame is one queued outbound frame: the fixed header plus a payload
 // reference. Keeping the payload by reference (instead of re-encoding the
 // whole frame into a fresh contiguous buffer) is what makes the send path
-// copy-free; pooled marks payloads drawn from the slab pool, which the
-// writer returns after the bytes hit the socket.
+// copy-free; pool is the slab-pool box of a payload drawn from getBuf
+// (payload is *pool), which the writer returns after the bytes hit the
+// socket.
 type outFrame struct {
 	hdr     [wire.FrameHeaderLen]byte
 	payload []byte
-	pooled  bool
+	pool    *[]byte
 }
 
 // frameConn wraps a net.Conn with an unbounded FIFO write queue drained by
@@ -104,45 +105,37 @@ func newFrameConn(c net.Conn, writeTimeout time.Duration, m connMetrics) *frameC
 // if the connection is already closed or a previous write failed; the
 // write itself is asynchronous.
 func (fc *frameConn) send(f wire.Frame) error {
-	return fc.enqueue(f.Kind, f.Corr, f.Payload, false)
+	return fc.enqueue(f.Kind, f.Corr, f.Payload, nil)
 }
 
-// sendPooled enqueues one frame whose payload was drawn from getBuf,
-// transferring ownership: the writer returns it to the slab pool once
-// written (or dropped on abort).
-func (fc *frameConn) sendPooled(kind wire.Kind, corr uint64, payload []byte) error {
-	return fc.enqueue(kind, corr, payload, true)
+// sendPooled enqueues one frame whose payload is the buffer in a getBuf
+// box, transferring ownership: the writer returns the box to the slab pool
+// once written (or dropped on abort).
+func (fc *frameConn) sendPooled(kind wire.Kind, corr uint64, pool *[]byte) error {
+	return fc.enqueue(kind, corr, *pool, pool)
 }
 
-func (fc *frameConn) enqueue(kind wire.Kind, corr uint64, payload []byte, pooled bool) error {
+func (fc *frameConn) enqueue(kind wire.Kind, corr uint64, payload []byte, pool *[]byte) error {
 	if !kind.Valid() {
-		if pooled {
-			putBuf(payload)
-		}
+		putBuf(pool)
 		return fmt.Errorf("wire: invalid frame kind %d", uint8(kind))
 	}
 	if len(payload) > wire.MaxFramePayload {
-		if pooled {
-			putBuf(payload)
-		}
+		putBuf(pool)
 		return fmt.Errorf("wire: frame payload of %d bytes exceeds %d", len(payload), wire.MaxFramePayload)
 	}
-	of := outFrame{payload: payload, pooled: pooled}
+	of := outFrame{payload: payload, pool: pool}
 	binary.BigEndian.PutUint32(of.hdr[:], uint32(9+len(payload)))
 	of.hdr[4] = byte(kind)
 	binary.BigEndian.PutUint64(of.hdr[5:], corr)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
 	if fc.werr != nil {
-		if pooled {
-			putBuf(payload)
-		}
+		putBuf(pool)
 		return fc.werr
 	}
 	if fc.closed {
-		if pooled {
-			putBuf(payload)
-		}
+		putBuf(pool)
 		return fmt.Errorf("transport: connection closed")
 	}
 	fc.queue = append(fc.queue, of)
@@ -191,10 +184,8 @@ func (fc *frameConn) writeLoop() {
 			}
 			n += len(of.hdr) + len(of.payload)
 			fc.m.frameBytes.ObserveCount(len(of.hdr) + len(of.payload))
-			if of.pooled {
-				putBuf(of.payload)
-				of.payload = nil
-			}
+			putBuf(of.pool)
+			of.payload, of.pool = nil, nil
 		}
 		if err == nil {
 			// Flush only when no frame arrived while we were writing: a
@@ -234,10 +225,8 @@ func (fc *frameConn) writeLoop() {
 // slab pool.
 func recycleFrames(frames []outFrame) {
 	for i := range frames {
-		if frames[i].pooled && frames[i].payload != nil {
-			putBuf(frames[i].payload)
-			frames[i].payload = nil
-		}
+		putBuf(frames[i].pool)
+		frames[i].payload, frames[i].pool = nil, nil
 	}
 }
 

@@ -63,16 +63,18 @@ func TestCloseFailsInflightRequests(t *testing.T) {
 	}
 }
 
-// publishDropper is a raw daemon that completes the handshake and answers
-// every request except a publish: on a publish it closes the connection. It
-// counts the publishes it read.
-type publishDropper struct {
+// rawDaemon is a raw daemon that completes the handshake and answers every
+// request with OK, counting the publishes it read; one started with
+// dropPublishes answers no publish but closes the connection instead. It
+// reads every frame into one buffer and writes every answer from another,
+// so it allocates nothing per frame.
+type rawDaemon struct {
 	ln    net.Listener
 	sends atomic.Int32
 	wg    sync.WaitGroup
 }
 
-func startPublishDropper(t *testing.T) *publishDropper {
+func startRawDaemon(t *testing.T, dropPublishes bool) *rawDaemon {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -82,10 +84,11 @@ func startPublishDropper(t *testing.T) *publishDropper {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := &publishDropper{ln: ln}
+	d := &rawDaemon{ln: ln}
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
+		var in, out []byte
 		for {
 			c, err := ln.Accept()
 			if err != nil {
@@ -93,19 +96,25 @@ func startPublishDropper(t *testing.T) *publishDropper {
 			}
 			br := bufio.NewReader(c)
 			for {
-				f, _, err := wire.ReadFrame(br, nil)
-				if err != nil || f.Kind == wire.KindPublish {
-					if err == nil {
-						d.sends.Add(1)
-					}
+				var f wire.Frame
+				f, in, err = wire.ReadFrame(br, in)
+				if err != nil {
 					break
+				}
+				if f.Kind == wire.KindPublish {
+					d.sends.Add(1)
+					if dropPublishes {
+						break
+					}
 				}
 				resp := wire.Frame{Kind: wire.KindOK, Corr: f.Corr}
 				if f.Kind == wire.KindHello {
 					resp = wire.Frame{Kind: wire.KindHelloOK, Corr: f.Corr, Payload: helloOK}
 				}
-				out, _ := wire.AppendFrame(nil, resp)
-				c.Write(out)
+				out, _ = wire.AppendFrame(out[:0], resp)
+				if _, err := c.Write(out); err != nil {
+					break
+				}
 			}
 			c.Close()
 		}
@@ -136,7 +145,7 @@ func TestResendBoundedPerRequest(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			d := startPublishDropper(t)
+			d := startRawDaemon(t, true)
 			c, err := Dial(d.ln.Addr().String(), WithClientRetry(retry.Policy{
 				MaxAttempts: attempts, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond,
 				OpDeadline: 2 * time.Second,

@@ -17,33 +17,37 @@ var slabClasses = [...]int{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10,
 
 var slabPools [len(slabClasses)]sync.Pool
 
-// getBuf returns a zero-length buffer with capacity ≥ n, drawn from the
-// smallest fitting slab class (freshly allocated when the pool is empty or
-// n exceeds every class).
-func getBuf(n int) []byte {
+// getBuf returns a box holding a zero-length buffer with capacity ≥ n,
+// drawn from the smallest fitting slab class (freshly allocated when the
+// pool is empty or n exceeds every class). The box travels with the buffer
+// back to putBuf, so a put allocates nothing.
+func getBuf(n int) *[]byte {
 	for i, c := range slabClasses {
 		if n <= c {
 			if p, _ := slabPools[i].Get().(*[]byte); p != nil {
-				return (*p)[:0]
+				return p
 			}
-			return make([]byte, 0, c)
+			b := make([]byte, 0, c)
+			return &b
 		}
 	}
-	return make([]byte, 0, n)
+	b := make([]byte, 0, n)
+	return &b
 }
 
-// putBuf returns a buffer obtained from getBuf to its slab class. Buffers
-// whose capacity matches no class (grown by append, or foreign) are left
-// to the GC.
-func putBuf(b []byte) {
-	if b == nil {
+// putBuf returns a box obtained from getBuf to its slab class, holding the
+// buffer it now points at emptied. A buffer whose capacity matches no class
+// (grown by append past its class, or larger than every class) is left to
+// the GC, and so is nothing: a nil box.
+func putBuf(p *[]byte) {
+	if p == nil {
 		return
 	}
-	c := cap(b)
+	c := cap(*p)
 	for i, sc := range slabClasses {
 		if c == sc {
-			b = b[:0]
-			slabPools[i].Put(&b)
+			*p = (*p)[:0]
+			slabPools[i].Put(p)
 			return
 		}
 	}

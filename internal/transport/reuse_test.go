@@ -49,6 +49,33 @@ func TestWriteQueueReusesItsArrays(t *testing.T) {
 	}
 }
 
+// TestPooledSendAllocs: a frame whose payload is drawn from the slab pool —
+// a delivery batch — allocates nothing once the pool holds a buffer of its
+// class: the box getBuf hands out rides the queued frame back to putBuf.
+func TestPooledSendAllocs(t *testing.T) {
+	local, peer := net.Pipe()
+	defer peer.Close()
+	fc := newFrameConn(local, 0, connMetrics{})
+	defer fc.abort()
+	payload := []byte("a delivery batch")
+	frame := make([]byte, wire.FrameHeaderLen+len(payload))
+	roundTrip := func() {
+		buf := getBuf(len(payload))
+		*buf = append(*buf, payload...)
+		if err := fc.sendPooled(wire.KindDeliverBatch, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(peer, frame); err != nil {
+			t.Fatal(err)
+		}
+	}
+	roundTrip()
+	roundTrip()
+	if allocs := testing.AllocsPerRun(200, roundTrip); allocs != 0 {
+		t.Errorf("one pooled frame in flight: %v allocations per send, want 0", allocs)
+	}
+}
+
 // TestRequestReuse: sequential blocking calls share one window request,
 // hence one result channel and one deadline timer; a call that timed out
 // abandons its request, so the late response it was waiting for cannot

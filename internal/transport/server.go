@@ -33,7 +33,9 @@ type Backend interface {
 	// the subscription's event sink. Re-registering an identical
 	// advertisement or subscription must be idempotent.
 	Control(req wire.ControlReq, deliver func(wire.Delivery)) error
-	// Publish injects events from an advertised publisher.
+	// Publish injects events from an advertised publisher. The values in
+	// req.Events belong to the backend, which may keep them: the server
+	// decodes every frame into a fresh array (wire.DecodePublish).
 	Publish(req wire.PublishReq) error
 	// Run drains pending simulated work and returns the final sim time.
 	Run() (time.Duration, error)
@@ -317,16 +319,19 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 		if hint > deliverBatchBytes {
 			hint = deliverBatchBytes
 		}
-		payload, n, err := wire.AppendDeliverBatch(getBuf(hint), batch, deliverBatchBytes)
+		buf := getBuf(hint)
+		payload, n, err := wire.AppendDeliverBatch(*buf, batch, deliverBatchBytes)
 		if err != nil {
 			// Backend-produced deliveries always encode; drop defensively.
+			putBuf(buf)
 			s.obsDropped.Add(uint64(len(batch)))
 			break
 		}
+		*buf = payload
 		s.obsBatch.ObserveCount(n)
 		// Best effort: a severed connection drops deliveries — counted, the
 		// subscription state survives for the reconnect.
-		if fc.sendPooled(wire.KindDeliverBatch, 0, payload) != nil {
+		if fc.sendPooled(wire.KindDeliverBatch, 0, buf) != nil {
 			s.obsDropped.Add(uint64(n))
 		}
 		batch = batch[n:]

@@ -536,34 +536,84 @@ func EncodePublish(req PublishReq) ([]byte, error) {
 }
 
 // AppendPublish appends an EncodePublish payload to dst, allocation-free
-// when dst has capacity — the form the pipelined publish path encodes
-// coalesced batches with.
+// when dst has capacity.
 func AppendPublish(dst []byte, req PublishReq) ([]byte, error) {
-	if len(req.ID) == 0 {
-		return nil, fmt.Errorf("wire: publish without publisher id")
-	}
-	if len(req.Events) == 0 || len(req.Events) > MaxEvents {
-		return nil, fmt.Errorf("wire: publish with %d events, want 1..%d", len(req.Events), MaxEvents)
-	}
-	if req.Trace.Valid() {
-		dst = append(dst, tagTraced)
-		dst = appendTrace(dst, req.Trace)
-	} else {
-		dst = append(dst, tagPlain)
-	}
-	dst = binary.BigEndian.AppendUint64(dst, req.Seq)
-	var err error
-	dst, err = appendString(dst, req.ID, "publisher id")
+	dst, err := appendPublishHeader(dst, req.ID, req.Seq, req.Trace, len(req.Events))
 	if err != nil {
 		return nil, err
 	}
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(req.Events)))
 	for _, ev := range req.Events {
 		dst, err = appendEvent(dst, ev)
 		if err != nil {
 			return nil, err
 		}
 	}
+	return dst, nil
+}
+
+// appendPublishHeader appends the part of an EncodePublish payload before
+// its count events.
+func appendPublishHeader(dst []byte, id string, seq uint64, trace TraceContext, count int) ([]byte, error) {
+	if len(id) == 0 {
+		return nil, fmt.Errorf("wire: publish without publisher id")
+	}
+	if count == 0 || count > MaxEvents {
+		return nil, fmt.Errorf("wire: publish with %d events, want 1..%d", count, MaxEvents)
+	}
+	if trace.Valid() {
+		dst = append(dst, tagTraced)
+		dst = appendTrace(dst, trace)
+	} else {
+		dst = append(dst, tagPlain)
+	}
+	dst = binary.BigEndian.AppendUint64(dst, seq)
+	dst, err := appendString(dst, id, "publisher id")
+	if err != nil {
+		return nil, err
+	}
+	return binary.BigEndian.AppendUint16(dst, uint16(count)), nil
+}
+
+// PublishBuffer holds the events of a publish request not yet sealed,
+// already encoded: the form the pipelined publish path coalesces events in,
+// since a request's sequence number and trace are known only when it is
+// sealed, while an event's values must be copied when they are handed over.
+// Seal renders the request AppendPublish renders for the same events. The
+// zero value is an empty buffer.
+type PublishBuffer struct {
+	events []byte // appendEvent payloads back to back
+	n      int
+}
+
+// Append encodes ev at the end of the buffer; an event with no encoding
+// (see CheckEvent) is refused and the buffer left as it was.
+func (b *PublishBuffer) Append(ev space.Event) error {
+	events, err := appendEvent(b.events, ev)
+	if err != nil {
+		return err
+	}
+	b.events = events
+	b.n++
+	return nil
+}
+
+// Len returns the number of events in the buffer.
+func (b *PublishBuffer) Len() int { return b.n }
+
+// Size returns the encoded bytes of the events in the buffer.
+func (b *PublishBuffer) Size() int { return len(b.events) }
+
+// Seal appends the publish request of id, seq and trace carrying the
+// buffered events to dst — byte for byte AppendPublish's payload for that
+// request — and empties the buffer, which keeps its storage. On an error
+// the buffer is left as it was.
+func (b *PublishBuffer) Seal(dst []byte, id string, seq uint64, trace TraceContext) ([]byte, error) {
+	dst, err := appendPublishHeader(dst, id, seq, trace, b.n)
+	if err != nil {
+		return nil, err
+	}
+	dst = append(dst, b.events...)
+	b.events, b.n = b.events[:0], 0
 	return dst, nil
 }
 
@@ -813,6 +863,14 @@ func AppendDeliverBatch(dst []byte, ds []Delivery, maxBytes int) ([]byte, int, e
 
 // DecodeDeliverBatch parses a coalesced delivery push.
 func DecodeDeliverBatch(b []byte) ([]Delivery, error) {
+	return DecodeDeliverBatchTo(nil, b)
+}
+
+// DecodeDeliverBatchTo is DecodeDeliverBatch decoding into dst's storage:
+// the deliveries replace dst's contents, and dst grows when it is short. The
+// event values are copied into a fresh array, so a delivery's values
+// outlive any later decode into the same dst.
+func DecodeDeliverBatchTo(dst []Delivery, b []byte) ([]Delivery, error) {
 	if len(b) < 3 {
 		return nil, fmt.Errorf("wire: deliver batch too short")
 	}
@@ -824,7 +882,7 @@ func DecodeDeliverBatch(b []byte) ([]Delivery, error) {
 		return nil, fmt.Errorf("wire: deliver batch with %d deliveries, want 1..%d", count, MaxDeliveries)
 	}
 	rest := b[3:]
-	ds := make([]Delivery, 0, count)
+	ds := slices.Grow(dst[:0], count)
 	// One backing array for every event's values in the batch: each
 	// readEvent returns a capacity-clipped sub-slice, so arena growth
 	// mid-batch can never alias an earlier event.

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
 	"pleroma/internal/space"
@@ -104,11 +106,36 @@ func FuzzDecodeDeliverBatch(f *testing.F) {
 		At:             5, Latency: 2, FalsePositive: true,
 	}})
 	f.Add(one)
+	// The reader's form: every input is also decoded into storage reused
+	// from the inputs before, dirty with their deliveries (and, at first,
+	// with ones longer than most batches).
+	reused := make([]Delivery, 8, 16)
+	for i := range reused {
+		reused[i] = Delivery{SubscriptionID: "stale", Event: space.Event{Values: []uint32{uint32(i), 1, 2}}, At: 99, Hops: 3}
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
+		kept := reused[0].Event.Values // a handler may keep a delivery's values
+		keptCopy := slices.Clone(kept)
 		ds, err := DecodeDeliverBatch(b)
+		into, intoErr := DecodeDeliverBatchTo(reused, b)
+		if !slices.Equal(kept, keptCopy) {
+			t.Fatalf("a kept delivery's values changed under a later decode into the same storage")
+		}
+		if fmt.Sprint(err) != fmt.Sprint(intoErr) {
+			t.Fatalf("decoding into reused storage failed with %v, a fresh decode with %v", intoErr, err)
+		}
 		if err != nil {
 			return
 		}
+		if !reflect.DeepEqual(into, ds) {
+			t.Fatalf("decoding into reused storage read %+v, a fresh decode %+v", into, ds)
+		}
+		for i, d := range into {
+			if cap(d.Event.Values) != len(d.Event.Values) {
+				t.Fatalf("delivery %d: values have capacity %d for %d values", i, cap(d.Event.Values), len(d.Event.Values))
+			}
+		}
+		reused = into
 		reenc, err := EncodeDeliverBatch(ds)
 		if err != nil {
 			t.Fatalf("decoded deliver batch does not re-encode: %v", err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -197,6 +198,56 @@ func TestPublishRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodePublish(b[:len(b)-1]); err == nil {
 		t.Error("truncated publish accepted")
+	}
+}
+
+// TestPublishBufferSealsAppendPublishBytes: a request sealed from a
+// PublishBuffer is AppendPublish's payload for the same events, byte for
+// byte — plain and traced, through a buffer reused across seals — and the
+// buffer owns its bytes: a caller reusing its values after Append changes
+// nothing. A refused event and a refused seal leave the buffer as it was.
+func TestPublishBufferSealsAppendPublishBytes(t *testing.T) {
+	var pb PublishBuffer
+	vals := make([]uint32, 3)
+	for round, trace := range []TraceContext{{}, {TraceID: 7, SpanID: 8, PubWallNanos: 9}, {}} {
+		var events []space.Event
+		for i := 0; i <= 2*round; i++ {
+			vals = vals[:1+i%3]
+			for j := range vals {
+				vals[j] = uint32(100*round + 10*i + j)
+			}
+			if err := pb.Append(space.Event{Values: vals}); err != nil {
+				t.Fatal(err)
+			}
+			events = append(events, space.Event{Values: slices.Clone(vals)})
+		}
+		if err := pb.Append(space.Event{}); err == nil {
+			t.Fatal("an event without values was accepted")
+		}
+		if _, err := pb.Seal(nil, "", 1, trace); err == nil {
+			t.Fatal("a seal without a publisher id was accepted")
+		}
+		if pb.Len() != len(events) {
+			t.Fatalf("round %d: %d events buffered, want %d", round, pb.Len(), len(events))
+		}
+		req := PublishReq{ID: "pub", Seq: uint64(round + 1), Events: events, Trace: trace}
+		want, err := AppendPublish(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := pb.Seal([]byte("prefix"), req.ID, req.Seq, req.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got[:6]) != "prefix" || !bytes.Equal(got[6:], want) {
+			t.Fatalf("round %d: sealed %x, AppendPublish %x", round, got[6:], want)
+		}
+		if pb.Len() != 0 || pb.Size() != 0 {
+			t.Fatalf("round %d: %d events, %d bytes left after the seal", round, pb.Len(), pb.Size())
+		}
+	}
+	if _, err := pb.Seal(nil, "pub", 1, TraceContext{}); err == nil {
+		t.Fatal("a seal of no events was accepted")
 	}
 }
 

@@ -37,11 +37,19 @@ func EncodeEvent(ev space.Event) ([]byte, error) {
 	return appendEvent(make([]byte, 0, 2+4*len(ev.Values)), ev)
 }
 
+// CheckEvent reports whether ev has an encoding: 1..MaxDims values.
+func CheckEvent(ev space.Event) error {
+	if len(ev.Values) == 0 || len(ev.Values) > MaxDims {
+		return fmt.Errorf("wire: event has %d values, want 1..%d", len(ev.Values), MaxDims)
+	}
+	return nil
+}
+
 // appendEvent appends an EncodeEvent payload to dst, allocation-free when
 // dst has capacity — the hot-path form the frame codecs build on.
 func appendEvent(dst []byte, ev space.Event) ([]byte, error) {
-	if len(ev.Values) == 0 || len(ev.Values) > MaxDims {
-		return nil, fmt.Errorf("wire: event has %d values, want 1..%d", len(ev.Values), MaxDims)
+	if err := CheckEvent(ev); err != nil {
+		return nil, err
 	}
 	dst = append(dst, Version, byte(len(ev.Values)))
 	for _, v := range ev.Values {

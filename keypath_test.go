@@ -12,8 +12,8 @@ import (
 )
 
 // TestPublishAdmissionAllocs: admitting, injecting, forwarding and
-// delivering a batch costs one object per event — NewEvent's copy of the
-// caller's tuple, which the packet keeps — and nothing per batch: the
+// delivering a batch costs one object — the block holding the copy of the
+// caller's tuples, which the packets keep — and nothing per event: the
 // publication slice is the publisher's scratch. The event's dz is a packed
 // key made once: no expression string, no bisection scratch, no address
 // list. At five hops and one matching subscription, with observability off
@@ -51,17 +51,18 @@ func TestPublishAdmissionAllocs(t *testing.T) {
 		if delivered != 21*events {
 			t.Fatalf("observability=%v: %d deliveries, want %d", opts != nil, delivered, 21*events)
 		}
-		if allocs > events {
-			t.Errorf("observability=%v: a batch of %d events allocates %.0f objects, want at most %d",
-				opts != nil, events, allocs, events)
+		if allocs > 1 {
+			t.Errorf("observability=%v: a batch of %d events allocates %.0f objects, want at most 1",
+				opts != nil, events, allocs)
 		}
 	}
 }
 
 // TestBackendPublishFrameAllocs: a publish frame applied by the transport
-// backend costs one object per event (NewEvent's copy) and nothing per frame:
-// the backend's tuple view and the publication slice are the publisher's
-// scratch, cleared after the call so they pin nothing of the decoded frame.
+// backend allocates nothing: the events keep the values the frame decoder
+// already copied out of the payload, and the publication slice is the
+// publisher's scratch, cleared after the call so it pins nothing of the
+// decoded frame.
 func TestBackendPublishFrameAllocs(t *testing.T) {
 	const events = 64
 	sys := newSys(t)
@@ -81,18 +82,47 @@ func TestBackendPublishFrameAllocs(t *testing.T) {
 		sys.Run() // nobody subscribed: every packet is a table miss at the first switch
 	}
 	frame()
-	if allocs := testing.AllocsPerRun(20, frame); allocs > events {
-		t.Errorf("a publish frame of %d events allocates %.0f objects, want at most %d", events, allocs, events)
+	if allocs := testing.AllocsPerRun(20, frame); allocs != 0 {
+		t.Errorf("a publish frame of %d events allocates %.0f objects, want 0", events, allocs)
 	}
 	pub := sys.pubs["p"]
-	if len(pub.pubScratch) != 0 || len(pub.tupleScratch) != 0 || cap(pub.pubScratch) < events || cap(pub.tupleScratch) < events {
-		t.Fatalf("scratch not kept empty between frames: publications len %d cap %d, tuples len %d cap %d",
-			len(pub.pubScratch), cap(pub.pubScratch), len(pub.tupleScratch), cap(pub.tupleScratch))
+	if len(pub.pubScratch) != 0 || cap(pub.pubScratch) < events {
+		t.Fatalf("scratch not kept empty between frames: publications len %d cap %d",
+			len(pub.pubScratch), cap(pub.pubScratch))
 	}
 	for i := 0; i < events; i++ {
-		if pub.pubScratch[:events][i].Event.Values != nil || pub.tupleScratch[:events][i] != nil {
+		if pub.pubScratch[:events][i].Event.Values != nil {
 			t.Fatalf("scratch entry %d still references the frame's values", i)
 		}
+	}
+}
+
+// TestPublishBatchAllocs: an in-process PublishBatch copies the batch's
+// tuples once, into one block the events share, and allocates nothing else
+// on its way through admission and the data plane.
+func TestPublishBatchAllocs(t *testing.T) {
+	const events = 16
+	sys := newSys(t)
+	pub, err := sys.NewPublisher("p", sys.Hosts()[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pub.Advertise(NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([][]uint32, events)
+	for i := range tuples {
+		tuples[i] = []uint32{uint32(i*37) % 1024, uint32(i*101) % 1024}
+	}
+	batch := func() {
+		if err := pub.PublishBatch(tuples...); err != nil {
+			t.Fatal(err)
+		}
+		sys.Run() // nobody subscribed: every packet is a table miss at the first switch
+	}
+	batch()
+	if allocs := testing.AllocsPerRun(50, batch); allocs != 1 {
+		t.Errorf("a batch of %d events allocates %.0f objects, want 1", events, allocs)
 	}
 }
 
@@ -128,7 +158,7 @@ func TestBatchSharesOneOriginInstant(t *testing.T) {
 		}
 	}
 	stamps = stamps[:0]
-	if err := pub.publishBatchTraced(wire.TraceContext{PubWallNanos: 42}, tuples...); err != nil {
+	if err := pub.publishBatchTraced(wire.TraceContext{PubWallNanos: 42}, len(tuples), func(i int) Event { return Event{Values: tuples[i]} }); err != nil {
 		t.Fatal(err)
 	}
 	sys.Run()
@@ -218,7 +248,7 @@ func TestReindexAdmitsProjectedKey(t *testing.T) {
 	sys, pub, count := reindexFixture(t)
 	admitted := func(hot, cold uint32) dz.Key {
 		t.Helper()
-		pb, err := pub.admit(wire.TraceContext{}, []uint32{hot, cold})
+		pb, err := pub.admit(wire.TraceContext{}, Event{Values: []uint32{hot, cold}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -323,16 +323,12 @@ func (b *netBackend) Publish(req wire.PublishReq) error {
 	if req.Seq != 0 && req.Seq <= p.lastPubSeq {
 		return nil // duplicate of an already-applied publish
 	}
-	tuples := p.tupleScratch[:0]
-	for _, ev := range req.Events {
-		tuples = append(tuples, ev.Values)
-	}
-	// The request's trace context (zero for an untraced publish) rides the
-	// publication stamp so every delivery joins the client's trace; the
-	// whole batch shares one publish span.
-	err := p.publishBatchTraced(req.Trace, tuples...)
-	p.tupleScratch = keepScratch(tuples) // cleared: the decoded frame's value slices are not ours to pin
-	if err != nil {
+	// The decoded values are the backend's (transport.Backend.Publish), so
+	// the events keep them as they are: one copy per frame, made by the
+	// decoder. The request's trace context (zero for an untraced publish)
+	// rides the publication stamp so every delivery joins the client's
+	// trace; the whole batch shares one publish span.
+	if err := p.publishBatchTraced(req.Trace, len(req.Events), func(i int) Event { return req.Events[i] }); err != nil {
 		return err
 	}
 	if req.Seq != 0 {
@@ -572,15 +568,16 @@ func (c *Client) PublishBatch(id string, tuples ...[]uint32) error {
 
 // PublishAsync injects one event into the pipelined publish path: events
 // coalesce into multi-event requests and up to a window of them stay in
-// flight without waiting for acks. It blocks only when the window is full
-// (backpressure); failures are sticky and surface here, on Flush, or on
-// Err. Call Flush before relying on the events being applied.
+// flight without waiting for acks. The values are copied before the call
+// returns, so the caller may reuse them. It blocks only when the window is
+// full (backpressure); failures are sticky and surface here, on Flush, or
+// on AsyncErr. Call Flush before relying on the events being applied.
 func (c *Client) PublishAsync(id string, values ...uint32) error {
 	return c.tc.PublishAsync(id, []space.Event{{Values: values}})
 }
 
 // PublishBatchAsync injects a burst of events into the pipelined publish
-// path (see PublishAsync).
+// path (see PublishAsync); the values are copied before the call returns.
 func (c *Client) PublishBatchAsync(id string, tuples ...[]uint32) error {
 	if len(tuples) == 0 {
 		return nil

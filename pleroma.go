@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -78,7 +79,9 @@ func NewFilter() Filter { return space.NewFilter() }
 type Delivery struct {
 	// SubscriptionID identifies the receiving subscription.
 	SubscriptionID string
-	// Event is the received payload.
+	// Event is the received payload. A handler may keep its values; every
+	// subscription the event reaches shares them, so they must not be
+	// mutated.
 	Event Event
 	// At is the simulated delivery time.
 	At time.Duration
@@ -705,14 +708,12 @@ type Publisher struct {
 	// publish with a Seq at or below it has already been applied and is
 	// acknowledged without re-injecting events.
 	lastPubSeq uint64
-	// pubScratch and tupleScratch are a publish frame's publications
-	// (publishBatchTraced) and the transport backend's view of its tuples
-	// (netBackend.Publish), reused from frame to frame: the data plane copies
-	// each publication into the packet slab and admit copies each tuple, so
-	// neither outlives the call, and a publisher is driven by one goroutine.
-	// Both are cleared after use and never grow past wire.MaxEvents entries.
-	pubScratch   []netem.Publication
-	tupleScratch [][]uint32
+	// pubScratch is a publish batch's publications (publishBatchTraced),
+	// reused from batch to batch: the data plane copies each publication
+	// into the packet slab, so none outlives the call, and a publisher is
+	// driven by one goroutine. It is cleared after use and never grows past
+	// wire.MaxEvents entries.
+	pubScratch []netem.Publication
 }
 
 // NewPublisher registers a publisher on a host.
@@ -765,16 +766,9 @@ func (p *Publisher) Unadvertise() error {
 }
 
 // Publish injects one event (attribute values in schema order) into the
-// network at the current simulated time.
+// network at the current simulated time. The event keeps a copy of values.
 func (p *Publisher) Publish(values ...uint32) error {
-	return p.publishTraced(wire.TraceContext{}, values...)
-}
-
-// publishTraced is Publish with an explicit trace context — the transport
-// server's path: a remote client's publish carries its trace so every
-// resulting delivery joins it.
-func (p *Publisher) publishTraced(tc wire.TraceContext, values ...uint32) error {
-	pb, err := p.admit(p.withOrigin(tc), values)
+	pb, err := p.admit(p.withOrigin(wire.TraceContext{}), Event{Values: slices.Clone(values)})
 	if err != nil {
 		return err
 	}
@@ -785,19 +779,20 @@ func (p *Publisher) publishTraced(tc wire.TraceContext, values ...uint32) error 
 }
 
 // admit is the publish admission prologue, shared by the single and the
-// batch path: the publisher must have advertised, the tuple must fit the
+// batch path: the publisher must have advertised, the event must fit the
 // schema, and the event is dz-encoded in the active index space under the
 // L_dz bound and given its origin stamp. The dz is made here, once, as a
 // packed key: the address, the stamp's tree lookup and the receiving hosts'
 // demux all consume that key, and no expression string exists between here
-// and a subscriber's handler. It injects nothing.
-func (p *Publisher) admit(tc wire.TraceContext, values []uint32) (netem.Publication, error) {
+// and a subscriber's handler. It injects nothing. The publication keeps
+// ev.Values, which the caller hands over: the packet, the event window and
+// every subscriber's delivery share them.
+func (p *Publisher) admit(tc wire.TraceContext, ev Event) (netem.Publication, error) {
 	if !p.advertised {
 		return netem.Publication{}, ErrNotAdvertised
 	}
 	s := p.sys
-	ev, err := s.sch.NewEvent(values...)
-	if err != nil {
+	if err := s.sch.Check(ev.Values); err != nil {
 		return netem.Publication{}, err
 	}
 	idxSch := s.indexSchema()
@@ -867,22 +862,36 @@ func (p *Publisher) stampFor(key dz.Key, tc wire.TraceContext) netem.Stamp {
 // publishers (the throughput experiments) pay the per-call checks once.
 // Deliveries, timestamps, and sequence numbers are identical to publishing
 // the tuples one by one with Publish; on an encoding error nothing is
-// injected, and an empty batch is a no-op.
+// injected, and an empty batch is a no-op. The events keep one copy of all
+// the tuples, a block of the batch's own.
 func (p *Publisher) PublishBatch(tuples ...[]uint32) error {
-	return p.publishBatchTraced(wire.TraceContext{}, tuples...)
+	n := 0
+	for _, vals := range tuples {
+		n += len(vals)
+	}
+	block := make([]uint32, 0, n)
+	return p.publishBatchTraced(wire.TraceContext{}, len(tuples), func(i int) Event {
+		base := len(block)
+		block = append(block, tuples[i]...)
+		// Capacity-clipped: appending to one event's values cannot write
+		// into the next event's.
+		return Event{Values: block[base:len(block):len(block)]}
+	})
 }
 
-// publishBatchTraced is PublishBatch with an explicit trace context (see
-// publishTraced); the whole batch shares one trace.
-func (p *Publisher) publishBatchTraced(tc wire.TraceContext, tuples ...[]uint32) error {
-	if len(tuples) == 0 {
+// publishBatchTraced admits and injects a batch of n events under one trace
+// context: the remote client's on the transport path (a zero context when
+// untraced), so every delivery joins its trace. event(i) returns the i-th
+// event, whose values the publisher keeps (see admit).
+func (p *Publisher) publishBatchTraced(tc wire.TraceContext, n int, event func(i int) Event) error {
+	if n == 0 {
 		return nil
 	}
 	tc = p.withOrigin(tc)
 	pubs := p.pubScratch[:0]
 	defer func() { p.pubScratch = keepScratch(pubs) }()
-	for _, vals := range tuples {
-		pb, err := p.admit(tc, vals)
+	for i := 0; i < n; i++ {
+		pb, err := p.admit(tc, event(i))
 		if err != nil {
 			return err
 		}
