@@ -8,8 +8,10 @@ GO ?= go
 # whose close/redial/ordering bugs are timing-dependent — runs five times on
 # a line of its own. The root run adds the session/owner boundary
 # (TestNetworkConcurrentSessionsChurn, TestNetworkConcurrentPublishSameID,
-# TestFailoverHealthEndpointRace) and event values decoded by a client's
-# reader goroutine and kept past their handler (TestHandlersKeepDeliveredValues).
+# TestFailoverHealthEndpointRace), the Sync barrier with shard-worker sinks
+# while another session sends requests (TestNetworkSyncBarrierAcrossSessions)
+# and event values decoded by a client's reader goroutine and kept past their
+# handler (TestHandlersKeepDeliveredValues).
 RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/...
 
 .PHONY: check vet build test race bench-module fuzz soak bench loc obs-demo daemon-demo

@@ -73,11 +73,9 @@ type frameConn struct {
 	m            connMetrics
 
 	// dbatch accumulates the deliveries produced for this connection by
-	// the backend call in progress (server side only); the server flushes
-	// it as KindDeliverBatch frames before sending the call's response.
-	// dmu also serializes flushers, so two racing flushes cannot reorder a
-	// connection's delivery stream.
-	dmu    sync.Mutex
+	// the backend call in progress (server side only, guarded by the
+	// server's sinkMu); the server flushes it as KindDeliverBatch frames
+	// before enqueuing the call's response.
 	dbatch []wire.Delivery
 }
 

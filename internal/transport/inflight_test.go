@@ -238,10 +238,12 @@ type quietBackend struct{ *fakeBackend }
 func (quietBackend) Publish(wire.PublishReq) error { return nil }
 
 // TestBlockingCallAllocs caps the allocations of a warmed-up blocking round
-// trip, both ends of the loopback connection counted: a Sync and a one-event
-// Publish. The window request, its result channel and its deadline timer are
-// reused across calls, and each end reads frame headers into its reused
-// read buffer, so none of them counts.
+// trip, both ends of the loopback connection counted: a Sync, a one-event
+// Publish, and a Run that delivers one event to the caller's one
+// subscription. The window request, its result channel and its deadline
+// timer are reused across calls, each end reads frame headers into its
+// reused read buffer, and the server flushes deliveries through its kept
+// pending list, so none of them counts.
 func TestBlockingCallAllocs(t *testing.T) {
 	_, addr := startServer(t, quietBackend{newFakeBackend()})
 	c, err := Dial(addr)
@@ -249,6 +251,9 @@ func TestBlockingCallAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	if err := c.Subscribe("s", 11, nil, func(wire.Delivery) {}); err != nil {
+		t.Fatal(err)
+	}
 	ev := []space.Event{{Values: []uint32{1, 2}}}
 	for _, tc := range []struct {
 		name string
@@ -257,6 +262,7 @@ func TestBlockingCallAllocs(t *testing.T) {
 	}{
 		{"Sync", c.Sync, 0},
 		{"Publish", func() error { return c.Publish("p", ev) }, 3},
+		{"Run", func() error { _, err := c.Run(); return err }, 4},
 	} {
 		for i := 0; i < 100; i++ {
 			if err := tc.call(); err != nil {

@@ -21,10 +21,13 @@ type Info struct {
 // publishes, drains and digest the in-process facade drives directly, and
 // nothing that reads or writes a switch: the controller behind the backend
 // is the only writer of its switches. A Backend is NOT required to be safe
-// for concurrent use: the server serializes every call. Delivery callbacks
-// registered through Control may fire from any goroutine while a Run call
-// is in progress (e.g. shard workers), so the `deliver` sink handed in is
-// always safe to call concurrently and never blocks.
+// for concurrent use: the server serializes every call. A delivery sink
+// registered through Control may fire from any goroutine while a backend
+// call is in progress (e.g. shard workers during Run), so the `deliver`
+// sink handed in is safe to call concurrently and never blocks. It must
+// never fire after the call that produced the delivery has returned: the
+// server flushes what the sinks collected as that call's last step, and a
+// delivery arriving later misses its call's response barrier.
 type Backend interface {
 	// Info reports the deployment's hosts and partitions.
 	Info() Info
@@ -86,14 +89,18 @@ func WithServerObservability(reg *obs.Registry) ServerOption {
 
 // Server accepts transport connections and dispatches their requests to a
 // Backend, one at a time. Responses and deliveries ride each connection's
-// FIFO write queue, so a response enqueued after a burst of deliveries
-// acts as a receive barrier for them (the Sync protocol).
+// FIFO write queue, and a request's response is enqueued behind every
+// delivery produced before it (answer): the Sync protocol's receive
+// barrier.
 type Server struct {
 	backend Backend
 
-	// mu serializes Backend calls: the facade System is single-threaded by
-	// contract.
-	mu sync.Mutex
+	// mu serializes Backend calls (the facade System is single-threaded by
+	// contract) and the delivery flushes, and guards ln, conns and stopping.
+	mu       sync.Mutex
+	ln       net.Listener
+	conns    map[*frameConn]struct{}
+	stopping bool
 
 	opts        Options
 	m           connMetrics
@@ -103,24 +110,18 @@ type Server struct {
 	obsDropped  *obs.Counter
 	tracer      *obs.Tracer
 
-	connMu   sync.Mutex
-	ln       net.Listener
-	conns    map[*frameConn]struct{}
-	stopping bool
+	// sinkMu guards pending, the connections whose dbatch is non-empty, and
+	// every dbatch: under WithShards the delivery sinks fire concurrently
+	// on shard workers.
+	sinkMu  sync.Mutex
+	pending []*frameConn
 
-	// dirty is the set of connections holding unsent coalesced deliveries;
-	// every request goroutine flushes it after its backend call returns,
-	// before enqueuing its response — the Sync barrier.
-	batchMu sync.Mutex
-	dirty   map[*frameConn]struct{}
-
-	readers  sync.WaitGroup // one per live connection
-	inflight sync.WaitGroup // requests being served (drained on Stop)
+	readers sync.WaitGroup // the accept loop and one per live connection
 }
 
 // NewServer wraps a backend.
 func NewServer(b Backend, opts ...ServerOption) *Server {
-	s := &Server{backend: b, conns: make(map[*frameConn]struct{}), dirty: make(map[*frameConn]struct{})}
+	s := &Server{backend: b, conns: make(map[*frameConn]struct{})}
 	for _, opt := range opts {
 		opt(s)
 	}
@@ -129,20 +130,21 @@ func NewServer(b Backend, opts ...ServerOption) *Server {
 
 // Listen starts serving on addr (e.g. "127.0.0.1:0") and returns the bound
 // address. Serving happens on background goroutines; use Stop to shut
-// down.
+// down. A server listens once: a second Listen, or one after Stop, fails.
 func (s *Server) Listen(addr string) (net.Addr, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopping {
+		return nil, fmt.Errorf("transport: server stopped")
+	}
+	if s.ln != nil {
+		return nil, fmt.Errorf("transport: server already listening on %v", s.ln.Addr())
+	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s.connMu.Lock()
-	if s.stopping {
-		s.connMu.Unlock()
-		ln.Close()
-		return nil, fmt.Errorf("transport: server stopped")
-	}
 	s.ln = ln
-	s.connMu.Unlock()
 	s.readers.Add(1)
 	go s.acceptLoop(ln)
 	return ln.Addr(), nil
@@ -156,44 +158,38 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			return // listener closed by Stop
 		}
 		fc := newFrameConn(c, s.opts.WriteTimeout, s.m)
-		s.connMu.Lock()
+		s.mu.Lock()
 		if s.stopping {
-			s.connMu.Unlock()
+			s.mu.Unlock()
 			fc.abort()
 			continue
 		}
 		s.conns[fc] = struct{}{}
-		s.connMu.Unlock()
-		s.obsConns.Add(1)
 		s.readers.Add(1)
+		s.mu.Unlock()
+		s.obsConns.Add(1)
 		go s.serveConn(fc, c)
 	}
 }
 
 // Stop shuts the server down gracefully: no new connections are accepted,
-// requests already being served finish (their responses and any deliveries
-// flush), every connection receives a Goodbye frame, and the sockets
-// close.
+// the request being served finishes (its deliveries and response queue),
+// later ones are refused, every connection receives a Goodbye frame, and
+// the sockets close.
 func (s *Server) Stop() {
-	s.connMu.Lock()
+	s.mu.Lock()
 	if s.stopping {
-		s.connMu.Unlock()
+		s.mu.Unlock()
 		return
 	}
 	s.stopping = true
-	ln := s.ln
-	s.connMu.Unlock()
-	if ln != nil {
-		ln.Close()
+	if s.ln != nil {
+		s.ln.Close()
 	}
-	s.inflight.Wait() // drain in-flight requests
 	s.flushDeliveries()
-	s.connMu.Lock()
-	conns := make([]*frameConn, 0, len(s.conns))
-	for fc := range s.conns {
-		conns = append(conns, fc)
-	}
-	s.connMu.Unlock()
+	conns := s.connList()
+	s.mu.Unlock()
+	// close waits for the connection's writer, so it runs outside mu.
 	for _, fc := range conns {
 		fc.send(wire.Frame{Kind: wire.KindGoodbye})
 		fc.close()
@@ -205,26 +201,29 @@ func (s *Server) Stop() {
 // the listener or the backend — a network partition / daemon-crash
 // simulation for the reconnect tests. Queued frames are discarded.
 func (s *Server) DropConnections() {
-	s.connMu.Lock()
-	conns := make([]*frameConn, 0, len(s.conns))
-	for fc := range s.conns {
-		conns = append(conns, fc)
-	}
-	s.connMu.Unlock()
+	s.mu.Lock()
+	conns := s.connList()
+	s.mu.Unlock()
 	for _, fc := range conns {
 		fc.abort()
 	}
 }
 
+// connList copies the live connections. Callers hold mu.
+func (s *Server) connList() []*frameConn {
+	conns := make([]*frameConn, 0, len(s.conns))
+	for fc := range s.conns {
+		conns = append(conns, fc)
+	}
+	return conns
+}
+
 func (s *Server) serveConn(fc *frameConn, c net.Conn) {
 	defer s.readers.Done()
 	defer func() {
-		s.connMu.Lock()
+		s.mu.Lock()
 		delete(s.conns, fc)
-		s.connMu.Unlock()
-		s.batchMu.Lock()
-		delete(s.dirty, fc)
-		s.batchMu.Unlock()
+		s.mu.Unlock()
 		s.obsConns.Add(-1)
 		fc.close()
 	}()
@@ -254,31 +253,14 @@ func (s *Server) serveConn(fc *frameConn, c net.Conn) {
 			fc.send(resp)
 			return
 		}
-		// The stopping check and the inflight Add share the lock Stop sets
-		// stopping under, so a request either lands before Stop's drain or
-		// is refused — never added to a WaitGroup already being waited on.
-		s.connMu.Lock()
-		if s.stopping {
-			s.connMu.Unlock()
-			return
-		}
-		s.inflight.Add(1)
-		s.connMu.Unlock()
 		s.obsInflight.Add(1)
-		resp := s.handle(fc, f)
-		resp.Corr = f.Corr
-		// Coalesced deliveries produced by this backend call flush before
-		// the response is enqueued, preserving the FIFO receive barrier
-		// (Sync) batching would otherwise break.
-		s.flushDeliveries()
-		err = fc.send(resp)
+		kind, ok := s.answer(fc, f)
 		s.obsInflight.Add(-1)
-		s.inflight.Done()
-		if err != nil {
+		if !ok {
 			return
 		}
 		if f.Kind == wire.KindHello {
-			if resp.Kind != wire.KindHelloOK {
+			if kind != wire.KindHelloOK {
 				return // refused (version mismatch): the error is queued, close
 			}
 			greeted = true
@@ -286,33 +268,40 @@ func (s *Server) serveConn(fc *frameConn, c net.Conn) {
 	}
 }
 
-// flushDeliveries drains every connection's accumulated deliveries into
+// answer serves one request in one critical section under mu: the backend
+// call, the flush of every delivery its sinks collected, and the response's
+// enqueue. No other goroutine can hold part of a connection's deliveries
+// while its response is queued. It returns the response's kind, and false
+// when the connection should close (the server is stopping or the
+// connection is gone).
+func (s *Server) answer(fc *frameConn, f wire.Frame) (wire.Kind, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopping {
+		return 0, false
+	}
+	resp := s.handle(fc, f)
+	resp.Corr = f.Corr
+	s.flushDeliveries()
+	return resp.Kind, fc.send(resp) == nil
+}
+
+// flushDeliveries encodes every pending connection's deliveries into
 // KindDeliverBatch frames (chunked under the batch byte budget and
-// wire.MaxDeliveries). Callers invoke it after a backend call returns and
-// before they enqueue the call's response.
+// wire.MaxDeliveries) on its write queue. It runs only with mu held, and
+// sinks fire only inside a backend call, so it finds every delivery
+// produced so far.
 func (s *Server) flushDeliveries() {
-	s.batchMu.Lock()
-	if len(s.dirty) == 0 {
-		s.batchMu.Unlock()
-		return
-	}
-	conns := make([]*frameConn, 0, len(s.dirty))
-	for fc := range s.dirty {
-		conns = append(conns, fc)
-		delete(s.dirty, fc)
-	}
-	s.batchMu.Unlock()
-	for _, fc := range conns {
+	s.sinkMu.Lock()
+	defer s.sinkMu.Unlock()
+	for _, fc := range s.pending {
 		s.flushConnDeliveries(fc)
 	}
+	clear(s.pending)
+	s.pending = s.pending[:0]
 }
 
 func (s *Server) flushConnDeliveries(fc *frameConn) {
-	// dmu is held across the swap AND the sends: two request goroutines
-	// flushing the same connection cannot interleave chunks, so the
-	// delivery stream stays in production order.
-	fc.dmu.Lock()
-	defer fc.dmu.Unlock()
 	batch := fc.dbatch
 	for len(batch) > 0 {
 		hint := 96 * len(batch)
@@ -348,11 +337,8 @@ func (s *Server) flushConnDeliveries(fc *frameConn) {
 	fc.dbatch = fc.dbatch[:0]
 }
 
-// handle serves one request frame, serialized against all other backend
-// work.
+// handle serves one request frame. Callers hold mu.
 func (s *Server) handle(fc *frameConn, f wire.Frame) wire.Frame {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	switch f.Kind {
 	case wire.KindHello:
 		if _, err := wire.DecodeHello(f.Payload); err != nil {
@@ -373,15 +359,14 @@ func (s *Server) handle(fc *frameConn, f wire.Frame) wire.Frame {
 		var deliver func(wire.Delivery)
 		if req.Op == wire.OpSubscribe {
 			deliver = func(d wire.Delivery) {
-				// Accumulate; the request goroutine that drove this backend
-				// call flushes the run as KindDeliverBatch frames before its
-				// response.
-				fc.dmu.Lock()
+				// Accumulate; the request that drove this backend call
+				// flushes them before its response.
+				s.sinkMu.Lock()
+				if len(fc.dbatch) == 0 {
+					s.pending = append(s.pending, fc)
+				}
 				fc.dbatch = append(fc.dbatch, d)
-				fc.dmu.Unlock()
-				s.batchMu.Lock()
-				s.dirty[fc] = struct{}{}
-				s.batchMu.Unlock()
+				s.sinkMu.Unlock()
 			}
 		}
 		if err := s.backend.Control(req, deliver); err != nil {

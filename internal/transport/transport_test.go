@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -370,21 +371,104 @@ func TestClientRetryExhaustion(t *testing.T) {
 	}
 }
 
+// gatedRunBackend holds Run inside the backend call, entered signalled,
+// until gate closes.
+type gatedRunBackend struct {
+	*fakeBackend
+	entered, gate chan struct{}
+}
+
+func (b *gatedRunBackend) Run() (time.Duration, error) {
+	close(b.entered)
+	<-b.gate
+	return b.fakeBackend.Run()
+}
+
+// TestGracefulStopDrainsInflight: Stop called while a request is inside its
+// backend call lets it finish. The client's Run returns RunDone, the
+// delivery that Run produced arrives before it, and both arrive before the
+// Goodbye — a Goodbye first would fail the Run, whose retry finds no
+// listener. Later calls fail rather than hang.
 func TestGracefulStopDrainsInflight(t *testing.T) {
-	b := newFakeBackend()
+	b := &gatedRunBackend{fakeBackend: newFakeBackend(), entered: make(chan struct{}), gate: make(chan struct{})}
 	srv, addr := startServer(t, b)
-	c, err := Dial(addr)
+	c, err := Dial(addr, WithClientRetry(retry.Policy{
+		MaxAttempts: 2, BaseBackoff: time.Millisecond, OpDeadline: 2 * time.Second,
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	if err := c.Advertise("p1", 10, nil); err != nil {
+	var delivered atomic.Int64
+	if err := c.Subscribe("s1", 11, nil, func(wire.Delivery) { delivered.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
-	// Stop with no requests in flight: the client sees a Goodbye; further
-	// calls fail after retry exhaustion rather than hanging.
-	srv.Stop()
+	type result struct {
+		delivered int64
+		err       error
+	}
+	ran := make(chan result, 1)
+	go func() {
+		_, err := c.Run()
+		ran <- result{delivered.Load(), err}
+	}()
+	<-b.entered
+	stopped := make(chan struct{})
+	go func() {
+		srv.Stop()
+		close(stopped)
+	}()
+	// Stop waits for the backend call; give it time to get there.
+	time.Sleep(50 * time.Millisecond)
+	select {
+	case <-stopped:
+		t.Fatal("Stop returned while a request was inside its backend call")
+	default:
+	}
+	close(b.gate)
+	select {
+	case r := <-ran:
+		if r.err != nil {
+			t.Fatalf("Run in flight across Stop: %v, want RunDone", r.err)
+		}
+		if r.delivered != 1 {
+			t.Fatalf("%d deliveries when Run returned, want its 1", r.delivered)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run in flight across Stop never returned")
+	}
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop did not return")
+	}
 	if err := c.Sync(); err == nil {
 		t.Fatal("sync against a stopped server must fail")
+	}
+}
+
+// TestSecondListenFails: a server listens once. A second Listen is refused
+// (it would leave the first listener's accept loop outside Stop's reach),
+// Stop returns, and a Listen after Stop is refused.
+func TestSecondListenFails(t *testing.T) {
+	srv := NewServer(newFakeBackend())
+	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); err == nil {
+		t.Error("a second Listen succeeded")
+	}
+	stopped := make(chan struct{})
+	go func() {
+		srv.Stop()
+		close(stopped)
+	}()
+	select {
+	case <-stopped:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Stop blocked after a second Listen")
+	}
+	if _, err := srv.Listen("127.0.0.1:0"); err == nil {
+		t.Error("Listen after Stop succeeded")
 	}
 }

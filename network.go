@@ -220,8 +220,11 @@ func rangesFilter(ranges []wire.Range) Filter {
 // netBackend adapts a System as the transport Backend. The transport
 // server serializes calls, matching the System's single-goroutine
 // contract; subscription handlers convert deliveries to wire form and
-// push them onto the owning connection's write queue (safe from shard
-// worker goroutines — the sink never blocks).
+// hand them to the server's sink, which appends them to the owning
+// connection's batch (safe from shard worker goroutines — the sink never
+// blocks). The server flushes the batches before the call's response;
+// handlers fire only while a backend call runs the System, so none misses
+// its flush.
 type netBackend struct {
 	sys *System
 }

@@ -1006,6 +1006,92 @@ func concurrentSessionsChurn(t *testing.T, shards int) {
 	}
 }
 
+// TestNetworkSyncBarrierAcrossSessions: a client's Sync is a receive barrier
+// for every delivery to it, also while other sessions send requests and the
+// deliveries come from shard workers. Connection X holds 40 match-all
+// subscriptions and runs rounds of PublishBatch, Run and Sync, counting its
+// deliveries at every Sync; connection Y loops Sync meanwhile.
+func TestNetworkSyncBarrierAcrossSessions(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			syncBarrierAcrossSessions(t, shards)
+		})
+	}
+}
+
+func syncBarrierAcrossSessions(t *testing.T, shards int) {
+	const subs, events, rounds = 40, 20, 200
+	sys, err := NewSystem(netTestSchema(t), WithTopology(TopologyRing20), WithShards(shards),
+		WithListener("127.0.0.1:0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Close()
+	x, err := Dial(sys.ListenAddr(), WithDialID("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer x.Close()
+	y, err := Dial(sys.ListenAddr(), WithDialID("y"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer y.Close()
+
+	hosts := x.Hosts()
+	if err := x.Advertise("x-p", hosts[0], NewFilter()); err != nil {
+		t.Fatal(err)
+	}
+	var got atomic.Int64
+	for i := 0; i < subs; i++ {
+		id := fmt.Sprintf("x-s%d", i)
+		if err := x.Subscribe(id, hosts[i%len(hosts)], NewFilter(), func(Delivery) { got.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := make([][]uint32, events)
+	for i := range batch {
+		batch[i] = []uint32{uint32(i * 37 % 1024), uint32(i)}
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := y.Sync(); err != nil {
+				t.Errorf("Y sync: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for round := 1; round <= rounds; round++ {
+		if err := x.PublishBatch("x-p", batch...); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := x.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if err := x.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if n, want := got.Load(), int64(round*events*subs); n != want {
+			t.Fatalf("round %d: %d deliveries at X's Sync, want %d", round, n, want)
+		}
+	}
+}
+
 // churnSession is one client of TestNetworkConcurrentSessionsChurn: a
 // seeded stream of control ops, publishes and runs under ids of its own.
 func churnSession(addr string, c, steps int, delivered *atomic.Uint64) error {
