@@ -357,15 +357,16 @@ func (c *Client) dispatchDelivery(ds []wire.Delivery, f wire.Frame) ([]wire.Deli
 }
 
 func (c *Client) dispatchOne(d wire.Delivery) {
-	if d.Trace.PubWallNanos != 0 {
+	if d.PubWallNanos != 0 {
 		// Client-side wall latency against the echoed publish stamp:
 		// skew-free when this client (or this machine) published.
-		c.obsWall.Observe(time.Duration(time.Now().UnixNano() - d.Trace.PubWallNanos))
+		d.WallLatency = time.Duration(time.Now().UnixNano() - d.PubWallNanos)
+		c.obsWall.Observe(d.WallLatency)
 	}
-	if c.tracer != nil && d.Trace.TraceID != 0 {
+	if c.tracer != nil && d.TraceID != 0 {
 		// Close the loop on the distributed trace: one recv span per
 		// delivered event, parented to the span the frame carried.
-		c.tracer.StartRemoteSpan(d.Trace.TraceID, d.Trace.SpanID, "recv", d.SubscriptionID).End(nil)
+		c.tracer.StartRemoteSpan(d.TraceID, d.SpanID, "recv", d.SubscriptionID).End(nil)
 	}
 	c.mu.Lock()
 	h := c.subs[d.SubscriptionID].handler

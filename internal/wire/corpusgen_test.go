@@ -70,7 +70,7 @@ func TestGenFuzzCorpus(t *testing.T) {
 	write("FuzzDecodeDeliverBatch", "seed-two", db)
 	dbt, _ := EncodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s", Event: space.Event{Values: []uint32{9}},
-			Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 2},
+			TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 2},
 	})
 	write("FuzzDecodeDeliverBatch", "seed-traced", dbt)
 	write("FuzzDecodeDeliverBatch", "seed-truncated", db[:len(db)-3])
@@ -79,7 +79,7 @@ func TestGenFuzzCorpus(t *testing.T) {
 		At: 5, Latency: 2, FalsePositive: true}})
 	write("FuzzDecodeDeliverBatch", "seed-one-fp", one)
 	onet, _ := EncodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
-		At: 5, Latency: 2, Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 4}})
+		At: 5, Latency: 2, TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 4}})
 	write("FuzzDecodeDeliverBatch", "seed-one-traced", onet)
 
 	// FuzzFrameStream

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"time"
@@ -704,19 +705,42 @@ func DecodePublish(b []byte) (PublishReq, error) {
 	return req, nil
 }
 
-// Delivery is one event handed to a remote subscriber.
+// Delivery is one event handed to a subscriber: what an in-process handler
+// receives, and what a deliver-batch frame carries to a remote one. A remote
+// handler sees Hops, TraceID, SpanID and PubWallNanos only on traced
+// deliveries (the publish carried a minted trace); on an untraced one they
+// read 0.
 type Delivery struct {
+	// SubscriptionID identifies the receiving subscription.
 	SubscriptionID string
-	Event          space.Event
-	At             time.Duration
-	Latency        time.Duration
-	FalsePositive  bool
-	// Trace is the distributed-trace context the event carried end to end;
-	// the zero value (untraced) selects the plain encoding.
-	Trace TraceContext
-	// Hops is the number of switch hops the event traversed; it travels
-	// only on traced deliveries.
-	Hops uint16
+	// Event is the received payload. A handler may keep its values; every
+	// subscription the event reaches shares them, so they must not be
+	// mutated.
+	Event space.Event
+	// At is the simulated delivery time.
+	At time.Duration
+	// Latency is the end-to-end delay since publication.
+	Latency time.Duration
+	// FalsePositive marks events delivered due to dz truncation that do
+	// not match the subscription filter exactly.
+	FalsePositive bool
+	// Hops is the number of switch hops the event traversed.
+	Hops int
+	// TraceID links the delivery to its distributed trace (0 untraced).
+	TraceID uint64
+	// SpanID is the delivery span recorded under TraceID (0 untraced).
+	SpanID uint64
+	// WallLatency is the wall-clock publish→delivery delay when the
+	// publish carried an origin stamp (0 otherwise). Across processes on
+	// different machines it includes clock skew; see PubWallNanos for the
+	// skew-free client-side measure. It is never encoded: the receiving end
+	// measures it against its own clock.
+	WallLatency time.Duration
+	// PubWallNanos echoes the publisher's wall-clock stamp
+	// (UnixNano; 0 unstamped). Meaningful only in the publisher's clock
+	// domain: a subscriber on the same machine — or the publishing client
+	// itself — can subtract it from its own clock without skew.
+	PubWallNanos int64
 }
 
 // appendDelivery appends one delivery body, allocation-free when dst has
@@ -725,18 +749,22 @@ type Delivery struct {
 //	[tag u8][trace 24B][hops u16]?[idLen u8][id][at u64][latency u64][fp u8][event]
 //
 // The trace+hops block is present exactly when the tag is tagTraced
-// (d.Trace minted); an untraced delivery drops Hops. The encoding is
-// self-delimiting (the id is length-prefixed and the event carries its dims
-// byte), which is what lets DeliverBatch concatenate bodies back to back.
+// (d.TraceID minted); an untraced delivery drops Hops and PubWallNanos.
+// Hops outside 0..65535 has no encoding. The encoding is self-delimiting
+// (the id is length-prefixed and the event carries its dims byte), which is
+// what lets DeliverBatch concatenate bodies back to back.
 func appendDelivery(dst []byte, d Delivery) ([]byte, error) {
 	if len(d.SubscriptionID) == 0 {
 		return nil, fmt.Errorf("wire: delivery without subscription id")
 	}
+	if d.Hops < 0 || d.Hops > math.MaxUint16 {
+		return nil, fmt.Errorf("wire: delivery hops %d outside 0..%d", d.Hops, math.MaxUint16)
+	}
 	var err error
-	if d.Trace.Valid() {
+	if d.TraceID != 0 {
 		dst = append(dst, tagTraced)
-		dst = appendTrace(dst, d.Trace)
-		dst = binary.BigEndian.AppendUint16(dst, d.Hops)
+		dst = appendTrace(dst, TraceContext{TraceID: d.TraceID, SpanID: d.SpanID, PubWallNanos: d.PubWallNanos})
+		dst = binary.BigEndian.AppendUint16(dst, uint16(d.Hops))
 	} else {
 		dst = append(dst, tagPlain)
 	}
@@ -766,15 +794,17 @@ func readDelivery(b []byte, arena []uint32) (Delivery, []byte, []uint32, error) 
 	switch b[0] {
 	case tagPlain:
 	case tagTraced:
+		var tc TraceContext
 		var err error
-		d.Trace, body, err = readTrace(body, "delivery")
+		tc, body, err = readTrace(body, "delivery")
 		if err != nil {
 			return Delivery{}, nil, arena, err
 		}
 		if len(body) < 2 {
 			return Delivery{}, nil, arena, fmt.Errorf("wire: truncated delivery hops")
 		}
-		d.Hops = binary.BigEndian.Uint16(body)
+		d.TraceID, d.SpanID, d.PubWallNanos = tc.TraceID, tc.SpanID, tc.PubWallNanos
+		d.Hops = int(binary.BigEndian.Uint16(body))
 		body = body[2:]
 	default:
 		return Delivery{}, nil, arena, fmt.Errorf("wire: unsupported delivery tag %d", b[0])

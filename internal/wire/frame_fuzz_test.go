@@ -96,7 +96,7 @@ func FuzzDecodeDeliverBatch(f *testing.F) {
 	f.Add(good)
 	traced, _ := EncodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s", Event: space.Event{Values: []uint32{9}},
-			Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 2},
+			TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 2},
 	})
 	f.Add(traced)
 	// Batches of one — every delivery that used to travel as its own frame.

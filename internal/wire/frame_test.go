@@ -301,7 +301,7 @@ func TestDeliverBatchRoundTrip(t *testing.T) {
 		{SubscriptionID: "s2", Event: space.Event{Values: []uint32{3}},
 			At: 200 * time.Microsecond, FalsePositive: true},
 		{SubscriptionID: "s3", Event: space.Event{Values: []uint32{4, 5, 6}},
-			Trace: TraceContext{TraceID: 7, SpanID: 9, PubWallNanos: 11}, Hops: 3},
+			TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 3},
 	}
 	b, err := EncodeDeliverBatch(in)
 	if err != nil {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 	"time"
@@ -54,7 +55,9 @@ func TestDeliveryTraceRoundTrip(t *testing.T) {
 		At:             1500 * time.Microsecond,
 		Latency:        300 * time.Microsecond,
 		FalsePositive:  false,
-		Trace:          TraceContext{TraceID: 9, SpanID: 11, PubWallNanos: 77},
+		TraceID:        9,
+		SpanID:         11,
+		PubWallNanos:   77,
 		Hops:           5,
 	}
 	// A delivery body sits behind the batch's [version u8][count u16].
@@ -72,8 +75,34 @@ func TestDeliveryTraceRoundTrip(t *testing.T) {
 	if _, err := decodeOne(b[:13]); err == nil {
 		t.Error("truncated trace context accepted")
 	}
+	// WallLatency is the receiver's own measure: it is not encoded, so the
+	// bytes do not change and it decodes as 0.
+	in.WallLatency = 3 * time.Millisecond
+	if got := encodeOne(t, in); !bytes.Equal(got, b) {
+		t.Fatalf("WallLatency changed the encoding:\n got %x\nwant %x", got, b)
+	}
+	if out, err = decodeOne(b); err != nil || out.WallLatency != 0 {
+		t.Fatalf("decoded WallLatency %v (err %v), want 0", out.WallLatency, err)
+	}
+	in.WallLatency = 0
+	// Hops travels as a u16: a count it cannot hold is refused, not
+	// truncated; the extremes it can hold round-trip.
+	for _, hops := range []int{-1, 1 << 16} {
+		bad := in
+		bad.Hops = hops
+		if _, err := EncodeDeliverBatch([]Delivery{bad}); err == nil {
+			t.Errorf("hops %d encoded", hops)
+		}
+	}
+	for _, hops := range []int{0, 1<<16 - 1} {
+		edge := in
+		edge.Hops = hops
+		if out, err := decodeOne(encodeOne(t, edge)); err != nil || out.Hops != hops {
+			t.Errorf("hops %d decoded as %d (err %v)", hops, out.Hops, err)
+		}
+	}
 	// Untraced deliveries carry the plain payload and drop hops.
-	in.Trace = TraceContext{}
+	in.TraceID, in.SpanID, in.PubWallNanos = 0, 0, 0
 	b = encodeOne(t, in)
 	if b[3] != tagPlain {
 		t.Fatalf("untraced delivery tag = %d, want %d", b[3], tagPlain)

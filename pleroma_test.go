@@ -292,8 +292,8 @@ func TestSystemValidation(t *testing.T) {
 	if err := sys.Subscribe("s", sys.Hosts()[0], NewFilter(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Subscribe("s", sys.Hosts()[0], NewFilter(), nil); err == nil {
-		t.Error("duplicate subscription must fail")
+	if err := sys.Subscribe("s", sys.Hosts()[0], NewFilter().Range("price", 0, 1), nil); err == nil {
+		t.Error("a different filter under a live subscription id must fail")
 	}
 	if err := sys.Subscribe("bad", sys.Hosts()[0], NewFilter().Range("ghost", 0, 1), nil); err == nil {
 		t.Error("unknown attribute must fail")

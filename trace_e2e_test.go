@@ -261,8 +261,8 @@ func TestTraceDedupKeepsSingleSpanSet(t *testing.T) {
 	if len(wds) != 1 {
 		t.Fatalf("deliveries: %d, want 1 (retry deduplicated)", len(wds))
 	}
-	if wds[0].Trace.TraceID != 777 {
-		t.Fatalf("delivery trace id %d, want 777", wds[0].Trace.TraceID)
+	if wds[0].TraceID != 777 {
+		t.Fatalf("delivery trace id %d, want 777", wds[0].TraceID)
 	}
 	delivers := 0
 	for _, sp := range sys.TraceByID(777) {
