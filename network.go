@@ -464,7 +464,7 @@ func (c *Client) Advertise(id string, host HostID, f Filter) error {
 }
 
 // Unadvertise withdraws an advertisement.
-func (c *Client) Unadvertise(id string) error { return c.tc.Unadvertise(id) }
+func (c *Client) Unadvertise(id string) error { return remoteErr(c.tc.Unadvertise(id)) }
 
 // Subscribe registers a subscription; handler fires on the client's
 // network reader goroutine for every delivered event.
@@ -473,11 +473,11 @@ func (c *Client) Subscribe(id string, host HostID, f Filter, handler func(Delive
 }
 
 // Unsubscribe withdraws a subscription.
-func (c *Client) Unsubscribe(id string) error { return c.tc.Unsubscribe(id) }
+func (c *Client) Unsubscribe(id string) error { return remoteErr(c.tc.Unsubscribe(id)) }
 
 // Publish injects one event from the advertised publisher id.
 func (c *Client) Publish(id string, values ...uint32) error {
-	return c.tc.Publish(id, []space.Event{{Values: values}})
+	return remoteErr(c.tc.Publish(id, []space.Event{{Values: values}}))
 }
 
 // PublishBatch injects a burst of events in one request.
@@ -489,7 +489,7 @@ func (c *Client) PublishBatch(id string, tuples ...[]uint32) error {
 	for i, vals := range tuples {
 		events[i] = space.Event{Values: vals}
 	}
-	return c.tc.Publish(id, events)
+	return remoteErr(c.tc.Publish(id, events))
 }
 
 // PublishAsync injects one event into the pipelined publish path: events
@@ -499,7 +499,7 @@ func (c *Client) PublishBatch(id string, tuples ...[]uint32) error {
 // full (backpressure); failures are sticky and surface here, on Flush, or
 // on AsyncErr. Call Flush before relying on the events being applied.
 func (c *Client) PublishAsync(id string, values ...uint32) error {
-	return c.tc.PublishAsync(id, []space.Event{{Values: values}})
+	return remoteErr(c.tc.PublishAsync(id, []space.Event{{Values: values}}))
 }
 
 // PublishBatchAsync injects a burst of events into the pipelined publish
@@ -512,16 +512,16 @@ func (c *Client) PublishBatchAsync(id string, tuples ...[]uint32) error {
 	for i, vals := range tuples {
 		events[i] = space.Event{Values: vals}
 	}
-	return c.tc.PublishAsync(id, events)
+	return remoteErr(c.tc.PublishAsync(id, events))
 }
 
 // Flush seals pending async batches and blocks until every pipelined
 // publish is acked (nil) or the pipeline failed (the sticky error).
-func (c *Client) Flush() error { return c.tc.Flush() }
+func (c *Client) Flush() error { return remoteErr(c.tc.Flush()) }
 
 // AsyncErr returns the pipelined publish path's sticky error without
 // blocking (nil while healthy).
-func (c *Client) AsyncErr() error { return c.tc.Err() }
+func (c *Client) AsyncErr() error { return remoteErr(c.tc.Err()) }
 
 // Run drains the daemon's pending simulated work and returns the final
 // simulated time.
@@ -537,3 +537,29 @@ func (c *Client) StateDigest() ([]byte, error) { return c.tc.Digest() }
 
 // Close disconnects from the daemon. Registrations persist server-side.
 func (c *Client) Close() error { return c.tc.Close() }
+
+// remoteSentinels are the facade errors a daemon's refusal can carry. An
+// error frame holds only text, so the client finds them by their message.
+var remoteSentinels = []error{ErrUnknownSubscription, ErrNotAdvertised}
+
+// remoteErr makes errors.Is hold over TCP as it does in process: an error
+// whose text carries a sentinel's message also unwraps to that sentinel.
+// Its message is unchanged.
+func remoteErr(err error) error {
+	if err == nil {
+		return nil
+	}
+	for _, sentinel := range remoteSentinels {
+		if strings.Contains(err.Error(), sentinel.Error()) {
+			return remoteError{err, sentinel}
+		}
+	}
+	return err
+}
+
+// remoteError is a transport error that also matches the sentinel its
+// text carries.
+type remoteError struct{ err, sentinel error }
+
+func (e remoteError) Error() string   { return e.err.Error() }
+func (e remoteError) Unwrap() []error { return []error{e.err, e.sentinel} }

@@ -223,16 +223,12 @@ func (r *regRig) refused(err error, what string) {
 	}
 }
 
-// is asserts errors.Is(err, target); over TCP an error crosses as its text.
+// is asserts errors.Is(err, target), over TCP as in process.
 func (r *regRig) is(err, target error, what string) {
 	r.t.Helper()
-	if errors.Is(err, target) {
-		return
+	if !errors.Is(err, target) {
+		r.t.Fatalf("%s: err = %v, want %v", what, err, target)
 	}
-	if r.tcp && err != nil && strings.Contains(err.Error(), target.Error()) {
-		return
-	}
-	r.t.Fatalf("%s: err = %v, want %v", what, err, target)
 }
 
 func (r *regRig) publishAndSettle(id string, values ...uint32) {
@@ -303,6 +299,7 @@ func TestRegistrationRule(t *testing.T) {
 			r.must(r.advertise("p", r.hosts[0], NewFilter()))
 			r.must(r.unadvertise("p"))
 			r.is(r.unadvertise("p"), ErrNotAdvertised, "unadvertise of a withdrawn id")
+			r.is(r.publish("p", 42, 1), ErrNotAdvertised, "publish from a withdrawn id")
 		}},
 	}
 	for _, surface := range []string{"inproc", "tcp"} {
