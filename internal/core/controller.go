@@ -377,7 +377,7 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 	c.trees[t.id] = t
 	c.treeIdx.add(t.id, t.set)
 	c.inst.treesCreated.Inc()
-	c.inst.treeDz.With(treeLabel(t.id)).Set(int64(len(t.set)))
+	c.inst.treeDz.With(t.id).Set(int64(len(t.set)))
 	rep.TreesCreated++
 	if sp := c.span; sp != nil {
 		sp.Event("tree created", "tree", treeLabel(t.id), "dz", t.set.String())
@@ -435,7 +435,7 @@ func (c *Controller) dismantleTree(t *tree) {
 	}
 	c.treeIdx.remove(t.set)
 	delete(c.trees, t.id)
-	c.inst.treeDz.Delete(treeLabel(t.id))
+	c.inst.treeDz.Delete(t.id)
 	if sp := c.span; sp != nil {
 		sp.Event("tree dismantled", "tree", treeLabel(t.id))
 	}
@@ -542,8 +542,8 @@ func (c *Controller) mergeTrees(t1, t2 *tree, ch *changeSet, rep *ReconfigReport
 		return err
 	}
 	c.inst.treesMerged.Inc()
-	c.inst.treeDz.Delete(treeLabel(t2.id))
-	c.inst.treeDz.With(treeLabel(t1.id)).Set(int64(len(t1.set)))
+	c.inst.treeDz.Delete(t2.id)
+	c.inst.treeDz.With(t1.id).Set(int64(len(t1.set)))
 	rep.TreesMerged++
 	if sp := c.span; sp != nil {
 		sp.Event("trees merged", "into", treeLabel(t1.id), "from", treeLabel(t2.id), "dz", t1.set.String())

@@ -583,7 +583,7 @@ func (c *Controller) flushOps(sw topo.NodeID, ops []openflow.FlowOp, metas []opM
 		}
 	}
 	if n := len(acked); n > 0 {
-		c.inst.swFlowMods.With(swLabel(sw)).Add(uint64(n))
+		c.inst.swFlowMods.With(sw).Add(uint64(n))
 		if sp := c.span; sp != nil {
 			sp.Event("programmed", "switch", swLabel(sw), "ops", strconv.Itoa(n))
 		}
@@ -631,14 +631,14 @@ func (c *Controller) programWithRetry(sw topo.NodeID, ops []openflow.FlowOp, met
 				}
 				rep.Retries++
 				c.inst.retries.Inc()
-				c.inst.swRetries.With(swLabel(sw)).Inc()
+				c.inst.swRetries.With(sw).Inc()
 				continue
 			}
 		}
 		// Retries exhausted (attempt budget or deadline): quarantine the
 		// switch instead of failing the whole control operation. The
 		// unacknowledged remainder counts as abandoned FlowMods.
-		c.inst.swFailures.With(swLabel(sw)).Add(uint64(len(ops)))
+		c.inst.swFailures.With(sw).Add(uint64(len(ops)))
 		c.quarantine(sw, serr, rep)
 		return nil
 	}

@@ -327,7 +327,7 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 		t.setSpan(span)
 		c.trees[t.id] = t
 		c.treeIdx.add(t.id, t.set)
-		c.inst.treeDz.With(treeLabel(t.id)).Set(int64(len(t.set)))
+		c.inst.treeDz.With(t.id).Set(int64(len(t.set)))
 	}
 
 	// Registries.

@@ -3,7 +3,6 @@ package interdomain
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"pleroma/internal/core"
 	"pleroma/internal/netem"
@@ -167,8 +166,8 @@ func (f *Fabric) takeover(verb string, partition int, snap []byte) (FailoverRepo
 	}
 	s.setController(ctl)
 	rep.PromoteReport = prep
-	f.obsFailovers.With(strconv.Itoa(partition)).Inc()
-	f.obsEpoch.With(strconv.Itoa(partition)).Set(int64(prep.Epoch))
+	f.obsFailovers.With(partition).Inc()
+	f.obsEpoch.With(partition).Set(int64(prep.Epoch))
 	return rep, nil
 }
 

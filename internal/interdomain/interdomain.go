@@ -171,10 +171,10 @@ func WithObservability(reg *obs.Registry, tracer *obs.Tracer) Option {
 		if reg != nil {
 			f.obsMessages = reg.Counter(obs.MInterdomainMessages, "Controller-to-controller messages sent between partitions.")
 			f.obsSuppressed = reg.Counter(obs.MInterdomainSuppressed, "Inter-partition forwardings suppressed by covering (Section 4.2).")
-			f.obsFailovers = obs.NewCounterVec()
-			f.obsEpoch = obs.NewGaugeVec()
-			reg.AttachCounterVec(obs.MFailovers, "Warm-standby controller takeovers, by partition.", "partition", f.obsFailovers)
-			reg.AttachGaugeVec(obs.MControllerEpoch, "Controller incarnation number, by partition.", "partition", f.obsEpoch)
+			f.obsFailovers = obs.NewVec[int](obs.NewCounter)
+			f.obsEpoch = obs.NewVec[int](obs.NewGauge)
+			reg.AttachVec(obs.MFailovers, "Warm-standby controller takeovers, by partition.", "partition", f.obsFailovers)
+			reg.AttachVec(obs.MControllerEpoch, "Controller incarnation number, by partition.", "partition", f.obsEpoch)
 		}
 	}
 }
@@ -212,8 +212,8 @@ type Fabric struct {
 	obsSuppressed *obs.Counter
 	// obsFailovers/obsEpoch export warm-standby takeovers and controller
 	// incarnations per partition when observability is attached.
-	obsFailovers  *obs.CounterVec
-	obsEpoch      *obs.GaugeVec
+	obsFailovers  *obs.Vec[int, *obs.Counter]
+	obsEpoch      *obs.Vec[int, *obs.Gauge]
 	signalDelay   time.Duration
 	signalStats   SignalStats
 	inBandEnabled bool

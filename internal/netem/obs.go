@@ -1,9 +1,8 @@
 package netem
 
 import (
-	"strconv"
-
 	"pleroma/internal/obs"
+	"pleroma/internal/topo"
 )
 
 // Instrument attaches the data plane's runtime metrics to reg:
@@ -28,10 +27,10 @@ func (dp *DataPlane) Instrument(reg *obs.Registry) {
 		dp.obsMailboxDrained = reg.Gauge(obs.MShardMailbox, "Cross-shard mailbox backlog drained at the most recent barrier.")
 	}
 
-	occ := obs.NewGaugeVec()
-	reg.AttachGaugeVec(obs.MFlowTableOccupancy, "Installed flows per switch (TCAM pressure), read from the emulated tables.", "switch", occ)
+	occ := obs.NewVec[topo.NodeID](obs.NewGauge)
+	reg.AttachVec(obs.MFlowTableOccupancy, "Installed flows per switch (TCAM pressure), read from the emulated tables.", "switch", occ)
 	for sw, table := range dp.tables {
-		g := occ.With(strconv.Itoa(int(sw)))
+		g := occ.With(sw)
 		table.SetSizeObserver(func(n int) { g.Set(int64(n)) })
 	}
 }

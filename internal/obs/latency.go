@@ -2,7 +2,6 @@ package obs
 
 import (
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,34 +32,6 @@ type DeliverySample struct {
 	At time.Duration
 	// FalsePositive marks deliveries outside the subscription filter.
 	FalsePositive bool
-}
-
-// labelCache interns the label string for small integer ids (tree and
-// partition numbers) so the per-delivery hot path formats each id once and
-// then runs allocation-free.
-type labelCache struct {
-	mu sync.RWMutex
-	m  map[int64]string
-}
-
-func (c *labelCache) get(id int64) string {
-	c.mu.RLock()
-	s, ok := c.m[id]
-	c.mu.RUnlock()
-	if ok {
-		return s
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok = c.m[id]; ok {
-		return s
-	}
-	if c.m == nil {
-		c.m = make(map[int64]string)
-	}
-	s = strconv.FormatInt(id, 10)
-	c.m[id] = s
-	return s
 }
 
 // SlowRing retains the N slowest delivery samples seen so far (by
@@ -159,14 +130,11 @@ func (r *SlowRing) Snapshot() []DeliverySample {
 // histogram, the wall-latency histogram, and the slowest-events ring. A
 // nil *DeliveryLatency is a valid disabled family.
 type DeliveryLatency struct {
-	byTree      *HistogramVec
-	byPartition *HistogramVec
+	byTree      *Vec[int64, *Histogram]
+	byPartition *Vec[int64, *Histogram]
 	hops        *Histogram
 	wall        *Histogram
 	slow        *SlowRing
-
-	treeLabels labelCache
-	partLabels labelCache
 }
 
 // NewDeliveryLatency builds the family, retaining the slowCapacity slowest
@@ -175,41 +143,40 @@ func NewDeliveryLatency(slowCapacity int) *DeliveryLatency {
 	if slowCapacity <= 0 {
 		slowCapacity = 32
 	}
+	latency := func() *Histogram { return NewHistogram() }
 	return &DeliveryLatency{
-		byTree:      NewHistogramVec(),
-		byPartition: NewHistogramVec(),
+		byTree:      NewVec[int64](latency),
+		byPartition: NewVec[int64](latency),
 		hops:        NewCountHistogram(),
 		wall:        NewHistogram(),
 		slow:        NewSlowRing(slowCapacity),
 	}
 }
 
-// Attach registers the family's instruments in reg.
+// Attach registers the family's histograms in reg.
 func (l *DeliveryLatency) Attach(reg *Registry) {
 	if l == nil || reg == nil {
 		return
 	}
-	reg.AttachHistogramVec(MDeliveryLatencyByTree,
+	reg.AttachVec(MDeliveryLatencyByTree,
 		"Simulated publish-to-delivery latency by dissemination tree.", "tree", l.byTree)
-	reg.AttachHistogramVec(MDeliveryLatencyByPartition,
+	reg.AttachVec(MDeliveryLatencyByPartition,
 		"Simulated publish-to-delivery latency by publisher partition.", "partition", l.byPartition)
-	reg.AttachHistogram(MDeliveryHops,
-		"Switch hops traversed per delivered event.", "", "", l.hops)
-	reg.AttachHistogram(MDeliveryWallLatency,
-		"Wall-clock publish-to-delivery latency for stamped publishes.", "", "", l.wall)
+	reg.Attach(MDeliveryHops, "Switch hops traversed per delivered event.", l.hops)
+	reg.Attach(MDeliveryWallLatency, "Wall-clock publish-to-delivery latency for stamped publishes.", l.wall)
 }
 
 // Record files one delivery observation. Nil-safe and allocation-free
-// after each tree/partition label's first use.
+// once the sample's tree and partition have been seen.
 func (l *DeliveryLatency) Record(s DeliverySample) {
 	if l == nil {
 		return
 	}
 	if s.Tree >= 0 {
-		l.byTree.With(l.treeLabels.get(s.Tree)).Observe(s.Latency)
+		l.byTree.With(s.Tree).Observe(s.Latency)
 	}
 	if s.Partition >= 0 {
-		l.byPartition.With(l.partLabels.get(s.Partition)).Observe(s.Latency)
+		l.byPartition.With(s.Partition).Observe(s.Latency)
 	}
 	l.hops.ObserveCount(s.Hops)
 	if s.WallLatency > 0 {
@@ -218,57 +185,11 @@ func (l *DeliveryLatency) Record(s DeliverySample) {
 	l.slow.Offer(s)
 }
 
-// Slowest returns the retained tail samples, slowest first.
+// Slowest returns the retained tail samples, slowest first. The histograms
+// are read from the registry the family is attached to.
 func (l *DeliveryLatency) Slowest() []DeliverySample {
 	if l == nil {
 		return nil
 	}
 	return l.slow.Snapshot()
-}
-
-// Hops returns the hop-count histogram (nil on a nil family).
-func (l *DeliveryLatency) Hops() *Histogram {
-	if l == nil {
-		return nil
-	}
-	return l.hops
-}
-
-// Wall returns the wall-latency histogram (nil on a nil family).
-func (l *DeliveryLatency) Wall() *Histogram {
-	if l == nil {
-		return nil
-	}
-	return l.wall
-}
-
-// TreeSnapshots returns per-tree histogram snapshots keyed by label.
-func (l *DeliveryLatency) TreeSnapshots() map[string]*HistSnapshot {
-	if l == nil {
-		return nil
-	}
-	return l.byTree.snapshots()
-}
-
-// PartitionSnapshots returns per-partition histogram snapshots keyed by
-// label.
-func (l *DeliveryLatency) PartitionSnapshots() map[string]*HistSnapshot {
-	if l == nil {
-		return nil
-	}
-	return l.byPartition.snapshots()
-}
-
-// snapshots collects every member histogram of the vec.
-func (v *HistogramVec) snapshots() map[string]*HistSnapshot {
-	if v == nil {
-		return nil
-	}
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	out := make(map[string]*HistSnapshot, len(v.m))
-	for k, h := range v.m {
-		out[k] = h.snapshot()
-	}
-	return out
 }

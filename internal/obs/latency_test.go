@@ -107,7 +107,7 @@ func TestHistSnapshotQuantile(t *testing.T) {
 func TestCountHistogramExposition(t *testing.T) {
 	reg := NewRegistry()
 	h := NewCountHistogram(1, 2, 4)
-	reg.AttachHistogram("pleroma_test_hops", "Hops.", "", "", h)
+	reg.Attach("pleroma_test_hops", "Hops.", h)
 	h.ObserveCount(1)
 	h.ObserveCount(3)
 	h.ObserveCount(9)
@@ -195,19 +195,20 @@ func TestDeliveryLatencyRecord(t *testing.T) {
 	})
 	l.Record(DeliverySample{SubscriptionID: "s3", Tree: -1, Partition: -1, Latency: time.Microsecond})
 
-	trees := l.TreeSnapshots()
+	snap := reg.Snapshot()
+	trees := snap.Histograms(MDeliveryLatencyByTree)
 	if trees["1"] == nil || trees["1"].Count != 2 {
 		t.Fatalf("tree snapshots = %+v", trees)
 	}
-	parts := l.PartitionSnapshots()
+	parts := snap.Histograms(MDeliveryLatencyByPartition)
 	if parts["0"] == nil || parts["0"].Count != 1 || parts["2"] == nil {
 		t.Fatalf("partition snapshots = %+v", parts)
 	}
-	if l.Hops().Count() != 3 {
-		t.Fatalf("hops count = %d", l.Hops().Count())
+	if hops := snap.Histograms(MDeliveryHops)[""]; hops.Count != 3 {
+		t.Fatalf("hops count = %d", hops.Count)
 	}
-	if l.Wall().Count() != 1 {
-		t.Fatalf("wall count = %d", l.Wall().Count())
+	if wall := snap.Histograms(MDeliveryWallLatency)[""]; wall.Count != 1 {
+		t.Fatalf("wall count = %d", wall.Count)
 	}
 	if got := l.Slowest(); len(got) != 3 || got[0].SubscriptionID != "s2" {
 		t.Fatalf("slowest = %+v", got)
@@ -224,7 +225,20 @@ func TestDeliveryLatencyRecord(t *testing.T) {
 	var nilFam *DeliveryLatency
 	nilFam.Record(DeliverySample{})
 	nilFam.Attach(reg)
-	if nilFam.Slowest() != nil || nilFam.Hops() != nil || nilFam.Wall() != nil {
+	if nilFam.Slowest() != nil {
 		t.Error("nil family leaked state")
+	}
+}
+
+// TestDeliveryLatencyRecordAllocs pins the per-delivery cost: once a
+// sample's tree and partition have been seen, Record allocates nothing.
+func TestDeliveryLatencyRecordAllocs(t *testing.T) {
+	l := NewDeliveryLatency(4)
+	l.Attach(NewRegistry())
+	s := DeliverySample{SubscriptionID: "s", Tree: 12, Partition: 3, Latency: time.Microsecond,
+		WallLatency: time.Millisecond, Hops: 4}
+	l.Record(s)
+	if n := testing.AllocsPerRun(1000, func() { l.Record(s) }); n != 0 {
+		t.Fatalf("Record with warm ids: %v allocs, want 0", n)
 	}
 }

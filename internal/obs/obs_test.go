@@ -26,9 +26,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	var c *Counter
 	var g *Gauge
 	var h *Histogram
-	var cv *CounterVec
-	var gv *GaugeVec
-	var hv *HistogramVec
+	var cv *Vec[string, *Counter]
+	var gv *Vec[int, *Gauge]
+	var hv *Vec[string, *Histogram]
 	var r *Registry
 	var tr *Tracer
 
@@ -38,15 +38,14 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Add(1)
 	h.Observe(time.Millisecond)
 	cv.With("x").Inc()
-	gv.With("x").Set(1)
-	gv.Delete("x")
+	gv.With(1).Set(1)
+	gv.Delete(1)
 	hv.With("x").Observe(time.Second)
-	r.AttachCounter("n", "h", "", "", NewCounter())
+	r.Attach("n", "h", NewCounter())
 	_ = r.Counter("n", "h") // created but unexported
 	_ = r.Snapshot()
 	sp := tr.StartSpan("advertise", "dz")
 	sp.Event("e", "k", "v")
-	sp.Eventf("f %d", 1)
 	sp.End(nil)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || sp.Duration() != 0 {
 		t.Fatal("nil instruments must read zero")
@@ -90,8 +89,8 @@ func TestRegistryMergesSameNameAttachments(t *testing.T) {
 	// per-controller.
 	r := NewRegistry()
 	a, b := NewCounter(), NewCounter()
-	r.AttachCounter(MSouthboundCalls, "calls", "", "", a)
-	r.AttachCounter(MSouthboundCalls, "calls", "", "", b)
+	r.Attach(MSouthboundCalls, "calls", a)
+	r.Attach(MSouthboundCalls, "calls", b)
 	a.Add(3)
 	b.Add(4)
 	snap := r.Snapshot()
@@ -105,10 +104,10 @@ func TestRegistryMergesSameNameAttachments(t *testing.T) {
 
 func TestRegistryVecsAndLabelOrder(t *testing.T) {
 	r := NewRegistry()
-	v := NewCounterVec()
-	r.AttachCounterVec(MSwitchFlowMods, "per-switch flowmods", "switch", v)
-	v.With("10").Add(2)
-	v.With("2").Inc()
+	v := NewVec[int](NewCounter)
+	r.AttachVec(MSwitchFlowMods, "per-switch flowmods", "switch", v)
+	v.With(10).Add(2)
+	v.With(2).Inc()
 	snap := r.Snapshot()
 	var fam *Family
 	for i := range snap.Families {
@@ -130,12 +129,12 @@ func TestRegistryVecsAndLabelOrder(t *testing.T) {
 		t.Fatalf("total = %v, want 3", got)
 	}
 
-	gv := NewGaugeVec()
-	r.AttachGaugeVec(MTreeDzSize, "dz per tree", "tree", gv)
-	gv.With("1").Set(5)
-	gv.Delete("1")
-	if vals := gv.Values(); len(vals) != 0 {
-		t.Fatalf("after delete: %v", vals)
+	gv := NewVec[int](NewGauge)
+	r.AttachVec(MTreeDzSize, "dz per tree", "tree", gv)
+	gv.With(1).Set(5)
+	gv.Delete(1)
+	if v, ok := r.Snapshot().Gauge(MTreeDzSize, "1"); ok {
+		t.Fatalf("after delete: tree 1 = %v", v)
 	}
 }
 
@@ -146,8 +145,8 @@ func TestWritePrometheus(t *testing.T) {
 	h := r.Histogram(MReconfigDuration, "latency", time.Millisecond, time.Second)
 	h.Observe(2 * time.Millisecond)
 	h.Observe(2 * time.Second)
-	v := NewCounterVec()
-	r.AttachCounterVec(MSwitchRetries, "retries", "switch", v)
+	v := NewVec[string](NewCounter)
+	r.AttachVec(MSwitchRetries, "retries", "switch", v)
 	v.With(`sw"1`).Inc() // label escaping
 
 	var b strings.Builder
@@ -180,11 +179,11 @@ func TestWritePrometheus(t *testing.T) {
 }
 
 func TestHistogramVecSharedBounds(t *testing.T) {
-	hv := NewHistogramVec(time.Millisecond)
+	hv := NewVec[string](func() *Histogram { return NewHistogram(time.Millisecond) })
 	hv.With("a").Observe(2 * time.Millisecond)
 	hv.With("b").Observe(time.Microsecond)
 	r := NewRegistry()
-	r.AttachHistogramVec(MReconfigDuration, "latency", "op", hv)
+	r.AttachVec(MReconfigDuration, "latency", "op", hv)
 	snap := r.Snapshot()
 	var fam *Family
 	for i := range snap.Families {
@@ -205,8 +204,8 @@ func TestHistogramVecSharedBounds(t *testing.T) {
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter(MDeliveries, "deliveries")
-	v := NewCounterVec()
-	r.AttachCounterVec(MSwitchFlowMods, "flowmods", "switch", v)
+	v := NewVec[int](NewCounter)
+	r.AttachVec(MSwitchFlowMods, "flowmods", "switch", v)
 	h := r.Histogram(MDeliveryLatency, "latency")
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -215,7 +214,7 @@ func TestRegistryConcurrent(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < 1000; j++ {
 				c.Inc()
-				v.With("7").Inc()
+				v.With(7).Inc()
 				h.Observe(time.Duration(j) * time.Microsecond)
 				if j%100 == 0 {
 					_ = r.Snapshot()
@@ -230,5 +229,20 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 	if got, _ := snap.Counter(MSwitchFlowMods, "7"); got != 8000 {
 		t.Fatalf("switch flowmods = %v, want 8000", got)
+	}
+}
+
+// TestVecWithAllocs pins a warm member lookup at zero allocations, for an
+// integer key and for a string key.
+func TestVecWithAllocs(t *testing.T) {
+	byID := NewVec[int](NewCounter)
+	byID.With(1234).Inc()
+	if n := testing.AllocsPerRun(1000, func() { byID.With(1234).Inc() }); n != 0 {
+		t.Errorf("warm With(int): %v allocs, want 0", n)
+	}
+	byName := NewVec[string](NewCounter)
+	byName.With("subscribe").Inc()
+	if n := testing.AllocsPerRun(1000, func() { byName.With("subscribe").Inc() }); n != 0 {
+		t.Errorf("warm With(string): %v allocs, want 0", n)
 	}
 }

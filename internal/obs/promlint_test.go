@@ -234,31 +234,31 @@ func TestPrometheusExpositionConformance(t *testing.T) {
 
 	c := NewCounter()
 	c.Add(3)
-	reg.AttachCounter(MDeliveries, "Deliveries.", "", "", c)
+	reg.Attach(MDeliveries, "Deliveries.", c)
 
-	g := NewGauge()
-	g.Set(-4)
-	reg.AttachGauge(MFlowTableOccupancy, "Flows per switch.", "switch", "sw-1", g)
+	g := NewVec[string](NewGauge)
+	g.With("sw-1").Set(-4)
+	reg.AttachVec(MFlowTableOccupancy, "Flows per switch.", "switch", g)
 
 	// A label value exercising every escapeLabel case.
-	hostile := NewCounter()
-	hostile.Inc()
-	reg.AttachCounter(MRequests, "Requests.", "op", "quote\" back\\slash\nnewline", hostile)
+	hostile := NewVec[string](NewCounter)
+	hostile.With("quote\" back\\slash\nnewline").Inc()
+	reg.AttachVec(MRequests, "Requests.", "op", hostile)
 
 	h := NewHistogram(time.Millisecond, 10*time.Millisecond)
 	h.Observe(500 * time.Microsecond)
 	h.Observe(5 * time.Millisecond)
 	h.Observe(50 * time.Millisecond)
-	reg.AttachHistogram(MDeliveryLatency, "Latency.", "", "", h)
+	reg.Attach(MDeliveryLatency, "Latency.", h)
 
-	hv := NewHistogramVec(time.Millisecond)
+	hv := NewVec[string](func() *Histogram { return NewHistogram(time.Millisecond) })
 	hv.With("t1").Observe(2 * time.Millisecond)
 	hv.With("t2").Observe(time.Microsecond)
-	reg.AttachHistogramVec(MDeliveryLatencyByTree, "Latency by tree.", "tree", hv)
+	reg.AttachVec(MDeliveryLatencyByTree, "Latency by tree.", "tree", hv)
 
 	hops := NewCountHistogram(1, 2, 4)
 	hops.ObserveCount(3)
-	reg.AttachHistogram(MDeliveryHops, "Hops.", "", "", hops)
+	reg.Attach(MDeliveryHops, "Hops.", hops)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {

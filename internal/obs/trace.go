@@ -170,9 +170,12 @@ type Event struct {
 }
 
 // Span is the trace of one control-plane operation. The identifying
-// fields are written once at StartSpan; the mutable state is guarded by
-// mu because refresh fans out across worker goroutines that annotate the
-// span concurrently.
+// fields are written once at StartSpan. One goroutine at a time annotates
+// and ends a span: the goroutine driving the System for a controller op,
+// the caller or the request-completing transport goroutine for a client
+// publish. The mutable state is guarded by mu because others read it: a
+// span in the ring is read by /traces, the trace-log sink and Spans callers,
+// and a late Event or End may race with them.
 type Span struct {
 	tracer *Tracer
 
@@ -219,14 +222,6 @@ func (s *Span) Event(msg string, attrs ...string) {
 		return
 	}
 	s.events = append(s.events, Event{At: time.Since(s.Start), Msg: msg, Attr: m})
-}
-
-// Eventf appends a formatted event with no attributes.
-func (s *Span) Eventf(format string, args ...any) {
-	if s == nil {
-		return
-	}
-	s.Event(fmt.Sprintf(format, args...))
 }
 
 // End closes the span, records the outcome, and files it in the tracer's

@@ -39,7 +39,7 @@ func TestSpanEventsAndFormat(t *testing.T) {
 	tr := NewTracer(4)
 	sp := tr.StartSpan("publish", "1101")
 	sp.Event("case", "kind", "merge", "trees", "2")
-	sp.Eventf("programmed %d switches", 3)
+	sp.Event("programmed 3 switches")
 	sp.End(nil)
 	evs := sp.Events()
 	if len(evs) != 2 {

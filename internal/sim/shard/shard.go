@@ -34,7 +34,6 @@ package shard
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,15 +159,15 @@ func (c *Coordinator) Instrument(reg *obs.Registry) {
 	}
 	c.obsWindows = reg.Counter(obs.MShardWindows, "Barrier windows executed by the parallel simulation engine.")
 	c.obsHorizon = reg.Gauge(obs.MShardHorizon, "Committed simulation horizon of the parallel engine (ns).")
-	depth := obs.NewGaugeVec()
-	stalls := obs.NewCounterVec()
-	reg.AttachGaugeVec(obs.MShardQueueDepth, "Pending events per shard engine, sampled at barrier windows.", "shard", depth)
-	reg.AttachCounterVec(obs.MShardStalls, "Windows in which a shard had no runnable event and stalled at the barrier.", "shard", stalls)
+	depth := obs.NewVec[int](obs.NewGauge)
+	stalls := obs.NewVec[int](obs.NewCounter)
+	reg.AttachVec(obs.MShardQueueDepth, "Pending events per shard engine, sampled at barrier windows.", "shard", depth)
+	reg.AttachVec(obs.MShardStalls, "Windows in which a shard had no runnable event and stalled at the barrier.", "shard", stalls)
 	c.obsDepth = make([]*obs.Gauge, len(c.engines))
 	c.obsStalls = make([]*obs.Counter, len(c.engines))
 	for i := range c.engines {
-		c.obsDepth[i] = depth.With(strconv.Itoa(i))
-		c.obsStalls[i] = stalls.With(strconv.Itoa(i))
+		c.obsDepth[i] = depth.With(i)
+		c.obsStalls[i] = stalls.With(i)
 	}
 }
 

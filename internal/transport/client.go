@@ -57,7 +57,7 @@ func WithClientObservability(reg *obs.Registry) ClientOption {
 			bytesSent:  reg.Counter(obs.MTransportBytesSent, "Bytes written to transport connections."),
 			bytesRecv:  reg.Counter(obs.MTransportBytesRecv, "Bytes read from transport connections."),
 			writeBatch: newWriteBatchHistogram(reg),
-			flushes:    newFlushCounterVec(reg),
+			flushes:    newFlushVec(reg),
 			frameBytes: newFrameBytesHistogram(reg),
 		}
 		c.obsReconnects = reg.Counter(obs.MTransportReconnects, "Client redials after a lost transport connection.")
@@ -66,7 +66,7 @@ func WithClientObservability(reg *obs.Registry) ClientOption {
 			obs.DefaultLatencyBuckets...)
 		c.obsWindow = reg.Gauge(obs.MTransportPublishWindow, "Requests in flight on the client's window (occupancy): publishes, control ops, run, sync and digest.")
 		c.obsCoalesce = obs.NewCountHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096)
-		reg.AttachHistogram(obs.MTransportPublishCoalesced, "Events coalesced per async PublishReq.", "", "", c.obsCoalesce)
+		reg.Attach(obs.MTransportPublishCoalesced, "Events coalesced per async PublishReq.", c.obsCoalesce)
 	}
 }
 

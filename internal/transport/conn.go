@@ -34,7 +34,7 @@ type connMetrics struct {
 	// flush = one syscall); flushes counts flushes by reason; frameBytes
 	// samples encoded frame sizes.
 	writeBatch *obs.Histogram
-	flushes    *obs.CounterVec
+	flushes    *obs.Vec[string, *obs.Counter]
 	frameBytes *obs.Histogram
 }
 
@@ -267,19 +267,19 @@ func (fc *frameConn) abort() {
 // roles expose the same writer-batching surface under the same names.
 func newWriteBatchHistogram(reg *obs.Registry) *obs.Histogram {
 	h := obs.NewCountHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256)
-	reg.AttachHistogram(obs.MTransportWriteBatchFrames, "Frames drained per connection-writer wakeup (one flush).", "", "", h)
+	reg.Attach(obs.MTransportWriteBatchFrames, "Frames drained per connection-writer wakeup (one flush).", h)
 	return h
 }
 
-func newFlushCounterVec(reg *obs.Registry) *obs.CounterVec {
-	v := obs.NewCounterVec()
-	reg.AttachCounterVec(obs.MTransportFlushes, "Connection writer bufio flushes by reason.", "reason", v)
+func newFlushVec(reg *obs.Registry) *obs.Vec[string, *obs.Counter] {
+	v := obs.NewVec[string](obs.NewCounter)
+	reg.AttachVec(obs.MTransportFlushes, "Connection writer bufio flushes by reason.", "reason", v)
 	return v
 }
 
 func newFrameBytesHistogram(reg *obs.Registry) *obs.Histogram {
 	h := obs.NewCountHistogram(64, 256, 1<<10, 4<<10, 16<<10, 64<<10, 256<<10, 1<<20)
-	reg.AttachHistogram(obs.MTransportFrameBytes, "Encoded frame sizes, header+payload bytes (informs the slab pool classes).", "", "", h)
+	reg.Attach(obs.MTransportFrameBytes, "Encoded frame sizes, header+payload bytes (informs the slab pool classes).", h)
 	return h
 }
 

@@ -76,13 +76,13 @@ func WithServerObservability(reg *obs.Registry) ServerOption {
 			bytesSent:  reg.Counter(obs.MTransportBytesSent, "Bytes written to transport connections."),
 			bytesRecv:  reg.Counter(obs.MTransportBytesRecv, "Bytes read from transport connections."),
 			writeBatch: newWriteBatchHistogram(reg),
-			flushes:    newFlushCounterVec(reg),
+			flushes:    newFlushVec(reg),
 			frameBytes: newFrameBytesHistogram(reg),
 		}
 		s.obsConns = reg.Gauge(obs.MTransportConns, "Live transport connections.")
 		s.obsInflight = reg.Gauge(obs.MTransportInflight, "Transport requests currently being served.")
 		s.obsBatch = obs.NewCountHistogram(1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 4096)
-		reg.AttachHistogram(obs.MTransportDeliverBatch, "Deliveries coalesced per KindDeliverBatch frame.", "", "", s.obsBatch)
+		reg.Attach(obs.MTransportDeliverBatch, "Deliveries coalesced per KindDeliverBatch frame.", s.obsBatch)
 		s.obsDropped = reg.Counter(obs.MTransportDeliveriesDropped, "Deliveries produced for a connection that was gone when their frame was queued.")
 	}
 }
