@@ -62,6 +62,7 @@ FUZZ_TARGETS := \
 	./internal/core:FuzzFlowDerivation \
 	./internal/dz:FuzzTrieVsNaive \
 	./internal/dz:FuzzEncodeKeyVsExpr \
+	./internal/dz:FuzzKeyOrderVsExpr \
 	./internal/dz:FuzzDecomposeLimitedVsString \
 	./internal/dz:FuzzSetAlgebraOldVsNew \
 	./internal/openflow:FuzzLookupKeyVsAddr
