@@ -252,9 +252,13 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 // admit applies the L_dz constraint to a request's DZ set and rejects, before
 // the request changes any state, what the controller cannot program: an
 // empty set, or a subspace too long for a flow match — dz.MaxKeyBits is the
-// dz capacity of the IPv6 embedding and of the prefix-index keys.
+// dz capacity of the IPv6 embedding and of the prefix-index keys, so every
+// admitted member packs into a dz.Key losslessly. The set is used, not
+// copied: callers hand it over, and the controller only reads it.
 func (c *Controller) admit(kind, id string, set dz.Set) (dz.Set, error) {
-	set = c.truncate(set)
+	if c.maxDzLen > 0 {
+		set = set.Truncate(c.maxDzLen)
+	}
 	if set.IsEmpty() {
 		return nil, fmt.Errorf("core: %s %q has empty DZ set", kind, id)
 	}

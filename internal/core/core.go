@@ -41,7 +41,9 @@ import (
 // applied operation (the assigned ID for adds, zero otherwise); on error
 // the returned slice identifies the prefix that took effect. ops is the
 // controller's scratch: an implementation copies or encodes what it keeps
-// before it returns (the FlowOp values, not the slice).
+// before it returns (the FlowOp values, not the slice). The Actions of an
+// add or a modify are the controller's installed entry's too: it may keep
+// them, and neither side writes them.
 type FlowProgrammer interface {
 	ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error)
 }
@@ -244,9 +246,10 @@ type Controller struct {
 
 	// contribs holds one record per established path and the per-switch
 	// aggregates derived from them; installed tracks the flows currently
-	// programmed per switch, keyed by match expression.
+	// programmed per switch, keyed by the packed match. A switch without
+	// flows has no map.
 	contribs  *contribState
-	installed map[topo.NodeID]map[dz.Expr]installedFlow
+	installed map[topo.NodeID]map[dz.Key]installedFlow
 
 	// Scratch of one control operation, reused by the next: the change set
 	// of Subscribe and Unsubscribe, the batch and its installed-state
@@ -367,9 +370,9 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 		trees:     make(map[TreeID]*tree),
 		pubs:      make(map[string]*publisher),
 		subs:      make(map[string]*subscriber),
-		contribs:  newContribState(),
+		contribs:  &contribState{paths: make(map[pathKey]path), direct: make(map[topo.NodeID]*dz.Trie[contrib])},
 		opCh:      newChangeSet(),
-		installed: make(map[topo.NodeID]map[dz.Expr]installedFlow),
+		installed: make(map[topo.NodeID]map[dz.Key]installedFlow),
 		degraded:  &DegradedSet{m: make(map[topo.NodeID]error)},
 	}
 	for _, opt := range opts {
@@ -480,16 +483,4 @@ func (c *Controller) inPartition(n topo.NodeID) bool {
 		return true
 	}
 	return c.g.Partition(n) == c.partition
-}
-
-// truncate applies the L_dz constraint. Without one the set is used as-is:
-// the controller only ever reads registered DZ sets (the dz.Set operations
-// are all copy-on-write), so the defensive clone this used to make was a
-// per-request allocation with no observable effect. Callers hand ownership
-// of the set to the controller on Advertise/Subscribe.
-func (c *Controller) truncate(s dz.Set) dz.Set {
-	if c.maxDzLen <= 0 {
-		return s
-	}
-	return s.Truncate(c.maxDzLen)
 }

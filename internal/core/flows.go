@@ -13,33 +13,44 @@ import (
 	"pleroma/internal/topo"
 )
 
-// contribKey names one direct contribution: expr forwarded out of port on sw.
+// contribKey names one direct contribution: the subspace key forwarded out
+// of port on sw. Expressions are admitted only up to dz.MaxKeyBits
+// (Controller.admit), so every one packs into its key losslessly.
 type contribKey struct {
 	sw   topo.NodeID
-	expr dz.Expr
+	key  dz.Key
 	port openflow.PortID
 }
 
 // changeSet accumulates, over one control operation, the net change in the
-// number of (path, expr) contributions per contribKey. The routes of one
+// number of (path, key) contributions per contribKey. The routes of one
 // operation share most of their hops (every publisher's path to a subscriber
 // ends in the same switches), so the per-switch tries are touched once per
 // distinct key — and not at all where a tear-down and a re-establishment
 // cancel (mergeTrees, RebuildTrees) — when apply folds the set in.
 type changeSet struct {
-	delta map[contribKey]int
+	delta map[contribKey]named
 	// changed backs the list apply returns, reused by the next apply of
 	// this set: it lives as long as the set does.
 	changed []change
 }
 
 func newChangeSet() *changeSet {
-	return &changeSet{delta: make(map[contribKey]int)}
+	return &changeSet{delta: make(map[contribKey]named)}
+}
+
+// named is a count of contributions and their key's expression, the
+// registered set's own string: a flow added for the key takes it as match.
+type named struct {
+	n    int
+	expr dz.Expr
 }
 
 func (ch *changeSet) add(hops []topo.Hop, e dz.Expr, delta int) {
+	k, _ := dz.KeyOf(e)
 	for _, hop := range hops {
-		ch.delta[contribKey{hop.Switch, e, hop.OutPort}] += delta
+		key := contribKey{hop.Switch, k, hop.OutPort}
+		ch.delta[key] = named{ch.delta[key].n + delta, e}
 	}
 }
 
@@ -54,48 +65,84 @@ type pathKey struct {
 type path struct {
 	hops []topo.Hop // the tree's cached route (tree.routes), shared: read-only
 	// exprs lists the subspaces as they were added, de-duplicated and never
-	// canonicalised: flows are derived per contributed expression, so
-	// merging siblings here would change the FlowMods.
+	// canonicalised: flows are derived per contributed subspace, so merging
+	// siblings here would change the FlowMods. It is the record's one
+	// allocation: the members are the registered sets' strings.
 	exprs []dz.Expr
 }
 
-// portRef counts the live (path, expr) contributions through one out-port.
+// portRef counts the live (path, key) contributions through one out-port.
 type portRef struct {
-	port openflow.PortID
-	n    int
+	port, n int32 // an openflow.PortID, and a count bounded by the paths
 }
 
-// contrib is one switch's direct contribution under one expression. The
-// expression is kept beside the packed trie key so that walks hand it out
-// without unpacking (and allocating) it.
+// contrib is one switch's direct contribution under one key: the out-ports
+// with live contributions, sorted by port. The switch's trie holds it by
+// value (24 bytes) and moves it, so it points into nothing of its own: most
+// keys leave a switch by one or two ports, kept inline; a third spills all.
 type contrib struct {
-	expr  dz.Expr
-	ports []portRef  // sorted by port; never empty, every n > 0
-	first [1]portRef // initial backing of ports: most expressions leave a switch by one port
+	inline [2]portRef // the ports while spill is nil; a free slot has n == 0
+	spill  *[]portRef
+}
+
+// ports returns c's port list, aliasing c.
+func (c *contrib) ports() []portRef {
+	switch {
+	case c.spill != nil:
+		return *c.spill
+	case c.inline[1].n > 0:
+		return c.inline[:]
+	case c.inline[0].n > 0:
+		return c.inline[:1]
+	}
+	return nil
+}
+
+// bump adds delta to the count of port and reports whether the port appeared
+// or vanished. Nothing it stores aliases c, so a c on the stack stays there.
+func (c *contrib) bump(port openflow.PortID, delta int) bool {
+	ps := c.ports()
+	i, found := slices.BinarySearchFunc(ps, int32(port), func(r portRef, p int32) int {
+		return cmp.Compare(r.port, p)
+	})
+	switch {
+	case found:
+		if ps[i].n += int32(delta); ps[i].n > 0 {
+			return false
+		}
+		copy(ps[i:], ps[i+1:])
+		ps[len(ps)-1] = portRef{}
+		if c.spill != nil {
+			*c.spill = (*c.spill)[:len(ps)-1]
+		}
+		return true
+	case delta <= 0:
+		return false
+	case c.spill == nil && len(ps) < len(c.inline):
+		copy(c.inline[i+1:], c.inline[i:len(ps)])
+		c.inline[i] = portRef{int32(port), int32(delta)}
+		return true
+	case c.spill == nil:
+		spill := append(make([]portRef, 0, 2*len(c.inline)), c.inline[:]...)
+		c.spill = &spill
+	}
+	*c.spill = slices.Insert(*c.spill, i, portRef{int32(port), int32(delta)})
+	return true
 }
 
 // contribState is the controller's view of all established paths: one
 // record per path, and the per-switch aggregates flow derivation reads.
 type contribState struct {
-	paths map[pathKey]*path
-	// direct indexes, per switch, the expressions with live contributions
-	// by prefix. A switch without contributions has no trie. Expressions
-	// are admitted only up to dz.MaxKeyBits (Controller.admit), so every one
-	// packs.
-	direct map[topo.NodeID]*dz.Trie[*contrib]
-}
-
-func newContribState() *contribState {
-	return &contribState{
-		paths:  make(map[pathKey]*path),
-		direct: make(map[topo.NodeID]*dz.Trie[*contrib]),
-	}
+	paths map[pathKey]path
+	// direct indexes, per switch, the keys with live contributions by
+	// prefix. A switch without contributions has no trie.
+	direct map[topo.NodeID]*dz.Trie[contrib]
 }
 
 // removePath tears down one path if it is established.
 func (cs *contribState) removePath(key pathKey, ch *changeSet) {
-	p := cs.paths[key]
-	if p == nil {
+	p, ok := cs.paths[key]
+	if !ok {
 		return
 	}
 	delete(cs.paths, key)
@@ -104,26 +151,27 @@ func (cs *contribState) removePath(key pathKey, ch *changeSet) {
 	}
 }
 
-// change names an expression whose set of contributing ports changed on a
-// switch.
+// change names a key whose set of contributing ports changed on a switch.
 type change struct {
 	sw   topo.NodeID
-	expr dz.Expr
+	key  dz.Key
+	expr dz.Expr // key's expression
 }
 
 // apply folds an operation's net changes into the per-switch tries, empties
-// the set, and returns the changed expressions sorted by switch, then
-// lexicographically: only their prefix families can need flow updates — the
-// locality the paper's incremental cases (1)–(5) exploit. The list is the
-// set's scratch, valid until its next apply.
+// the set, and returns the changed keys sorted by switch, then in
+// Key.Compare order — the lexicographic order of their expressions: only
+// their prefix families can need flow updates — the locality the paper's
+// incremental cases (1)–(5) exploit. The list is the set's scratch, valid
+// until its next apply.
 func (cs *contribState) apply(ch *changeSet) []change {
 	if len(ch.delta) == 0 {
 		return nil
 	}
 	changed := ch.changed[:0]
-	for key, delta := range ch.delta {
-		if delta != 0 && cs.bump(key, delta) {
-			changed = append(changed, change{key.sw, key.expr})
+	for key, d := range ch.delta {
+		if d.n != 0 && cs.bump(key, d.n) {
+			changed = append(changed, change{key.sw, key.key, d.expr})
 		}
 	}
 	clear(ch.delta)
@@ -132,45 +180,27 @@ func (cs *contribState) apply(ch *changeSet) []change {
 		if c := cmp.Compare(a.sw, b.sw); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.expr, b.expr)
+		return a.key.Compare(b.key)
 	})
-	return slices.Compact(changed) // one expression may change on several ports
+	return slices.Compact(changed) // one key may change on several ports
 }
 
 // bump adds delta to one contribution count and reports whether the port
-// appeared on or vanished from its expression.
+// appeared on or vanished from its key. The trie hands the contribution over
+// as a copy and takes it back, so nothing holds it across the Update.
 func (cs *contribState) bump(key contribKey, delta int) bool {
 	t := cs.direct[key.sw]
 	if t == nil {
 		if delta < 0 {
 			return false
 		}
-		t = new(dz.Trie[*contrib])
+		t = new(dz.Trie[contrib])
 		cs.direct[key.sw] = t
 	}
-	k, _ := dz.KeyOf(key.expr)
 	changed := false
-	t.Update(k, func(c *contrib, ok bool) (*contrib, bool) {
-		if !ok {
-			if delta < 0 {
-				return nil, false
-			}
-			c = &contrib{expr: key.expr}
-			c.ports = c.first[:0]
-		}
-		i, found := slices.BinarySearchFunc(c.ports, key.port, func(r portRef, p openflow.PortID) int {
-			return cmp.Compare(r.port, p)
-		})
-		if !found {
-			if delta > 0 {
-				c.ports = slices.Insert(c.ports, i, portRef{key.port, delta})
-				changed = true
-			}
-		} else if c.ports[i].n += delta; c.ports[i].n <= 0 {
-			c.ports = slices.Delete(c.ports, i, i+1)
-			changed = true
-		}
-		return c, len(c.ports) > 0
+	t.Update(key.key, func(c contrib, _ bool) (contrib, bool) {
+		changed = c.bump(key.port, delta)
+		return c, len(c.ports()) > 0
 	})
 	if t.Len() == 0 {
 		delete(cs.direct, key.sw)
@@ -188,16 +218,15 @@ func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscrib
 		return nil
 	}
 	key := pathKey{pub: pub.id, sub: sub.id, tree: t.id}
-	p := c.contribs.paths[key]
-	if p == nil {
+	p, ok := c.contribs.paths[key]
+	if !ok {
 		hops, err := c.routeHops(t, pub.ep, sub.ep)
 		if err != nil {
 			return err
 		}
 		// Sized once for the subscriber's whole part of the tree: a
 		// subscription adds its members' parts one call at a time.
-		p = &path{hops: hops, exprs: make([]dz.Expr, 0, max(len(exprs), len(t.subs[sub.id])))}
-		c.contribs.paths[key] = p
+		p = path{hops: hops, exprs: make([]dz.Expr, 0, max(len(exprs), len(t.subs[sub.id])))}
 	}
 	rep.RoutesComputed++
 	had := p.exprs // members of one set are distinct: only earlier calls can repeat
@@ -208,6 +237,7 @@ func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscrib
 		p.exprs = append(p.exprs, e)
 		ch.add(p.hops, e, +1)
 	}
+	c.contribs.paths[key] = p
 	return nil
 }
 
@@ -266,11 +296,11 @@ func (c *Controller) computeRoute(t *tree, from, to endpoint) ([]topo.Hop, error
 }
 
 // derivation derives canonical flow entries from one switch's contribution
-// trie. The canonical entry of a direct expression x forwards to the union
-// of the direct ports of every prefix of x, x included, at priority |x|; x
-// gets no entry when that union equals the one of its nearest coarser
-// direct expression a, whose entry then forwards identically (pruned, cf.
-// case (2) of Section 3.3.2). No direct expression lies between a and x, so
+// trie. The canonical entry of a direct key x forwards to the union of the
+// direct ports of every prefix of x, x included, at priority |x|; x gets no
+// entry when that union equals the one of its nearest coarser direct key a,
+// whose entry then forwards identically (pruned, cf. case (2) of
+// Section 3.3.2). No direct key lies between a and x, so
 // union(x) = union(a) ∪ direct(x), and "equal" is "x adds no port to
 // union(a)" — a length comparison of two sorted sets, one containing the
 // other. The zero value is ready for use.
@@ -278,104 +308,107 @@ type derivation struct {
 	ports []openflow.PortID // the unions of the frames on stack, back to back
 	stack []unionFrame
 	// Initial backing of ports and stack: a switch has a handful of ports
-	// and direct expressions rarely nest deeper than this.
+	// and direct keys rarely nest deeper than this.
 	portsBuf [32]openflow.PortID
 	stackBuf [8]unionFrame
 }
 
-// unionFrame is the port union of one direct expression on the path from
-// the trie root to the entry being visited: ports[lo:hi], sorted.
+// unionFrame is the port union of one direct key on the path from the trie
+// root to the entry being visited: ports[lo:hi], sorted.
 type unionFrame struct {
-	expr   dz.Expr
+	key    dz.Key
 	lo, hi int
 }
 
-// family calls visit, in lexicographic order, for every expression that a
-// change to the contributions of changed can affect. changed is a sorted
-// run of one switch's changed expressions, its first member, root, covering
-// the rest; affected are changed itself and every direct expression root
-// covers, because an entry's union depends only on its prefixes and its
-// pruning on its nearest coarser entry. ports is the expression's canonical
-// entry, valid only during the call, and empty when it gets none: it is
-// pruned, or (direct false) a changed expression left without direct
-// contribution.
+// family calls visit, in lexicographic order, for every key that a change to
+// the contributions of changed can affect. changed is a sorted run of one
+// switch's changed keys, its first member, root, covering the rest; affected
+// are changed itself and every direct key root covers, because an entry's
+// union depends only on its prefixes and its pruning on its nearest coarser
+// entry. ports is the key's canonical entry, valid only during the call, and
+// empty when it gets none: it is pruned, or (direct false) a changed key
+// left without direct contribution. name is the key's expression when the
+// key is one of changed, and empty otherwise.
 //
 // It is one VisitOverlaps descent: root's proper prefixes, coarsest first,
 // accumulate the union every member inherits (frame 0); the covered subtree
-// arrives in pre-order, so the direct expressions covering the visited one
-// are exactly a stack, unwound to the nearest by prefix test. The changed
-// expressions the trie no longer holds are merged in at their position.
-func (d *derivation) family(t *dz.Trie[*contrib], changed []change,
-	visit func(e dz.Expr, ports []openflow.PortID, direct bool)) {
-	k, _ := dz.KeyOf(changed[0].expr)
+// arrives in pre-order, so the direct keys covering the visited one are
+// exactly a stack, unwound to the nearest by prefix test. The changed keys
+// the trie no longer holds are merged in at their position.
+func (d *derivation) family(t *dz.Trie[contrib], changed []change,
+	visit func(k dz.Key, name dz.Expr, ports []openflow.PortID, direct bool)) {
+	root := changed[0].key
 	d.ports = d.portsBuf[:0]
 	d.stack = append(d.stackBuf[:0], unionFrame{})
 	if t != nil {
-		t.VisitOverlaps(k, func(key dz.Key, c *contrib) bool {
-			if key.Len() < k.Len() {
-				d.stack[0] = d.extend(d.stack[0], c)
+		t.VisitOverlaps(root, func(k dz.Key, c contrib) bool {
+			if k.Len() < root.Len() {
+				d.stack[0] = d.extend(d.stack[0], k, c.ports())
 				return true
 			}
-			for ; len(changed) > 0 && changed[0].expr <= c.expr; changed = changed[1:] {
-				if changed[0].expr < c.expr {
-					visit(changed[0].expr, nil, false)
+			var name dz.Expr
+			for ; len(changed) > 0 && changed[0].key.Compare(k) <= 0; changed = changed[1:] {
+				if changed[0].key == k {
+					name = changed[0].expr
+				} else {
+					visit(changed[0].key, changed[0].expr, nil, false)
 				}
 			}
 			top := len(d.stack) - 1
-			for top > 0 && !d.stack[top].expr.Covers(c.expr) {
+			for top > 0 && !d.stack[top].key.Covers(k) {
 				top--
 			}
 			parent := d.stack[top]
 			d.stack, d.ports = d.stack[:top+1], d.ports[:parent.hi]
-			f := d.extend(parent, c)
+			f := d.extend(parent, k, c.ports())
 			d.stack = append(d.stack, f)
 			ports := d.ports[f.lo:f.hi]
 			if len(ports) == parent.hi-parent.lo {
 				ports = nil
 			}
-			visit(c.expr, ports, true)
+			visit(k, name, ports, true)
 			return true
 		})
 	}
 	for _, c := range changed {
-		visit(c.expr, nil, false)
+		visit(c.key, c.expr, nil, false)
 	}
 }
 
-// extend appends parent's union merged with c's direct ports to d.ports and
-// returns c's frame.
-func (d *derivation) extend(parent unionFrame, c *contrib) unionFrame {
+// extend appends parent's union merged with the direct ports of k to d.ports
+// and returns k's frame.
+func (d *derivation) extend(parent unionFrame, k dz.Key, direct []portRef) unionFrame {
 	lo := len(d.ports)
-	a, b := d.ports[parent.lo:parent.hi], c.ports // appending never writes below parent.hi
+	a, b := d.ports[parent.lo:parent.hi], direct // appending never writes below parent.hi
 	for len(a) > 0 && len(b) > 0 {
-		switch {
-		case a[0] < b[0].port:
+		switch p := openflow.PortID(b[0].port); {
+		case a[0] < p:
 			d.ports, a = append(d.ports, a[0]), a[1:]
-		case a[0] > b[0].port:
-			d.ports, b = append(d.ports, b[0].port), b[1:]
+		case a[0] > p:
+			d.ports, b = append(d.ports, p), b[1:]
 		default:
 			d.ports, a, b = append(d.ports, a[0]), a[1:], b[1:]
 		}
 	}
 	d.ports = append(d.ports, a...)
 	for _, r := range b {
-		d.ports = append(d.ports, r.port)
+		d.ports = append(d.ports, openflow.PortID(r.port))
 	}
-	return unionFrame{expr: c.expr, lo: lo, hi: len(d.ports)}
+	return unionFrame{key: k, lo: lo, hi: len(d.ports)}
 }
 
 // desiredTable derives the full canonical flow table of one switch from
 // scratch: the family of the whole event space. VerifyTables and resync
 // compare against it; control operations use refreshSwitch instead.
-func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Expr][]openflow.PortID {
+func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Key][]openflow.PortID {
 	t := c.contribs.direct[sw]
 	if t == nil {
 		return nil
 	}
-	entries := make(map[dz.Expr][]openflow.PortID, t.Len())
-	new(derivation).family(t, []change{{sw, dz.Whole}}, func(e dz.Expr, ports []openflow.PortID, _ bool) {
+	entries := make(map[dz.Key][]openflow.PortID, t.Len())
+	new(derivation).family(t, []change{{sw, dz.Key{}, dz.Whole}}, func(k dz.Key, _ dz.Expr, ports []openflow.PortID, _ bool) {
 		if len(ports) > 0 {
-			entries[e] = slices.Clone(ports)
+			entries[k] = slices.Clone(ports)
 		}
 	})
 	return entries
@@ -416,36 +449,26 @@ func (c *Controller) actionsMatch(sw topo.NodeID, actions []openflow.Action, por
 	return true
 }
 
-func actionsEqual(a, b []openflow.Action) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
+func actionsEqual(a, b []openflow.Action) bool { return slices.Equal(a, b) }
 
 // refreshSwitch reconciles the flows of one switch with its contribution
-// trie after the port sets of the changed expressions (sorted) changed: one
-// derivation.family walk per run of changed expressions the first covers,
-// so the FlowMods come out in lexicographic expression order.
+// trie after the port sets of the changed keys (sorted) changed: one
+// derivation.family walk per run of changed keys the first covers, so the
+// FlowMods come out in lexicographic expression order.
 //
 // All FlowMods the switch owes are collected into one batch — in the
 // controller's scratch, emptied again once the batch is flushed — and
 // flushed in a single southbound call. The derivation is the controller's
 // too: it would escape to the heap as a local.
 func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
-	inst map[dz.Expr]installedFlow, rep *ReconfigReport) error {
+	inst map[dz.Key]installedFlow, rep *ReconfigReport) error {
 	ops, metas := c.batchOps, c.batchMetas
 	var err error
-	reconcile := func(e dz.Expr, ports []openflow.PortID, direct bool) {
+	reconcile := func(k dz.Key, name dz.Expr, ports []openflow.PortID, direct bool) {
 		if err != nil {
 			return
 		}
-		fl, installed := inst[e]
+		fl, installed := inst[k]
 		want := len(ports) > 0
 		switch {
 		case !want && installed:
@@ -459,20 +482,24 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 				c.inst.caseDelete.Inc()
 			}
 			ops = append(ops, openflow.DeleteOp(fl.id))
-			metas = append(metas, opMeta{expr: e})
+			metas = append(metas, opMeta{key: k})
 		case want && !installed:
 			c.inst.caseInstall.Inc()
 			actions := c.actionsFor(sw, ports)
-			prio := e.Len()
+			prio := k.Len()
+			if name.Len() != prio {
+				name = k.Expr() // a pruned entry coming back: no path of this operation named it
+			}
 			var f openflow.Flow
-			if f, err = openflow.NewFlow(e, prio, actions...); err != nil {
+			if f, err = openflow.NewFlow(name, prio); err != nil {
 				err = fmt.Errorf("core: build flow: %w", err)
 				return
 			}
+			f.Actions = actions // the installed entry's too: like a modify's, neither side writes them
 			ops = append(ops, openflow.AddOp(f))
-			metas = append(metas, opMeta{expr: e, inst: installedFlow{priority: prio, actions: actions}})
+			metas = append(metas, opMeta{key: k, inst: installedFlow{priority: prio, actions: actions}})
 		case want && installed:
-			prio := e.Len()
+			prio := k.Len()
 			if fl.priority == prio && c.actionsMatch(sw, fl.actions, ports) {
 				break
 			}
@@ -488,14 +515,14 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 				c.inst.caseModify.Inc()
 			}
 			ops = append(ops, openflow.ModifyOp(fl.id, prio, actions))
-			metas = append(metas, opMeta{expr: e, inst: installedFlow{id: fl.id, priority: prio, actions: actions}})
+			metas = append(metas, opMeta{key: k, inst: installedFlow{id: fl.id, priority: prio, actions: actions}})
 		}
 	}
 	t := c.contribs.direct[sw]
 	d := &c.deriv
 	for len(changed) > 0 {
 		n := 1
-		for n < len(changed) && changed[0].expr.Covers(changed[n].expr) {
+		for n < len(changed) && changed[0].key.Covers(changed[n].key) {
 			n++
 		}
 		d.family(t, changed[:n], reconcile)
@@ -517,7 +544,7 @@ func emptied[T any](s []T) []T {
 // opMeta pairs one batch op with the installed-state update to apply once
 // the op is known to have taken effect on the switch.
 type opMeta struct {
-	expr dz.Expr
+	key dz.Key
 	// inst is the entry to store for adds/modifies (the add's flow ID is
 	// filled in from the programmer's result); unused for deletes.
 	inst installedFlow
@@ -545,7 +572,7 @@ type ackedOp struct {
 // instead the switch is quarantined in the degraded set — its table now
 // lags the canonical state — and the next resync pass heals it.
 func (c *Controller) flushOps(sw topo.NodeID, ops []openflow.FlowOp, metas []opMeta,
-	inst map[dz.Expr]installedFlow, rep *ReconfigReport) error {
+	inst map[dz.Key]installedFlow, rep *ReconfigReport) error {
 	if len(ops) == 0 {
 		return nil
 	}
@@ -569,15 +596,15 @@ func (c *Controller) flushOps(sw topo.NodeID, ops []openflow.FlowOp, metas []opM
 		case openflow.OpAdd:
 			m := a.meta.inst
 			m.id = a.id
-			inst[a.meta.expr] = m
+			inst[a.meta.key] = m
 			rep.FlowAdds++
 			c.inst.flowAdds.Inc()
 		case openflow.OpDelete:
-			delete(inst, a.meta.expr)
+			delete(inst, a.meta.key)
 			rep.FlowDeletes++
 			c.inst.flowDeletes.Inc()
 		case openflow.OpModify:
-			inst[a.meta.expr] = a.meta.inst
+			inst[a.meta.key] = a.meta.inst
 			rep.FlowModifies++
 			c.inst.flowModifies.Inc()
 		}
@@ -677,7 +704,7 @@ func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) 
 }
 
 // refresh folds the operation's contribution changes into the tries and
-// reconciles every switch on which an expression's port set changed: one
+// reconciles every switch on which a key's port set changed: one
 // batch per touched switch, in ascending switch order. The first permanent
 // error stops the operation — lower-numbered switches are programmed,
 // higher ones are not, and the next resync pass converges them; transient
@@ -691,7 +718,7 @@ func (c *Controller) refresh(ch *changeSet, rep *ReconfigReport) error {
 		}
 		inst := c.installed[sw]
 		if inst == nil {
-			inst = make(map[dz.Expr]installedFlow)
+			inst = make(map[dz.Key]installedFlow)
 			c.installed[sw] = inst
 		}
 		err := c.refreshSwitch(sw, changed[:n], inst, rep)
@@ -712,27 +739,22 @@ func (c *Controller) refresh(ch *changeSet, rep *ReconfigReport) error {
 // control operations, so it sees a consistent state.
 func (c *Controller) VerifyTables() error {
 	// Every switch with installed flows or contributions must agree.
-	seen := make(map[topo.NodeID]bool)
-	for sw := range c.installed {
-		seen[sw] = true
-	}
-	for sw := range c.contribs.direct {
-		seen[sw] = true
-	}
-	for _, sw := range sortutil.Keys(seen) {
+	sws := append(sortutil.Keys(c.installed), sortutil.Keys(c.contribs.direct)...)
+	slices.Sort(sws)
+	for _, sw := range slices.Compact(sws) {
 		want := c.desiredTable(sw)
 		have := c.installed[sw]
 		if len(want) != len(have) {
 			return fmt.Errorf("core: switch %d has %d flows, canonical says %d", sw, len(have), len(want))
 		}
-		for e, ports := range want {
-			fl, ok := have[e]
+		for k, ports := range want {
+			fl, ok := have[k]
 			if !ok {
-				return fmt.Errorf("core: switch %d misses flow %s", sw, e)
+				return fmt.Errorf("core: switch %d misses flow %s", sw, k.Expr())
 			}
 			actions := c.actionsFor(sw, ports)
-			if fl.priority != e.Len() || !actionsEqual(fl.actions, actions) {
-				return fmt.Errorf("core: switch %d flow %s diverges from canonical", sw, e)
+			if fl.priority != k.Len() || !actionsEqual(fl.actions, actions) {
+				return fmt.Errorf("core: switch %d flow %s diverges from canonical", sw, k.Expr())
 			}
 		}
 		// When the programmer can report ground truth, extend the check
@@ -749,7 +771,8 @@ func (c *Controller) VerifyTables() error {
 			return fmt.Errorf("core: switch %d table has %d flows, controller installed %d", sw, len(flows), len(have))
 		}
 		for _, f := range flows {
-			fl, ok := have[f.Expr]
+			k, _ := dz.KeyOf(f.Expr) // a table admits only what fits a key
+			fl, ok := have[k]
 			if !ok {
 				return fmt.Errorf("core: switch %d has stray flow %s", sw, f.Expr)
 			}
@@ -774,6 +797,9 @@ func (c *Controller) InstalledFlowCount() int {
 // InstalledFlowsOn returns the match expressions programmed on one switch,
 // sorted — used by tests and the dzcalc tool.
 func (c *Controller) InstalledFlowsOn(sw topo.NodeID) []dz.Expr {
-	m := c.installed[sw]
-	return sortutil.Keys(m)
+	out := make([]dz.Expr, 0, len(c.installed[sw]))
+	for _, k := range sortutil.KeysFunc(c.installed[sw], dz.Key.Compare) {
+		out = append(out, k.Expr())
+	}
+	return out
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -194,17 +195,12 @@ func (c *Controller) Resync(sw topo.NodeID) (ResyncReport, error) {
 // the returned error. Transient exhaustion re-quarantines silently, and
 // the report's StillDegraded names the switches a later pass must revisit.
 func (c *Controller) ResyncAll() (ResyncReport, error) {
-	seen := make(map[topo.NodeID]bool)
-	for sw := range c.contribs.direct {
-		seen[sw] = true
-	}
-	for sw := range c.installed {
-		seen[sw] = true
-	}
+	sws := append(sortutil.Keys(c.contribs.direct), sortutil.Keys(c.installed)...)
 	for _, d := range c.degraded.Switches() {
-		seen[d.Sw] = true
+		sws = append(sws, d.Sw)
 	}
-	sws := sortutil.Keys(seen)
+	slices.Sort(sws)
+	sws = slices.Compact(sws)
 
 	sp, start := c.beginOp(opResync, func() string { return "all" })
 	var rr ResyncReport
@@ -251,13 +247,6 @@ func (c *Controller) logResync(rr ResyncReport) {
 	)
 }
 
-// actualFlow is one entry read back from (or assumed on) a switch.
-type actualFlow struct {
-	id       openflow.FlowID
-	priority int
-	actions  []openflow.Action
-}
-
 // resyncSwitch reconciles one switch.
 func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 	rr.Switches++
@@ -265,8 +254,9 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 	desired := c.desiredTable(sw)
 
 	// Ground truth: the switch's actual flows when the programmer can
-	// report them, the controller's installed map otherwise.
-	actual := make(map[dz.Expr][]actualFlow)
+	// report them, the controller's installed map otherwise. A table admits
+	// only matches that fit a key, so every flow read back packs.
+	actual := make(map[dz.Key][]installedFlow)
 	if c.reader != nil {
 		flows, err := c.reader.Flows(sw)
 		if err != nil {
@@ -274,37 +264,32 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 			return fmt.Errorf("core: resync switch %d: %w", sw, err)
 		}
 		for _, f := range flows {
-			actual[f.Expr] = append(actual[f.Expr], actualFlow{f.ID, f.Priority, f.Actions})
+			k, _ := dz.KeyOf(f.Expr)
+			actual[k] = append(actual[k], installedFlow{f.ID, f.Priority, f.Actions})
 		}
 	} else {
-		for e, fl := range c.installed[sw] {
-			actual[e] = append(actual[e], actualFlow{fl.id, fl.priority, fl.actions})
+		for k, fl := range c.installed[sw] {
+			actual[k] = append(actual[k], fl)
 		}
 	}
 
 	// Diff actual against desired into the minimal repair batch. Entries
 	// that already match are kept verbatim (their IDs seed the rebuilt
-	// installed map); a duplicate-expression table (which this controller
-	// never produces, but a divergent switch might) is wiped and re-added.
-	exprSet := make(map[dz.Expr]bool, len(actual)+len(desired))
-	for e := range actual {
-		exprSet[e] = true
-	}
-	for e := range desired {
-		exprSet[e] = true
-	}
-	exprs := sortutil.Keys(exprSet)
+	// installed map); a duplicate-match table (which this controller never
+	// produces, but a divergent switch might) is wiped and re-added.
+	keys := append(sortutil.KeysFunc(actual, dz.Key.Compare), sortutil.KeysFunc(desired, dz.Key.Compare)...)
+	slices.SortFunc(keys, dz.Key.Compare)
 
-	newInst := make(map[dz.Expr]installedFlow)
+	newInst := make(map[dz.Key]installedFlow)
 	var ops []openflow.FlowOp
 	var metas []opMeta
-	for _, e := range exprs {
-		want, wanted := desired[e]
-		have := actual[e]
+	for _, k := range slices.Compact(keys) {
+		want, wanted := desired[k]
+		have := actual[k]
 		if !wanted || len(have) > 1 {
 			for _, af := range have {
 				ops = append(ops, openflow.DeleteOp(af.id))
-				metas = append(metas, opMeta{expr: e})
+				metas = append(metas, opMeta{key: k})
 			}
 			have = nil
 		}
@@ -312,20 +297,20 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 			continue
 		}
 		actions := c.actionsFor(sw, want)
-		prio := e.Len()
+		prio := k.Len()
 		switch {
 		case len(have) == 1 && have[0].priority == prio && actionsEqual(have[0].actions, actions):
-			newInst[e] = installedFlow{id: have[0].id, priority: prio, actions: actions}
+			newInst[k] = installedFlow{id: have[0].id, priority: prio, actions: actions}
 		case len(have) == 1:
 			ops = append(ops, openflow.ModifyOp(have[0].id, prio, actions))
-			metas = append(metas, opMeta{expr: e, inst: installedFlow{id: have[0].id, priority: prio, actions: actions}})
+			metas = append(metas, opMeta{key: k, inst: installedFlow{id: have[0].id, priority: prio, actions: actions}})
 		default:
-			f, err := openflow.NewFlow(e, prio, actions...)
+			f, err := openflow.NewFlow(k.Expr(), prio, actions...)
 			if err != nil {
 				return fmt.Errorf("core: resync switch %d: build flow: %w", sw, err)
 			}
 			ops = append(ops, openflow.AddOp(f))
-			metas = append(metas, opMeta{expr: e, inst: installedFlow{priority: prio, actions: actions}})
+			metas = append(metas, opMeta{key: k, inst: installedFlow{priority: prio, actions: actions}})
 		}
 	}
 

@@ -88,17 +88,16 @@ func (c *Controller) EncodeSnapshot() ([]byte, error) {
 		}
 	}
 
-	// Desired-installed flow map, switches and match expressions sorted.
+	// Desired-installed flow map, switches sorted, matches in Key.Compare
+	// order: the lexicographic order of their expressions.
 	buf = binary.AppendUvarint(buf, uint64(len(c.installed)))
 	for _, sw := range sortutil.Keys(c.installed) {
 		flows := c.installed[sw]
 		buf = binary.AppendUvarint(buf, uint64(sw))
 		buf = binary.AppendUvarint(buf, uint64(len(flows)))
-		for _, e := range sortutil.Keys(flows) {
-			f := flows[e]
-			if buf, err = wire.AppendExpr(buf, e); err != nil {
-				return nil, fmt.Errorf("core: snapshot switch %d: %w", sw, err)
-			}
+		for _, k := range sortutil.KeysFunc(flows, dz.Key.Compare) {
+			f := flows[k]
+			buf = wire.AppendKey(buf, k)
 			buf = binary.AppendUvarint(buf, uint64(f.id))
 			if f.priority < 0 {
 				return nil, fmt.Errorf("core: snapshot switch %d: negative priority %d", sw, f.priority)
@@ -222,19 +221,20 @@ func (r *snapReader) varint() int64 {
 	return v
 }
 
-func (r *snapReader) str() string {
-	n := r.uvarint()
+// bytes returns the next n bytes, nil once anything failed.
+func (r *snapReader) bytes(n uint64, what string) []byte {
+	if r.err == nil && uint64(len(r.b)) < n {
+		r.fail("truncated %s", what)
+	}
 	if r.err != nil {
-		return ""
+		return nil
 	}
-	if uint64(len(r.b)) < n {
-		r.fail("truncated string")
-		return ""
-	}
-	s := string(r.b[:n])
+	b := r.b[:n]
 	r.b = r.b[n:]
-	return s
+	return b
 }
+
+func (r *snapReader) str() string { return string(r.bytes(r.uvarint(), "string")) }
 
 func (r *snapReader) set() dz.Set {
 	if r.err != nil {
@@ -254,17 +254,17 @@ func (r *snapReader) set() dz.Set {
 	return s
 }
 
-func (r *snapReader) expr() dz.Expr {
+func (r *snapReader) key() dz.Key {
 	if r.err != nil {
-		return ""
+		return dz.Key{}
 	}
-	e, rest, err := wire.ReadExpr(r.b)
+	k, rest, err := wire.ReadKey(r.b)
 	if err != nil {
 		r.fail("%v", err)
-		return ""
+		return dz.Key{}
 	}
 	r.b = rest
-	return e
+	return k
 }
 
 func (r *snapReader) memberSets() map[string]dz.Set {
@@ -347,9 +347,9 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 	for i := uint64(0); i < nSw && r.err == nil; i++ {
 		sw := topo.NodeID(r.uvarint())
 		nFlows := r.uvarint()
-		flows := make(map[dz.Expr]installedFlow, nFlows)
+		flows := make(map[dz.Key]installedFlow, nFlows)
 		for j := uint64(0); j < nFlows && r.err == nil; j++ {
-			e := r.expr()
+			k := r.key()
 			f := installedFlow{
 				id:       openflow.FlowID(r.uvarint()),
 				priority: int(r.uvarint()),
@@ -357,27 +357,14 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 			nActs := r.uvarint()
 			for k := uint64(0); k < nActs && r.err == nil; k++ {
 				a := openflow.Action{OutPort: openflow.PortID(r.uvarint())}
-				if r.err == nil && len(r.b) == 0 {
-					r.fail("truncated action")
-					break
-				}
-				if r.err == nil {
-					hasDest := r.b[0]
-					r.b = r.b[1:]
-					if hasDest != 0 {
-						if len(r.b) < 16 {
-							r.fail("truncated action address")
-							break
-						}
-						var b16 [16]byte
-						copy(b16[:], r.b[:16])
-						a.SetDest = netip.AddrFrom16(b16)
-						r.b = r.b[16:]
+				if hasDest := r.bytes(1, "action"); hasDest != nil && hasDest[0] != 0 {
+					if b16 := r.bytes(16, "action address"); b16 != nil {
+						a.SetDest = netip.AddrFrom16([16]byte(b16))
 					}
 				}
 				f.actions = append(f.actions, a)
 			}
-			flows[e] = f
+			flows[k] = f
 		}
 		c.installed[sw] = flows
 	}

@@ -50,7 +50,11 @@ func EncodeRecord(r Record) ([]byte, error) {
 	} else if len(r.ID) == 0 || len(r.ID) > MaxIDLen {
 		return nil, fmt.Errorf("wire: record id length %d out of range 1..%d", len(r.ID), MaxIDLen)
 	}
-	buf := make([]byte, 0, 24+len(r.ID)+4*len(r.Set))
+	n := 25 + len(r.ID) // header, id and set count: the record's exact size
+	for _, e := range r.Set {
+		n += 1 + (e.Len()+7)/8
+	}
+	buf := make([]byte, 0, n)
 	buf = append(buf, Version, code)
 	buf = binary.BigEndian.AppendUint32(buf, r.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, r.Seq)
@@ -116,15 +120,37 @@ func DecodeRecord(b []byte) (Record, error) {
 	return r, nil
 }
 
-// AppendExpr appends one dz-expression in packed wire form
-// ([len u8][bits MSB-first]); the snapshot codec shares this encoding.
-func AppendExpr(buf []byte, e dz.Expr) ([]byte, error) {
-	return packExpr(buf, e)
+// AppendKey appends one dz-expression, given as its packed key, in the wire
+// form of an expression: [len u8][bits MSB-first, padded with zeros to a
+// byte]. The snapshot codec writes flow matches with it.
+func AppendKey(buf []byte, k dz.Key) []byte {
+	bits := k.Bits()
+	buf = append(buf, byte(k.Len()))
+	return append(buf, bits[:(k.Len()+7)/8]...)
 }
 
-// ReadExpr decodes one packed expression, returning it and the remainder.
-func ReadExpr(b []byte) (dz.Expr, []byte, error) {
-	return unpackExpr(b)
+// ReadKey decodes one packed expression straight into its key, returning it
+// and the remainder.
+func ReadKey(b []byte) (dz.Key, []byte, error) {
+	if len(b) < 1 {
+		return dz.Key{}, nil, fmt.Errorf("wire: truncated dz expression header")
+	}
+	n := int(b[0])
+	if n > MaxExprLen {
+		return dz.Key{}, nil, fmt.Errorf("wire: dz expression of %d bits exceeds %d", n, MaxExprLen)
+	}
+	nbytes := (n + 7) / 8
+	if len(b) < 1+nbytes {
+		return dz.Key{}, nil, fmt.Errorf("wire: truncated dz expression body")
+	}
+	// Padding bits past the expression length must be zero so every
+	// expression has exactly one encoding.
+	if n%8 != 0 && b[nbytes]&(0xff>>uint(n%8)) != 0 {
+		return dz.Key{}, nil, fmt.Errorf("wire: nonzero padding in dz expression")
+	}
+	var bits [14]byte
+	copy(bits[:], b[1:1+nbytes])
+	return dz.KeyFromBits(bits, n), b[1+nbytes:], nil
 }
 
 // AppendSet appends a DZ set as [count u16][expr]×count. Members are

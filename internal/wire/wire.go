@@ -85,50 +85,17 @@ func packExpr(buf []byte, e dz.Expr) ([]byte, error) {
 	if e.Len() > MaxExprLen {
 		return nil, fmt.Errorf("wire: dz expression of %d bits exceeds %d", e.Len(), MaxExprLen)
 	}
-	buf = append(buf, byte(e.Len()))
-	var cur byte
-	for i := 0; i < e.Len(); i++ {
-		if e[i] == '1' {
-			cur |= 1 << uint(7-i%8)
-		}
-		if i%8 == 7 {
-			buf = append(buf, cur)
-			cur = 0
-		}
-	}
-	if e.Len()%8 != 0 {
-		buf = append(buf, cur)
-	}
-	return buf, nil
+	k, _ := dz.KeyOf(e) // MaxExprLen is dz.MaxKeyBits: it packs
+	return AppendKey(buf, k), nil
 }
 
 // unpackExpr reads one packed expression, returning it and the remainder.
 func unpackExpr(b []byte) (dz.Expr, []byte, error) {
-	if len(b) < 1 {
-		return "", nil, fmt.Errorf("wire: truncated dz expression header")
+	k, rest, err := ReadKey(b)
+	if err != nil {
+		return "", nil, err
 	}
-	n := int(b[0])
-	if n > MaxExprLen {
-		return "", nil, fmt.Errorf("wire: dz expression of %d bits exceeds %d", n, MaxExprLen)
-	}
-	nbytes := (n + 7) / 8
-	if len(b) < 1+nbytes {
-		return "", nil, fmt.Errorf("wire: truncated dz expression body")
-	}
-	bits := make([]byte, n)
-	for i := 0; i < n; i++ {
-		if b[1+i/8]&(1<<uint(7-i%8)) != 0 {
-			bits[i] = '1'
-		} else {
-			bits[i] = '0'
-		}
-	}
-	// Padding bits past the expression length must be zero so every
-	// expression has exactly one encoding.
-	if n%8 != 0 && b[nbytes]&(0xff>>uint(n%8)) != 0 {
-		return "", nil, fmt.Errorf("wire: nonzero padding in dz expression")
-	}
-	return dz.Expr(bits), b[1+nbytes:], nil
+	return k.Expr(), rest, nil
 }
 
 // Op names a control operation. The four signalling ops are what hosts
