@@ -284,6 +284,83 @@ func BenchmarkSystemPublishDeliverFatTree8(b *testing.B) {
 	b.ReportMetric(float64(delivered.Load())/float64(b.N), "deliveries/op")
 }
 
+// BenchmarkSystemPublishDeliverFanout is the inproc-fanout workload of
+// cmd/pleroma-bench in-process (the Fig. 7b regime): WithFatTree(4,4,2),
+// L_dz 24, 16 subspaces, four publishers advertising the whole space on
+// hosts 0–3 and 12×512 seeded 64×64 rectangles on hosts 4–15. One iteration
+// is one PublishBatch of 16 events from the next publisher in turn, then
+// Run; switch lookups and host demultiplexing do the filtering. It reports
+// events/s and deliveries per event, so a data-path change can be sized in
+// seconds with alternating -count runs before the 10 s workload confirms it.
+func BenchmarkSystemPublishDeliverFanout(b *testing.B) {
+	const (
+		numPubs     = 4
+		subHosts    = 12
+		subsPerHost = 512
+		batch       = 16
+		side        = 64
+		domain      = 1024
+	)
+	sch, err := pleroma.NewSchema(
+		pleroma.Attribute{Name: "a", Bits: 10},
+		pleroma.Attribute{Name: "b", Bits: 10},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sys, err := pleroma.NewSystem(sch, pleroma.WithFatTree(4, 4, 2),
+		pleroma.WithMaxDzLen(24), pleroma.WithMaxSubspaces(16))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sys.Close()
+	hosts := sys.Hosts()
+	pubs := make([]*pleroma.Publisher, numPubs)
+	for i := range pubs {
+		if pubs[i], err = sys.NewPublisher("p"+strconv.Itoa(i), hosts[i]); err != nil {
+			b.Fatal(err)
+		}
+		if err := pubs[i].Advertise(pleroma.NewFilter()); err != nil {
+			b.Fatal(err)
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	delivered := 0
+	for i := 0; i < subHosts*subsPerHost; i++ {
+		a, c := uint32(rng.Intn(domain-side+1)), uint32(rng.Intn(domain-side+1))
+		f := pleroma.NewFilter().Range("a", a, a+side-1).Range("b", c, c+side-1)
+		if err := sys.Subscribe("s"+strconv.Itoa(i), hosts[numPubs+i%subHosts], f,
+			func(pleroma.Delivery) { delivered++ }); err != nil {
+			b.Fatal(err)
+		}
+	}
+	const ring = 1 << 12 // events, a multiple of batch
+	flat := make([]uint32, 2*ring)
+	for i := range flat {
+		flat[i] = uint32(rng.Intn(domain))
+	}
+	events := make([][]uint32, ring)
+	for i := range events {
+		events[i] = flat[2*i : 2*i+2 : 2*i+2]
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		at := i * batch % ring
+		if err := pubs[i%numPubs].PublishBatch(events[at : at+batch]...); err != nil {
+			b.Fatal(err)
+		}
+		sys.Run()
+	}
+	b.StopTimer()
+	if delivered == 0 {
+		b.Fatal("no deliveries")
+	}
+	evs := float64(b.N * batch)
+	b.ReportMetric(evs/b.Elapsed().Seconds(), "events/s")
+	b.ReportMetric(float64(delivered)/evs, "deliveries/event")
+}
+
 // BenchmarkSystemPublishBatch is the batched-ingestion counterpart of
 // BenchmarkSystemPublishDeliver: same fanout workload, events injected 16
 // per PublishBatch call. ns/op and allocs/op are per event.

@@ -98,18 +98,19 @@ func BenchmarkControlChurn(b *testing.B) {
 // TestControlChurnAllocCeiling pins the allocations of one unsubscribe +
 // subscribe pair at 5000 deployed, facade to flow tables, journal included
 // (the map-of-maps contribution state this replaced took ≈ 560). What is
-// left is the state the new subscription keeps — its record and set, one
-// allocation per path record, flows and their actions, the journal record —
-// plus the filter's decomposition and the host list the loop asks for.
-// Contributions are values in the per-switch tries, and a flow's match is
-// the registered set's own string. Change sets, the changed list, tree ids
+// left is the state the new subscription keeps — its record, tree list and
+// set, one allocation per path record, its flows, the journal record — plus
+// the filter's decomposition and the host list the loop asks for.
+// Contributions are values in the per-switch tries, a flow's match is the
+// registered set's own string and its actions the switch's interned list
+// for its port set. Change sets, the changed list, tree ids, batch FlowIDs
 // and path expressions are controller scratch or sized once (DESIGN.md §5,
 // "What a control operation allocates").
 func TestControlChurnAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deploys 5000 subscriptions")
 	}
-	const ceiling = 30 // measured 28; 45 with a heap contrib per (switch, expression), two allocations per path record, a copied action list per flow add and journal records sized one byte short, 86 with a change set per operation and path expressions grown per member, 364 before the decomposition, the routes and the refresh scratch stopped allocating per operation
+	const ceiling = 23 // measured 21; 28 with a fresh action list per flow add (3.9) and modify (1.1), a FlowID slice per batch (1.6) and a map of trees per subscriber, 30 the ceiling then; 45 with a heap contrib per (switch, expression), two allocations per path record, a copied action list per flow add and journal records sized one byte short, 86 with a change set per operation and path expressions grown per member, 364 before the decomposition, the routes and the refresh scratch stopped allocating per operation
 	w := newControlChurn(t, 5000)
 	perPair := testing.AllocsPerRun(300, func() { w.step(t) })
 	t.Logf("%.0f allocations per unsubscribe+subscribe pair at 5000 deployed", perPair)
@@ -128,7 +129,7 @@ func TestControlChurnAllocCeiling(t *testing.T) {
 // no per-switch map or trie before the switch's first contribution, so the
 // switches the subscription's paths miss cost nothing here.
 func TestSystemSetupAllocs(t *testing.T) {
-	const ceiling = 1055 // measured 1044; 1055 with the controller's state keyed by expression strings
+	const ceiling = 1055 // measured 1040 with one flat map of interned action lists (a map per switch read 1056 in a prototype); 1044 with a list per flow, 1055 with the controller's state keyed by expression strings
 	sch, err := pleroma.NewSchema(
 		pleroma.Attribute{Name: "a", Bits: 10},
 		pleroma.Attribute{Name: "b", Bits: 10},

@@ -67,8 +67,10 @@ type hostDemux struct {
 	links    []link
 	freeLink int32
 
-	// matches is the scratch list lookup fills.
-	matches []uint64
+	// postings and matches are the scratch lists lookup fills: the postings
+	// the trie holds for a packet's key, then their cells.
+	postings []posting
+	matches  []uint64
 }
 
 // sink is where a matched packet goes: the handler (nil for a subscription
@@ -220,21 +222,26 @@ func (h *hostDemux) removeSet(st *subState) {
 // subscription member); stored dz that k covers are met only by packets
 // shorter than the index space, i.e. in flight across a re-index or injected
 // below the facade, and a set can have several of them, hence the
-// de-duplication. One trie descent, O(|k| + matches), no allocation once
-// matches has grown. The result aliases h.matches.
+// de-duplication, which a single cell does not need. One trie descent
+// (AppendOverlaps, into the host's postings scratch: no key built, no
+// callback), O(|k| + matches), no allocation once the scratch lists have
+// grown. The result aliases h.matches.
 func (h *hostDemux) lookup(k dz.Key) (matches []uint64, visited int) {
+	h.postings = h.byDz.AppendOverlaps(h.postings[:0], k)
 	m := h.matches[:0]
-	h.byDz.VisitOverlaps(k, func(_ dz.Key, p posting) bool {
+	for _, p := range h.postings {
 		m = append(m, uint64(h.posOf[p.first])<<32|uint64(p.first))
 		for at := p.more; at != 0; {
 			l := h.links[at-1]
 			m = append(m, uint64(h.posOf[l.cell])<<32|uint64(l.cell))
 			at = l.next
 		}
-		return true
-	})
+	}
 	visited = len(m)
-	slices.Sort(m)
-	h.matches = slices.Compact(m)
-	return h.matches, visited
+	if len(m) > 1 {
+		slices.Sort(m)
+		m = slices.Compact(m)
+	}
+	h.matches = m
+	return m, visited
 }

@@ -45,7 +45,7 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	}
 	span, start := c.beginOp(opAdvertise, func() string { return id + " " + set.String() })
 	defer func() { c.endOp(opAdvertise, span, start, &rep, err) }()
-	pub := &publisher{id: id, ep: ep, adv: set, trees: make(map[TreeID]bool)}
+	pub := &publisher{id: id, ep: ep, adv: set}
 	c.pubs[id] = pub
 	c.inst.advertise.Inc()
 
@@ -119,7 +119,7 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	}
 	span, start := c.beginOp(opSubscribe, func() string { return id + " " + set.String() })
 	defer func() { c.endOp(opSubscribe, span, start, &rep, err) }()
-	sub := &subscriber{id: id, ep: ep, sub: set, trees: make(map[TreeID]bool)}
+	sub := &subscriber{id: id, ep: ep, sub: set}
 	c.subs[id] = sub
 	c.inst.subscribe.Inc()
 
@@ -129,9 +129,8 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	for _, dzi := range set {
 		for _, tid := range c.treeIdx.overlapping(dzi) {
 			t := c.trees[tid]
-			if !sub.trees[tid] {
+			if sub.trees.add(tid) {
 				// DZ^t(s) at once: the union of every member's part below.
-				sub.trees[tid] = true
 				t.subs[id] = set.Intersect(t.set)
 			}
 			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
@@ -194,7 +193,7 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	defer func() { c.endOp(opUnsubscribe, span, start, &rep, err) }()
 	c.inst.unsubscribe.Inc()
 	ch := c.opCh // refresh empties it
-	for tid := range sub.trees {
+	for _, tid := range sub.trees {
 		if t, ok := c.trees[tid]; ok {
 			for pid := range t.pubs {
 				c.contribs.removePath(pathKey{pub: pid, sub: id, tree: tid}, ch)
@@ -225,7 +224,7 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	defer func() { c.endOp(opUnadvertise, span, start, &rep, err) }()
 	c.inst.unadvertise.Inc()
 	ch := newChangeSet()
-	for tid := range pub.trees {
+	for _, tid := range pub.trees {
 		t, ok := c.trees[tid]
 		if !ok {
 			continue
@@ -325,8 +324,7 @@ func (c *Controller) virtualEndpoint(sw topo.NodeID, viaPort openflow.PortID) (e
 
 // joinTreeAsPublisher records DZ^t(p) for a publisher joining a tree.
 func (c *Controller) joinTreeAsPublisher(t *tree, pub *publisher, overlap dz.Set, rep *ReconfigReport) {
-	if !pub.trees[t.id] {
-		pub.trees[t.id] = true
+	if pub.trees.add(t.id) {
 		rep.TreesJoined++
 	}
 	t.pubs[pub.id] = t.pubs[pub.id].Union(overlap)
@@ -334,7 +332,7 @@ func (c *Controller) joinTreeAsPublisher(t *tree, pub *publisher, overlap dz.Set
 
 // joinTreeAsSubscriber records DZ^t(s) for a subscriber joining a tree.
 func (c *Controller) joinTreeAsSubscriber(t *tree, sub *subscriber, overlap dz.Set) {
-	sub.trees[t.id] = true
+	sub.trees.add(t.id)
 	t.subs[sub.id] = t.subs[sub.id].Union(overlap)
 }
 
@@ -377,7 +375,7 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 		pubs: map[string]dz.Set{pub.id: set},
 		subs: make(map[string]dz.Set),
 	}
-	pub.trees[t.id] = true
+	pub.trees.add(t.id)
 	c.trees[t.id] = t
 	c.treeIdx.add(t.id, t.set)
 	c.inst.treesCreated.Inc()
@@ -408,12 +406,12 @@ func (c *Controller) dropTreePaths(t *tree, ch *changeSet) {
 func (c *Controller) establishTreePaths(t *tree, ch *changeSet, rep *ReconfigReport) error {
 	for _, pid := range sortutil.Keys(t.pubs) {
 		pub := c.pubs[pid]
-		if pub == nil || !pub.trees[t.id] {
+		if pub == nil || !pub.trees.has(t.id) {
 			return fmt.Errorf("tree %d references unknown or non-member publisher %q", t.id, pid)
 		}
 		for _, sid := range sortutil.Keys(t.subs) {
 			sub := c.subs[sid]
-			if sub == nil || !sub.trees[t.id] {
+			if sub == nil || !sub.trees.has(t.id) {
 				return fmt.Errorf("tree %d references unknown or non-member subscriber %q", t.id, sid)
 			}
 			if err := c.addPathContributions(t, pub, sub, t.pubs[pid].Intersect(t.subs[sid]), ch, rep); err != nil {
@@ -429,12 +427,12 @@ func (c *Controller) establishTreePaths(t *tree, ch *changeSet, rep *ReconfigRep
 func (c *Controller) dismantleTree(t *tree) {
 	for sid := range t.subs {
 		if s, ok := c.subs[sid]; ok {
-			delete(s.trees, t.id)
+			s.trees.remove(t.id)
 		}
 	}
 	for pid := range t.pubs {
 		if p, ok := c.pubs[pid]; ok {
-			delete(p.trees, t.id)
+			p.trees.remove(t.id)
 		}
 	}
 	c.treeIdx.remove(t.set)
@@ -516,8 +514,8 @@ func (c *Controller) mergeTrees(t1, t2 *tree, ch *changeSet, rep *ReconfigReport
 	// Union memberships.
 	for pid := range t2.pubs {
 		if p, ok := c.pubs[pid]; ok {
-			delete(p.trees, t2.id)
-			p.trees[t1.id] = true
+			p.trees.remove(t2.id)
+			p.trees.add(t1.id)
 		}
 		if _, ok := t1.pubs[pid]; !ok {
 			t1.pubs[pid] = nil
@@ -525,8 +523,8 @@ func (c *Controller) mergeTrees(t1, t2 *tree, ch *changeSet, rep *ReconfigReport
 	}
 	for sid := range t2.subs {
 		if s, ok := c.subs[sid]; ok {
-			delete(s.trees, t2.id)
-			s.trees[t1.id] = true
+			s.trees.remove(t2.id)
+			s.trees.add(t1.id)
 		}
 		if _, ok := t1.subs[sid]; !ok {
 			t1.subs[sid] = nil
@@ -587,6 +585,7 @@ func (c *Controller) sortedTrees() []*tree {
 func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 	sp, start := c.beginOp(opRebuildTrees, func() string { return "" })
 	defer func() { c.endOp(opRebuildTrees, sp, start, &rep, err) }()
+	c.resetActionSets()
 	ch := newChangeSet()
 	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
 	for _, t := range c.sortedTrees() {

@@ -44,17 +44,18 @@ func (r *opRecorder) str(s string) {
 	r.h.Write([]byte(s))
 }
 
-func (r *opRecorder) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+func (r *opRecorder) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, buf []openflow.FlowID) ([]openflow.FlowID, error) {
 	// A delete or modify names its flow by id: look its match up first.
 	flows, err := r.dp.Flows(sw)
 	if err != nil {
-		return nil, err
+		return buf, err
 	}
 	match := make(map[openflow.FlowID]dz.Expr, len(flows))
 	for _, f := range flows {
 		match[f.ID] = f.Expr
 	}
-	ids, err := r.dp.ApplyBatch(sw, ops)
+	all, err := r.dp.ApplyBatch(sw, ops, buf)
+	ids := all[len(buf):]
 	for i, op := range ops[:len(ids)] {
 		id, expr, prio, actions := op.ID, match[op.ID], op.Priority, op.Actions
 		if op.Kind == openflow.OpAdd {
@@ -71,7 +72,7 @@ func (r *opRecorder) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openfl
 			r.str(a.SetDest.String())
 		}
 	}
-	return ids, err
+	return all, err
 }
 
 // controlPlaneDigest runs the golden script and returns its digest.
@@ -154,7 +155,7 @@ func controlPlaneDigest(t *testing.T) string {
 	}
 	for _, sw := range sws {
 		if flows, _ := dp.Flows(sw); len(flows) > 0 {
-			if _, err := dp.ApplyBatch(sw, []openflow.FlowOp{openflow.DeleteOp(flows[0].ID)}); err != nil {
+			if _, err := dp.ApplyBatch(sw, []openflow.FlowOp{openflow.DeleteOp(flows[0].ID)}, nil); err != nil {
 				t.Fatal(err)
 			}
 			break

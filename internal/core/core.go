@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/netip"
+	"slices"
 	"sort"
 
 	"pleroma/internal/dz"
@@ -37,15 +38,16 @@ import (
 // operation flushes one batch per touched switch, so southbound round-trips
 // are O(touched switches), not O(flow ops).
 //
-// ApplyBatch must apply the operations in order and return one FlowID per
-// applied operation (the assigned ID for adds, zero otherwise); on error
-// the returned slice identifies the prefix that took effect. ops is the
-// controller's scratch: an implementation copies or encodes what it keeps
-// before it returns (the FlowOp values, not the slice). The Actions of an
-// add or a modify are the controller's installed entry's too: it may keep
-// them, and neither side writes them.
+// ApplyBatch must apply the operations in order, append one FlowID per
+// applied operation to ids (the assigned ID for adds, zero otherwise) and
+// return the extended slice; on error the appended part identifies the
+// prefix that took effect. ops and ids are the controller's scratch: an
+// implementation copies or encodes what it keeps of ops before it returns
+// (the FlowOp values, not the slice), and keeps nothing of ids. The Actions
+// of an add or a modify are the controller's installed entry's too: it may
+// keep them, and neither side writes them.
 type FlowProgrammer interface {
-	ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error)
+	ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error)
 }
 
 // FlowReader is optionally implemented by FlowProgrammers that can report
@@ -95,7 +97,7 @@ type publisher struct {
 	ep  endpoint
 	adv dz.Set
 	// trees the publisher joined.
-	trees map[TreeID]bool
+	trees treeSet
 }
 
 type subscriber struct {
@@ -104,7 +106,33 @@ type subscriber struct {
 	sub dz.Set
 	// trees the subscriber joined; empty while the subscription is only
 	// stored.
-	trees map[TreeID]bool
+	trees treeSet
+}
+
+// treeSet is the ascending ids of the trees a client joined. A client joins
+// few trees — a subscription of the benchmark's churn one — so a sorted
+// slice costs one allocation where a map cost three, and iterates in the
+// order a snapshot writes.
+type treeSet []TreeID
+
+func (s treeSet) has(id TreeID) bool {
+	_, ok := slices.BinarySearch(s, id)
+	return ok
+}
+
+// add inserts id and reports whether it was new.
+func (s *treeSet) add(id TreeID) bool {
+	i, ok := slices.BinarySearch(*s, id)
+	if !ok {
+		*s = slices.Insert(*s, i, id)
+	}
+	return !ok
+}
+
+func (s *treeSet) remove(id TreeID) {
+	if i, ok := slices.BinarySearch(*s, id); ok {
+		*s = slices.Delete(*s, i, i+1)
+	}
 }
 
 // tree is one dissemination tree t ∈ T.
@@ -250,14 +278,17 @@ type Controller struct {
 	// flows has no map.
 	contribs  *contribState
 	installed map[topo.NodeID]map[dz.Key]installedFlow
+	// actions interns the instruction sets of installed flows: one list
+	// per (switch, port set), shared by every flow that has it (actions.go).
+	actions actionSets
 
 	// Scratch of one control operation, reused by the next: the change set
 	// of Subscribe and Unsubscribe, the batch and its installed-state
 	// updates refreshSwitch collects for one switch and the ops flushOps
 	// records as acknowledged — emptied and zeroed after each flush, so no
-	// flow stays reachable from here — refreshSwitch's derivation, and the
-	// publisher ids subscribe sorts once per tree, reset when a
-	// subscription starts.
+	// flow stays reachable from here — the FlowIDs the programmer appends
+	// to, refreshSwitch's derivation, and the publisher ids subscribe
+	// sorts once per tree, reset when a subscription starts.
 	//
 	// opCh is bounded by one subscription and empty between operations:
 	// apply empties it on every exit path (Subscribe's deferred apply,
@@ -269,6 +300,7 @@ type Controller struct {
 	batchOps   []openflow.FlowOp
 	batchMetas []opMeta
 	acked      []ackedOp
+	ids        []openflow.FlowID
 	deriv      derivation
 	pubOrder   []treePubs
 
@@ -385,6 +417,7 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 		return nil, fmt.Errorf("core: host address function required (use WithHostAddr)")
 	}
 	c.reader, _ = prog.(FlowReader)
+	c.actions.version = g.Version()
 	return c, nil
 }
 

@@ -115,10 +115,10 @@ type batchLog struct {
 	batches [][]dz.Expr
 }
 
-func (b *batchLog) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+func (b *batchLog) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error) {
 	flows, err := b.DataPlane.Flows(sw)
 	if err != nil {
-		return nil, err
+		return ids, err
 	}
 	byID := make(map[openflow.FlowID]dz.Expr, len(flows))
 	for _, f := range flows {
@@ -135,7 +135,7 @@ func (b *batchLog) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow
 	b.mu.Lock()
 	b.batches = append(b.batches, exprs)
 	b.mu.Unlock()
-	return b.DataPlane.ApplyBatch(sw, ops)
+	return b.DataPlane.ApplyBatch(sw, ops, ids)
 }
 
 // derivationRig runs a control program against a controller and checks the

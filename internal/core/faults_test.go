@@ -33,17 +33,17 @@ func (f *flakyProgrammer) shouldFail(kind string) bool {
 	return f.failKind == "" || f.failKind == kind
 }
 
-func (f *flakyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+func (f *flakyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error) {
 	for i, op := range ops {
 		if f.shouldFail(op.Kind.String()) {
-			ids, err := f.inner.ApplyBatch(sw, ops[:i])
+			ids, err := f.inner.ApplyBatch(sw, ops[:i], ids)
 			if err == nil {
 				err = errSwitchGone
 			}
 			return ids, err
 		}
 	}
-	return f.inner.ApplyBatch(sw, ops)
+	return f.inner.ApplyBatch(sw, ops, ids)
 }
 
 func newFlakyController(t *testing.T, failAfter int, kind string) (*core.Controller, *topo.Graph, *flakyProgrammer) {

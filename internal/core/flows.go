@@ -414,41 +414,6 @@ func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Key][]openflow.PortID {
 	return entries
 }
 
-// actionFor is the instruction forwarding out of one port, with the
-// terminal destination rewrite on a host-facing port.
-func (c *Controller) actionFor(sw topo.NodeID, port openflow.PortID) openflow.Action {
-	a := openflow.Action{OutPort: port}
-	if peer, ok := c.g.PortToPeer(sw, port); ok {
-		if n, err := c.g.Node(peer); err == nil && n.Kind == topo.KindHost {
-			a.SetDest = c.hostAddr(peer)
-		}
-	}
-	return a
-}
-
-// actionsFor converts a sorted port set into an OpenFlow instruction set.
-func (c *Controller) actionsFor(sw topo.NodeID, ports []openflow.PortID) []openflow.Action {
-	actions := make([]openflow.Action, len(ports))
-	for i, port := range ports {
-		actions[i] = c.actionFor(sw, port)
-	}
-	return actions
-}
-
-// actionsMatch reports whether actions equals actionsFor(sw, ports),
-// without building it.
-func (c *Controller) actionsMatch(sw topo.NodeID, actions []openflow.Action, ports []openflow.PortID) bool {
-	if len(actions) != len(ports) {
-		return false
-	}
-	for i, port := range ports {
-		if actions[i] != c.actionFor(sw, port) {
-			return false
-		}
-	}
-	return true
-}
-
 func actionsEqual(a, b []openflow.Action) bool { return slices.Equal(a, b) }
 
 // refreshSwitch reconciles the flows of one switch with its contribution
@@ -500,12 +465,12 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 			metas = append(metas, opMeta{key: k, inst: installedFlow{priority: prio, actions: actions}})
 		case want && installed:
 			prio := k.Len()
-			if fl.priority == prio && c.actionsMatch(sw, fl.actions, ports) {
+			actions := c.actionsFor(sw, ports)
+			if fl.priority == prio && actionsEqual(fl.actions, actions) {
 				break
 			}
 			// A grown instruction set extends the entry to more ports;
 			// a shrunken one is the downgrade of Section 3.3.3.
-			actions := c.actionsFor(sw, ports)
 			switch {
 			case len(actions) > len(fl.actions):
 				c.inst.caseExtend.Inc()
@@ -678,7 +643,8 @@ func (c *Controller) programOnce(sw topo.NodeID, ops []openflow.FlowOp, metas []
 	acked *[]ackedOp, rep *ReconfigReport) (int, error) {
 	rep.SouthboundCalls++
 	c.inst.southboundCalls.Inc()
-	ids, err := c.prog.ApplyBatch(sw, ops)
+	ids, err := c.prog.ApplyBatch(sw, ops, c.ids[:0])
+	c.ids = ids
 	for i := range ids {
 		a := ackedOp{kind: ops[i].Kind, meta: metas[i]}
 		if ops[i].Kind == openflow.OpAdd {

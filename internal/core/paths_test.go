@@ -316,9 +316,7 @@ func TestRestoreRejectsNonMemberClient(t *testing.T) {
 	if _, err := c.Subscribe("s", hosts[1], dz.NewSet("01")); err != nil {
 		t.Fatal(err)
 	}
-	for tid := range c.subs["s"].trees {
-		delete(c.subs["s"].trees, tid)
-	}
+	c.subs["s"].trees = nil
 	snap, err := c.EncodeSnapshot()
 	if err != nil {
 		t.Fatal(err)

@@ -234,11 +234,11 @@ type permProgrammer struct {
 	err error
 }
 
-func (p *permProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+func (p *permProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error) {
 	if p.bad(sw) {
-		return nil, p.err
+		return ids, p.err
 	}
-	return p.DataPlane.ApplyBatch(sw, ops)
+	return p.DataPlane.ApplyBatch(sw, ops, ids)
 }
 
 // TestPermanentErrorSurfacesTyped checks the taxonomy split: permanent

@@ -20,11 +20,11 @@ type cutProgrammer struct {
 
 var errCut = errors.New("switch refused the batch")
 
-func (p *cutProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+func (p *cutProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error) {
 	if p.armed {
-		return nil, errCut
+		return ids, errCut
 	}
-	return p.inner.ApplyBatch(sw, ops)
+	return p.inner.ApplyBatch(sw, ops, ids)
 }
 
 // checkOpScratch fails unless the controller's per-request change set is
@@ -37,7 +37,7 @@ func checkOpScratch(t *testing.T, c *Controller) {
 	}
 	for tid, tr := range c.trees {
 		for sid, set := range tr.subs {
-			if s := c.subs[sid]; s == nil || !s.trees[tid] {
+			if s := c.subs[sid]; s == nil || !s.trees.has(tid) {
 				t.Errorf("tree %d lists subscriber %q, which does not list the tree", tid, sid)
 			}
 			if want := c.subs[sid].sub.Intersect(tr.set); !set.Equal(want) {
@@ -46,7 +46,7 @@ func checkOpScratch(t *testing.T, c *Controller) {
 		}
 	}
 	for sid, s := range c.subs {
-		for tid := range s.trees {
+		for _, tid := range s.trees {
 			if _, ok := c.trees[tid].subs[sid]; !ok {
 				t.Errorf("subscriber %q lists tree %d, which does not list it", sid, tid)
 			}

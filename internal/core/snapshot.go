@@ -139,7 +139,7 @@ func appendMemberSets(buf []byte, m map[string]dz.Set) ([]byte, error) {
 
 // appendClient writes one registry entry: id, endpoint, dz set, and the
 // sorted list of joined trees.
-func appendClient(buf []byte, id string, ep endpoint, set dz.Set, trees map[TreeID]bool) ([]byte, error) {
+func appendClient(buf []byte, id string, ep endpoint, set dz.Set, trees treeSet) ([]byte, error) {
 	buf = appendString(buf, id)
 	buf = binary.AppendUvarint(buf, uint64(ep.node))
 	buf = binary.AppendUvarint(buf, uint64(ep.viaPort))
@@ -148,7 +148,7 @@ func appendClient(buf []byte, id string, ep endpoint, set dz.Set, trees map[Tree
 		return nil, err
 	}
 	buf = binary.AppendUvarint(buf, uint64(len(trees)))
-	for _, tid := range sortutil.Keys(trees) {
+	for _, tid := range trees {
 		buf = binary.AppendUvarint(buf, uint64(tid))
 	}
 	return buf, nil
@@ -342,7 +342,9 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 		c.subs[id] = &subscriber{id: id, ep: ep, sub: set, trees: trees}
 	}
 
-	// Installed flow map, adopted verbatim.
+	// Installed flow map, adopted verbatim; each instruction set is read into
+	// acts and installed as its interned list when it is canonical.
+	var acts []openflow.Action
 	nSw := r.uvarint()
 	for i := uint64(0); i < nSw && r.err == nil; i++ {
 		sw := topo.NodeID(r.uvarint())
@@ -355,6 +357,7 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 				priority: int(r.uvarint()),
 			}
 			nActs := r.uvarint()
+			acts = acts[:0]
 			for k := uint64(0); k < nActs && r.err == nil; k++ {
 				a := openflow.Action{OutPort: openflow.PortID(r.uvarint())}
 				if hasDest := r.bytes(1, "action"); hasDest != nil && hasDest[0] != 0 {
@@ -362,8 +365,9 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 						a.SetDest = netip.AddrFrom16([16]byte(b16))
 					}
 				}
-				f.actions = append(f.actions, a)
+				acts = append(acts, a)
 			}
+			f.actions = c.adoptActions(sw, acts)
 			flows[k] = f
 		}
 		c.installed[sw] = flows
@@ -394,7 +398,7 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 }
 
 // readClient reads one registry entry written by appendClient.
-func readClient(r *snapReader) (string, endpoint, dz.Set, map[TreeID]bool) {
+func readClient(r *snapReader) (string, endpoint, dz.Set, treeSet) {
 	id := r.str()
 	ep := endpoint{
 		node:    topo.NodeID(r.uvarint()),
@@ -402,9 +406,9 @@ func readClient(r *snapReader) (string, endpoint, dz.Set, map[TreeID]bool) {
 	}
 	set := r.set()
 	n := r.uvarint()
-	trees := make(map[TreeID]bool, n)
+	var trees treeSet
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		trees[TreeID(r.uvarint())] = true
+		trees.add(TreeID(r.uvarint()))
 	}
 	return id, ep, set, trees
 }

@@ -290,6 +290,13 @@ func (o *trieOracle) check(probe Expr) {
 	if got := o.visited(func(fn func(Key, int) bool) { o.tr.VisitOverlaps(pk, fn) }); !slices.Equal(got, overlaps) {
 		t.Fatalf("VisitOverlaps(%q) = %v, naive %v", probe, got, overlaps)
 	}
+	// AppendOverlaps is VisitOverlaps without keys or callbacks: the same
+	// values in the same order, appended behind what dst already holds.
+	var visitedVals []int
+	o.tr.VisitOverlaps(pk, func(_ Key, v int) bool { visitedVals = append(visitedVals, v); return true })
+	if got := o.tr.AppendOverlaps([]int{-1}, pk); got[0] != -1 || !slices.Equal(got[1:], visitedVals) {
+		t.Fatalf("AppendOverlaps(%q) = %v, VisitOverlaps visited %v behind -1", probe, got, visitedVals)
+	}
 	if len(overlaps) > 1 {
 		calls := 0
 		o.tr.VisitOverlaps(pk, func(Key, int) bool { calls++; return false })

@@ -549,6 +549,48 @@ func (t *Trie[V]) VisitOverlaps(k Key, fn func(Key, V) bool) {
 	t.visit(k, true, true, fn)
 }
 
+// AppendOverlaps appends to dst the values VisitOverlaps would visit for k,
+// in the same order, and returns the extended slice. It builds no key and
+// calls nothing per entry: the host demultiplexer's per-packet form, which
+// wants the values alone. It allocates only when dst must grow.
+func (t *Trie[V]) AppendOverlaps(dst []V, k Key) []V {
+	if len(t.nodes.items) == 0 {
+		return dst
+	}
+	i := uint32(0)
+	for d := 0; ; d++ {
+		n := &t.nodes.items[i]
+		h := k.strideAt(d)
+		if h < 16 {
+			return t.appendUnder(dst, i, pathTo[h]|under[h])
+		}
+		m := n.bits & pathTo[h]
+		for in := m &^ leafMask; in != 0; in &= in - 1 {
+			dst = append(dst, t.vals.items[n.valAt(in&-in)])
+		}
+		leaf := m & leafMask
+		if leaf == 0 {
+			return dst
+		}
+		i = n.childAt(leaf)
+	}
+}
+
+// appendUnder is walk for AppendOverlaps: it appends, in position order, the
+// values of node i that mask selects and those of every child it selects.
+func (t *Trie[V]) appendUnder(dst []V, i uint32, mask uint32) []V {
+	n := &t.nodes.items[i]
+	for m := n.bits & mask; m != 0; m &= m - 1 {
+		bit := m & -m
+		if leafMask&bit != 0 {
+			dst = t.appendUnder(dst, n.childAt(bit), ^uint32(0))
+		} else {
+			dst = append(dst, t.vals.items[n.valAt(bit)])
+		}
+	}
+	return dst
+}
+
 // Walk calls fn for every stored entry in lexicographic key order
 // (prefixes before their extensions). fn returning false stops the walk.
 func (t *Trie[V]) Walk(fn func(Key, V) bool) {

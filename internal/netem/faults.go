@@ -203,8 +203,8 @@ func (f *FaultyProgrammer) decideBatch(sw topo.NodeID, n int) (int, *InjectedErr
 // injection: a fault at op i applies ops[:i] to the real table and returns
 // the acknowledged prefix alongside the injected error, exactly the
 // OpenFlow-bundle failure shape the controller's prefix accounting
-// handles.
-func (f *FaultyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+// handles. ids passes through to the data plane.
+func (f *FaultyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error) {
 	injErr := f.admit(sw)
 	cut := len(ops)
 	if injErr == nil {
@@ -213,16 +213,16 @@ func (f *FaultyProgrammer) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]
 		cut = 0
 	}
 	if cut == 0 && injErr != nil {
-		return nil, injErr
+		return ids, injErr
 	}
-	applied, err := f.dp.ApplyBatch(sw, ops[:cut])
+	ids, err := f.dp.ApplyBatch(sw, ops[:cut], ids)
 	if err != nil {
-		return applied, err
+		return ids, err
 	}
 	if injErr != nil {
-		return applied, injErr
+		return ids, injErr
 	}
-	return applied, nil
+	return ids, nil
 }
 
 // Flows implements core.FlowReader; reads are never faulted.

@@ -31,9 +31,9 @@ func faultTestFlow(t *testing.T, expr string) openflow.Flow {
 // addOne ships one add as a one-op batch — the only shape a single FlowMod
 // has on the southbound surface.
 func addOne(p interface {
-	ApplyBatch(topo.NodeID, []openflow.FlowOp) ([]openflow.FlowID, error)
+	ApplyBatch(topo.NodeID, []openflow.FlowOp, []openflow.FlowID) ([]openflow.FlowID, error)
 }, sw topo.NodeID, f openflow.Flow) (openflow.FlowID, error) {
-	ids, err := p.ApplyBatch(sw, []openflow.FlowOp{openflow.AddOp(f)})
+	ids, err := p.ApplyBatch(sw, []openflow.FlowOp{openflow.AddOp(f)}, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -133,7 +133,7 @@ func TestBatchFaultAppliesPrefix(t *testing.T) {
 		openflow.AddOp(faultTestFlow(t, "110")),
 	}
 	fp.FailNextBatch(2)
-	ids, err := fp.ApplyBatch(sw, ops)
+	ids, err := fp.ApplyBatch(sw, ops, nil)
 	if err == nil {
 		t.Fatal("armed batch fault must fire")
 	}
@@ -149,7 +149,7 @@ func TestBatchFaultAppliesPrefix(t *testing.T) {
 		t.Errorf("table has %d flows, want 2", len(flows))
 	}
 	// Disarmed afterwards: the remainder applies cleanly.
-	if _, err := fp.ApplyBatch(sw, ops[2:]); err != nil {
+	if _, err := fp.ApplyBatch(sw, ops[2:], nil); err != nil {
 		t.Fatalf("second batch: %v", err)
 	}
 	// A one-op batch is cut the same way: armed at 0, the single FlowMod

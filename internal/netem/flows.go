@@ -19,16 +19,17 @@ func HostAddr(h topo.NodeID) netip.Addr {
 
 // ApplyBatch applies a whole batch of FlowMods to one switch in a single
 // southbound call, modelling an OpenFlow bundle (core.FlowProgrammer
-// surface). Operations apply in order; on failure the returned slice tells
-// the caller which prefix took effect. An add fails with
-// openflow.ErrTableFull when the switch's TCAM budget is exhausted.
-func (dp *DataPlane) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp) ([]openflow.FlowID, error) {
+// surface). Operations apply in order and append their FlowIDs to ids; on
+// failure the appended part tells the caller which prefix took effect. An
+// add fails with openflow.ErrTableFull when the switch's TCAM budget is
+// exhausted.
+func (dp *DataPlane) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openflow.FlowID) ([]openflow.FlowID, error) {
 	t, err := dp.Table(sw)
 	if err != nil {
-		return nil, err
+		return ids, err
 	}
 	dp.southbound++
-	return t.ApplyBatch(ops)
+	return t.AppendBatch(ids, ops)
 }
 
 // SouthboundCalls returns the number of controller→switch programming

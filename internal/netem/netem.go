@@ -62,7 +62,9 @@ type Packet struct {
 	// hop, and the zero key when Dst is no dz address. It is never set from
 	// anything but Dst, so the switches still match exactly the bits the wire
 	// carries; like every field it travels by value through the slab,
-	// multicast copies and cross-shard mailboxes.
+	// multicast copies and cross-shard mailboxes. A rewrite on the last hop,
+	// out of a host-facing port, leaves the zero key: no switch follows, and
+	// a delivered packet sent on again is repacked at injection.
 	dstKey dz.Key
 	// Hops counts the switch hops taken so far. (It sits here to share the
 	// two keys' alignment padding; TestPacketSize tracks the struct's size,
@@ -1238,12 +1240,18 @@ func (c *shardCtx) lookupAndForward(sw topo.NodeID, inPort openflow.PortID, slot
 
 // sendTo transmits the packet in slot over d, readdressed to dst when the
 // flow action set one — the next switch, if there is one, matches the new
-// address, so its lookup key is repacked with it.
+// address, so its lookup key is repacked with it. On a host-facing direction
+// there is no next switch: the key is zeroed, not packed, since a host never
+// looks it up and atInjection repacks a delivered packet that is sent again.
 func (c *shardCtx) sendTo(d *dirState, dst netip.Addr, slot uint32) {
 	if dst.IsValid() {
 		pkt := &c.slab[slot]
 		pkt.Dst = dst
-		pkt.dstKey, _ = ipmc.KeyFromAddr(dst)
+		if d.toHost {
+			pkt.dstKey = dz.Key{}
+		} else {
+			pkt.dstKey, _ = ipmc.KeyFromAddr(dst)
+		}
 	}
 	c.transmit(d, slot)
 }

@@ -520,7 +520,7 @@ func TestFlowProgrammerSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	one := func(node topo.NodeID, op openflow.FlowOp) error {
-		_, err := dp.ApplyBatch(node, []openflow.FlowOp{op})
+		_, err := dp.ApplyBatch(node, []openflow.FlowOp{op}, nil)
 		return err
 	}
 	id, err := addOne(dp, sw, f)

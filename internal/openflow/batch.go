@@ -58,31 +58,37 @@ func ModifyOp(id FlowID, priority int, actions []Action) FlowOp {
 // left it. It returns one FlowID per successfully applied operation — the
 // assigned ID for adds, zero for deletes and modifies — so a caller can
 // tell exactly which prefix of the batch took effect when an error is
-// returned.
+// returned. It is AppendBatch into a fresh slice.
 func (t *Table) ApplyBatch(ops []FlowOp) ([]FlowID, error) {
+	return t.AppendBatch(make([]FlowID, 0, len(ops)), ops)
+}
+
+// AppendBatch is ApplyBatch for a caller that owns the buffer: it appends
+// the FlowIDs of the applied prefix to ids and returns the extended slice,
+// allocating only when ids must grow.
+func (t *Table) AppendBatch(ids []FlowID, ops []FlowOp) ([]FlowID, error) {
 	t.stats.Batches++
-	applied := make([]FlowID, 0, len(ops))
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdd:
 			id, err := t.TryAdd(op.Flow)
 			if err != nil {
-				return applied, fmt.Errorf("openflow: batch op %d: %w", i, err)
+				return ids, fmt.Errorf("openflow: batch op %d: %w", i, err)
 			}
-			applied = append(applied, id)
+			ids = append(ids, id)
 		case OpDelete:
 			if !t.Delete(op.ID) {
-				return applied, fmt.Errorf("openflow: batch op %d: no flow %d", i, op.ID)
+				return ids, fmt.Errorf("openflow: batch op %d: no flow %d", i, op.ID)
 			}
-			applied = append(applied, 0)
+			ids = append(ids, 0)
 		case OpModify:
 			if err := t.Modify(op.ID, op.Priority, op.Actions); err != nil {
-				return applied, fmt.Errorf("openflow: batch op %d: %w", i, err)
+				return ids, fmt.Errorf("openflow: batch op %d: %w", i, err)
 			}
-			applied = append(applied, 0)
+			ids = append(ids, 0)
 		default:
-			return applied, fmt.Errorf("openflow: batch op %d: unknown kind %d", i, op.Kind)
+			return ids, fmt.Errorf("openflow: batch op %d: unknown kind %d", i, op.Kind)
 		}
 	}
-	return applied, nil
+	return ids, nil
 }

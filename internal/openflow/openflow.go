@@ -235,7 +235,10 @@ func admit(expr dz.Expr, priority int) error {
 // current by index and unindex so that a lookup reads it straight from the
 // trie. actions mirrors best.Actions — the slice header, not the elements —
 // so that the forwarding path has its answer inside the trie's value slab and
-// never loads the Flow; setBest is the one writer of both.
+// never loads the Flow; setBest is the one writer of both. The elements are
+// the controller's: every flow it installs with one port set on a switch
+// shares one list, so the buckets of a busy table point into a handful of
+// arrays that stay in cache, not one per flow.
 type exprBucket struct {
 	best    *Flow
 	actions []Action
@@ -336,8 +339,11 @@ func (t *Table) Delete(id FlowID) bool {
 
 // Modify replaces the actions and priority of an installed flow. It fails,
 // and changes nothing, when no flow has the ID or the priority is not the
-// flow's |dz|. The new actions are a fresh copy: a list an earlier LookupKey
-// handed out is never written.
+// flow's |dz|. The table keeps the caller's list, as TryAdd keeps an added
+// flow's: neither side writes it afterwards — the controller hands every
+// flow of a port set one shared, immutable list — and the old list is
+// replaced, never written, so one an earlier LookupKey handed out stays as
+// it was.
 func (t *Table) Modify(id FlowID, priority int, actions []Action) error {
 	f, ok := t.flows[id]
 	if !ok {
@@ -348,7 +354,7 @@ func (t *Table) Modify(id FlowID, priority int, actions []Action) error {
 	}
 	t.unindex(f)
 	f.Priority = priority
-	f.Actions = append([]Action(nil), actions...)
+	f.Actions = actions
 	t.index(f)
 	t.stats.Mods++
 	return nil
