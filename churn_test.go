@@ -2,6 +2,7 @@ package pleroma_test
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"testing"
 
@@ -35,8 +36,8 @@ func newControlChurn(tb testing.TB, deployed int) *controlChurn {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { sys.Close() })
 	w := &controlChurn{sys: sys, rng: rand.New(rand.NewSource(12)), live: make([]string, deployed)}
+	tb.Cleanup(w.close)
 	for i := 0; i < 4; i++ {
 		pub, err := sys.NewPublisher("p"+strconv.Itoa(i), sys.Hosts()[i])
 		if err != nil {
@@ -52,6 +53,13 @@ func newControlChurn(tb testing.TB, deployed int) *controlChurn {
 	return w
 }
 
+// close closes the system and lets go of it: the testing package may keep
+// a cleanup reachable after running it, and with it whatever it holds.
+func (w *controlChurn) close() {
+	w.sys.Close()
+	w.sys, w.live = nil, nil
+}
+
 func (w *controlChurn) subscribe(tb testing.TB) string {
 	id := "s" + strconv.Itoa(w.nextID)
 	w.nextID++
@@ -62,6 +70,14 @@ func (w *controlChurn) subscribe(tb testing.TB) string {
 		tb.Fatal(err)
 	}
 	return id
+}
+
+// liveHeap is HeapAlloc after a GC.
+func liveHeap() uint64 {
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
 }
 
 func (w *controlChurn) step(tb testing.TB) {
@@ -77,10 +93,15 @@ func (w *controlChurn) step(tb testing.TB) {
 // the prefix families of its own dz-expressions and no registry is scanned,
 // so ns/op may grow with the depth of the per-switch tries and the cache
 // footprint of the deployment, not with the deployment itself (DESIGN.md,
-// "Flow derivation", has the measured growth).
+// "Flow derivation", has the measured growth). live-B/sub is what the
+// deployment adds to the live heap (HeapAlloc after a GC, before its set-up
+// and after the loop: the system, its journal included, which grows by a
+// record per operation) per deployed subscription, the in-process side of
+// ctl-churn's heap_live_mb.
 func BenchmarkControlChurn(b *testing.B) {
 	for _, deployed := range []int{500, 5000, 20000} {
 		b.Run("deployed="+strconv.Itoa(deployed), func(b *testing.B) {
+			before := liveHeap()
 			w := newControlChurn(b, deployed)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -88,6 +109,7 @@ func BenchmarkControlChurn(b *testing.B) {
 				w.step(b)
 			}
 			b.StopTimer()
+			b.ReportMetric((float64(liveHeap())-float64(before))/float64(deployed), "live-B/sub")
 			if err := w.sys.VerifyTables(); err != nil {
 				b.Fatal(err)
 			}
@@ -99,8 +121,9 @@ func BenchmarkControlChurn(b *testing.B) {
 // subscribe pair at 5000 deployed, facade to flow tables, journal included
 // (the map-of-maps contribution state this replaced took ≈ 560). What is
 // left is the state the new subscription keeps — its record, tree list and
-// set, one allocation per path record, its flows, the journal record — plus
-// the filter's decomposition and the host list the loop asks for.
+// set, its branch (the expression list, and one list for the routes of all
+// publishers but the first), its flows — plus the filter's decomposition and
+// the host list the loop asks for; journal records are packed into chunks.
 // Contributions are values in the per-switch tries, a flow's match is the
 // registered set's own string and its actions the switch's interned list
 // for its port set. Change sets, the changed list, tree ids, batch FlowIDs
@@ -110,7 +133,7 @@ func TestControlChurnAllocCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("deploys 5000 subscriptions")
 	}
-	const ceiling = 23 // measured 21; 28 with a fresh action list per flow add (3.9) and modify (1.1), a FlowID slice per batch (1.6) and a map of trees per subscriber, 30 the ceiling then; 45 with a heap contrib per (switch, expression), two allocations per path record, a copied action list per flow add and journal records sized one byte short, 86 with a change set per operation and path expressions grown per member, 364 before the decomposition, the routes and the refresh scratch stopped allocating per operation
+	const ceiling = 19 // measured 17 with one branch per (subscription, tree) and journal records packed into chunks; 21 with a path record per publisher and a heap slice per journal record, 23 the ceiling then; 28 with a fresh action list per flow add (3.9) and modify (1.1), a FlowID slice per batch (1.6) and a map of trees per subscriber, 30 the ceiling then; 45 with a heap contrib per (switch, expression), two allocations per path record, a copied action list per flow add and journal records sized one byte short, 86 with a change set per operation and path expressions grown per member, 364 before the decomposition, the routes and the refresh scratch stopped allocating per operation
 	w := newControlChurn(t, 5000)
 	perPair := testing.AllocsPerRun(300, func() { w.step(t) })
 	t.Logf("%.0f allocations per unsubscribe+subscribe pair at 5000 deployed", perPair)

@@ -104,8 +104,8 @@ func BenchmarkSubscribeUnsubscribeCycle(b *testing.B) {
 
 // TestSubscribeUnsubscribeCycleAllocs pins the allocations of one cycle,
 // the subscription's decomposition and id included: what is left is the
-// state the subscription keeps while it lives — its record, path records,
-// contributions and flows. Change sets, tree ids and path expressions are
+// state the subscription keeps while it lives — its record, branches,
+// contributions and flows. Change sets, tree ids and branch expressions are
 // controller scratch or sized once, so none of them counts per member.
 func TestSubscribeUnsubscribeCycleAllocs(t *testing.T) {
 	const ceiling = 25 // measured 23; 46 while every subscription made its own change sets and grew its paths per member

@@ -50,7 +50,7 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	c.inst.advertise.Inc()
 
 	ch := newChangeSet()
-	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
+	defer c.contribs.apply(ch) // a failure before refresh keeps tries and branches in step
 	for _, dzi := range set {
 		covered := dz.Set(nil)
 		for _, tid := range c.treeIdx.overlapping(dzi) {
@@ -124,22 +124,15 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	c.inst.subscribe.Inc()
 
 	ch := c.opCh
-	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step, and empties ch
-	c.pubOrder = c.pubOrder[:0]
-	for _, dzi := range set {
-		for _, tid := range c.treeIdx.overlapping(dzi) {
-			t := c.trees[tid]
-			if sub.trees.add(tid) {
-				// DZ^t(s) at once: the union of every member's part below.
-				t.subs[id] = set.Intersect(t.set)
-			}
-			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
-			for _, pid := range c.sortedPubs(t) {
-				if err := c.addPathContributions(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), ch, &rep); err != nil {
-					return rep, err
-				}
-			}
-		}
+	defer c.contribs.apply(ch) // a failure before refresh keeps tries and branches in step, and empties ch
+	err = c.subscribeRoutes(sub, &rep)
+	// The subscription's branches are all new: each enters ch whole, its
+	// routes grouped, also when a route failed after others were recorded.
+	for _, tid := range sub.trees {
+		c.contribs.contribute(branchKey{sub: id, tree: tid}, ch, +1)
+	}
+	if err != nil {
+		return rep, err
 	}
 	if len(sub.trees) == 0 {
 		rep.Stored = true
@@ -153,6 +146,29 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	}
 	c.logOp(wire.OpSubscribe, id, rep)
 	return rep, nil
+}
+
+// subscribeRoutes joins sub to every tree its set overlaps and records a
+// route from each of the tree's publishers that covers part of it, without
+// contributions: Algorithm 1, lines 16–25.
+func (c *Controller) subscribeRoutes(sub *subscriber, rep *ReconfigReport) error {
+	c.pubOrder = c.pubOrder[:0]
+	for _, dzi := range sub.sub {
+		for _, tid := range c.treeIdx.overlapping(dzi) {
+			t := c.trees[tid]
+			if sub.trees.add(tid) {
+				// DZ^t(s) at once: the union of every member's part below.
+				t.subs[sub.id] = sub.sub.Intersect(t.set)
+			}
+			overlap := t.set.IntersectExpr(dzi) // DZ^t(s) part from dz_i
+			for _, pid := range c.sortedPubs(t) {
+				if err := c.addRoute(t, c.pubs[pid], sub, overlap.Intersect(t.pubs[pid]), nil, rep); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // treePubs is one tree's publisher ids, sorted.
@@ -195,9 +211,7 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	ch := c.opCh // refresh empties it
 	for _, tid := range sub.trees {
 		if t, ok := c.trees[tid]; ok {
-			for pid := range t.pubs {
-				c.contribs.removePath(pathKey{pub: pid, sub: id, tree: tid}, ch)
-			}
+			c.contribs.removeBranch(branchKey{sub: id, tree: tid}, ch)
 			delete(t.subs, id)
 		}
 	}
@@ -230,7 +244,7 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 			continue
 		}
 		for sid := range t.subs {
-			c.contribs.removePath(pathKey{pub: id, sub: sid, tree: tid}, ch)
+			c.contribs.removeRoute(branchKey{sub: sid, tree: tid}, pub, ch)
 		}
 		delete(t.pubs, id)
 		if len(t.pubs) == 0 {
@@ -348,7 +362,7 @@ func (c *Controller) addFlowMultSub(t *tree, pub *publisher, set dz.Set,
 			continue
 		}
 		c.joinTreeAsSubscriber(t, sub, ov)
-		if err := c.addPathContributions(t, pub, sub, ov, ch, rep); err != nil {
+		if err := c.addRoute(t, pub, sub, ov, ch, rep); err != nil {
 			return err
 		}
 	}
@@ -390,20 +404,30 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 	return t, nil
 }
 
-// dropTreePaths tears down every established path of t.
+// dropTreePaths tears down every branch of t.
 func (c *Controller) dropTreePaths(t *tree, ch *changeSet) {
-	for pid := range t.pubs {
-		for sid := range t.subs {
-			c.contribs.removePath(pathKey{pub: pid, sub: sid, tree: t.id}, ch)
-		}
+	for sid := range t.subs {
+		c.contribs.removeBranch(branchKey{sub: sid, tree: t.id}, ch)
 	}
 }
 
 // establishTreePaths establishes every publisher→subscriber path of t from
-// its overlap sets DZ^t(p) ∩ DZ^t(s). Path removal walks the clients' tree
-// memberships, so every member of t must be a registered client that lists
-// t: a restored snapshot is outside input and can say otherwise.
+// its overlap sets DZ^t(p) ∩ DZ^t(s), on a tree without branches (its
+// paths dropped, or just restored): each branch enters ch whole once its
+// routes are recorded, also when a later route failed.
 func (c *Controller) establishTreePaths(t *tree, ch *changeSet, rep *ReconfigReport) error {
+	err := c.treeRoutes(t, rep)
+	for sid := range t.subs {
+		c.contribs.contribute(branchKey{sub: sid, tree: t.id}, ch, +1)
+	}
+	return err
+}
+
+// treeRoutes records the routes of establishTreePaths, without
+// contributions. Path removal walks the clients' tree memberships, so every
+// member of t must be a registered client that lists t: a restored snapshot
+// is outside input and can say otherwise.
+func (c *Controller) treeRoutes(t *tree, rep *ReconfigReport) error {
 	for _, pid := range sortutil.Keys(t.pubs) {
 		pub := c.pubs[pid]
 		if pub == nil || !pub.trees.has(t.id) {
@@ -414,7 +438,7 @@ func (c *Controller) establishTreePaths(t *tree, ch *changeSet, rep *ReconfigRep
 			if sub == nil || !sub.trees.has(t.id) {
 				return fmt.Errorf("tree %d references unknown or non-member subscriber %q", t.id, sid)
 			}
-			if err := c.addPathContributions(t, pub, sub, t.pubs[pid].Intersect(t.subs[sid]), ch, rep); err != nil {
+			if err := c.addRoute(t, pub, sub, t.pubs[pid].Intersect(t.subs[sid]), nil, rep); err != nil {
 				return err
 			}
 		}
@@ -587,7 +611,7 @@ func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 	defer func() { c.endOp(opRebuildTrees, sp, start, &rep, err) }()
 	c.resetActionSets()
 	ch := newChangeSet()
-	defer c.contribs.apply(ch) // a failure before refresh keeps tries and path records in step
+	defer c.contribs.apply(ch) // a failure before refresh keeps tries and branches in step
 	for _, t := range c.sortedTrees() {
 		span, err := c.g.ShortestPathTree(t.root, c.includeFunc())
 		if err != nil {

@@ -272,8 +272,8 @@ type Controller struct {
 	pubs    map[string]*publisher
 	subs    map[string]*subscriber
 
-	// contribs holds one record per established path and the per-switch
-	// aggregates derived from them; installed tracks the flows currently
+	// contribs holds one branch per (subscriber, tree) with established
+	// paths and the per-switch aggregates derived from them; installed tracks the flows currently
 	// programmed per switch, keyed by the packed match. A switch without
 	// flows has no map.
 	contribs  *contribState
@@ -327,10 +327,11 @@ type Controller struct {
 	span   *obs.Span
 }
 
+// installedFlow is one flow the controller programmed. Its priority is its
+// key's length: a table refuses any other (openflow's admission rule).
 type installedFlow struct {
-	id       openflow.FlowID
-	priority int
-	actions  []openflow.Action
+	id      openflow.FlowID
+	actions []openflow.Action
 }
 
 // Option configures a Controller.
@@ -402,7 +403,7 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 		trees:     make(map[TreeID]*tree),
 		pubs:      make(map[string]*publisher),
 		subs:      make(map[string]*subscriber),
-		contribs:  &contribState{paths: make(map[pathKey]path), direct: make(map[topo.NodeID]*dz.Trie[contrib])},
+		contribs:  newContribState(),
 		opCh:      newChangeSet(),
 		installed: make(map[topo.NodeID]map[dz.Key]installedFlow),
 		degraded:  &DegradedSet{m: make(map[topo.NodeID]error)},

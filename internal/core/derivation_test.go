@@ -37,26 +37,82 @@ func (p portSet) equal(o portSet) bool {
 
 type directMap map[dz.Expr]map[openflow.PortID]int
 
-// oracleDirect recomputes every switch's direct contributions from the path
-// records: exprs × hops per path.
+// oracleDirect recomputes every switch's direct contributions from the
+// branches, one route at a time: the expressions a route carries × its hops.
 func oracleDirect(c *Controller) map[topo.NodeID]directMap {
 	out := make(map[topo.NodeID]directMap)
-	for _, p := range c.contribs.paths {
-		for _, e := range p.exprs {
-			for _, hop := range p.hops {
-				d := out[hop.Switch]
-				if d == nil {
-					d = make(directMap)
-					out[hop.Switch] = d
+	for _, b := range c.contribs.branches {
+		for i := range b.len() {
+			r := b.route(i)
+			for x, e := range b.exprs {
+				if !r.part.has(x) {
+					continue
 				}
-				if d[e] == nil {
-					d[e] = make(map[openflow.PortID]int)
+				for _, hop := range r.hops {
+					d := out[hop.Switch]
+					if d == nil {
+						d = make(directMap)
+						out[hop.Switch] = d
+					}
+					if d[e] == nil {
+						d[e] = make(map[openflow.PortID]int)
+					}
+					d[e][hop.OutPort]++
 				}
-				d[e][hop.OutPort]++
 			}
 		}
 	}
 	return out
+}
+
+// routeCount is the number of routes of all branches.
+func routeCount(c *Controller) int {
+	n := 0
+	for _, b := range c.contribs.branches {
+		n += b.len()
+	}
+	return n
+}
+
+// checkBranches holds every branch to the trees' overlap sets: a branch
+// names a member of a live tree and has a route; its expressions are
+// distinct; each route comes from a registered publisher of the tree, one
+// per publisher, and carries exactly DZ^t(p) ∩ DZ^t(s) (as point sets: the
+// pieces it was given may be finer); and every (publisher, subscriber, tree)
+// triple whose sets intersect has its route.
+func checkBranches(tb testing.TB, op string, c *Controller) {
+	tb.Helper()
+	for key, b := range c.contribs.branches {
+		t := c.trees[key.tree]
+		if t == nil || t.subs[key.sub] == nil || b.len() == 0 {
+			tb.Fatalf("%s: branch %v: tree, membership or route missing", op, key)
+		}
+		sorted := slices.Clone(b.exprs)
+		if slices.Sort(sorted); len(slices.Compact(sorted)) != len(b.exprs) {
+			tb.Fatalf("%s: branch %v repeats an expression: %v", op, key, b.exprs)
+		}
+		seen := map[string]bool{}
+		for i := range b.len() {
+			r := b.route(i)
+			id := r.pub.id
+			if _, member := t.pubs[id]; seen[id] || c.pubs[id] != r.pub || !member {
+				tb.Fatalf("%s: branch %v: route of %q repeated, unregistered or off the tree", op, key, id)
+			}
+			seen[id] = true
+			var carried []dz.Expr
+			for x, e := range b.exprs {
+				if r.part.has(x) {
+					carried = append(carried, e)
+				}
+			}
+			if got, want := dz.NewSet(carried...), t.pubs[id].Intersect(t.subs[key.sub]); !got.Equal(want) {
+				tb.Fatalf("%s: branch %v: route of %q carries %v, DZ^t(p) ∩ DZ^t(s) = %v", op, key, id, got, want)
+			}
+		}
+	}
+	if got, want := routeCount(c), overlappingTriples(c); got != want {
+		tb.Fatalf("%s: %d routes, %d overlapping (publisher, subscriber, tree) triples", op, got, want)
+	}
 }
 
 func unionOfPrefixes(direct directMap, x dz.Expr, memo map[dz.Expr]portSet) portSet {
@@ -206,13 +262,9 @@ func take(ids *[]string, i byte) string {
 // host and DZ set or victim — and checks the derivation.
 func (r *derivationRig) step(tb testing.TB, kind, a, b byte) {
 	tb.Helper()
-	before := oracleTables(oracleDirect(r.c))
-	casesBefore := r.caseCounts()
-	r.log.batches = nil
 	var (
-		rep ReconfigReport
-		err error
 		op  string
+		run func() (ReconfigReport, error)
 	)
 	host := r.hosts[int(a)%len(r.hosts)]
 	switch k := kind % 10; {
@@ -220,35 +272,46 @@ func (r *derivationRig) step(tb testing.TB, kind, a, b byte) {
 		id := fmt.Sprintf("s%d", r.next)
 		r.next++
 		op = fmt.Sprintf("subscribe %s host %d %v", id, host, setFrom(a, b))
-		rep, err = r.c.Subscribe(id, host, setFrom(a, b))
+		run = func() (ReconfigReport, error) { return r.c.Subscribe(id, host, setFrom(a, b)) }
 		r.subs = append(r.subs, id)
 	case k < 6 && len(r.subs) > 0:
 		id := take(&r.subs, a)
 		op = "unsubscribe " + id
-		rep, err = r.c.Unsubscribe(id)
+		run = func() (ReconfigReport, error) { return r.c.Unsubscribe(id) }
 	case k < 8:
 		id := fmt.Sprintf("p%d", r.next)
 		r.next++
 		op = fmt.Sprintf("advertise %s host %d %v", id, host, setFrom(a, b))
-		rep, err = r.c.Advertise(id, host, setFrom(a, b))
+		run = func() (ReconfigReport, error) { return r.c.Advertise(id, host, setFrom(a, b)) }
 		r.pubs = append(r.pubs, id)
 	case k == 8 && len(r.pubs) > 0:
 		id := take(&r.pubs, a)
 		op = "unadvertise " + id
-		rep, err = r.c.Unadvertise(id)
+		run = func() (ReconfigReport, error) { return r.c.Unadvertise(id) }
 	case a%4 == 0:
 		r.restore(tb)
 		return
 	default:
 		op = "rebuild trees"
-		rep, err = r.c.RebuildTrees()
+		run = r.c.RebuildTrees
 	}
+	r.check(tb, op, run)
+}
+
+// check runs one operation, op, and checks the derivation around it.
+func (r *derivationRig) check(tb testing.TB, op string, run func() (ReconfigReport, error)) {
+	tb.Helper()
+	before := oracleTables(oracleDirect(r.c))
+	casesBefore := r.caseCounts()
+	r.log.batches = nil
+	rep, err := run()
 	if err != nil {
 		tb.Fatalf("%s: %v", op, err)
 	}
 	direct := oracleDirect(r.c)
 	after := oracleTables(direct)
 	r.checkTables(tb, op, after)
+	checkBranches(tb, op, r.c)
 
 	for _, batch := range r.log.batches {
 		if !slices.IsSorted(batch) || len(slices.Compact(slices.Clone(batch))) != len(batch) {
@@ -358,6 +421,7 @@ func (r *derivationRig) restore(tb testing.TB) {
 		tb.Fatal(err)
 	}
 	r.checkTables(tb, "snapshot-restore", oracleTables(oracleDirect(r.c)))
+	checkBranches(tb, "snapshot-restore", r.c)
 }
 
 // run interprets prog three bytes at a time, then removes every client and
@@ -373,8 +437,8 @@ func (r *derivationRig) run(tb testing.TB, prog []byte) {
 	for len(r.pubs) > 0 {
 		r.step(tb, 8, 0, 0)
 	}
-	if n := len(r.c.contribs.paths) + len(r.c.contribs.direct) + len(r.c.installed); n != 0 {
-		tb.Fatalf("%d path records, contribution tries and installed tables left", n)
+	if n := len(r.c.contribs.branches) + len(r.c.contribs.direct) + len(r.c.installed); n != 0 {
+		tb.Fatalf("%d branches, contribution tries and installed tables left", n)
 	}
 }
 
@@ -408,4 +472,128 @@ func FuzzFlowDerivation(f *testing.F) {
 		mode := prog[0]
 		newDerivationRig(t, mode&1 == 1, int(mode>>1)%4).run(t, prog[1:])
 	})
+}
+
+// TestBranchesUnderPartialAdvertisements: publishers that advertise
+// different parts of one tree give one subscriber's routes different parts
+// of its branch, and two subscribers' routes may share a part with some
+// publishers and not others. Every operation is checked against the
+// definition and the overlap sets (check, checkBranches); withdrawing one
+// publisher of a shared branch, a merge and RebuildTrees follow.
+func TestBranchesUnderPartialAdvertisements(t *testing.T) {
+	r := newDerivationRig(t, false, 2)
+	h := r.hosts
+	advertise := func(id string, host topo.NodeID, exprs ...dz.Expr) ReconfigReport {
+		var rep ReconfigReport
+		r.check(t, "advertise "+id, func() (ReconfigReport, error) {
+			var err error
+			rep, err = r.c.Advertise(id, host, dz.NewSet(exprs...))
+			return rep, err
+		})
+		r.pubs = append(r.pubs, id)
+		return rep
+	}
+	subscribe := func(id string, host topo.NodeID, exprs ...dz.Expr) {
+		r.check(t, "subscribe "+id, func() (ReconfigReport, error) { return r.c.Subscribe(id, host, dz.NewSet(exprs...)) })
+		r.subs = append(r.subs, id)
+	}
+	// parts returns, per publisher, what its route on the branch of sub on
+	// the tree owning e carries.
+	parts := func(sub string, e dz.Expr) map[string][]dz.Expr {
+		k, _ := dz.KeyOf(e)
+		tid, ok := r.c.TreeFor(k)
+		if !ok {
+			t.Fatalf("no tree owns %s", e)
+		}
+		b := r.c.contribs.branches[branchKey{sub: sub, tree: tid}]
+		out := map[string][]dz.Expr{}
+		for i := range b.len() {
+			rt := b.route(i)
+			for x, e := range b.exprs {
+				if rt.part.has(x) {
+					out[rt.pub.id] = append(out[rt.pub.id], e)
+				}
+			}
+		}
+		return out
+	}
+	same := func(what string, got, want map[string][]dz.Expr) {
+		t.Helper()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s: routes carry %v, want %v", what, got, want)
+		}
+	}
+
+	advertise("p0", h[0], "0")
+	advertise("p1", h[1], "00")
+	advertise("p2", h[2], "01", "10") // joins {0} with 01, makes a tree {10}
+	subscribe("s", h[len(h)-1], "0", "1")
+	same("s on {0}", parts("s", "0"), map[string][]dz.Expr{"p0": {"0"}, "p1": {"00"}, "p2": {"01"}})
+	same("s on {10}", parts("s", "10"), map[string][]dz.Expr{"p2": {"10"}})
+	subscribe("s2", h[len(h)-2], "000")
+	same("s2 on {0}", parts("s2", "0"), map[string][]dz.Expr{"p0": {"000"}, "p1": {"000"}})
+
+	r.check(t, "unadvertise p1", func() (ReconfigReport, error) { return r.c.Unadvertise("p1") })
+	r.pubs = slices.DeleteFunc(r.pubs, func(id string) bool { return id == "p1" })
+	same("s on {0} without p1", parts("s", "0"), map[string][]dz.Expr{"p0": {"0"}, "p2": {"01"}})
+	same("s2 on {0} without p1", parts("s2", "0"), map[string][]dz.Expr{"p0": {"000"}})
+
+	if rep := advertise("p3", h[3], "11"); rep.TreesMerged != 1 {
+		t.Fatalf("a third tree merged %d times, want once", rep.TreesMerged)
+	}
+	same("s on {1}", parts("s", "1"), map[string][]dz.Expr{"p2": {"10"}, "p3": {"11"}})
+	r.check(t, "rebuild trees", r.c.RebuildTrees)
+	r.run(t, nil)
+}
+
+// TestBranchOfManyExpressions: a branch of more than 64 expressions keeps
+// the bits past the first word (exprBits.rest), and a publisher that
+// covers half the space carries the half of them it overlaps.
+func TestBranchOfManyExpressions(t *testing.T) {
+	r := newDerivationRig(t, false, 0)
+	var exprs []dz.Expr
+	for i := range 100 {
+		exprs = append(exprs, dz.Expr(fmt.Sprintf("%07b0", i))) // no two are siblings
+	}
+	set := dz.NewSet(exprs...)
+	if len(set) != 100 {
+		t.Fatalf("%d members, want 100", len(set))
+	}
+	h := r.hosts
+	r.check(t, "advertise p0", func() (ReconfigReport, error) { return r.c.Advertise("p0", h[0], dz.NewSet(dz.Whole)) })
+	r.check(t, "advertise p1", func() (ReconfigReport, error) { return r.c.Advertise("p1", h[1], dz.NewSet("1")) })
+	r.pubs = append(r.pubs, "p0", "p1")
+	r.check(t, "subscribe s", func() (ReconfigReport, error) { return r.c.Subscribe("s", h[len(h)-1], set) })
+	r.subs = append(r.subs, "s")
+	for _, b := range r.c.contribs.branches {
+		for i := range b.len() {
+			if rt := b.route(i); rt.pub.id == "p0" && len(rt.part.rest) != 1 {
+				t.Errorf("p0's route carries %d words past the first, want 1", len(rt.part.rest))
+			}
+		}
+	}
+	r.check(t, "unadvertise p0", func() (ReconfigReport, error) { return r.c.Unadvertise("p0") })
+	r.pubs = r.pubs[1:]
+	r.run(t, nil)
+}
+
+func TestExprBits(t *testing.T) {
+	var a, b exprBits
+	for _, i := range []int{0, 63, 64, 130} {
+		a.set(i)
+	}
+	for i := range 200 {
+		if want := i == 0 || i == 63 || i == 64 || i == 130; a.has(i) != want {
+			t.Errorf("has(%d) = %v, want %v", i, !want, want)
+		}
+	}
+	if a.equal(&b) || b.equal(&a) || !b.empty() || a.empty() {
+		t.Error("an empty set equals a full one, or emptiness is wrong")
+	}
+	for _, i := range []int{130, 64, 63, 0} {
+		b.set(i)
+	}
+	if !a.equal(&b) || len(b.rest) != 2 {
+		t.Errorf("sets built in two orders differ: %v, %v", a, b)
+	}
 }

@@ -113,7 +113,7 @@ func (j *FileJournal) recover() error {
 // Append encodes rec, writes one CRC frame, and fsyncs. Sequence numbers
 // must be strictly increasing, as with MemJournal.
 func (j *FileJournal) Append(rec wire.Record) error {
-	payload, err := wire.EncodeRecord(rec)
+	payload, err := wire.AppendRecord(nil, rec)
 	if err != nil {
 		return err
 	}

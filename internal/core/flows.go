@@ -23,11 +23,13 @@ type contribKey struct {
 }
 
 // changeSet accumulates, over one control operation, the net change in the
-// number of (path, key) contributions per contribKey. The routes of one
-// operation share most of their hops (every publisher's path to a subscriber
-// ends in the same switches), so the per-switch tries are touched once per
-// distinct key — and not at all where a tear-down and a re-establishment
-// cancel (mergeTrees, RebuildTrees) — when apply folds the set in.
+// number of (route, key) contributions per contribKey. The routes of one
+// operation share most of their hops (every publisher's route to a
+// subscriber ends in the same switches), so a branch's routes enter the set
+// grouped (contribState.contribute), and the per-switch tries are touched
+// once per distinct key — and not at all where a tear-down and a
+// re-establishment cancel (mergeTrees, RebuildTrees) — when apply folds the
+// set in.
 type changeSet struct {
 	delta map[contribKey]named
 	// changed backs the list apply returns, reused by the next apply of
@@ -46,34 +48,140 @@ type named struct {
 	expr dz.Expr
 }
 
-func (ch *changeSet) add(hops []topo.Hop, e dz.Expr, delta int) {
-	k, _ := dz.KeyOf(e)
-	for _, hop := range hops {
-		key := contribKey{hop.Switch, k, hop.OutPort}
-		ch.delta[key] = named{ch.delta[key].n + delta, e}
-	}
+// branchKey names one branch: the established paths of a subscriber on a
+// tree.
+type branchKey struct {
+	sub  string
+	tree TreeID
 }
 
-// pathKey identifies one established path: publisher → subscriber on tree.
-type pathKey struct {
-	pub, sub string
-	tree     TreeID
-}
-
-// path is one established path: its route along the tree and the subspaces
-// forwarded over it. Its contributions are the cross product exprs × hops.
-type path struct {
-	hops []topo.Hop // the tree's cached route (tree.routes), shared: read-only
-	// exprs lists the subspaces as they were added, de-duplicated and never
-	// canonicalised: flows are derived per contributed subspace, so merging
-	// siblings here would change the FlowMods. It is the record's one
-	// allocation: the members are the registered sets' strings.
+// branch is the established paths of one subscriber on one tree: one route
+// per publisher that forwards it anything. Its contributions are, per
+// route, the expressions the route carries × its hops.
+type branch struct {
+	// exprs lists the subspaces the routes were given, as they were added,
+	// de-duplicated and never canonicalised: flows are derived per
+	// contributed subspace, so merging siblings here would change the
+	// FlowMods. The members are the registered sets' strings. An expression
+	// stays when the only route carrying it goes (Unadvertise): nothing
+	// contributes it, and a later route that carries it finds it here.
 	exprs []dz.Expr
+	// first is the first route and more the others, so that a branch of one
+	// route costs its expression list alone.
+	first route
+	more  []route
 }
 
-// portRef counts the live (path, key) contributions through one out-port.
+// route is one publisher's path to the branch's subscriber: the tree's
+// cached route and which of the branch's expressions it carries, the parts
+// of DZ^t(p) ∩ DZ^t(s) it was given. The parts of a branch's routes differ
+// only under partial advertisements.
+type route struct {
+	pub  *publisher // nil only in an empty branch's first
+	hops []topo.Hop // the tree's cached route (tree.routes), shared: read-only
+	part exprBits
+}
+
+// exprBits is a set of indexes into a branch's expression list: index i is
+// bit i%64 of word i/64, the first word inline and the others, for a
+// branch of more than 64 expressions, in rest. Bits are only ever set, so
+// rest is exactly as long as its highest set bit needs and equal sets have
+// equal words.
+type exprBits struct {
+	w0   uint64
+	rest []uint64
+}
+
+func (s *exprBits) has(i int) bool {
+	if i < 64 {
+		return s.w0>>i&1 != 0
+	}
+	j := i/64 - 1
+	return j < len(s.rest) && s.rest[j]>>(i%64)&1 != 0
+}
+
+func (s *exprBits) set(i int) {
+	if i < 64 {
+		s.w0 |= 1 << i
+		return
+	}
+	j := i/64 - 1
+	for len(s.rest) <= j {
+		s.rest = append(s.rest, 0)
+	}
+	s.rest[j] |= 1 << (i % 64)
+}
+
+func (s *exprBits) empty() bool { return s.w0 == 0 && len(s.rest) == 0 }
+
+func (s *exprBits) equal(o *exprBits) bool {
+	return s.w0 == o.w0 && slices.Equal(s.rest, o.rest)
+}
+
+// len returns the number of b's routes.
+func (b *branch) len() int {
+	if b.first.pub == nil {
+		return 0
+	}
+	return 1 + len(b.more)
+}
+
+// route returns b's route i, aliasing b.
+func (b *branch) route(i int) *route {
+	if i == 0 {
+		return &b.first
+	}
+	return &b.more[i-1]
+}
+
+// routeOf returns the index of pub's route on b, or -1.
+func (b *branch) routeOf(pub *publisher) int {
+	for i := range b.len() {
+		if b.route(i).pub == pub {
+			return i
+		}
+	}
+	return -1
+}
+
+// push appends r and returns its index. The first spill is sized for every
+// other publisher of the tree, pubs in all.
+func (b *branch) push(r route, pubs int) int {
+	if b.first.pub == nil {
+		b.first = r
+		return 0
+	}
+	if b.more == nil {
+		b.more = make([]route, 0, max(1, pubs-1))
+	}
+	b.more = append(b.more, r)
+	return len(b.more)
+}
+
+// drop removes route i, moving the last route into its place.
+func (b *branch) drop(i int) {
+	last := b.len() - 1
+	*b.route(i) = *b.route(last)
+	if last == 0 {
+		b.first = route{}
+		return
+	}
+	b.more[last-1] = route{}
+	b.more = b.more[:last-1]
+}
+
+// index returns the position of e in b.exprs, appending it if absent.
+func (b *branch) index(e dz.Expr) int {
+	if i := slices.Index(b.exprs, e); i >= 0 {
+		return i
+	}
+	b.exprs = append(b.exprs, e)
+	return len(b.exprs) - 1
+}
+
+// portRef counts the live (route, key) contributions through one out-port.
 type portRef struct {
-	port, n int32 // an openflow.PortID, and a count bounded by the paths
+	port, n int32 // an openflow.PortID, and a count bounded by the routes
 }
 
 // contrib is one switch's direct contribution under one key: the out-ports
@@ -131,24 +239,109 @@ func (c *contrib) bump(port openflow.PortID, delta int) bool {
 }
 
 // contribState is the controller's view of all established paths: one
-// record per path, and the per-switch aggregates flow derivation reads.
+// branch per (subscriber, tree), and the per-switch aggregates flow
+// derivation reads.
 type contribState struct {
-	paths map[pathKey]path
+	branches map[branchKey]branch
 	// direct indexes, per switch, the keys with live contributions by
 	// prefix. A switch without contributions has no trie.
 	direct map[topo.NodeID]*dz.Trie[contrib]
+	// hops is the group of routes addGroup adds next, the hops of each
+	// appended: scratch, empty between calls, in hopsBuf until a group
+	// outgrows it (four five-hop routes fill 20 slots).
+	hops    []topo.Hop
+	hopsBuf [32]topo.Hop
 }
 
-// removePath tears down one path if it is established.
-func (cs *contribState) removePath(key pathKey, ch *changeSet) {
-	p, ok := cs.paths[key]
+func newContribState() *contribState {
+	cs := &contribState{branches: make(map[branchKey]branch), direct: make(map[topo.NodeID]*dz.Trie[contrib])}
+	cs.hops = cs.hopsBuf[:0]
+	return cs
+}
+
+// addGroup adds sign × the contributions of the routes whose hops are in
+// cs.hops, which all carry the expressions of exprs in part, to ch: per
+// expression, one delta per distinct (switch, out-port), the number of
+// routes crossing it. It empties the group.
+func (cs *contribState) addGroup(ch *changeSet, exprs []dz.Expr, part *exprBits, sign int) {
+	hops := cs.hops
+	slices.SortFunc(hops, func(a, b topo.Hop) int {
+		if c := cmp.Compare(a.Switch, b.Switch); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.OutPort, b.OutPort)
+	})
+	for i, e := range exprs {
+		if !part.has(i) {
+			continue
+		}
+		k, _ := dz.KeyOf(e)
+		for run := hops; len(run) > 0; {
+			n := 1 // the routes crossing run[0]
+			for n < len(run) && run[n] == run[0] {
+				n++
+			}
+			key := contribKey{run[0].Switch, k, run[0].OutPort}
+			ch.delta[key] = named{ch.delta[key].n + sign*n, e}
+			run = run[n:]
+		}
+	}
+	cs.hops = hops[:0]
+}
+
+// contribute adds sign × every contribution of the branch at key, if there
+// is one, to ch: its routes grouped by the part they carry, one addGroup per
+// distinct part. The routes to one subscriber share their last hops, and
+// under a tree every publisher covers they carry one part, so a hop they
+// share is one delta per expression.
+func (cs *contribState) contribute(key branchKey, ch *changeSet, sign int) {
+	b, ok := cs.branches[key]
 	if !ok {
 		return
 	}
-	delete(cs.paths, key)
-	for _, e := range p.exprs {
-		ch.add(p.hops, e, -1)
+	n := b.len()
+outer:
+	for i := range n {
+		part := &b.route(i).part
+		for j := range i {
+			if b.route(j).part.equal(part) {
+				continue outer // i's group was added with j's
+			}
+		}
+		for j := i; j < n; j++ {
+			if r := b.route(j); r.part.equal(part) {
+				cs.hops = append(cs.hops, r.hops...)
+			}
+		}
+		cs.addGroup(ch, b.exprs, part, sign)
 	}
+}
+
+// removeBranch tears down every route of one branch.
+func (cs *contribState) removeBranch(key branchKey, ch *changeSet) {
+	cs.contribute(key, ch, -1)
+	delete(cs.branches, key)
+}
+
+// removeRoute tears down pub's route on one branch, and the branch with its
+// last route.
+func (cs *contribState) removeRoute(key branchKey, pub *publisher, ch *changeSet) {
+	b, ok := cs.branches[key]
+	if !ok {
+		return
+	}
+	i := b.routeOf(pub)
+	if i < 0 {
+		return
+	}
+	r := b.route(i)
+	cs.hops = append(cs.hops, r.hops...)
+	cs.addGroup(ch, b.exprs, &r.part, -1)
+	if b.drop(i); b.len() == 0 {
+		delete(cs.branches, key)
+		return
+	}
+	cs.branches[key] = b
 }
 
 // change names a key whose set of contributing ports changed on a switch.
@@ -208,36 +401,47 @@ func (cs *contribState) bump(key contribKey, delta int) bool {
 	return changed
 }
 
-// addPathContributions adds exprs to the (publisher, subscriber, tree) path,
-// establishing it along the tree route on first use. The route is fixed
-// while the record lives: t.span only changes in mergeTrees and
-// RebuildTrees, which drop the tree's paths first.
-func (c *Controller) addPathContributions(t *tree, pub *publisher, sub *subscriber,
+// addRoute adds exprs to pub's route on the branch of sub on t, establishing
+// the route along the tree on first use. The route is fixed while the
+// branch lives: t.span only changes in mergeTrees and RebuildTrees, which
+// drop the tree's branches first. The newly carried expressions enter ch at
+// once; with ch nil they are only recorded, for a caller that builds whole
+// branches (subscribe, establishTreePaths) and adds each once it is built
+// (contribState.contribute).
+func (c *Controller) addRoute(t *tree, pub *publisher, sub *subscriber,
 	exprs dz.Set, ch *changeSet, rep *ReconfigReport) error {
 	if exprs.IsEmpty() {
 		return nil
 	}
-	key := pathKey{pub: pub.id, sub: sub.id, tree: t.id}
-	p, ok := c.contribs.paths[key]
-	if !ok {
+	key := branchKey{sub: sub.id, tree: t.id}
+	b := c.contribs.branches[key]
+	i := b.routeOf(pub)
+	if i < 0 {
 		hops, err := c.routeHops(t, pub.ep, sub.ep)
 		if err != nil {
 			return err
 		}
-		// Sized once for the subscriber's whole part of the tree: a
-		// subscription adds its members' parts one call at a time.
-		p = path{hops: hops, exprs: make([]dz.Expr, 0, max(len(exprs), len(t.subs[sub.id])))}
+		if b.exprs == nil {
+			// Sized once for the subscriber's whole part of the tree: a
+			// subscription adds its members' parts one call at a time.
+			b.exprs = make([]dz.Expr, 0, max(len(exprs), len(t.subs[sub.id])))
+		}
+		i = b.push(route{pub: pub, hops: hops}, len(t.pubs))
 	}
 	rep.RoutesComputed++
-	had := p.exprs // members of one set are distinct: only earlier calls can repeat
+	r := b.route(i)
+	var added exprBits
 	for _, e := range exprs {
-		if slices.Contains(had, e) {
-			continue
+		if x := b.index(e); !r.part.has(x) {
+			r.part.set(x)
+			added.set(x)
 		}
-		p.exprs = append(p.exprs, e)
-		ch.add(p.hops, e, +1)
 	}
-	c.contribs.paths[key] = p
+	if ch != nil && !added.empty() {
+		c.contribs.hops = append(c.contribs.hops, r.hops...)
+		c.contribs.addGroup(ch, b.exprs, &added, +1)
+	}
+	c.contribs.branches[key] = b
 	return nil
 }
 
@@ -462,11 +666,10 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 			}
 			f.Actions = actions // the installed entry's too: like a modify's, neither side writes them
 			ops = append(ops, openflow.AddOp(f))
-			metas = append(metas, opMeta{key: k, inst: installedFlow{priority: prio, actions: actions}})
+			metas = append(metas, opMeta{key: k, inst: installedFlow{actions: actions}})
 		case want && installed:
-			prio := k.Len()
 			actions := c.actionsFor(sw, ports)
-			if fl.priority == prio && actionsEqual(fl.actions, actions) {
+			if actionsEqual(fl.actions, actions) {
 				break
 			}
 			// A grown instruction set extends the entry to more ports;
@@ -479,8 +682,8 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 			default:
 				c.inst.caseModify.Inc()
 			}
-			ops = append(ops, openflow.ModifyOp(fl.id, prio, actions))
-			metas = append(metas, opMeta{key: k, inst: installedFlow{id: fl.id, priority: prio, actions: actions}})
+			ops = append(ops, openflow.ModifyOp(fl.id, k.Len(), actions))
+			metas = append(metas, opMeta{key: k, inst: installedFlow{id: fl.id, actions: actions}})
 		}
 	}
 	t := c.contribs.direct[sw]
@@ -719,7 +922,7 @@ func (c *Controller) VerifyTables() error {
 				return fmt.Errorf("core: switch %d misses flow %s", sw, k.Expr())
 			}
 			actions := c.actionsFor(sw, ports)
-			if fl.priority != k.Len() || !actionsEqual(fl.actions, actions) {
+			if !actionsEqual(fl.actions, actions) {
 				return fmt.Errorf("core: switch %d flow %s diverges from canonical", sw, k.Expr())
 			}
 		}
@@ -742,7 +945,7 @@ func (c *Controller) VerifyTables() error {
 			if !ok {
 				return fmt.Errorf("core: switch %d has stray flow %s", sw, f.Expr)
 			}
-			if fl.id != f.ID || fl.priority != f.Priority || !actionsEqual(fl.actions, f.Actions) {
+			if fl.id != f.ID || f.Priority != k.Len() || !actionsEqual(fl.actions, f.Actions) {
 				return fmt.Errorf("core: switch %d flow %s diverges from installed state", sw, f.Expr)
 			}
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -33,17 +34,31 @@ type ReplaySource interface {
 	Records(afterSeq uint64) ([]wire.Record, error)
 }
 
-// MemJournal is the in-memory journal: an append-only slice of
-// wire-encoded records guarded by a mutex. Records are stored encoded and
-// decoded on read, so every journal round-trip exercises the codec a
-// networked deployment would put on disk or on the replication channel.
+// MemJournal is the in-memory journal: wire-encoded records guarded by a
+// mutex. Records are stored encoded and decoded on read, so every journal
+// round-trip exercises the codec a networked deployment would put on disk
+// or on the replication channel.
+//
+// The records are packed back to back into chunks of memChunkSize bytes,
+// each as [length uvarint][record]; a record that does not fit the last
+// chunk starts the next (one larger than a chunk gets a chunk of its size),
+// so an append allocates only when it opens a chunk, and what the chunks
+// hold beyond their records is the last chunk's free tail, the dead prefix
+// of the first one (Truncate), and less than one record per chunk.
 type MemJournal struct {
-	mu   sync.Mutex
-	recs [][]byte
+	mu     sync.Mutex
+	chunks [][]byte
+	head   int    // offset of the first live record in chunks[0]
+	n      int    // live records
+	enc    []byte // Append's scratch: the record it encodes
 	// lastSeq is the highest sequence number ever appended (it survives
 	// truncation, so compaction cannot roll sequence numbers back).
 	lastSeq uint64
 }
+
+// memChunkSize is the size of a MemJournal chunk: some thousand records of
+// a control operation.
+const memChunkSize = 64 << 10
 
 // NewMemJournal returns an empty in-memory journal.
 func NewMemJournal() *MemJournal { return &MemJournal{} }
@@ -52,57 +67,78 @@ func NewMemJournal() *MemJournal { return &MemJournal{} }
 // increasing; a regression indicates two live controllers writing the same
 // journal and is rejected.
 func (j *MemJournal) Append(rec wire.Record) error {
-	b, err := wire.EncodeRecord(rec)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	b, err := wire.AppendRecord(j.enc[:0], rec)
 	if err != nil {
 		return err
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
+	j.enc = b
 	if rec.Seq <= j.lastSeq {
 		return fmt.Errorf("core: journal sequence %d not after %d", rec.Seq, j.lastSeq)
 	}
-	j.recs = append(j.recs, b)
+	need := binary.MaxVarintLen64 + len(b)
+	if last := len(j.chunks) - 1; last < 0 || cap(j.chunks[last])-len(j.chunks[last]) < need {
+		j.chunks = append(j.chunks, make([]byte, 0, max(memChunkSize, need)))
+	}
+	last := &j.chunks[len(j.chunks)-1]
+	*last = append(binary.AppendUvarint(*last, uint64(len(b))), b...)
+	j.n++
 	j.lastSeq = rec.Seq
 	return nil
+}
+
+// record returns the encoding of the record at off in chunk, and the offset
+// of the next.
+func record(chunk []byte, off int) ([]byte, int) {
+	n, w := binary.Uvarint(chunk[off:])
+	off += w
+	return chunk[off : off+int(n)], off + int(n)
 }
 
 // Records returns the decoded records with Seq > afterSeq, in order.
 func (j *MemJournal) Records(afterSeq uint64) ([]wire.Record, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]wire.Record, 0, len(j.recs))
-	for _, b := range j.recs {
-		rec, err := wire.DecodeRecord(b)
-		if err != nil {
-			return nil, fmt.Errorf("core: corrupt journal record: %w", err)
+	out := make([]wire.Record, 0, j.n)
+	off := j.head
+	for _, chunk := range j.chunks {
+		for off < len(chunk) {
+			var b []byte
+			b, off = record(chunk, off)
+			rec, err := wire.DecodeRecord(b)
+			if err != nil {
+				return nil, fmt.Errorf("core: corrupt journal record: %w", err)
+			}
+			if rec.Seq > afterSeq {
+				out = append(out, rec)
+			}
 		}
-		if rec.Seq <= afterSeq {
-			continue
-		}
-		out = append(out, rec)
+		off = 0
 	}
 	return out, nil
 }
 
 // Truncate drops every record with Seq <= upToSeq — the compaction step
-// after a snapshot covering that prefix was taken. The sequence counter is
-// unaffected, so later appends continue the numbering. The error return
-// exists to satisfy CompactableJournal; the in-memory form cannot fail.
+// after a snapshot covering that prefix was taken. Sequence numbers
+// increase along the journal, so that is a prefix; a chunk is released
+// once all its records are. The sequence counter is unaffected, so later
+// appends continue the numbering. The error return exists to satisfy
+// CompactableJournal; the in-memory form cannot fail.
 func (j *MemJournal) Truncate(upToSeq uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	kept := j.recs[:0]
-	for _, b := range j.recs {
-		rec, err := wire.DecodeRecord(b)
-		if err != nil || rec.Seq > upToSeq {
-			kept = append(kept, b)
+	for j.n > 0 {
+		b, next := record(j.chunks[0], j.head)
+		if rec, err := wire.DecodeRecord(b); err != nil || rec.Seq > upToSeq {
+			break
+		}
+		j.head, j.n = next, j.n-1
+		if j.head == len(j.chunks[0]) {
+			j.chunks[0] = nil
+			j.chunks, j.head = j.chunks[1:], 0
 		}
 	}
-	// Zero the tail so truncated encodings are collectable.
-	for i := len(kept); i < len(j.recs); i++ {
-		j.recs[i] = nil
-	}
-	j.recs = kept
 	return nil
 }
 
@@ -110,7 +146,7 @@ func (j *MemJournal) Truncate(upToSeq uint64) error {
 func (j *MemJournal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return len(j.recs)
+	return j.n
 }
 
 // LastSeq returns the highest sequence number ever appended.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math/rand"
@@ -34,7 +36,7 @@ func newFatTreeController(t *testing.T, opts ...Option) (*Controller, []topo.Nod
 }
 
 // overlappingTriples counts the (publisher, subscriber, tree) triples whose
-// tree overlap sets intersect — the paths that must be established.
+// tree overlap sets intersect — the routes that must be established.
 func overlappingTriples(c *Controller) int {
 	n := 0
 	for _, t := range c.trees {
@@ -49,6 +51,24 @@ func overlappingTriples(c *Controller) int {
 	return n
 }
 
+// triple names one route: publisher → subscriber on tree.
+type triple struct {
+	pub, sub string
+	tree     TreeID
+}
+
+// routesByTriple returns every route of c by its triple.
+func routesByTriple(c *Controller) map[triple]*route {
+	out := make(map[triple]*route)
+	for key, b := range c.contribs.branches {
+		for i := range b.len() {
+			r := b.route(i)
+			out[triple{r.pub.id, key.sub, key.tree}] = r
+		}
+	}
+	return out
+}
+
 func liveHeap() uint64 {
 	runtime.GC()
 	runtime.GC()
@@ -58,14 +78,15 @@ func liveHeap() uint64 {
 }
 
 // TestPathTableStateBudget pins what the controller keeps per deployed
-// subscription in the ctl-churn regime: one record per overlapping
-// (publisher, subscriber, tree) triple, and a live heap that grows with
-// subscriptions rather than with subspaces × hops per index.
+// subscription in the ctl-churn regime: one branch per (subscriber, tree),
+// one route in it per overlapping (publisher, subscriber, tree) triple, and
+// a live heap that grows with subscriptions rather than with subspaces ×
+// hops per index.
 func TestPathTableStateBudget(t *testing.T) {
 	const (
 		pubs, subs = 4, 2000
 		side       = 64
-		budget     = 11_000 // bytes of live heap per subscription: measured ≈ 8 860; ≈ 11 100 with the state keyed by expression strings, 15 417 with per-switch tries, 20 280 with maps of maps
+		budget     = 8_700 // bytes of live heap per subscription: measured ≈ 6 960 with one branch per (subscriber, tree) and no installed priority; ≈ 7 880 (≈ 8 860 on another box) with a path record per (publisher, subscriber, tree), budget 11 000 then; ≈ 11 100 with the state keyed by expression strings, 15 417 with per-switch tries, 20 280 with maps of maps
 	)
 	c, hosts := newFatTreeController(t)
 	sch, err := space.UniformSchema(2)
@@ -100,13 +121,16 @@ func TestPathTableStateBudget(t *testing.T) {
 	if err := c.VerifyTables(); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := len(c.contribs.paths), overlappingTriples(c); got != want || want < subs {
-		t.Errorf("%d path records, want one per overlapping (publisher, subscriber, tree) triple = %d (≥ %d)", got, want, subs)
+	if got, want := routeCount(c), overlappingTriples(c); got != want || want < subs {
+		t.Errorf("%d routes, want one per overlapping (publisher, subscriber, tree) triple = %d (≥ %d)", got, want, subs)
+	}
+	if got := len(c.contribs.branches); got != subs {
+		t.Errorf("%d branches, want one per subscription on the one tree = %d", got, subs)
 	}
 	if perSub > budget {
 		t.Errorf("live heap grew %d B per subscription, budget %d", perSub, budget)
 	}
-	t.Logf("%d paths, %d B live heap per subscription", len(c.contribs.paths), perSub)
+	t.Logf("%d branches, %d routes, %d B live heap per subscription", len(c.contribs.branches), routeCount(c), perSub)
 	runtime.KeepAlive(c)
 }
 
@@ -165,12 +189,10 @@ func TestChurnLeavesNoState(t *testing.T) {
 		if err := c.VerifyTables(); err != nil {
 			t.Fatalf("after op %d (kind %d): %v", op, what, err)
 		}
-		if got, want := len(c.contribs.paths), overlappingTriples(c); got != want {
-			t.Fatalf("after op %d (kind %d): %d path records, %d overlapping triples", op, what, got, want)
-		}
+		checkBranches(t, fmt.Sprintf("op %d (kind %d)", op, what), c)
 	}
-	if !merged || len(c.contribs.paths) == 0 {
-		t.Fatalf("churn too tame: merged=%v, %d paths", merged, len(c.contribs.paths))
+	if !merged || len(c.contribs.branches) == 0 {
+		t.Fatalf("churn too tame: merged=%v, %d branches", merged, len(c.contribs.branches))
 	}
 	for _, id := range liveSubs {
 		if _, err := c.Unsubscribe(id); err != nil {
@@ -185,8 +207,8 @@ func TestChurnLeavesNoState(t *testing.T) {
 	if err := c.VerifyTables(); err != nil {
 		t.Fatal(err)
 	}
-	if n := len(c.contribs.paths); n != 0 {
-		t.Errorf("%d path records left", n)
+	if n := len(c.contribs.branches); n != 0 {
+		t.Errorf("%d branches left", n)
 	}
 	for sw, trie := range c.contribs.direct {
 		t.Errorf("switch %d keeps a contribution trie of %d entries", sw, trie.Len())
@@ -235,11 +257,11 @@ func TestRouteCacheDroppedWithSpan(t *testing.T) {
 
 	// Fail the first switch-to-switch link on s1's cached route.
 	var a, b topo.NodeID
-	for key, p := range c.contribs.paths {
+	for key, r := range routesByTriple(c) {
 		if key.sub != "s1" {
 			continue
 		}
-		for _, h := range p.hops {
+		for _, h := range r.hops {
 			peer, _ := c.g.PortToPeer(h.Switch, h.OutPort)
 			if n, _ := c.g.Node(peer); n.Kind == topo.KindSwitch {
 				a, b = h.Switch, peer
@@ -254,8 +276,8 @@ func TestRouteCacheDroppedWithSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	crossing := func(c *Controller) string {
-		for key, p := range c.contribs.paths {
-			for _, h := range p.hops {
+		for key, r := range routesByTriple(c) {
+			for _, h := range r.hops {
 				if peer, _ := c.g.PortToPeer(h.Switch, h.OutPort); h.Switch == a && peer == b || h.Switch == b && peer == a {
 					return key.sub
 				}
@@ -289,12 +311,13 @@ func TestRouteCacheDroppedWithSpan(t *testing.T) {
 	if sub := crossing(restored); sub != "" {
 		t.Errorf("restored after the link failed, %s's route crosses it", sub)
 	}
-	if len(restored.contribs.paths) != len(fresh.contribs.paths) {
-		t.Fatalf("restored has %d paths, fresh %d", len(restored.contribs.paths), len(fresh.contribs.paths))
+	restoredRoutes, freshRoutes := routesByTriple(restored), routesByTriple(fresh)
+	if len(restoredRoutes) != len(freshRoutes) {
+		t.Fatalf("restored has %d routes, fresh %d", len(restoredRoutes), len(freshRoutes))
 	}
-	for key, p := range restored.contribs.paths {
-		if q, ok := fresh.contribs.paths[key]; !ok || !slices.Equal(p.hops, q.hops) {
-			t.Errorf("path %v: restored route %v, fresh %v", key, p.hops, q.hops)
+	for key, r := range restoredRoutes {
+		if q, ok := freshRoutes[key]; !ok || !slices.Equal(r.hops, q.hops) {
+			t.Errorf("route %v: restored hops %v, fresh %v", key, r.hops, q)
 		}
 	}
 	for _, sw := range c.g.Switches() {
@@ -323,6 +346,51 @@ func TestRestoreRejectsNonMemberClient(t *testing.T) {
 	}
 	if _, err := RestoreController(c.g, c.prog, snap, WithHostAddr(netem.HostAddr)); err == nil {
 		t.Error("restore accepted a tree whose subscriber does not list it")
+	}
+}
+
+// TestRestoreRejectsWrongPriority: a snapshot writes each flow's priority,
+// which is its key's length (the controller keeps no priority of its own),
+// and a restore refuses a flow whose priority says otherwise.
+func TestRestoreRejectsWrongPriority(t *testing.T) {
+	c, hosts := newFatTreeController(t)
+	if _, err := c.Advertise("p", hosts[0], dz.NewSet("0")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Subscribe("s", hosts[1], dz.NewSet("01")); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.EncodeSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The installed section starts where the snapshot of the same state
+	// without flows writes its zero switch count.
+	installed := c.installed
+	c.installed = nil
+	bare, err := c.EncodeSnapshot()
+	c.installed = installed
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := snap[:len(snap)-sha256.Size]
+	off := len(bare) - sha256.Size - 1
+	for range 3 { // switch count, first switch, its flow count
+		_, n := binary.Uvarint(body[off:])
+		off += n
+	}
+	keyLen := int(body[off])
+	off += 1 + (keyLen+7)/8
+	_, n := binary.Uvarint(body[off:]) // flow id
+	off += n
+	if int(body[off]) != keyLen {
+		t.Fatalf("first flow's priority byte reads %d, want its key's length %d", body[off], keyLen)
+	}
+	body[off]++
+	sum := sha256.Sum256(body)
+	copy(snap[len(body):], sum[:])
+	if _, err := RestoreController(c.g, c.prog, snap, WithHostAddr(netem.HostAddr)); err == nil || !strings.Contains(err.Error(), "priority") {
+		t.Errorf("restore of a flow whose priority is not its length returned %v", err)
 	}
 }
 

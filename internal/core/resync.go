@@ -255,8 +255,9 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 
 	// Ground truth: the switch's actual flows when the programmer can
 	// report them, the controller's installed map otherwise. A table admits
-	// only matches that fit a key, so every flow read back packs.
-	actual := make(map[dz.Key][]installedFlow)
+	// only matches that fit a key, so every flow read back packs. A flow
+	// read back keeps the switch's own priority: a wrong one is repaired.
+	actual := make(map[dz.Key][]openflow.Flow)
 	if c.reader != nil {
 		flows, err := c.reader.Flows(sw)
 		if err != nil {
@@ -265,11 +266,11 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 		}
 		for _, f := range flows {
 			k, _ := dz.KeyOf(f.Expr)
-			actual[k] = append(actual[k], installedFlow{f.ID, f.Priority, f.Actions})
+			actual[k] = append(actual[k], f)
 		}
 	} else {
 		for k, fl := range c.installed[sw] {
-			actual[k] = append(actual[k], fl)
+			actual[k] = append(actual[k], openflow.Flow{ID: fl.id, Priority: k.Len(), Actions: fl.actions})
 		}
 	}
 
@@ -288,7 +289,7 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 		have := actual[k]
 		if !wanted || len(have) > 1 {
 			for _, af := range have {
-				ops = append(ops, openflow.DeleteOp(af.id))
+				ops = append(ops, openflow.DeleteOp(af.ID))
 				metas = append(metas, opMeta{key: k})
 			}
 			have = nil
@@ -299,18 +300,18 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 		actions := c.actionsFor(sw, want)
 		prio := k.Len()
 		switch {
-		case len(have) == 1 && have[0].priority == prio && actionsEqual(have[0].actions, actions):
-			newInst[k] = installedFlow{id: have[0].id, priority: prio, actions: actions}
+		case len(have) == 1 && have[0].Priority == prio && actionsEqual(have[0].Actions, actions):
+			newInst[k] = installedFlow{id: have[0].ID, actions: actions}
 		case len(have) == 1:
-			ops = append(ops, openflow.ModifyOp(have[0].id, prio, actions))
-			metas = append(metas, opMeta{key: k, inst: installedFlow{id: have[0].id, priority: prio, actions: actions}})
+			ops = append(ops, openflow.ModifyOp(have[0].ID, prio, actions))
+			metas = append(metas, opMeta{key: k, inst: installedFlow{id: have[0].ID, actions: actions}})
 		default:
 			f, err := openflow.NewFlow(k.Expr(), prio, actions...)
 			if err != nil {
 				return fmt.Errorf("core: resync switch %d: build flow: %w", sw, err)
 			}
 			ops = append(ops, openflow.AddOp(f))
-			metas = append(metas, opMeta{key: k, inst: installedFlow{priority: prio, actions: actions}})
+			metas = append(metas, opMeta{key: k, inst: installedFlow{actions: actions}})
 		}
 	}
 

@@ -85,7 +85,7 @@ func TestSharedChangeSetSurvivesFailures(t *testing.T) {
 		if _, err := c.Subscribe("s", far, dz.NewSet("00", "1")); err == nil {
 			t.Fatal("a subscription with no route on one of its trees must fail")
 		}
-		if len(c.contribs.paths) == 0 {
+		if len(c.contribs.branches) == 0 {
 			t.Fatal("the failed subscription added no contribution before failing")
 		}
 		checkOpScratch(t, c)

@@ -99,10 +99,7 @@ func (c *Controller) EncodeSnapshot() ([]byte, error) {
 			f := flows[k]
 			buf = wire.AppendKey(buf, k)
 			buf = binary.AppendUvarint(buf, uint64(f.id))
-			if f.priority < 0 {
-				return nil, fmt.Errorf("core: snapshot switch %d: negative priority %d", sw, f.priority)
-			}
-			buf = binary.AppendUvarint(buf, uint64(f.priority))
+			buf = binary.AppendUvarint(buf, uint64(k.Len())) // the flow's priority
 			buf = binary.AppendUvarint(buf, uint64(len(f.actions)))
 			for _, a := range f.actions {
 				buf = binary.AppendUvarint(buf, uint64(a.OutPort))
@@ -352,9 +349,9 @@ func RestoreController(g *topo.Graph, prog FlowProgrammer, snap []byte, opts ...
 		flows := make(map[dz.Key]installedFlow, nFlows)
 		for j := uint64(0); j < nFlows && r.err == nil; j++ {
 			k := r.key()
-			f := installedFlow{
-				id:       openflow.FlowID(r.uvarint()),
-				priority: int(r.uvarint()),
+			f := installedFlow{id: openflow.FlowID(r.uvarint())}
+			if prio := r.uvarint(); r.err == nil && prio != uint64(k.Len()) {
+				r.fail("switch %d flow %s: priority %d, want its length %d", sw, k.Expr(), prio, k.Len())
 			}
 			nActs := r.uvarint()
 			acts = acts[:0]

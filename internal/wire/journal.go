@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"pleroma/internal/dz"
 )
@@ -34,11 +35,14 @@ type Record struct {
 	Set dz.Set
 }
 
-// EncodeRecord renders a journal record:
+// AppendRecord appends the encoding of a journal record to dst:
 //
 //	[version u8][op u8][epoch u32][seq u64][idLen u8][id]
 //	[node u32][viaPort u32][count u16][expr]×count
-func EncodeRecord(r Record) ([]byte, error) {
+//
+// It grows dst at most once, to the record's exact size; AppendRecord(nil,
+// r) is the record in a slice of its own.
+func AppendRecord(dst []byte, r Record) ([]byte, error) {
 	code, err := r.Op.code(true)
 	if err != nil {
 		return nil, err
@@ -54,7 +58,7 @@ func EncodeRecord(r Record) ([]byte, error) {
 	for _, e := range r.Set {
 		n += 1 + (e.Len()+7)/8
 	}
-	buf := make([]byte, 0, n)
+	buf := slices.Grow(dst, n)
 	buf = append(buf, Version, code)
 	buf = binary.BigEndian.AppendUint32(buf, r.Epoch)
 	buf = binary.BigEndian.AppendUint64(buf, r.Seq)

@@ -19,7 +19,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		{Epoch: 7, Seq: 77, Op: wire.OpReconfigure},
 	}
 	for _, rec := range cases {
-		b, err := wire.EncodeRecord(rec)
+		b, err := wire.AppendRecord(nil, rec)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", rec, err)
 		}
@@ -32,7 +32,7 @@ func TestJournalRecordRoundTrip(t *testing.T) {
 		}
 		// Re-encoding the decoded record must be byte-identical (the
 		// journal's determinism rests on this).
-		b2, err := wire.EncodeRecord(got)
+		b2, err := wire.AppendRecord(nil, got)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,14 +57,14 @@ func TestJournalRecordEncodeErrors(t *testing.T) {
 		{"reconfigure with id", wire.Record{Op: wire.OpReconfigure, ID: "a"}},
 	}
 	for _, tc := range cases {
-		if _, err := wire.EncodeRecord(tc.rec); err == nil {
+		if _, err := wire.AppendRecord(nil, tc.rec); err == nil {
 			t.Errorf("%s: want error", tc.name)
 		}
 	}
 }
 
 func TestJournalRecordDecodeErrors(t *testing.T) {
-	good, err := wire.EncodeRecord(wire.Record{
+	good, err := wire.AppendRecord(nil, wire.Record{
 		Op: wire.OpAdvertise, ID: "p", Seq: 1, Set: dz.NewSet(dz.Expr("0")),
 	})
 	if err != nil {

@@ -86,7 +86,7 @@ func TestOpAllCodecs(t *testing.T) {
 		if op == OpReconfigure {
 			id = "" // reconfigure records carry no client id
 		}
-		rb, err := EncodeRecord(Record{Seq: 1, Op: op, ID: id})
+		rb, err := AppendRecord(nil, Record{Seq: 1, Op: op, ID: id})
 		if err != nil {
 			t.Fatalf("record %s: %v", op, err)
 		}
@@ -123,7 +123,7 @@ func TestOpAllCodecs(t *testing.T) {
 			t.Errorf("control %s: got op %q code %d err %v", op, req.Op, cb[1], err)
 		}
 	}
-	if _, err := EncodeRecord(Record{Seq: 1, Op: "bogus", ID: "x"}); err == nil {
+	if _, err := AppendRecord(nil, Record{Seq: 1, Op: "bogus", ID: "x"}); err == nil {
 		t.Error("unknown op journaled")
 	}
 }
