@@ -101,6 +101,7 @@ loc:
 	echo "internal/core       $$(count internal/core -maxdepth 1)"; \
 	echo "internal/interdomain $$(count internal/interdomain -maxdepth 1)"; \
 	echo "internal/obs        $$(count internal/obs -maxdepth 1)"; \
+	echo "internal/experiments $$(count internal/experiments -maxdepth 1)"; \
 	echo "repository          $$(count . -path ./.bench_build -prune -o)"
 
 # Networked deployment smoke test: boot pleroma-d on loopback, attach a

@@ -108,7 +108,7 @@ func BenchmarkSubscribeUnsubscribeCycle(b *testing.B) {
 // contributions and flows. Change sets, tree ids and branch expressions are
 // controller scratch or sized once, so none of them counts per member.
 func TestSubscribeUnsubscribeCycleAllocs(t *testing.T) {
-	const ceiling = 25 // measured 23; 46 while every subscription made its own change sets and grew its paths per member
+	const ceiling = 11 // measured 9; 23 under the old ceiling of 25, 46 while every subscription made its own change sets and grew its paths per member
 	cycle := subscribeUnsubscribeCycle(t)
 	for range 50 {
 		cycle()

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"pleroma/internal/dz"
-
+	"pleroma"
 	"pleroma/internal/broker"
 	"pleroma/internal/core"
+	"pleroma/internal/dz"
 	"pleroma/internal/interdomain"
 	"pleroma/internal/metrics"
 	"pleroma/internal/netem"
@@ -41,56 +41,21 @@ func RunAblationBrokerVsSDN(cfg Config) ([]*metrics.Table, error) {
 		Columns: []string{"system", "mean-delay", "p99-delay", "deliveries"},
 	}
 
-	// --- PLEROMA ---
+	// --- PLEROMA: the Figure 7(b) deployment ---
 	{
-		g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
+		sys, err := newSystem(sch)
 		if err != nil {
 			return nil, err
 		}
-		eng := sim.NewEngine()
-		dp := netem.New(g, eng)
-		ctl, err := core.NewController(g, dp, core.WithHostAddr(netem.HostAddr))
-		if err != nil {
-			return nil, err
-		}
-		hosts := g.Hosts()
-		pub := hosts[0]
-		whole, err := sch.DecomposeLimited(space.NewFilter(), fig7bMaxDzLen, fig7bMaxSubspaces)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := ctl.Advertise("pub", pub, whole); err != nil {
-			return nil, err
-		}
-		for i, r := range rects {
-			set, err := sch.DecomposeRectLimited(r, fig7bMaxDzLen, fig7bMaxSubspaces)
-			if err != nil {
-				return nil, err
-			}
-			if _, err := ctl.Subscribe(fmt.Sprintf("s%d", i), hosts[1+i%(len(hosts)-1)], set); err != nil {
-				return nil, err
-			}
-		}
+		defer sys.Close()
 		lat := &metrics.Latency{}
-		for _, h := range hosts[1:] {
-			if err := dp.ConfigureHost(h, netem.HostConfig{}, func(d netem.Delivery) {
-				lat.Add(d.At - d.Packet.SentAt)
-			}); err != nil {
-				return nil, err
+		if err := fanout(sys, rects, events, time.Millisecond, func(d pleroma.Delivery) {
+			if !d.FalsePositive {
+				lat.Add(d.Latency)
 			}
+		}); err != nil {
+			return nil, err
 		}
-		maxLen := sch.Geometry().MaxLen()
-		for i, ev := range events {
-			expr, err := sch.Encode(ev, maxLen)
-			if err != nil {
-				return nil, err
-			}
-			at := time.Duration(i) * time.Millisecond
-			if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
-				return nil, err
-			}
-		}
-		eng.Run()
 		table.AddRow("pleroma", lat.Mean(), lat.Percentile(0.99), lat.Count())
 	}
 
@@ -270,6 +235,10 @@ func RunAblationCoveringForwarding(cfg Config) ([]*metrics.Table, error) {
 	}
 	return []*metrics.Table{table}, nil
 }
+
+// fig7gSwitches is the Mininet scale of the paper (20 switches), the ring
+// of Figures 7(g) and 7(h).
+const fig7gSwitches = 20
 
 func ablationCoveringRun(seed int64, nSubs int, covering bool) (interdomain.Stats, error) {
 	g, err := topo.Ring(fig7gSwitches, topo.DefaultLinkParams)

@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"fmt"
 	"time"
 
-	"pleroma/internal/core"
-	"pleroma/internal/dz"
+	"pleroma"
 	"pleroma/internal/metrics"
-	"pleroma/internal/netem"
-	"pleroma/internal/sim"
+	"pleroma/internal/obs"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/workload"
 )
 
@@ -47,17 +43,10 @@ func RunAblationFlowBudget(cfg Config) ([]*metrics.Table, error) {
 	return []*metrics.Table{table}, nil
 }
 
+// ablFlowsRun deploys the Figure 7(b) fan-out under one L_dz and
+// subspace budget and reads the emulated switches' flow tables and the
+// share of deliveries that were false positives.
 func ablFlowsRun(seed int64, ldz, budget, nSubs, nEvents int) (totalFlows, maxPerSwitch int, fpr float64, err error) {
-	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	eng := sim.NewEngine()
-	dp := netem.New(g, eng)
-	ctl, err := core.NewController(g, dp, core.WithHostAddr(netem.HostAddr))
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	sch, err := space.UniformSchema(fig7bDims)
 	if err != nil {
 		return 0, 0, 0, err
@@ -66,64 +55,24 @@ func ablFlowsRun(seed int64, ldz, budget, nSubs, nEvents int) (totalFlows, maxPe
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	hosts := g.Hosts()
-	pub := hosts[0]
-	subsHosts := hosts[1:]
-
-	whole, err := sch.DecomposeLimited(space.NewFilter(), ldz, budget)
+	sys, err := newSystem(sch, pleroma.WithMaxDzLen(ldz), pleroma.WithMaxSubspaces(budget), pleroma.WithObservability(0))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := ctl.Advertise("pub", pub, whole); err != nil {
+	defer sys.Close()
+	if err := fanout(sys, gen.SubscriptionRects(nSubs), gen.Events(nEvents), 50*time.Microsecond, nil); err != nil {
 		return 0, 0, 0, err
 	}
-	hostRects := make(map[topo.NodeID][]dz.Rect)
-	for i := 0; i < nSubs; i++ {
-		rect := gen.SubscriptionRect()
-		set, err := sch.DecomposeRectLimited(rect, ldz, budget)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		host := subsHosts[i%len(subsHosts)]
-		if _, err := ctl.Subscribe(fmt.Sprintf("s%d", i), host, set); err != nil {
-			return 0, 0, 0, err
-		}
-		hostRects[host] = append(hostRects[host], rect)
-	}
 
-	var fp metrics.FalsePositives
-	for _, h := range subsHosts {
-		h := h
-		if err := dp.ConfigureHost(h, netem.HostConfig{}, func(d netem.Delivery) {
-			matched := false
-			for _, r := range hostRects[h] {
-				if dz.RectContainsPoint(r, d.Packet.Event.Values) {
-					matched = true
-					break
-				}
-			}
-			fp.Record(matched)
-		}); err != nil {
-			return 0, 0, 0, err
+	for _, fam := range sys.Metrics().Families {
+		if fam.Name != obs.MFlowTableOccupancy {
+			continue
+		}
+		for _, sw := range fam.Samples {
+			n := int(sw.Value)
+			totalFlows += n
+			maxPerSwitch = max(maxPerSwitch, n)
 		}
 	}
-	for i, ev := range gen.Events(nEvents) {
-		expr, encErr := sch.Encode(ev, ldz)
-		if encErr != nil {
-			return 0, 0, 0, encErr
-		}
-		at := time.Duration(i) * 50 * time.Microsecond
-		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	eng.Run()
-
-	totalFlows = ctl.InstalledFlowCount()
-	for _, sw := range g.Switches() {
-		if n := len(ctl.InstalledFlowsOn(sw)); n > maxPerSwitch {
-			maxPerSwitch = n
-		}
-	}
-	return totalFlows, maxPerSwitch, fp.Rate(), nil
+	return totalFlows, maxPerSwitch, sys.Stats().FPRPercent(), nil
 }

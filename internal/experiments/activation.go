@@ -5,18 +5,13 @@ import (
 	"sort"
 	"time"
 
-	"pleroma/internal/dz"
-	"pleroma/internal/interdomain"
+	"pleroma"
 	"pleroma/internal/metrics"
-	"pleroma/internal/netem"
-	"pleroma/internal/sim"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
-	"pleroma/internal/wire"
 	"pleroma/internal/workload"
 )
 
-// fig7fProcessingDelay is the controller processing model used for the
+// activationProcessingDelay is the controller processing model used for the
 // activation experiment (aligned with the Figure 7f cost model's base).
 const activationProcessingDelay = 3 * time.Millisecond
 
@@ -68,18 +63,10 @@ func RunExtActivationLatency(cfg Config) ([]*metrics.Table, error) {
 	return []*metrics.Table{table, dist}, nil
 }
 
+// activationRun deploys `deployed` subscriptions in band and then times
+// trials probe subscriptions, one at a time, from the subscribe request
+// until the first event of a steady stream reaches the probe.
 func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
-	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-	if err != nil {
-		return nil, err
-	}
-	eng := sim.NewEngine()
-	dp := netem.New(g, eng)
-	fab, err := interdomain.NewFabric(g, dp)
-	if err != nil {
-		return nil, err
-	}
-	fab.EnableInBandSignalling(activationProcessingDelay)
 	sch, err := space.UniformSchema(fig7bDims)
 	if err != nil {
 		return nil, err
@@ -88,36 +75,33 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 	if err != nil {
 		return nil, err
 	}
-	hosts := g.Hosts()
-	pub := hosts[0]
-
-	whole, err := sch.DecomposeLimited(space.NewFilter(), fig7bMaxDzLen, fig7bMaxSubspaces)
+	sys, err := newSystem(sch, pleroma.WithInBandSignalling(activationProcessingDelay))
 	if err != nil {
 		return nil, err
 	}
-	if err := fab.SendSignal(interdomain.SignalRequest{
-		Op: wire.OpAdvertise, ID: "pub", Host: pub, Set: whole,
-	}); err != nil {
+	defer sys.Close()
+	hosts := sys.Hosts()
+
+	pub, err := advertise(sys, "pub", hosts[0], pleroma.NewFilter())
+	if err != nil {
 		return nil, err
 	}
-	eng.Run()
+	sys.Run()
 	for i := 0; i < deployed; i++ {
-		set, err := sch.DecomposeRectLimited(gen.SubscriptionRect(), fig7bMaxDzLen, fig7bMaxSubspaces)
-		if err != nil {
-			return nil, err
-		}
-		if err := fab.SendSignal(interdomain.SignalRequest{
-			Op: wire.OpSubscribe, ID: fmt.Sprintf("pre%d", i),
-			Host: hosts[1+i%(len(hosts)-1)], Set: set,
-		}); err != nil {
+		f := filterOf(sch, gen.SubscriptionRect())
+		if err := sys.Subscribe(fmt.Sprintf("pre%d", i), hosts[1+i%(len(hosts)-1)], f, nil); err != nil {
 			return nil, err
 		}
 	}
-	eng.Run()
+	sys.Run()
 
-	// A steady event stream on a dedicated probe subspace.
-	probeExpr := dz.Expr("1111")
-	probeKey, _ := dz.KeyOf(probeExpr)
+	// A steady event stream into a dedicated probe subspace: the top
+	// corner of the space, inside dz 1111.
+	probe := filterOf(sch, sch.Geometry().Bounds("1111"))
+	top := make([]uint32, sch.Dims())
+	for d := range top {
+		top[d] = sch.DomainMax()
+	}
 	const eventGap = 100 * time.Microsecond
 	lat := &metrics.Latency{}
 
@@ -125,42 +109,31 @@ func activationRun(seed int64, deployed, trials int) (*metrics.Latency, error) {
 		probeHost := hosts[1+trial%(len(hosts)-1)]
 		probeID := fmt.Sprintf("probe%d", trial)
 		var firstDelivery time.Duration
-		if err := dp.ConfigureHost(probeHost, netem.HostConfig{}, func(d netem.Delivery) {
-			if firstDelivery == 0 && d.Packet.Key.Prefix(probeKey.Len()) == probeKey {
+		sentAt := sys.Now()
+		if err := sys.Subscribe(probeID, probeHost, probe, func(d pleroma.Delivery) {
+			if firstDelivery == 0 {
 				firstDelivery = d.At
 			}
 		}); err != nil {
 			return nil, err
 		}
-		sentAt := eng.Now()
-		if err := fab.SendSignal(interdomain.SignalRequest{
-			Op: wire.OpSubscribe, ID: probeID,
-			Host: probeHost, Set: dz.NewSet(probeExpr),
-		}); err != nil {
-			return nil, err
-		}
 		// Events keep flowing during activation.
 		for i := 0; i < 200; i++ {
-			at := sentAt + time.Duration(i)*eventGap
-			if err := dp.PublishAt(at, pub, "111111111111", space.Event{}, netem.DefaultPacketSize); err != nil {
+			if err := pub.Publish(top...); err != nil {
 				return nil, err
 			}
+			sys.RunFor(eventGap)
 		}
-		eng.Run()
+		sys.Run()
 		if firstDelivery == 0 {
 			return nil, fmt.Errorf("activation: probe %d never received", trial)
 		}
 		lat.Add(firstDelivery - sentAt)
 		// Tear the probe down for the next trial.
-		if err := fab.SendSignal(interdomain.SignalRequest{
-			Op: wire.OpUnsubscribe, ID: probeID, Host: probeHost,
-		}); err != nil {
+		if err := sys.Unsubscribe(probeID); err != nil {
 			return nil, err
 		}
-		eng.Run()
-		if err := dp.ConfigureHost(probeHost, netem.HostConfig{}, nil); err != nil {
-			return nil, err
-		}
+		sys.Run()
 	}
 	return lat, nil
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"pleroma/internal/core"
+	"pleroma"
+	"pleroma/internal/dz"
 	"pleroma/internal/metrics"
-	"pleroma/internal/netem"
-	"pleroma/internal/sim"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/workload"
 )
 
@@ -26,7 +24,8 @@ const fig7bMaxSubspaces = 16
 // delay from one publisher to all interested subscribers as the number of
 // deployed subscriptions grows, for the uniform and zipfian workloads.
 // The delay stays nearly constant: forwarding work per event is
-// independent of the subscription count.
+// independent of the subscription count. A delivery is one (event,
+// interested subscription) pair; false positives are not counted.
 func RunFig7bDelayVsSubscriptions(cfg Config) ([]*metrics.Table, error) {
 	subCounts := pickInts(cfg,
 		[]int{100, 400, 1000},
@@ -38,88 +37,77 @@ func RunFig7bDelayVsSubscriptions(cfg Config) ([]*metrics.Table, error) {
 		Columns: []string{"subscriptions", "uniform-mean", "zipfian-mean", "uniform-deliveries", "zipfian-deliveries"},
 	}
 	for _, n := range subCounts {
-		uni, uniDel, err := fig7bRun(cfg.Seed, n, events, workload.Uniform)
+		uni, err := fig7bRun(cfg.Seed, n, events, workload.Uniform)
 		if err != nil {
 			return nil, err
 		}
-		zipf, zipfDel, err := fig7bRun(cfg.Seed+1, n, events, workload.Zipfian)
+		zipf, err := fig7bRun(cfg.Seed+1, n, events, workload.Zipfian)
 		if err != nil {
 			return nil, err
 		}
-		table.AddRow(n, uni.Mean(), zipf.Mean(), uniDel, zipfDel)
+		table.AddRow(n, uni.mean(), zipf.mean(), uni.interested, zipf.interested)
 	}
 	return []*metrics.Table{table}, nil
 }
 
-func fig7bRun(seed int64, nSubs, nEvents int, model workload.Model) (*metrics.Latency, uint64, error) {
-	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-	if err != nil {
-		return nil, 0, err
+// fig7bDeliveries sums the deliveries to interested subscriptions: those
+// whose rectangle holds the event. A figure of 16k subscriptions makes
+// millions, so only their count and total delay are kept.
+type fig7bDeliveries struct {
+	interested uint64
+	delay      time.Duration
+}
+
+func (r fig7bDeliveries) mean() time.Duration {
+	if r.interested == 0 {
+		return 0
 	}
-	eng := sim.NewEngine()
-	dp := netem.New(g, eng)
-	ctl, err := core.NewController(g, dp, core.WithHostAddr(netem.HostAddr))
-	if err != nil {
-		return nil, 0, err
-	}
+	return r.delay / time.Duration(r.interested)
+}
+
+// fig7bRun deploys nSubs subscriptions and publishes nEvents events, 1 ms
+// apart, drawn from one generator of the model.
+func fig7bRun(seed int64, nSubs, nEvents int, model workload.Model) (fig7bDeliveries, error) {
+	var r fig7bDeliveries
 	sch, err := space.UniformSchema(fig7bDims)
 	if err != nil {
-		return nil, 0, err
+		return r, err
 	}
 	gen, err := workload.New(sch, model, seed)
 	if err != nil {
-		return nil, 0, err
+		return r, err
 	}
-
-	hosts := g.Hosts()
-	pub := hosts[0]
-	subs := hosts[1:]
-
-	// The publisher advertises the whole space.
-	whole, err := sch.DecomposeLimited(space.NewFilter(), fig7bMaxDzLen, fig7bMaxSubspaces)
+	sys, err := newSystem(sch)
 	if err != nil {
-		return nil, 0, err
+		return r, err
 	}
-	if _, err := ctl.Advertise("pub", pub, whole); err != nil {
-		return nil, 0, err
-	}
+	defer sys.Close()
+	err = fanout(sys, gen.SubscriptionRects(nSubs), gen.Events(nEvents), time.Millisecond,
+		func(d pleroma.Delivery) {
+			if !d.FalsePositive {
+				r.interested++
+				r.delay += d.Latency
+			}
+		})
+	return r, err
+}
 
-	// Subscriptions divided among the end hosts (round-robin, as the
-	// random division of the paper).
-	for i, rect := range gen.SubscriptionRects(nSubs) {
-		set, err := sch.DecomposeRectLimited(rect, fig7bMaxDzLen, fig7bMaxSubspaces)
-		if err != nil {
-			return nil, 0, err
-		}
-		host := subs[i%len(subs)]
-		if _, err := ctl.Subscribe(fmt.Sprintf("s%d", i), host, set); err != nil {
-			return nil, 0, err
+// fanout runs the deployment of Figure 7(b) and of the broker and
+// flow-budget ablations on sys: one publisher on the first host advertises
+// the whole space, subscription i takes rects[i] on host 1 + i mod
+// (hosts - 1) and hands every delivery to deliver, and the events are
+// published interval apart.
+func fanout(sys *pleroma.System, rects []dz.Rect, events []space.Event, interval time.Duration, deliver func(pleroma.Delivery)) error {
+	hosts := sys.Hosts()
+	pub, err := advertise(sys, "pub", hosts[0], pleroma.NewFilter())
+	if err != nil {
+		return err
+	}
+	for i, rect := range rects {
+		host := hosts[1+i%(len(hosts)-1)]
+		if err := sys.Subscribe(fmt.Sprintf("s%d", i), host, filterOf(sys.Schema(), rect), deliver); err != nil {
+			return err
 		}
 	}
-
-	lat := &metrics.Latency{}
-	var deliveries uint64
-	for _, h := range subs {
-		if err := dp.ConfigureHost(h, netem.HostConfig{}, func(d netem.Delivery) {
-			deliveries++
-			lat.Add(d.At - d.Packet.SentAt)
-		}); err != nil {
-			return nil, 0, err
-		}
-	}
-
-	interval := time.Millisecond
-	maxLen := sch.Geometry().MaxLen()
-	for i, ev := range gen.Events(nEvents) {
-		expr, err := sch.Encode(ev, maxLen)
-		if err != nil {
-			return nil, 0, err
-		}
-		at := time.Duration(i) * interval
-		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
-			return nil, 0, err
-		}
-	}
-	eng.Run()
-	return lat, deliveries, nil
+	return publishEvery(sys, pub, events, interval)
 }

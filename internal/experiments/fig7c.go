@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"pleroma/internal/core"
+	"pleroma"
 	"pleroma/internal/metrics"
-	"pleroma/internal/netem"
-	"pleroma/internal/sim"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/workload"
 )
 
@@ -55,19 +52,9 @@ func RunFig7cThroughput(cfg Config) ([]*metrics.Table, error) {
 }
 
 // fig7cRun pushes events at the given rate for the duration and returns
-// per-second received, fabric-forwarded (at the last hop), and dropped
-// rates, normalised per subscriber host.
+// per-second received, fabric-forwarded (handed to the subscriber hosts)
+// and host-dropped rates, normalised per subscriber host.
 func fig7cRun(seed int64, rate int, duration time.Duration, capacity int) (received, forwarded, dropped float64, err error) {
-	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	eng := sim.NewEngine()
-	dp := netem.New(g, eng)
-	ctl, err := core.NewController(g, dp, core.WithHostAddr(netem.HostAddr))
-	if err != nil {
-		return 0, 0, 0, err
-	}
 	sch, err := space.UniformSchema(2)
 	if err != nil {
 		return 0, 0, 0, err
@@ -76,66 +63,40 @@ func fig7cRun(seed int64, rate int, duration time.Duration, capacity int) (recei
 	if err != nil {
 		return 0, 0, 0, err
 	}
-
-	hosts := g.Hosts()
-	pub := hosts[0]
-	subscribers := hosts[1:5] // 4 end hosts as in the paper
-
-	whole, err := sch.DecomposeLimited(space.NewFilter(), fig7bMaxDzLen, fig7bMaxSubspaces)
+	sys, err := newSystem(sch, pleroma.WithHostCapacity(capacity))
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	if _, err := ctl.Advertise("pub", pub, whole); err != nil {
+	defer sys.Close()
+
+	hosts := sys.Hosts()
+	subscribers := hosts[1:5] // 4 end hosts as in the paper
+	pub, err := advertise(sys, "pub", hosts[0], pleroma.NewFilter())
+	if err != nil {
 		return 0, 0, 0, err
 	}
 	// Every subscriber host takes the full event stream: the experiment
 	// stresses the ingestion path, so all events must reach all hosts.
 	for i, h := range subscribers {
-		if _, err := ctl.Subscribe(fmt.Sprintf("s%d", i), h, whole); err != nil {
-			return 0, 0, 0, err
-		}
-		if err := dp.ConfigureHost(h, netem.HostConfig{CapacityPerSec: capacity}, nil); err != nil {
+		if err := sys.Subscribe(fmt.Sprintf("s%d", i), h, pleroma.NewFilter(), nil); err != nil {
 			return 0, 0, 0, err
 		}
 	}
-
 	total := int(float64(rate) * duration.Seconds())
 	interval := time.Duration(int64(time.Second) / int64(rate))
-	maxLen := sch.Geometry().MaxLen()
-	for i, ev := range gen.Events(total) {
-		expr, encErr := sch.Encode(ev, maxLen)
-		if encErr != nil {
-			return 0, 0, 0, encErr
-		}
-		at := time.Duration(i) * interval
-		if err := dp.PublishAt(at, pub, expr, ev, netem.DefaultPacketSize); err != nil {
-			return 0, 0, 0, err
-		}
+	if err := publishEvery(sys, pub, gen.Events(total), interval); err != nil {
+		return 0, 0, 0, err
 	}
-	// Let queued work drain fully.
-	eng.Run()
 
-	var recv, drop uint64
-	for _, h := range subscribers {
-		recv += dp.HostReceived(h)
-		drop += dp.HostDropped(h)
-	}
-	// Fabric-forwarded: packets handed to subscriber access links.
-	var fwd uint64
-	for _, h := range subscribers {
-		sw, err := g.AttachedSwitch(h)
-		if err != nil {
-			return 0, 0, 0, err
-		}
-		link, ok := g.LinkBetween(sw, h)
-		if !ok {
-			return 0, 0, 0, fmt.Errorf("fig7c: missing access link")
-		}
-		if ls := dp.LinkStatsFor(link); ls != nil {
-			fwd += ls.Packets[sw]
-		}
+	// One whole-space subscription per subscriber host: a delivery is an
+	// event a host ingested, and what the fabric handed a host it either
+	// ingested or dropped.
+	recv := sys.Stats().Deliveries
+	var drop uint64
+	for _, h := range sys.OverloadReport().OverloadedHosts {
+		drop += h.Dropped
 	}
 	secs := duration.Seconds()
 	n := float64(len(subscribers))
-	return float64(recv) / secs / n, float64(fwd) / secs / n, float64(drop) / secs / n, nil
+	return float64(recv) / secs / n, float64(recv+drop) / secs / n, float64(drop) / secs / n, nil
 }

@@ -3,17 +3,12 @@ package experiments
 import (
 	"fmt"
 
-	"pleroma/internal/interdomain"
+	"pleroma"
 	"pleroma/internal/metrics"
-	"pleroma/internal/netem"
-	"pleroma/internal/sim"
+	"pleroma/internal/obs"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
 	"pleroma/internal/workload"
 )
-
-// fig7gSwitches is the Mininet scale of the paper (20 switches).
-const fig7gSwitches = 20
 
 // fig7gSubCounts are the subscription workloads of Figures 7(g) and 7(h).
 var fig7gSubCounts = []int{100, 200, 400}
@@ -42,7 +37,7 @@ func RunFig7gControllerOverhead(cfg Config) ([]*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		base[subs] = st.AverageControllerLoad()
+		base[subs] = st.load
 	}
 	for _, nc := range controllers {
 		cells := []any{nc}
@@ -53,7 +48,7 @@ func RunFig7gControllerOverhead(cfg Config) ([]*metrics.Table, error) {
 			}
 			norm := 0.0
 			if base[subs] > 0 {
-				norm = st.AverageControllerLoad() / base[subs] * 100
+				norm = st.load / base[subs] * 100
 			}
 			cells = append(cells, norm)
 		}
@@ -85,41 +80,49 @@ func RunFig7hControlTraffic(cfg Config) ([]*metrics.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			cells = append(cells, st.TotalControlTraffic(), st.SuppressedByCovering)
+			cells = append(cells, st.traffic, st.suppressed)
 		}
 		table.AddRow(cells...)
 	}
 	return []*metrics.Table{table}, nil
 }
 
-// fig7ghRun deploys publishers and a uniform subscription workload on a
-// 20-switch ring split into nControllers partitions and returns the
-// fabric's control-plane statistics.
-func fig7ghRun(seed int64, nControllers, nSubs int) (interdomain.Stats, error) {
-	g, err := topo.Ring(fig7gSwitches, topo.DefaultLinkParams)
-	if err != nil {
-		return interdomain.Stats{}, err
-	}
-	if err := topo.PartitionRing(g, nControllers); err != nil {
-		return interdomain.Stats{}, err
-	}
-	dp := netem.New(g, sim.NewEngine())
-	fab, err := interdomain.NewFabric(g, dp)
-	if err != nil {
-		return interdomain.Stats{}, err
-	}
+// fig7ghCounts is the control plane's work in one fig7g/h deployment.
+type fig7ghCounts struct {
+	// load is the mean number of requests a controller handled: host
+	// requests plus controller-to-controller messages, over controllers.
+	load float64
+	// traffic is every control message: host requests plus
+	// controller-to-controller messages.
+	traffic uint64
+	// suppressed counts inter-partition forwardings covering made
+	// unnecessary.
+	suppressed uint64
+}
+
+// fig7ghRun deploys publishers and a uniform subscription workload on the
+// 20-switch ring split into nControllers partitions and counts the
+// control plane's work.
+func fig7ghRun(seed int64, nControllers, nSubs int) (fig7ghCounts, error) {
 	sch, err := space.UniformSchema(2)
 	if err != nil {
-		return interdomain.Stats{}, err
+		return fig7ghCounts{}, err
 	}
 	gen, err := workload.New(sch, workload.Uniform, seed)
 	if err != nil {
-		return interdomain.Stats{}, err
+		return fig7ghCounts{}, err
 	}
-	hosts := g.Hosts()
+	sys, err := newSystem(sch, pleroma.WithTopology(pleroma.TopologyRing20),
+		pleroma.WithPartitions(nControllers), pleroma.WithObservability(0))
+	if err != nil {
+		return fig7ghCounts{}, err
+	}
+	defer sys.Close()
+	hosts := sys.Hosts()
 
 	// Four publishers spread around the ring advertise broad regions.
-	for i := 0; i < 4; i++ {
+	const publishers = 4
+	for i := 0; i < publishers; i++ {
 		rect := gen.SubscriptionRect()
 		// Broaden the advertisement so most subscriptions overlap it.
 		for d := range rect {
@@ -127,23 +130,24 @@ func fig7ghRun(seed int64, nControllers, nSubs int) (interdomain.Stats, error) {
 			hi := rect[d].Hi + (sch.DomainMax()-rect[d].Hi)/2
 			rect[d].Hi = hi
 		}
-		set, err := sch.DecomposeRectLimited(rect, fig7bMaxDzLen, fig7bMaxSubspaces)
-		if err != nil {
-			return interdomain.Stats{}, err
-		}
-		if err := fab.Advertise(fmt.Sprintf("p%d", i), hosts[(i*len(hosts))/4], set); err != nil {
-			return interdomain.Stats{}, err
+		if _, err := advertise(sys, fmt.Sprintf("p%d", i), hosts[(i*len(hosts))/publishers], filterOf(sch, rect)); err != nil {
+			return fig7ghCounts{}, err
 		}
 	}
 	for i := 0; i < nSubs; i++ {
-		set, err := sch.DecomposeRectLimited(gen.SubscriptionRect(), fig7bMaxDzLen, fig7bMaxSubspaces)
-		if err != nil {
-			return interdomain.Stats{}, err
-		}
+		f := filterOf(sch, gen.SubscriptionRect())
 		host := hosts[int(gen.Event().Values[0])%len(hosts)]
-		if err := fab.Subscribe(fmt.Sprintf("s%d", i), host, set); err != nil {
-			return interdomain.Stats{}, err
+		if err := sys.Subscribe(fmt.Sprintf("s%d", i), host, f, nil); err != nil {
+			return fig7ghCounts{}, err
 		}
 	}
-	return fab.Stats(), nil
+	// Every host request reaches one controller, and every
+	// controller-to-controller message is sent by one and handled by one.
+	st := sys.Stats()
+	traffic := uint64(publishers+nSubs) + st.ControlMessages
+	return fig7ghCounts{
+		load:       float64(traffic) / float64(st.Partitions),
+		traffic:    traffic,
+		suppressed: uint64(sys.Metrics().Total(obs.MInterdomainSuppressed)),
+	}, nil
 }

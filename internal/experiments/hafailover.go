@@ -3,14 +3,10 @@ package experiments
 import (
 	"fmt"
 
-	"pleroma/internal/core"
-	"pleroma/internal/dz"
+	"pleroma"
 	"pleroma/internal/metrics"
-	"pleroma/internal/netem"
-	"pleroma/internal/sim"
+	"pleroma/internal/obs"
 	"pleroma/internal/space"
-	"pleroma/internal/topo"
-	"pleroma/internal/workload"
 )
 
 // RunExtHAFailover measures controller takeover along the Ravana-style
@@ -48,7 +44,8 @@ func RunExtHAFailover(cfg Config) ([]*metrics.Table, error) {
 			return nil, fmt.Errorf("experiments: ha failover cadence %s: %w", c.label, err)
 		}
 		table.AddRow(c.label, row.mutations, row.snapshots, row.journalAtCrash,
-			row.fromSnapshot, row.replayed, row.takeoverRepairs, row.verified, row.digest)
+			row.takeover.FromSnapshot, row.takeover.Replayed, row.takeover.Resync.Repaired(),
+			row.verified, row.digest)
 	}
 	return []*metrics.Table{table}, nil
 }
@@ -57,140 +54,67 @@ func RunExtHAFailover(cfg Config) ([]*metrics.Table, error) {
 type haFailoverTally struct {
 	mutations                 uint64
 	snapshots, journalAtCrash int
-	fromSnapshot              bool
-	replayed, takeoverRepairs int
+	takeover                  pleroma.FailoverReport
 	verified                  bool
 	digest                    string
 }
 
-// haFailoverRun churns one journaling controller (one seeded stream, so
-// the operation sequence is a pure function of the seed), checkpoints every
-// `every` mutations, crashes it, and promotes a warm standby. The
-// returned digest fingerprints the promoted controller's reconstructed
-// state: identical across cadences (replay converges on the same state
-// no matter how it is split between snapshot and journal) and across
-// runs of the same seed.
+// haFailoverRun churns one journaling deployment (one seeded stream, so
+// the operation sequence is a pure function of the seed), snapshots its
+// partition every `every` mutations, crashes the partition's controller,
+// and promotes the warm standby. The returned digest fingerprints the
+// promoted control plane's state (System.StateDigest): identical across
+// cadences (replay converges on the same state no matter how it is split
+// between snapshot and journal) and across runs of the same seed.
 func haFailoverRun(seed int64, ops, every int) (*haFailoverTally, error) {
-	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-	if err != nil {
-		return nil, err
-	}
-	dp := netem.New(g, sim.NewEngine())
-	journal := core.NewMemJournal()
-	ctl, err := core.NewController(g, dp,
-		core.WithHostAddr(netem.HostAddr),
-		core.WithJournal(journal))
-	if err != nil {
-		return nil, err
-	}
 	sch, err := space.UniformSchema(fig7bDims)
 	if err != nil {
 		return nil, err
 	}
-	hosts := g.Hosts()
-	hostFor := func(id string) topo.NodeID {
-		h := 0
-		for _, ch := range id {
-			h = h*31 + int(ch)
-		}
-		if h < 0 {
-			h = -h
-		}
-		return hosts[h%len(hosts)]
+	sys, err := newSystem(sch, pleroma.WithJournal(), pleroma.WithObservability(0))
+	if err != nil {
+		return nil, err
 	}
+	defer sys.Close()
+	part := sys.Partitions()[0]
+	journaled := func() int { return int(sys.Metrics().Total(obs.MJournalRecords)) }
 
-	// The standby's view of the checkpoint stream: the latest snapshot it
-	// observed, refreshed every `every` mutations. Snapshotting also
-	// compacts the journal, so the replayed suffix shrinks with cadence.
-	var (
-		lastSnap  []byte
-		snapshots int
-		mutations int
-	)
+	// Snapshotting compacts the journal, so the replayed suffix shrinks
+	// with cadence: it holds the records appended since the last snapshot.
+	var snapshots, mutations, atSnapshot int
 	checkpoint := func() error {
 		mutations++
 		if every <= 0 || mutations%every != 0 {
 			return nil
 		}
-		snap, err := ctl.EncodeSnapshot()
-		if err != nil {
+		if _, err := sys.Snapshot(part); err != nil {
 			return err
 		}
-		lastSnap = snap
 		snapshots++
-		journal.Truncate(ctl.JournalSeq())
+		atSnapshot = journaled()
 		return nil
 	}
-	churn, err := workload.RunChurn(sch, workload.ChurnConfig{
-		Ops:  ops,
-		Seed: seed,
-	}, workload.ChurnOps{
-		Advertise: func(id string, rect dz.Rect) error {
-			set, err := sch.DecomposeRectLimited(rect, fig7bMaxDzLen, fig7bMaxSubspaces)
-			if err != nil {
-				return err
-			}
-			if _, err := ctl.Advertise(id, hostFor(id), set); err != nil {
-				return err
-			}
-			return checkpoint()
-		},
-		Unadvertise: func(id string) error {
-			if _, err := ctl.Unadvertise(id); err != nil {
-				return err
-			}
-			return checkpoint()
-		},
-		Subscribe: func(id string, rect dz.Rect) error {
-			set, err := sch.DecomposeRectLimited(rect, fig7bMaxDzLen, fig7bMaxSubspaces)
-			if err != nil {
-				return err
-			}
-			if _, err := ctl.Subscribe(id, hostFor(id), set); err != nil {
-				return err
-			}
-			return checkpoint()
-		},
-		Unsubscribe: func(id string) error {
-			if _, err := ctl.Unsubscribe(id); err != nil {
-				return err
-			}
-			return checkpoint()
-		},
-	})
+	stats, err := churn(sys, seed, ops, checkpoint)
 	if err != nil {
 		return nil, err
 	}
-	journalAtCrash := journal.Len()
+	journalAtCrash := journaled() - atSnapshot
 
-	// Crash and take over: the live instance is discarded unread.
-	standby := core.NewStandby(g, dp, journal, core.WithHostAddr(netem.HostAddr))
-	if lastSnap != nil {
-		if err := standby.ObserveSnapshot(lastSnap); err != nil {
-			return nil, err
-		}
-	}
-	promoted, rep, err := standby.Promote()
+	// Crash and take over: the live controller is discarded unread.
+	takeover, err := sys.Failover(part)
 	if err != nil {
 		return nil, err
 	}
-
-	finalSnap, err := promoted.EncodeSnapshot()
-	if err != nil {
-		return nil, err
-	}
-	d, err := core.SnapshotDigest(finalSnap)
+	d, err := sys.StateDigest()
 	if err != nil {
 		return nil, err
 	}
 	return &haFailoverTally{
-		mutations:       churn.Mutations(),
-		snapshots:       snapshots,
-		journalAtCrash:  journalAtCrash,
-		fromSnapshot:    rep.FromSnapshot,
-		replayed:        rep.Replayed,
-		takeoverRepairs: rep.Resync.Repaired(),
-		verified:        promoted.VerifyTables() == nil,
-		digest:          fmt.Sprintf("%x", d[:8]),
+		mutations:      stats.Mutations(),
+		snapshots:      snapshots,
+		journalAtCrash: journalAtCrash,
+		takeover:       takeover,
+		verified:       sys.VerifyTables() == nil,
+		digest:         fmt.Sprintf("%x", d[:8]),
 	}, nil
 }

@@ -52,20 +52,14 @@ func ModifyOp(id FlowID, priority int, actions []Action) FlowOp {
 	return FlowOp{Kind: OpModify, ID: id, Priority: priority, Actions: actions}
 }
 
-// ApplyBatch applies the operations in order, stopping at the first
+// AppendBatch applies the operations in order, stopping at the first
 // failure — an add or modify the admission rule refuses
 // (ErrPriorityMismatch) is one, and leaves the table as the ops before it
-// left it. It returns one FlowID per successfully applied operation — the
-// assigned ID for adds, zero for deletes and modifies — so a caller can
-// tell exactly which prefix of the batch took effect when an error is
-// returned. It is AppendBatch into a fresh slice.
-func (t *Table) ApplyBatch(ops []FlowOp) ([]FlowID, error) {
-	return t.AppendBatch(make([]FlowID, 0, len(ops)), ops)
-}
-
-// AppendBatch is ApplyBatch for a caller that owns the buffer: it appends
-// the FlowIDs of the applied prefix to ids and returns the extended slice,
-// allocating only when ids must grow.
+// left it. It appends one FlowID per successfully applied operation to ids
+// — the assigned ID for adds, zero for deletes and modifies — and returns
+// the extended slice, so a caller can tell exactly which prefix of the
+// batch took effect when an error is returned. It allocates only when ids
+// must grow.
 func (t *Table) AppendBatch(ids []FlowID, ops []FlowOp) ([]FlowID, error) {
 	t.stats.Batches++
 	for i, op := range ops {

@@ -17,7 +17,7 @@ func TestApplyBatchInOrder(t *testing.T) {
 		ModifyOp(keep, 1, []Action{{OutPort: 4}}),
 		DeleteOp(keep),
 	}
-	applied, err := tab.ApplyBatch(ops)
+	applied, err := tab.AppendBatch(nil, ops)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestApplyBatchStopsAtFirstFailure(t *testing.T) {
 		AddOp(mustFlow(t, "10", 2, 3)), // exceeds capacity
 		AddOp(mustFlow(t, "11", 2, 4)), // never attempted
 	}
-	applied, err := tab.ApplyBatch(ops)
+	applied, err := tab.AppendBatch(nil, ops)
 	if err == nil {
 		t.Fatal("over-capacity batch must fail")
 	}
@@ -67,13 +67,13 @@ func TestApplyBatchStopsAtFirstFailure(t *testing.T) {
 
 func TestApplyBatchUnknownTargets(t *testing.T) {
 	tab := NewTable()
-	if _, err := tab.ApplyBatch([]FlowOp{DeleteOp(99)}); err == nil {
+	if _, err := tab.AppendBatch(nil, []FlowOp{DeleteOp(99)}); err == nil {
 		t.Error("deleting unknown id must fail")
 	}
-	if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(99, 0, nil)}); err == nil {
+	if _, err := tab.AppendBatch(nil, []FlowOp{ModifyOp(99, 0, nil)}); err == nil {
 		t.Error("modifying unknown id must fail")
 	}
-	if _, err := tab.ApplyBatch([]FlowOp{{Kind: OpKind(42)}}); err == nil {
+	if _, err := tab.AppendBatch(nil, []FlowOp{{Kind: OpKind(42)}}); err == nil {
 		t.Error("unknown op kind must fail")
 	}
 }
@@ -124,7 +124,7 @@ func TestLookupKeyHeldActionsNeverWritten(t *testing.T) {
 	}
 	check("Modify")
 	hold(9)
-	if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(first, 1, []Action{{OutPort: 10}, {OutPort: 9}})}); err != nil {
+	if _, err := tab.AppendBatch(nil, []FlowOp{ModifyOp(first, 1, []Action{{OutPort: 10}, {OutPort: 9}})}); err != nil {
 		t.Fatal(err)
 	}
 	check("batch modify")
@@ -139,7 +139,7 @@ func TestLookupKeyHeldActionsNeverWritten(t *testing.T) {
 		t.Fatal("delete first failed")
 	}
 	check("Delete")
-	if _, err := tab.ApplyBatch([]FlowOp{DeleteOp(second)}); err != nil {
+	if _, err := tab.AppendBatch(nil, []FlowOp{DeleteOp(second)}); err != nil {
 		t.Fatal(err)
 	}
 	check("batch delete")

@@ -69,7 +69,7 @@ func bitsExpr(b byte, n int) dz.Expr {
 // flow) the priority c%16 in place of |dz|, which the table must refuse —
 // unless c%16 happens to be |dz| — leaving its flows and counters as they
 // were; code&0x20 adds a SetDest action; code&0x10 sends the operation
-// through ApplyBatch. Queries are the query bytes cut to 0, 1,
+// through AppendBatch. Queries are the query bytes cut to 0, 1,
 // 24, 111, 112 and qlen%113 bits, the flows' own expressions, and an IPv4
 // and a non-ff0e IPv6 address made of the same bytes.
 //
@@ -193,7 +193,7 @@ func FuzzLookupKeyVsAddr(f *testing.F) {
 			var applied bool
 			switch {
 			case code&0x10 != 0:
-				ids, err := tab.ApplyBatch([]FlowOp{op})
+				ids, err := tab.AppendBatch(nil, []FlowOp{op})
 				if err != nil && !errors.Is(err, ErrPriorityMismatch) {
 					t.Fatal(err)
 				}

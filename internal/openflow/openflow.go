@@ -138,7 +138,7 @@ type ModStats struct {
 	Adds    uint64
 	Deletes uint64
 	Mods    uint64
-	// Batches counts ApplyBatch invocations (each models one OpenFlow
+	// Batches counts AppendBatch invocations (each models one OpenFlow
 	// bundle, i.e. one southbound round-trip regardless of op count).
 	Batches uint64
 }
@@ -150,7 +150,7 @@ func (s ModStats) Total() uint64 { return s.Adds + s.Deletes + s.Mods }
 //
 // Lookups emulate a TCAM: the highest-priority matching entry wins. The
 // table admits a flow only at priority |dz| — the PLEROMA invariant the
-// controller installs every flow at; TryAdd, ApplyBatch and Modify refuse
+// controller installs every flow at; TryAdd, AppendBatch and Modify refuse
 // any other priority with ErrPriorityMismatch and leave the table as it was.
 // Under that rule the highest-priority match is the longest installed prefix
 // of the destination, so the table has one lookup: a multi-bit trie

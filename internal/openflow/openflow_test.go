@@ -346,12 +346,12 @@ func TestApplyBatchAdmissionRule(t *testing.T) {
 	} {
 		tab, state := admissionTable(t)
 		ops := append(append([]FlowOp(nil), prefix...), bad, AddOp(mustFlow(t, "111", 3, 7)))
-		applied, err := tab.ApplyBatch(ops)
+		applied, err := tab.AppendBatch(nil, ops)
 		if !errors.Is(err, ErrPriorityMismatch) || len(applied) != len(prefix) {
 			t.Fatalf("%s: applied %v, err %v; want the %d-op prefix and ErrPriorityMismatch", name, applied, err, len(prefix))
 		}
 		ref, refState := admissionTable(t)
-		if _, err := ref.ApplyBatch(prefix); err != nil {
+		if _, err := ref.AppendBatch(nil, prefix); err != nil {
 			t.Fatal(err)
 		}
 		if got, want := state(), refState(); !reflect.DeepEqual(got, want) {

@@ -95,7 +95,7 @@ func TestLookupKeySharedBucketFollowsWinner(t *testing.T) {
 	want("winner modified", first, 8)
 	tab.Delete(first)
 	want("winner deleted", second, 7)
-	if _, err := tab.ApplyBatch([]FlowOp{ModifyOp(second, 3, []Action{{OutPort: 9}})}); err != nil {
+	if _, err := tab.AppendBatch(nil, []FlowOp{ModifyOp(second, 3, []Action{{OutPort: 9}})}); err != nil {
 		t.Fatal(err)
 	}
 	want("new winner modified in a batch", second, 9)
