@@ -199,7 +199,7 @@ func dump(g *topo.Graph, dp *netem.DataPlane, fab *interdomain.Fabric) {
 		n, _ := g.Node(sw)
 		fmt.Printf("%s:\n", n.Name)
 		for _, fl := range flows {
-			match, _ := ipmc.FromExpr(fl.Expr) // installed: the expression fits an address
+			match, _ := ipmc.FromExpr(fl.Expr()) // installed: the key fits an address
 			fmt.Printf("  %s   match %s\n", fl.String(), match)
 		}
 	}

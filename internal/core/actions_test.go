@@ -120,7 +120,7 @@ func TestInstructionSetsInterned(t *testing.T) {
 		}
 		for _, f := range flows {
 			if want := c.actionsFor(sw, f.OutPorts()); !slices.Equal(f.Actions, want) {
-				t.Fatalf("switch %d flow %s: %v, actionsFor says %v", sw, f.Expr, f.Actions, want)
+				t.Fatalf("switch %d flow %s: %v, actionsFor says %v", sw, f.Expr(), f.Actions, want)
 			}
 		}
 		checkShared(t, sw, flows)

@@ -306,7 +306,7 @@ func snapshotTables(t *testing.T, tb *testbed) map[string]bool {
 			t.Fatal(err)
 		}
 		for _, f := range flows {
-			snap[fmt.Sprintf("%d|%s|%d|%v", sw, f.Expr, f.Priority, f.Actions)] = true
+			snap[fmt.Sprintf("%d|%s|%d|%v", sw, f.Expr(), f.Priority, f.Actions)] = true
 		}
 	}
 	return snap
@@ -816,10 +816,10 @@ func TestPropertyConvergence(t *testing.T) {
 			}
 			am := make(map[string]bool, len(a))
 			for _, fl := range a {
-				am[fmt.Sprintf("%s|%d|%v", fl.Expr, fl.Priority, fl.Actions)] = true
+				am[fmt.Sprintf("%s|%d|%v", fl.Expr(), fl.Priority, fl.Actions)] = true
 			}
 			for _, fl := range b {
-				if !am[fmt.Sprintf("%s|%d|%v", fl.Expr, fl.Priority, fl.Actions)] {
+				if !am[fmt.Sprintf("%s|%d|%v", fl.Expr(), fl.Priority, fl.Actions)] {
 					return false
 				}
 			}

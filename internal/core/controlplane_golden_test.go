@@ -52,14 +52,14 @@ func (r *opRecorder) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, buf []ope
 	}
 	match := make(map[openflow.FlowID]dz.Expr, len(flows))
 	for _, f := range flows {
-		match[f.ID] = f.Expr
+		match[f.ID] = f.Expr()
 	}
 	all, err := r.dp.ApplyBatch(sw, ops, buf)
 	ids := all[len(buf):]
 	for i, op := range ops[:len(ids)] {
 		id, expr, prio, actions := op.ID, match[op.ID], op.Priority, op.Actions
 		if op.Kind == openflow.OpAdd {
-			id, expr, prio, actions = ids[i], op.Flow.Expr, op.Flow.Priority, op.Flow.Actions
+			id, expr, prio, actions = ids[i], op.Flow.Expr(), op.Flow.Priority, op.Flow.Actions
 		}
 		r.u64(uint64(sw))
 		r.u64(uint64(op.Kind))

@@ -178,12 +178,12 @@ func (b *batchLog) ApplyBatch(sw topo.NodeID, ops []openflow.FlowOp, ids []openf
 	}
 	byID := make(map[openflow.FlowID]dz.Expr, len(flows))
 	for _, f := range flows {
-		byID[f.ID] = f.Expr
+		byID[f.ID] = f.Expr()
 	}
 	exprs := make([]dz.Expr, len(ops))
 	for i, op := range ops {
 		if op.Kind == openflow.OpAdd {
-			exprs[i] = op.Flow.Expr
+			exprs[i] = op.Flow.Expr()
 		} else {
 			exprs[i] = byID[op.ID]
 		}
@@ -389,13 +389,13 @@ func (r *derivationRig) checkTables(tb testing.TB, op string, want map[topo.Node
 				op, sw, len(flows), len(r.c.installed[sw]), len(want[sw]))
 		}
 		for _, f := range flows {
-			ports := want[sw][f.Expr]
+			ports := want[sw][f.Expr()]
 			if ports == nil {
-				tb.Fatalf("%s: switch %d holds %q, which the definition prunes or lacks", op, sw, f.Expr)
+				tb.Fatalf("%s: switch %d holds %q, which the definition prunes or lacks", op, sw, f.Expr())
 			}
 			actions := r.c.actionsFor(sw, sortutil.Keys(ports))
-			if f.Priority != f.Expr.Len() || !actionsEqual(f.Actions, actions) {
-				tb.Fatalf("%s: switch %d flow %q forwards %v at priority %d, definition says %v", op, sw, f.Expr, f.Actions, f.Priority, actions)
+			if f.Priority != f.Key.Len() || !actionsEqual(f.Actions, actions) {
+				tb.Fatalf("%s: switch %d flow %q forwards %v at priority %d, definition says %v", op, sw, f.Expr(), f.Actions, f.Priority, actions)
 			}
 		}
 	}

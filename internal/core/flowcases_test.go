@@ -90,7 +90,7 @@ func (f *figure4) flowSummary(t *testing.T, sw topo.NodeID) map[string][]openflo
 	}
 	out := make(map[string][]openflow.PortID, len(flows))
 	for _, fl := range flows {
-		out[string(fl.Expr)] = fl.OutPorts()
+		out[string(fl.Expr())] = fl.OutPorts()
 	}
 	return out
 }
@@ -189,7 +189,7 @@ func TestFigure4ArrivalOfS3(t *testing.T) {
 	}
 	var p10, p100 int
 	for _, fl := range flows {
-		switch fl.Expr {
+		switch fl.Expr() {
 		case "10":
 			p10 = fl.Priority
 		case "100":

@@ -31,21 +31,14 @@ type contribKey struct {
 // re-establishment cancel (mergeTrees, RebuildTrees) — when apply folds the
 // set in.
 type changeSet struct {
-	delta map[contribKey]named
+	delta map[contribKey]int
 	// changed backs the list apply returns, reused by the next apply of
 	// this set: it lives as long as the set does.
 	changed []change
 }
 
 func newChangeSet() *changeSet {
-	return &changeSet{delta: make(map[contribKey]named)}
-}
-
-// named is a count of contributions and their key's expression, the
-// registered set's own string: a flow added for the key takes it as match.
-type named struct {
-	n    int
-	expr dz.Expr
+	return &changeSet{delta: make(map[contribKey]int)}
 }
 
 // branchKey names one branch: the established paths of a subscriber on a
@@ -282,7 +275,7 @@ func (cs *contribState) addGroup(ch *changeSet, exprs []dz.Expr, part *exprBits,
 				n++
 			}
 			key := contribKey{run[0].Switch, k, run[0].OutPort}
-			ch.delta[key] = named{ch.delta[key].n + sign*n, e}
+			ch.delta[key] += sign * n
 			run = run[n:]
 		}
 	}
@@ -346,9 +339,8 @@ func (cs *contribState) removeRoute(key branchKey, pub *publisher, ch *changeSet
 
 // change names a key whose set of contributing ports changed on a switch.
 type change struct {
-	sw   topo.NodeID
-	key  dz.Key
-	expr dz.Expr // key's expression
+	sw  topo.NodeID
+	key dz.Key
 }
 
 // apply folds an operation's net changes into the per-switch tries, empties
@@ -362,9 +354,9 @@ func (cs *contribState) apply(ch *changeSet) []change {
 		return nil
 	}
 	changed := ch.changed[:0]
-	for key, d := range ch.delta {
-		if d.n != 0 && cs.bump(key, d.n) {
-			changed = append(changed, change{key.sw, key.key, d.expr})
+	for key, n := range ch.delta {
+		if n != 0 && cs.bump(key, n) {
+			changed = append(changed, change{key.sw, key.key})
 		}
 	}
 	clear(ch.delta)
@@ -531,8 +523,7 @@ type unionFrame struct {
 // union depends only on its prefixes and its pruning on its nearest coarser
 // entry. ports is the key's canonical entry, valid only during the call, and
 // empty when it gets none: it is pruned, or (direct false) a changed key
-// left without direct contribution. name is the key's expression when the
-// key is one of changed, and empty otherwise.
+// left without direct contribution.
 //
 // It is one VisitOverlaps descent: root's proper prefixes, coarsest first,
 // accumulate the union every member inherits (frame 0); the covered subtree
@@ -540,7 +531,7 @@ type unionFrame struct {
 // exactly a stack, unwound to the nearest by prefix test. The changed keys
 // the trie no longer holds are merged in at their position.
 func (d *derivation) family(t *dz.Trie[contrib], changed []change,
-	visit func(k dz.Key, name dz.Expr, ports []openflow.PortID, direct bool)) {
+	visit func(k dz.Key, ports []openflow.PortID, direct bool)) {
 	root := changed[0].key
 	d.ports = d.portsBuf[:0]
 	d.stack = append(d.stackBuf[:0], unionFrame{})
@@ -550,12 +541,9 @@ func (d *derivation) family(t *dz.Trie[contrib], changed []change,
 				d.stack[0] = d.extend(d.stack[0], k, c.ports())
 				return true
 			}
-			var name dz.Expr
 			for ; len(changed) > 0 && changed[0].key.Compare(k) <= 0; changed = changed[1:] {
-				if changed[0].key == k {
-					name = changed[0].expr
-				} else {
-					visit(changed[0].key, changed[0].expr, nil, false)
+				if changed[0].key != k {
+					visit(changed[0].key, nil, false)
 				}
 			}
 			top := len(d.stack) - 1
@@ -570,12 +558,12 @@ func (d *derivation) family(t *dz.Trie[contrib], changed []change,
 			if len(ports) == parent.hi-parent.lo {
 				ports = nil
 			}
-			visit(k, name, ports, true)
+			visit(k, ports, true)
 			return true
 		})
 	}
 	for _, c := range changed {
-		visit(c.key, c.expr, nil, false)
+		visit(c.key, nil, false)
 	}
 }
 
@@ -610,7 +598,7 @@ func (c *Controller) desiredTable(sw topo.NodeID) map[dz.Key][]openflow.PortID {
 		return nil
 	}
 	entries := make(map[dz.Key][]openflow.PortID, t.Len())
-	new(derivation).family(t, []change{{sw, dz.Key{}, dz.Whole}}, func(k dz.Key, _ dz.Expr, ports []openflow.PortID, _ bool) {
+	new(derivation).family(t, []change{{sw, dz.Key{}}}, func(k dz.Key, ports []openflow.PortID, _ bool) {
 		if len(ports) > 0 {
 			entries[k] = slices.Clone(ports)
 		}
@@ -632,11 +620,7 @@ func actionsEqual(a, b []openflow.Action) bool { return slices.Equal(a, b) }
 func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 	inst map[dz.Key]installedFlow, rep *ReconfigReport) error {
 	ops, metas := c.batchOps, c.batchMetas
-	var err error
-	reconcile := func(k dz.Key, name dz.Expr, ports []openflow.PortID, direct bool) {
-		if err != nil {
-			return
-		}
+	reconcile := func(k dz.Key, ports []openflow.PortID, direct bool) {
 		fl, installed := inst[k]
 		want := len(ports) > 0
 		switch {
@@ -654,18 +638,10 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 			metas = append(metas, opMeta{key: k})
 		case want && !installed:
 			c.inst.caseInstall.Inc()
+			// The installed entry keeps the actions too: like a modify's,
+			// neither side writes them.
 			actions := c.actionsFor(sw, ports)
-			prio := k.Len()
-			if name.Len() != prio {
-				name = k.Expr() // a pruned entry coming back: no path of this operation named it
-			}
-			var f openflow.Flow
-			if f, err = openflow.NewFlow(name, prio); err != nil {
-				err = fmt.Errorf("core: build flow: %w", err)
-				return
-			}
-			f.Actions = actions // the installed entry's too: like a modify's, neither side writes them
-			ops = append(ops, openflow.AddOp(f))
+			ops = append(ops, openflow.AddOp(openflow.Flow{Key: k, Priority: k.Len(), Actions: actions}))
 			metas = append(metas, opMeta{key: k, inst: installedFlow{actions: actions}})
 		case want && installed:
 			actions := c.actionsFor(sw, ports)
@@ -696,9 +672,7 @@ func (c *Controller) refreshSwitch(sw topo.NodeID, changed []change,
 		d.family(t, changed[:n], reconcile)
 		changed = changed[n:]
 	}
-	if err == nil {
-		err = c.flushOps(sw, ops, metas, inst, rep)
-	}
+	err := c.flushOps(sw, ops, metas, inst, rep)
 	c.batchOps, c.batchMetas = emptied(ops), emptied(metas)
 	return err
 }
@@ -940,13 +914,12 @@ func (c *Controller) VerifyTables() error {
 			return fmt.Errorf("core: switch %d table has %d flows, controller installed %d", sw, len(flows), len(have))
 		}
 		for _, f := range flows {
-			k, _ := dz.KeyOf(f.Expr) // a table admits only what fits a key
-			fl, ok := have[k]
+			fl, ok := have[f.Key]
 			if !ok {
-				return fmt.Errorf("core: switch %d has stray flow %s", sw, f.Expr)
+				return fmt.Errorf("core: switch %d has stray flow %s", sw, f.Expr())
 			}
-			if fl.id != f.ID || f.Priority != k.Len() || !actionsEqual(fl.actions, f.Actions) {
-				return fmt.Errorf("core: switch %d flow %s diverges from installed state", sw, f.Expr)
+			if fl.id != f.ID || f.Priority != f.Key.Len() || !actionsEqual(fl.actions, f.Actions) {
+				return fmt.Errorf("core: switch %d flow %s diverges from installed state", sw, f.Expr())
 			}
 		}
 	}

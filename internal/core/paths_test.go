@@ -435,8 +435,8 @@ func TestControllerKeysAreLossless(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, f := range onSwitch {
-			if f.Expr != a && f.Expr != b {
-				t.Errorf("switch %d matches %s, want one of the two members", sw, f.Expr)
+			if f.Expr() != a && f.Expr() != b {
+				t.Errorf("switch %d matches %s, want one of the two members", sw, f.Expr())
 			}
 		}
 	}

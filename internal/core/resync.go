@@ -254,9 +254,8 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 	desired := c.desiredTable(sw)
 
 	// Ground truth: the switch's actual flows when the programmer can
-	// report them, the controller's installed map otherwise. A table admits
-	// only matches that fit a key, so every flow read back packs. A flow
-	// read back keeps the switch's own priority: a wrong one is repaired.
+	// report them, the controller's installed map otherwise. A flow read
+	// back keeps the switch's own priority: a wrong one is repaired.
 	actual := make(map[dz.Key][]openflow.Flow)
 	if c.reader != nil {
 		flows, err := c.reader.Flows(sw)
@@ -265,8 +264,7 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 			return fmt.Errorf("core: resync switch %d: %w", sw, err)
 		}
 		for _, f := range flows {
-			k, _ := dz.KeyOf(f.Expr)
-			actual[k] = append(actual[k], f)
+			actual[f.Key] = append(actual[f.Key], f)
 		}
 	} else {
 		for k, fl := range c.installed[sw] {
@@ -306,11 +304,7 @@ func (c *Controller) resyncSwitch(sw topo.NodeID, rr *ResyncReport) error {
 			ops = append(ops, openflow.ModifyOp(have[0].ID, prio, actions))
 			metas = append(metas, opMeta{key: k, inst: installedFlow{id: have[0].ID, actions: actions}})
 		default:
-			f, err := openflow.NewFlow(k.Expr(), prio, actions...)
-			if err != nil {
-				return fmt.Errorf("core: resync switch %d: build flow: %w", sw, err)
-			}
-			ops = append(ops, openflow.AddOp(f))
+			ops = append(ops, openflow.AddOp(openflow.Flow{Key: k, Priority: prio, Actions: actions}))
 			metas = append(metas, opMeta{key: k, inst: installedFlow{actions: actions}})
 		}
 	}

@@ -124,7 +124,9 @@ type partitionState struct {
 	fwdSubByOrigin map[int]map[string]dz.Set
 	fwdAdvCover    map[int]*coverIndex
 	fwdSubCover    map[int]*coverIndex
-	// localAdvs/localSubs are the partition's own clients.
+	// localAdvs/localSubs are the partition's own clients. Every set here
+	// is shared, with the caller and between these maps: dz.Set operations
+	// return new sets and nothing writes into a stored one.
 	localAdvs map[string]dz.Set
 	localSubs map[string]dz.Set
 	// virtual client counters for unique ids.

@@ -28,10 +28,10 @@ func (f *Fabric) Advertise(id string, host topo.NodeID, set dz.Set) error {
 		return fmt.Errorf("interdomain: local advertise: %w", err)
 	}
 	f.arrive(f.advHome, id, home)
-	s.localAdvs[id] = set.Clone()
+	s.localAdvs[id] = set
 	// Seed the home partition's received-set so the flood dies when it
 	// comes back around a cycle of partitions.
-	s.rcvdAdv[id] = set.Clone()
+	s.rcvdAdv[id] = set
 	f.forwardAdv(home, id, set, home)
 	return nil
 }
@@ -53,8 +53,8 @@ func (f *Fabric) Subscribe(id string, host topo.NodeID, set dz.Set) error {
 		return fmt.Errorf("interdomain: local subscribe: %w", err)
 	}
 	f.arrive(f.subHome, id, home)
-	s.localSubs[id] = set.Clone()
-	s.rcvdSub[id] = set.Clone()
+	s.localSubs[id] = set
+	s.rcvdSub[id] = set
 	f.forwardSub(home, id, set, home)
 	return nil
 }
@@ -148,7 +148,7 @@ func (f *Fabric) rebuildSubPropagation() error {
 	for _, origin := range inArrivalOrder(f.subHome) {
 		home := f.subHome[origin].part
 		set := f.parts[home].localSubs[origin]
-		f.parts[home].rcvdSub[origin] = set.Clone()
+		f.parts[home].rcvdSub[origin] = set
 		f.forwardSub(home, origin, set, home)
 	}
 	return nil

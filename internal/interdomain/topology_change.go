@@ -3,6 +3,7 @@ package interdomain
 import (
 	"errors"
 	"fmt"
+	"maps"
 
 	"pleroma/internal/dz"
 	"pleroma/internal/sortutil"
@@ -58,12 +59,8 @@ func (f *Fabric) HandleTopologyChange() error {
 		ps.fwdSubByOrigin = make(map[int]map[string]dz.Set)
 		ps.fwdAdvCover = make(map[int]*coverIndex)
 		ps.fwdSubCover = make(map[int]*coverIndex)
-		for id, set := range ps.localAdvs {
-			ps.rcvdAdv[id] = set.Clone()
-		}
-		for id, set := range ps.localSubs {
-			ps.rcvdSub[id] = set.Clone()
-		}
+		maps.Copy(ps.rcvdAdv, ps.localAdvs)
+		maps.Copy(ps.rcvdSub, ps.localSubs)
 	}
 
 	// 3. Re-discover borders over the changed topology and rebuild the

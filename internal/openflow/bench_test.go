@@ -45,7 +45,7 @@ func benchProbes(b *testing.B, tab *Table) []netip.Addr {
 	flows := tab.Flows()
 	for i := 0; i < 8 && i < len(flows); i++ {
 		// Refine an installed expression so the lookup walks past it.
-		e := flows[i*len(flows)/8].Expr + "0110"
+		e := flows[i*len(flows)/8].Expr() + "0110"
 		addr, err := ipmc.EventAddr(e.Truncate(ipmc.MaxDzLen))
 		if err != nil {
 			b.Fatal(err)

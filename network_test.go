@@ -687,7 +687,7 @@ func flowDump(t *testing.T, s *System) string {
 		}
 		lines := make([]string, len(flows))
 		for i, f := range flows {
-			lines[i] = fmt.Sprintf("sw%d expr=%s prio=%d actions=%v", sw, f.Expr, f.Priority, f.Actions)
+			lines[i] = fmt.Sprintf("sw%d expr=%s prio=%d actions=%v", sw, f.Expr(), f.Priority, f.Actions)
 		}
 		sort.Strings(lines)
 		out = append(out, lines...)

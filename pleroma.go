@@ -568,12 +568,13 @@ func (s *System) dispatch(host HostID, d netem.Delivery) {
 	}
 	for _, m := range matches {
 		cell := int32(uint32(m))
-		if h.posOf[cell] < 0 {
+		c := &h.cells[cell]
+		if c.slot < 0 {
 			continue // unsubscribed by an earlier handler of this packet
 		}
 		fp := !dz.RectContainsPoint(h.rect(cell), d.Packet.Event.Values)
 		// A copy: a handler that subscribes may grow the array under it.
-		sink := h.sinks[cell]
+		sink := c.sink
 		lat := d.At - d.Packet.SentAt
 		h.deliveries++
 		s.obsDeliveries.Inc()
