@@ -56,7 +56,6 @@ FUZZ_TARGETS := \
 	./internal/wire:FuzzDecodeDeliverBatch \
 	./internal/wire:FuzzFrameStream \
 	./internal/wire:FuzzDecodeSignal \
-	./internal/wire:FuzzDecodeEvent \
 	.:FuzzHostDemux \
 	./internal/sim:FuzzEventQueueOrder \
 	./internal/core:FuzzFlowDerivation \

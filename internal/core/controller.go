@@ -82,7 +82,6 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if err := c.journalOp(wire.OpAdvertise, id, ep, set); err != nil {
 		return rep, err
 	}
-	c.logOp(wire.OpAdvertise, id, rep)
 	return rep, nil
 }
 
@@ -144,7 +143,6 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if err := c.journalOp(wire.OpSubscribe, id, ep, set); err != nil {
 		return rep, err
 	}
-	c.logOp(wire.OpSubscribe, id, rep)
 	return rep, nil
 }
 
@@ -222,7 +220,6 @@ func (c *Controller) Unsubscribe(id string) (rep ReconfigReport, err error) {
 	if err := c.journalOp(wire.OpUnsubscribe, id, endpoint{}, nil); err != nil {
 		return rep, err
 	}
-	c.logOp(wire.OpUnsubscribe, id, rep)
 	return rep, nil
 }
 
@@ -258,7 +255,6 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	if err := c.journalOp(wire.OpUnadvertise, id, endpoint{}, nil); err != nil {
 		return rep, err
 	}
-	c.logOp(wire.OpUnadvertise, id, rep)
 	return rep, nil
 }
 
@@ -279,25 +275,6 @@ func (c *Controller) admit(kind, id string, set dz.Set) (dz.Set, error) {
 		return nil, fmt.Errorf("core: %s %q: dz length %d exceeds %d bits", kind, id, n, dz.MaxKeyBits)
 	}
 	return set, nil
-}
-
-// logOp emits one structured reconfiguration summary.
-func (c *Controller) logOp(op wire.Op, id string, rep ReconfigReport) {
-	if c.log == nil {
-		return
-	}
-	c.log.Debug("reconfiguration",
-		"op", string(op),
-		"client", id,
-		"flowAdds", rep.FlowAdds,
-		"flowDeletes", rep.FlowDeletes,
-		"flowModifies", rep.FlowModifies,
-		"treesCreated", rep.TreesCreated,
-		"treesMerged", rep.TreesMerged,
-		"routes", rep.RoutesComputed,
-		"southbound", rep.SouthboundCalls,
-		"stored", rep.Stored,
-	)
 }
 
 // hostEndpoint validates a regular client location.
@@ -397,9 +374,6 @@ func (c *Controller) createTree(pub *publisher, set dz.Set, rep *ReconfigReport)
 	rep.TreesCreated++
 	if sp := c.span; sp != nil {
 		sp.Event("tree created", "tree", treeLabel(t.id), "dz", t.set.String())
-	}
-	if c.log != nil {
-		c.log.Debug("tree created", "tree", int(t.id), "root", int(t.root), "dz", t.set.String())
 	}
 	return t, nil
 }
@@ -574,9 +548,6 @@ func (c *Controller) mergeTrees(t1, t2 *tree, ch *changeSet, rep *ReconfigReport
 	if sp := c.span; sp != nil {
 		sp.Event("trees merged", "into", treeLabel(t1.id), "from", treeLabel(t2.id), "dz", t1.set.String())
 	}
-	if c.log != nil {
-		c.log.Debug("trees merged", "into", int(t1.id), "from", int(t2.id), "dz", t1.set.String())
-	}
 	return nil
 }
 
@@ -629,6 +600,5 @@ func (c *Controller) RebuildTrees() (rep ReconfigReport, err error) {
 	if err := c.journalOp(wire.OpReconfigure, "", endpoint{}, nil); err != nil {
 		return rep, err
 	}
-	c.logOp("rebuild-trees", "", rep)
 	return rep, nil
 }

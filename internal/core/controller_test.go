@@ -1,10 +1,8 @@
 package core_test
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
-	"log/slog"
 	"math/rand"
 	"strings"
 	"testing"
@@ -239,7 +237,7 @@ func assertTreesDisjoint(t *testing.T, ctl *core.Controller) {
 	trees := ctl.Trees()
 	for i := range trees {
 		for j := i + 1; j < len(trees); j++ {
-			if trees[i].DZ.OverlapsSet(trees[j].DZ) {
+			if !trees[i].DZ.Intersect(trees[j].DZ).IsEmpty() {
 				t.Fatalf("trees %d and %d overlap: %v vs %v",
 					trees[i].ID, trees[j].ID, trees[i].DZ, trees[j].DZ)
 			}
@@ -606,11 +604,11 @@ func TestContentDeliveryExactness(t *testing.T) {
 		want := 0
 		for _, ev := range events {
 			for _, f := range filters[h] {
-				ok, err := tb.sch.Matches(f, ev)
+				r, err := tb.sch.Rect(f)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ok {
+				if dz.RectContainsPoint(r, ev.Values) {
 					want++
 					break
 				}
@@ -691,9 +689,6 @@ func TestStatsAccumulation(t *testing.T) {
 	st := tb.ctl.Stats()
 	if st.Advertisements != 1 || st.Subscriptions != 2 || st.Unsubscriptions != 1 {
 		t.Errorf("stats=%+v", st)
-	}
-	if st.Requests() != 4 {
-		t.Errorf("Requests=%d, want 4", st.Requests())
 	}
 	if st.StoredSubs != 1 {
 		t.Errorf("StoredSubs=%d, want 1 (s2 overlapped no tree)", st.StoredSubs)
@@ -828,36 +823,5 @@ func TestPropertyConvergence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestControllerLogging(t *testing.T) {
-	var buf bytes.Buffer
-	logger := slog.New(slog.NewTextHandler(&buf, &slog.HandlerOptions{Level: slog.LevelDebug}))
-	g, err := topo.TestbedFatTree(topo.DefaultLinkParams)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp := netem.New(g, sim.NewEngine())
-	ctl, err := core.NewController(g, dp,
-		core.WithHostAddr(netem.HostAddr), core.WithLogger(logger))
-	if err != nil {
-		t.Fatal(err)
-	}
-	hosts := g.Hosts()
-	if _, err := ctl.Advertise("p1", hosts[0], dz.NewSet("1")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.Subscribe("s1", hosts[4], dz.NewSet("10")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctl.Unsubscribe("s1"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"tree created", "op=advertise", "op=subscribe", "op=unsubscribe", "client=s1"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("log output missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -21,7 +21,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"log/slog"
 	"net/netip"
 	"slices"
 	"sort"
@@ -232,11 +231,6 @@ type Stats struct {
 	RepairedFlows uint64
 }
 
-// Requests returns the total number of processed control requests.
-func (s Stats) Requests() uint64 {
-	return s.Advertisements + s.Subscriptions + s.Unsubscriptions + s.Unadverts
-}
-
 // FlowOps returns the total number of FlowMod messages issued.
 func (s Stats) FlowOps() uint64 { return s.FlowAdds + s.FlowDeletes + s.FlowModifies }
 
@@ -260,8 +254,6 @@ type Controller struct {
 	// retry shapes southbound retries on transient errors; the zero value
 	// means a single attempt (no retries).
 	retry RetryPolicy
-
-	log *slog.Logger
 
 	nextTree TreeID
 	trees    map[TreeID]*tree
@@ -357,13 +349,6 @@ func WithMaxDzLen(n int) Option {
 // WithHostAddr overrides how host unicast addresses are derived.
 func WithHostAddr(f HostAddrFunc) Option {
 	return func(c *Controller) { c.hostAddr = f }
-}
-
-// WithLogger attaches a structured logger; the controller logs tree
-// life-cycle events and per-request reconfiguration summaries at Debug
-// level. Nil (the default) disables logging.
-func WithLogger(l *slog.Logger) Option {
-	return func(c *Controller) { c.log = l }
 }
 
 // WithRetryPolicy makes southbound flushes retry transient programmer
@@ -491,24 +476,6 @@ func (c *Controller) StoredSubscriptions() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SubscriptionSet returns the registered DZ set of a subscription.
-func (c *Controller) SubscriptionSet(id string) (dz.Set, bool) {
-	s, ok := c.subs[id]
-	if !ok {
-		return nil, false
-	}
-	return s.sub.Clone(), true
-}
-
-// AdvertisementSet returns the registered DZ set of an advertisement.
-func (c *Controller) AdvertisementSet(id string) (dz.Set, bool) {
-	p, ok := c.pubs[id]
-	if !ok {
-		return nil, false
-	}
-	return p.adv.Clone(), true
 }
 
 // inPartition reports whether the controller manages the node.

@@ -841,9 +841,6 @@ func (c *Controller) quarantine(sw topo.NodeID, err error, rep *ReconfigReport) 
 	if sp := c.span; sp != nil {
 		sp.Event("quarantined", "switch", swLabel(sw), "err", err.Error())
 	}
-	if c.log != nil {
-		c.log.Warn("switch quarantined", "switch", int(sw), "err", err)
-	}
 }
 
 // refresh folds the operation's contribution changes into the tries and
@@ -934,14 +931,4 @@ func (c *Controller) InstalledFlowCount() int {
 		total += len(m)
 	}
 	return total
-}
-
-// InstalledFlowsOn returns the match expressions programmed on one switch,
-// sorted — used by tests and the dzcalc tool.
-func (c *Controller) InstalledFlowsOn(sw topo.NodeID) []dz.Expr {
-	out := make([]dz.Expr, 0, len(c.installed[sw]))
-	for _, k := range sortutil.KeysFunc(c.installed[sw], dz.Key.Compare) {
-		out = append(out, k.Expr())
-	}
-	return out
 }

@@ -424,7 +424,7 @@ func TestControllerKeysAreLossless(t *testing.T) {
 			}
 			seen[k.Expr()] = true
 		}
-		c.contribs.direct[sw].Walk(func(k dz.Key, _ contrib) bool {
+		c.contribs.direct[sw].VisitOverlaps(dz.Key{}, func(k dz.Key, _ contrib) bool {
 			if e := k.Expr(); e != a && e != b {
 				t.Errorf("switch %d: contribution under %s, want one of the two members", sw, e)
 			}

@@ -184,7 +184,6 @@ func (c *Controller) Resync(sw topo.NodeID) (ResyncReport, error) {
 	var rr ResyncReport
 	err := c.resyncSwitch(sw, &rr)
 	c.endResync(opResync, sp, start, &rr, err)
-	c.logResync(rr)
 	return rr, err
 }
 
@@ -214,7 +213,6 @@ func (c *Controller) ResyncAll() (ResyncReport, error) {
 	}
 	err := errors.Join(errs...)
 	c.endResync(opResync, sp, start, &rr, err)
-	c.logResync(rr)
 	return rr, err
 }
 
@@ -233,18 +231,6 @@ func (c *Controller) endResync(op string, sp *obs.Span, start time.Time, rr *Res
 		"stillDegraded", strconv.Itoa(len(rr.StillDegraded)),
 	)
 	sp.End(err)
-}
-
-func (c *Controller) logResync(rr ResyncReport) {
-	if c.log == nil {
-		return
-	}
-	c.log.Debug("resync",
-		"switches", rr.Switches,
-		"repaired", rr.Repaired(),
-		"healed", rr.Healed,
-		"stillDegraded", len(rr.StillDegraded),
-	)
 }
 
 // resyncSwitch reconciles one switch.

@@ -50,28 +50,10 @@ func (e Expr) Covers(o Expr) bool {
 	return len(e) <= len(o) && o[:len(e)] == e
 }
 
-// CoversStrictly reports whether e covers o and e != o.
-func (e Expr) CoversStrictly(o Expr) bool {
-	return len(e) < len(o) && o[:len(e)] == e
-}
-
 // Overlaps reports whether the two subspaces overlap, which for
 // dz-expressions means one covers the other.
 func (e Expr) Overlaps(o Expr) bool {
 	return e.Covers(o) || o.Covers(e)
-}
-
-// Overlap returns the overlap of the two subspaces (the longer expression)
-// and whether they overlap at all.
-func (e Expr) Overlap(o Expr) (Expr, bool) {
-	switch {
-	case e.Covers(o):
-		return o, true
-	case o.Covers(e):
-		return e, true
-	default:
-		return "", false
-	}
 }
 
 // Child returns the expression refined by one bisection step. bit must be 0
@@ -286,9 +268,6 @@ func (s Set) canon() Set {
 // IsEmpty reports whether the set describes the empty region.
 func (s Set) IsEmpty() bool { return len(s) == 0 }
 
-// IsWhole reports whether the set describes the entire event space.
-func (s Set) IsWhole() bool { return len(s) == 1 && s[0] == Whole }
-
 // Contains reports whether the region of the set covers the expression e.
 // It relies on the canonical form (sorted, pairwise disjoint members): at
 // most one member can cover e, and every expression between that member
@@ -309,16 +288,6 @@ func (s Set) Overlaps(e Expr) bool {
 		return true
 	}
 	return i < len(s) && e.Covers(s[i])
-}
-
-// OverlapsSet reports whether two regions overlap.
-func (s Set) OverlapsSet(o Set) bool {
-	for _, m := range s {
-		if o.Overlaps(m) {
-			return true
-		}
-	}
-	return false
 }
 
 // Covers reports whether the region of s covers the entire region of o.
@@ -398,11 +367,6 @@ func intersectMerge(s, o Set) Set {
 // single expression.
 func (s Set) IntersectExpr(e Expr) Set {
 	return s.Intersect(Set{e})
-}
-
-// SubtractExpr returns the canonical region of s minus the subspace of e.
-func (s Set) SubtractExpr(e Expr) Set {
-	return s.Subtract(Set{e})
 }
 
 // Subtract returns the canonical region of s minus the region of o. Both

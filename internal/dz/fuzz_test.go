@@ -136,3 +136,21 @@ func FuzzDecomposeEncloses(f *testing.F) {
 		}
 	})
 }
+
+// Overlap returns the overlap of the two subspaces (the longer expression)
+// and whether they overlap at all.
+func (e Expr) Overlap(o Expr) (Expr, bool) {
+	switch {
+	case e.Covers(o):
+		return o, true
+	case o.Covers(e):
+		return e, true
+	default:
+		return "", false
+	}
+}
+
+// SubtractExpr returns the canonical region of s minus the subspace of e.
+func (s Set) SubtractExpr(e Expr) Set {
+	return s.Subtract(Set{e})
+}

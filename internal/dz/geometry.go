@@ -162,17 +162,6 @@ func (g Geometry) EncodeKey(point []uint32, length int) (Key, error) {
 	return k, nil
 }
 
-// ContainsPoint reports whether the subspace of e contains the point.
-func (g Geometry) ContainsPoint(e Expr, point []uint32) bool {
-	b := g.Bounds(e)
-	for d, iv := range b {
-		if !iv.Contains(point[d]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Decompose converts a hyperrectangle into a canonical set of dz-expressions
 // of length at most maxLen that together *enclose* the rectangle. Subspaces
 // fully inside the rectangle are emitted as-is; subspaces that still
@@ -189,16 +178,6 @@ func (g Geometry) Decompose(r Rect, maxLen int) (Set, error) {
 
 // clampLen limits a requested dz length to [0, MaxLen].
 func (g Geometry) clampLen(n int) int { return max(0, min(n, g.MaxLen())) }
-
-// RectOverlaps reports whether two rectangles intersect.
-func RectOverlaps(a, b Rect) bool {
-	for d := range a {
-		if !a[d].Intersects(b[d]) {
-			return false
-		}
-	}
-	return true
-}
 
 // RectContainsPoint reports whether the rectangle contains the point.
 func RectContainsPoint(r Rect, point []uint32) bool {

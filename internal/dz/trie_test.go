@@ -338,3 +338,22 @@ func TestTrieConcurrentReaders(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// VisitPrefixes calls fn for every stored entry whose key is a prefix of k
+// (coarsest first). fn returning false stops the walk.
+func (t *Trie[V]) VisitPrefixes(k Key, fn func(Key, V) bool) {
+	t.visit(k, true, false, fn)
+}
+
+// WalkCovered calls fn for every stored entry whose key k covers (k is a
+// prefix of the stored key, including k itself), in lexicographic order.
+// fn returning false stops the walk.
+func (t *Trie[V]) WalkCovered(k Key, fn func(Key, V) bool) {
+	t.visit(k, false, true, fn)
+}
+
+// Walk calls fn for every stored entry in lexicographic key order
+// (prefixes before their extensions). fn returning false stops the walk.
+func (t *Trie[V]) Walk(fn func(Key, V) bool) {
+	t.visit(Key{}, false, true, fn)
+}

@@ -74,19 +74,6 @@ func (s Stats) TotalControlTraffic() uint64 {
 	return t + s.MessagesSent
 }
 
-// AverageControllerLoad returns the mean number of requests per
-// controller — the quantity of Figure 7(g).
-func (s Stats) AverageControllerLoad() float64 {
-	if len(s.PerController) == 0 {
-		return 0
-	}
-	var t uint64
-	for _, l := range s.PerController {
-		t += l.Total()
-	}
-	return float64(t) / float64(len(s.PerController))
-}
-
 // extAdv records an external advertisement known at one partition.
 type extAdv struct {
 	origin   string // original advertisement id

@@ -86,56 +86,6 @@ func EventAddr(e dz.Expr) (netip.Addr, error) {
 	return AddrFromKey(k), nil
 }
 
-// ToExpr recovers the dz-expression from a multicast prefix produced by
-// FromExpr.
-func ToExpr(p netip.Prefix) (dz.Expr, error) {
-	if !p.Addr().Is6() {
-		return "", fmt.Errorf("ipmc: prefix %v is not IPv6", p)
-	}
-	if p.Bits() < basePrefixLen {
-		return "", fmt.Errorf("ipmc: prefix length %d shorter than the ff0e base", p.Bits())
-	}
-	b := p.Addr().As16()
-	if b[0] != 0xff || b[1] != 0x0e {
-		return "", fmt.Errorf("ipmc: address %v is outside ff0e::/16", p.Addr())
-	}
-	n := p.Bits() - basePrefixLen
-	buf := make([]byte, n)
-	for i := 0; i < n; i++ {
-		bit := basePrefixLen + i
-		if b[bit/8]&(1<<uint(7-bit%8)) != 0 {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
-	}
-	return dz.Expr(buf), nil
-}
-
-// ExprFromAddr extracts the first length dz bits from an event address.
-func ExprFromAddr(addr netip.Addr, length int) (dz.Expr, error) {
-	if !addr.Is6() {
-		return "", fmt.Errorf("ipmc: address %v is not IPv6", addr)
-	}
-	if length < 0 || length > MaxDzLen {
-		return "", fmt.Errorf("ipmc: dz length %d out of range [0,%d]", length, MaxDzLen)
-	}
-	b := addr.As16()
-	if b[0] != 0xff || b[1] != 0x0e {
-		return "", fmt.Errorf("ipmc: address %v is outside ff0e::/16", addr)
-	}
-	buf := make([]byte, length)
-	for i := 0; i < length; i++ {
-		bit := basePrefixLen + i
-		if b[bit/8]&(1<<uint(7-bit%8)) != 0 {
-			buf[i] = '1'
-		} else {
-			buf[i] = '0'
-		}
-	}
-	return dz.Expr(buf), nil
-}
-
 // PadKey returns the key a switch looks an event up by: k's bits zero-padded
 // to the MaxDzLen bits its address carries, so PadKey(k) is
 // KeyFromAddr(AddrFromKey(k)) without the address. The padding is what makes
@@ -159,12 +109,6 @@ func KeyFromAddr(addr netip.Addr) (dz.Key, bool) {
 	var bits [14]byte
 	copy(bits[:], b[2:])
 	return dz.KeyFromBits(bits, MaxDzLen), true
-}
-
-// Matches reports whether an event destination address matches the flow
-// prefix of a (covering) dz-expression — the TCAM operation.
-func Matches(flowPrefix netip.Prefix, eventAddr netip.Addr) bool {
-	return flowPrefix.Contains(eventAddr)
 }
 
 // IsSignal reports whether the address is the reserved controller signal

@@ -77,21 +77,6 @@ func (l *Latency) Percentile(p float64) time.Duration {
 	return l.samples[idx]
 }
 
-// StdDev returns the population standard deviation.
-func (l *Latency) StdDev() time.Duration {
-	n := len(l.samples)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(l.Mean())
-	var acc float64
-	for _, s := range l.samples {
-		d := float64(s) - mean
-		acc += d * d
-	}
-	return time.Duration(math.Sqrt(acc / float64(n)))
-}
-
 func (l *Latency) ensureSorted() {
 	if !l.sorted {
 		sort.Slice(l.samples, func(i, j int) bool { return l.samples[i] < l.samples[j] })
@@ -115,12 +100,6 @@ func (f *FalsePositives) Record(matched bool) {
 		f.falsePos++
 	}
 }
-
-// TruePositives returns the number of wanted deliveries.
-func (f *FalsePositives) TruePositives() uint64 { return f.truePos }
-
-// FalsePositiveCount returns the number of unwanted deliveries.
-func (f *FalsePositives) FalsePositiveCount() uint64 { return f.falsePos }
 
 // Total returns all recorded deliveries.
 func (f *FalsePositives) Total() uint64 { return f.truePos + f.falsePos }

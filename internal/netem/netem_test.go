@@ -1,6 +1,7 @@
 package netem
 
 import (
+	"fmt"
 	"net/netip"
 	"testing"
 	"time"
@@ -697,4 +698,18 @@ func TestStampAndHopsRideTheDelivery(t *testing.T) {
 	if len(got) != 1 || got[0].Packet.Stamp != (Stamp{}) {
 		t.Fatalf("unstamped delivery = %+v", got)
 	}
+}
+
+// SetSwitchConfig overrides the forwarding model of one switch. Call it
+// between runs or from a single-engine callback (see DataPlane); a lookup
+// scheduled after the call uses the new config.
+func (dp *DataPlane) SetSwitchConfig(sw topo.NodeID, cfg SwitchConfig) error {
+	if _, ok := dp.tables[sw]; !ok {
+		return fmt.Errorf("netem: node %d is not a switch", sw)
+	}
+	dp.swCfg[sw] = cfg
+	if p := dp.planFor(sw); p != nil {
+		p.cfg = cfg
+	}
+	return nil
 }

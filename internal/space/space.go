@@ -87,12 +87,6 @@ func (s *Schema) Dims() int { return len(s.attrs) }
 // Attribute returns the attribute at position i.
 func (s *Schema) Attribute(i int) Attribute { return s.attrs[i] }
 
-// AttributeIndex returns the position of the named attribute.
-func (s *Schema) AttributeIndex(name string) (int, bool) {
-	i, ok := s.index[name]
-	return i, ok
-}
-
 // Geometry returns the dz geometry induced by the schema.
 func (s *Schema) Geometry() dz.Geometry { return s.geom }
 
@@ -225,21 +219,6 @@ func (s *Schema) Rect(f Filter) (dz.Rect, error) {
 		r[i] = dz.Interval{Lo: iv[0], Hi: iv[1]}
 	}
 	return r, nil
-}
-
-// Matches reports whether the event satisfies the filter exactly (the
-// ground truth used to count false positives).
-func (s *Schema) Matches(f Filter, e Event) (bool, error) {
-	r, err := s.Rect(f)
-	if err != nil {
-		return false, err
-	}
-	return dz.RectContainsPoint(r, e.Values), nil
-}
-
-// MatchesRect reports whether the event lies in the hyperrectangle.
-func MatchesRect(r dz.Rect, e Event) bool {
-	return dz.RectContainsPoint(r, e.Values)
 }
 
 // String renders the filter deterministically (attributes sorted by name).

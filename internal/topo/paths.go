@@ -135,19 +135,6 @@ func (g *Graph) ShortestPath(a, b NodeID) ([]NodeID, error) {
 	return path, nil
 }
 
-// PathLatency sums the link latencies along a node path.
-func (g *Graph) PathLatency(path []NodeID) (time.Duration, error) {
-	var total time.Duration
-	for i := 0; i+1 < len(path); i++ {
-		l, ok := g.LinkBetween(path[i], path[i+1])
-		if !ok {
-			return 0, fmt.Errorf("topo: no link between %d and %d", path[i], path[i+1])
-		}
-		total += l.Params.Latency
-	}
-	return total, nil
-}
-
 // SpanningTree is a rooted tree embedded in the graph; PLEROMA builds one
 // per dissemination tree, rooted at the publisher that created it
 // (Section 3.2).

@@ -87,18 +87,6 @@ func (l Link) Other(n NodeID) (NodeID, bool) {
 	}
 }
 
-// PortAt returns the port of the link at node n.
-func (l Link) PortAt(n NodeID) (openflow.PortID, bool) {
-	switch n {
-	case l.A:
-		return l.APort, true
-	case l.B:
-		return l.BPort, true
-	default:
-		return 0, false
-	}
-}
-
 // Neighbor describes one adjacency of a node.
 type Neighbor struct {
 	Peer NodeID

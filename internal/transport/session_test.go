@@ -101,9 +101,9 @@ func TestUndecodableDeliveryIsConnectionLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := wire.EncodeDeliverBatch([]wire.Delivery{
+	good, _, err := wire.AppendDeliverBatch(nil, []wire.Delivery{
 		{SubscriptionID: "s1", Event: space.Event{Values: []uint32{7, 8}}, At: 42, Latency: 5},
-	})
+	}, wire.MaxFramePayload)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,22 +63,22 @@ func TestGenFuzzCorpus(t *testing.T) {
 	write("FuzzDecodePublish", "seed-coalesced", pbm)
 
 	// FuzzDecodeDeliverBatch
-	db, _ := EncodeDeliverBatch([]Delivery{
+	db, _ := encodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s1", Event: space.Event{Values: []uint32{1, 2}}, At: 3, Latency: 1},
 		{SubscriptionID: "s2", Event: space.Event{Values: []uint32{4}}, At: 5, Latency: 2, FalsePositive: true},
 	})
 	write("FuzzDecodeDeliverBatch", "seed-two", db)
-	dbt, _ := EncodeDeliverBatch([]Delivery{
+	dbt, _ := encodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s", Event: space.Event{Values: []uint32{9}},
 			TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 2},
 	})
 	write("FuzzDecodeDeliverBatch", "seed-traced", dbt)
 	write("FuzzDecodeDeliverBatch", "seed-truncated", db[:len(db)-3])
 	// Batches of one: the seeds of the retired single-delivery fuzz target.
-	one, _ := EncodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
+	one, _ := encodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
 		At: 5, Latency: 2, FalsePositive: true}})
 	write("FuzzDecodeDeliverBatch", "seed-one-fp", one)
-	onet, _ := EncodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
+	onet, _ := encodeDeliverBatch([]Delivery{{SubscriptionID: "s", Event: space.Event{Values: []uint32{9, 10}},
 		At: 5, Latency: 2, TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 4}})
 	write("FuzzDecodeDeliverBatch", "seed-one-traced", onet)
 

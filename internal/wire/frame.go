@@ -141,32 +141,6 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	return append(dst, f.Payload...), nil
 }
 
-// DecodeFrame parses one frame from the front of b, returning it and the
-// remainder. io.ErrUnexpectedEOF signals an incomplete frame (more bytes
-// needed); every other error is a protocol violation.
-func DecodeFrame(b []byte) (Frame, []byte, error) {
-	if len(b) < FrameHeaderLen {
-		return Frame{}, b, io.ErrUnexpectedEOF
-	}
-	length := binary.BigEndian.Uint32(b)
-	if length < 9 || length > 9+MaxFramePayload {
-		return Frame{}, b, fmt.Errorf("wire: frame length %d out of range", length)
-	}
-	kind := Kind(b[4])
-	if !kind.Valid() {
-		return Frame{}, b, fmt.Errorf("wire: invalid frame kind %d", b[4])
-	}
-	if len(b) < 4+int(length) {
-		return Frame{}, b, io.ErrUnexpectedEOF
-	}
-	f := Frame{
-		Kind:    kind,
-		Corr:    binary.BigEndian.Uint64(b[5:]),
-		Payload: b[FrameHeaderLen : 4+length],
-	}
-	return f, b[4+length:], nil
-}
-
 // ReadFrame reads one frame from r, reusing buf for the payload when it
 // has the capacity (growing it otherwise; a nil buf allocates a fresh
 // payload). The returned frame's Payload aliases the returned buffer, so it
@@ -529,7 +503,7 @@ type PublishReq struct {
 //
 //	[tag u8][trace 24B]?[seq u64][idLen u8][id][count u16][event]×
 //
-// where each event is an EncodeEvent payload (self-delimiting via its dims
+// where each event is an appendEvent payload (self-delimiting via its dims
 // byte). The trace block is present exactly when the tag is tagTraced
 // (req.Trace minted).
 func EncodePublish(req PublishReq) ([]byte, error) {
@@ -618,10 +592,10 @@ func (b *PublishBuffer) Seal(dst []byte, id string, seq uint64, trace TraceConte
 	return dst, nil
 }
 
-// readEvent decodes one embedded EncodeEvent payload, returning the rest.
+// readEvent decodes one embedded appendEvent payload, returning the rest.
 // The event's values are appended to arena so a batch decoder amortizes
-// one backing array across every event of a frame (nil arena allocates
-// per event, matching DecodeEvent); the returned event's Values slice is
+// one backing array across every event of a frame (a nil arena allocates
+// per event); the returned event's Values slice is
 // capacity-clipped, so growing the arena afterwards never aliases it.
 func readEvent(b []byte, arena []uint32) (space.Event, []byte, []uint32, error) {
 	if len(b) < 2 {
@@ -834,33 +808,17 @@ func readDelivery(b []byte, arena []uint32) (Delivery, []byte, []uint32, error) 
 	return d, rest, arena, nil
 }
 
-// EncodeDeliverBatch renders a delivery push:
+// AppendDeliverBatch appends a delivery push:
 //
 //	[version u8][count u16][delivery]×count
 //
 // where each delivery is an appendDelivery body (self-delimiting, each
-// carrying its own plain/traced tag, so one batch may mix both). count must
-// be 1..MaxDeliveries: an empty batch has no encoding — a quiet connection
-// sends nothing.
-func EncodeDeliverBatch(ds []Delivery) ([]byte, error) {
-	if len(ds) == 0 || len(ds) > MaxDeliveries {
-		return nil, fmt.Errorf("wire: deliver batch with %d deliveries, want 1..%d", len(ds), MaxDeliveries)
-	}
-	buf, n, err := AppendDeliverBatch(nil, ds, MaxFramePayload)
-	if err != nil {
-		return nil, err
-	}
-	if n != len(ds) {
-		return nil, fmt.Errorf("wire: deliver batch of %d deliveries exceeds %d payload bytes", len(ds), MaxFramePayload)
-	}
-	return buf, nil
-}
-
-// AppendDeliverBatch appends a DeliverBatch payload holding the longest
-// prefix of ds that fits within maxBytes (always at least one delivery,
-// never more than MaxDeliveries), returning the extended buffer and the
-// number of deliveries consumed. Callers chunk a long delivery run into
-// successive frames by re-calling with ds[n:].
+// carrying its own plain/traced tag, so one batch may mix both). The batch
+// holds the longest prefix of ds that fits within maxBytes (always at least
+// one delivery, never more than MaxDeliveries); it returns the extended
+// buffer and the number of deliveries consumed. Callers chunk a long
+// delivery run into successive frames by re-calling with ds[n:]. An empty
+// batch has no encoding — a quiet connection sends nothing.
 func AppendDeliverBatch(dst []byte, ds []Delivery, maxBytes int) ([]byte, int, error) {
 	if len(ds) == 0 {
 		return nil, 0, fmt.Errorf("wire: empty deliver batch")
@@ -935,12 +893,4 @@ func DecodeDeliverBatchTo(dst []Delivery, b []byte) ([]Delivery, error) {
 // EncodeU64 renders a bare u64 payload (simulated clock readings).
 func EncodeU64(v uint64) []byte {
 	return binary.BigEndian.AppendUint64(nil, v)
-}
-
-// DecodeU64 parses a bare u64 payload.
-func DecodeU64(b []byte) (uint64, error) {
-	if len(b) != 8 {
-		return 0, fmt.Errorf("wire: u64 payload of %d bytes", len(b))
-	}
-	return binary.BigEndian.Uint64(b), nil
 }

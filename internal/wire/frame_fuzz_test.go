@@ -22,7 +22,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0, 9, 1, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr, rest, err := DecodeFrame(b)
+		fr, rest, err := decodeFrame(b)
 		if err != nil {
 			return
 		}
@@ -36,10 +36,10 @@ func FuzzDecodeFrame(f *testing.F) {
 		// The io path must agree with the slice path.
 		fr2, _, err := ReadFrame(bytes.NewReader(b), nil)
 		if err != nil {
-			t.Fatalf("ReadFrame rejected what DecodeFrame accepted: %v", err)
+			t.Fatalf("ReadFrame rejected what decodeFrame accepted: %v", err)
 		}
 		if fr2.Kind != fr.Kind || fr2.Corr != fr.Corr || !bytes.Equal(fr2.Payload, fr.Payload) {
-			t.Fatalf("ReadFrame and DecodeFrame disagree")
+			t.Fatalf("ReadFrame and decodeFrame disagree")
 		}
 	})
 }
@@ -89,18 +89,18 @@ func FuzzDecodePublish(f *testing.F) {
 }
 
 func FuzzDecodeDeliverBatch(f *testing.F) {
-	good, _ := EncodeDeliverBatch([]Delivery{
+	good, _ := encodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s1", Event: space.Event{Values: []uint32{1, 2}}, At: 3, Latency: 1},
 		{SubscriptionID: "s2", Event: space.Event{Values: []uint32{4}}, At: 5, Latency: 2, FalsePositive: true},
 	})
 	f.Add(good)
-	traced, _ := EncodeDeliverBatch([]Delivery{
+	traced, _ := encodeDeliverBatch([]Delivery{
 		{SubscriptionID: "s", Event: space.Event{Values: []uint32{9}},
 			TraceID: 7, SpanID: 9, PubWallNanos: 11, Hops: 2},
 	})
 	f.Add(traced)
 	// Batches of one — every delivery that used to travel as its own frame.
-	one, _ := EncodeDeliverBatch([]Delivery{{
+	one, _ := encodeDeliverBatch([]Delivery{{
 		SubscriptionID: "s",
 		Event:          space.Event{Values: []uint32{9, 10}},
 		At:             5, Latency: 2, FalsePositive: true,
@@ -136,7 +136,7 @@ func FuzzDecodeDeliverBatch(f *testing.F) {
 			}
 		}
 		reused = into
-		reenc, err := EncodeDeliverBatch(ds)
+		reenc, err := encodeDeliverBatch(ds)
 		if err != nil {
 			t.Fatalf("decoded deliver batch does not re-encode: %v", err)
 		}

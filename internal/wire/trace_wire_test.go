@@ -90,7 +90,7 @@ func TestDeliveryTraceRoundTrip(t *testing.T) {
 	for _, hops := range []int{-1, 1 << 16} {
 		bad := in
 		bad.Hops = hops
-		if _, err := EncodeDeliverBatch([]Delivery{bad}); err == nil {
+		if _, err := encodeDeliverBatch([]Delivery{bad}); err == nil {
 			t.Errorf("hops %d encoded", hops)
 		}
 	}

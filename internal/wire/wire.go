@@ -30,13 +30,6 @@ const (
 	MaxExprLen = 112
 )
 
-// EncodeEvent renders an event payload:
-//
-//	[version u8][dims u8][value u32 big-endian]×dims
-func EncodeEvent(ev space.Event) ([]byte, error) {
-	return appendEvent(make([]byte, 0, 2+4*len(ev.Values)), ev)
-}
-
 // CheckEvent reports whether ev has an encoding: 1..MaxDims values.
 func CheckEvent(ev space.Event) error {
 	if len(ev.Values) == 0 || len(ev.Values) > MaxDims {
@@ -45,8 +38,11 @@ func CheckEvent(ev space.Event) error {
 	return nil
 }
 
-// appendEvent appends an EncodeEvent payload to dst, allocation-free when
-// dst has capacity — the hot-path form the frame codecs build on.
+// appendEvent appends an event payload to dst, allocation-free when dst has
+// capacity — the one event encoding, embedded in publish and deliver-batch
+// frames:
+//
+//	[version u8][dims u8][value u32 big-endian]×dims
 func appendEvent(dst []byte, ev space.Event) ([]byte, error) {
 	if err := CheckEvent(ev); err != nil {
 		return nil, err
@@ -56,28 +52,6 @@ func appendEvent(dst []byte, ev space.Event) ([]byte, error) {
 		dst = binary.BigEndian.AppendUint32(dst, v)
 	}
 	return dst, nil
-}
-
-// DecodeEvent parses an event payload.
-func DecodeEvent(b []byte) (space.Event, error) {
-	if len(b) < 2 {
-		return space.Event{}, fmt.Errorf("wire: event payload too short (%d bytes)", len(b))
-	}
-	if b[0] != Version {
-		return space.Event{}, fmt.Errorf("wire: unsupported version %d", b[0])
-	}
-	dims := int(b[1])
-	if dims == 0 || dims > MaxDims {
-		return space.Event{}, fmt.Errorf("wire: event dims %d out of range", dims)
-	}
-	if len(b) != 2+4*dims {
-		return space.Event{}, fmt.Errorf("wire: event payload length %d, want %d", len(b), 2+4*dims)
-	}
-	vals := make([]uint32, dims)
-	for i := range vals {
-		vals[i] = binary.BigEndian.Uint32(b[2+4*i:])
-	}
-	return space.Event{Values: vals}, nil
 }
 
 // packExpr appends a dz-expression as [len u8][bits packed MSB-first].

@@ -12,13 +12,13 @@ import (
 
 func TestEventRoundTrip(t *testing.T) {
 	ev := space.Event{Values: []uint32{0, 1023, 42, 4294967295}}
-	b, err := EncodeEvent(ev)
+	b, err := appendEvent(nil, ev)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeEvent(b)
-	if err != nil {
-		t.Fatal(err)
+	got, rest, _, err := readEvent(b, nil)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("readEvent: %v, %d bytes left", err, len(rest))
 	}
 	if len(got.Values) != 4 {
 		t.Fatalf("values=%v", got.Values)
@@ -31,23 +31,22 @@ func TestEventRoundTrip(t *testing.T) {
 }
 
 func TestEventValidation(t *testing.T) {
-	if _, err := EncodeEvent(space.Event{}); err == nil {
+	if _, err := appendEvent(nil, space.Event{}); err == nil {
 		t.Error("empty event must fail")
 	}
-	if _, err := EncodeEvent(space.Event{Values: make([]uint32, MaxDims+1)}); err == nil {
+	if _, err := appendEvent(nil, space.Event{Values: make([]uint32, MaxDims+1)}); err == nil {
 		t.Error("oversized event must fail")
 	}
-	if _, err := DecodeEvent(nil); err == nil {
-		t.Error("nil payload must fail")
-	}
-	if _, err := DecodeEvent([]byte{99, 1, 0, 0, 0, 0}); err == nil {
-		t.Error("bad version must fail")
-	}
-	if _, err := DecodeEvent([]byte{Version, 0}); err == nil {
-		t.Error("zero dims must fail")
-	}
-	if _, err := DecodeEvent([]byte{Version, 2, 0, 0, 0, 0}); err == nil {
-		t.Error("truncated values must fail")
+	for what, b := range map[string][]byte{
+		"nil payload":       nil,
+		"bad version":       {99, 1, 0, 0, 0, 0},
+		"zero dims":         {Version, 0},
+		"dims over MaxDims": {Version, MaxDims + 1},
+		"truncated values":  {Version, 2, 0, 0, 0, 0},
+	} {
+		if _, _, _, err := readEvent(b, nil); err == nil {
+			t.Errorf("%s must fail", what)
+		}
 	}
 }
 
@@ -211,22 +210,6 @@ func FuzzDecodeSignal(f *testing.F) {
 		}
 		if _, err := EncodeSignal(s); err != nil {
 			t.Fatalf("decoded signal does not re-encode: %+v: %v", s, err)
-		}
-	})
-}
-
-// FuzzDecodeEvent: same for event payloads.
-func FuzzDecodeEvent(f *testing.F) {
-	seed, _ := EncodeEvent(space.Event{Values: []uint32{1, 2}})
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		ev, err := DecodeEvent(b)
-		if err != nil {
-			return
-		}
-		if _, err := EncodeEvent(ev); err != nil {
-			t.Fatalf("decoded event does not re-encode: %v", err)
 		}
 	})
 }

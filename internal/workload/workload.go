@@ -54,26 +54,6 @@ const (
 // Option configures a Generator.
 type Option func(*Generator)
 
-// WithHotspots sets the number of hotspot regions of the zipfian model.
-func WithHotspots(n int) Option {
-	return func(g *Generator) { g.hotspotCount = n }
-}
-
-// WithZipfSkew sets the zipfian skew (must be > 1).
-func WithZipfSkew(s float64) Option {
-	return func(g *Generator) { g.zipfSkew = s }
-}
-
-// WithSubWidth bounds subscription range width as domain fractions.
-func WithSubWidth(min, max float64) Option {
-	return func(g *Generator) { g.subWidthMin, g.subWidthMax = min, max }
-}
-
-// WithSpread sets the hotspot spread (fraction of the domain).
-func WithSpread(f float64) Option {
-	return func(g *Generator) { g.spread = f }
-}
-
 // WithRestrictedDims confines event values — and the centres of
 // subscription ranges — along the given dimensions to a band of the given
 // domain fraction around the domain centre. With both sides of the
@@ -91,15 +71,10 @@ func WithRestrictedDims(bands map[int]float64) Option {
 
 // Generator produces subscriptions and events under one model.
 type Generator struct {
-	sch          *space.Schema
-	r            *rand.Rand
-	model        Model
-	hotspotCount int
-	zipfSkew     float64
-	spread       float64
-	subWidthMin  float64
-	subWidthMax  float64
-	restricted   map[int]float64
+	sch        *space.Schema
+	r          *rand.Rand
+	model      Model
+	restricted map[int]float64
 
 	hotspots [][]uint32
 	zipf     *rand.Zipf
@@ -114,30 +89,15 @@ func New(sch *space.Schema, model Model, seed int64, opts ...Option) (*Generator
 		return nil, fmt.Errorf("workload: unknown model %d", int(model))
 	}
 	g := &Generator{
-		sch:          sch,
-		r:            rand.New(rand.NewSource(seed)),
-		model:        model,
-		hotspotCount: DefaultHotspots,
-		zipfSkew:     DefaultZipfSkew,
-		spread:       DefaultSpread,
-		subWidthMin:  DefaultSubWidthMin,
-		subWidthMax:  DefaultSubWidthMax,
+		sch:   sch,
+		r:     rand.New(rand.NewSource(seed)),
+		model: model,
 	}
 	for _, opt := range opts {
 		opt(g)
 	}
-	if g.hotspotCount <= 0 {
-		return nil, fmt.Errorf("workload: hotspot count must be positive")
-	}
-	if g.zipfSkew <= 1 {
-		return nil, fmt.Errorf("workload: zipf skew must exceed 1, got %v", g.zipfSkew)
-	}
-	if g.subWidthMin <= 0 || g.subWidthMax < g.subWidthMin || g.subWidthMax > 1 {
-		return nil, fmt.Errorf("workload: invalid subscription width bounds [%v,%v]",
-			g.subWidthMin, g.subWidthMax)
-	}
 	if model == Zipfian {
-		g.hotspots = make([][]uint32, g.hotspotCount)
+		g.hotspots = make([][]uint32, DefaultHotspots)
 		for i := range g.hotspots {
 			center := make([]uint32, sch.Dims())
 			for d := range center {
@@ -145,21 +105,13 @@ func New(sch *space.Schema, model Model, seed int64, opts ...Option) (*Generator
 			}
 			g.hotspots[i] = center
 		}
-		g.zipf = rand.NewZipf(g.r, g.zipfSkew, 1, uint64(g.hotspotCount-1))
+		g.zipf = rand.NewZipf(g.r, DefaultZipfSkew, 1, uint64(DefaultHotspots-1))
 	}
 	return g, nil
 }
 
 // Model returns the generator's distribution model.
 func (g *Generator) Model() Model { return g.model }
-
-// Hotspot returns the centre of hotspot i (zipfian model only).
-func (g *Generator) Hotspot(i int) ([]uint32, bool) {
-	if g.model != Zipfian || i < 0 || i >= len(g.hotspots) {
-		return nil, false
-	}
-	return append([]uint32(nil), g.hotspots[i]...), true
-}
 
 // Event draws one event.
 func (g *Generator) Event() space.Event {
@@ -204,7 +156,7 @@ func (g *Generator) SubscriptionRect() dz.Rect {
 	}
 	domain := float64(g.sch.DomainMax()) + 1
 	for d := range rect {
-		widthFrac := g.subWidthMin + g.r.Float64()*(g.subWidthMax-g.subWidthMin)
+		widthFrac := DefaultSubWidthMin + g.r.Float64()*(DefaultSubWidthMax-DefaultSubWidthMin)
 		width := math.Max(1, widthFrac*domain)
 		var mid float64
 		switch {
@@ -235,10 +187,10 @@ func (g *Generator) SubscriptionRects(n int) []dz.Rect {
 }
 
 // gaussianAround samples a domain value normally distributed around the
-// centre with the configured spread, clamped to the domain.
+// centre with DefaultSpread, clamped to the domain.
 func (g *Generator) gaussianAround(center uint32) uint32 {
 	domain := float64(g.sch.DomainMax()) + 1
-	v := float64(center) + g.r.NormFloat64()*g.spread*domain
+	v := float64(center) + g.r.NormFloat64()*DefaultSpread*domain
 	return g.clampValue(v)
 }
 

@@ -24,21 +24,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(sch, Model(99), 1); err == nil {
 		t.Error("unknown model must fail")
 	}
-	if _, err := New(sch, Zipfian, 1, WithHotspots(0)); err == nil {
-		t.Error("zero hotspots must fail")
-	}
-	if _, err := New(sch, Zipfian, 1, WithZipfSkew(0.5)); err == nil {
-		t.Error("skew ≤1 must fail")
-	}
-	if _, err := New(sch, Uniform, 1, WithSubWidth(0, 0.5)); err == nil {
-		t.Error("zero min width must fail")
-	}
-	if _, err := New(sch, Uniform, 1, WithSubWidth(0.5, 0.1)); err == nil {
-		t.Error("max<min must fail")
-	}
-	if _, err := New(sch, Uniform, 1, WithSubWidth(0.5, 1.5)); err == nil {
-		t.Error("max>1 must fail")
-	}
 }
 
 func TestModelString(t *testing.T) {
@@ -115,11 +100,8 @@ func TestZipfianClustersAroundHotspots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Hotspot(0); !ok {
-		t.Fatal("hotspot 0 must exist")
-	}
-	if _, ok := g.Hotspot(99); ok {
-		t.Fatal("hotspot 99 must not exist")
+	if len(g.hotspots) != DefaultHotspots {
+		t.Fatalf("%d hotspots, want %d", len(g.hotspots), DefaultHotspots)
 	}
 	// Most events must lie close to some hotspot (within 4σ of spread).
 	domain := float64(sch.DomainMax()) + 1
@@ -129,7 +111,7 @@ func TestZipfianClustersAroundHotspots(t *testing.T) {
 	for _, ev := range events {
 		near := false
 		for i := 0; i < DefaultHotspots; i++ {
-			h, _ := g.Hotspot(i)
+			h := g.hotspots[i]
 			d := 0.0
 			for dim := range ev.Values {
 				diff := float64(ev.Values[dim]) - float64(h[dim])
@@ -161,7 +143,7 @@ func TestZipfianSkewedPopularity(t *testing.T) {
 	for _, ev := range g.Events(2000) {
 		best, bestD := 0, math.MaxFloat64
 		for i := 0; i < DefaultHotspots; i++ {
-			h, _ := g.Hotspot(i)
+			h := g.hotspots[i]
 			d := 0.0
 			for dim := range ev.Values {
 				diff := float64(ev.Values[dim]) - float64(h[dim])
@@ -243,7 +225,7 @@ func TestRestrictedDimsDeterministic(t *testing.T) {
 
 func TestSubscriptionWidthBounds(t *testing.T) {
 	sch := schema(t, 2)
-	g, err := New(sch, Uniform, 31, WithSubWidth(0.1, 0.2))
+	g, err := New(sch, Uniform, 31)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,9 +233,10 @@ func TestSubscriptionWidthBounds(t *testing.T) {
 	for _, rect := range g.SubscriptionRects(200) {
 		for _, iv := range rect {
 			w := float64(iv.Hi-iv.Lo) + 1
-			// Clamping at domain edges can shrink the range, so only the
-			// upper bound is strict.
-			if w > 0.25*domain {
+			// A range is drawn at most DefaultSubWidthMax wide, and rounding
+			// its two ends adds less than two values. Clamping at domain
+			// edges can shrink it, so only the upper bound is strict.
+			if w > DefaultSubWidthMax*domain+2 {
 				t.Fatalf("range width %v exceeds bound", w)
 			}
 		}
