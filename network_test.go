@@ -2,6 +2,7 @@ package pleroma
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -396,6 +397,18 @@ func TestPipelinedReconnectMidWindow(t *testing.T) {
 	}
 	if err := c.Sync(); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.AsyncErr(); err != nil {
+		t.Fatalf("AsyncErr on a healthy pipeline: %v", err)
+	}
+	// A publisher that never advertised fails the pipeline: the error is
+	// sticky and AsyncErr reports it without blocking.
+	if err := c.PublishAsync("ghost", 1, 1); err != nil {
+		t.Fatal(err)
+	}
+	c.Flush()
+	if err := c.AsyncErr(); !errors.Is(err, ErrNotAdvertised) {
+		t.Errorf("AsyncErr after an unadvertised publish: %v, want ErrNotAdvertised", err)
 	}
 
 	mu.Lock()

@@ -63,7 +63,20 @@ func TestSeededSouthboundFaultsReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return outcome{sys.FaultStats(), sys.SouthboundReport(), digest}
+		out := outcome{sys.FaultStats(), sys.SouthboundReport(), digest}
+		if out.report.Healthy() {
+			t.Errorf("SouthboundReport().Healthy() with %d degraded switches", len(out.report.Degraded))
+		}
+		// With the faults off, one resync pass repairs every switch.
+		sys.SetFaultRate(0)
+		sys.HealFaults()
+		if _, err := sys.Resync(); err != nil {
+			t.Fatal(err)
+		}
+		if rep := sys.SouthboundReport(); !rep.Healthy() {
+			t.Errorf("SouthboundReport().Healthy() false after the repairing resync: %d degraded", len(rep.Degraded))
+		}
+		return out
 	}
 	a, b := run(), run()
 	if a.faults.Injected == 0 || len(a.report.Degraded) < 2 {
