@@ -13,7 +13,8 @@ GO ?= go
 # event values decoded by a client's reader goroutine and kept past their
 # handler (TestHandlersKeepDeliveredValues) and an advertisement withdrawn and
 # advertised again over TCP (TestReadvertiseAfterUnadvertise,
-# TestReadvertiseFromAnotherClient).
+# TestReadvertiseFromAnotherClient) and the controller swaps under /readyz
+# (TestReadyzFollowsLifecycle, TestRestoreReplaysJournalSuffix).
 RACE_PKGS := ./internal/dz/... ./internal/core/... ./internal/netem/... ./internal/openflow/... ./internal/workload/... ./internal/obs/... ./internal/sim/... ./internal/interdomain/... ./internal/wire/...
 
 .PHONY: check vet build test race bench-module fuzz soak bench loc obs-demo daemon-demo
@@ -32,7 +33,7 @@ test:
 race:
 	$(GO) test -race $(RACE_PKGS)
 	$(GO) test -race -count=5 ./internal/transport/...
-	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn|PublishAdmission|KeepDeliveredValues|Readvertise' -count=1 .
+	$(GO) test -race -run 'Fault|Resync|Sharded|WithShards|Failover|Snapshot|Journal|Restore|Readyz|Close|Loopback|Network|Restart|Trace|Pipelined|Demux|ControlChurn|PublishAdmission|KeepDeliveredValues|Readvertise' -count=1 .
 
 # cmd/pleroma-bench is a module of its own and a client of internal APIs
 # (wire codecs, transport.Backend), so root build/test never compile it:
@@ -59,6 +60,7 @@ FUZZ_TARGETS := \
 	.:FuzzHostDemux \
 	./internal/sim:FuzzEventQueueOrder \
 	./internal/core:FuzzFlowDerivation \
+	./internal/core:FuzzJournalOpen \
 	./internal/dz:FuzzTrieVsNaive \
 	./internal/dz:FuzzEncodeKeyVsExpr \
 	./internal/dz:FuzzKeyOrderVsExpr \

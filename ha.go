@@ -51,8 +51,10 @@ func (s *System) Snapshot(partition int) ([]byte, error) {
 }
 
 // Restore replaces the partition's controller with one reconstructed
-// from the snapshot, then resynchronises its switches against the
-// restored desired state. Requires WithJournal.
+// from the snapshot plus the journal records past it, without an epoch
+// bump, then resynchronises its switches against the restored desired
+// state. A snapshot older than the journal's
+// last compaction is refused. Requires WithJournal.
 func (s *System) Restore(partition int, snap []byte) error {
 	if !s.cfg.journal {
 		return fmt.Errorf("pleroma: Restore requires WithJournal")

@@ -1,10 +1,12 @@
 package pleroma
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -145,6 +147,71 @@ func TestSnapshotRestoreRoundTripDigest(t *testing.T) {
 			t.Fatal("snapshot → restore → snapshot digest changed")
 		}
 	})
+}
+
+// TestRestoreReplaysJournalSuffix: Restore rebuilds the partition from the
+// snapshot plus the journal records past it, so it lands on the live
+// controller's state — the same digest, the registrations made after the
+// snapshot still there to remove, and the journal's numbering continued —
+// and refuses a snapshot older than the journal's last compaction, leaving
+// the live controller in place.
+func TestRestoreReplaysJournalSuffix(t *testing.T) {
+	sch, err := NewSchema(Attribute{Name: "v", Bits: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(sch, WithJournal())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	host := sys.Hosts()[1]
+	subscribe := func(id string) error {
+		return sys.Subscribe(id, host, NewFilter().Range("v", 0, 99), func(Delivery) {})
+	}
+	digest := func() []byte {
+		t.Helper()
+		d, err := sys.StateDigest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	snap, err := sys.Snapshot(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := subscribe("s1"); err != nil {
+		t.Fatal(err)
+	}
+	before := digest()
+	if err := sys.Restore(0, snap); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(digest(), before) {
+		t.Fatal("Restore lost the journal suffix: state digest differs from the live controller's")
+	}
+	if err := subscribe("s2"); err != nil {
+		t.Fatalf("Subscribe after Restore: %v", err)
+	}
+	if err := sys.Unsubscribe("s1"); err != nil {
+		t.Fatalf("Unsubscribe of a registration the journal holds past the snapshot: %v", err)
+	}
+	if err := sys.VerifyTables(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A new snapshot compacts the journal past the first one.
+	if _, err := sys.Snapshot(0); err != nil {
+		t.Fatal(err)
+	}
+	live := digest()
+	if err := sys.Restore(0, snap); err == nil || !strings.Contains(err.Error(), "snapshot required") {
+		t.Fatalf("Restore of a snapshot older than the compaction: err = %v, want the gap refusal", err)
+	}
+	if !bytes.Equal(digest(), live) {
+		t.Fatal("a refused Restore replaced the live controller")
+	}
 }
 
 // TestSoakFailoverConvergence is the acceptance check for controller HA:

@@ -40,7 +40,7 @@ func (c *Controller) advertise(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if _, dup := c.pubs[id]; dup {
 		return rep, fmt.Errorf("%w: publisher %q", ErrDuplicateClient, id)
 	}
-	if set, err = c.admit("advertisement", id, set); err != nil {
+	if err = admit("advertisement", id, set); err != nil {
 		return rep, err
 	}
 	span, start := c.beginOp(opAdvertise, func() string { return id + " " + set.String() })
@@ -113,7 +113,7 @@ func (c *Controller) subscribe(id string, ep endpoint, set dz.Set) (rep Reconfig
 	if _, dup := c.subs[id]; dup {
 		return rep, fmt.Errorf("%w: subscriber %q", ErrDuplicateClient, id)
 	}
-	if set, err = c.admit("subscription", id, set); err != nil {
+	if err = admit("subscription", id, set); err != nil {
 		return rep, err
 	}
 	span, start := c.beginOp(opSubscribe, func() string { return id + " " + set.String() })
@@ -258,23 +258,20 @@ func (c *Controller) Unadvertise(id string) (rep ReconfigReport, err error) {
 	return rep, nil
 }
 
-// admit applies the L_dz constraint to a request's DZ set and rejects, before
-// the request changes any state, what the controller cannot program: an
-// empty set, or a subspace too long for a flow match — dz.MaxKeyBits is the
-// dz capacity of the IPv6 embedding and of the prefix-index keys, so every
-// admitted member packs into a dz.Key losslessly. The set is used, not
-// copied: callers hand it over, and the controller only reads it.
-func (c *Controller) admit(kind, id string, set dz.Set) (dz.Set, error) {
-	if c.maxDzLen > 0 {
-		set = set.Truncate(c.maxDzLen)
-	}
+// admit rejects, before the request changes any state, a DZ set the
+// controller cannot program: an empty set, or a subspace too long for a flow
+// match — dz.MaxKeyBits is the dz capacity of the IPv6 embedding and of the
+// prefix-index keys, so every admitted member packs into a dz.Key
+// losslessly. L_dz is the facade's to apply. The set is used, not copied:
+// callers hand it over, and the controller only reads it.
+func admit(kind, id string, set dz.Set) error {
 	if set.IsEmpty() {
-		return nil, fmt.Errorf("core: %s %q has empty DZ set", kind, id)
+		return fmt.Errorf("core: %s %q has empty DZ set", kind, id)
 	}
 	if n := set.MaxLen(); n > dz.MaxKeyBits {
-		return nil, fmt.Errorf("core: %s %q: dz length %d exceeds %d bits", kind, id, n, dz.MaxKeyBits)
+		return fmt.Errorf("core: %s %q: dz length %d exceeds %d bits", kind, id, n, dz.MaxKeyBits)
 	}
-	return set, nil
+	return nil
 }
 
 // hostEndpoint validates a regular client location.

@@ -373,7 +373,7 @@ func TestClientValidation(t *testing.T) {
 }
 
 // TestOverlongExpressionRejectedUpFront: a subspace longer than a flow match
-// can hold (no WithMaxDzLen to truncate it) must be refused before the
+// can hold (the controller truncates nothing) must be refused before the
 // request registers anything — not in refresh, with the client and its
 // contributions already in place and the tables short of a flow.
 func TestOverlongExpressionRejectedUpFront(t *testing.T) {
@@ -617,18 +617,6 @@ func TestContentDeliveryExactness(t *testing.T) {
 		if got := len(tb.recv[h]); got != want {
 			t.Errorf("host %d received %d, want %d", h, got, want)
 		}
-	}
-}
-
-func TestMaxDzLenTruncation(t *testing.T) {
-	tb := newTestbed(t, core.WithMaxDzLen(2))
-	hosts := tb.g.Hosts()
-	if _, err := tb.ctl.Advertise("p1", hosts[0], dz.NewSet("0000", "0001")); err != nil {
-		t.Fatal(err)
-	}
-	trees := tb.ctl.Trees()
-	if len(trees) != 1 || !trees[0].DZ.Equal(dz.NewSet("00")) {
-		t.Errorf("trees=%v, want single {00}", trees)
 	}
 }
 

@@ -250,7 +250,6 @@ type Controller struct {
 	hostAddr  HostAddrFunc
 	partition int
 	maxTrees  int
-	maxDzLen  int
 	// retry shapes southbound retries on transient errors; the zero value
 	// means a single attempt (no retries).
 	retry RetryPolicy
@@ -305,7 +304,7 @@ type Controller struct {
 	// incarnation number (bumped on failover), jseq the sequence of the
 	// last journaled or replayed op, and replaying suppresses re-appends
 	// while Replay drives operations from the journal itself.
-	journal   Journal
+	journal   *Journal
 	epoch     uint32
 	jseq      uint64
 	replaying bool
@@ -338,12 +337,6 @@ func WithPartition(p int) Option {
 // (Section 3.2). Zero disables merging.
 func WithMaxTrees(n int) Option {
 	return func(c *Controller) { c.maxTrees = n }
-}
-
-// WithMaxDzLen truncates every dz-expression handled by the controller to
-// at most n bits, modelling the L_dz address-space constraint.
-func WithMaxDzLen(n int) Option {
-	return func(c *Controller) { c.maxDzLen = n }
 }
 
 // WithHostAddr overrides how host unicast addresses are derived.
@@ -384,7 +377,6 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 		g:         g,
 		prog:      prog,
 		partition: AnyPartition,
-		maxDzLen:  0,
 		trees:     make(map[TreeID]*tree),
 		pubs:      make(map[string]*publisher),
 		subs:      make(map[string]*subscriber),
@@ -406,10 +398,6 @@ func NewController(g *topo.Graph, prog FlowProgrammer, opts ...Option) (*Control
 	c.actions.version = g.Version()
 	return c, nil
 }
-
-// Partition returns the partition this controller manages (AnyPartition
-// for the whole graph).
-func (c *Controller) Partition() int { return c.partition }
 
 // Stats returns a snapshot of the lifetime counters. Called by the owner,
 // it falls between operations, so no counter moves mid-read.

@@ -33,3 +33,14 @@ func (c *Controller) InstalledFlowsOn(sw topo.NodeID) []dz.Expr {
 	}
 	return out
 }
+
+// SetEpoch sets the controller's incarnation number, so a test can compare
+// a takeover's state with its predecessor's modulo the epoch bump.
+func (c *Controller) SetEpoch(e uint32) { c.epoch = e }
+
+// Len returns the number of live (non-truncated) records.
+func (j *Journal) Len() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.n
+}

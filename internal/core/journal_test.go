@@ -127,8 +127,7 @@ func TestStandbyPromoteFromJournalOnly(t *testing.T) {
 
 	// The active controller "crashes": a standby replays the journal from
 	// genesis against the same network and takes over.
-	standby := core.NewStandby(tb.g, tb.dp, j, core.WithHostAddr(netem.HostAddr))
-	promoted, rep, err := standby.Promote()
+	promoted, rep, err := core.Rebuild(tb.g, tb.dp, nil, j, true, core.WithHostAddr(netem.HostAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,11 +201,7 @@ func TestStandbyPromoteFromSnapshotPlusSuffix(t *testing.T) {
 	}
 	suffix := j.Len()
 
-	standby := core.NewStandby(tb.g, tb.dp, j, core.WithHostAddr(netem.HostAddr))
-	if err := standby.ObserveSnapshot(snap); err != nil {
-		t.Fatal(err)
-	}
-	promoted, rep, err := standby.Promote()
+	promoted, rep, err := core.Rebuild(tb.g, tb.dp, snap, j, true, core.WithHostAddr(netem.HostAddr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,8 +236,7 @@ func TestStandbyPromoteFromSnapshotPlusSuffix(t *testing.T) {
 
 	// A standby that never observed a snapshot cannot replay a compacted
 	// journal — the takeover must be refused, not silently wrong.
-	blind := core.NewStandby(tb.g, tb.dp, j, core.WithHostAddr(netem.HostAddr))
-	if _, _, err := blind.Promote(); err == nil {
+	if _, _, err := core.Rebuild(tb.g, tb.dp, nil, j, true, core.WithHostAddr(netem.HostAddr)); err == nil {
 		t.Fatal("promote across a compaction gap without a snapshot must fail")
 	}
 
@@ -254,11 +248,7 @@ func TestStandbyPromoteFromSnapshotPlusSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	j.Truncate(promoted.JournalSeq())
-	standby2 := core.NewStandby(tb.g, tb.dp, j, core.WithHostAddr(netem.HostAddr))
-	if err := standby2.ObserveSnapshot(snap2); err != nil {
-		t.Fatal(err)
-	}
-	promoted2, rep2, err := standby2.Promote()
+	promoted2, rep2, err := core.Rebuild(tb.g, tb.dp, snap2, j, true, core.WithHostAddr(netem.HostAddr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,33 +9,27 @@ import (
 )
 
 // This file is the fabric's controller-HA surface: with WithHA every
-// partition controller journals its control operations to an in-memory
-// journal, SnapshotPartition takes (and compacts against) deterministic
-// state snapshots, and Failover simulates a controller crash by discarding
-// the live instance and promoting a warm standby from snapshot + journal.
+// partition controller journals its control operations, SnapshotPartition
+// takes (and compacts against) deterministic state snapshots, and
+// Failover, RecoverPartition and RestorePartition rebuild a controller from
+// a snapshot plus the journal suffix (core.Rebuild).
 
 // WithHA gives every partition controller an op journal, enabling
-// SnapshotPartition, RestorePartition, and Failover.
-func WithHA() Option {
-	return func(f *Fabric) { f.ha = true }
-}
-
-// WithHAJournal enables HA with journals supplied by open — one per
-// partition. The networked daemon uses it to hand every partition a
-// file-backed core.FileJournal so controller state survives a process
-// restart; tests can inject failing or instrumented journals the same way.
-func WithHAJournal(open func(partition int) (core.CompactableJournal, error)) Option {
-	return func(f *Fabric) {
-		f.ha = true
-		f.journalOpen = open
+// SnapshotPartition, RestorePartition, Failover and RecoverPartition. open
+// supplies partition p's journal — the networked daemon opens files
+// (core.OpenFileJournal) so controller state survives a process restart;
+// nil keeps the journals in memory. Close closes them.
+func WithHA(open func(partition int) (*core.Journal, error)) Option {
+	if open == nil {
+		open = func(int) (*core.Journal, error) { return core.NewMemJournal(), nil }
 	}
+	return func(f *Fabric) { f.journalOpen = open }
 }
 
 // controllerOpts builds the option set of one partition's controller — the
-// same set for the initial instance and for every standby promoted later,
-// so a promoted controller is configured identically to the one it
-// replaces.
-func (f *Fabric) controllerOpts(partition int, journal core.CompactableJournal) []core.Option {
+// same set for the initial instance and for every one rebuilt later, so a
+// rebuilt controller is configured identically to the one it replaces.
+func (f *Fabric) controllerOpts(partition int, journal *core.Journal) []core.Option {
 	opts := append([]core.Option{
 		core.WithHostAddr(netem.HostAddr),
 		core.WithPartition(partition),
@@ -47,7 +41,7 @@ func (f *Fabric) controllerOpts(partition int, journal core.CompactableJournal) 
 }
 
 // Journal returns the op journal of one partition (nil without WithHA).
-func (f *Fabric) Journal(partition int) (core.CompactableJournal, error) {
+func (f *Fabric) Journal(partition int) (*core.Journal, error) {
 	s, ok := f.parts[partition]
 	if !ok {
 		return nil, fmt.Errorf("interdomain: unknown partition %d", partition)
@@ -135,16 +129,29 @@ func (f *Fabric) DigestPartition(partition int) ([]byte, error) {
 // persisted snapshot (possibly nil for journal-only recovery) plus the
 // partition journal's suffix — the daemon's restart-with-state path. It is
 // Failover driven by on-disk state instead of the retained lastSnap, which
-// a copy of the validated snapshot then replaces.
+// a copy of the snapshot then replaces.
 func (f *Fabric) RecoverPartition(partition int, snap []byte) (FailoverReport, error) {
-	return f.takeover("recover", partition, slices.Clone(snap))
+	rep, err := f.rebuild("recover", partition, snap, true)
+	if err == nil && snap != nil {
+		f.parts[partition].lastSnap = slices.Clone(snap)
+	}
+	return rep, err
 }
 
-// takeover replaces the partition's controller with a standby promoted from
-// snap (nil: the journal alone) plus the journal suffix: the standby
-// replays, bumps the epoch, and resyncs switch ground truth. It retains
-// snap once validated; verb names the caller in errors.
-func (f *Fabric) takeover(verb string, partition int, snap []byte) (FailoverReport, error) {
+// RestorePartition replaces the partition's controller with one rebuilt
+// from the snapshot plus the journal records past it, without an epoch
+// bump, and resyncs the partition's switches against the rebuilt state. A
+// snapshot older than the journal's last compaction is refused.
+func (f *Fabric) RestorePartition(partition int, snap []byte) error {
+	_, err := f.rebuild("restore", partition, snap, false)
+	return err
+}
+
+// rebuild replaces the partition's controller with one core.Rebuild makes
+// from snap (nil: the journal alone) and the partition journal; takeover
+// makes it a new incarnation, counted as a failover. verb names the caller
+// in errors.
+func (f *Fabric) rebuild(verb string, partition int, snap []byte, takeover bool) (FailoverReport, error) {
 	rep := FailoverReport{Partition: partition}
 	s, ok := f.parts[partition]
 	if !ok {
@@ -153,44 +160,17 @@ func (f *Fabric) takeover(verb string, partition int, snap []byte) (FailoverRepo
 	if s.journal == nil {
 		return rep, fmt.Errorf("interdomain: partition %d has no journal (fabric built without WithHA)", partition)
 	}
-	standby := core.NewStandby(f.g, f.prog, s.journal, f.controllerOpts(partition, nil)...)
-	if snap != nil {
-		if err := standby.ObserveSnapshot(snap); err != nil {
-			return rep, fmt.Errorf("interdomain: %s partition %d: %w", verb, partition, err)
-		}
-		s.lastSnap = snap
-	}
-	ctl, prep, err := standby.Promote()
+	ctl, prep, err := core.Rebuild(f.g, f.prog, snap, s.journal, takeover, f.controllerOpts(partition, nil)...)
 	if err != nil {
 		return rep, fmt.Errorf("interdomain: %s partition %d: %w", verb, partition, err)
 	}
 	s.setController(ctl)
 	rep.PromoteReport = prep
-	f.obsFailovers.With(partition).Inc()
-	f.obsEpoch.With(partition).Set(int64(prep.Epoch))
+	if takeover {
+		f.obsFailovers.With(partition).Inc()
+		f.obsEpoch.With(partition).Set(int64(prep.Epoch))
+	}
 	return rep, nil
-}
-
-// RestorePartition replaces the partition's controller with one
-// reconstructed from the snapshot, reattaches the journal, and resyncs the
-// partition's switches against the restored canonical state.
-func (f *Fabric) RestorePartition(partition int, snap []byte) error {
-	s, ok := f.parts[partition]
-	if !ok {
-		return fmt.Errorf("interdomain: unknown partition %d", partition)
-	}
-	if s.journal == nil {
-		return fmt.Errorf("interdomain: partition %d has no journal (fabric built without WithHA)", partition)
-	}
-	ctl, err := core.RestoreController(f.g, f.prog, snap, f.controllerOpts(partition, s.journal)...)
-	if err != nil {
-		return fmt.Errorf("interdomain: restore partition %d: %w", partition, err)
-	}
-	if _, err := ctl.ResyncAll(); err != nil {
-		return fmt.Errorf("interdomain: restore partition %d: resync: %w", partition, err)
-	}
-	s.setController(ctl)
-	return nil
 }
 
 // FailoverReport summarises one partition takeover.
@@ -200,18 +180,17 @@ type FailoverReport struct {
 }
 
 // Failover simulates a crash of the partition's active controller and
-// promotes a warm standby in its place: the live instance is discarded
-// unread (its in-memory state is lost, exactly as a process crash would
-// lose it), and the standby rebuilds from the last snapshot plus the
-// journal suffix, bumps the epoch, and anti-entropy-resyncs the inherited
-// switches. The fabric's own forwarding state (virtual replicas, covering
-// indexes) lives outside the controller and survives; replayed virtual
-// client registrations reconstruct the same ids, so the replica maps stay
-// valid.
+// rebuilds one in its place: the live instance is discarded unread (its
+// in-memory state is lost, exactly as a process crash would lose it), and
+// its successor rebuilds from the last snapshot plus the journal suffix,
+// bumps the epoch, and anti-entropy-resyncs the inherited switches. The
+// fabric's own forwarding state (virtual replicas, covering indexes) lives
+// outside the controller and survives; replayed virtual client
+// registrations reconstruct the same ids, so the replica maps stay valid.
 func (f *Fabric) Failover(partition int) (FailoverReport, error) {
 	var snap []byte
 	if s, ok := f.parts[partition]; ok {
 		snap = s.lastSnap
 	}
-	return f.takeover("failover", partition, snap)
+	return f.rebuild("failover", partition, snap, true)
 }

@@ -52,7 +52,7 @@ func driveHA(t *testing.T, fx *fixture) {
 
 func TestFabricFailoverPreservesForwarding(t *testing.T) {
 	g := chainTopo(t, 3)
-	fx := newFixture(t, g, WithHA())
+	fx := newFixture(t, g, WithHA(nil))
 	driveHA(t, fx)
 	p0 := g.HostsInPartition(0)
 	p2 := g.HostsInPartition(2)
@@ -124,7 +124,7 @@ func TestFailoverAndRecoverAreOneTakeover(t *testing.T) {
 	}
 	run := func(takeover func(f *Fabric, snap []byte) (FailoverReport, error)) outcome {
 		g := chainTopo(t, 3)
-		fx := newFixture(t, g, WithHA())
+		fx := newFixture(t, g, WithHA(nil))
 		driveHA(t, fx)
 		snap, err := fx.fab.SnapshotPartition(1)
 		if err != nil {
@@ -161,7 +161,7 @@ func TestFailoverAndRecoverAreOneTakeover(t *testing.T) {
 
 func TestFabricSnapshotRestorePartition(t *testing.T) {
 	g := chainTopo(t, 3)
-	fx := newFixture(t, g, WithHA())
+	fx := newFixture(t, g, WithHA(nil))
 	driveHA(t, fx)
 
 	snap, err := fx.fab.SnapshotPartition(0)
@@ -204,7 +204,7 @@ func TestFailoverRequiresHA(t *testing.T) {
 	if _, err := fx.fab.SnapshotPartition(0); err == nil {
 		t.Error("SnapshotPartition without WithHA must fail")
 	}
-	fxHA := newFixture(t, chainTopo(t, 2), WithHA())
+	fxHA := newFixture(t, chainTopo(t, 2), WithHA(nil))
 	if _, err := fxHA.fab.Failover(99); err == nil {
 		t.Error("Failover of an unknown partition must fail")
 	}
@@ -220,7 +220,7 @@ func TestFailoverRequiresHA(t *testing.T) {
 func TestFabricOpOrderDeterministic(t *testing.T) {
 	run := func() [][32]byte {
 		g := chainTopo(t, 3)
-		fx := newFixture(t, g, WithHA())
+		fx := newFixture(t, g, WithHA(nil))
 		driveHA(t, fx)
 		if err := fx.fab.HandleTopologyChange(); err != nil {
 			t.Fatal(err)

@@ -121,10 +121,9 @@ type partitionState struct {
 	load ControllerLoad
 	// journal receives the partition controller's control ops when the
 	// fabric runs with HA (WithHA); lastSnap holds the latest snapshot
-	// taken through SnapshotPartition — together they are what a warm
-	// standby promotes from (see ha.go). In-memory by default, file-backed
-	// under WithHAJournal (the networked daemon's restart-with-state path).
-	journal  core.CompactableJournal
+	// taken through SnapshotPartition — together they are what Failover
+	// rebuilds from (see ha.go).
+	journal  *core.Journal
 	lastSnap []byte
 }
 
@@ -189,8 +188,7 @@ type Fabric struct {
 	order           []int
 	covering        bool
 	staticDiscovery bool
-	ha              bool
-	journalOpen     func(partition int) (core.CompactableJournal, error)
+	journalOpen     func(partition int) (*core.Journal, error) // nil without WithHA
 	ctlOpts         []core.Option
 
 	messagesSent uint64
@@ -265,24 +263,8 @@ func NewFabric(g *topo.Graph, dp *netem.DataPlane, opts ...Option) (*Fabric, err
 		f.prog = dp
 	}
 	for _, p := range g.Partitions() {
-		var journal core.CompactableJournal
-		if f.ha {
-			if f.journalOpen != nil {
-				var err error
-				if journal, err = f.journalOpen(p); err != nil {
-					return nil, fmt.Errorf("interdomain: open journal for partition %d: %w", p, err)
-				}
-			} else {
-				journal = core.NewMemJournal()
-			}
-		}
-		ctl, err := core.NewController(g, f.prog, f.controllerOpts(p, journal)...)
-		if err != nil {
-			return nil, fmt.Errorf("interdomain: controller for partition %d: %w", p, err)
-		}
-		f.parts[p] = &partitionState{
+		s := &partitionState{
 			part:           p,
-			journal:        journal,
 			borders:        make(map[int][]BorderPort),
 			rcvdAdv:        make(map[string]dz.Set),
 			rcvdSub:        make(map[string]dz.Set),
@@ -293,17 +275,41 @@ func NewFabric(g *topo.Graph, dp *netem.DataPlane, opts ...Option) (*Fabric, err
 			localAdvs:      make(map[string]dz.Set),
 			localSubs:      make(map[string]dz.Set),
 		}
-		f.parts[p].setController(ctl)
+		f.parts[p] = s
+		if f.journalOpen != nil {
+			var err error
+			if s.journal, err = f.journalOpen(p); err != nil {
+				f.Close()
+				return nil, fmt.Errorf("interdomain: open journal for partition %d: %w", p, err)
+			}
+		}
+		ctl, err := core.NewController(g, f.prog, f.controllerOpts(p, s.journal)...)
+		if err != nil {
+			f.Close()
+			return nil, fmt.Errorf("interdomain: controller for partition %d: %w", p, err)
+		}
+		s.setController(ctl)
 		f.order = append(f.order, p)
 	}
 	sort.Ints(f.order)
 	if f.staticDiscovery {
 		f.discoverBordersStatic()
 	} else if err := f.discoverBordersLLDP(); err != nil {
+		f.Close()
 		return nil, err
 	}
 	f.buildPartitionTree()
 	return f, nil
+}
+
+// Close closes the partition journals (a no-op for journals in memory).
+// The fabric must not be used afterwards; closing again is harmless.
+func (f *Fabric) Close() {
+	for _, s := range f.parts {
+		if s.journal != nil {
+			s.journal.Close()
+		}
+	}
 }
 
 // buildPartitionTree restricts inter-partition request forwarding and

@@ -124,7 +124,7 @@ const (
 	MSnapshots     = "pleroma_controller_snapshots_total"
 	MSnapshotBytes = "pleroma_controller_snapshot_bytes"
 	// MJournalRecords counts control ops appended to the op journal;
-	// MJournalReplayed counts records replayed during standby promotion.
+	// MJournalReplayed counts records replayed by a takeover or a restore.
 	MJournalRecords  = "pleroma_journal_records_total"
 	MJournalReplayed = "pleroma_journal_replayed_total"
 	// MFailovers counts warm-standby takeovers per partition, and

@@ -110,9 +110,6 @@ func New(sch *space.Schema, model Model, seed int64, opts ...Option) (*Generator
 	return g, nil
 }
 
-// Model returns the generator's distribution model.
-func (g *Generator) Model() Model { return g.model }
-
 // Event draws one event.
 func (g *Generator) Event() space.Event {
 	vals := make([]uint32, g.sch.Dims())

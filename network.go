@@ -44,7 +44,7 @@ func WithTransport(o TransportOptions) Option {
 }
 
 // WithJournalDir enables controller HA like WithJournal, but with every
-// partition journal file-backed under dir (core.FileJournal), so control
+// partition journal file-backed under dir (core.OpenFileJournal), so control
 // state survives a daemon restart: on boot, Recover rebuilds each
 // partition from an optional snapshot plus the journal suffix on disk.
 func WithJournalDir(dir string) Option {

@@ -252,11 +252,10 @@ type System struct {
 	reindexSeen   uint64
 	reindexRounds int
 
-	// Networked deployment surface (nil without WithListener /
-	// WithJournalDir; see network.go).
-	server       *transport.Server
-	lnAddr       net.Addr
-	fileJournals []*core.FileJournal
+	// Networked deployment surface (nil without WithListener; see
+	// network.go).
+	server *transport.Server
+	lnAddr net.Addr
 
 	// Observability (nil without WithObservability; see observability.go).
 	reg    *obs.Registry
@@ -396,25 +395,17 @@ func NewSystem(sch *Schema, opts ...Option) (*System, error) {
 	if reg != nil {
 		fabOpts = append(fabOpts, interdomain.WithObservability(reg, tracer))
 	}
-	var fileJournals []*core.FileJournal
-	switch {
-	case cfg.journalDir != "":
-		fabOpts = append(fabOpts, interdomain.WithHAJournal(func(partition int) (core.CompactableJournal, error) {
-			j, err := core.OpenFileJournal(JournalPath(cfg.journalDir, partition))
-			if err != nil {
-				return nil, err
+	if cfg.journal {
+		var open func(partition int) (*core.Journal, error)
+		if cfg.journalDir != "" {
+			open = func(partition int) (*core.Journal, error) {
+				return core.OpenFileJournal(JournalPath(cfg.journalDir, partition))
 			}
-			fileJournals = append(fileJournals, j)
-			return j, nil
-		}))
-	case cfg.journal:
-		fabOpts = append(fabOpts, interdomain.WithHA())
+		}
+		fabOpts = append(fabOpts, interdomain.WithHA(open))
 	}
 	fab, err := interdomain.NewFabric(g, dp, fabOpts...)
 	if err != nil {
-		for _, j := range fileJournals {
-			j.Close()
-		}
 		return nil, err
 	}
 	sys := &System{
@@ -460,7 +451,6 @@ func NewSystem(sch *Schema, opts ...Option) (*System, error) {
 	if cfg.inBandDelay > 0 {
 		fab.EnableInBandSignalling(cfg.inBandDelay)
 	}
-	sys.fileJournals = fileJournals
 	if cfg.listenAddr != "" {
 		if err := sys.startListener(cfg.listenAddr); err != nil {
 			sys.Close()
@@ -514,19 +504,17 @@ func (s *System) Shards() int {
 }
 
 // Close releases the shard worker goroutines of a WithShards(n>1)
-// system. The system must not be used afterwards. Optional — an
-// abandoned system is reaped by a finalizer — but deterministic cleanup
-// keeps goroutine-leak checkers quiet. Safe to call on any system,
-// idempotent, and safe to call concurrently (e.g. racing the finalizer
-// path or a deferred double-Close).
+// system and closes the journal files of a WithJournalDir one. The system
+// must not be used afterwards. Optional — an abandoned system is reaped by
+// a finalizer — but deterministic cleanup keeps goroutine-leak checkers
+// quiet. Safe to call on any system, idempotent, and safe to call
+// concurrently (e.g. racing the finalizer path or a deferred double-Close).
 func (s *System) Close() {
 	s.ready.Store(false)
 	if s.server != nil {
 		s.server.Stop()
 	}
-	for _, j := range s.fileJournals {
-		j.Close()
-	}
+	s.fab.Close()
 	if s.coord != nil {
 		s.coord.Close()
 	}

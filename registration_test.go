@@ -201,7 +201,9 @@ func (r *regRig) state() (digest []byte, records int) {
 	for _, p := range r.sys.Partitions() {
 		j, err := r.sys.fab.Journal(p)
 		r.must(err)
-		records += j.Len()
+		recs, err := j.Records(0)
+		r.must(err)
+		records += len(recs)
 	}
 	return digest, records
 }
